@@ -108,7 +108,8 @@ def _helstrom_value(c: float) -> float:
 
 
 def _mcm_confidence_quantum(c: float, p: float) -> float:
-    denom_sq = 1.0 - (1.0 - p) ** 2 * c
+    # 1 - (1-p)^2 c, written so it does not cancel as c -> 1, p -> 0
+    denom_sq = (1.0 - c) + c * p * (2.0 - p)
     if denom_sq <= DEFAULTS.norm:
         raise DivergenceError("confidence undefined for a pure coincident pair")
     return 0.5 * (1.0 + (1.0 - p) * math.sqrt(1.0 - c) / math.sqrt(denom_sq))

@@ -20,18 +20,14 @@ ENV_TOL = "CTXSD_TOL"
 class Tolerances:
     """Numeric thresholds used across the package.
 
-    The first group guards type invariants, the second parametrises the
-    feasibility bisections, the last sets how closely independent routes to
-    the same number must agree.
+    The first group guards type invariants, the second sets how closely
+    independent routes to the same number must agree.
     """
 
     norm: float = 1e-12            # normalisation, Hermiticity, weight sums
     psd: float = 1e-10             # smallest admissible POVM eigenvalue
     completeness: float = 1e-10    # entrywise |sum of elements - identity|
     overlap: float = 1e-10         # stored overlap vs recomputed overlap
-
-    bisection: float = 1e-12       # interval width at which bisection stops
-    bisection_max_iter: int = 200
 
     exact: float = 1e-12           # identities that hold to rounding error
     closed_form: float = 1e-9      # measurement construction vs closed form
@@ -48,7 +44,7 @@ def from_env(base: Tolerances = DEFAULTS) -> Tolerances:
     """Return ``base`` with the comparison tolerances floored at CTXSD_TOL.
 
     The override can only loosen checks (useful on platforms with a weaker
-    libm); the structural tolerances and the solver settings are untouched.
+    libm); the structural tolerances are untouched.
     """
     raw = os.environ.get(ENV_TOL)
     if raw is None:

@@ -490,12 +490,12 @@ def _chk_povm_completeness(n: int, tols: Tolerances, acc: _Acc) -> None:
         ens = qtheory.noisy_ensemble(_theta_of(c), 0.0)
         inspect(qtheory.helstrom_povm(ens), _pt(c=c))
         if c < 1.0:
-            m_opt, _ = qtheory.usd_optimal(ens, tols)
+            m_opt, _ = qtheory.usd_optimal(ens)
             inspect(m_opt, _pt(c=c))
             g = 0.5 / (1.0 + math.sqrt(c))
             inspect(qtheory.usd_povm(ens, g, g), _pt(c=c, g=g))
     for c, p in _mcm_grid(max(5, n // 2)):
-        m_opt, _ = qtheory.mcm_optimal(_theta_of(c), p, tols)
+        m_opt, _ = qtheory.mcm_optimal(_theta_of(c), p)
         inspect(m_opt, _pt(c=c, p=p))
         alpha = 0.5 * m_opt.conclusive(1).trace
         if alpha > 0.0:
@@ -575,10 +575,10 @@ def _chk_usd_certainty(n: int, tols: Tolerances, acc: _Acc) -> None:
 def _chk_usd_optimal(n: int, tols: Tolerances, acc: _Acc) -> None:
     for c in _grid(n)[:-1]:
         ens = qtheory.noisy_ensemble(_theta_of(float(c)), 0.0)
-        _, rate = qtheory.usd_optimal(ens, tols)
+        _, rate = qtheory.usd_optimal(ens)
         acc.add(rate - math.sqrt(c), tols.closed_form, _pt(c=c))
     try:
-        qtheory.usd_optimal(qtheory.noisy_ensemble(0.0, 0.0), tols)
+        qtheory.usd_optimal(qtheory.noisy_ensemble(0.0, 0.0))
         acc.ok(False, "c=1")
     except UsdImpossibleError:
         acc.ok(True, "c=1")
@@ -597,7 +597,7 @@ def _chk_mcm_confidence(n: int, tols: Tolerances, acc: _Acc) -> None:
     for c, p in _mcm_grid(n):
         target = eval_bound(BoundSpec("MCM", "C", QUANTUM, c=c, p=p))
         ens = qtheory.noisy_ensemble(_theta_of(c), p)
-        m_opt, _ = qtheory.mcm_optimal(_theta_of(c), p, tols)
+        m_opt, _ = qtheory.mcm_optimal(_theta_of(c), p)
         alpha_max = m_opt.conclusive(1).trace
         seen = []
         for frac in (0.25, 0.5, 1.0):
@@ -619,7 +619,7 @@ def _chk_mcm_confidence(n: int, tols: Tolerances, acc: _Acc) -> None:
 )
 def _chk_mcm_optimal(n: int, tols: Tolerances, acc: _Acc) -> None:
     for c, p in _mcm_grid(n):
-        _, rate = qtheory.mcm_optimal(_theta_of(c), p, tols)
+        _, rate = qtheory.mcm_optimal(_theta_of(c), p)
         acc.add(rate - (1.0 - p) * math.sqrt(c), tols.closed_form, _pt(c=c, p=p))
 
 
@@ -628,7 +628,7 @@ def _chk_mcm_monotonicity(n: int, tols: Tolerances, acc: _Acc) -> None:
     cs = _grid(n)
     ps = [p for p in _grid(n) if p > 0.0]
     rates = {
-        (float(c), float(p)): qtheory.mcm_optimal(_theta_of(float(c)), float(p), tols)[1]
+        (float(c), float(p)): qtheory.mcm_optimal(_theta_of(float(c)), float(p))[1]
         for c in cs
         for p in ps
     }
@@ -659,7 +659,7 @@ def _chk_composition(n: int, tols: Tolerances, acc: _Acc) -> None:
         rhs = (1.0 - qtheory.inconclusive_rate(ens, m)) * qtheory.confidence(ens, m, 1)
         acc.add(lhs - rhs, 1e-10, _pt(c=c, scheme=0))
     for c, p in _mcm_grid(max(5, n // 2)):
-        m, p_0 = qtheory.mcm_optimal(_theta_of(c), p, tols)
+        m, p_0 = qtheory.mcm_optimal(_theta_of(c), p)
         ens = qtheory.noisy_ensemble(_theta_of(c), p)
         try:
             conf = qtheory.confidence(ens, m, 1)
@@ -890,7 +890,7 @@ def _chk_construction(n: int, tols: Tolerances, acc: _Acc) -> None:
             _pt(c=c),
         )
         if c < 1.0:
-            usd_m, rate = qtheory.usd_optimal(ens, tols)
+            usd_m, rate = qtheory.usd_optimal(ens)
             acc.add(
                 rate - eval_bound(BoundSpec("USD", "P_0", QUANTUM, c=c)),
                 tols.closed_form,
@@ -903,7 +903,7 @@ def _chk_construction(n: int, tols: Tolerances, acc: _Acc) -> None:
                 _pt(c=c),
             )
     for c, p in _mcm_grid(n):
-        mcm_m, rate = qtheory.mcm_optimal(_theta_of(c), p, tols)
+        mcm_m, rate = qtheory.mcm_optimal(_theta_of(c), p)
         noisy = qtheory.noisy_ensemble(_theta_of(c), p)
         acc.add(
             rate - eval_bound(BoundSpec("MCM", "P_0", QUANTUM, c=c, p=p)),

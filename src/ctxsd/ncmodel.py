@@ -345,15 +345,15 @@ def oracle_max_pg(scn: NcScenario, noisy: bool = False) -> tuple[ResponseSet, fl
 
 
 def oracle_max_confidence(
-    scn: NcScenario, outcome: int, noisy: bool = False, grid: int = 101
+    scn: NcScenario, outcome: int, noisy: bool = False
 ) -> tuple[np.ndarray, float]:
     """Maximise one conclusive confidence over that outcome's responses.
 
     Candidates are the one-parameter family gamma * identifying-indicator
     (see ``usd_response``). The confidence is a ratio of two terms linear
-    in gamma and hence constant along the family, which is verified on a
-    gamma grid before returning the gamma = 1 representative, the member
-    with the largest outcome probability.
+    in gamma, so gamma cancels and the family is one vertex: the gamma = 1
+    representative, the member with the largest outcome probability, is
+    returned.
     """
     if outcome not in (1, 2):
         raise ContractError(f"outcome must be 1 or 2, got {outcome}")
@@ -370,26 +370,23 @@ def oracle_max_confidence(
         raise UndefinedConfidenceError(
             f"outcome {outcome} never fires on this scenario"
         )
-    values = []
-    for g in np.linspace(1.0 / grid, 1.0, grid):
-        values.append((0.5 * g * num) / (g * den))
-    spread = max(values) - min(values)
-    if spread > 1e-13:
-        raise ContractError(f"confidence varied by {spread} along the family")
-    return pattern.copy(), values[-1]
+    return pattern.copy(), 0.5 * num / den
 
 
-def oracle_min_p0_at_max_confidence(
-    scn: NcScenario, grid: int = 50
-) -> tuple[ResponseSet, float]:
+# Vertices of the triangle {gamma1, gamma2 >= 0, gamma1 + gamma2 <= 1}, plus
+# the symmetric point of the hypotenuse, which the minimiser prefers on ties.
+_FACE_CANDIDATES = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5))
+
+
+def oracle_min_p0_at_max_confidence(scn: NcScenario) -> tuple[ResponseSet, float]:
     """Smallest inconclusive rate among response sets with both conclusive
     confidences at their maxima.
 
     Both confidences are constant along the identifying family, so the
     maximal-confidence face is the triangle {gamma_i > 0,
-    gamma1 + gamma2 <= 1} and the rate is linear on it; an exhaustive grid
-    scan over the face finds the minimum, preferring the symmetric
-    representative among ties. Membership of the face is re-checked on the
+    gamma1 + gamma2 <= 1} and the rate is linear on it; vertex enumeration
+    of the triangle finds the minimum, preferring the symmetric point of
+    the hypotenuse among ties. Membership of the face is re-checked on the
     returned point.
     """
     target1 = oracle_max_confidence(scn, 1, noisy=True)[1]
@@ -400,18 +397,13 @@ def oracle_min_p0_at_max_confidence(
 
     best_p0 = math.inf
     best_pair = (0.0, 0.0)
-    for i in range(1, grid + 1):
-        g1 = i / grid
-        for j in range(1, grid + 1):
-            g2 = j / grid
-            if g1 + g2 > 1.0 + 1e-12:
-                break
-            p_0 = 1.0 - g1 * mass1 - g2 * mass2
-            better = p_0 < best_p0 - 1e-15
-            tie = abs(p_0 - best_p0) <= 1e-15 and min(g1, g2) > min(*best_pair)
-            if better or tie:
-                best_p0 = p_0
-                best_pair = (g1, g2)
+    for g1, g2 in _FACE_CANDIDATES:
+        p_0 = 1.0 - g1 * mass1 - g2 * mass2
+        better = p_0 < best_p0 - 1e-15
+        tie = abs(p_0 - best_p0) <= 1e-15 and min(g1, g2) > min(*best_pair)
+        if better or tie:
+            best_p0 = p_0
+            best_pair = (g1, g2)
 
     rs = usd_response(*best_pair)
     figs = nc_figures(scn, rs, noisy=True)

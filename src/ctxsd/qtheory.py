@@ -8,7 +8,8 @@ constructions for equiprobable binary ensembles:
   weighted state difference,
 * unambiguous: conclusive elements proportional to the mirror projectors,
 * maximum-confidence: rank-one conclusive directions from a whitened
-  eigenproblem, with the free conclusive weight maximised by bisection.
+  eigenproblem, with the free conclusive weight set to the largest value
+  that keeps the inconclusive element positive semidefinite.
 
 All functions are pure and all values immutable, so everything here is safe
 to evaluate concurrently.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULTS, Tolerances
+from .config import DEFAULTS
 from .errors import (
     ContractError,
     DegenerateEnsembleError,
@@ -374,6 +375,43 @@ def helstrom_povm(ens: Ensemble) -> Povm:
 
 
 # ---------------------------------------------------------------------------
+# measurements with an inconclusive outcome
+
+
+def _povm_with_inconclusive(
+    pi1: np.ndarray, pi2: np.ndarray, weights: tuple[float, float]
+) -> Povm:
+    """Complete two conclusive elements with pi_0 = 1 - pi_1 - pi_2.
+
+    Raises when pi_0 is not positive semidefinite; ``weights`` are the
+    conclusive weights, quoted in the message.
+    """
+    pi0 = _IDENTITY - pi1 - pi2
+    if min_eig_2x2(pi0) < -DEFAULTS.psd:
+        raise InfeasibleWeightsError(
+            f"weights {weights} make the inconclusive element indefinite"
+        )
+    return Povm(
+        (
+            (CONCLUSIVE_1, Operator2(pi1)),
+            (CONCLUSIVE_2, Operator2(pi2)),
+            (INCONCLUSIVE, Operator2(pi0)),
+        )
+    )
+
+
+def _max_weight(s: np.ndarray) -> float:
+    """Largest w in [0, 1] keeping 1 - w*s positive semidefinite.
+
+    For Hermitian s the eigenvalues of 1 - w*s are 1 - w*lambda, so the
+    bound is 1/lambda_max(s), and lambda_max is the trace minus the
+    smallest eigenvalue.
+    """
+    lam_max = float(s[0, 0].real + s[1, 1].real) - min_eig_2x2(s)
+    return 1.0 if lam_max <= 1.0 else 1.0 / lam_max
+
+
+# ---------------------------------------------------------------------------
 # unambiguous discrimination
 
 
@@ -389,63 +427,30 @@ def usd_povm(ens: Ensemble, gamma1: float, gamma2: float) -> Povm:
         if not 0.0 <= g <= 1.0:
             raise DomainError(f"weights must lie in [0, 1], got {g}")
     psi1, psi2 = _pure_pair_of(ens)
-    pi1 = gamma1 * mirror(psi2).projector().matrix
-    pi2 = gamma2 * mirror(psi1).projector().matrix
-    pi0 = _IDENTITY - pi1 - pi2
-    if min_eig_2x2(pi0) < -DEFAULTS.psd:
-        raise InfeasibleWeightsError(
-            f"weights ({gamma1}, {gamma2}) make the inconclusive element indefinite"
-        )
-    return Povm(
-        (
-            (CONCLUSIVE_1, Operator2(pi1)),
-            (CONCLUSIVE_2, Operator2(pi2)),
-            (INCONCLUSIVE, Operator2(pi0)),
-        )
+    return _povm_with_inconclusive(
+        gamma1 * mirror(psi2).projector().matrix,
+        gamma2 * mirror(psi1).projector().matrix,
+        (gamma1, gamma2),
     )
 
 
-def _bisect_max_weight(s: np.ndarray, tols: Tolerances) -> float:
-    """Largest w in [0, 1] keeping 1 - w*s positive semidefinite.
-
-    The smallest eigenvalue of 1 - w*s is concave and decreasing in w for
-    s >= 0, so feasibility is an interval and bisection on the minimum
-    eigenvalue converges monotonically.
-    """
-
-    def feasible(w: float) -> bool:
-        return min_eig_2x2(_IDENTITY - w * s) >= -1e-15
-
-    if feasible(1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(tols.bisection_max_iter):
-        if hi - lo <= tols.bisection:
-            break
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def usd_optimal(ens: Ensemble, tols: Tolerances = DEFAULTS) -> tuple[Povm, float]:
+def usd_optimal(ens: Ensemble) -> tuple[Povm, float]:
     """Minimise the inconclusive rate over feasible unambiguous weights.
 
     For an equiprobable pure pair the rate decreases linearly in
     gamma1 + gamma2 while the feasible set is convex and symmetric under
     swapping the weights, so the optimum sits at the largest symmetric
-    weight with pi_0 still positive semidefinite; bisection on the minimum
-    eigenvalue finds it. Coincident states admit no unambiguous
+    weight with pi_0 still positive semidefinite, 1/lambda_max of the sum
+    of the two mirror projectors. Coincident states admit no unambiguous
     measurement and raise.
     """
     psi1, psi2 = _pure_pair_of(ens)
-    if ens.overlap_sq >= 1.0 - tols.norm:
+    if ens.overlap_sq >= 1.0 - DEFAULTS.norm:
         raise UsdImpossibleError("states are linearly dependent")
-    s = mirror(psi2).projector().matrix + mirror(psi1).projector().matrix
-    g = _bisect_max_weight(s, tols)
-    m = usd_povm(ens, g, g)
+    p1 = mirror(psi2).projector().matrix
+    p2 = mirror(psi1).projector().matrix
+    g = _max_weight(p1 + p2)
+    m = _povm_with_inconclusive(g * p1, g * p2, (g, g))
     return m, inconclusive_rate(ens, m)
 
 
@@ -453,15 +458,7 @@ def usd_optimal(ens: Ensemble, tols: Tolerances = DEFAULTS) -> tuple[Povm, float
 # maximum-confidence measurement
 
 
-def _mcm_directions(
-    ens: Ensemble, theta: float, p: float, alt_angle: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    if alt_angle:
-        phi = mcm_direction_angle_alt(theta, p)
-        return (
-            np.array([math.cos(0.5 * phi), -math.sin(0.5 * phi)], dtype=complex),
-            np.array([math.cos(0.5 * phi), math.sin(0.5 * phi)], dtype=complex),
-        )
+def _mcm_directions(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     rho = ens.average.matrix
     w, v = np.linalg.eigh(rho)
     if w[0] <= DEFAULTS.norm:
@@ -487,7 +484,7 @@ def _mcm_directions(
     return dirs[0], dirs[1]
 
 
-def mcm_povm(theta: float, p: float, alpha: float, *, alt_angle: bool = False) -> Povm:
+def mcm_povm(theta: float, p: float, alpha: float) -> Povm:
     """Maximum-confidence POVM with conclusive elements alpha |phi_i><phi_i|.
 
     The direction |phi_i> maximises the retrodictive confidence
@@ -497,50 +494,37 @@ def mcm_povm(theta: float, p: float, alpha: float, *, alt_angle: bool = False) -
     rho^(-1/2) rho_i rho^(-1/2). The achieved confidence does not depend
     on alpha; alpha only scales the conclusive rate, and must leave
     pi_0 = 1 - pi_1 - pi_2 positive semidefinite.
-
-    ``alt_angle`` swaps in a closed-form direction angle retained for
-    comparison only (see :func:`mcm_direction_angle_alt`); everything else
-    in the package uses the eigenvector construction.
     """
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    ens = noisy_ensemble(theta, p)
-    d1, d2 = _mcm_directions(ens, theta, p, alt_angle)
-    pi1 = alpha * np.outer(d1, d1.conj())
-    pi2 = alpha * np.outer(d2, d2.conj())
-    pi0 = _IDENTITY - pi1 - pi2
-    if min_eig_2x2(pi0) < -DEFAULTS.psd:
-        raise InfeasibleWeightsError(
-            f"alpha = {alpha} makes the inconclusive element indefinite"
-        )
-    return Povm(
-        (
-            (CONCLUSIVE_1, Operator2(pi1)),
-            (CONCLUSIVE_2, Operator2(pi2)),
-            (INCONCLUSIVE, Operator2(pi0)),
-        )
+    d1, d2 = _mcm_directions(noisy_ensemble(theta, p))
+    return _povm_with_inconclusive(
+        alpha * np.outer(d1, d1.conj()),
+        alpha * np.outer(d2, d2.conj()),
+        (alpha, alpha),
     )
 
 
-def mcm_optimal(theta: float, p: float, tols: Tolerances = DEFAULTS) -> tuple[Povm, float]:
+def mcm_optimal(theta: float, p: float) -> tuple[Povm, float]:
     """Largest feasible conclusive weight and the inconclusive rate it attains.
 
-    alpha is maximised by bisection on the smallest eigenvalue of pi_0;
-    the confidence is alpha-independent, so this is the measurement with
-    maximal confidences and minimal inconclusive rate.
+    alpha is 1/lambda_max of the sum of the two conclusive projectors, the
+    largest weight keeping pi_0 positive semidefinite; the confidence is
+    alpha-independent, so this is the measurement with maximal confidences
+    and minimal inconclusive rate.
     """
     ens = noisy_ensemble(theta, p)
-    d1, d2 = _mcm_directions(ens, theta, p, False)
-    s = np.outer(d1, d1.conj()) + np.outer(d2, d2.conj())
-    alpha = _bisect_max_weight(s, tols)
-    m = mcm_povm(theta, p, alpha)
+    d1, d2 = _mcm_directions(ens)
+    p1 = np.outer(d1, d1.conj())
+    p2 = np.outer(d2, d2.conj())
+    alpha = _max_weight(p1 + p2)
+    m = _povm_with_inconclusive(alpha * p1, alpha * p2, (alpha, alpha))
     return m, inconclusive_rate(ens, m)
 
 
 def mcm_direction_angle(theta: float, p: float) -> float:
     """Angle phi of the second conclusive direction, |phi_2> = (cos(phi/2), sin(phi/2))."""
-    ens = noisy_ensemble(theta, p)
-    _, d2 = _mcm_directions(ens, theta, p, False)
+    _, d2 = _mcm_directions(noisy_ensemble(theta, p))
     return 2.0 * math.atan2(float(d2[1].real), float(d2[0].real))
 
 
@@ -550,8 +534,7 @@ def mcm_direction_angle_alt(theta: float, p: float) -> float:
     Kept so it can be plotted against :func:`mcm_direction_angle`; the two
     disagree, already in the noise-free limit, where the conclusive
     directions must be orthogonal to the competing state while this
-    expression tends to zero. Not used by any construction unless
-    requested through ``alt_angle``.
+    expression tends to zero. No construction uses it.
     """
     st = math.sin(theta)
     if st <= DEFAULTS.norm:

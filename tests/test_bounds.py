@@ -15,6 +15,7 @@ from ctxsd.bounds import (
     overlap_from_confusability,
     table1_report,
 )
+from ctxsd.config import DEFAULTS
 from ctxsd.errors import ContractError, DivergenceError, DomainError
 
 SQRT_HALF = math.sqrt(0.5)
@@ -124,6 +125,16 @@ def test_mcm_confidence_divergent_corner():
         eval_bound(BoundSpec("MCM", "C", QUANTUM, c=1.0, p=0.0))
     with pytest.raises(DivergenceError):
         eval_bound(BoundSpec("MCM", "C", NONCONTEXTUAL, c=1.0, p=0.0))
+
+
+@pytest.mark.parametrize("c,p", [(1.0 - 1e-10, 1e-12), (1.0 - 1e-8, 1e-8)])
+def test_mcm_quantum_confidence_near_singular_corner(c, p):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        c_, p_ = mpmath.mpf(c), mpmath.mpf(p)
+        ref = (1 + (1 - p_) * mpmath.sqrt((1 - c_) / (1 - (1 - p_) ** 2 * c_))) / 2
+    got = eval_bound(BoundSpec("MCM", "C", QUANTUM, c=c, p=p))
+    assert abs(got - float(ref)) <= DEFAULTS.closed_form
 
 
 # ---------------------------------------------------------------------------

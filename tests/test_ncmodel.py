@@ -312,6 +312,7 @@ def test_oracle_min_p0_examples():
     assert p_0 == pytest.approx(0.5625, abs=1e-12)
     # witness uses the full conclusive budget
     assert rs.xi0[3] == pytest.approx(0.0, abs=1e-12)
+    assert (rs.xi1[3], rs.xi2[3]) == (0.5, 0.5)  # symmetric witness gamma1 = gamma2
 
     scn = nc.canonical_scenario(0.3, 0.0)
     _, p_0 = nc.oracle_min_p0_at_max_confidence(scn)

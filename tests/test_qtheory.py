@@ -408,6 +408,20 @@ def test_mcm_optimal_rate_formula_on_grid():
             assert rate == pytest.approx((1.0 - p) * math.sqrt(c), abs=1e-9)
 
 
+def test_optimal_weights_leave_inconclusive_element_on_the_boundary():
+    # the optimal weight is the largest feasible one, so pi_0 is singular
+    grid = [float(x) for x in np.linspace(0.0, 1.0, 41)]
+    for c in grid:
+        for p in grid:
+            if c == 1.0 and p == 0.0:
+                continue  # coincident pure pair: no MCM directions
+            m, _ = qt.mcm_optimal(theta_of(c), p)
+            assert abs(m.inconclusive().min_eigenvalue()) <= 1e-14, (c, p)
+        if c < 1.0:
+            m, _ = qt.usd_optimal(pure_ensemble(c))
+            assert abs(m.inconclusive().min_eigenvalue()) <= 1e-14, c
+
+
 def test_mcm_alt_angle_disagrees_with_construction():
     # the comparison formula tends to 0 with p, the construction does not
     angle_alt = qt.mcm_direction_angle_alt(theta_of(0.5), 0.01)
