@@ -15,9 +15,10 @@ convention overlap^2 = c is applied in exactly one place,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .config import DEFAULTS, Tolerances
 from .errors import ContractError, DivergenceError, DomainError
@@ -28,12 +29,15 @@ __all__ = [
     "FIGURES",
     "THEORIES",
     "BoundSpec",
+    "Cell",
+    "CELLS",
     "GapCertificate",
     "DefinitionalCell",
     "ConfidencePairCell",
     "Table1Report",
     "overlap_from_confusability",
     "eval_bound",
+    "eval_column",
     "gap",
     "table1_report",
 ]
@@ -46,9 +50,9 @@ QUANTUM = "quantum"
 NONCONTEXTUAL = "noncontextual"
 
 
-def overlap_from_confusability(c: float) -> float:
-    """|<psi1|psi2>| matching confusability c: the square root."""
-    return math.sqrt(c)
+def overlap_from_confusability(c: float | np.ndarray) -> float | np.ndarray:
+    """|<psi1|psi2>| matching confusability c: the square root (float or array)."""
+    return np.sqrt(c)
 
 
 @dataclass(frozen=True)
@@ -103,34 +107,86 @@ class BoundSpec:
             raise ContractError("only the noncontextual MESD confidence has distinct arms")
 
 
-def _helstrom_value(c: float) -> float:
-    return 0.5 * (1.0 + math.sqrt(1.0 - c))
+@dataclass(frozen=True)
+class Cell:
+    """One column of the table: scheme, figure, theory and, for the
+    noncontextual MESD confidence, the arm (``outcome``)."""
+
+    scheme: str
+    figure: str
+    theory: str
+    outcome: int = 1
+
+    def __post_init__(self) -> None:
+        self.spec(0.5, 0.5, 0.5)  # BoundSpec validates the cell
+
+    @property
+    def has_arms(self) -> bool:
+        return (self.scheme, self.figure, self.theory) == ("MESD", "C", NONCONTEXTUAL)
+
+    @property
+    def label(self) -> str:
+        """Column name, e.g. ``MESD_Pg_Q`` or ``MESD_C1_NC``."""
+        fig = f"C{self.outcome}" if self.has_arms else self.figure.replace("_", "")
+        theory = "Q" if self.theory == QUANTUM else "NC"
+        return f"{self.scheme}_{fig}_{theory}"
+
+    def spec(self, c: float, p: float, omega: float) -> BoundSpec:
+        """The cell at (c, p, omega), keeping only the parameters it reads."""
+        arms = self.has_arms
+        return BoundSpec(self.scheme, self.figure, self.theory, c,
+                         p=p if self.scheme == "MCM" else None,
+                         omega=omega if arms else None, outcome=self.outcome if arms else 1)
 
 
-def _mcm_confidence_quantum(c: float, p: float) -> float:
+# The 19 cells in table order; each quantum cell comes before its
+# noncontextual counterpart(s).
+CELLS = tuple(
+    Cell(scheme, figure, theory, outcome)
+    for scheme in SCHEMES
+    for figure in FIGURES
+    for theory in THEORIES
+    for outcome in ((1, 2) if (scheme, figure, theory) == ("MESD", "C", NONCONTEXTUAL)
+                    else (1,))
+)
+
+# The kernels below take floats or numpy arrays: the scalar API passes
+# Python floats, a sweep column passes the grid as an array. Both run the
+# same operations in the same order, so a column equals its cells bit for bit.
+
+
+def _helstrom_value(c):
+    return 0.5 * (1.0 + np.sqrt(1.0 - c))
+
+
+def _require_regular(denom) -> None:
+    singular = denom <= DEFAULTS.norm
+    if singular.any() if isinstance(singular, np.ndarray) else singular:
+        raise DivergenceError("confidence undefined for a pure coincident pair")
+
+
+def _mcm_confidence_quantum(c, p):
     # 1 - (1-p)^2 c, written so it does not cancel as c -> 1, p -> 0
     denom_sq = (1.0 - c) + c * p * (2.0 - p)
-    if denom_sq <= DEFAULTS.norm:
-        raise DivergenceError("confidence undefined for a pure coincident pair")
-    return 0.5 * (1.0 + (1.0 - p) * math.sqrt(1.0 - c) / math.sqrt(denom_sq))
+    _require_regular(denom_sq)
+    return 0.5 * (1.0 + (1.0 - p) * np.sqrt(1.0 - c) / np.sqrt(denom_sq))
 
 
-def _mcm_confidence_nc(c: float, p: float) -> float:
+def _mcm_confidence_nc(c, p):
     denom = 1.0 - (1.0 - p) * c
-    if denom <= DEFAULTS.norm:
-        raise DivergenceError("confidence undefined for a pure coincident pair")
+    _require_regular(denom)
     return 0.5 * (1.0 + (1.0 - p) * (1.0 - c) / denom)
 
 
-def _mcm_guessing_quantum(c: float, p: float) -> float:
+def _mcm_guessing_quantum(c, p):
     o = overlap_from_confusability(c)
     t = (1.0 - p) * o
-    return 0.5 * (1.0 - t + (1.0 - p) * math.sqrt((1.0 - t) / (1.0 + t)) * math.sqrt(1.0 - c))
+    return 0.5 * (1.0 - t + (1.0 - p) * np.sqrt((1.0 - t) / (1.0 + t)) * np.sqrt(1.0 - c))
 
 
-def eval_bound(spec: BoundSpec) -> float:
-    """Closed-form value of one table cell."""
-    s, f, t, c = spec.scheme, spec.figure, spec.theory, spec.c
+def _closed_form(spec: BoundSpec, c, p, omega):
+    """Value of the cell ``spec`` at (c, p, omega), floats or arrays."""
+    s, f, t = spec.scheme, spec.figure, spec.theory
     if s == "MESD":
         if f == "P_0":
             return 0.0
@@ -139,7 +195,7 @@ def eval_bound(spec: BoundSpec) -> float:
         # confidence
         if t == QUANTUM:
             return _helstrom_value(c)
-        return nc_mesd_confidences(c, spec.omega)[spec.outcome - 1]
+        return nc_mesd_confidences(c, omega)[spec.outcome - 1]
     if s == "USD":
         if f == "C":
             return 1.0
@@ -148,13 +204,32 @@ def eval_bound(spec: BoundSpec) -> float:
             return o if t == QUANTUM else 0.5 * (1.0 + c)
         return 1.0 - o if t == QUANTUM else 0.5 * (1.0 - c)
     # MCM
-    p = spec.p
     if f == "C":
         return _mcm_confidence_quantum(c, p) if t == QUANTUM else _mcm_confidence_nc(c, p)
     if f == "P_0":
         o = overlap_from_confusability(c)
         return (1.0 - p) * o if t == QUANTUM else 0.5 * (1.0 + (1.0 - p) * c)
     return _mcm_guessing_quantum(c, p) if t == QUANTUM else nc_mcm_guessing(c, p)
+
+
+def eval_bound(spec: BoundSpec) -> float:
+    """Closed-form value of one table cell."""
+    return float(_closed_form(spec, spec.c, spec.p, spec.omega))
+
+
+def eval_column(spec: BoundSpec, variable: str, xs: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Values of the cell ``spec`` with its ``variable`` replaced by the grid
+    ``xs``: constant if the cell does not read ``variable``. Raises as
+    ``eval_bound`` does if any grid point is singular."""
+    params = {"c": spec.c, "p": spec.p, "omega": spec.omega}
+    if variable not in params:
+        raise ContractError(f"unknown parameter {variable!r}")
+    xs = np.asarray(xs, dtype=float)
+    if not ((0.0 <= xs) & (xs <= 1.0)).all():
+        raise DomainError(f"{variable} grid must lie in [0, 1]")
+    if params[variable] is not None:
+        params[variable] = xs
+    return np.broadcast_to(_closed_form(spec, **params), xs.shape)
 
 
 @dataclass(frozen=True)
@@ -236,37 +311,34 @@ class Table1Report:
         return self.cells[(scheme, figure)]
 
 
+# Cells fixed by the scheme's definition rather than by a comparison.
+_DEFINITIONAL = {
+    ("MESD", "P_0"): DefinitionalCell(0.0, "no inconclusive outcome"),
+    ("USD", "C"): DefinitionalCell(1.0, "conclusive outcomes are certain"),
+}
+
+
 def table1_report(
     c: float, p: float, omega: float, tols: Tolerances = DEFAULTS
 ) -> Table1Report:
     """Evaluate every cell of the gap table at one parameter point."""
-
-    def pair(scheme: str, figure: str, **extra) -> GapCertificate:
-        q = BoundSpec(scheme, figure, QUANTUM, c=c, p=p if scheme == "MCM" else None)
-        n = BoundSpec(
-            scheme, figure, NONCONTEXTUAL, c=c,
-            p=p if scheme == "MCM" else None, **extra,
-        )
-        return gap(q, n, tols)
-
-    arm1 = pair("MESD", "C", omega=omega, outcome=1)
-    arm2 = pair("MESD", "C", omega=omega, outcome=2)
     if 0.0 < c < 1.0:
         w_star = omega_star(c)
         window: Optional[tuple[float, float]] = (w_star, 1.0 - w_star)
     else:
         window = None
-    cells = {
-        ("MESD", "P_g"): pair("MESD", "P_g"),
-        ("MESD", "P_0"): DefinitionalCell(0.0, "no inconclusive outcome"),
-        ("MESD", "C"): ConfidencePairCell(
-            arm1, arm2, window, arm1.advantage and arm2.advantage
-        ),
-        ("USD", "P_g"): pair("USD", "P_g"),
-        ("USD", "P_0"): pair("USD", "P_0"),
-        ("USD", "C"): DefinitionalCell(1.0, "conclusive outcomes are certain"),
-        ("MCM", "P_g"): pair("MCM", "P_g"),
-        ("MCM", "P_0"): pair("MCM", "P_0"),
-        ("MCM", "C"): pair("MCM", "C"),
-    }
+    cells: dict = {}
+    for cell in CELLS:
+        key = (cell.scheme, cell.figure)
+        if key in _DEFINITIONAL:
+            cells[key] = _DEFINITIONAL[key]
+        elif cell.theory == QUANTUM:
+            quantum = cell.spec(c, p, omega)
+        elif cell.outcome == 1:
+            cells[key] = gap(quantum, cell.spec(c, p, omega), tols)
+        else:  # the second arm of the noncontextual MESD confidence
+            arm1, arm2 = cells[key], gap(quantum, cell.spec(c, p, omega), tols)
+            cells[key] = ConfidencePairCell(
+                arm1, arm2, window, arm1.advantage and arm2.advantage
+            )
     return Table1Report(c, p, omega, cells, usd_possible=c < 1.0)

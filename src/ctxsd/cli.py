@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import config
-from .bounds import BoundSpec, NONCONTEXTUAL, QUANTUM, eval_bound
+from .bounds import CELLS, NONCONTEXTUAL, QUANTUM, eval_bound
 from .errors import CtxsdError
 from .harness import (
     FIGURE_IDS,
@@ -29,6 +29,7 @@ from .harness import (
     table_cmd,
     verify_all,
     write_csv,
+    write_csv_to,
 )
 
 _FIGURE_TOKENS = {"PG": "P_g", "P0": "P_0", "C": "C", "C1": "C", "C2": "C"}
@@ -106,21 +107,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bounds(args: argparse.Namespace, tols: config.Tolerances) -> int:
-    rows: list[tuple[str, str, str, float]] = []
-    for scheme in ("MESD", "USD", "MCM"):
-        p = args.p if scheme == "MCM" else None
-        for figure in ("P_g", "P_0", "C"):
-            for theory in (QUANTUM, NONCONTEXTUAL):
-                if scheme == "MESD" and figure == "C" and theory == NONCONTEXTUAL:
-                    for outcome in (1, 2):
-                        spec = BoundSpec(scheme, figure, theory, c=args.c, p=p,
-                                         omega=args.omega, outcome=outcome)
-                        rows.append((scheme, f"C({outcome})", theory, eval_bound(spec)))
-                    continue
-                spec = BoundSpec(scheme, figure, theory, c=args.c, p=p)
-                rows.append((scheme, figure, theory, eval_bound(spec)))
-    for scheme, figure, theory, value in rows:
-        print(f"{scheme:<5} {figure:<5} {theory:<14} {value:.9g}")
+    lines = []
+    for cell in CELLS:
+        figure = f"C({cell.outcome})" if cell.has_arms else cell.figure
+        value = eval_bound(cell.spec(args.c, args.p, args.omega))
+        lines.append(f"{cell.scheme:<5} {figure:<5} {cell.theory:<14} {value:.9g}")
+    print("\n".join(lines))
     return 0
 
 
@@ -135,12 +127,16 @@ def _cmd_sweep(args: argparse.Namespace, tols: config.Tolerances) -> int:
         targets=targets,
     )
     result = run_sweep(spec)
+    for sub in result.substitutions:
+        print(
+            f"note: row {sub.index}: {spec.variable} = {sub.grid_x:.9g} is singular; "
+            f"evaluated at {sub.used_x:.9g}",
+            file=sys.stderr,
+        )
     if args.out is None:
-        print(",".join(result.header))
-        for row in result.rows:
-            print(",".join(format(v, ".9g") for v in row))
+        write_csv_to(sys.stdout, result.header, result.table)
     else:
-        write_csv(args.out, result.header, result.rows)
+        write_csv(args.out, result.header, result.table)
         print(f"wrote {args.out}")
     return 0
 

@@ -1,6 +1,11 @@
 """Reproduction harness: parameter sweeps, figure CSVs, the rendered gap
 table and a one-shot verification suite.
 
+``run_sweep`` evaluates each target as one array expression over the grid
+(``bounds.eval_column``). A singular grid endpoint moves inward by half a
+step and is recorded as a ``Substitution``; a singular interior point
+raises. Each figure is a ``SweepSpec`` plus a map to its column names.
+
 ``verify_all`` cross-checks every operation of the package at a given grid
 density: measurement constructions against closed forms, closed forms
 against brute-force oracles, the inequality suite, and the factorisation
@@ -9,7 +14,8 @@ report records which public operations it exercised so coverage is
 auditable.
 
 CSV output is deterministic: comma separated, ``.`` decimal point, at most
-nine significant digits, LF line endings, header row first.
+nine significant digits, LF line endings, header row first. Rows are
+written in chunks, so a long sweep never holds its whole text in memory.
 """
 
 from __future__ import annotations
@@ -18,19 +24,22 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from . import ncmodel, qtheory
 from .bounds import (
+    CELLS,
     BoundSpec,
+    Cell as Target,
     ConfidencePairCell,
     DefinitionalCell,
     GapCertificate,
     NONCONTEXTUAL,
     QUANTUM,
     eval_bound,
+    eval_column,
     gap,
     table1_report,
 )
@@ -48,12 +57,14 @@ from .errors import (
 __all__ = [
     "Target",
     "SweepSpec",
+    "Substitution",
     "SweepResult",
     "run_sweep",
     "FigureJob",
     "FIGURE_IDS",
     "emit_figure",
     "write_csv",
+    "write_csv_to",
     "table_cmd",
     "CheckResult",
     "VerifyReport",
@@ -62,66 +73,31 @@ __all__ = [
 ]
 
 _VARIABLES = ("c", "p", "omega")
+_CSV_CHUNK = 8192  # rows formatted per write
 
 
 def _fmt(v: float) -> str:
     return format(float(v), ".9g")
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[float]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+def write_csv_to(stream: TextIO, header: Sequence[str], rows: Sequence | np.ndarray) -> None:
+    """Write a header line and ``rows`` (a 2-D array or a sequence of
+    equal-length rows) to an open text stream, a chunk of rows at a time."""
+    table = np.asarray(rows, dtype=float)
+    line = ",".join(["%.9g"] * len(header)) + "\n"
+    stream.write(",".join(header) + "\n")
+    for start in range(0, len(table), _CSV_CHUNK):
+        block = table[start:start + _CSV_CHUNK].tolist()
+        stream.write("".join([line % tuple(row) for row in block]))
+
+
+def write_csv(path: Path, header: Sequence[str], rows: Sequence | np.ndarray) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        write_csv_to(fh, header, rows)
 
 
 # ---------------------------------------------------------------------------
 # sweeps
-
-
-@dataclass(frozen=True)
-class Target:
-    """A bound column of a sweep: scheme, figure, theory (and arm)."""
-
-    scheme: str
-    figure: str
-    theory: str
-    outcome: int = 1
-
-    def __post_init__(self) -> None:
-        # Delegate validation to BoundSpec at a benign parameter point.
-        self.bound_spec("c", 0.5, {"c": 0.5, "p": 0.5, "omega": 0.5})
-
-    @property
-    def label(self) -> str:
-        fig = {"P_g": "Pg", "P_0": "P0", "C": "C"}[self.figure]
-        theory = "Q" if self.theory == QUANTUM else "NC"
-        if self._arm_resolved():
-            fig = f"C{self.outcome}"
-        return f"{self.scheme}_{fig}_{theory}"
-
-    def _arm_resolved(self) -> bool:
-        return (
-            self.scheme == "MESD"
-            and self.figure == "C"
-            and self.theory == NONCONTEXTUAL
-        )
-
-    def bound_spec(self, variable: str, x: float, fixed: Mapping[str, float]) -> BoundSpec:
-        params = dict(fixed)
-        params[variable] = x
-        kwargs: dict = {
-            "scheme": self.scheme,
-            "figure": self.figure,
-            "theory": self.theory,
-            "c": params["c"],
-        }
-        if self.scheme == "MCM":
-            kwargs["p"] = params["p"]
-        if self._arm_resolved():
-            kwargs["omega"] = params["omega"]
-            kwargs["outcome"] = self.outcome
-        return BoundSpec(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -154,40 +130,52 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
+class Substitution:
+    """A grid point a sweep evaluated elsewhere: its index, the grid value
+    and the value used instead."""
+
+    index: int
+    grid_x: float
+    used_x: float
+
+
+@dataclass(frozen=True)
 class SweepResult:
+    """``table`` holds one row per grid point: the x used, then one value
+    per target."""
+
     header: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
+    table: np.ndarray
+    substitutions: tuple[Substitution, ...] = ()
+
+    @property
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(map(tuple, self.table.tolist()))
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every target on the grid; one row per point.
+    """Evaluate every target on the grid, one column per target.
 
     A grid endpoint at which a target's closed form is singular (for
     example the confidence of a pure coincident pair) is shifted inward by
-    half a step so the output stays free of NaN placeholders.
+    half a step for every target, so the output stays free of NaN
+    placeholders; each shift is recorded in ``substitutions``. A singular
+    interior point raises.
     """
     xs = np.linspace(spec.start, spec.stop, spec.points)
     step = (spec.stop - spec.start) / (spec.points - 1) if spec.points > 1 else 0.0
-
-    def row_at(x: float) -> tuple[float, ...]:
-        values = [
-            eval_bound(t.bound_spec(spec.variable, x, spec.fixed))
-            for t in spec.targets
-        ]
-        return (x, *values)
-
-    rows = []
-    for k, x in enumerate(xs):
+    substitutions = []
+    for k, shift in ((0, 0.5 * step), (spec.points - 1, -0.5 * step)) if step else ():
+        x = float(xs[k])
         try:
-            rows.append(row_at(float(x)))
+            for t in spec.targets:
+                eval_bound(t.spec(**{**spec.fixed, spec.variable: x}))
         except (DivergenceError, UsdImpossibleError, DegenerateEnsembleError):
-            at_edge = k in (0, spec.points - 1) and step > 0.0
-            if not at_edge:
-                raise
-            shift = 0.5 * step if k == 0 else -0.5 * step
-            rows.append(row_at(float(x) + shift))
+            xs[k] = x + shift
+            substitutions.append(Substitution(k, x, float(xs[k])))
+    columns = [eval_column(t.spec(**spec.fixed), spec.variable, xs) for t in spec.targets]
     header = (spec.variable, *(t.label for t in spec.targets))
-    return SweepResult(header, tuple(rows))
+    return SweepResult(header, np.column_stack([xs, *columns]), tuple(substitutions))
 
 
 # ---------------------------------------------------------------------------
@@ -196,52 +184,29 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 _FIG_POINTS = 201
 
 
-def _fig2_rows() -> tuple[tuple[str, ...], list[tuple[float, ...]]]:
-    c = 0.5
-    c_q = eval_bound(BoundSpec("MESD", "C", QUANTUM, c=c))
-    rows = []
-    for w in np.linspace(0.0, 1.0, _FIG_POINTS):
-        nc1, nc2 = ncmodel.nc_mesd_confidences(c, float(w))
-        rows.append((float(w), c_q, nc1, nc2))
-    return ("omega", "C_Q", "C_NC_1", "C_NC_2"), rows
-
-
-def _mcm_p0_rows(variable: str, fixed_value: float):
-    rows = []
-    for x in np.linspace(0.0, 1.0, _FIG_POINTS):
-        c, p = (float(x), fixed_value) if variable == "c" else (fixed_value, float(x))
-        q = eval_bound(BoundSpec("MCM", "P_0", QUANTUM, c=c, p=p))
-        n = eval_bound(BoundSpec("MCM", "P_0", NONCONTEXTUAL, c=c, p=p))
-        rows.append((float(x), q, n))
-    return (variable, "P0_Q", "P0_NC"), rows
-
-
-def _fig3a_rows():
-    return _mcm_p0_rows("p", 0.5)
-
-
-def _fig3b_rows():
-    return _mcm_p0_rows("c", 0.75)
-
-
-def _fig4_rows():
-    p = 0.5
-    rows = []
-    for x in np.linspace(0.0, 1.0, _FIG_POINTS):
-        q = eval_bound(BoundSpec("MCM", "P_g", QUANTUM, c=float(x), p=p))
-        n = eval_bound(BoundSpec("MCM", "P_g", NONCONTEXTUAL, c=float(x), p=p))
-        rows.append((float(x), q, n))
-    return ("c", "Pg_Q", "Pg_NC"), rows
-
-
-_FIGURE_BUILDERS: dict[str, Callable] = {
-    "fig2": _fig2_rows,   # confidence trade-off over omega at c = 1/2
-    "fig3a": _fig3a_rows,  # inconclusive rates over p at c = 1/2
-    "fig3b": _fig3b_rows,  # inconclusive rates over c at p = 3/4
-    "fig4": _fig4_rows,   # guessing probabilities over c at p = 1/2
+# Figure column names of the sweep columns the figures plot.
+_FIGURE_HEADER = {
+    "MESD_C_Q": "C_Q", "MESD_C1_NC": "C_NC_1", "MESD_C2_NC": "C_NC_2",
+    "MCM_P0_Q": "P0_Q", "MCM_P0_NC": "P0_NC", "MCM_Pg_Q": "Pg_Q", "MCM_Pg_NC": "Pg_NC",
 }
 
-FIGURE_IDS = tuple(sorted(_FIGURE_BUILDERS))
+
+def _cells(scheme: str, figure: str) -> tuple[Target, ...]:
+    return tuple(t for t in CELLS if (t.scheme, t.figure) == (scheme, figure))
+
+
+_FIGURES = {
+    # confidence trade-off over omega at c = 1/2
+    "fig2": SweepSpec("omega", 0.0, 1.0, _FIG_POINTS, {"c": 0.5}, _cells("MESD", "C")),
+    # inconclusive rates over p at c = 1/2
+    "fig3a": SweepSpec("p", 0.0, 1.0, _FIG_POINTS, {"c": 0.5}, _cells("MCM", "P_0")),
+    # inconclusive rates over c at p = 3/4
+    "fig3b": SweepSpec("c", 0.0, 1.0, _FIG_POINTS, {"p": 0.75}, _cells("MCM", "P_0")),
+    # guessing probabilities over c at p = 1/2
+    "fig4": SweepSpec("c", 0.0, 1.0, _FIG_POINTS, {"p": 0.5}, _cells("MCM", "P_g")),
+}
+
+FIGURE_IDS = tuple(sorted(_FIGURES))
 
 
 @dataclass(frozen=True)
@@ -250,7 +215,7 @@ class FigureJob:
     out_path: Path
 
     def __post_init__(self) -> None:
-        if self.figure_id not in _FIGURE_BUILDERS:
+        if self.figure_id not in _FIGURES:
             raise ContractError(
                 f"unknown figure {self.figure_id!r}; choose from {FIGURE_IDS}"
             )
@@ -259,8 +224,9 @@ class FigureJob:
 
 def emit_figure(job: FigureJob) -> Path:
     """Write one figure's data as CSV and return the path."""
-    header, rows = _FIGURE_BUILDERS[job.figure_id]()
-    write_csv(job.out_path, header, rows)
+    result = run_sweep(_FIGURES[job.figure_id])
+    header = [_FIGURE_HEADER.get(name, name) for name in result.header]
+    write_csv(job.out_path, header, result.table)
     return job.out_path
 
 
@@ -284,18 +250,16 @@ def table_cmd(c: float, p: float, omega: float, tols: Tolerances = DEFAULTS) -> 
             f"{cert.gap:<+16.9g}{'yes' if cert.advantage else 'no'}"
         )
 
-    for scheme in ("MESD", "USD", "MCM"):
-        for figure in ("P_g", "P_0", "C"):
-            cell = report.cell(scheme, figure)
-            if isinstance(cell, DefinitionalCell):
-                lines.append(
-                    f"{scheme:<7}{figure:<7}{_fmt(cell.value)} (definitional: {cell.note})"
-                )
-            elif isinstance(cell, ConfidencePairCell):
-                lines.append(cert_line(scheme, "C(1)", cell.arm1))
-                lines.append(cert_line(scheme, "C(2)", cell.arm2))
-            else:
-                lines.append(cert_line(scheme, figure, cell))
+    for (scheme, figure), cell in report.cells.items():
+        if isinstance(cell, DefinitionalCell):
+            lines.append(
+                f"{scheme:<7}{figure:<7}{_fmt(cell.value)} (definitional: {cell.note})"
+            )
+        elif isinstance(cell, ConfidencePairCell):
+            lines.append(cert_line(scheme, "C(1)", cell.arm1))
+            lines.append(cert_line(scheme, "C(2)", cell.arm2))
+        else:
+            lines.append(cert_line(scheme, figure, cell))
 
     mesd_c = report.cell("MESD", "C")
     if mesd_c.window is not None:
@@ -1068,16 +1032,9 @@ def _chk_table(n: int, tols: Tolerances, acc: _Acc) -> None:
     report = table1_report(0.5, 0.5, 0.5, tols)
     acc.add(report.cell("MESD", "P_0").value, 0.0, "definitional MESD P_0")
     acc.add(report.cell("USD", "C").value - 1.0, 0.0, "definitional USD C")
-    for scheme, figure in (
-        ("MESD", "P_g"),
-        ("USD", "P_g"),
-        ("USD", "P_0"),
-        ("MCM", "P_g"),
-        ("MCM", "P_0"),
-        ("MCM", "C"),
-    ):
-        acc.ok(report.cell(scheme, figure).advantage, f"{scheme} {figure}")
-    acc.ok(report.cell("MESD", "C").advantage, "MESD C both arms")
+    for (scheme, figure), cell in report.cells.items():
+        if not isinstance(cell, DefinitionalCell):  # MESD C: both arms
+            acc.ok(cell.advantage, f"{scheme} {figure}")
     degenerate = table1_report(0.0, 0.5, 0.5, tols)
     acc.add(degenerate.cell("MESD", "P_g").gap, tols.exact, "c=0 MESD P_g")
     acc.add(degenerate.cell("MCM", "C").gap, tols.exact, "c=0 MCM C")

@@ -271,22 +271,39 @@ def nc_figures(scn: NcScenario, rs: ResponseSet, noisy: bool = False) -> NcFigur
     return NcFigures(p_g, p_0, conf(s1, rs.xi1), conf(s2, rs.xi2))
 
 
-def nc_mesd_confidences(c: float, omega: float) -> tuple[float, float]:
+def _in_unit(x) -> bool:
+    """Whether a float, or every entry of an array, lies in [0, 1]."""
+    if isinstance(x, np.ndarray):
+        return bool(((0.0 <= x) & (x <= 1.0)).all())
+    return 0.0 <= x <= 1.0
+
+
+def _where(mask, a, b):
+    """``np.where`` for array masks; a plain choice for a scalar mask."""
+    if isinstance(mask, np.ndarray):
+        return np.where(mask, a, b)
+    return a if mask else b
+
+
+def nc_mesd_confidences(c: float | np.ndarray, omega: float | np.ndarray) -> tuple:
     """Closed-form confidences of the omega-mixed guessing strategies.
 
     C(1) = (1 - (1-omega)c) / (1 - (1-2*omega)c) and
     C(2) = (1 - omega*c) / (1 + (1-2*omega)c). Coincident preparations
     (c = 1) give (1/2, 1/2), the value forced by the canonical model
-    whenever the outcome fires at all.
+    whenever the outcome fires at all. ``c`` and ``omega`` may be floats
+    or numpy arrays.
     """
-    if not 0.0 <= c <= 1.0:
+    if not _in_unit(c):
         raise DomainError(f"confusability must lie in [0, 1], got {c}")
-    if not 0.0 <= omega <= 1.0:
+    if not _in_unit(omega):
         raise DomainError(f"omega must lie in [0, 1], got {omega}")
-    if c == 1.0:
-        return 0.5, 0.5
-    c1 = (1.0 - (1.0 - omega) * c) / (1.0 - (1.0 - 2.0 * omega) * c)
-    c2 = (1.0 - omega * c) / (1.0 + (1.0 - 2.0 * omega) * c)
+    coincident = c == 1.0
+    # at c = 1 a denominator can vanish; divide by 1 there, then discard
+    den1 = _where(coincident, 1.0, 1.0 - (1.0 - 2.0 * omega) * c)
+    den2 = _where(coincident, 1.0, 1.0 + (1.0 - 2.0 * omega) * c)
+    c1 = _where(coincident, 0.5, (1.0 - (1.0 - omega) * c) / den1)
+    c2 = _where(coincident, 0.5, (1.0 - omega * c) / den2)
     return c1, c2
 
 
@@ -413,11 +430,11 @@ def oracle_min_p0_at_max_confidence(scn: NcScenario) -> tuple[ResponseSet, float
     return rs, figs.p_0
 
 
-def nc_mcm_guessing(c: float, p: float) -> float:
+def nc_mcm_guessing(c: float | np.ndarray, p: float | np.ndarray) -> float | np.ndarray:
     """Closed-form guessing probability of the maximal-confidence strategy:
-    (1 - p/2 - (1-p) c) / 2."""
-    if not 0.0 <= c <= 1.0:
+    (1 - p/2 - (1-p) c) / 2. ``c`` and ``p`` may be floats or numpy arrays."""
+    if not _in_unit(c):
         raise DomainError(f"confusability must lie in [0, 1], got {c}")
-    if not 0.0 <= p <= 1.0:
+    if not _in_unit(p):
         raise DomainError(f"noise must lie in [0, 1], got {p}")
     return 0.5 * (1.0 - 0.5 * p - (1.0 - p) * c)

@@ -5,12 +5,14 @@ import pytest
 
 from ctxsd import ncmodel, qtheory
 from ctxsd.bounds import (
+    CELLS,
     BoundSpec,
     ConfidencePairCell,
     DefinitionalCell,
     NONCONTEXTUAL,
     QUANTUM,
     eval_bound,
+    eval_column,
     gap,
     overlap_from_confusability,
     table1_report,
@@ -135,6 +137,48 @@ def test_mcm_quantum_confidence_near_singular_corner(c, p):
         ref = (1 + (1 - p_) * mpmath.sqrt((1 - c_) / (1 - (1 - p_) ** 2 * c_))) / 2
     got = eval_bound(BoundSpec("MCM", "C", QUANTUM, c=c, p=p))
     assert abs(got - float(ref)) <= DEFAULTS.closed_form
+
+
+def test_cells_enumerate_the_table_once():
+    assert len(CELLS) == 19
+    assert len(set(CELLS)) == 19
+    labels = [cell.label for cell in CELLS]
+    assert labels[4:7] == ["MESD_C_Q", "MESD_C1_NC", "MESD_C2_NC"]
+
+
+_EDGES = (0.0, 1.0)
+_SEEDED = tuple(np.random.default_rng(20240611).uniform(0.0, 1.0, 4))
+
+
+@pytest.mark.parametrize("variable", ["c", "p", "omega"])
+def test_columns_equal_scalar_cells_exactly(variable):
+    xs = np.array(sorted(_EDGES + _SEEDED + (0.5,)))
+    fixed_values = _EDGES + _SEEDED[:2]
+    others = [v for v in ("c", "p", "omega") if v != variable]
+    compared = 0
+    for cell in CELLS:
+        for a in fixed_values:
+            for b in fixed_values:
+                fixed = {variable: 0.5, others[0]: a, others[1]: b}
+                try:
+                    want = [eval_bound(cell.spec(**{**fixed, variable: float(x)}))
+                            for x in xs]
+                except DivergenceError:
+                    with pytest.raises(DivergenceError):
+                        eval_column(cell.spec(**fixed), variable, xs)
+                    continue
+                got = eval_column(cell.spec(**fixed), variable, xs)
+                assert got.tolist() == want, (cell.label, fixed)
+                compared += 1
+    assert compared > 19 * len(fixed_values) ** 2 // 2
+
+
+def test_column_rejects_bad_grid_and_variable():
+    spec = BoundSpec("MESD", "P_g", QUANTUM, c=0.5)
+    with pytest.raises(DomainError):
+        eval_column(spec, "c", [0.0, 1.5])
+    with pytest.raises(ContractError):
+        eval_column(spec, "x", [0.5])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -11,7 +12,9 @@ from ctxsd import cli, config, harness
 from ctxsd.bounds import NONCONTEXTUAL, QUANTUM
 from ctxsd.errors import ContractError, DomainError
 from ctxsd.harness import (
+    FIGURE_IDS,
     FigureJob,
+    Substitution,
     SweepSpec,
     Target,
     emit_figure,
@@ -101,6 +104,7 @@ def test_sweep_shifts_singular_endpoint_inward():
     result = run_sweep(spec)
     assert result.rows[-1][0] == pytest.approx(0.95)
     assert all(math.isfinite(v) for row in result.rows for v in row)
+    assert result.substitutions == (Substitution(10, 1.0, result.rows[-1][0]),)
 
 
 def test_sweep_validation():
@@ -288,6 +292,55 @@ def test_cli_sweep_stdout_and_file(tmp_path, capsys):
     )
     assert rc == 0
     assert path.exists()
+
+
+def test_cli_sweep_stdout_matches_file(tmp_path, capsys):
+    argv = ["sweep", "--variable", "c", "--p", "0", "--points", "11",
+            "--target", "MCM:C:Q", "--target", "MESD:C2:NC"]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    path = tmp_path / "sweep.csv"
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    assert captured.out.encode("utf-8") == path.read_bytes()
+    # the shifted endpoint is reported on stderr, once per substitution
+    note = [line for line in captured.err.splitlines() if line.startswith("note:")]
+    assert note == ["note: row 10: c = 1 is singular; evaluated at 0.95"]
+
+
+def test_cli_sweep_interior_singular_point_exits_2(capsys):
+    rc = cli.main(["sweep", "--variable", "omega", "--c", "1", "--p", "0",
+                   "--target", "MCM:C:Q"])
+    assert rc == 2
+    assert "error: confidence undefined for a pure coincident pair" in capsys.readouterr().err
+
+
+# sha256 of the CSV bytes the closed forms produced before they were vectorised
+_PINNED_SHA256 = {
+    "fig2.csv": "1ff782d7a3d2b7ecf639bc64ebfb6239573e574fe9d871c0250e26f134252819",
+    "fig3a.csv": "314d581dda10d21bc8b8ecc72af67260aeafc57ddfa1e5ce899c906788097a93",
+    "fig3b.csv": "a3481f31a8e04e1ebcc5a722628fd4252fe30fa593502b319b2d1fbe1a20ab27",
+    "fig4.csv": "bc3dd0d8fbaf7a78809ffe90ec5f6127d5b7b5226bb15637d6199d66710f1d46",
+    "sweep-c-101.csv": "179ec0f05a5101f5f5de9a0ed9d5cb8b7033a8bec0c39033f4b4a783d5f96c20",
+    "sweep-p-101.csv": "3997f352001a5a2ee618844acfb50bc884b8fdfc20d8225f732ea2bd67ad2aaf",
+}
+_NON_DEFINITIONAL_TARGETS = (
+    "MESD:Pg:Q", "MESD:Pg:NC", "MESD:C:Q", "MESD:C1:NC", "MESD:C2:NC",
+    "USD:Pg:Q", "USD:Pg:NC", "USD:P0:Q", "USD:P0:NC",
+    "MCM:Pg:Q", "MCM:Pg:NC", "MCM:P0:Q", "MCM:P0:NC", "MCM:C:Q", "MCM:C:NC",
+)
+
+
+def test_csv_bytes_match_stored_checksums(tmp_path):
+    for figure_id in FIGURE_IDS:
+        emit_figure(FigureJob(figure_id, tmp_path / f"{figure_id}.csv"))
+    for variable in ("c", "p"):
+        argv = ["sweep", "--variable", variable, "--points", "101",
+                "--out", str(tmp_path / f"sweep-{variable}-101.csv")]
+        for target in _NON_DEFINITIONAL_TARGETS:
+            argv += ["--target", target]
+        assert cli.main(argv) == 0
+    for name, digest in _PINNED_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_cli_rejects_bad_target(capsys):
