@@ -133,10 +133,9 @@ class Cell:
 
     def spec(self, c: float, p: float, omega: float) -> BoundSpec:
         """The cell at (c, p, omega), keeping only the parameters it reads."""
-        arms = self.has_arms
         return BoundSpec(self.scheme, self.figure, self.theory, c,
                          p=p if self.scheme == "MCM" else None,
-                         omega=omega if arms else None, outcome=self.outcome if arms else 1)
+                         omega=omega if self.has_arms else None, outcome=self.outcome)
 
 
 # The 19 cells in table order; each quantum cell comes before its

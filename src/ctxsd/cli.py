@@ -49,12 +49,15 @@ def _parse_target(token: str) -> Target:
         raise CtxsdError(f"unknown figure token {token!r} (use Pg, P0, C, C1 or C2)")
     if theory_token not in _THEORY_TOKENS:
         raise CtxsdError(f"unknown theory token {token!r} (use Q or NC)")
-    return Target(
+    target = Target(
         scheme=scheme,
         figure=_FIGURE_TOKENS[figure_token],
         theory=_THEORY_TOKENS[theory_token],
         outcome=2 if figure_token == "C2" else 1,
     )
+    if figure_token in ("C1", "C2") and not target.has_arms:
+        raise CtxsdError(f"target {token!r} has no arms; only MESD:C1:NC and MESD:C2:NC do")
+    return target
 
 
 def _add_point_args(sub: argparse.ArgumentParser) -> None:

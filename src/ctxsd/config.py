@@ -34,7 +34,6 @@ class Tolerances:
     oracle: float = 1e-9           # brute-force oracle vs closed form
     confidence_face: float = 1e-10  # membership of the maximal-confidence face
     advantage: float = 1e-12       # strict-gap threshold for advantage flags
-    window: float = 1e-6           # advantage-window endpoint accuracy
 
 
 DEFAULTS = Tolerances()
@@ -62,5 +61,4 @@ def from_env(base: Tolerances = DEFAULTS) -> Tolerances:
         oracle=max(base.oracle, floor),
         confidence_face=max(base.confidence_face, floor),
         advantage=max(base.advantage, floor),
-        window=max(base.window, floor),
     )

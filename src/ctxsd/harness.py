@@ -6,12 +6,15 @@ table and a one-shot verification suite.
 step and is recorded as a ``Substitution``; a singular interior point
 raises. Each figure is a ``SweepSpec`` plus a map to its column names.
 
-``verify_all`` cross-checks every operation of the package at a given grid
-density: measurement constructions against closed forms, closed forms
-against brute-force oracles, the inequality suite, and the factorisation
-identities. Each check is named, reports its largest deviation, and the
-report records which public operations it exercised so coverage is
-auditable.
+``verify_all`` first builds one shared evaluation pass: every measurement
+construction and every brute-force oracle, once per grid point. The
+relation table ``_RELATIONS`` then compares each table cell with each
+independent route to it (the constructions for quantum cells, the oracles
+for noncontextual ones), every relation in exactly one named check. The
+structural checks (completeness, monotonicity, model invariants, the
+inequality suite and the like) read the same pass. Each check reports its
+largest deviation, and the report records which public operations it
+exercised so coverage is auditable.
 
 CSV output is deterministic: comma separated, ``.`` decimal point, at most
 nine significant digits, LF line endings, header row first. Rows are
@@ -20,9 +23,10 @@ written in chunks, so a long sweep never holds its whole text in memory.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TextIO
 
@@ -46,7 +50,6 @@ from .bounds import (
 from .config import DEFAULTS, Tolerances
 from .errors import (
     ContractError,
-    CtxsdError,
     DegenerateEnsembleError,
     DivergenceError,
     DomainError,
@@ -365,11 +368,27 @@ class _Acc:
     def __init__(self) -> None:
         self.items: list[tuple[float, float, str]] = []
 
-    def add(self, dev: float, limit: float, point: str) -> None:
+    def add(self, dev, limit: float, point) -> None:
+        """Record |dev| against ``limit`` at ``point``. An array ``dev`` comes
+        with an array of point labels over its leading axes and is recorded
+        as its largest entry (NaN counting as the largest)."""
+        if isinstance(dev, np.ndarray):
+            dev, labels = np.abs(dev), np.asarray(point)
+            k = np.unravel_index(np.argmax(np.where(np.isnan(dev), np.inf, dev)), dev.shape)
+            dev, point = dev[k], str(labels[k[:labels.ndim]])
         self.items.append((abs(float(dev)), limit, point))
 
     def ok(self, passed: bool, point: str) -> None:
         self.items.append((0.0 if passed else math.inf, 0.0, point))
+
+    def raises(self, error: type, point: str, fn: Callable, *args) -> None:
+        """Record whether ``fn(*args)`` raises ``error``."""
+        try:
+            fn(*args)
+        except error:
+            self.ok(True, point)
+        else:
+            self.ok(False, point)
 
     def result(self, name: str, ops: tuple[str, ...]) -> CheckResult:
         if not self.items:
@@ -384,17 +403,6 @@ class _Acc:
         worst = max(self.items, key=severity)
         passed = all(severity(item) <= 1.0 for item in self.items)
         return CheckResult(name, ops, passed, worst[0], worst[2])
-
-
-_CHECKS: list[tuple[str, tuple[str, ...], Callable[[int, Tolerances, _Acc], None]]] = []
-
-
-def _check(name: str, ops: Sequence[str]):
-    def deco(fn):
-        _CHECKS.append((name, tuple(ops), fn))
-        return fn
-
-    return deco
 
 
 def _grid(n: int) -> np.ndarray:
@@ -416,9 +424,175 @@ def _expect(rho, op) -> float:
     return float(np.trace(rho.matrix @ op.matrix).real)
 
 
+def _cert(tols: Tolerances, scheme: str, figure: str, omega=None, outcome: int = 1,
+          **params) -> GapCertificate:
+    """Gap certificate of one table cell; ``omega`` and ``outcome`` pick the
+    arm of the noncontextual MESD confidence."""
+    return gap(BoundSpec(scheme, figure, QUANTUM, **params),
+               BoundSpec(scheme, figure, NONCONTEXTUAL, omega=omega, outcome=outcome, **params),
+               tols)
+
+
+_CELL = {cell.label: cell for cell in CELLS}
+_USD_FRACTIONS = (0.25, 0.5, 0.6, 1.0)  # usd_povm weights, in units of 1/(1 + sqrt(c))
+_MCM_FRACTIONS = (0.25, 0.5)  # mcm_povm weights, in units of the optimal alpha
+_MIN_P0 = "oracle_min_p0_at_max_confidence"
+_BOTH_ORACLES = "(1 - P_0) C(1) of both oracles"
+
+
+class _Pass:
+    """Every construction and oracle of one verify run, built once per point.
+
+    ``grids`` holds the (c, p) points of ``c`` (p = 0), ``c<1``, ``mcm``
+    (n x n without the singular average states) and ``nc`` (n x n without
+    the pure coincident pair); ``labels`` names them. ``values[cell, route]``
+    holds a route's values of one table cell on its relation's grid, in
+    point order; readers reshape them to one row per point. ``pure`` keeps
+    the pure ensemble and its Helstrom measurement at each c, ``scenarios``
+    the canonical scenario at each point of the n x n grid and at p = 1/2,
+    and ``povms`` the point, outcome labels and element matrices of every
+    measurement built.
+    """
+
+    def __init__(self, n: int) -> None:
+        cs = [float(c) for c in _grid(n)]
+        self.n = n
+        self.grids = {
+            "c": [(c, 0.0) for c in cs],
+            "c<1": [(c, 0.0) for c in cs[:-1]],
+            "mcm": [(c, p) for c in cs for p in cs if not (p == 0.0 and c in (0.0, 1.0))],
+            "nc": [(c, p) for c in cs for p in cs if (c, p) != (1.0, 0.0)],
+        }
+        self.labels = {
+            name: [_pt(c=c, p=p) if name in ("mcm", "nc") else _pt(c=c) for c, p in pts]
+            for name, pts in self.grids.items()
+        }
+        self.scenarios = {  # p = 1/2 too, so it is there at every density
+            (c, p): ncmodel.canonical_scenario(c, p) for c in cs for p in sorted({*cs, 0.5})
+        }
+        self.pure, self.povms, self._closed = [], [], {}
+        v = defaultdict(list)
+
+        def measured(route, scheme, ens, m, point, rate=None, outcomes=(1, 2)) -> None:
+            """Record a measurement built at ``point``: its confidences and,
+            for an optimal construction, its P_g and its inconclusive ``rate``."""
+            labels, ops = zip(*m.outcomes)
+            self.povms.append((point, labels, np.array([op.matrix for op in ops])))
+            v[f"{scheme}_C_Q", route].append([qtheory.confidence(ens, m, i) for i in outcomes])
+            if rate is not None:
+                v[f"{scheme}_Pg_Q", route].append(qtheory.guessing_probability(ens, m))
+                v[f"{scheme}_P0_Q", route].append(rate)
+
+        for c in cs:
+            ens = qtheory.noisy_ensemble(_theta_of(c), 0.0)
+            m = qtheory.helstrom_povm(ens)
+            self.pure.append((ens, m))
+            measured("helstrom_povm", "MESD", ens, m, _pt(c=c), qtheory.inconclusive_rate(ens, m),
+                     outcomes=(1,))
+            scn = self.scenarios[c, 0.0]
+            v["MESD_Pg_NC", "oracle_max_pg"].append(ncmodel.oracle_max_pg(scn)[1])
+            if c == 1.0:
+                continue  # coincident states admit no unambiguous measurement
+            m, rate = qtheory.usd_optimal(ens)
+            measured("usd_optimal", "USD", ens, m, _pt(c=c), rate)
+            for g in (frac / (1.0 + math.sqrt(c)) for frac in _USD_FRACTIONS):
+                measured("usd_povm", "USD", ens, qtheory.usd_povm(ens, g, g), _pt(c=c, g=g))
+        for c, p in self.grids["mcm"]:
+            ens = qtheory.noisy_ensemble(_theta_of(c), p)
+            m, rate = qtheory.mcm_optimal(_theta_of(c), p)
+            measured("mcm_optimal", "MCM", ens, m, _pt(c=c, p=p), rate)
+            for alpha in (frac * m.conclusive(1).trace for frac in _MCM_FRACTIONS):
+                m_alpha = qtheory.mcm_povm(_theta_of(c), p, alpha)
+                measured("mcm_povm", "MCM", ens, m_alpha, _pt(c=c, p=p, alpha=alpha))
+        for c, p in self.grids["nc"]:
+            scn = self.scenarios[c, p]
+            p_0 = ncmodel.oracle_min_p0_at_max_confidence(scn)[1]
+            conf = [ncmodel.oracle_max_confidence(scn, i, noisy=True)[1] for i in (1, 2)]
+            v["MCM_P0_NC", _MIN_P0].append(p_0)
+            v["MCM_C_NC", "oracle_max_confidence"].append(conf)
+            v["MCM_Pg_NC", _BOTH_ORACLES].append((1.0 - p_0) * conf[0])
+            if p == 0.0:  # the pure scenario, at c < 1
+                v["USD_P0_NC", _MIN_P0].append(p_0)
+                v["USD_Pg_NC", _MIN_P0].append(1.0 - p_0)
+        self.values = {key: np.array(rows) for key, rows in v.items()}
+
+    def closed(self, cell: str, grid: str) -> np.ndarray:
+        """``eval_bound`` of the cell labelled ``cell`` at each point of ``grid``."""
+        if (cell, grid) not in self._closed:
+            spec = _CELL[cell].spec
+            self._closed[cell, grid] = np.array(
+                [eval_bound(spec(c, p, 0.5)) for c, p in self.grids[grid]])
+        return self._closed[cell, grid]
+
+
+_CLOSED, _ORACLE, _EXACT = (attrgetter(f) for f in ("closed_form", "oracle", "exact"))
+_BUILT = "bounds/construction-consistency"
+
+# Every cross-route relation of the table, each asserted by one check: what
+# ``route`` gives for the table cell ``cell`` on ``grid`` equals the cell's
+# closed form within ``limit(tols)``. Quantum cells are compared with the
+# measurement constructions, noncontextual cells with the oracles.
+_RELATIONS: tuple[tuple[str, str, str, str, Callable[[Tolerances], float]], ...] = (
+    # check, cell, route, grid, limit
+    (_BUILT, "MESD_Pg_Q", "helstrom_povm", "c", lambda t: min(t.closed_form, 1e-10)),
+    (_BUILT, "MESD_P0_Q", "helstrom_povm", "c", _EXACT),
+    (_BUILT, "MESD_C_Q", "helstrom_povm", "c", _CLOSED),
+    (_BUILT, "USD_P0_Q", "usd_optimal", "c<1", _CLOSED),
+    (_BUILT, "USD_Pg_Q", "usd_optimal", "c<1", _CLOSED),
+    (_BUILT, "USD_C_Q", "usd_optimal", "c<1", _CLOSED),
+    (_BUILT, "MCM_P0_Q", "mcm_optimal", "mcm", _CLOSED),
+    (_BUILT, "MCM_Pg_Q", "mcm_optimal", "mcm", _CLOSED),
+    (_BUILT, "MCM_C_Q", "mcm_optimal", "mcm", _CLOSED),
+    ("qtheory/usd-certainty", "USD_C_Q", "usd_povm", "c<1", lambda t: 1e-10),
+    ("qtheory/mcm-confidence", "MCM_C_Q", "mcm_povm", "mcm", _CLOSED),
+    ("ncmodel/oracle-max-pg", "MESD_Pg_NC", "oracle_max_pg", "c", _ORACLE),
+    ("ncmodel/oracle-max-confidence", "MCM_C_NC", "oracle_max_confidence", "nc",
+     lambda t: min(t.exact, t.oracle)),
+    ("ncmodel/oracle-min-p0", "MCM_P0_NC", _MIN_P0, "nc", _ORACLE),
+    ("ncmodel/oracle-min-p0", "USD_P0_NC", _MIN_P0, "c<1", _ORACLE),
+    ("ncmodel/oracle-min-p0", "USD_Pg_NC", _MIN_P0, "c<1", _ORACLE),
+    ("bounds/oracle-consistency", "MCM_Pg_NC", _BOTH_ORACLES, "nc", _ORACLE),
+)
+
+_CHECKS: list[tuple[str, tuple[str, ...], Callable[[_Pass, Tolerances, _Acc], None]]] = []
+
+
+def _check(name: str, ops: Sequence[str]):
+    """Register the check ``name``: its rows of ``_RELATIONS``, then the
+    structural items the decorated function adds."""
+
+    def deco(fn):
+        def run(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
+            for check, cell, route, grid, limit in _RELATIONS:
+                if check == name:
+                    want = ev.closed(cell, grid)
+                    got = ev.values[cell, route].reshape(len(want), -1)
+                    acc.add(got - want[:, None], limit(tols), ev.labels[grid])
+            fn(ev, tols, acc)
+
+        _CHECKS.append((name, tuple(ops), run))
+        return fn
+
+    return deco
+
+
+# Checks made of relation rows only.
+for _name, _ops in (
+    (_BUILT, ("bounds.eval_bound", "qtheory.helstrom_povm", "qtheory.usd_optimal",
+              "qtheory.mcm_optimal", "qtheory.guessing_probability",
+              "qtheory.inconclusive_rate", "qtheory.confidence")),
+    ("bounds/oracle-consistency", ("bounds.eval_bound", "ncmodel.oracle_max_confidence",
+                                   "ncmodel.oracle_min_p0_at_max_confidence")),
+    ("ncmodel/oracle-max-pg", ("ncmodel.oracle_max_pg",)),
+    ("ncmodel/oracle-max-confidence", ("ncmodel.oracle_max_confidence",)),
+    ("ncmodel/oracle-min-p0", ("ncmodel.oracle_min_p0_at_max_confidence", "ncmodel.nc_figures")),
+):
+    _check(_name, _ops)(lambda ev, tols, acc: None)
+
+
 @_check("qtheory/pure-pair-and-mirror", ("qtheory.make_pure_pair", "qtheory.mirror"))
-def _chk_pure_pair(n: int, tols: Tolerances, acc: _Acc) -> None:
-    for theta in np.linspace(0.0, math.pi, max(n, 7)):
+def _chk_pure_pair(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
+    for theta in np.linspace(0.0, math.pi, max(ev.n, 7)):
         a, b = qtheory.make_pure_pair(float(theta))
         acc.add(a.overlap(b).real - math.cos(theta), tols.exact, _pt(theta=theta))
         for s in (a, b):
@@ -428,374 +602,154 @@ def _chk_pure_pair(n: int, tols: Tolerances, acc: _Acc) -> None:
             acc.add(abs(s.overlap(back)) - 1.0, tols.exact, _pt(theta=theta))
 
 
-@_check(
-    "qtheory/povm-completeness",
-    (
-        "qtheory.noisy_ensemble",
-        "qtheory.helstrom_povm",
-        "qtheory.usd_povm",
-        "qtheory.usd_optimal",
-        "qtheory.mcm_povm",
-        "qtheory.mcm_optimal",
-    ),
-)
-def _chk_povm_completeness(n: int, tols: Tolerances, acc: _Acc) -> None:
-    identity = np.eye(2, dtype=complex)
-
-    def inspect(m: qtheory.Povm, point: str) -> None:
-        total = sum(op.matrix for _, op in m.outcomes)
-        acc.add(float(np.max(np.abs(total - identity))), tols.completeness, point)
-        for label, op in m.outcomes:
-            low = float(np.linalg.eigvalsh(op.matrix)[0])
-            acc.add(max(0.0, -low), tols.psd, f"{point}, {label}")
-
-    for c in _grid(n):
-        c = float(c)
-        ens = qtheory.noisy_ensemble(_theta_of(c), 0.0)
-        inspect(qtheory.helstrom_povm(ens), _pt(c=c))
-        if c < 1.0:
-            m_opt, _ = qtheory.usd_optimal(ens)
-            inspect(m_opt, _pt(c=c))
-            g = 0.5 / (1.0 + math.sqrt(c))
-            inspect(qtheory.usd_povm(ens, g, g), _pt(c=c, g=g))
-    for c, p in _mcm_grid(max(5, n // 2)):
-        m_opt, _ = qtheory.mcm_optimal(_theta_of(c), p)
-        inspect(m_opt, _pt(c=c, p=p))
-        alpha = 0.5 * m_opt.conclusive(1).trace
-        if alpha > 0.0:
-            inspect(qtheory.mcm_povm(_theta_of(c), p, alpha), _pt(c=c, p=p))
-
-
-@_check(
-    "qtheory/helstrom-closed-form",
-    (
-        "qtheory.make_pure_pair",
-        "qtheory.noisy_ensemble",
-        "qtheory.helstrom_povm",
-        "qtheory.guessing_probability",
-    ),
-)
-def _chk_helstrom_value(n: int, tols: Tolerances, acc: _Acc) -> None:
-    for c in _grid(n):
-        ens = qtheory.noisy_ensemble(_theta_of(float(c)), 0.0)
-        m = qtheory.helstrom_povm(ens)
-        p_g = qtheory.guessing_probability(ens, m)
-        acc.add(p_g - 0.5 * (1.0 + math.sqrt(1.0 - c)), 1e-10, _pt(c=c))
+@_check("qtheory/povm-completeness", ("qtheory.noisy_ensemble", "qtheory.helstrom_povm",
+                                      "qtheory.usd_povm", "qtheory.usd_optimal",
+                                      "qtheory.mcm_povm", "qtheory.mcm_optimal"))
+def _chk_povm_completeness(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
+    points, labels, elements = zip(*ev.povms)
+    totals = np.array([e.sum(axis=0) for e in elements])
+    acc.add(np.abs(totals - np.eye(2)).max(axis=(1, 2)), tols.completeness, points)
+    lowest = np.linalg.eigvalsh(np.concatenate(elements))[:, 0]
+    where = [f"{point}, {label}" for point, labs in zip(points, labels) for label in labs]
+    acc.add(np.maximum(0.0, -lowest), tols.psd, where)
 
 
 @_check("qtheory/helstrom-balance", ("qtheory.helstrom_povm",))
-def _chk_helstrom_balance(n: int, tols: Tolerances, acc: _Acc) -> None:
+def _chk_helstrom_balance(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     # Distinct states only: the c = 1 tie-break measurement has a dead arm.
-    for c in _grid(n)[:-1]:
-        ens = qtheory.noisy_ensemble(_theta_of(float(c)), 0.0)
-        m = qtheory.helstrom_povm(ens)
-        hit1 = _expect(ens.states[0], m.conclusive(1))
-        hit2 = _expect(ens.states[1], m.conclusive(2))
-        acc.add(hit1 - hit2, 1e-10, _pt(c=c))
-    ens = qtheory.noisy_ensemble(0.0, 0.0)
-    p_g = qtheory.guessing_probability(ens, qtheory.helstrom_povm(ens))
-    acc.add(p_g - 0.5, tols.exact, "c=1 tie-break")
+    hits = np.array([[_expect(rho, m.conclusive(i)) for i, rho in enumerate(ens.states, 1)]
+                     for ens, m in ev.pure[:-1]])
+    acc.add(hits[:, 0] - hits[:, 1], 1e-10, ev.labels["c<1"])
+    acc.add(ev.values["MESD_Pg_Q", "helstrom_povm"][-1] - 0.5, tols.exact, "c=1 tie-break")
 
 
-@_check(
-    "qtheory/mesd-confidence-identity",
-    ("qtheory.confidence", "qtheory.inconclusive_rate"),
-)
-def _chk_mesd_confidence(n: int, tols: Tolerances, acc: _Acc) -> None:
-    for c in _grid(n)[:-1]:
-        ens = qtheory.noisy_ensemble(_theta_of(float(c)), 0.0)
-        m = qtheory.helstrom_povm(ens)
-        p_g = qtheory.guessing_probability(ens, m)
-        acc.add(qtheory.inconclusive_rate(ens, m), tols.exact, _pt(c=c))
-        for i in (1, 2):
-            acc.add(qtheory.confidence(ens, m, i) - p_g, 1e-10, _pt(c=c, i=i))
+@_check("qtheory/mesd-confidence-identity", ("qtheory.confidence",))
+def _chk_mesd_confidence(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
+    # both confidences of the Helstrom measurement equal its P_g (outcome 2
+    # never fires at c = 1)
+    p_g = ev.values["MESD_Pg_Q", "helstrom_povm"]
+    acc.add(ev.values["MESD_C_Q", "helstrom_povm"][:, 0] - p_g, 1e-10, ev.labels["c"])
+    conf2 = np.array([qtheory.confidence(ens, m, 2) for ens, m in ev.pure[:-1]])
+    acc.add(conf2 - p_g[:-1], 1e-10, ev.labels["c<1"])
 
 
-@_check("qtheory/usd-certainty", ("qtheory.usd_povm", "qtheory.confidence"))
-def _chk_usd_certainty(n: int, tols: Tolerances, acc: _Acc) -> None:
-    for c in _grid(n)[:-1]:
-        ens = qtheory.noisy_ensemble(_theta_of(float(c)), 0.0)
-        g_max = 1.0 / (1.0 + math.sqrt(c))
-        for frac in (0.25, 0.6, 1.0):
-            g = frac * g_max
-            if g <= 0.0:
-                continue
-            m = qtheory.usd_povm(ens, g, g)
-            for i in (1, 2):
-                acc.add(qtheory.confidence(ens, m, i) - 1.0, 1e-10, _pt(c=c, g=g))
-    # infeasible weights must be rejected
+@_check("qtheory/usd-certainty", ("qtheory.usd_povm", "qtheory.usd_optimal", "qtheory.confidence"))
+def _chk_usd_certainty(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     ens = qtheory.noisy_ensemble(_theta_of(0.5), 0.0)
-    try:
-        qtheory.usd_povm(ens, 0.9, 0.9)
-        acc.ok(False, "c=0.5, g=0.9")
-    except InfeasibleWeightsError:
-        acc.ok(True, "c=0.5, g=0.9")
-
-
-@_check(
-    "qtheory/usd-optimal-rate",
-    ("qtheory.usd_optimal", "qtheory.inconclusive_rate"),
-)
-def _chk_usd_optimal(n: int, tols: Tolerances, acc: _Acc) -> None:
-    for c in _grid(n)[:-1]:
-        ens = qtheory.noisy_ensemble(_theta_of(float(c)), 0.0)
-        _, rate = qtheory.usd_optimal(ens)
-        acc.add(rate - math.sqrt(c), tols.closed_form, _pt(c=c))
-    try:
-        qtheory.usd_optimal(qtheory.noisy_ensemble(0.0, 0.0))
-        acc.ok(False, "c=1")
-    except UsdImpossibleError:
-        acc.ok(True, "c=1")
-
-
-def _mcm_grid(n: int):
-    for c in _grid(n):
-        for p in _grid(n):
-            if p == 0.0 and (c == 0.0 or c == 1.0):
-                continue  # singular average state
-            yield float(c), float(p)
+    acc.raises(InfeasibleWeightsError, "c=0.5, g=0.9", qtheory.usd_povm, ens, 0.9, 0.9)
+    acc.raises(UsdImpossibleError, "c=1", qtheory.usd_optimal, ev.pure[-1][0])
 
 
 @_check("qtheory/mcm-confidence", ("qtheory.mcm_povm", "qtheory.confidence"))
-def _chk_mcm_confidence(n: int, tols: Tolerances, acc: _Acc) -> None:
-    for c, p in _mcm_grid(n):
-        target = eval_bound(BoundSpec("MCM", "C", QUANTUM, c=c, p=p))
-        ens = qtheory.noisy_ensemble(_theta_of(c), p)
-        m_opt, _ = qtheory.mcm_optimal(_theta_of(c), p)
-        alpha_max = m_opt.conclusive(1).trace
-        seen = []
-        for frac in (0.25, 0.5, 1.0):
-            alpha = frac * alpha_max
-            if alpha <= 0.0:
-                continue
-            m = qtheory.mcm_povm(_theta_of(c), p, alpha)
-            for i in (1, 2):
-                conf = qtheory.confidence(ens, m, i)
-                seen.append(conf)
-                acc.add(conf - target, tols.closed_form, _pt(c=c, p=p, alpha=alpha))
-        if len(seen) > 1:
-            acc.add(max(seen) - min(seen), tols.closed_form, _pt(c=c, p=p))
-
-
-@_check(
-    "qtheory/mcm-optimal-rate",
-    ("qtheory.mcm_optimal", "qtheory.inconclusive_rate"),
-)
-def _chk_mcm_optimal(n: int, tols: Tolerances, acc: _Acc) -> None:
-    for c, p in _mcm_grid(n):
-        _, rate = qtheory.mcm_optimal(_theta_of(c), p)
-        acc.add(rate - (1.0 - p) * math.sqrt(c), tols.closed_form, _pt(c=c, p=p))
+def _chk_mcm_confidence(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
+    # the confidences do not depend on the conclusive weight alpha
+    optimal = ev.values["MCM_C_Q", "mcm_optimal"]
+    seen = np.hstack([optimal, ev.values["MCM_C_Q", "mcm_povm"].reshape(len(optimal), -1)])
+    acc.add(seen.max(axis=1) - seen.min(axis=1), tols.closed_form, ev.labels["mcm"])
 
 
 @_check("qtheory/mcm-monotonicity", ("qtheory.mcm_optimal",))
-def _chk_mcm_monotonicity(n: int, tols: Tolerances, acc: _Acc) -> None:
-    cs = _grid(n)
-    ps = [p for p in _grid(n) if p > 0.0]
-    rates = {
-        (float(c), float(p)): qtheory.mcm_optimal(_theta_of(float(c)), float(p))[1]
-        for c in cs
-        for p in ps
-    }
-    for p in ps:
-        for lo, hi in itertools.pairwise(cs):
-            diff = rates[(float(hi), p)] - rates[(float(lo), p)]
-            acc.add(min(diff, 0.0), tols.exact, _pt(c=hi, p=p))
-    for c in cs:
-        for lo, hi in itertools.pairwise(ps):
-            diff = rates[(float(c), lo)] - rates[(float(c), hi)]
-            acc.add(min(diff, 0.0), tols.exact, _pt(c=c, p=hi))
+def _chk_mcm_monotonicity(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
+    # the optimal rate rises with c at fixed p > 0 and falls with p > 0 at fixed c
+    rate = dict(zip(ev.grids["mcm"], ev.values["MCM_P0_Q", "mcm_optimal"]))
+    xs = [c for c, _ in ev.grids["c"]]
+    r = np.array([[rate[c, p] for p in xs[1:]] for c in xs])
+    labels = np.array([[_pt(c=c, p=p) for p in xs] for c in xs])
+    acc.add(np.minimum(np.diff(r, axis=0), 0.0), tols.exact, labels[1:, 1:])
+    acc.add(np.minimum(-np.diff(r, axis=1), 0.0), tols.exact, labels[:, 2:])
 
 
-@_check(
-    "qtheory/composition-identity",
-    (
-        "qtheory.guessing_probability",
-        "qtheory.inconclusive_rate",
-        "qtheory.confidence",
-        "qtheory.mcm_optimal",
-    ),
-)
-def _chk_composition(n: int, tols: Tolerances, acc: _Acc) -> None:
-    for c in _grid(n):
-        ens = qtheory.noisy_ensemble(_theta_of(float(c)), 0.0)
-        m = qtheory.helstrom_povm(ens)
-        lhs = qtheory.guessing_probability(ens, m)
-        rhs = (1.0 - qtheory.inconclusive_rate(ens, m)) * qtheory.confidence(ens, m, 1)
-        acc.add(lhs - rhs, 1e-10, _pt(c=c, scheme=0))
-    for c, p in _mcm_grid(max(5, n // 2)):
-        m, p_0 = qtheory.mcm_optimal(_theta_of(c), p)
-        ens = qtheory.noisy_ensemble(_theta_of(c), p)
-        try:
-            conf = qtheory.confidence(ens, m, 1)
-        except CtxsdError:
-            continue
-        lhs = qtheory.guessing_probability(ens, m)
-        acc.add(lhs - (1.0 - p_0) * conf, 1e-10, _pt(c=c, p=p))
+@_check("qtheory/composition-identity", ("qtheory.guessing_probability", "qtheory.confidence",
+                                         "qtheory.inconclusive_rate", "qtheory.mcm_optimal"))
+def _chk_composition(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
+    # P_g = (1 - P_0) C(1) for the optimal MCM measurement
+    p_g, p_0, conf = (ev.values[f"MCM_{f}_Q", "mcm_optimal"] for f in ("Pg", "P0", "C"))
+    acc.add(p_g - (1.0 - p_0) * conf[:, 0], 1e-10, ev.labels["mcm"])
 
 
 @_check("ncmodel/canonical-invariants", ("ncmodel.canonical_scenario",))
-def _chk_canonical(n: int, tols: Tolerances, acc: _Acc) -> None:
-    for c in _grid(n):
-        for p in (0.0, 0.5, 1.0):
-            scn = ncmodel.canonical_scenario(float(c), p)
-            left = 0.5 * scn.prep1.weights + 0.5 * scn.mirror1.weights
-            right = 0.5 * scn.prep2.weights + 0.5 * scn.mirror2.weights
-            acc.ok(bool(np.array_equal(left, right)), _pt(c=c, p=p))
-            acc.ok(
-                scn.prep1.weights[0] == scn.prep2.weights[0], _pt(c=c, p=p)
-            )
-            mix = (1.0 - p) * scn.prep1.weights + p * scn.mixed.weights
-            acc.ok(bool(np.array_equal(mix, scn.noisy1.weights)), _pt(c=c, p=p))
-            for state in (scn.prep1, scn.prep2, scn.mirror1, scn.mirror2,
-                          scn.mixed, scn.noisy1, scn.noisy2):
-                acc.add(float(state.weights.sum()) - 1.0, tols.norm, _pt(c=c, p=p))
+def _chk_canonical(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
+    states = ("prep1", "prep2", "mirror1", "mirror2", "mixed", "noisy1", "noisy2")
+    w = np.array([[getattr(scn, s).weights for s in states] for scn in ev.scenarios.values()])
+    ps = np.array([p for _, p in ev.scenarios])[:, None]
+    labels = [_pt(c=c, p=p) for c, p in ev.scenarios]
+    broken = (
+        (0.5 * w[:, 0] + 0.5 * w[:, 2] != 0.5 * w[:, 1] + 0.5 * w[:, 3]).any(axis=1)  # mirrors
+        | (w[:, 0, 0] != w[:, 1, 0])  # shared support
+        | ((1.0 - ps) * w[:, 0] + ps * w[:, 4] != w[:, 5]).any(axis=1)  # noisy state
+    )
+    acc.add(np.where(broken, math.inf, 0.0), 0.0, labels)
+    acc.add(w.sum(axis=2) - 1.0, tols.norm, labels)
 
 
-@_check(
-    "ncmodel/response-normalisation",
-    ("ncmodel.mesd_mixed_strategy", "ncmodel.usd_response"),
-)
-def _chk_response_norm(n: int, tols: Tolerances, acc: _Acc) -> None:
-    for w in _grid(max(n, 11)):
-        rs = ncmodel.mesd_mixed_strategy(float(w))
-        total = rs.xi1 + rs.xi2 + rs.xi0
-        acc.add(float(np.max(np.abs(total - 1.0))), tols.norm, _pt(omega=w))
-    for g1 in _grid(max(n, 11)):
-        g2 = min(1.0 - float(g1), float(g1))
-        rs = ncmodel.usd_response(float(g1), g2)
-        total = rs.xi1 + rs.xi2 + rs.xi0
-        acc.add(float(np.max(np.abs(total - 1.0))), tols.norm, _pt(g1=g1, g2=g2))
+@_check("ncmodel/response-normalisation", ("ncmodel.mesd_mixed_strategy", "ncmodel.usd_response"))
+def _chk_response_norm(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
+    for x in _grid(max(ev.n, 11)):
+        x, g2 = float(x), min(1.0 - float(x), float(x))
+        for rs, point in ((ncmodel.mesd_mixed_strategy(x), _pt(omega=x)),
+                          (ncmodel.usd_response(x, g2), _pt(g1=x, g2=g2))):
+            total = rs.xi1 + rs.xi2 + rs.xi0
+            acc.add(float(np.max(np.abs(total - 1.0))), tols.norm, point)
 
 
-@_check(
-    "ncmodel/confusability",
-    ("ncmodel.confusability", "ncmodel.nc_prob", "ncmodel.canonical_scenario"),
-)
-def _chk_confusability(n: int, tols: Tolerances, acc: _Acc) -> None:
+@_check("ncmodel/confusability",
+        ("ncmodel.confusability", "ncmodel.nc_prob", "ncmodel.canonical_scenario"))
+def _chk_confusability(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     for c in _grid(101):
-        scn = ncmodel.canonical_scenario(float(c), 0.0)
+        scn, point = ncmodel.canonical_scenario(float(c), 0.0), _pt(c=c)
         c12 = ncmodel.confusability(scn.prep1, scn.prep2)
         c21 = ncmodel.confusability(scn.prep2, scn.prep1)
-        acc.add(c12 - c, tols.exact, _pt(c=c))
-        acc.add(c12 - c21, tols.exact, _pt(c=c))
-        acc.add(ncmodel.confusability(scn.prep1, scn.mirror1), tols.exact, _pt(c=c))
+        acc.add(c12 - c, tols.exact, point)
+        acc.add(c12 - c21, tols.exact, point)
+        acc.add(ncmodel.confusability(scn.prep1, scn.mirror1), tols.exact, point)
         if 0.0 < c < 1.0:
-            acc.add(
-                ncmodel.confusability(scn.prep1, scn.mirror2) - (1.0 - c),
-                tols.exact,
-                _pt(c=c),
-            )
+            acc.add(ncmodel.confusability(scn.prep1, scn.mirror2) - (1.0 - c), tols.exact, point)
         indicator = scn.prep1.support.astype(float)
-        acc.add(ncmodel.nc_prob(scn.prep2, indicator) - c12, tols.exact, _pt(c=c))
-        acc.add(ncmodel.nc_prob(scn.prep1, np.ones(4)) - 1.0, tols.exact, _pt(c=c))
-        acc.add(ncmodel.nc_prob(scn.prep1, np.zeros(4)), tols.exact, _pt(c=c))
+        acc.add(ncmodel.nc_prob(scn.prep2, indicator) - c12, tols.exact, point)
+        acc.add(ncmodel.nc_prob(scn.prep1, np.ones(4)) - 1.0, tols.exact, point)
+        acc.add(ncmodel.nc_prob(scn.prep1, np.zeros(4)), tols.exact, point)
 
 
-@_check(
-    "ncmodel/mesd-omega-invariance",
-    ("ncmodel.mesd_mixed_strategy", "ncmodel.nc_figures"),
-)
-def _chk_omega_invariance(n: int, tols: Tolerances, acc: _Acc) -> None:
-    for c in _grid(n):
-        scn = ncmodel.canonical_scenario(float(c), 0.0)
-        for w in _grid(101):
-            figs = ncmodel.nc_figures(scn, ncmodel.mesd_mixed_strategy(float(w)))
+@_check("ncmodel/mesd-omega-invariance", ("ncmodel.mesd_mixed_strategy", "ncmodel.nc_figures"))
+def _chk_omega_invariance(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
+    strategies = [(float(w), ncmodel.mesd_mixed_strategy(float(w))) for w in _grid(101)]
+    for c, _ in ev.grids["c"]:
+        for w, rs in strategies:
+            figs = ncmodel.nc_figures(ev.scenarios[c, 0.0], rs)
             acc.add(figs.p_g - (1.0 - 0.5 * c), tols.exact, _pt(c=c, omega=w))
 
 
-@_check(
-    "ncmodel/mesd-confidences",
-    ("ncmodel.nc_mesd_confidences", "ncmodel.nc_figures", "ncmodel.mesd_mixed_strategy"),
-)
-def _chk_mesd_confidences(n: int, tols: Tolerances, acc: _Acc) -> None:
-    for c in _grid(n):
-        scn = ncmodel.canonical_scenario(float(c), 0.0)
-        for w in _grid(n):
-            closed = ncmodel.nc_mesd_confidences(float(c), float(w))
-            figs = ncmodel.nc_figures(scn, ncmodel.mesd_mixed_strategy(float(w)))
+@_check("ncmodel/mesd-confidences", ("ncmodel.nc_mesd_confidences", "ncmodel.nc_figures",
+                                     "ncmodel.mesd_mixed_strategy"))
+def _chk_mesd_confidences(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
+    strategies = [(w, ncmodel.mesd_mixed_strategy(w)) for w, _ in ev.grids["c"]]
+    for c, _ in ev.grids["c"]:  # omega runs over the c grid
+        for w, rs in strategies:
+            closed = ncmodel.nc_mesd_confidences(c, w)
+            figs = ncmodel.nc_figures(ev.scenarios[c, 0.0], rs)
             for got, want in ((figs.c1, closed[0]), (figs.c2, closed[1])):
                 if got is not None:
                     acc.add(got - want, tols.exact, _pt(c=c, omega=w))
-            sym = ncmodel.nc_mesd_confidences(float(c), 1.0 - float(w))
+            sym = ncmodel.nc_mesd_confidences(c, 1.0 - w)
             acc.add(closed[0] - sym[1], tols.exact, _pt(c=c, omega=w))
 
 
 @_check("ncmodel/omega-star", ("ncmodel.omega_star",))
-def _chk_omega_star(n: int, tols: Tolerances, acc: _Acc) -> None:
-    for c in _grid(n)[1:-1]:
-        c = float(c)
-        w_star = ncmodel.omega_star(c)
-        s = math.sqrt(1.0 - c)
-        textbook = (1.0 - c) * (1.0 - s) / (2.0 * c * s)
-        acc.add(w_star - textbook, tols.oracle, _pt(c=c))
-        acc.ok(w_star <= 0.25 + tols.exact, _pt(c=c))
-        # bisection against the optimal guessing probability
-        helstrom = 0.5 * (1.0 + s)
-        lo, hi = 0.0, 1.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if ncmodel.nc_mesd_confidences(c, mid)[0] > helstrom:
-                lo = mid
-            else:
-                hi = mid
-        acc.add(w_star - 0.5 * (lo + hi), tols.oracle, _pt(c=c))
-        conf_at_star = ncmodel.nc_mesd_confidences(c, w_star)[0]
-        acc.add(conf_at_star - helstrom, 1e-10, _pt(c=c))
-    try:
-        ncmodel.omega_star(1.0)
-        acc.ok(False, "c=1")
-    except DivergenceError:
-        acc.ok(True, "c=1")
+def _chk_omega_star(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
+    cs, labels = np.array([c for c, _ in ev.grids["c"][1:-1]]), ev.labels["c"][1:-1]
+    w_star = np.array([ncmodel.omega_star(c) for c in cs])
+    s = np.sqrt(1.0 - cs)
+    textbook = (1.0 - cs) * (1.0 - s) / (2.0 * cs * s)
+    acc.add(w_star - textbook, tols.oracle, labels)
+    acc.add(np.where(w_star <= 0.25 + tols.exact, 0.0, math.inf), 0.0, labels)
+    # there the first arm's confidence equals the optimal guessing probability
+    acc.add(ncmodel.nc_mesd_confidences(cs, w_star)[0] - 0.5 * (1.0 + s), 1e-10, labels)
+    acc.raises(DivergenceError, "c=1", ncmodel.omega_star, 1.0)
 
 
-@_check("ncmodel/oracle-max-pg", ("ncmodel.oracle_max_pg",))
-def _chk_oracle_max_pg(n: int, tols: Tolerances, acc: _Acc) -> None:
-    for c in _grid(n):
-        scn = ncmodel.canonical_scenario(float(c), 0.0)
-        _, value = ncmodel.oracle_max_pg(scn)
-        acc.add(value - (1.0 - 0.5 * c), tols.oracle, _pt(c=c))
-
-
-@_check("ncmodel/oracle-max-confidence", ("ncmodel.oracle_max_confidence",))
-def _chk_oracle_confidence(n: int, tols: Tolerances, acc: _Acc) -> None:
-    for c in _grid(n):
-        for p in _grid(n):
-            if c == 1.0 and p == 0.0:
-                continue
-            scn = ncmodel.canonical_scenario(float(c), float(p))
-            target = eval_bound(
-                BoundSpec("MCM", "C", NONCONTEXTUAL, c=float(c), p=float(p))
-            )
-            for outcome in (1, 2):
-                _, got = ncmodel.oracle_max_confidence(scn, outcome, noisy=True)
-                acc.add(got - target, tols.exact, _pt(c=c, p=p, outcome=outcome))
-
-
-@_check(
-    "ncmodel/oracle-min-p0",
-    ("ncmodel.oracle_min_p0_at_max_confidence", "ncmodel.nc_figures"),
-)
-def _chk_oracle_min_p0(n: int, tols: Tolerances, acc: _Acc) -> None:
-    for c in _grid(n):
-        for p in _grid(n):
-            if c == 1.0 and p == 0.0:
-                continue
-            scn = ncmodel.canonical_scenario(float(c), float(p))
-            _, p_0 = ncmodel.oracle_min_p0_at_max_confidence(scn)
-            closed = 0.5 * (1.0 + (1.0 - p) * c)
-            acc.add(p_0 - closed, tols.oracle, _pt(c=c, p=p))
-
-
-@_check(
-    "ncmodel/hand-integrals",
-    (
-        "ncmodel.usd_response",
-        "ncmodel.nc_prob",
-        "ncmodel.confusability",
-        "ncmodel.canonical_scenario",
-    ),
-)
-def _chk_hand_integrals(n: int, tols: Tolerances, acc: _Acc) -> None:
+@_check("ncmodel/hand-integrals",
+        ("ncmodel.usd_response", "ncmodel.nc_prob", "ncmodel.canonical_scenario"))
+def _chk_hand_integrals(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     rng = np.random.default_rng(20250809)
     for k in range(100):
         c = float(rng.uniform(0.0, 1.0))
@@ -803,232 +757,54 @@ def _chk_hand_integrals(n: int, tols: Tolerances, acc: _Acc) -> None:
         g2 = float(rng.uniform(0.0, 1.0 - g1))
         scn = ncmodel.canonical_scenario(c, 0.0)
         rs = ncmodel.usd_response(g1, g2)
-        acc.add(
-            ncmodel.nc_prob(scn.prep1, rs.xi0) - (1.0 - g1 + g1 * c),
-            tols.exact,
-            _pt(c=c, g1=g1),
-        )
-        acc.add(
-            ncmodel.nc_prob(scn.mixed, rs.xi0) - (1.0 - 0.5 * (g1 + g2)),
-            tols.exact,
-            _pt(c=c, g1=g1, g2=g2),
-        )
-        acc.add(
-            ncmodel.confusability(scn.prep1, scn.mirror2) - (1.0 - c),
-            tols.exact,
-            _pt(c=c),
-        )
-
-
-@_check("ncmodel/mcm-guessing-factorisation", ("ncmodel.nc_mcm_guessing",))
-def _chk_nc_mcm_guessing(n: int, tols: Tolerances, acc: _Acc) -> None:
-    for c in _grid(n):
-        for p in _grid(n):
-            if c == 1.0 and p == 0.0:
-                continue
-            p_g = ncmodel.nc_mcm_guessing(float(c), float(p))
-            p_0 = eval_bound(BoundSpec("MCM", "P_0", NONCONTEXTUAL, c=float(c), p=float(p)))
-            conf = eval_bound(BoundSpec("MCM", "C", NONCONTEXTUAL, c=float(c), p=float(p)))
-            acc.add(p_g - (1.0 - p_0) * conf, tols.exact, _pt(c=c, p=p))
-
-
-@_check(
-    "bounds/construction-consistency",
-    ("bounds.eval_bound", "qtheory.usd_optimal", "qtheory.mcm_optimal"),
-)
-def _chk_construction(n: int, tols: Tolerances, acc: _Acc) -> None:
-    for c in _grid(n):
-        c = float(c)
-        ens = qtheory.noisy_ensemble(_theta_of(c), 0.0)
-        m = qtheory.helstrom_povm(ens)
-        p_g = qtheory.guessing_probability(ens, m)
-        acc.add(
-            p_g - eval_bound(BoundSpec("MESD", "P_g", QUANTUM, c=c)),
-            tols.closed_form,
-            _pt(c=c),
-        )
-        acc.add(
-            qtheory.confidence(ens, m, 1)
-            - eval_bound(BoundSpec("MESD", "C", QUANTUM, c=c)),
-            tols.closed_form,
-            _pt(c=c),
-        )
-        if c < 1.0:
-            usd_m, rate = qtheory.usd_optimal(ens)
-            acc.add(
-                rate - eval_bound(BoundSpec("USD", "P_0", QUANTUM, c=c)),
-                tols.closed_form,
-                _pt(c=c),
-            )
-            acc.add(
-                qtheory.guessing_probability(ens, usd_m)
-                - eval_bound(BoundSpec("USD", "P_g", QUANTUM, c=c)),
-                tols.closed_form,
-                _pt(c=c),
-            )
-    for c, p in _mcm_grid(n):
-        mcm_m, rate = qtheory.mcm_optimal(_theta_of(c), p)
-        noisy = qtheory.noisy_ensemble(_theta_of(c), p)
-        acc.add(
-            rate - eval_bound(BoundSpec("MCM", "P_0", QUANTUM, c=c, p=p)),
-            tols.closed_form,
-            _pt(c=c, p=p),
-        )
-        acc.add(
-            qtheory.guessing_probability(noisy, mcm_m)
-            - eval_bound(BoundSpec("MCM", "P_g", QUANTUM, c=c, p=p)),
-            tols.closed_form,
-            _pt(c=c, p=p),
-        )
-        if not (c == 1.0 and p == 0.0):
-            acc.add(
-                qtheory.confidence(noisy, mcm_m, 1)
-                - eval_bound(BoundSpec("MCM", "C", QUANTUM, c=c, p=p)),
-                tols.closed_form,
-                _pt(c=c, p=p),
-            )
-
-
-@_check(
-    "bounds/oracle-consistency",
-    (
-        "bounds.eval_bound",
-        "ncmodel.oracle_max_pg",
-        "ncmodel.oracle_max_confidence",
-        "ncmodel.oracle_min_p0_at_max_confidence",
-    ),
-)
-def _chk_oracle_consistency(n: int, tols: Tolerances, acc: _Acc) -> None:
-    for c in _grid(n):
-        c = float(c)
-        pure = ncmodel.canonical_scenario(c, 0.0)
-        _, max_pg = ncmodel.oracle_max_pg(pure)
-        acc.add(
-            max_pg - eval_bound(BoundSpec("MESD", "P_g", NONCONTEXTUAL, c=c)),
-            tols.oracle,
-            _pt(c=c),
-        )
-        if c < 1.0:
-            _, p0_pure = ncmodel.oracle_min_p0_at_max_confidence(pure)
-            acc.add(
-                p0_pure - eval_bound(BoundSpec("USD", "P_0", NONCONTEXTUAL, c=c)),
-                tols.oracle,
-                _pt(c=c),
-            )
-            acc.add(
-                (1.0 - p0_pure) - eval_bound(BoundSpec("USD", "P_g", NONCONTEXTUAL, c=c)),
-                tols.oracle,
-                _pt(c=c),
-            )
-    for c, p in _mcm_grid(n):
-        if c == 1.0 and p == 0.0:
-            continue
-        scn = ncmodel.canonical_scenario(c, p)
-        _, conf = ncmodel.oracle_max_confidence(scn, 1, noisy=True)
-        acc.add(
-            conf - eval_bound(BoundSpec("MCM", "C", NONCONTEXTUAL, c=c, p=p)),
-            tols.oracle,
-            _pt(c=c, p=p),
-        )
-        _, p_0 = ncmodel.oracle_min_p0_at_max_confidence(scn)
-        acc.add(
-            p_0 - eval_bound(BoundSpec("MCM", "P_0", NONCONTEXTUAL, c=c, p=p)),
-            tols.oracle,
-            _pt(c=c, p=p),
-        )
-        acc.add(
-            (1.0 - p_0) * conf
-            - eval_bound(BoundSpec("MCM", "P_g", NONCONTEXTUAL, c=c, p=p)),
-            tols.oracle,
-            _pt(c=c, p=p),
-        )
+        acc.add(ncmodel.nc_prob(scn.prep1, rs.xi0) - (1.0 - g1 + g1 * c),
+                tols.exact, _pt(c=c, g1=g1))
+        acc.add(ncmodel.nc_prob(scn.mixed, rs.xi0) - (1.0 - 0.5 * (g1 + g2)),
+                tols.exact, _pt(c=c, g1=g1, g2=g2))
 
 
 @_check("bounds/inequality-suite", ("bounds.gap", "bounds.eval_bound"))
-def _chk_inequalities(n: int, tols: Tolerances, acc: _Acc) -> None:
-    cs = _grid(n)
-    interior = cs[1:-1]
-    for c in interior:
-        c = float(c)
-        cert = gap(
-            BoundSpec("MESD", "P_g", QUANTUM, c=c),
-            BoundSpec("MESD", "P_g", NONCONTEXTUAL, c=c),
-            tols,
-        )
-        acc.ok(cert.advantage, _pt(c=c))
-        cert = gap(
-            BoundSpec("USD", "P_0", QUANTUM, c=c),
-            BoundSpec("USD", "P_0", NONCONTEXTUAL, c=c),
-            tols,
-        )
-        acc.ok(cert.advantage, _pt(c=c))
+def _chk_inequalities(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
+    for c, _ in ev.grids["c"][1:-1]:
+        acc.ok(_cert(tols, "MESD", "P_g", c=c).advantage, _pt(c=c))
+        acc.ok(_cert(tols, "USD", "P_0", c=c).advantage, _pt(c=c))
     for edge in (0.0, 1.0):
-        cert = gap(
-            BoundSpec("MESD", "P_g", QUANTUM, c=edge),
-            BoundSpec("MESD", "P_g", NONCONTEXTUAL, c=edge),
-            tols,
-        )
-        acc.add(cert.gap, tols.exact, _pt(c=edge))
-    for c in cs:
-        for p in _grid(n):
-            if c == 1.0 and p == 0.0:
-                continue
-            c_f, p_f = float(c), float(p)
-            for figure in ("P_g", "P_0", "C"):
-                cert = gap(
-                    BoundSpec("MCM", figure, QUANTUM, c=c_f, p=p_f),
-                    BoundSpec("MCM", figure, NONCONTEXTUAL, c=c_f, p=p_f),
-                    tols,
-                )
-                oriented = -cert.gap if figure == "P_0" else cert.gap
-                acc.ok(oriented >= -tols.exact, _pt(c=c_f, p=p_f))
-                if 0.0 < c_f < 1.0 and 0.0 < p_f < 1.0:
-                    acc.ok(cert.advantage, _pt(c=c_f, p=p_f))
+        acc.add(_cert(tols, "MESD", "P_g", c=edge).gap, tols.exact, _pt(c=edge))
+    for c, p in ev.grids["nc"]:
+        for figure in ("P_g", "P_0", "C"):
+            cert = _cert(tols, "MCM", figure, c=c, p=p)
+            oriented = -cert.gap if figure == "P_0" else cert.gap
+            acc.ok(oriented >= -tols.exact, _pt(c=c, p=p))
+            if 0.0 < c < 1.0 and 0.0 < p < 1.0:
+                acc.ok(cert.advantage, _pt(c=c, p=p))
 
 
-@_check(
-    "bounds/mesd-confidence-window",
-    ("bounds.gap", "ncmodel.omega_star"),
-)
-def _chk_window(n: int, tols: Tolerances, acc: _Acc) -> None:
-    omegas = _grid(max(2 * n + 1, 21))
+@_check("bounds/mesd-confidence-window", ("bounds.gap", "ncmodel.omega_star"))
+def _chk_window(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
+    omegas = _grid(max(2 * ev.n + 1, 21))
     step = float(omegas[1] - omegas[0])
-    for c in _grid(n)[1:-1]:
-        c = float(c)
+    for c, _ in ev.grids["c"][1:-1]:
         w_star = ncmodel.omega_star(c)
         for w in omegas:
             w = float(w)
             if min(abs(w - w_star), abs(w - (1.0 - w_star))) <= 0.5 * step:
                 continue  # too close to the boundary for the grid to resolve
-            both = all(
-                gap(
-                    BoundSpec("MESD", "C", QUANTUM, c=c),
-                    BoundSpec(
-                        "MESD", "C", NONCONTEXTUAL, c=c, omega=w, outcome=i
-                    ),
-                    tols,
-                ).advantage
-                for i in (1, 2)
-            )
+            both = all(_cert(tols, "MESD", "C", c=c, omega=w, outcome=i).advantage
+                       for i in (1, 2))
             inside = w_star <= w <= 1.0 - w_star
             acc.ok(both == inside, _pt(c=c, omega=w))
 
 
-@_check("bounds/factorisation", ("bounds.eval_bound",))
-def _chk_factorisation(n: int, tols: Tolerances, acc: _Acc) -> None:
-    for c in _grid(n):
-        for p in _grid(n):
-            if c == 1.0 and p == 0.0:
-                continue
-            for theory in (QUANTUM, NONCONTEXTUAL):
-                p_g = eval_bound(BoundSpec("MCM", "P_g", theory, c=float(c), p=float(p)))
-                p_0 = eval_bound(BoundSpec("MCM", "P_0", theory, c=float(c), p=float(p)))
-                conf = eval_bound(BoundSpec("MCM", "C", theory, c=float(c), p=float(p)))
-                acc.add(p_g - (1.0 - p_0) * conf, tols.exact, _pt(c=c, p=p, theory=theory))
+@_check("bounds/factorisation", ("bounds.eval_bound", "ncmodel.nc_mcm_guessing"))
+def _chk_factorisation(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
+    # P_g = (1 - P_0) C for the MCM closed forms of both theories
+    for theory in ("Q", "NC"):
+        p_g, p_0, conf = (ev.closed(f"MCM_{f}_{theory}", "nc") for f in ("Pg", "P0", "C"))
+        acc.add(p_g - (1.0 - p_0) * conf, tols.exact, ev.labels["nc"])
 
 
 @_check("bounds/table-report", ("bounds.table1_report", "bounds.gap"))
-def _chk_table(n: int, tols: Tolerances, acc: _Acc) -> None:
+def _chk_table(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     report = table1_report(0.5, 0.5, 0.5, tols)
     acc.add(report.cell("MESD", "P_0").value, 0.0, "definitional MESD P_0")
     acc.add(report.cell("USD", "C").value - 1.0, 0.0, "definitional USD C")
@@ -1043,16 +819,18 @@ def _chk_table(n: int, tols: Tolerances, acc: _Acc) -> None:
 
 
 def verify_all(points: int, tols: Tolerances = DEFAULTS) -> VerifyReport:
-    """Run every named cross-check at the given grid density.
+    """Build the shared evaluation pass at the given grid density, then run
+    every named check on it.
 
     Two-parameter grids use ``points`` per axis; the single-parameter
     properties pinned to a 101-point grid keep that density regardless.
     """
     if points < 5:
         raise DomainError(f"grid density must be at least 5, got {points}")
+    ev = _Pass(points)
     results = []
     for name, ops, fn in _CHECKS:
         acc = _Acc()
-        fn(points, tols, acc)
+        fn(ev, tols, acc)
         results.append(acc.result(name, ops))
     return VerifyReport(points, tuple(results))

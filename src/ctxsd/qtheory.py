@@ -26,7 +26,6 @@ from .config import DEFAULTS
 from .errors import (
     ContractError,
     DegenerateEnsembleError,
-    DivergenceError,
     DomainError,
     InfeasibleWeightsError,
     UndefinedConfidenceError,
@@ -53,8 +52,6 @@ __all__ = [
     "usd_optimal",
     "mcm_povm",
     "mcm_optimal",
-    "mcm_direction_angle",
-    "mcm_direction_angle_alt",
 ]
 
 CONCLUSIVE_1 = "conclusive-1"
@@ -520,25 +517,3 @@ def mcm_optimal(theta: float, p: float) -> tuple[Povm, float]:
     alpha = _max_weight(p1 + p2)
     m = _povm_with_inconclusive(alpha * p1, alpha * p2, (alpha, alpha))
     return m, inconclusive_rate(ens, m)
-
-
-def mcm_direction_angle(theta: float, p: float) -> float:
-    """Angle phi of the second conclusive direction, |phi_2> = (cos(phi/2), sin(phi/2))."""
-    _, d2 = _mcm_directions(noisy_ensemble(theta, p))
-    return 2.0 * math.atan2(float(d2[1].real), float(d2[0].real))
-
-
-def mcm_direction_angle_alt(theta: float, p: float) -> float:
-    """Comparison-only closed form for the conclusive direction angle.
-
-    Kept so it can be plotted against :func:`mcm_direction_angle`; the two
-    disagree, already in the noise-free limit, where the conclusive
-    directions must be orthogonal to the competing state while this
-    expression tends to zero. No construction uses it.
-    """
-    st = math.sin(theta)
-    if st <= DEFAULTS.norm:
-        raise DivergenceError("angle formula undefined at theta in {0, pi}")
-    ct = math.cos(theta)
-    t = p * ct * math.sqrt((1.0 - p * p * ct * ct) / (st * st))
-    return math.atan(t)

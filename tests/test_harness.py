@@ -3,13 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from ctxsd import cli, config, harness
-from ctxsd.bounds import NONCONTEXTUAL, QUANTUM
+from ctxsd import cli, config, harness, qtheory
+from ctxsd.bounds import CELLS, NONCONTEXTUAL, QUANTUM
 from ctxsd.errors import ContractError, DomainError
 from ctxsd.harness import (
     FIGURE_IDS,
@@ -250,6 +251,59 @@ def test_verify_all_reports_failure_with_corrupted_tolerances():
     assert "check(s) failed" in rendered
 
 
+# The check that asserts each route's relations; a value off by 1e-6 there
+# must fail it.
+_ROUTE_HOMES = {
+    ("qtheory", "helstrom_povm"): "bounds/construction-consistency",
+    ("qtheory", "usd_optimal"): "bounds/construction-consistency",
+    ("qtheory", "mcm_optimal"): "bounds/construction-consistency",
+    ("ncmodel", "oracle_max_pg"): "ncmodel/oracle-max-pg",
+    ("ncmodel", "oracle_max_confidence"): "ncmodel/oracle-max-confidence",
+    ("ncmodel", "oracle_min_p0_at_max_confidence"): "ncmodel/oracle-min-p0",
+}
+
+
+def _off_by(value, eps):
+    """``value`` with its number moved by ``eps``: a (witness, number) pair,
+    or a two-outcome POVM whose elements each take ``eps`` of the other."""
+    if isinstance(value, tuple):
+        return value[0], value[1] + eps
+    pi1, pi2 = value.conclusive(1).matrix, value.conclusive(2).matrix
+    return qtheory.Povm((
+        (qtheory.CONCLUSIVE_1, qtheory.Operator2((1 - eps) * pi1 + eps * pi2)),
+        (qtheory.CONCLUSIVE_2, qtheory.Operator2((1 - eps) * pi2 + eps * pi1)),
+    ))
+
+
+@pytest.mark.parametrize("module, name", list(_ROUTE_HOMES))
+def test_fault_in_a_route_fails_its_home_check(monkeypatch, module, name):
+    # Patched where the harness looks it up, so ncmodel's own calls (the
+    # min-p0 oracle re-checks its face against the confidence oracle) keep
+    # the true values.
+    real = getattr(harness, module)
+    original = getattr(real, name)
+    faulty = types.SimpleNamespace(**vars(real))
+    setattr(faulty, name, lambda *args, **kwargs: _off_by(original(*args, **kwargs), 1e-6))
+    monkeypatch.setattr(harness, module, faulty)
+    report = verify_all(5)
+    assert not report.passed
+    assert _ROUTE_HOMES[module, name] in {ch.name for ch in report.checks if not ch.passed}
+
+
+def test_relation_table_homes_each_route_once():
+    homes = {}
+    for check, _, route, _, _ in harness._RELATIONS:
+        homes.setdefault(route, set()).add(check)
+    assert all(len(checks) == 1 for checks in homes.values()), homes
+    for (_, name), home in _ROUTE_HOMES.items():
+        assert homes[name] == {home}
+    registered = {name for name, _, _ in harness._CHECKS}
+    assert set().union(*homes.values()) <= registered
+    # every quantum cell is compared with a construction
+    cells = {cell for _, cell, _, _, _ in harness._RELATIONS}
+    assert {cell.label for cell in CELLS if cell.theory == QUANTUM} <= cells
+
+
 def test_render_lists_every_check_once():
     report = verify_all(5)
     rendered = report.render()
@@ -346,6 +400,21 @@ def test_csv_bytes_match_stored_checksums(tmp_path):
 def test_cli_rejects_bad_target(capsys):
     rc = cli.main(["sweep", "--variable", "c", "--target", "nope"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("token", ["MCM:C2:Q", "USD:C1:NC"])
+def test_cli_rejects_arm_on_cell_without_arms(token, capsys):
+    rc = cli.main(["sweep", "--variable", "c", "--points", "3", "--target", token])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(ContractError):
+        Target("MCM", "C", QUANTUM, outcome=2)
+    # the noncontextual MESD confidence keeps its arms; plain C means arm 1
+    argv = ["sweep", "--variable", "omega", "--points", "3"]
+    for arm in ("C1", "C2", "C"):
+        argv += ["--target", f"MESD:{arm}:NC"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "omega,MESD_C1_NC,MESD_C2_NC,MESD_C1_NC"
 
 
 def test_cli_figure_to_unwritable_path_exits_2(tmp_path):

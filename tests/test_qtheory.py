@@ -422,14 +422,6 @@ def test_optimal_weights_leave_inconclusive_element_on_the_boundary():
             assert abs(m.inconclusive().min_eigenvalue()) <= 1e-14, c
 
 
-def test_mcm_alt_angle_disagrees_with_construction():
-    # the comparison formula tends to 0 with p, the construction does not
-    angle_alt = qt.mcm_direction_angle_alt(theta_of(0.5), 0.01)
-    angle = qt.mcm_direction_angle(theta_of(0.5), 0.01)
-    assert abs(angle_alt) < 0.02
-    assert abs(angle) > 1.0
-
-
 def test_povm_rejects_incomplete_elements():
     half = qt.Operator2(0.5 * np.eye(2))
     with pytest.raises(ContractError):
