@@ -27,12 +27,10 @@ class Tolerances:
     norm: float = 1e-12            # normalisation, Hermiticity, weight sums
     psd: float = 1e-10             # smallest admissible POVM eigenvalue
     completeness: float = 1e-10    # entrywise |sum of elements - identity|
-    overlap: float = 1e-10         # stored overlap vs recomputed overlap
 
     exact: float = 1e-12           # identities that hold to rounding error
     closed_form: float = 1e-9      # measurement construction vs closed form
     oracle: float = 1e-9           # brute-force oracle vs closed form
-    confidence_face: float = 1e-10  # membership of the maximal-confidence face
     advantage: float = 1e-12       # strict-gap threshold for advantage flags
 
 
@@ -59,6 +57,5 @@ def from_env(base: Tolerances = DEFAULTS) -> Tolerances:
         exact=max(base.exact, floor),
         closed_form=max(base.closed_form, floor),
         oracle=max(base.oracle, floor),
-        confidence_face=max(base.confidence_face, floor),
         advantage=max(base.advantage, floor),
     )

@@ -132,12 +132,6 @@ class ResponseSet:
     def xi0(self) -> np.ndarray:
         return self._xi0
 
-    def outcome(self, label: str) -> np.ndarray:
-        try:
-            return {"1": self._xi1, "2": self._xi2, "0": self._xi0}[label]
-        except KeyError:
-            raise ContractError(f"unknown outcome label {label!r}") from None
-
     def __repr__(self) -> str:
         return (
             f"ResponseSet(xi1={self._xi1.tolist()!r}, "
@@ -259,7 +253,7 @@ def nc_figures(scn: NcScenario, rs: ResponseSet, noisy: bool = False) -> NcFigur
     s1 = scn.noisy1 if noisy else scn.prep1
     s2 = scn.noisy2 if noisy else scn.prep2
     avg = 0.5 * (s1.weights + s2.weights)
-    p_g = 0.5 * (nc_prob(s1, rs.xi1) + nc_prob(s2, rs.xi2))
+    p_g = 0.5 * (float(s1.weights @ rs.xi1) + float(s2.weights @ rs.xi2))
     p_0 = float(avg @ rs.xi0)
 
     def conf(own: EpistemicState, xi: np.ndarray) -> Optional[float]:
@@ -381,8 +375,8 @@ def oracle_max_confidence(
         scn.noisy1 if noisy else scn.prep1
     )
     pattern = _IDENTIFYING[outcome]
-    num = nc_prob(own, pattern)
-    den = 0.5 * (num + nc_prob(other, pattern))
+    num = float(own.weights @ pattern)
+    den = 0.5 * (num + float(other.weights @ pattern))
     if den <= 0.0:
         raise UndefinedConfidenceError(
             f"outcome {outcome} never fires on this scenario"
@@ -393,6 +387,9 @@ def oracle_max_confidence(
 # Vertices of the triangle {gamma1, gamma2 >= 0, gamma1 + gamma2 <= 1}, plus
 # the symmetric point of the hypotenuse, which the minimiser prefers on ties.
 _FACE_CANDIDATES = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5))
+
+# How far a confidence may sit from its maximum on the returned point.
+_CONFIDENCE_FACE = 1e-10
 
 
 def oracle_min_p0_at_max_confidence(scn: NcScenario) -> tuple[ResponseSet, float]:
@@ -425,7 +422,7 @@ def oracle_min_p0_at_max_confidence(scn: NcScenario) -> tuple[ResponseSet, float
     rs = usd_response(*best_pair)
     figs = nc_figures(scn, rs, noisy=True)
     for got, want in ((figs.c1, target1), (figs.c2, target2)):
-        if got is None or abs(got - want) > DEFAULTS.confidence_face:
+        if got is None or abs(got - want) > _CONFIDENCE_FACE:
             raise ContractError("minimiser left the maximal-confidence face")
     return rs, figs.p_0
 

@@ -2,7 +2,10 @@
 
 Value types (pure states, 2x2 Hermitian operators, ensembles, labelled
 POVMs) together with the three figures of merit and the optimal-measurement
-constructions for equiprobable binary ensembles:
+constructions. An ensemble is an equiprobable pure pair dephased at a
+noise level p; it stores the pair itself, so the unambiguous measurement
+reads the pure states directly, and derives its two density operators and
+their average once on construction. The constructions are:
 
 * minimum-error: projective measurement onto the eigenspaces of the
   weighted state difference,
@@ -18,7 +21,8 @@ to evaluate concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -70,10 +74,10 @@ def min_eig_2x2(m: np.ndarray) -> float:
     return 0.5 * (a + b) - r
 
 
-def _phase_fixed(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _phase_fixed(v: np.ndarray) -> np.ndarray:
     """Rescale by a global phase so the first nonzero amplitude is real >= 0."""
     for comp in v:
-        if abs(comp) > tol:
+        if abs(comp) > 1e-12:
             return v * (comp.conjugate() / abs(comp))
     raise DomainError("zero vector has no phase convention")
 
@@ -150,67 +154,38 @@ class Operator2:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Binary ensemble: priors, density operators, dephasing level, overlap.
+    """Equiprobable pure pair dephased to rho_i = (1-p)|psi_i><psi_i| + p/2.
 
-    ``overlap_sq`` is |<psi1|psi2>|^2 of the underlying pure pair. For
-    noise < 1 the pure pair is recoverable from the density operators, and
-    the stored value is checked against it on construction.
+    ``pair`` and ``noise`` are the whole ensemble, and the priors are the
+    class constant (1/2, 1/2). ``states`` (the two density operators) and
+    ``average`` (their even mixture) are derived from them once on
+    construction; ``overlap_sq`` is |<psi1|psi2>|^2 of the pair.
     """
 
-    priors: tuple[float, ...]
-    states: tuple[Operator2, ...]
+    priors: ClassVar[tuple[float, float]] = (0.5, 0.5)
+
+    pair: tuple[PureState, PureState]
     noise: float
-    overlap_sq: float
+    states: tuple[Operator2, Operator2] = field(init=False)
+    average: Operator2 = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "priors", tuple(float(q) for q in self.priors))
-        object.__setattr__(self, "states", tuple(self.states))
-        if len(self.priors) != len(self.states):
-            raise ContractError("priors and states must have equal length")
-        if any(q < -DEFAULTS.norm for q in self.priors):
-            raise DomainError("priors must be nonnegative")
-        if abs(sum(self.priors) - 1.0) > DEFAULTS.norm:
-            raise DomainError("priors must sum to 1")
+        object.__setattr__(self, "pair", tuple(self.pair))
+        if len(self.pair) != 2 or not all(isinstance(s, PureState) for s in self.pair):
+            raise ContractError("an ensemble is a pair of PureState values")
         if not 0.0 <= self.noise <= 1.0:
             raise DomainError(f"noise must lie in [0, 1], got {self.noise}")
-        if not 0.0 <= self.overlap_sq <= 1.0:
-            raise DomainError(f"overlap_sq must lie in [0, 1], got {self.overlap_sq}")
-        for op in self.states:
-            if not isinstance(op, Operator2):
-                raise ContractError("states must be Operator2 values")
-            if op.min_eigenvalue() < -DEFAULTS.psd:
-                raise DomainError("density operator has a negative eigenvalue")
-            if abs(op.trace - 1.0) > DEFAULTS.norm:
-                raise DomainError("density operator must have unit trace")
-        if len(self.states) == 2 and self.noise < 1.0:
-            got = self._recovered_overlap_sq()
-            if abs(got - self.overlap_sq) > DEFAULTS.overlap:
-                raise ContractError(
-                    f"stored overlap_sq {self.overlap_sq} disagrees with the "
-                    f"value {got} recomputed from the states"
-                )
-
-    def _recovered_overlap_sq(self) -> float:
-        a, b = (_pure_from_density(s, self.noise) for s in self.states)
-        return abs(a.overlap(b)) ** 2
+        p = self.noise
+        rho1, rho2 = (
+            (1.0 - p) * s.projector().matrix + 0.5 * p * _IDENTITY for s in self.pair
+        )
+        object.__setattr__(self, "states", (Operator2(rho1), Operator2(rho2)))
+        object.__setattr__(self, "average", Operator2(0.5 * rho1 + 0.5 * rho2))
 
     @property
-    def average(self) -> Operator2:
-        """Prior-weighted average state."""
-        acc = np.zeros((2, 2), dtype=complex)
-        for q, s in zip(self.priors, self.states):
-            acc = acc + q * s.matrix
-        return Operator2(acc)
-
-
-def _pure_from_density(op: Operator2, noise: float) -> PureState:
-    """Invert rho = (1-p)|psi><psi| + p/2 and return |psi| (needs p < 1)."""
-    proj = (op.matrix - 0.5 * noise * _IDENTITY) / (1.0 - noise)
-    w, v = np.linalg.eigh(proj)
-    if abs(w[1] - 1.0) > 1e-8 or abs(w[0]) > 1e-8:
-        raise ContractError("state is not a dephased pure state")
-    vec = _phase_fixed(v[:, 1])
-    return PureState(complex(vec[0]), complex(vec[1]))
+    def overlap_sq(self) -> float:
+        a, b = self.pair
+        return abs(a.overlap(b)) ** 2
 
 
 @dataclass(frozen=True)
@@ -285,24 +260,13 @@ def mirror(state: PureState) -> PureState:
 
 def noisy_ensemble(theta: float, p: float) -> Ensemble:
     """Equiprobable dephased pair rho_i = (1-p)|psi_i><psi_i| + p/2."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must lie in [0, 1], got {p}")
-    psi1, psi2 = make_pure_pair(theta)
-    overlap_sq = math.cos(theta) ** 2
-
-    def dephase(s: PureState) -> Operator2:
-        return Operator2((1.0 - p) * s.projector().matrix + 0.5 * p * _IDENTITY)
-
-    return Ensemble((0.5, 0.5), (dephase(psi1), dephase(psi2)), p, overlap_sq)
+    return Ensemble(make_pure_pair(theta), p)
 
 
 def _pure_pair_of(ens: Ensemble) -> tuple[PureState, PureState]:
-    if len(ens.states) != 2:
-        raise ContractError("binary ensemble required")
     if ens.noise != 0.0:
         raise ContractError("pure-state ensemble required (noise = 0)")
-    a, b = (_pure_from_density(s, 0.0) for s in ens.states)
-    return a, b
+    return ens.pair
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +320,6 @@ def helstrom_povm(ens: Ensemble) -> Povm:
     states coincide the measurement is a pure tie-break and falls back to
     the computational basis.
     """
-    if len(ens.states) != 2:
-        raise ContractError("binary ensemble required")
     x = ens.priors[0] * ens.states[0].matrix - ens.priors[1] * ens.states[1].matrix
     if np.max(np.abs(x)) <= DEFAULTS.norm:
         pi1 = np.diag([1.0 + 0.0j, 0.0j])
@@ -463,12 +425,15 @@ def _mcm_directions(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
             "average state is singular (no noise and coincident or antipodal pair)"
         )
     whiten = (v * (w**-0.5)) @ v.conj().T
+    # rho_i - rho = (1-p)/2 (P_i - P_j) for the pair's projectors P: the same
+    # whitened eigenvectors as rho_i, read from the pair so p -> 1 cannot cancel them.
+    proj1, proj2 = (np.outer(s.vector, s.vector.conj()) for s in ens.pair)
     dirs = []
-    for i, op in enumerate(ens.states):
-        g = whiten @ op.matrix @ whiten
+    for i, diff in enumerate((proj1 - proj2, proj2 - proj1)):
+        g = whiten @ diff @ whiten
         wg, vg = np.linalg.eigh(g)
         if wg[1] - wg[0] <= 1e-12:
-            # Every direction attains the maximal confidence here; take the
+            # Coincident states, where every direction is optimal: take the
             # limit of the generic case so the pair stays symmetric and the
             # optimal inconclusive rate stays continuous in (theta, p).
             sign = -1.0 if i == 0 else 1.0

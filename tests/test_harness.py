@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import types
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -460,6 +460,18 @@ def test_env_tolerance_only_loosens(monkeypatch):
     monkeypatch.setenv(config.ENV_TOL, "1e-30")
     tols = config.from_env()
     assert tols == config.DEFAULTS
+
+
+def test_tolerance_defaults_are_pinned():
+    assert asdict(config.DEFAULTS) == {
+        "norm": 1e-12,
+        "psd": 1e-10,
+        "completeness": 1e-10,
+        "exact": 1e-12,
+        "closed_form": 1e-9,
+        "oracle": 1e-9,
+        "advantage": 1e-12,
+    }
 
 
 def test_cli_honours_env_tolerance(monkeypatch, capsys):

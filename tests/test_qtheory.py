@@ -107,16 +107,24 @@ def test_noisy_ensemble_rejects_bad_noise():
         qt.noisy_ensemble(math.pi / 3, 1.5)
 
 
-def test_ensemble_rejects_inconsistent_overlap():
-    ens = pure_ensemble(0.5)
-    with pytest.raises(ContractError):
-        qt.Ensemble(ens.priors, ens.states, 0.0, 0.9)
-
-
-def test_ensemble_rejects_bad_priors():
-    ens = pure_ensemble(0.5)
+def test_ensemble_from_complex_pair():
+    # a pair make_pure_pair cannot produce: complex amplitudes, no symmetry
+    v1 = np.array([0.6, 0.8j])
+    v2 = np.array([0.8, -0.6 * np.exp(1j * math.pi / 3)])
+    pair = (qt.PureState(*v1), qt.PureState(*v2))
+    inner = abs(np.vdot(v1, v2))
+    ens = qt.Ensemble(pair, 0.0)
+    assert ens.overlap_sq == pytest.approx(inner**2, abs=1e-15)
+    m, rate = qt.usd_optimal(ens)
+    assert rate == pytest.approx(inner, abs=1e-12)
+    for i in (1, 2):
+        assert qt.confidence(ens, m, i) == pytest.approx(1.0, abs=1e-10)
+    p_g = qt.guessing_probability(ens, qt.helstrom_povm(ens))
+    assert p_g == pytest.approx(0.5 * (1.0 + math.sqrt(1.0 - ens.overlap_sq)), abs=1e-12)
     with pytest.raises(DomainError):
-        qt.Ensemble((0.7, 0.7), ens.states, 0.0, 0.5)
+        qt.Ensemble(pair, 1.5)
+    with pytest.raises(ContractError):
+        qt.Ensemble(pair[:1], 0.0)
 
 
 def test_operator2_rejects_non_hermitian():
@@ -406,6 +414,16 @@ def test_mcm_optimal_rate_formula_on_grid():
         for p in np.linspace(0.1, 1.0, 7):
             _, rate = qt.mcm_optimal(theta_of(float(c)), float(p))
             assert rate == pytest.approx((1.0 - p) * math.sqrt(c), abs=1e-9)
+
+
+@pytest.mark.parametrize("c", [0.1, 0.5, 0.9])
+def test_mcm_optimal_rate_near_full_noise(c):
+    # as p -> 1 the states approach 1/2; the rate (1-p)sqrt(c) must keep its
+    # absolute accuracy instead of the directions losing it to cancellation
+    for k in range(4, 13):
+        p = 1.0 - 10.0**-k
+        _, rate = qt.mcm_optimal(theta_of(c), p)
+        assert abs(rate - (1.0 - p) * math.sqrt(c)) <= 1e-14, (c, p)
 
 
 def test_optimal_weights_leave_inconclusive_element_on_the_boundary():
