@@ -420,10 +420,6 @@ def _pt(**kv) -> str:
     )
 
 
-def _expect(rho, op) -> float:
-    return float(np.trace(rho.matrix @ op.matrix).real)
-
-
 def _cert(tols: Tolerances, scheme: str, figure: str, omega=None, outcome: int = 1,
           **params) -> GapCertificate:
     """Gap certificate of one table cell; ``omega`` and ``outcome`` pick the
@@ -450,7 +446,7 @@ class _Pass:
     point order; readers reshape them to one row per point. ``pure`` keeps
     the pure ensemble and its Helstrom measurement at each c, ``scenarios``
     the canonical scenario at each point of the n x n grid and at p = 1/2,
-    and ``povms`` the point, outcome labels and element matrices of every
+    and ``povms`` the point and the (pi_1, pi_2, pi_0) elements of every
     measurement built.
     """
 
@@ -476,8 +472,7 @@ class _Pass:
         def measured(route, scheme, ens, m, point, rate=None, outcomes=(1, 2)) -> None:
             """Record a measurement built at ``point``: its confidences and,
             for an optimal construction, its P_g and its inconclusive ``rate``."""
-            labels, ops = zip(*m.outcomes)
-            self.povms.append((point, labels, np.array([op.matrix for op in ops])))
+            self.povms.append((point, m.elements))
             v[f"{scheme}_C_Q", route].append([qtheory.confidence(ens, m, i) for i in outcomes])
             if rate is not None:
                 v[f"{scheme}_Pg_Q", route].append(qtheory.guessing_probability(ens, m))
@@ -501,8 +496,8 @@ class _Pass:
             ens = qtheory.noisy_ensemble(_theta_of(c), p)
             m, rate = qtheory.mcm_optimal(_theta_of(c), p)
             measured("mcm_optimal", "MCM", ens, m, _pt(c=c, p=p), rate)
-            for alpha in (frac * m.conclusive(1).trace for frac in _MCM_FRACTIONS):
-                m_alpha = qtheory.mcm_povm(_theta_of(c), p, alpha)
+            for alpha in (frac * m.conclusive(1).trace().real for frac in _MCM_FRACTIONS):
+                m_alpha = qtheory.mcm_povm(ens, alpha)
                 measured("mcm_povm", "MCM", ens, m_alpha, _pt(c=c, p=p, alpha=alpha))
         for c, p in self.grids["nc"]:
             scn = self.scenarios[c, p]
@@ -606,18 +601,17 @@ def _chk_pure_pair(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
                                       "qtheory.usd_povm", "qtheory.usd_optimal",
                                       "qtheory.mcm_povm", "qtheory.mcm_optimal"))
 def _chk_povm_completeness(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
-    points, labels, elements = zip(*ev.povms)
-    totals = np.array([e.sum(axis=0) for e in elements])
-    acc.add(np.abs(totals - np.eye(2)).max(axis=(1, 2)), tols.completeness, points)
-    lowest = np.linalg.eigvalsh(np.concatenate(elements))[:, 0]
-    where = [f"{point}, {label}" for point, labs in zip(points, labels) for label in labs]
-    acc.add(np.maximum(0.0, -lowest), tols.psd, where)
+    points, elements = zip(*ev.povms)
+    elements = np.array(elements)
+    acc.add(np.abs(elements.sum(axis=1) - np.eye(2)).max(axis=(1, 2)), tols.completeness, points)
+    where = [[f"{point}, {label}" for label in ("pi_1", "pi_2", "pi_0")] for point in points]
+    acc.add(np.maximum(0.0, -np.linalg.eigvalsh(elements)[..., 0]), tols.psd, where)
 
 
 @_check("qtheory/helstrom-balance", ("qtheory.helstrom_povm",))
 def _chk_helstrom_balance(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     # Distinct states only: the c = 1 tie-break measurement has a dead arm.
-    hits = np.array([[_expect(rho, m.conclusive(i)) for i, rho in enumerate(ens.states, 1)]
+    hits = np.array([np.trace(ens.states @ m.elements[:2], axis1=1, axis2=2).real
                      for ens, m in ev.pure[:-1]])
     acc.add(hits[:, 0] - hits[:, 1], 1e-10, ev.labels["c<1"])
     acc.add(ev.values["MESD_Pg_Q", "helstrom_povm"][-1] - 0.5, tols.exact, "c=1 tie-break")

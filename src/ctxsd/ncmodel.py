@@ -76,9 +76,9 @@ class EpistemicState:
         w = np.array(weights, dtype=float)
         if w.shape != (4,):
             raise ContractError(f"expected 4 region weights, got shape {w.shape}")
-        if np.any(w < 0.0):
+        if not np.all(w >= 0.0):
             raise DomainError("region weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > DEFAULTS.norm:
+        if not abs(float(w.sum()) - 1.0) <= DEFAULTS.norm:
             raise DomainError(f"region weights sum to {w.sum()}, expected 1")
         w.flags.writeable = False
         self._w = w
@@ -111,12 +111,12 @@ class ResponseSet:
             v = np.array(raw, dtype=float)
             if v.shape != (4,):
                 raise ContractError(f"response {name} must have 4 entries")
-            if np.any(v < -DEFAULTS.norm) or np.any(v > 1.0 + DEFAULTS.norm):
+            if not np.all((v >= -DEFAULTS.norm) & (v <= 1.0 + DEFAULTS.norm)):
                 raise DomainError(f"response {name} leaves [0, 1]")
             v.flags.writeable = False
             vecs.append(v)
         total = vecs[0] + vecs[1] + vecs[2]
-        if np.max(np.abs(total - 1.0)) > DEFAULTS.norm:
+        if not np.max(np.abs(total - 1.0)) <= DEFAULTS.norm:
             raise DomainError("responses must sum to 1 pointwise")
         self._xi1, self._xi2, self._xi0 = vecs
 
@@ -199,7 +199,7 @@ def nc_prob(mu: EpistemicState, xi) -> float:
     v = np.asarray(xi, dtype=float)
     if v.shape != (4,):
         raise ContractError("response vector must have 4 entries")
-    if np.any(v < -DEFAULTS.norm) or np.any(v > 1.0 + DEFAULTS.norm):
+    if not np.all((v >= -DEFAULTS.norm) & (v <= 1.0 + DEFAULTS.norm)):
         raise DomainError("response values must lie in [0, 1]")
     return float(mu.weights @ v)
 

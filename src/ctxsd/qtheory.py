@@ -1,11 +1,13 @@
 """Quantum side of binary state discrimination on a qubit.
 
-Value types (pure states, 2x2 Hermitian operators, ensembles, labelled
-POVMs) together with the three figures of merit and the optimal-measurement
-constructions. An ensemble is an equiprobable pure pair dephased at a
-noise level p; it stores the pair itself, so the unambiguous measurement
-reads the pure states directly, and derives its two density operators and
-their average once on construction. The constructions are:
+Value types (pure states, ensembles, three-outcome POVMs) together with
+the three figures of merit and the optimal-measurement constructions.
+Operators are plain read-only 2x2 complex arrays. An ensemble is an
+equiprobable pure pair dephased at a noise level p; it stores the pair
+itself, so the unambiguous measurement reads the pure states directly, and
+derives its two density operators and their average once on construction.
+A POVM is one (3, 2, 2) array of its elements (pi_1, pi_2, pi_0), pi_0 the
+inconclusive element, validated once on construction. The constructions are:
 
 * minimum-error: projective measurement onto the eigenspaces of the
   weighted state difference,
@@ -37,9 +39,6 @@ from .errors import (
 )
 
 __all__ = [
-    "CONCLUSIVE_1",
-    "CONCLUSIVE_2",
-    "INCONCLUSIVE",
     "PureState",
     "Operator2",
     "Ensemble",
@@ -57,11 +56,6 @@ __all__ = [
     "mcm_povm",
     "mcm_optimal",
 ]
-
-CONCLUSIVE_1 = "conclusive-1"
-CONCLUSIVE_2 = "conclusive-2"
-INCONCLUSIVE = "inconclusive"
-_VALID_LABELS = (CONCLUSIVE_1, CONCLUSIVE_2, INCONCLUSIVE)
 
 _IDENTITY = np.eye(2, dtype=complex)
 
@@ -91,7 +85,7 @@ class PureState:
 
     def __post_init__(self) -> None:
         n = abs(self.amp0) ** 2 + abs(self.amp1) ** 2
-        if abs(n - 1.0) > DEFAULTS.norm:
+        if not abs(n - 1.0) <= DEFAULTS.norm:
             raise DomainError(f"amplitudes have squared norm {n}, expected 1")
 
     @property
@@ -102,16 +96,18 @@ class PureState:
         """Inner product <self|other>."""
         return complex(np.vdot(self.vector, other.vector))
 
-    def projector(self) -> "Operator2":
+    def projector(self) -> np.ndarray:
         v = self.vector
-        return Operator2(np.outer(v, v.conj()))
+        return np.outer(v, v.conj())
 
 
 class Operator2:
-    """2x2 complex Hermitian matrix: density operators and POVM elements.
+    """2x2 complex Hermitian matrix, validated on construction.
 
     The constructor copies its input, freezes it and rejects matrices whose
-    skew part exceeds the Hermiticity tolerance.
+    skew part exceeds the Hermiticity tolerance. The package keeps its own
+    operators as plain arrays; this class stays public because
+    ``perfbench/run.py --trace 1`` counts its constructions.
     """
 
     __slots__ = ("_m",)
@@ -120,7 +116,7 @@ class Operator2:
         m = np.array(matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ContractError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > DEFAULTS.norm:
+        if not np.max(np.abs(m - m.conj().T)) <= DEFAULTS.norm:
             raise DomainError("matrix is not Hermitian within tolerance")
         m.flags.writeable = False
         self._m = m
@@ -157,17 +153,18 @@ class Ensemble:
     """Equiprobable pure pair dephased to rho_i = (1-p)|psi_i><psi_i| + p/2.
 
     ``pair`` and ``noise`` are the whole ensemble, and the priors are the
-    class constant (1/2, 1/2). ``states`` (the two density operators) and
-    ``average`` (their even mixture) are derived from them once on
-    construction; ``overlap_sq`` is |<psi1|psi2>|^2 of the pair.
+    class constant (1/2, 1/2). ``states`` (the two density operators, a
+    read-only (2, 2, 2) array) and ``average`` (their even mixture, a
+    read-only 2x2 array) are derived from them once on construction;
+    ``overlap_sq`` is |<psi1|psi2>|^2 of the pair.
     """
 
     priors: ClassVar[tuple[float, float]] = (0.5, 0.5)
 
     pair: tuple[PureState, PureState]
     noise: float
-    states: tuple[Operator2, Operator2] = field(init=False)
-    average: Operator2 = field(init=False)
+    states: np.ndarray = field(init=False, compare=False)
+    average: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pair", tuple(self.pair))
@@ -176,11 +173,12 @@ class Ensemble:
         if not 0.0 <= self.noise <= 1.0:
             raise DomainError(f"noise must lie in [0, 1], got {self.noise}")
         p = self.noise
-        rho1, rho2 = (
-            (1.0 - p) * s.projector().matrix + 0.5 * p * _IDENTITY for s in self.pair
-        )
-        object.__setattr__(self, "states", (Operator2(rho1), Operator2(rho2)))
-        object.__setattr__(self, "average", Operator2(0.5 * rho1 + 0.5 * rho2))
+        rho1, rho2 = ((1.0 - p) * s.projector() + 0.5 * p * _IDENTITY for s in self.pair)
+        states = np.array((rho1, rho2))
+        average = 0.5 * rho1 + 0.5 * rho2
+        states.flags.writeable = average.flags.writeable = False
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "average", average)
 
     @property
     def overlap_sq(self) -> float:
@@ -188,50 +186,40 @@ class Ensemble:
         return abs(a.overlap(b)) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
-    """Labelled POVM over {conclusive-1, conclusive-2, inconclusive}.
+    """Three-outcome POVM on a qubit: conclusive pi_1, pi_2 and inconclusive pi_0.
 
-    Elements must be positive semidefinite and sum to the identity; an
-    absent inconclusive element counts as the zero operator.
+    ``elements`` is a read-only (3, 2, 2) complex array in the order
+    (pi_1, pi_2, pi_0); a minimum-error measurement has pi_0 = 0. The
+    elements must be Hermitian, positive semidefinite and sum to the
+    identity.
     """
 
-    outcomes: tuple[tuple[str, Operator2], ...]
+    elements: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
-        labels = [lab for lab, _ in self.outcomes]
-        for lab in labels:
-            if lab not in _VALID_LABELS:
-                raise ContractError(f"unknown outcome label {lab!r}")
-        if len(set(labels)) != len(labels):
-            raise ContractError("duplicate outcome labels")
-        total = np.zeros((2, 2), dtype=complex)
-        for lab, op in self.outcomes:
-            if op.min_eigenvalue() < -DEFAULTS.psd:
-                raise ContractError(f"element {lab!r} has a negative eigenvalue")
-            total = total + op.matrix
-        if np.max(np.abs(total - _IDENTITY)) > DEFAULTS.completeness:
+        e = np.array(self.elements, dtype=complex)
+        if e.shape != (3, 2, 2):
+            raise ContractError(f"expected a (3, 2, 2) array of elements, got shape {e.shape}")
+        if not np.max(np.abs(e - e.conj().transpose(0, 2, 1))) <= DEFAULTS.norm:
+            raise DomainError("POVM elements are not Hermitian within tolerance")
+        for k, op in enumerate(e):
+            if not min_eig_2x2(op) >= -DEFAULTS.psd:
+                raise ContractError(f"element {k} has a negative eigenvalue")
+        if not np.max(np.abs(e.sum(axis=0) - _IDENTITY)) <= DEFAULTS.completeness:
             raise ContractError("POVM elements do not sum to the identity")
+        e.flags.writeable = False
+        object.__setattr__(self, "elements", e)
 
-    def element(self, label: str) -> Operator2:
-        for lab, op in self.outcomes:
-            if lab == label:
-                return op
-        raise ContractError(f"POVM has no outcome labelled {label!r}")
+    def conclusive(self, i: int) -> np.ndarray:
+        """pi_i for outcome i in {1, 2}."""
+        if i not in (1, 2):
+            raise ContractError(f"conclusive outcomes are 1 and 2, got {i}")
+        return self.elements[i - 1]
 
-    def conclusive(self, i: int) -> Operator2:
-        return self.element(f"conclusive-{i}")
-
-    def inconclusive(self) -> Operator2:
-        for lab, op in self.outcomes:
-            if lab == INCONCLUSIVE:
-                return op
-        return Operator2.zero()
-
-    @property
-    def conclusive_count(self) -> int:
-        return sum(1 for lab, _ in self.outcomes if lab != INCONCLUSIVE)
+    def inconclusive(self) -> np.ndarray:
+        return self.elements[2]
 
 
 # ---------------------------------------------------------------------------
@@ -273,20 +261,15 @@ def _pure_pair_of(ens: Ensemble) -> tuple[PureState, PureState]:
 # figures of merit
 
 
-def _expect(rho: Operator2, op: Operator2) -> float:
-    return float(np.trace(rho.matrix @ op.matrix).real)
+def _expect(rho: np.ndarray, op: np.ndarray) -> float:
+    return float(np.trace(rho @ op).real)
 
 
 def guessing_probability(ens: Ensemble, m: Povm) -> float:
     """Average probability that the conclusive outcome names the state.
 
-    sum_i q_i Tr[rho_i pi_i]; requires one conclusive outcome per state.
+    sum_i q_i Tr[rho_i pi_i].
     """
-    if m.conclusive_count != len(ens.states):
-        raise ContractError(
-            f"POVM has {m.conclusive_count} conclusive outcomes for "
-            f"{len(ens.states)} states"
-        )
     total = 0.0
     for i, (q, rho) in enumerate(zip(ens.priors, ens.states), start=1):
         total += q * _expect(rho, m.conclusive(i))
@@ -294,14 +277,12 @@ def guessing_probability(ens: Ensemble, m: Povm) -> float:
 
 
 def inconclusive_rate(ens: Ensemble, m: Povm) -> float:
-    """Tr[rho pi_0] under the prior-averaged state (0 if pi_0 is absent)."""
+    """Tr[rho pi_0] under the prior-averaged state."""
     return _expect(ens.average, m.inconclusive())
 
 
 def confidence(ens: Ensemble, m: Povm, i: int) -> float:
     """Posterior probability that state i was prepared given outcome i."""
-    if not 1 <= i <= len(ens.states):
-        raise ContractError(f"outcome index {i} out of range")
     outcome_prob = _expect(ens.average, m.conclusive(i))
     if outcome_prob <= 0.0:
         raise UndefinedConfidenceError(f"outcome {i} has zero probability")
@@ -320,7 +301,7 @@ def helstrom_povm(ens: Ensemble) -> Povm:
     states coincide the measurement is a pure tie-break and falls back to
     the computational basis.
     """
-    x = ens.priors[0] * ens.states[0].matrix - ens.priors[1] * ens.states[1].matrix
+    x = ens.priors[0] * ens.states[0] - ens.priors[1] * ens.states[1]
     if np.max(np.abs(x)) <= DEFAULTS.norm:
         pi1 = np.diag([1.0 + 0.0j, 0.0j])
     else:
@@ -329,8 +310,7 @@ def helstrom_povm(ens: Ensemble) -> Povm:
         for k in range(2):
             if w[k] > 0.0:
                 pi1 = pi1 + np.outer(v[:, k], v[:, k].conj())
-    pi2 = _IDENTITY - pi1
-    return Povm(((CONCLUSIVE_1, Operator2(pi1)), (CONCLUSIVE_2, Operator2(pi2))))
+    return Povm((pi1, _IDENTITY - pi1, np.zeros((2, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +330,7 @@ def _povm_with_inconclusive(
         raise InfeasibleWeightsError(
             f"weights {weights} make the inconclusive element indefinite"
         )
-    return Povm(
-        (
-            (CONCLUSIVE_1, Operator2(pi1)),
-            (CONCLUSIVE_2, Operator2(pi2)),
-            (INCONCLUSIVE, Operator2(pi0)),
-        )
-    )
+    return Povm((pi1, pi2, pi0))
 
 
 def _max_weight(s: np.ndarray) -> float:
@@ -387,8 +361,8 @@ def usd_povm(ens: Ensemble, gamma1: float, gamma2: float) -> Povm:
             raise DomainError(f"weights must lie in [0, 1], got {g}")
     psi1, psi2 = _pure_pair_of(ens)
     return _povm_with_inconclusive(
-        gamma1 * mirror(psi2).projector().matrix,
-        gamma2 * mirror(psi1).projector().matrix,
+        gamma1 * mirror(psi2).projector(),
+        gamma2 * mirror(psi1).projector(),
         (gamma1, gamma2),
     )
 
@@ -406,8 +380,8 @@ def usd_optimal(ens: Ensemble) -> tuple[Povm, float]:
     psi1, psi2 = _pure_pair_of(ens)
     if ens.overlap_sq >= 1.0 - DEFAULTS.norm:
         raise UsdImpossibleError("states are linearly dependent")
-    p1 = mirror(psi2).projector().matrix
-    p2 = mirror(psi1).projector().matrix
+    p1 = mirror(psi2).projector()
+    p2 = mirror(psi1).projector()
     g = _max_weight(p1 + p2)
     m = _povm_with_inconclusive(g * p1, g * p2, (g, g))
     return m, inconclusive_rate(ens, m)
@@ -418,7 +392,7 @@ def usd_optimal(ens: Ensemble) -> tuple[Povm, float]:
 
 
 def _mcm_directions(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
-    rho = ens.average.matrix
+    rho = ens.average
     w, v = np.linalg.eigh(rho)
     if w[0] <= DEFAULTS.norm:
         raise DegenerateEnsembleError(
@@ -427,7 +401,7 @@ def _mcm_directions(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     whiten = (v * (w**-0.5)) @ v.conj().T
     # rho_i - rho = (1-p)/2 (P_i - P_j) for the pair's projectors P: the same
     # whitened eigenvectors as rho_i, read from the pair so p -> 1 cannot cancel them.
-    proj1, proj2 = (np.outer(s.vector, s.vector.conj()) for s in ens.pair)
+    proj1, proj2 = (s.projector() for s in ens.pair)
     dirs = []
     for i, diff in enumerate((proj1 - proj2, proj2 - proj1)):
         g = whiten @ diff @ whiten
@@ -446,7 +420,7 @@ def _mcm_directions(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     return dirs[0], dirs[1]
 
 
-def mcm_povm(theta: float, p: float, alpha: float) -> Povm:
+def mcm_povm(ens: Ensemble, alpha: float) -> Povm:
     """Maximum-confidence POVM with conclusive elements alpha |phi_i><phi_i|.
 
     The direction |phi_i> maximises the retrodictive confidence
@@ -459,7 +433,7 @@ def mcm_povm(theta: float, p: float, alpha: float) -> Povm:
     """
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    d1, d2 = _mcm_directions(noisy_ensemble(theta, p))
+    d1, d2 = _mcm_directions(ens)
     return _povm_with_inconclusive(
         alpha * np.outer(d1, d1.conj()),
         alpha * np.outer(d2, d2.conj()),

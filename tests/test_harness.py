@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from ctxsd import cli, config, harness, qtheory
+import ctxsd
+from ctxsd import bounds, cli, config, harness, ncmodel, qtheory
 from ctxsd.bounds import CELLS, NONCONTEXTUAL, QUANTUM
 from ctxsd.errors import ContractError, DomainError
 from ctxsd.harness import (
@@ -265,14 +266,11 @@ _ROUTE_HOMES = {
 
 def _off_by(value, eps):
     """``value`` with its number moved by ``eps``: a (witness, number) pair,
-    or a two-outcome POVM whose elements each take ``eps`` of the other."""
+    or a POVM whose conclusive elements each take ``eps`` of the other."""
     if isinstance(value, tuple):
         return value[0], value[1] + eps
-    pi1, pi2 = value.conclusive(1).matrix, value.conclusive(2).matrix
-    return qtheory.Povm((
-        (qtheory.CONCLUSIVE_1, qtheory.Operator2((1 - eps) * pi1 + eps * pi2)),
-        (qtheory.CONCLUSIVE_2, qtheory.Operator2((1 - eps) * pi2 + eps * pi1)),
-    ))
+    pi1, pi2, pi0 = value.elements
+    return qtheory.Povm(((1 - eps) * pi1 + eps * pi2, (1 - eps) * pi2 + eps * pi1, pi0))
 
 
 @pytest.mark.parametrize("module, name", list(_ROUTE_HOMES))
@@ -480,3 +478,35 @@ def test_cli_honours_env_tolerance(monkeypatch, capsys):
     assert cli.main(["table"]) == 0
     out = capsys.readouterr().out
     assert "yes" not in out.split("advantage window")[0].split("advantage\n")[-1]
+
+
+# ---------------------------------------------------------------------------
+# package boundary
+
+
+@pytest.mark.parametrize("module", [ctxsd, qtheory, ncmodel, bounds, harness],
+                         ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    # perfbench/run.py --trace 1 looks up each name of __all__ with getattr
+    for name in module.__all__:
+        assert hasattr(module, name), name
+
+
+_NAN = math.nan
+_PREP = ncmodel.canonical_scenario(0.5, 0.0).prep1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: qtheory.PureState(_NAN, 0),
+        lambda: qtheory.Operator2([[_NAN, 0], [0, 1]]),
+        lambda: ncmodel.EpistemicState([_NAN, 0.5, 0.5, 0]),
+        lambda: ncmodel.ResponseSet([_NAN, 0, 0, 0], [0] * 4, [1] * 4),
+        lambda: ncmodel.nc_prob(_PREP, [_NAN, 0, 0, 0]),
+    ],
+    ids=["PureState", "Operator2", "EpistemicState", "ResponseSet", "nc_prob"],
+)
+def test_validators_reject_nan(build):
+    with pytest.raises(DomainError):
+        build()
