@@ -172,7 +172,7 @@ def _mcm_confidence_quantum(c, p):
 
 
 def _mcm_confidence_nc(c, p):
-    denom = 1.0 - (1.0 - p) * c
+    denom = (1.0 - c) + c * p  # 1 - (1-p) c, without the cancellation as c -> 1, p -> 0
     _require_regular(denom)
     return 0.5 * (1.0 + (1.0 - p) * (1.0 - c) / denom)
 
@@ -180,7 +180,8 @@ def _mcm_confidence_nc(c, p):
 def _mcm_guessing_quantum(c, p):
     o = overlap_from_confusability(c)
     t = (1.0 - p) * o
-    return 0.5 * (1.0 - t + (1.0 - p) * np.sqrt((1.0 - t) / (1.0 + t)) * np.sqrt(1.0 - c))
+    one_minus_t = (1.0 - c) / (1.0 + o) + p * o  # 1 - t, without the cancellation
+    return 0.5 * (one_minus_t + (1.0 - p) * np.sqrt(one_minus_t / (1.0 + t)) * np.sqrt(1.0 - c))
 
 
 def _closed_form(spec: BoundSpec, c, p, omega):

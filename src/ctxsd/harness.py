@@ -7,14 +7,17 @@ step and is recorded as a ``Substitution``; a singular interior point
 raises. Each figure is a ``SweepSpec`` plus a map to its column names.
 
 ``verify_all`` first builds one shared evaluation pass: every measurement
-construction and every brute-force oracle, once per grid point. The
-relation table ``_RELATIONS`` then compares each table cell with each
-independent route to it (the constructions for quantum cells, the oracles
-for noncontextual ones), every relation in exactly one named check. The
-structural checks (completeness, monotonicity, model invariants, the
-inequality suite and the like) read the same pass. Each check reports its
-largest deviation, and the report records which public operations it
-exercised so coverage is auditable.
+construction and every brute-force oracle, once per grid point, the
+maximum-confidence measurements of the whole grid as one stacked
+computation (``qtheory.mcm_stack``). The relation table ``_RELATIONS``
+then compares each table cell with each independent route to it (the
+constructions for quantum cells, the oracles for noncontextual ones),
+every relation in exactly one named check. The structural checks
+(completeness, monotonicity, model invariants, the inequality suite and the
+like) read the same pass. Each check reports its largest deviation, and the
+report records which public operations it exercised so coverage is
+auditable. A typed error raised inside a check is that check's failure,
+reported at the error; the other checks still run.
 
 CSV output is deterministic: comma separated, ``.`` decimal point, at most
 nine significant digits, LF line endings, header row first. Rows are
@@ -26,7 +29,8 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import groupby
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TextIO
 
@@ -50,6 +54,7 @@ from .bounds import (
 from .config import DEFAULTS, Tolerances
 from .errors import (
     ContractError,
+    CtxsdError,
     DegenerateEnsembleError,
     DivergenceError,
     DomainError,
@@ -280,6 +285,9 @@ def table_cmd(c: float, p: float, omega: float, tols: Tolerances = DEFAULTS) -> 
 # ---------------------------------------------------------------------------
 # verification suite
 
+# ``qtheory.mcm_optimal`` and ``mcm_povm`` are batches of one of
+# ``mcm_stack``, which the shared pass runs once over the mcm grid: the checks
+# that read its rows list them, and qtheory/mcm-confidence calls both.
 OPERATIONS: dict[str, tuple[str, ...]] = {
     "qtheory": (
         "make_pure_pair",
@@ -431,7 +439,9 @@ def _cert(tols: Tolerances, scheme: str, figure: str, omega=None, outcome: int =
 
 _CELL = {cell.label: cell for cell in CELLS}
 _USD_FRACTIONS = (0.25, 0.5, 0.6, 1.0)  # usd_povm weights, in units of 1/(1 + sqrt(c))
-_MCM_FRACTIONS = (0.25, 0.5)  # mcm_povm weights, in units of the optimal alpha
+_MCM_FRACTIONS = (0.25, 0.5)  # MCM weights besides the optimal alpha, in units of it
+_MCM = "mcm_stack"  # the optimal measurements of the stacked MCM construction
+_MCM_PART = "mcm_stack at fractions of alpha"
 _MIN_P0 = "oracle_min_p0_at_max_confidence"
 _BOTH_ORACLES = "(1 - P_0) C(1) of both oracles"
 
@@ -447,7 +457,9 @@ class _Pass:
     the pure ensemble and its Helstrom measurement at each c, ``scenarios``
     the canonical scenario at each point of the n x n grid and at p = 1/2,
     and ``povms`` the point and the (pi_1, pi_2, pi_0) elements of every
-    measurement built.
+    Helstrom and USD measurement built. The MCM measurements of the ``mcm``
+    grid are one ``mcm_stack``, ``mcm``, at the optimal weight and at
+    ``_MCM_FRACTIONS`` of it; ``mcm_labels`` names each of them.
     """
 
     def __init__(self, n: int) -> None:
@@ -492,13 +504,6 @@ class _Pass:
             measured("usd_optimal", "USD", ens, m, _pt(c=c), rate)
             for g in (frac / (1.0 + math.sqrt(c)) for frac in _USD_FRACTIONS):
                 measured("usd_povm", "USD", ens, qtheory.usd_povm(ens, g, g), _pt(c=c, g=g))
-        for c, p in self.grids["mcm"]:
-            ens = qtheory.noisy_ensemble(_theta_of(c), p)
-            m, rate = qtheory.mcm_optimal(_theta_of(c), p)
-            measured("mcm_optimal", "MCM", ens, m, _pt(c=c, p=p), rate)
-            for alpha in (frac * m.conclusive(1).trace().real for frac in _MCM_FRACTIONS):
-                m_alpha = qtheory.mcm_povm(ens, alpha)
-                measured("mcm_povm", "MCM", ens, m_alpha, _pt(c=c, p=p, alpha=alpha))
         for c, p in self.grids["nc"]:
             scn = self.scenarios[c, p]
             p_0 = ncmodel.oracle_min_p0_at_max_confidence(scn)[1]
@@ -510,13 +515,35 @@ class _Pass:
                 v["USD_P0_NC", _MIN_P0].append(p_0)
                 v["USD_Pg_NC", _MIN_P0].append(1.0 - p_0)
         self.values = {key: np.array(rows) for key, rows in v.items()}
+        mcm = self.grids["mcm"]
+        self.mcm = qtheory.mcm_stack([_theta_of(c) for c, _ in mcm], [p for _, p in mcm],
+                                     (1.0, *_MCM_FRACTIONS))
+        self.mcm_labels = np.array([
+            [label, *(_pt(c=c, p=p, alpha=f * float(a)) for f in _MCM_FRACTIONS)]
+            for (c, p), label, a in zip(mcm, self.labels["mcm"], self.mcm.alpha)
+        ])
+        conf = self.mcm.confidences()
+        self.values.update({
+            ("MCM_C_Q", _MCM): conf[:, 0],
+            ("MCM_Pg_Q", _MCM): self.mcm.guessing_probability()[:, 0],
+            ("MCM_P0_Q", _MCM): self.mcm.inconclusive_rate()[:, 0],
+            ("MCM_C_Q", _MCM_PART): conf[:, 1:],
+        })
 
     def closed(self, cell: str, grid: str) -> np.ndarray:
-        """``eval_bound`` of the cell labelled ``cell`` at each point of ``grid``."""
+        """The closed form of the cell labelled ``cell`` at each point of
+        ``grid``: one ``eval_column`` over c if p is fixed, else one over p
+        per value of c."""
         if (cell, grid) not in self._closed:
-            spec = _CELL[cell].spec
-            self._closed[cell, grid] = np.array(
-                [eval_bound(spec(c, p, 0.5)) for c, p in self.grids[grid]])
+            spec, points = _CELL[cell].spec, self.grids[grid]
+            if len({p for _, p in points}) == 1:
+                cs = [c for c, _ in points]
+                column = eval_column(spec(cs[0], points[0][1], 0.5), "c", cs)
+            else:
+                rows = [(c, [p for _, p in row]) for c, row in groupby(points, itemgetter(0))]
+                column = np.concatenate(
+                    [eval_column(spec(c, ps[0], 0.5), "p", ps) for c, ps in rows])
+            self._closed[cell, grid] = column
         return self._closed[cell, grid]
 
 
@@ -535,11 +562,11 @@ _RELATIONS: tuple[tuple[str, str, str, str, Callable[[Tolerances], float]], ...]
     (_BUILT, "USD_P0_Q", "usd_optimal", "c<1", _CLOSED),
     (_BUILT, "USD_Pg_Q", "usd_optimal", "c<1", _CLOSED),
     (_BUILT, "USD_C_Q", "usd_optimal", "c<1", _CLOSED),
-    (_BUILT, "MCM_P0_Q", "mcm_optimal", "mcm", _CLOSED),
-    (_BUILT, "MCM_Pg_Q", "mcm_optimal", "mcm", _CLOSED),
-    (_BUILT, "MCM_C_Q", "mcm_optimal", "mcm", _CLOSED),
+    (_BUILT, "MCM_P0_Q", _MCM, "mcm", _CLOSED),
+    (_BUILT, "MCM_Pg_Q", _MCM, "mcm", _CLOSED),
+    (_BUILT, "MCM_C_Q", _MCM, "mcm", _CLOSED),
     ("qtheory/usd-certainty", "USD_C_Q", "usd_povm", "c<1", lambda t: 1e-10),
-    ("qtheory/mcm-confidence", "MCM_C_Q", "mcm_povm", "mcm", _CLOSED),
+    ("qtheory/mcm-confidence", "MCM_C_Q", _MCM_PART, "mcm", _CLOSED),
     ("ncmodel/oracle-max-pg", "MESD_Pg_NC", "oracle_max_pg", "c", _ORACLE),
     ("ncmodel/oracle-max-confidence", "MCM_C_NC", "oracle_max_confidence", "nc",
      lambda t: min(t.exact, t.oracle)),
@@ -602,7 +629,8 @@ def _chk_pure_pair(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
                                       "qtheory.mcm_povm", "qtheory.mcm_optimal"))
 def _chk_povm_completeness(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     points, elements = zip(*ev.povms)
-    elements = np.array(elements)
+    points = [*points, *ev.mcm_labels.ravel()]
+    elements = np.concatenate([np.array(elements), ev.mcm.elements.reshape(-1, 3, 2, 2)])
     acc.add(np.abs(elements.sum(axis=1) - np.eye(2)).max(axis=(1, 2)), tols.completeness, points)
     where = [[f"{point}, {label}" for label in ("pi_1", "pi_2", "pi_0")] for point in points]
     acc.add(np.maximum(0.0, -np.linalg.eigvalsh(elements)[..., 0]), tols.psd, where)
@@ -634,18 +662,30 @@ def _chk_usd_certainty(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     acc.raises(UsdImpossibleError, "c=1", qtheory.usd_optimal, ev.pure[-1][0])
 
 
-@_check("qtheory/mcm-confidence", ("qtheory.mcm_povm", "qtheory.confidence"))
+@_check("qtheory/mcm-confidence", ("qtheory.mcm_optimal", "qtheory.mcm_povm",
+                                    "qtheory.confidence"))
 def _chk_mcm_confidence(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     # the confidences do not depend on the conclusive weight alpha
-    optimal = ev.values["MCM_C_Q", "mcm_optimal"]
-    seen = np.hstack([optimal, ev.values["MCM_C_Q", "mcm_povm"].reshape(len(optimal), -1)])
+    optimal = ev.values["MCM_C_Q", _MCM]
+    seen = np.hstack([optimal, ev.values["MCM_C_Q", _MCM_PART].reshape(len(optimal), -1)])
     acc.add(seen.max(axis=1) - seen.min(axis=1), tols.closed_form, ev.labels["mcm"])
+    # the scalar constructions rebuild a row of the stack: the pure ensemble
+    # at the middle c, a point of the mcm grid
+    (c, _), (ens, _) = ev.grids["c"][ev.n // 2], ev.pure[ev.n // 2]
+    row = ev.grids["mcm"].index((c, 0.0))
+    m, rate = qtheory.mcm_optimal(_theta_of(c), 0.0)
+    alphas = (f * float(ev.mcm.alpha[row]) for f in _MCM_FRACTIONS)
+    built = [m.elements, *(qtheory.mcm_povm(ens, a).elements for a in alphas)]
+    acc.add(np.array(built) - ev.mcm.elements[row], tols.exact, ev.mcm_labels[row])
+    acc.add(rate - ev.values["MCM_P0_Q", _MCM][row], tols.exact, ev.labels["mcm"][row])
+    conf = [qtheory.confidence(ens, m, i) for i in (1, 2)]
+    acc.add(conf - optimal[row], tols.exact, ev.labels["mcm"][row])
 
 
 @_check("qtheory/mcm-monotonicity", ("qtheory.mcm_optimal",))
 def _chk_mcm_monotonicity(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     # the optimal rate rises with c at fixed p > 0 and falls with p > 0 at fixed c
-    rate = dict(zip(ev.grids["mcm"], ev.values["MCM_P0_Q", "mcm_optimal"]))
+    rate = dict(zip(ev.grids["mcm"], ev.values["MCM_P0_Q", _MCM]))
     xs = [c for c, _ in ev.grids["c"]]
     r = np.array([[rate[c, p] for p in xs[1:]] for c in xs])
     labels = np.array([[_pt(c=c, p=p) for p in xs] for c in xs])
@@ -657,7 +697,7 @@ def _chk_mcm_monotonicity(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
                                          "qtheory.inconclusive_rate", "qtheory.mcm_optimal"))
 def _chk_composition(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     # P_g = (1 - P_0) C(1) for the optimal MCM measurement
-    p_g, p_0, conf = (ev.values[f"MCM_{f}_Q", "mcm_optimal"] for f in ("Pg", "P0", "C"))
+    p_g, p_0, conf = (ev.values[f"MCM_{f}_Q", _MCM] for f in ("Pg", "P0", "C"))
     acc.add(p_g - (1.0 - p_0) * conf[:, 0], 1e-10, ev.labels["mcm"])
 
 
@@ -817,7 +857,9 @@ def verify_all(points: int, tols: Tolerances = DEFAULTS) -> VerifyReport:
     every named check on it.
 
     Two-parameter grids use ``points`` per axis; the single-parameter
-    properties pinned to a 101-point grid keep that density regardless.
+    properties pinned to a 101-point grid keep that density regardless. A
+    check that raises a ``CtxsdError`` fails with the error as its worst
+    point.
     """
     if points < 5:
         raise DomainError(f"grid density must be at least 5, got {points}")
@@ -825,6 +867,9 @@ def verify_all(points: int, tols: Tolerances = DEFAULTS) -> VerifyReport:
     results = []
     for name, ops, fn in _CHECKS:
         acc = _Acc()
-        fn(ev, tols, acc)
+        try:
+            fn(ev, tols, acc)
+        except CtxsdError as exc:  # a broken route is that check's failure
+            acc.ok(False, f"{type(exc).__name__}: {exc}")
         results.append(acc.result(name, ops))
     return VerifyReport(points, tuple(results))

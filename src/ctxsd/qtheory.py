@@ -16,6 +16,13 @@ inconclusive element, validated once on construction. The constructions are:
   eigenproblem, with the free conclusive weight set to the largest value
   that keeps the inconclusive element positive semidefinite.
 
+The maximum-confidence construction runs on stacks: ``mcm_stack`` takes
+arrays of theta and p and builds the states, the whitening, the direction
+eigenproblem of both outcomes, the optimal weight and the (N, F, 3, 2, 2)
+elements at F fractions of it as stacked 2x2 linear algebra, validates the
+whole stack once, and returns an ``McmStack`` that also gives the figures of
+merit as arrays. ``mcm_optimal`` and ``mcm_povm`` are batches of one of it.
+
 All functions are pure and all values immutable, so everything here is safe
 to evaluate concurrently.
 """
@@ -55,6 +62,8 @@ __all__ = [
     "usd_optimal",
     "mcm_povm",
     "mcm_optimal",
+    "McmStack",
+    "mcm_stack",
 ]
 
 _IDENTITY = np.eye(2, dtype=complex)
@@ -186,6 +195,19 @@ class Ensemble:
         return abs(a.overlap(b)) ** 2
 
 
+def _check_elements(e: np.ndarray, min_eigs: np.ndarray) -> None:
+    """Raise unless the POVMs (..., 3, 2, 2) in ``e``, whose elements have the
+    smallest eigenvalues ``min_eigs`` (..., 3), are Hermitian, positive
+    semidefinite and complete."""
+    if not np.abs(e - e.conj().swapaxes(-1, -2)).max() <= DEFAULTS.norm:
+        raise DomainError("POVM elements are not Hermitian within tolerance")
+    if not min_eigs.min() >= -DEFAULTS.psd:  # false for NaN too
+        k = int(np.argmax(~(min_eigs >= -DEFAULTS.psd))) % 3
+        raise ContractError(f"element {k} has a negative eigenvalue")
+    if not np.abs(e.sum(axis=-3) - _IDENTITY).max() <= DEFAULTS.completeness:
+        raise ContractError("POVM elements do not sum to the identity")
+
+
 @dataclass(frozen=True, eq=False)
 class Povm:
     """Three-outcome POVM on a qubit: conclusive pi_1, pi_2 and inconclusive pi_0.
@@ -202,15 +224,16 @@ class Povm:
         e = np.array(self.elements, dtype=complex)
         if e.shape != (3, 2, 2):
             raise ContractError(f"expected a (3, 2, 2) array of elements, got shape {e.shape}")
-        if not np.max(np.abs(e - e.conj().transpose(0, 2, 1))) <= DEFAULTS.norm:
-            raise DomainError("POVM elements are not Hermitian within tolerance")
-        for k, op in enumerate(e):
-            if not min_eig_2x2(op) >= -DEFAULTS.psd:
-                raise ContractError(f"element {k} has a negative eigenvalue")
-        if not np.max(np.abs(e.sum(axis=0) - _IDENTITY)) <= DEFAULTS.completeness:
-            raise ContractError("POVM elements do not sum to the identity")
+        _check_elements(e, np.array([min_eig_2x2(op) for op in e]))
         e.flags.writeable = False
         object.__setattr__(self, "elements", e)
+
+    @classmethod
+    def _validated(cls, elements: np.ndarray) -> "Povm":
+        """Wrap read-only elements that ``_check_elements`` has passed already."""
+        povm = object.__new__(cls)
+        object.__setattr__(povm, "elements", elements)
+        return povm
 
     def conclusive(self, i: int) -> np.ndarray:
         """pi_i for outcome i in {1, 2}."""
@@ -391,68 +414,165 @@ def usd_optimal(ens: Ensemble) -> tuple[Povm, float]:
 # maximum-confidence measurement
 
 
-def _mcm_directions(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
-    rho = ens.average
-    w, v = np.linalg.eigh(rho)
-    if w[0] <= DEFAULTS.norm:
+# u for coincident states, where every direction is optimal: the limit of the
+# generic case, so the pair stays symmetric and the optimal inconclusive rate
+# stays continuous in (theta, p). Row i - 1 is outcome i's.
+_COINCIDENT_U = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex) / math.sqrt(2.0)
+_WHOLE = np.ones(1)  # the weight itself, as the one fraction
+
+
+@dataclass(frozen=True, eq=False)
+class McmStack:
+    """Maximum-confidence measurements of N ensembles at F conclusive weights.
+
+    ``states`` (N, 2, 2, 2) holds each equiprobable ensemble's two density
+    operators and ``average`` (N, 2, 2) their even mixtures. ``elements``
+    (N, F, 3, 2, 2) holds the measurements (pi_1, pi_2, pi_0) at the weights
+    ``fractions * alpha``, with ``alpha`` (N,) each ensemble's optimal
+    weight; they were validated as one stack when built. The figures of
+    merit are read from Tr[rho pi] of ``elements``, in the arithmetic of the
+    scalar ``confidence``, ``guessing_probability`` and
+    ``inconclusive_rate``, so a measurement and its figures cannot disagree.
+    All arrays are read-only.
+    """
+
+    states: np.ndarray
+    average: np.ndarray
+    alpha: np.ndarray
+    elements: np.ndarray
+
+    def _outcome_probs(self) -> np.ndarray:
+        """Tr[rho pi] of every element under the average state: (N, F, 3)."""
+        return np.trace(self.average[:, None, None] @ self.elements, axis1=-2, axis2=-1).real
+
+    def confidences(self) -> np.ndarray:
+        """(N, F, 2) posterior probability of state i given outcome i."""
+        prob = self._outcome_probs()[..., :2]
+        if not (prob > 0.0).all():
+            raise UndefinedConfidenceError("a conclusive outcome has zero probability")
+        return 0.5 * self._hits() / prob
+
+    def guessing_probability(self) -> np.ndarray:
+        """(N, F) sum_i q_i Tr[rho_i pi_i]."""
+        hits = self._hits()
+        return 0.5 * hits[..., 0] + 0.5 * hits[..., 1]
+
+    def inconclusive_rate(self) -> np.ndarray:
+        """(N, F) Tr[rho pi_0] under the prior-averaged state."""
+        return self._outcome_probs()[..., 2]
+
+    def _hits(self) -> np.ndarray:
+        """Tr[rho_i pi_i] of both conclusive outcomes: (N, F, 2)."""
+        joint = self.states[:, None] @ self.elements[:, :, :2]
+        return np.trace(joint, axis1=-2, axis2=-1).real
+
+
+def _row(bad: np.ndarray) -> str:
+    """Where a stacked check failed: its first bad row, when there are several."""
+    return f" (row {int(np.argmax(bad))})" if bad.size > 1 else ""
+
+
+def mcm_stack(theta, p, fractions=(1.0,)) -> McmStack:
+    """Maximum-confidence measurements of noisy_ensemble(theta[k], p[k]) for
+    every k at once, at the conclusive weights ``fractions`` times each
+    ensemble's optimal weight.
+
+    ``theta`` and ``p`` are equal-length 1-D sequences. The pure pairs come
+    from ``make_pure_pair``; every later step is one stacked 2x2 computation
+    over all N ensembles. ``mcm_optimal`` runs the same construction as a
+    batch of one.
+    """
+    theta = np.asarray(theta, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if theta.ndim != 1 or theta.shape != p.shape or not theta.size:
+        raise ContractError(f"theta and p must be 1-D of one length, got {theta.shape}, {p.shape}")
+    bad = [x for x in p.tolist() if not 0.0 <= x <= 1.0]  # NaN too
+    if bad:
+        raise DomainError(f"noise must lie in [0, 1], got {bad[0]}")
+    if not all(f >= 0.0 for f in fractions):
+        raise DomainError(f"weight fractions must be >= 0, got {fractions}")
+    fractions = np.asarray(fractions, dtype=float)
+    if fractions.ndim != 1 or not fractions.size:
+        raise ContractError(f"weight fractions must be 1-D and not empty, got {fractions}")
+    return _mcm_stack([make_pure_pair(t) for t in theta.tolist()], p, fractions)
+
+
+def _mcm_stack(pairs: list[tuple[PureState, PureState]], p: np.ndarray, fractions: np.ndarray,
+               alpha: np.ndarray | None = None) -> McmStack:
+    """The stacked construction for the N pure pairs ``pairs`` dephased at
+    ``p`` (N,), at the weights ``fractions * alpha``; ``alpha`` defaults to
+    the optimal weight.
+
+    The direction |phi_i> maximises the retrodictive confidence
+    q_i Tr[rho_i pi] / Tr[rho pi] over rank-one pi. Whitening by rho^(-1/2)
+    turns that ratio into a Rayleigh quotient, so |phi_i> ~ rho^(-1/2) u
+    with u the top eigenvector of rho^(-1/2) rho_i rho^(-1/2). The optimal
+    weight is 1/lambda_max of the sum of the two conclusive projectors, the
+    largest keeping pi_0 = 1 - pi_1 - pi_2 positive semidefinite.
+    """
+    vectors = np.array([[(a.amp0, a.amp1), (b.amp0, b.amp1)] for a, b in pairs])
+    proj = vectors[..., :, None] * vectors[..., None, :].conj()  # (N, 2, 2, 2)
+    q = p[:, None, None, None]
+    states = (1.0 - q) * proj + 0.5 * q * _IDENTITY
+    average = 0.5 * states[:, 0] + 0.5 * states[:, 1]
+    w, v = np.linalg.eigh(average)
+    bad = ~(w[:, 0] > DEFAULTS.norm)
+    if bad.any():
         raise DegenerateEnsembleError(
-            "average state is singular (no noise and coincident or antipodal pair)"
+            "average state is singular (no noise and coincident or antipodal pair)" + _row(bad)
         )
-    whiten = (v * (w**-0.5)) @ v.conj().T
-    # rho_i - rho = (1-p)/2 (P_i - P_j) for the pair's projectors P: the same
-    # whitened eigenvectors as rho_i, read from the pair so p -> 1 cannot cancel them.
-    proj1, proj2 = (s.projector() for s in ens.pair)
-    dirs = []
-    for i, diff in enumerate((proj1 - proj2, proj2 - proj1)):
-        g = whiten @ diff @ whiten
-        wg, vg = np.linalg.eigh(g)
-        if wg[1] - wg[0] <= 1e-12:
-            # Coincident states, where every direction is optimal: take the
-            # limit of the generic case so the pair stays symmetric and the
-            # optimal inconclusive rate stays continuous in (theta, p).
-            sign = -1.0 if i == 0 else 1.0
-            u = np.array([1.0, sign]) / math.sqrt(2.0)
-        else:
-            u = vg[:, 1]
-        d = whiten @ u
-        d = _phase_fixed(d / np.linalg.norm(d))
-        dirs.append(d)
-    return dirs[0], dirs[1]
+    whiten = (v * w[:, None, :] ** -0.5) @ v.conj().swapaxes(-1, -2)
+    # rho_i - rho = +-(1-p)/2 (P_1 - P_2) for the pair's projectors P: the
+    # same whitened eigenvectors as rho_i, read from the pair so p -> 1
+    # cannot cancel them. Outcome 1 takes the top eigenvector, outcome 2 the
+    # bottom one (the top one of -(P_1 - P_2)).
+    wg, vg = np.linalg.eigh(whiten @ (proj[:, 0] - proj[:, 1]) @ whiten)
+    u = np.where((wg[:, 1] - wg[:, 0] <= 1e-12)[:, None, None], _COINCIDENT_U,
+                 vg.swapaxes(-1, -2)[:, ::-1])
+    d = (whiten[:, None] @ u[..., None])[..., 0]  # (N, 2, 2): outcome, amplitude
+    # unit vectors; no phase convention, as only |phi_i><phi_i| is used
+    mod = np.abs(d)
+    d /= np.hypot(mod[..., 0], mod[..., 1])[..., None]
+    dirs = d[..., :, None] * d[..., None, :].conj()  # (N, 2, 2, 2)
+    if alpha is None:
+        lam_max = np.linalg.eigvalsh(dirs[:, 0] + dirs[:, 1])[:, 1]
+        alpha = 1.0 / np.maximum(lam_max, 1.0)
+    weights = alpha[:, None] * fractions  # (N, F)
+    conclusive = weights[:, :, None, None, None] * dirs[:, None]
+    pi0 = _IDENTITY - conclusive[:, :, 0] - conclusive[:, :, 1]
+    elements = np.concatenate((conclusive, pi0[:, :, None]), axis=2)
+    min_eigs = np.linalg.eigvalsh(elements)[..., 0]  # (N, F, 3)
+    if not min_eigs[..., 2].min() >= -DEFAULTS.psd:  # false for NaN too
+        bad = ~(min_eigs[..., 2] >= -DEFAULTS.psd)
+        g = weights[bad][0]
+        raise InfeasibleWeightsError(
+            f"weights {(g, g)} make the inconclusive element indefinite" + _row(bad.any(axis=1))
+        )
+    _check_elements(elements, min_eigs)
+    for a in (states, average, alpha, elements):
+        a.flags.writeable = False
+    return McmStack(states, average, alpha, elements)
 
 
 def mcm_povm(ens: Ensemble, alpha: float) -> Povm:
     """Maximum-confidence POVM with conclusive elements alpha |phi_i><phi_i|.
 
-    The direction |phi_i> maximises the retrodictive confidence
-    q_i Tr[rho_i pi] / Tr[rho pi] over rank-one pi. Whitening by
-    rho^(-1/2) turns that ratio into a Rayleigh quotient, so
-    |phi_i> ~ rho^(-1/2) u with u the top eigenvector of
-    rho^(-1/2) rho_i rho^(-1/2). The achieved confidence does not depend
-    on alpha; alpha only scales the conclusive rate, and must leave
-    pi_0 = 1 - pi_1 - pi_2 positive semidefinite.
+    The achieved confidence does not depend on alpha; alpha only scales the
+    conclusive rate, and must leave pi_0 = 1 - pi_1 - pi_2 positive
+    semidefinite. A batch of one of the stacked construction.
     """
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    d1, d2 = _mcm_directions(ens)
-    return _povm_with_inconclusive(
-        alpha * np.outer(d1, d1.conj()),
-        alpha * np.outer(d2, d2.conj()),
-        (alpha, alpha),
-    )
+    stack = _mcm_stack([ens.pair], np.array([ens.noise]), _WHOLE, np.array([float(alpha)]))
+    return Povm._validated(stack.elements[0, 0])
 
 
 def mcm_optimal(theta: float, p: float) -> tuple[Povm, float]:
     """Largest feasible conclusive weight and the inconclusive rate it attains.
 
-    alpha is 1/lambda_max of the sum of the two conclusive projectors, the
-    largest weight keeping pi_0 positive semidefinite; the confidence is
-    alpha-independent, so this is the measurement with maximal confidences
-    and minimal inconclusive rate.
+    The confidence is alpha-independent, so this is the measurement with
+    maximal confidences and minimal inconclusive rate. A batch of one of
+    ``mcm_stack``.
     """
-    ens = noisy_ensemble(theta, p)
-    d1, d2 = _mcm_directions(ens)
-    p1 = np.outer(d1, d1.conj())
-    p2 = np.outer(d2, d2.conj())
-    alpha = _max_weight(p1 + p2)
-    m = _povm_with_inconclusive(alpha * p1, alpha * p2, (alpha, alpha))
-    return m, inconclusive_rate(ens, m)
+    stack = mcm_stack((theta,), (p,))
+    return Povm._validated(stack.elements[0, 0]), float(stack.inconclusive_rate()[0, 0])

@@ -139,6 +139,21 @@ def test_mcm_quantum_confidence_near_singular_corner(c, p):
     assert abs(got - float(ref)) <= DEFAULTS.closed_form
 
 
+@pytest.mark.parametrize("c,p", [(1.0 - 1e-12, 1e-12), (1.0 - 1e-10, 1e-10)])
+def test_mcm_closed_forms_do_not_cancel_near_singular_corner(c, p):
+    # 1 - (1-p) c and 1 - (1-p) sqrt(c) lose all their digits here when
+    # formed by subtraction
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        c_, p_ = mpmath.mpf(c), mpmath.mpf(p)
+        conf_nc = (1 + (1 - p_) * (1 - c_) / (1 - (1 - p_) * c_)) / 2
+        t = (1 - p_) * mpmath.sqrt(c_)
+        pg_q = (1 - t + (1 - p_) * mpmath.sqrt((1 - t) / (1 + t)) * mpmath.sqrt(1 - c_)) / 2
+    for theory, figure, ref in ((NONCONTEXTUAL, "C", conf_nc), (QUANTUM, "P_g", pg_q)):
+        got = eval_bound(BoundSpec("MCM", figure, theory, c=c, p=p))
+        assert abs(got - float(ref)) <= DEFAULTS.closed_form, (theory, figure)
+
+
 def test_cells_enumerate_the_table_once():
     assert len(CELLS) == 19
     assert len(set(CELLS)) == 19

@@ -7,6 +7,7 @@ import types
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ctxsd
@@ -257,7 +258,7 @@ def test_verify_all_reports_failure_with_corrupted_tolerances():
 _ROUTE_HOMES = {
     ("qtheory", "helstrom_povm"): "bounds/construction-consistency",
     ("qtheory", "usd_optimal"): "bounds/construction-consistency",
-    ("qtheory", "mcm_optimal"): "bounds/construction-consistency",
+    ("qtheory", "mcm_stack"): "bounds/construction-consistency",
     ("ncmodel", "oracle_max_pg"): "ncmodel/oracle-max-pg",
     ("ncmodel", "oracle_max_confidence"): "ncmodel/oracle-max-confidence",
     ("ncmodel", "oracle_min_p0_at_max_confidence"): "ncmodel/oracle-min-p0",
@@ -266,11 +267,16 @@ _ROUTE_HOMES = {
 
 def _off_by(value, eps):
     """``value`` with its number moved by ``eps``: a (witness, number) pair,
-    or a POVM whose conclusive elements each take ``eps`` of the other."""
+    or a POVM or stack of them whose conclusive elements each take ``eps`` of
+    the other."""
     if isinstance(value, tuple):
         return value[0], value[1] + eps
-    pi1, pi2, pi0 = value.elements
-    return qtheory.Povm(((1 - eps) * pi1 + eps * pi2, (1 - eps) * pi2 + eps * pi1, pi0))
+    e = value.elements
+    pi1, pi2, pi0 = e[..., 0, :, :], e[..., 1, :, :], e[..., 2, :, :]
+    moved = np.stack(((1 - eps) * pi1 + eps * pi2, (1 - eps) * pi2 + eps * pi1, pi0), axis=-3)
+    if isinstance(value, qtheory.Povm):
+        return qtheory.Povm(moved)
+    return replace(value, elements=moved)
 
 
 @pytest.mark.parametrize("module, name", list(_ROUTE_HOMES))
@@ -286,6 +292,40 @@ def test_fault_in_a_route_fails_its_home_check(monkeypatch, module, name):
     report = verify_all(5)
     assert not report.passed
     assert _ROUTE_HOMES[module, name] in {ch.name for ch in report.checks if not ch.passed}
+
+
+def test_error_inside_a_check_is_its_failure(monkeypatch, capsys):
+    def broken(c):
+        raise DomainError("omega* broken")
+
+    monkeypatch.setattr(harness, "ncmodel", types.SimpleNamespace(**{
+        **vars(ncmodel), "omega_star": broken}))
+    report = verify_all(5)
+    failed = {ch.name: ch for ch in report.checks if not ch.passed}
+    # the two checks that call omega_star fail, every other check still runs and passes
+    assert set(failed) == {"ncmodel/omega-star", "bounds/mesd-confidence-window"}
+    assert failed["ncmodel/omega-star"].worst == "DomainError: omega* broken"
+    assert len(report.checks) == len(harness._CHECKS)
+    assert cli.main(["verify", "--points", "5"]) == 1
+    assert "FAIL ncmodel/omega-star" in capsys.readouterr().out
+
+
+def test_verify_builds_the_mcm_measurements_in_one_stack(monkeypatch):
+    calls = {"mcm_stack": 0, "noisy_ensemble": 0}
+
+    def counted(name):
+        original = getattr(qtheory, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(harness, "qtheory", types.SimpleNamespace(**{
+        **vars(qtheory), **{name: counted(name) for name in calls}}))
+    assert verify_all(21).passed
+    assert calls["mcm_stack"] == 1
+    assert calls["noisy_ensemble"] <= 21 + 1
 
 
 def test_relation_table_homes_each_route_once():

@@ -434,6 +434,89 @@ def test_optimal_weights_leave_inconclusive_element_on_the_boundary():
             assert abs(qt.min_eig_2x2(m.inconclusive())) <= 1e-14, c
 
 
+# ---------------------------------------------------------------------------
+# the stacked maximum-confidence construction
+
+_GRID21 = [float(x) for x in np.linspace(0.0, 1.0, 21)]
+_FRACTIONS = (1.0, 0.25, 0.5)
+
+
+def _assert_rows_equal_scalar_constructions(points):
+    """Each row of one mcm_stack over ``points`` is exactly what the scalar
+    constructions and figures of merit give at that point."""
+    theta = [theta_of(c) for c, _ in points]
+    stack = qt.mcm_stack(theta, [p for _, p in points], _FRACTIONS)
+    conf, p_g, rate = stack.confidences(), stack.guessing_probability(), stack.inconclusive_rate()
+    for k, ((c, p), t) in enumerate(zip(points, theta)):
+        ens = qt.noisy_ensemble(t, p)
+        m, m_rate = qt.mcm_optimal(t, p)
+        assert (m.elements == stack.elements[k, 0]).all(), (c, p)
+        assert m_rate == rate[k, 0], (c, p)
+        assert qt.guessing_probability(ens, m) == p_g[k, 0], (c, p)
+        for f, frac in enumerate(_FRACTIONS):
+            m_f = qt.mcm_povm(ens, frac * stack.alpha[k])
+            assert (m_f.elements == stack.elements[k, f]).all(), (c, p, frac)
+            assert [qt.confidence(ens, m_f, i) for i in (1, 2)] == list(conf[k, f]), (c, p, frac)
+            assert qt.inconclusive_rate(ens, m_f) == rate[k, f], (c, p, frac)
+    return stack
+
+
+def test_stack_equals_scalar_constructions_on_the_verify_grid():
+    _assert_rows_equal_scalar_constructions(
+        [(c, p) for c in _GRID21 for p in _GRID21 if not (p == 0.0 and c in (0.0, 1.0))])
+
+
+def test_stack_equals_scalar_constructions_at_full_noise():
+    stack = _assert_rows_equal_scalar_constructions([(c, 1.0) for c in _GRID21])
+    assert np.abs(stack.confidences() - 0.5).max() <= 1e-15
+
+
+def test_stack_takes_the_coincident_fallback_at_c_1():
+    # one state twice: every direction is optimal, and the fallback keeps
+    # the two conclusive elements distinct mirror images of each other and
+    # the optimal rate at its limit (1 - p) sqrt(c) from c < 1
+    ps = np.array(_GRID21[1:])
+    stack = _assert_rows_equal_scalar_constructions([(1.0, p) for p in ps])
+    flip = np.diag([1.0, -1.0])
+    pi1, pi2 = stack.elements[:, 0, 0], stack.elements[:, 0, 1]
+    assert np.abs(flip @ pi1 @ flip - pi2).max() <= 1e-15
+    assert np.abs(pi1 - pi2).max(axis=(1, 2)).min() > 0.1
+    assert np.abs(stack.inconclusive_rate()[:, 0] - (1.0 - ps)).max() <= 1e-15
+    assert np.abs(stack.confidences() - 0.5).max() <= 1e-15
+
+
+def test_stack_with_one_singular_average_raises():
+    with pytest.raises(DegenerateEnsembleError, match="row 1"):
+        qt.mcm_stack([theta_of(0.5), theta_of(1.0), theta_of(0.3)], [0.5, 0.0, 0.2])
+
+
+def test_stack_weight_above_the_optimum_raises():
+    theta, p = [theta_of(0.5), theta_of(0.2)], [0.75, 0.1]
+    assert qt.mcm_stack(theta, p, (1.0, 0.5)).elements.shape == (2, 2, 3, 2, 2)
+    with pytest.raises(InfeasibleWeightsError):
+        qt.mcm_stack(theta, p, (1.0, 1.001))
+    with pytest.raises(UndefinedConfidenceError):
+        qt.mcm_stack(theta, p, (1.0, 0.0)).confidences()
+
+
+@pytest.mark.parametrize(
+    "theta, p, fractions, error",
+    [
+        ([0.5, 0.5], [0.5], (1.0,), ContractError),
+        ([[0.5]], [[0.5]], (1.0,), ContractError),
+        ([], [], (1.0,), ContractError),
+        ([0.5, 4.0], [0.5, 0.5], (1.0,), DomainError),
+        ([0.5], [1.5], (1.0,), DomainError),
+        ([0.5], [np.nan], (1.0,), DomainError),
+        ([0.5], [0.5], (-0.5,), DomainError),
+    ],
+    ids=["lengths", "2-d", "empty", "theta", "noise", "nan", "fraction"],
+)
+def test_stack_rejects_invalid_input(theta, p, fractions, error):
+    with pytest.raises(error):
+        qt.mcm_stack(theta, p, fractions)
+
+
 _NAN = np.array([[np.nan, 0.0], [0.0, 1.0]])
 
 
