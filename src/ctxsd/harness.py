@@ -19,13 +19,25 @@ report records which public operations it exercised so coverage is
 auditable. A typed error raised inside a check is that check's failure,
 reported at the error; the other checks still run.
 
-CSV output is deterministic: comma separated, ``.`` decimal point, at most
-nine significant digits, LF line endings, header row first. Rows are
-written in chunks, so a long sweep never holds its whole text in memory.
+CSV output is deterministic: comma separated, ``.`` decimal point, LF line
+endings, header row first, every cell the bytes of ``"%.9g" % x``. One
+numpy kernel formats a chunk of rows at a time, so a long sweep never holds
+its whole text in memory. Its fast path covers 1e-4 <= x < 1, nearly every
+cell of a sweep: three comparisons give the decade, one rounded multiply
+gives y = x 10^k in [10^8, 10^9) with an error of at most 2^-24, and
+rint(y) is then the correctly rounded nine-digit mantissa unless y lies
+within 1e-6 of a tie. The twelve fraction digits are an exact float
+integer, read four at a time from a table of ASCII digits, and the trailing
+zeros are dropped by a byte mask. Exact 0 and 1 are written as one digit.
+Every other cell (exponent form, negative, non-finite, a near tie, a value
+that rounds up to 1) is formatted by ``"%.9g"`` itself, all of a chunk's in
+one format string padded to a fixed width, so a column of them costs about
+what per-row formatting did.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -88,20 +100,94 @@ def _fmt(v: float) -> str:
     return format(float(v), ".9g")
 
 
+# The CSV kernel writes each cell into a 20-byte slot, "\0\0" "0." then
+# twelve fraction digits, its separator and three NULs, and keeps the bytes
+# of the slot that ``_csv_tables`` marks for its count of trailing zeros.
+_SLOT = np.arange(20)
+_ZERO_DOT = np.frombuffer(b"\0\x000.", np.uint32)[0]
+
+
+@functools.cache
+def _csv_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The CSV kernel's tables, built on its first use: the ASCII digits of
+    0..9999 packed four to a uint32, their counts of trailing zeros, the
+    bytes kept of a slot by its count of trailing zeros (0..12), and the
+    powers 10^0..10^12."""
+    n = np.arange(10_000, dtype=np.uint16)
+    digits4 = (np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
+               .astype(np.uint8) + ord("0")).view(np.uint32).ravel()
+    zeros4 = (n % 10 == 0).astype(np.int8) + (n % 100 == 0) + (n % 1000 == 0) + (n == 0)
+    keep = ((_SLOT >= 2) & (_SLOT < 16 - np.arange(13)[:, None])) | (_SLOT == 16)
+    return digits4, zeros4, keep, 10.0 ** np.arange(13)
+
+
+def _csv_bytes(block: np.ndarray, seps: Sequence[bytes]) -> bytes:
+    """The bytes of a 2-D ``block`` as CSV: each cell ``b"%.9g" % x``
+    followed by its column's separator in ``seps``."""
+    digits4, zeros4, keep_by_zeros, pow10 = _csv_tables()
+    x = block.ravel()
+    fast = (x >= 1e-4) & (x < 1.0)
+    v = np.where(fast, x, 0.5)
+    # x = y 10^-k with 10^8 <= y < 10^9: the thresholds are the doubles
+    # nearest 10^-1..10^-3, each just above its power, so k is exact
+    k = 9 + (v < 0.1).view(np.int8) + (v < 0.01).view(np.int8) + (v < 0.001).view(np.int8)
+    y = v * pow10[k]
+    f = np.rint(y) * pow10[12 - k]  # the twelve fraction digits, an exact integer
+    fast &= (np.abs(y - np.floor(y) - 0.5) > 1e-6) & (f < 1e12)  # 10^12: x rounds to 1
+    hi, rest = np.divmod(np.where(fast, f, 0.0).astype(np.int64), 10 ** 8)
+    mid, lo = np.divmod(rest, 10 ** 4)
+    words = np.empty((*block.shape, 5), np.uint32)
+    words[..., 0] = _ZERO_DOT
+    words[..., 4] = np.frombuffer(b"".join(s.ljust(4, b"\0") for s in seps), np.uint32)
+    cells = words.reshape(-1, 5)
+    cells[:, 1], cells[:, 2], cells[:, 3] = digits4[hi], digits4[mid], digits4[lo]
+    zeros = zeros4[lo] + (lo == 0) * (zeros4[mid] + (mid == 0) * zeros4[hi])
+    keep = np.take(keep_by_zeros, zeros, axis=0)
+    text = cells.view(np.uint8)
+    # exact 0 and 1 (whole columns of some sweeps) keep one digit, byte 2
+    digit = (x == 1.0) | ((x == 0.0) & ~np.signbit(x))
+    text[digit, 2] = ord("0") + x[digit]
+    keep[digit] = (_SLOT == 2) | (_SLOT == 16)
+    # every other cell: its "%.9g" bytes (at most 16, "-d.dddddddde-ddd"),
+    # padded with spaces to 16 by one format, over the first 16 bytes of its
+    # slot; the separator stays at byte 16
+    slow = np.flatnonzero(~(fast | digit))
+    printed = (b"%-16.9g" * len(slow)) % tuple(x[slow].tolist())
+    text[slow, :16] = np.frombuffer(printed, np.uint8).reshape(-1, 16)
+    keep[slow, :16] = text[slow, :16] != ord(" ")
+    return text[keep].tobytes()
+
+
+def _csv_table(header: Sequence[str], rows: Sequence | np.ndarray) -> np.ndarray:
+    """``rows`` as a 2-D float array with one column per header name."""
+    try:
+        table = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"CSV rows must form a table of numbers: {exc}") from None
+    if table.shape == (0,):  # no rows at all
+        table = table.reshape(0, len(header))
+    if table.ndim != 2 or table.shape[1] != len(header):
+        raise ContractError(
+            f"CSV rows must form a table of {len(header)} columns, got shape {table.shape}"
+        )
+    return table
+
+
 def write_csv_to(stream: TextIO, header: Sequence[str], rows: Sequence | np.ndarray) -> None:
     """Write a header line and ``rows`` (a 2-D array or a sequence of
-    equal-length rows) to an open text stream, a chunk of rows at a time."""
-    table = np.asarray(rows, dtype=float)
-    line = ",".join(["%.9g"] * len(header)) + "\n"
+    equal-length rows, one value per header column) to an open text stream,
+    a chunk of rows at a time."""
+    table = _csv_table(header, rows)
+    seps = [b","] * (len(header) - 1) + [b"\n"]
     stream.write(",".join(header) + "\n")
     for start in range(0, len(table), _CSV_CHUNK):
-        block = table[start:start + _CSV_CHUNK].tolist()
-        stream.write("".join([line % tuple(row) for row in block]))
+        stream.write(_csv_bytes(table[start:start + _CSV_CHUNK], seps).decode("ascii"))
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Sequence | np.ndarray) -> None:
+    table = _csv_table(header, rows)  # before the file is truncated
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_csv_to(fh, header, rows)
+        write_csv_to(fh, header, table)
 
 
 # ---------------------------------------------------------------------------
@@ -371,25 +457,26 @@ class VerifyReport:
 
 
 class _Acc:
-    """Accumulates (deviation, limit, point) items for one named check."""
+    """Accumulates (deviation, limit, point) items for one named check. A
+    point is a string or a dict of coordinates (see ``_label``)."""
 
     def __init__(self) -> None:
-        self.items: list[tuple[float, float, str]] = []
+        self.items: list[tuple[float, float, str | dict]] = []
 
     def add(self, dev, limit: float, point) -> None:
         """Record |dev| against ``limit`` at ``point``. An array ``dev`` comes
-        with an array of point labels over its leading axes and is recorded
-        as its largest entry (NaN counting as the largest)."""
+        with an array of points over its leading axes and is recorded as its
+        largest entry (NaN counting as the largest)."""
         if isinstance(dev, np.ndarray):
-            dev, labels = np.abs(dev), np.asarray(point)
+            dev, points = np.abs(dev), np.asarray(point)
             k = np.unravel_index(np.argmax(np.where(np.isnan(dev), np.inf, dev)), dev.shape)
-            dev, point = dev[k], str(labels[k[:labels.ndim]])
+            dev, point = dev[k], points[k[:points.ndim]]
         self.items.append((abs(float(dev)), limit, point))
 
-    def ok(self, passed: bool, point: str) -> None:
+    def ok(self, passed: bool, point: str | dict) -> None:
         self.items.append((0.0 if passed else math.inf, 0.0, point))
 
-    def raises(self, error: type, point: str, fn: Callable, *args) -> None:
+    def raises(self, error: type, point: str | dict, fn: Callable, *args) -> None:
         """Record whether ``fn(*args)`` raises ``error``."""
         try:
             fn(*args)
@@ -402,7 +489,7 @@ class _Acc:
         if not self.items:
             return CheckResult(name, ops, True, 0.0, "")
 
-        def severity(item: tuple[float, float, str]) -> float:
+        def severity(item: tuple[float, float, str | dict]) -> float:
             dev, limit, _ = item
             if limit <= 0.0:
                 return math.inf if dev > 0.0 else 0.0
@@ -410,7 +497,7 @@ class _Acc:
 
         worst = max(self.items, key=severity)
         passed = all(severity(item) <= 1.0 for item in self.items)
-        return CheckResult(name, ops, passed, worst[0], worst[2])
+        return CheckResult(name, ops, passed, worst[0], _label(worst[2]))
 
 
 def _grid(n: int) -> np.ndarray:
@@ -421,11 +508,15 @@ def _theta_of(c: float) -> float:
     return math.acos(math.sqrt(c))
 
 
-def _pt(**kv) -> str:
-    return ", ".join(
-        f"{k}={v:.6g}" if isinstance(v, (int, float)) else f"{k}={v}"
-        for k, v in kv.items()
-    )
+def _label(point: str | dict) -> str:
+    """The text of a point. Checks record a point as a string or as a dict
+    of its named coordinates, and only the worst point of a check is ever
+    formatted: each number as ``name=value`` to six significant digits,
+    each string value as it is (``{"c": 0.5, "element": "pi_1"}`` is
+    ``c=0.5, pi_1``)."""
+    if isinstance(point, str):
+        return point
+    return ", ".join(v if isinstance(v, str) else f"{k}={v:.6g}" for k, v in point.items())
 
 
 def _cert(tols: Tolerances, scheme: str, figure: str, omega=None, outcome: int = 1,
@@ -451,15 +542,15 @@ class _Pass:
 
     ``grids`` holds the (c, p) points of ``c`` (p = 0), ``c<1``, ``mcm``
     (n x n without the singular average states) and ``nc`` (n x n without
-    the pure coincident pair); ``labels`` names them. ``values[cell, route]``
-    holds a route's values of one table cell on its relation's grid, in
-    point order; readers reshape them to one row per point. ``pure`` keeps
-    the pure ensemble and its Helstrom measurement at each c, ``scenarios``
-    the canonical scenario at each point of the n x n grid and at p = 1/2,
-    and ``povms`` the point and the (pi_1, pi_2, pi_0) elements of every
-    Helstrom and USD measurement built. The MCM measurements of the ``mcm``
+    the pure coincident pair); ``labels`` holds them as arrays of point dicts.
+    ``values[cell, route]`` holds a route's values of one table cell on its
+    relation's grid, in point order; readers reshape them to one row per
+    point. ``pure`` keeps the pure ensemble and its Helstrom measurement at
+    each c, ``scenarios`` the canonical scenario at each point of the n x n
+    grid and at p = 1/2, and ``povms`` the point and the (pi_1, pi_2, pi_0)
+    elements of every Helstrom and USD measurement built. The MCM measurements of the ``mcm``
     grid are one ``mcm_stack``, ``mcm``, at the optimal weight and at
-    ``_MCM_FRACTIONS`` of it; ``mcm_labels`` names each of them.
+    ``_MCM_FRACTIONS`` of it; ``mcm_labels`` holds the point of each.
     """
 
     def __init__(self, n: int) -> None:
@@ -472,7 +563,8 @@ class _Pass:
             "nc": [(c, p) for c in cs for p in cs if (c, p) != (1.0, 0.0)],
         }
         self.labels = {
-            name: [_pt(c=c, p=p) if name in ("mcm", "nc") else _pt(c=c) for c, p in pts]
+            name: np.array([dict(c=c, p=p) if name in ("mcm", "nc") else dict(c=c)
+                            for c, p in pts])
             for name, pts in self.grids.items()
         }
         self.scenarios = {  # p = 1/2 too, so it is there at every density
@@ -494,16 +586,16 @@ class _Pass:
             ens = qtheory.noisy_ensemble(_theta_of(c), 0.0)
             m = qtheory.helstrom_povm(ens)
             self.pure.append((ens, m))
-            measured("helstrom_povm", "MESD", ens, m, _pt(c=c), qtheory.inconclusive_rate(ens, m),
+            measured("helstrom_povm", "MESD", ens, m, dict(c=c), qtheory.inconclusive_rate(ens, m),
                      outcomes=(1,))
             scn = self.scenarios[c, 0.0]
             v["MESD_Pg_NC", "oracle_max_pg"].append(ncmodel.oracle_max_pg(scn)[1])
             if c == 1.0:
                 continue  # coincident states admit no unambiguous measurement
             m, rate = qtheory.usd_optimal(ens)
-            measured("usd_optimal", "USD", ens, m, _pt(c=c), rate)
+            measured("usd_optimal", "USD", ens, m, dict(c=c), rate)
             for g in (frac / (1.0 + math.sqrt(c)) for frac in _USD_FRACTIONS):
-                measured("usd_povm", "USD", ens, qtheory.usd_povm(ens, g, g), _pt(c=c, g=g))
+                measured("usd_povm", "USD", ens, qtheory.usd_povm(ens, g, g), dict(c=c, g=g))
         for c, p in self.grids["nc"]:
             scn = self.scenarios[c, p]
             p_0 = ncmodel.oracle_min_p0_at_max_confidence(scn)[1]
@@ -519,7 +611,7 @@ class _Pass:
         self.mcm = qtheory.mcm_stack([_theta_of(c) for c, _ in mcm], [p for _, p in mcm],
                                      (1.0, *_MCM_FRACTIONS))
         self.mcm_labels = np.array([
-            [label, *(_pt(c=c, p=p, alpha=f * float(a)) for f in _MCM_FRACTIONS)]
+            [label, *(dict(c=c, p=p, alpha=f * float(a)) for f in _MCM_FRACTIONS)]
             for (c, p), label, a in zip(mcm, self.labels["mcm"], self.mcm.alpha)
         ])
         conf = self.mcm.confidences()
@@ -616,12 +708,12 @@ for _name, _ops in (
 def _chk_pure_pair(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     for theta in np.linspace(0.0, math.pi, max(ev.n, 7)):
         a, b = qtheory.make_pure_pair(float(theta))
-        acc.add(a.overlap(b).real - math.cos(theta), tols.exact, _pt(theta=theta))
+        acc.add(a.overlap(b).real - math.cos(theta), tols.exact, dict(theta=theta))
         for s in (a, b):
             m = qtheory.mirror(s)
-            acc.add(abs(s.overlap(m)), tols.exact, _pt(theta=theta))
+            acc.add(abs(s.overlap(m)), tols.exact, dict(theta=theta))
             back = qtheory.mirror(m)
-            acc.add(abs(s.overlap(back)) - 1.0, tols.exact, _pt(theta=theta))
+            acc.add(abs(s.overlap(back)) - 1.0, tols.exact, dict(theta=theta))
 
 
 @_check("qtheory/povm-completeness", ("qtheory.noisy_ensemble", "qtheory.helstrom_povm",
@@ -632,7 +724,7 @@ def _chk_povm_completeness(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     points = [*points, *ev.mcm_labels.ravel()]
     elements = np.concatenate([np.array(elements), ev.mcm.elements.reshape(-1, 3, 2, 2)])
     acc.add(np.abs(elements.sum(axis=1) - np.eye(2)).max(axis=(1, 2)), tols.completeness, points)
-    where = [[f"{point}, {label}" for label in ("pi_1", "pi_2", "pi_0")] for point in points]
+    where = [[{**point, "element": e} for e in ("pi_1", "pi_2", "pi_0")] for point in points]
     acc.add(np.maximum(0.0, -np.linalg.eigvalsh(elements)[..., 0]), tols.psd, where)
 
 
@@ -688,7 +780,7 @@ def _chk_mcm_monotonicity(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     rate = dict(zip(ev.grids["mcm"], ev.values["MCM_P0_Q", _MCM]))
     xs = [c for c, _ in ev.grids["c"]]
     r = np.array([[rate[c, p] for p in xs[1:]] for c in xs])
-    labels = np.array([[_pt(c=c, p=p) for p in xs] for c in xs])
+    labels = np.array([[dict(c=c, p=p) for p in xs] for c in xs])
     acc.add(np.minimum(np.diff(r, axis=0), 0.0), tols.exact, labels[1:, 1:])
     acc.add(np.minimum(-np.diff(r, axis=1), 0.0), tols.exact, labels[:, 2:])
 
@@ -706,7 +798,7 @@ def _chk_canonical(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     states = ("prep1", "prep2", "mirror1", "mirror2", "mixed", "noisy1", "noisy2")
     w = np.array([[getattr(scn, s).weights for s in states] for scn in ev.scenarios.values()])
     ps = np.array([p for _, p in ev.scenarios])[:, None]
-    labels = [_pt(c=c, p=p) for c, p in ev.scenarios]
+    labels = [dict(c=c, p=p) for c, p in ev.scenarios]
     broken = (
         (0.5 * w[:, 0] + 0.5 * w[:, 2] != 0.5 * w[:, 1] + 0.5 * w[:, 3]).any(axis=1)  # mirrors
         | (w[:, 0, 0] != w[:, 1, 0])  # shared support
@@ -720,8 +812,8 @@ def _chk_canonical(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
 def _chk_response_norm(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     for x in _grid(max(ev.n, 11)):
         x, g2 = float(x), min(1.0 - float(x), float(x))
-        for rs, point in ((ncmodel.mesd_mixed_strategy(x), _pt(omega=x)),
-                          (ncmodel.usd_response(x, g2), _pt(g1=x, g2=g2))):
+        for rs, point in ((ncmodel.mesd_mixed_strategy(x), dict(omega=x)),
+                          (ncmodel.usd_response(x, g2), dict(g1=x, g2=g2))):
             total = rs.xi1 + rs.xi2 + rs.xi0
             acc.add(float(np.max(np.abs(total - 1.0))), tols.norm, point)
 
@@ -730,7 +822,7 @@ def _chk_response_norm(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
         ("ncmodel.confusability", "ncmodel.nc_prob", "ncmodel.canonical_scenario"))
 def _chk_confusability(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     for c in _grid(101):
-        scn, point = ncmodel.canonical_scenario(float(c), 0.0), _pt(c=c)
+        scn, point = ncmodel.canonical_scenario(float(c), 0.0), dict(c=c)
         c12 = ncmodel.confusability(scn.prep1, scn.prep2)
         c21 = ncmodel.confusability(scn.prep2, scn.prep1)
         acc.add(c12 - c, tols.exact, point)
@@ -750,7 +842,7 @@ def _chk_omega_invariance(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     for c, _ in ev.grids["c"]:
         for w, rs in strategies:
             figs = ncmodel.nc_figures(ev.scenarios[c, 0.0], rs)
-            acc.add(figs.p_g - (1.0 - 0.5 * c), tols.exact, _pt(c=c, omega=w))
+            acc.add(figs.p_g - (1.0 - 0.5 * c), tols.exact, dict(c=c, omega=w))
 
 
 @_check("ncmodel/mesd-confidences", ("ncmodel.nc_mesd_confidences", "ncmodel.nc_figures",
@@ -763,9 +855,9 @@ def _chk_mesd_confidences(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
             figs = ncmodel.nc_figures(ev.scenarios[c, 0.0], rs)
             for got, want in ((figs.c1, closed[0]), (figs.c2, closed[1])):
                 if got is not None:
-                    acc.add(got - want, tols.exact, _pt(c=c, omega=w))
+                    acc.add(got - want, tols.exact, dict(c=c, omega=w))
             sym = ncmodel.nc_mesd_confidences(c, 1.0 - w)
-            acc.add(closed[0] - sym[1], tols.exact, _pt(c=c, omega=w))
+            acc.add(closed[0] - sym[1], tols.exact, dict(c=c, omega=w))
 
 
 @_check("ncmodel/omega-star", ("ncmodel.omega_star",))
@@ -792,25 +884,25 @@ def _chk_hand_integrals(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
         scn = ncmodel.canonical_scenario(c, 0.0)
         rs = ncmodel.usd_response(g1, g2)
         acc.add(ncmodel.nc_prob(scn.prep1, rs.xi0) - (1.0 - g1 + g1 * c),
-                tols.exact, _pt(c=c, g1=g1))
+                tols.exact, dict(c=c, g1=g1))
         acc.add(ncmodel.nc_prob(scn.mixed, rs.xi0) - (1.0 - 0.5 * (g1 + g2)),
-                tols.exact, _pt(c=c, g1=g1, g2=g2))
+                tols.exact, dict(c=c, g1=g1, g2=g2))
 
 
 @_check("bounds/inequality-suite", ("bounds.gap", "bounds.eval_bound"))
 def _chk_inequalities(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     for c, _ in ev.grids["c"][1:-1]:
-        acc.ok(_cert(tols, "MESD", "P_g", c=c).advantage, _pt(c=c))
-        acc.ok(_cert(tols, "USD", "P_0", c=c).advantage, _pt(c=c))
+        acc.ok(_cert(tols, "MESD", "P_g", c=c).advantage, dict(c=c))
+        acc.ok(_cert(tols, "USD", "P_0", c=c).advantage, dict(c=c))
     for edge in (0.0, 1.0):
-        acc.add(_cert(tols, "MESD", "P_g", c=edge).gap, tols.exact, _pt(c=edge))
+        acc.add(_cert(tols, "MESD", "P_g", c=edge).gap, tols.exact, dict(c=edge))
     for c, p in ev.grids["nc"]:
         for figure in ("P_g", "P_0", "C"):
             cert = _cert(tols, "MCM", figure, c=c, p=p)
             oriented = -cert.gap if figure == "P_0" else cert.gap
-            acc.ok(oriented >= -tols.exact, _pt(c=c, p=p))
+            acc.ok(oriented >= -tols.exact, dict(c=c, p=p))
             if 0.0 < c < 1.0 and 0.0 < p < 1.0:
-                acc.ok(cert.advantage, _pt(c=c, p=p))
+                acc.ok(cert.advantage, dict(c=c, p=p))
 
 
 @_check("bounds/mesd-confidence-window", ("bounds.gap", "ncmodel.omega_star"))
@@ -826,7 +918,7 @@ def _chk_window(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
             both = all(_cert(tols, "MESD", "C", c=c, omega=w, outcome=i).advantage
                        for i in (1, 2))
             inside = w_star <= w <= 1.0 - w_star
-            acc.ok(both == inside, _pt(c=c, omega=w))
+            acc.ok(both == inside, dict(c=c, omega=w))
 
 
 @_check("bounds/factorisation", ("bounds.eval_bound", "ncmodel.nc_mcm_guessing"))
@@ -852,6 +944,10 @@ def _chk_table(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     acc.ok(not table1_report(1.0, 0.5, 0.5, tols).usd_possible, "c=1 usd flag")
 
 
+def _error(exc: CtxsdError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def verify_all(points: int, tols: Tolerances = DEFAULTS) -> VerifyReport:
     """Build the shared evaluation pass at the given grid density, then run
     every named check on it.
@@ -859,17 +955,21 @@ def verify_all(points: int, tols: Tolerances = DEFAULTS) -> VerifyReport:
     Two-parameter grids use ``points`` per axis; the single-parameter
     properties pinned to a 101-point grid keep that density regardless. A
     check that raises a ``CtxsdError`` fails with the error as its worst
-    point.
+    point; one raised while the shared pass is built fails every check.
     """
     if points < 5:
         raise DomainError(f"grid density must be at least 5, got {points}")
-    ev = _Pass(points)
+    try:
+        ev = _Pass(points)
+    except CtxsdError as exc:  # no route can be compared: every check fails
+        return VerifyReport(points, tuple(CheckResult(name, ops, False, math.inf, _error(exc))
+                                          for name, ops, _ in _CHECKS))
     results = []
     for name, ops, fn in _CHECKS:
         acc = _Acc()
         try:
             fn(ev, tols, acc)
         except CtxsdError as exc:  # a broken route is that check's failure
-            acc.ok(False, f"{type(exc).__name__}: {exc}")
+            acc.ok(False, _error(exc))
         results.append(acc.result(name, ops))
     return VerifyReport(points, tuple(results))

@@ -1,4 +1,6 @@
 import hashlib
+import io
+import json
 import math
 import os
 import subprocess
@@ -15,6 +17,7 @@ from ctxsd import bounds, cli, config, harness, ncmodel, qtheory
 from ctxsd.bounds import CELLS, NONCONTEXTUAL, QUANTUM
 from ctxsd.errors import ContractError, DomainError
 from ctxsd.harness import (
+    _CSV_CHUNK,
     FIGURE_IDS,
     FigureJob,
     Substitution,
@@ -195,6 +198,77 @@ def test_csv_significant_digits(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# CSV writer
+
+
+def printf_csv(header, rows):
+    """The CSV text of ``rows`` with every cell formatted by ``"%.9g"``."""
+    lines = [",".join(header)] + [",".join("%.9g" % v for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def csv_text(rows):
+    """What ``write_csv_to`` writes for ``rows``, and the ``"%.9g"`` text of them."""
+    header = [f"x{i}" for i in range(np.shape(rows)[1])]
+    out = io.StringIO()
+    harness.write_csv_to(out, header, rows)
+    return out.getvalue(), printf_csv(header, np.asarray(rows, dtype=float).tolist())
+
+
+def test_csv_cells_at_the_edges_of_the_fast_path():
+    powers = [10.0 ** -k for k in range(6)]
+    edges = [v for p in powers for v in (np.nextafter(p, 0.0), p, np.nextafter(p, 2.0))]
+    # within 5e-10 (relative) of a ninth-digit tie (m + 1/2) 10^-k, and on it
+    rng = np.random.default_rng(20250809)
+    ties = np.concatenate([(rng.integers(10**8, 10**9, 40) + 0.5) / 10.0**k for k in (9, 10, 11, 12)])
+    near_ties = np.outer(ties, 1.0 + np.linspace(-5e-10, 5e-10, 41)).ravel()
+    exact_ties = np.arange(103, 1024, 2) / 1024.0  # x 10^9 is a half-integer
+    # 1 - 5e-10 is a double just below the tie; the others round up to a power
+    carries = [1.0 - 5e-10, 1.0 - 4e-10, 0.1 - 4e-11, 0.01 - 4e-12, 1e-4 - 4e-14]
+    # exact 0 and 1 take their own path; -0.0 and the rest are printed per cell
+    special = [0.0, -0.0, 1.0, -1.0, 2.0, -0.5, math.nan, math.inf, -math.inf, 5e-324,
+               -1.2345678912345e-100, 1.7976931348623157e308]
+    values = np.concatenate([edges, ties, near_ties, exact_ties, carries, special])
+    for table in (values.reshape(-1, 1), values[: len(values) // 4 * 4].reshape(-1, 4)):
+        got, want = csv_text(table)
+        assert got == want
+    assert csv_text([[1.0 - 5e-10, 1.0 - 4e-10, 1e-5]])[0].endswith("\n0.999999999,1,1e-05\n")
+
+
+def test_csv_chunks_join_seamlessly():
+    rng = np.random.default_rng(1)
+    table = rng.random((2 * _CSV_CHUNK + 123, 3))
+    table[::1000, 0] = 0.0
+    table[_CSV_CHUNK - 1:_CSV_CHUNK + 1, 1] = [1e-5, 1.0]  # fallback cells at a chunk boundary
+    got, want = csv_text(table)
+    assert got == want
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0, -0.0, 1e-5])
+def test_csv_constant_columns(value):
+    # whole columns of one value, as a sweep of a definitional target or at p = 1 writes
+    table = np.full((_CSV_CHUNK + 5, 3), value)
+    table[:, 1] = np.linspace(0.0, 1.0, len(table))
+    got, want = csv_text(table)
+    assert got == want
+
+
+def test_csv_rejects_a_table_that_does_not_fit_its_header(tmp_path):
+    path = tmp_path / "kept.csv"
+    path.write_text("kept\n")
+    for rows in ([[0.5, 0.25], [0.5]], np.zeros(3), np.zeros((2, 3)), np.zeros((2, 2, 1)),
+                 [["a", "b"]]):
+        with pytest.raises(ContractError):
+            harness.write_csv_to(io.StringIO(), ["a", "b"], rows)
+        with pytest.raises(ContractError):
+            harness.write_csv(path, ["a", "b"], rows)
+    assert path.read_text() == "kept\n"  # rejected before the file is opened
+    out = io.StringIO()
+    harness.write_csv_to(out, ["a", "b"], [])  # no rows: the header alone
+    assert out.getvalue() == "a,b\n"
+
+
+# ---------------------------------------------------------------------------
 # table rendering
 
 
@@ -308,6 +382,29 @@ def test_error_inside_a_check_is_its_failure(monkeypatch, capsys):
     assert len(report.checks) == len(harness._CHECKS)
     assert cli.main(["verify", "--points", "5"]) == 1
     assert "FAIL ncmodel/omega-star" in capsys.readouterr().out
+
+
+def test_error_building_the_shared_pass_fails_every_check(monkeypatch, capsys):
+    def broken(c, p):
+        raise DomainError("no scenario")
+
+    monkeypatch.setattr(ncmodel, "canonical_scenario", broken)
+    report = verify_all(5)
+    assert len(report.checks) == len(harness._CHECKS)
+    assert all(not ch.passed and ch.worst == "DomainError: no scenario" for ch in report.checks)
+    assert not report.missing_ops  # the operation audit still counts every check
+    assert cli.main(["verify", "--points", "5"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("FAIL ") == len(harness._CHECKS)
+    assert "operations exercised: 26/26" in out
+
+
+def test_verify_formats_only_the_reported_points(monkeypatch):
+    calls = []
+    label = harness._label
+    monkeypatch.setattr(harness, "_label", lambda point: calls.append(point) or label(point))
+    assert verify_all(5).passed
+    assert len(calls) <= len(harness._CHECKS)  # one worst point per check
 
 
 def test_verify_builds_the_mcm_measurements_in_one_stack(monkeypatch):
@@ -433,6 +530,20 @@ def test_csv_bytes_match_stored_checksums(tmp_path):
         assert cli.main(argv) == 0
     for name, digest in _PINNED_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_dense_sweep_bytes_match_the_benchmark_digests(tmp_path):
+    # 100 001 points reach the exponent-form x (1e-05 ...) and cross CSV chunks
+    pinned = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "digests.json")
+                        .read_text())
+    for variable in ("c", "p"):
+        name = f"sweep-{variable}-100001.csv"
+        argv = ["sweep", "--variable", variable, "--points", "100001",
+                "--out", str(tmp_path / name)]
+        for target in _NON_DEFINITIONAL_TARGETS:
+            argv += ["--target", target]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == pinned[name], name
 
 
 def test_cli_rejects_bad_target(capsys):
