@@ -39,6 +39,8 @@ __all__ = [
     "eval_bound",
     "eval_column",
     "gap",
+    "oriented_gap",
+    "is_advantage",
     "table1_report",
 ]
 
@@ -249,6 +251,19 @@ class GapCertificate:
     advantage: bool
 
 
+def oriented_gap(figure: str, signed):
+    """A quantum-minus-noncontextual difference (float or array) signed so
+    that a positive value favours the quantum theory: negated for P_0,
+    where smaller is better."""
+    return -signed if figure == "P_0" else signed
+
+
+def is_advantage(figure: str, signed, tols: Tolerances = DEFAULTS):
+    """The advantage rule of ``gap``: the oriented difference exceeds
+    ``tols.advantage``. Floats or arrays."""
+    return oriented_gap(figure, signed) > tols.advantage
+
+
 def gap(
     quantum: BoundSpec,
     noncontextual: BoundSpec,
@@ -268,11 +283,8 @@ def gap(
     qv = eval_bound(quantum)
     nv = eval_bound(noncontextual)
     signed = qv - nv
-    if quantum.figure == "P_0":
-        advantage = signed < -tols.advantage
-    else:
-        advantage = signed > tols.advantage
-    return GapCertificate(quantum, noncontextual, qv, nv, signed, advantage)
+    return GapCertificate(quantum, noncontextual, qv, nv, signed,
+                          is_advantage(quantum.figure, signed, tols))
 
 
 @dataclass(frozen=True)

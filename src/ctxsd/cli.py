@@ -5,6 +5,10 @@ Subcommands: ``bounds`` (closed-form values at one parameter point),
 canned figure CSVs), ``table`` (the nine-cell gap report) and ``verify``
 (the full cross-check suite).
 
+``verify --json`` prints the report as one JSON object instead of text:
+each check's status, worst deviation, limit, headroom (deviation over
+limit), worst point and wall time.
+
 Exit codes: 0 on success, 1 when verification fails, 2 on usage or I/O
 errors. The ``CTXSD_TOL`` environment variable loosens the comparison
 tolerances used by ``verify`` and the advantage flags.
@@ -13,6 +17,8 @@ tolerances used by ``verify`` and the advantage flags.
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,6 +30,7 @@ from .harness import (
     FigureJob,
     SweepSpec,
     Target,
+    VerifyReport,
     emit_figure,
     run_sweep,
     table_cmd,
@@ -104,6 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the full cross-check suite")
     p_verify.add_argument("--points", type=int, default=21, help="grid density per axis")
+    p_verify.add_argument("--json", action="store_true", help="print the report as JSON")
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser
@@ -155,9 +163,27 @@ def _cmd_table(args: argparse.Namespace, tols: config.Tolerances) -> int:
     return 0
 
 
+def _finite(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
+def _report_json(report: VerifyReport) -> dict:
+    """The verify report as JSON values. A deviation or headroom that is not
+    finite (a failed pass/fail item) is null."""
+    checks = [
+        {"name": ch.name, "passed": ch.passed, "max_dev": _finite(ch.max_dev),
+         "limit": ch.limit, "headroom": _finite(ch.headroom), "worst": ch.worst,
+         "wall_s": ch.wall_s, "ops": list(ch.ops)}
+        for ch in report.checks
+    ]
+    return {"points": report.points, "passed": report.passed, "checks": checks,
+            "operations_exercised": len(report.covered_ops),
+            "missing_ops": list(report.missing_ops)}
+
+
 def _cmd_verify(args: argparse.Namespace, tols: config.Tolerances) -> int:
     report = verify_all(args.points, tols)
-    print(report.render())
+    print(json.dumps(_report_json(report), indent=2) if args.json else report.render())
     return 0 if report.passed else 1
 
 

@@ -6,10 +6,13 @@ table and a one-shot verification suite.
 step and is recorded as a ``Substitution``; a singular interior point
 raises. Each figure is a ``SweepSpec`` plus a map to its column names.
 
-``verify_all`` first builds one shared evaluation pass: every measurement
-construction and every brute-force oracle, once per grid point, the
-maximum-confidence measurements of the whole grid as one stacked
-computation (``qtheory.mcm_stack``). The relation table ``_RELATIONS``
+``verify_all`` first builds one shared evaluation pass: the Helstrom and
+unambiguous measurements once per value of c, the maximum-confidence
+measurements of the whole grid as one stacked computation
+(``qtheory.mcm_stack``), and the canonical scenarios of the whole grid as
+one ``ncmodel.canonical_scenario`` stack, over which each brute-force
+oracle runs once. The structural checks read stacks too, and a point is
+formatted only when it is a check's worst. The relation table ``_RELATIONS``
 then compares each table cell with each independent route to it (the
 constructions for quantum cells, the oracles for noncontextual ones),
 every relation in exactly one named check. The structural checks
@@ -39,9 +42,9 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import groupby
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TextIO
@@ -51,16 +54,14 @@ import numpy as np
 from . import ncmodel, qtheory
 from .bounds import (
     CELLS,
-    BoundSpec,
     Cell as Target,
     ConfidencePairCell,
     DefinitionalCell,
     GapCertificate,
-    NONCONTEXTUAL,
-    QUANTUM,
     eval_bound,
     eval_column,
-    gap,
+    is_advantage,
+    oriented_gap,
     table1_report,
 )
 from .config import DEFAULTS, Tolerances
@@ -412,11 +413,18 @@ _ALL_OPS = frozenset(
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check and its worst item, the one closest to its limit: ``max_dev``
+    its deviation, ``limit`` its limit, ``headroom`` their ratio (above 1
+    fails) and ``worst`` its point. ``wall_s`` is the check's wall time."""
+
     name: str
     ops: tuple[str, ...]
     passed: bool
     max_dev: float
     worst: str
+    limit: float
+    headroom: float
+    wall_s: float
 
 
 @dataclass(frozen=True)
@@ -457,47 +465,44 @@ class VerifyReport:
 
 
 class _Acc:
-    """Accumulates (deviation, limit, point) items for one named check. A
-    point is a string or a dict of coordinates (see ``_label``)."""
+    """Accumulates (severity, deviation, limit, point) items for one named
+    check. A point is a string, a dict of coordinates (see ``_label``), or a
+    function returning one, called only if that point is reported."""
 
     def __init__(self) -> None:
-        self.items: list[tuple[float, float, str | dict]] = []
+        self.items: list[tuple[float, float, float, str | dict | Callable[[], dict]]] = []
 
     def add(self, dev, limit: float, point) -> None:
-        """Record |dev| against ``limit`` at ``point``. An array ``dev`` comes
-        with an array of points over its leading axes and is recorded as its
-        largest entry (NaN counting as the largest)."""
+        """Record |dev| against ``limit`` at ``point``. An array ``dev`` is
+        recorded as its largest entry (NaN counting as the largest), at one
+        ``point`` for all entries or at a function from an entry's index to
+        its point."""
         if isinstance(dev, np.ndarray):
-            dev, points = np.abs(dev), np.asarray(point)
+            dev = np.abs(dev)
             k = np.unravel_index(np.argmax(np.where(np.isnan(dev), np.inf, dev)), dev.shape)
-            dev, point = dev[k], points[k[:points.ndim]]
-        self.items.append((abs(float(dev)), limit, point))
+            dev, point = dev[k], functools.partial(point, k) if callable(point) else point
+        dev = abs(float(dev))
+        # dev / limit; infinite for NaN, or for any deviation from a zero limit
+        severity = dev / limit if limit > 0.0 and dev == dev else 0.0 if dev == 0.0 else math.inf
+        self.items.append((severity, dev, limit, point))
 
-    def ok(self, passed: bool, point: str | dict) -> None:
-        self.items.append((0.0 if passed else math.inf, 0.0, point))
+    def ok(self, passed, point) -> None:
+        """Record a pass/fail item, or an array of them failing at its first False."""
+        self.add(np.where(passed, 0.0, math.inf), 0.0, point)
 
     def raises(self, error: type, point: str | dict, fn: Callable, *args) -> None:
         """Record whether ``fn(*args)`` raises ``error``."""
         try:
             fn(*args)
         except error:
-            self.ok(True, point)
-        else:
-            self.ok(False, point)
+            return self.ok(True, point)
+        self.ok(False, point)
 
-    def result(self, name: str, ops: tuple[str, ...]) -> CheckResult:
+    def result(self, name: str, ops: tuple[str, ...], wall_s: float) -> CheckResult:
         if not self.items:
-            return CheckResult(name, ops, True, 0.0, "")
-
-        def severity(item: tuple[float, float, str | dict]) -> float:
-            dev, limit, _ = item
-            if limit <= 0.0:
-                return math.inf if dev > 0.0 else 0.0
-            return dev / limit
-
-        worst = max(self.items, key=severity)
-        passed = all(severity(item) <= 1.0 for item in self.items)
-        return CheckResult(name, ops, passed, worst[0], _label(worst[2]))
+            return CheckResult(name, ops, True, 0.0, "", 0.0, 0.0, wall_s)
+        severity, dev, limit, point = max(self.items, key=itemgetter(0))  # the first worst
+        return CheckResult(name, ops, severity <= 1.0, dev, _label(point), limit, severity, wall_s)
 
 
 def _grid(n: int) -> np.ndarray:
@@ -508,24 +513,25 @@ def _theta_of(c: float) -> float:
     return math.acos(math.sqrt(c))
 
 
-def _label(point: str | dict) -> str:
-    """The text of a point. Checks record a point as a string or as a dict
-    of its named coordinates, and only the worst point of a check is ever
-    formatted: each number as ``name=value`` to six significant digits,
-    each string value as it is (``{"c": 0.5, "element": "pi_1"}`` is
-    ``c=0.5, pi_1``)."""
+def _label(point: str | dict | Callable[[], dict]) -> str:
+    """The text of a point. Checks record a point as a string, as a dict of
+    its named coordinates or as a function giving that dict, and only the
+    worst point of a check is ever formatted: each number as
+    ``name=value`` to six significant digits, each string value as it is
+    (``{"c": 0.5, "element": "pi_1"}`` is ``c=0.5, pi_1``)."""
+    if callable(point):
+        point = point()
     if isinstance(point, str):
         return point
     return ", ".join(v if isinstance(v, str) else f"{k}={v:.6g}" for k, v in point.items())
 
 
-def _cert(tols: Tolerances, scheme: str, figure: str, omega=None, outcome: int = 1,
-          **params) -> GapCertificate:
-    """Gap certificate of one table cell; ``omega`` and ``outcome`` pick the
-    arm of the noncontextual MESD confidence."""
-    return gap(BoundSpec(scheme, figure, QUANTUM, **params),
-               BoundSpec(scheme, figure, NONCONTEXTUAL, omega=omega, outcome=outcome, **params),
-               tols)
+def _points(**coords) -> Callable[[tuple], dict]:
+    """The points of a stack whose named coordinates are the arrays
+    ``coords``, broadcast over its leading axes: a function from the index
+    of an entry to the dict of its point."""
+    coords = dict(zip(coords, np.broadcast_arrays(*coords.values())))
+    return lambda k: {name: v[k[:v.ndim]] for name, v in coords.items()}
 
 
 _CELL = {cell.label: cell for cell in CELLS}
@@ -535,41 +541,41 @@ _MCM = "mcm_stack"  # the optimal measurements of the stacked MCM construction
 _MCM_PART = "mcm_stack at fractions of alpha"
 _MIN_P0 = "oracle_min_p0_at_max_confidence"
 _BOTH_ORACLES = "(1 - P_0) C(1) of both oracles"
+_ELEMENTS = ("pi_1", "pi_2", "pi_0")
 
 
 class _Pass:
-    """Every construction and oracle of one verify run, built once per point.
+    """Every construction and oracle of one verify run, built once.
 
-    ``grids`` holds the (c, p) points of ``c`` (p = 0), ``c<1``, ``mcm``
-    (n x n without the singular average states) and ``nc`` (n x n without
-    the pure coincident pair); ``labels`` holds them as arrays of point dicts.
-    ``values[cell, route]`` holds a route's values of one table cell on its
-    relation's grid, in point order; readers reshape them to one row per
-    point. ``pure`` keeps the pure ensemble and its Helstrom measurement at
-    each c, ``scenarios`` the canonical scenario at each point of the n x n
-    grid and at p = 1/2, and ``povms`` the point and the (pi_1, pi_2, pi_0)
-    elements of every Helstrom and USD measurement built. The MCM measurements of the ``mcm``
-    grid are one ``mcm_stack``, ``mcm``, at the optimal weight and at
-    ``_MCM_FRACTIONS`` of it; ``mcm_labels`` holds the point of each.
+    ``cs`` is the c grid. ``grids`` holds the c and the p arrays of ``c``
+    (p = 0), ``c<1``, ``mcm`` (n x n without the singular average states) and
+    ``nc`` (n x n without the pure coincident pair), c-major, and
+    ``points[grid]`` the point dict of an index into one. ``values[cell,
+    route]`` holds a route's values of one table cell on its relation's grid,
+    in point order; readers reshape them to one row per point. ``scenario``
+    is one ``canonical_scenario`` stack over the c grid times the p grid and
+    p = 1/2; each oracle runs once over its part. ``pure`` keeps the pure
+    ensemble and its Helstrom measurement at each c, ``povms`` the point and
+    the (pi_1, pi_2, pi_0) elements of every Helstrom and USD measurement,
+    and ``mcm`` the MCM measurements of the ``mcm`` grid, one ``mcm_stack``
+    at the optimal weight and at ``_MCM_FRACTIONS`` of it.
     """
 
     def __init__(self, n: int) -> None:
-        cs = [float(c) for c in _grid(n)]
+        self.cs = cs = _grid(n)
         self.n = n
-        self.grids = {
-            "c": [(c, 0.0) for c in cs],
-            "c<1": [(c, 0.0) for c in cs[:-1]],
-            "mcm": [(c, p) for c in cs for p in cs if not (p == 0.0 and c in (0.0, 1.0))],
-            "nc": [(c, p) for c in cs for p in cs if (c, p) != (1.0, 0.0)],
+        c, p = np.meshgrid(cs, np.union1d(cs, [0.5]), indexing="ij")  # p = 1/2 at every density
+        self.scenario = ncmodel.canonical_scenario(c, p)
+        square = np.isin(p, cs)
+        masks = {
+            "c": p == 0.0,
+            "c<1": (p == 0.0) & (c < 1.0),
+            "mcm": square & ~((p == 0.0) & ((c == 0.0) | (c == 1.0))),
+            "nc": square & ~((p == 0.0) & (c == 1.0)),
         }
-        self.labels = {
-            name: np.array([dict(c=c, p=p) if name in ("mcm", "nc") else dict(c=c)
-                            for c, p in pts])
-            for name, pts in self.grids.items()
-        }
-        self.scenarios = {  # p = 1/2 too, so it is there at every density
-            (c, p): ncmodel.canonical_scenario(c, p) for c in cs for p in sorted({*cs, 0.5})
-        }
+        self.grids = {name: (c[m], p[m]) for name, m in masks.items()}
+        self.points = {name: _points(c=c[m]) if name in ("c", "c<1") else _points(c=c[m], p=p[m])
+                       for name, m in masks.items()}
         self.pure, self.povms, self._closed = [], [], {}
         v = defaultdict(list)
 
@@ -582,38 +588,35 @@ class _Pass:
                 v[f"{scheme}_Pg_Q", route].append(qtheory.guessing_probability(ens, m))
                 v[f"{scheme}_P0_Q", route].append(rate)
 
-        for c in cs:
-            ens = qtheory.noisy_ensemble(_theta_of(c), 0.0)
+        for x in cs.tolist():
+            ens = qtheory.noisy_ensemble(_theta_of(x), 0.0)
             m = qtheory.helstrom_povm(ens)
             self.pure.append((ens, m))
-            measured("helstrom_povm", "MESD", ens, m, dict(c=c), qtheory.inconclusive_rate(ens, m),
+            measured("helstrom_povm", "MESD", ens, m, dict(c=x), qtheory.inconclusive_rate(ens, m),
                      outcomes=(1,))
-            scn = self.scenarios[c, 0.0]
-            v["MESD_Pg_NC", "oracle_max_pg"].append(ncmodel.oracle_max_pg(scn)[1])
-            if c == 1.0:
+            if x == 1.0:
                 continue  # coincident states admit no unambiguous measurement
             m, rate = qtheory.usd_optimal(ens)
-            measured("usd_optimal", "USD", ens, m, dict(c=c), rate)
-            for g in (frac / (1.0 + math.sqrt(c)) for frac in _USD_FRACTIONS):
-                measured("usd_povm", "USD", ens, qtheory.usd_povm(ens, g, g), dict(c=c, g=g))
-        for c, p in self.grids["nc"]:
-            scn = self.scenarios[c, p]
-            p_0 = ncmodel.oracle_min_p0_at_max_confidence(scn)[1]
-            conf = [ncmodel.oracle_max_confidence(scn, i, noisy=True)[1] for i in (1, 2)]
-            v["MCM_P0_NC", _MIN_P0].append(p_0)
-            v["MCM_C_NC", "oracle_max_confidence"].append(conf)
-            v["MCM_Pg_NC", _BOTH_ORACLES].append((1.0 - p_0) * conf[0])
-            if p == 0.0:  # the pure scenario, at c < 1
-                v["USD_P0_NC", _MIN_P0].append(p_0)
-                v["USD_Pg_NC", _MIN_P0].append(1.0 - p_0)
+            measured("usd_optimal", "USD", ens, m, dict(c=x), rate)
+            for g in (frac / (1.0 + math.sqrt(x)) for frac in _USD_FRACTIONS):
+                measured("usd_povm", "USD", ens, qtheory.usd_povm(ens, g, g), dict(c=x, g=g))
         self.values = {key: np.array(rows) for key, rows in v.items()}
-        mcm = self.grids["mcm"]
-        self.mcm = qtheory.mcm_stack([_theta_of(c) for c, _ in mcm], [p for _, p in mcm],
-                                     (1.0, *_MCM_FRACTIONS))
-        self.mcm_labels = np.array([
-            [label, *(dict(c=c, p=p, alpha=f * float(a)) for f in _MCM_FRACTIONS)]
-            for (c, p), label, a in zip(mcm, self.labels["mcm"], self.mcm.alpha)
-        ])
+
+        nc = self.scenario[masks["nc"]]
+        p_0 = ncmodel.oracle_min_p0_at_max_confidence(nc)[1]
+        conf = np.stack([ncmodel.oracle_max_confidence(nc, i, noisy=True)[1] for i in (1, 2)], -1)
+        pure = nc.p == 0.0  # the pure scenarios, at c < 1
+        self.values.update({
+            ("MESD_Pg_NC", "oracle_max_pg"): ncmodel.oracle_max_pg(self.scenario[masks["c"]])[1],
+            ("MCM_P0_NC", _MIN_P0): p_0,
+            ("MCM_C_NC", "oracle_max_confidence"): conf,
+            ("MCM_Pg_NC", _BOTH_ORACLES): (1.0 - p_0) * conf[:, 0],
+            ("USD_P0_NC", _MIN_P0): p_0[pure],
+            ("USD_Pg_NC", _MIN_P0): 1.0 - p_0[pure],
+        })
+
+        c, p = self.grids["mcm"]
+        self.mcm = qtheory.mcm_stack([_theta_of(x) for x in c.tolist()], p, (1.0, *_MCM_FRACTIONS))
         conf = self.mcm.confidences()
         self.values.update({
             ("MCM_C_Q", _MCM): conf[:, 0],
@@ -622,21 +625,32 @@ class _Pass:
             ("MCM_C_Q", _MCM_PART): conf[:, 1:],
         })
 
+    def mcm_point(self, k: tuple) -> dict:
+        """The point of entry ``k`` = (row, fraction, ...) of the MCM stack:
+        its (c, p) and, away from the optimal weight, its weight alpha."""
+        point = self.points["mcm"](k)
+        if k[1]:
+            point["alpha"] = _MCM_FRACTIONS[k[1] - 1] * float(self.mcm.alpha[k[0]])
+        return point
+
     def closed(self, cell: str, grid: str) -> np.ndarray:
         """The closed form of the cell labelled ``cell`` at each point of
         ``grid``: one ``eval_column`` over c if p is fixed, else one over p
         per value of c."""
         if (cell, grid) not in self._closed:
-            spec, points = _CELL[cell].spec, self.grids[grid]
-            if len({p for _, p in points}) == 1:
-                cs = [c for c, _ in points]
-                column = eval_column(spec(cs[0], points[0][1], 0.5), "c", cs)
-            else:
-                rows = [(c, [p for _, p in row]) for c, row in groupby(points, itemgetter(0))]
-                column = np.concatenate(
-                    [eval_column(spec(c, ps[0], 0.5), "p", ps) for c, ps in rows])
+            spec, (c, p) = _CELL[cell].spec, self.grids[grid]
+            if (p == p[0]).all():
+                column = eval_column(spec(float(c[0]), float(p[0]), 0.5), "c", c)
+            else:  # one row of p per value of c
+                column = np.concatenate([eval_column(spec(x, float(p[c == x][0]), 0.5), "p",
+                                                     p[c == x]) for x in np.unique(c).tolist()])
             self._closed[cell, grid] = column
         return self._closed[cell, grid]
+
+    def gap(self, scheme: str, figure: str, grid: str) -> np.ndarray:
+        """Quantum minus noncontextual closed form of one table cell on ``grid``."""
+        label = f"{scheme}_{figure.replace('_', '')}"
+        return self.closed(f"{label}_Q", grid) - self.closed(f"{label}_NC", grid)
 
 
 _CLOSED, _ORACLE, _EXACT = (attrgetter(f) for f in ("closed_form", "oracle", "exact"))
@@ -681,7 +695,7 @@ def _check(name: str, ops: Sequence[str]):
                 if check == name:
                     want = ev.closed(cell, grid)
                     got = ev.values[cell, route].reshape(len(want), -1)
-                    acc.add(got - want[:, None], limit(tols), ev.labels[grid])
+                    acc.add(got - want[:, None], limit(tols), ev.points[grid])
             fn(ev, tols, acc)
 
         _CHECKS.append((name, tuple(ops), run))
@@ -720,12 +734,12 @@ def _chk_pure_pair(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
                                       "qtheory.usd_povm", "qtheory.usd_optimal",
                                       "qtheory.mcm_povm", "qtheory.mcm_optimal"))
 def _chk_povm_completeness(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
-    points, elements = zip(*ev.povms)
-    points = [*points, *ev.mcm_labels.ravel()]
-    elements = np.concatenate([np.array(elements), ev.mcm.elements.reshape(-1, 3, 2, 2)])
-    acc.add(np.abs(elements.sum(axis=1) - np.eye(2)).max(axis=(1, 2)), tols.completeness, points)
-    where = [[{**point, "element": e} for e in ("pi_1", "pi_2", "pi_0")] for point in points]
-    acc.add(np.maximum(0.0, -np.linalg.eigvalsh(elements)[..., 0]), tols.psd, where)
+    built = np.array([elements for _, elements in ev.povms])
+    for elements, point in ((built, lambda k: ev.povms[k[0]][0]), (ev.mcm.elements, ev.mcm_point)):
+        acc.add(np.abs(elements.sum(axis=-3) - np.eye(2)).max(axis=(-2, -1)), tols.completeness,
+                point)
+        acc.add(np.maximum(0.0, -np.linalg.eigvalsh(elements)[..., 0]), tols.psd,
+                lambda k, point=point: {**point(k), "element": _ELEMENTS[k[-1]]})
 
 
 @_check("qtheory/helstrom-balance", ("qtheory.helstrom_povm",))
@@ -733,7 +747,7 @@ def _chk_helstrom_balance(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     # Distinct states only: the c = 1 tie-break measurement has a dead arm.
     hits = np.array([np.trace(ens.states @ m.elements[:2], axis1=1, axis2=2).real
                      for ens, m in ev.pure[:-1]])
-    acc.add(hits[:, 0] - hits[:, 1], 1e-10, ev.labels["c<1"])
+    acc.add(hits[:, 0] - hits[:, 1], 1e-10, ev.points["c<1"])
     acc.add(ev.values["MESD_Pg_Q", "helstrom_povm"][-1] - 0.5, tols.exact, "c=1 tie-break")
 
 
@@ -742,9 +756,9 @@ def _chk_mesd_confidence(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     # both confidences of the Helstrom measurement equal its P_g (outcome 2
     # never fires at c = 1)
     p_g = ev.values["MESD_Pg_Q", "helstrom_povm"]
-    acc.add(ev.values["MESD_C_Q", "helstrom_povm"][:, 0] - p_g, 1e-10, ev.labels["c"])
+    acc.add(ev.values["MESD_C_Q", "helstrom_povm"][:, 0] - p_g, 1e-10, ev.points["c"])
     conf2 = np.array([qtheory.confidence(ens, m, 2) for ens, m in ev.pure[:-1]])
-    acc.add(conf2 - p_g[:-1], 1e-10, ev.labels["c<1"])
+    acc.add(conf2 - p_g[:-1], 1e-10, ev.points["c<1"])
 
 
 @_check("qtheory/usd-certainty", ("qtheory.usd_povm", "qtheory.usd_optimal", "qtheory.confidence"))
@@ -760,29 +774,28 @@ def _chk_mcm_confidence(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     # the confidences do not depend on the conclusive weight alpha
     optimal = ev.values["MCM_C_Q", _MCM]
     seen = np.hstack([optimal, ev.values["MCM_C_Q", _MCM_PART].reshape(len(optimal), -1)])
-    acc.add(seen.max(axis=1) - seen.min(axis=1), tols.closed_form, ev.labels["mcm"])
+    acc.add(seen.max(axis=1) - seen.min(axis=1), tols.closed_form, ev.points["mcm"])
     # the scalar constructions rebuild a row of the stack: the pure ensemble
     # at the middle c, a point of the mcm grid
-    (c, _), (ens, _) = ev.grids["c"][ev.n // 2], ev.pure[ev.n // 2]
-    row = ev.grids["mcm"].index((c, 0.0))
+    c, (ens, _) = ev.cs[ev.n // 2], ev.pure[ev.n // 2]
+    row = int(np.flatnonzero((ev.grids["mcm"][0] == c) & (ev.grids["mcm"][1] == 0.0))[0])
     m, rate = qtheory.mcm_optimal(_theta_of(c), 0.0)
     alphas = (f * float(ev.mcm.alpha[row]) for f in _MCM_FRACTIONS)
     built = [m.elements, *(qtheory.mcm_povm(ens, a).elements for a in alphas)]
-    acc.add(np.array(built) - ev.mcm.elements[row], tols.exact, ev.mcm_labels[row])
-    acc.add(rate - ev.values["MCM_P0_Q", _MCM][row], tols.exact, ev.labels["mcm"][row])
+    acc.add(np.array(built) - ev.mcm.elements[row], tols.exact, lambda k: ev.mcm_point((row, *k)))
+    point = ev.points["mcm"]((row,))
+    acc.add(rate - ev.values["MCM_P0_Q", _MCM][row], tols.exact, point)
     conf = [qtheory.confidence(ens, m, i) for i in (1, 2)]
-    acc.add(conf - optimal[row], tols.exact, ev.labels["mcm"][row])
+    acc.add(conf - optimal[row], tols.exact, point)
 
 
 @_check("qtheory/mcm-monotonicity", ("qtheory.mcm_optimal",))
 def _chk_mcm_monotonicity(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     # the optimal rate rises with c at fixed p > 0 and falls with p > 0 at fixed c
-    rate = dict(zip(ev.grids["mcm"], ev.values["MCM_P0_Q", _MCM]))
-    xs = [c for c, _ in ev.grids["c"]]
-    r = np.array([[rate[c, p] for p in xs[1:]] for c in xs])
-    labels = np.array([[dict(c=c, p=p) for p in xs] for c in xs])
-    acc.add(np.minimum(np.diff(r, axis=0), 0.0), tols.exact, labels[1:, 1:])
-    acc.add(np.minimum(-np.diff(r, axis=1), 0.0), tols.exact, labels[:, 2:])
+    xs, p = ev.cs, ev.grids["mcm"][1]
+    r = ev.values["MCM_P0_Q", _MCM][p > 0.0].reshape(ev.n, -1)  # one row per c, p > 0
+    acc.add(np.minimum(np.diff(r, axis=0), 0.0), tols.exact, _points(c=xs[1:, None], p=xs[1:]))
+    acc.add(np.minimum(-np.diff(r, axis=1), 0.0), tols.exact, _points(c=xs[:, None], p=xs[2:]))
 
 
 @_check("qtheory/composition-identity", ("qtheory.guessing_probability", "qtheory.confidence",
@@ -790,135 +803,124 @@ def _chk_mcm_monotonicity(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
 def _chk_composition(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     # P_g = (1 - P_0) C(1) for the optimal MCM measurement
     p_g, p_0, conf = (ev.values[f"MCM_{f}_Q", _MCM] for f in ("Pg", "P0", "C"))
-    acc.add(p_g - (1.0 - p_0) * conf[:, 0], 1e-10, ev.labels["mcm"])
+    acc.add(p_g - (1.0 - p_0) * conf[:, 0], 1e-10, ev.points["mcm"])
 
 
 @_check("ncmodel/canonical-invariants", ("ncmodel.canonical_scenario",))
 def _chk_canonical(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
+    scn = ev.scenario
     states = ("prep1", "prep2", "mirror1", "mirror2", "mixed", "noisy1", "noisy2")
-    w = np.array([[getattr(scn, s).weights for s in states] for scn in ev.scenarios.values()])
-    ps = np.array([p for _, p in ev.scenarios])[:, None]
-    labels = [dict(c=c, p=p) for c, p in ev.scenarios]
-    broken = (
-        (0.5 * w[:, 0] + 0.5 * w[:, 2] != 0.5 * w[:, 1] + 0.5 * w[:, 3]).any(axis=1)  # mirrors
-        | (w[:, 0, 0] != w[:, 1, 0])  # shared support
-        | ((1.0 - ps) * w[:, 0] + ps * w[:, 4] != w[:, 5]).any(axis=1)  # noisy state
-    )
-    acc.add(np.where(broken, math.inf, 0.0), 0.0, labels)
-    acc.add(w.sum(axis=2) - 1.0, tols.norm, labels)
+    w = np.stack([getattr(scn, s).weights for s in states], axis=-2)
+    prep1, prep2, mirror1, mirror2, mixed, noisy1, _ = (w[..., i, :] for i in range(7))
+    q, point = scn.p[..., None], _points(c=scn.c, p=scn.p)
+    acc.ok(~((0.5 * prep1 + 0.5 * mirror1 != 0.5 * prep2 + 0.5 * mirror2).any(-1)  # mirrors
+             | (prep1[..., 0] != prep2[..., 0])  # shared support
+             | ((1.0 - q) * prep1 + q * mixed != noisy1).any(-1)), point)
+    acc.add(w.sum(axis=-1) - 1.0, tols.norm, point)
 
 
 @_check("ncmodel/response-normalisation", ("ncmodel.mesd_mixed_strategy", "ncmodel.usd_response"))
 def _chk_response_norm(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
-    for x in _grid(max(ev.n, 11)):
-        x, g2 = float(x), min(1.0 - float(x), float(x))
-        for rs, point in ((ncmodel.mesd_mixed_strategy(x), dict(omega=x)),
-                          (ncmodel.usd_response(x, g2), dict(g1=x, g2=g2))):
-            total = rs.xi1 + rs.xi2 + rs.xi0
-            acc.add(float(np.max(np.abs(total - 1.0))), tols.norm, point)
+    x = _grid(max(ev.n, 11))
+    g2 = np.minimum(1.0 - x, x)
+    for rs, point in ((ncmodel.mesd_mixed_strategy(x), _points(omega=x)),
+                      (ncmodel.usd_response(x, g2), _points(g1=x, g2=g2))):
+        acc.add(np.abs(rs.xi1 + rs.xi2 + rs.xi0 - 1.0).max(axis=-1), tols.norm, point)
 
 
 @_check("ncmodel/confusability",
         ("ncmodel.confusability", "ncmodel.nc_prob", "ncmodel.canonical_scenario"))
 def _chk_confusability(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
-    for c in _grid(101):
-        scn, point = ncmodel.canonical_scenario(float(c), 0.0), dict(c=c)
-        c12 = ncmodel.confusability(scn.prep1, scn.prep2)
-        c21 = ncmodel.confusability(scn.prep2, scn.prep1)
-        acc.add(c12 - c, tols.exact, point)
-        acc.add(c12 - c21, tols.exact, point)
-        acc.add(ncmodel.confusability(scn.prep1, scn.mirror1), tols.exact, point)
-        if 0.0 < c < 1.0:
-            acc.add(ncmodel.confusability(scn.prep1, scn.mirror2) - (1.0 - c), tols.exact, point)
-        indicator = scn.prep1.support.astype(float)
-        acc.add(ncmodel.nc_prob(scn.prep2, indicator) - c12, tols.exact, point)
-        acc.add(ncmodel.nc_prob(scn.prep1, np.ones(4)) - 1.0, tols.exact, point)
-        acc.add(ncmodel.nc_prob(scn.prep1, np.zeros(4)), tols.exact, point)
+    c = _grid(101)
+    scn, point = ncmodel.canonical_scenario(c, np.zeros_like(c)), _points(c=c)
+    c12 = ncmodel.confusability(scn.prep1, scn.prep2)
+    acc.add(c12 - c, tols.exact, point)
+    acc.add(c12 - ncmodel.confusability(scn.prep2, scn.prep1), tols.exact, point)
+    acc.add(ncmodel.confusability(scn.prep1, scn.mirror1), tols.exact, point)
+    rest = ncmodel.confusability(scn.prep1, scn.mirror2) - (1.0 - c)
+    acc.add(np.where((0.0 < c) & (c < 1.0), rest, 0.0), tols.exact, point)
+    acc.add(ncmodel.nc_prob(scn.prep2, scn.prep1.support.astype(float)) - c12, tols.exact, point)
+    acc.add(ncmodel.nc_prob(scn.prep1, np.ones(4)) - 1.0, tols.exact, point)
+    acc.add(ncmodel.nc_prob(scn.prep1, np.zeros(4)), tols.exact, point)
 
 
 @_check("ncmodel/mesd-omega-invariance", ("ncmodel.mesd_mixed_strategy", "ncmodel.nc_figures"))
 def _chk_omega_invariance(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
-    strategies = [(float(w), ncmodel.mesd_mixed_strategy(float(w))) for w in _grid(101)]
-    for c, _ in ev.grids["c"]:
-        for w, rs in strategies:
-            figs = ncmodel.nc_figures(ev.scenarios[c, 0.0], rs)
-            acc.add(figs.p_g - (1.0 - 0.5 * c), tols.exact, dict(c=c, omega=w))
+    c, omega = ev.scenario.c[:, :1], _grid(101)  # the pure scenarios, one row per c
+    figs = ncmodel.nc_figures(ev.scenario[:, :1], ncmodel.mesd_mixed_strategy(omega))
+    acc.add(figs.p_g - (1.0 - 0.5 * c), tols.exact, _points(c=c, omega=omega))
 
 
 @_check("ncmodel/mesd-confidences", ("ncmodel.nc_mesd_confidences", "ncmodel.nc_figures",
                                      "ncmodel.mesd_mixed_strategy"))
 def _chk_mesd_confidences(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
-    strategies = [(w, ncmodel.mesd_mixed_strategy(w)) for w, _ in ev.grids["c"]]
-    for c, _ in ev.grids["c"]:  # omega runs over the c grid
-        for w, rs in strategies:
-            closed = ncmodel.nc_mesd_confidences(c, w)
-            figs = ncmodel.nc_figures(ev.scenarios[c, 0.0], rs)
-            for got, want in ((figs.c1, closed[0]), (figs.c2, closed[1])):
-                if got is not None:
-                    acc.add(got - want, tols.exact, dict(c=c, omega=w))
-            sym = ncmodel.nc_mesd_confidences(c, 1.0 - w)
-            acc.add(closed[0] - sym[1], tols.exact, dict(c=c, omega=w))
+    c = ev.scenario.c[:, :1]
+    omega = c[:, 0]  # omega runs over the c grid
+    point = _points(c=c, omega=omega)
+    closed = ncmodel.nc_mesd_confidences(c, omega)
+    figs = ncmodel.nc_figures(ev.scenario[:, :1], ncmodel.mesd_mixed_strategy(omega))
+    for got, want in ((figs.c1, closed[0]), (figs.c2, closed[1])):
+        acc.add(np.where(np.isnan(got), 0.0, got - want), tols.exact, point)  # NaN: never fires
+    acc.add(closed[0] - ncmodel.nc_mesd_confidences(c, 1.0 - omega)[1], tols.exact, point)
 
 
 @_check("ncmodel/omega-star", ("ncmodel.omega_star",))
 def _chk_omega_star(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
-    cs, labels = np.array([c for c, _ in ev.grids["c"][1:-1]]), ev.labels["c"][1:-1]
+    cs = ev.cs[1:-1]
+    point = _points(c=cs)
     w_star = np.array([ncmodel.omega_star(c) for c in cs])
     s = np.sqrt(1.0 - cs)
     textbook = (1.0 - cs) * (1.0 - s) / (2.0 * cs * s)
-    acc.add(w_star - textbook, tols.oracle, labels)
-    acc.add(np.where(w_star <= 0.25 + tols.exact, 0.0, math.inf), 0.0, labels)
+    acc.add(w_star - textbook, tols.oracle, point)
+    acc.ok(w_star <= 0.25 + tols.exact, point)
     # there the first arm's confidence equals the optimal guessing probability
-    acc.add(ncmodel.nc_mesd_confidences(cs, w_star)[0] - 0.5 * (1.0 + s), 1e-10, labels)
+    acc.add(ncmodel.nc_mesd_confidences(cs, w_star)[0] - 0.5 * (1.0 + s), 1e-10, point)
     acc.raises(DivergenceError, "c=1", ncmodel.omega_star, 1.0)
 
 
 @_check("ncmodel/hand-integrals",
         ("ncmodel.usd_response", "ncmodel.nc_prob", "ncmodel.canonical_scenario"))
 def _chk_hand_integrals(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
-    rng = np.random.default_rng(20250809)
-    for k in range(100):
-        c = float(rng.uniform(0.0, 1.0))
-        g1 = float(rng.uniform(0.0, 1.0))
-        g2 = float(rng.uniform(0.0, 1.0 - g1))
-        scn = ncmodel.canonical_scenario(c, 0.0)
-        rs = ncmodel.usd_response(g1, g2)
-        acc.add(ncmodel.nc_prob(scn.prep1, rs.xi0) - (1.0 - g1 + g1 * c),
-                tols.exact, dict(c=c, g1=g1))
-        acc.add(ncmodel.nc_prob(scn.mixed, rs.xi0) - (1.0 - 0.5 * (g1 + g2)),
-                tols.exact, dict(c=c, g1=g1, g2=g2))
+    # 100 points, each drawn as c, g1, then g2 = rng.uniform(0, 1 - g1)
+    c, g1, u = np.random.default_rng(20250809).random((100, 3)).T
+    g2 = (1.0 - g1) * u
+    scn = ncmodel.canonical_scenario(c, np.zeros_like(c))
+    rs = ncmodel.usd_response(g1, g2)
+    acc.add(ncmodel.nc_prob(scn.prep1, rs.xi0) - (1.0 - g1 + g1 * c), tols.exact,
+            _points(c=c, g1=g1))
+    acc.add(ncmodel.nc_prob(scn.mixed, rs.xi0) - (1.0 - 0.5 * (g1 + g2)), tols.exact,
+            _points(c=c, g1=g1, g2=g2))
 
 
 @_check("bounds/inequality-suite", ("bounds.gap", "bounds.eval_bound"))
 def _chk_inequalities(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
-    for c, _ in ev.grids["c"][1:-1]:
-        acc.ok(_cert(tols, "MESD", "P_g", c=c).advantage, dict(c=c))
-        acc.ok(_cert(tols, "USD", "P_0", c=c).advantage, dict(c=c))
-    for edge in (0.0, 1.0):
-        acc.add(_cert(tols, "MESD", "P_g", c=edge).gap, tols.exact, dict(c=edge))
-    for c, p in ev.grids["nc"]:
-        for figure in ("P_g", "P_0", "C"):
-            cert = _cert(tols, "MCM", figure, c=c, p=p)
-            oriented = -cert.gap if figure == "P_0" else cert.gap
-            acc.ok(oriented >= -tols.exact, dict(c=c, p=p))
-            if 0.0 < c < 1.0 and 0.0 < p < 1.0:
-                acc.ok(cert.advantage, dict(c=c, p=p))
+    cs = ev.cs
+    for scheme, figure in (("MESD", "P_g"), ("USD", "P_0")):
+        acc.ok(is_advantage(figure, ev.gap(scheme, figure, "c")[1:-1], tols), _points(c=cs[1:-1]))
+    acc.add(ev.gap("MESD", "P_g", "c")[[0, -1]], tols.exact, _points(c=cs[[0, -1]]))
+    c, p = ev.grids["nc"]
+    interior = (0.0 < c) & (c < 1.0) & (0.0 < p) & (p < 1.0)
+    for figure in ("P_g", "P_0", "C"):
+        signed = ev.gap("MCM", figure, "nc")
+        acc.ok(oriented_gap(figure, signed) >= -tols.exact, ev.points["nc"])
+        acc.ok(is_advantage(figure, signed, tols) | ~interior, ev.points["nc"])
 
 
 @_check("bounds/mesd-confidence-window", ("bounds.gap", "ncmodel.omega_star"))
 def _chk_window(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     omegas = _grid(max(2 * ev.n + 1, 21))
     step = float(omegas[1] - omegas[0])
-    for c, _ in ev.grids["c"][1:-1]:
-        w_star = ncmodel.omega_star(c)
-        for w in omegas:
-            w = float(w)
-            if min(abs(w - w_star), abs(w - (1.0 - w_star))) <= 0.5 * step:
-                continue  # too close to the boundary for the grid to resolve
-            both = all(_cert(tols, "MESD", "C", c=c, omega=w, outcome=i).advantage
-                       for i in (1, 2))
-            inside = w_star <= w <= 1.0 - w_star
-            acc.ok(both == inside, dict(c=c, omega=w))
+    cs = ev.cs[1:-1].tolist()
+    w_star = np.array([ncmodel.omega_star(c) for c in cs])[:, None]
+    quantum = ev.closed("MESD_C_Q", "c")[1:-1, None]
+    both = np.ones((len(cs), len(omegas)), dtype=bool)
+    for arm in ("MESD_C1_NC", "MESD_C2_NC"):
+        nc = np.array([eval_column(_CELL[arm].spec(c, 0.0, 0.5), "omega", omegas) for c in cs])
+        both &= is_advantage("C", quantum - nc, tols)
+    inside = (w_star <= omegas) & (omegas <= 1.0 - w_star)
+    # too close to the boundary for the grid to resolve
+    unresolved = np.minimum(abs(omegas - w_star), abs(omegas - (1.0 - w_star))) <= 0.5 * step
+    acc.ok((both == inside) | unresolved, _points(c=np.array(cs)[:, None], omega=omegas))
 
 
 @_check("bounds/factorisation", ("bounds.eval_bound", "ncmodel.nc_mcm_guessing"))
@@ -926,7 +928,7 @@ def _chk_factorisation(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     # P_g = (1 - P_0) C for the MCM closed forms of both theories
     for theory in ("Q", "NC"):
         p_g, p_0, conf = (ev.closed(f"MCM_{f}_{theory}", "nc") for f in ("Pg", "P0", "C"))
-        acc.add(p_g - (1.0 - p_0) * conf, tols.exact, ev.labels["nc"])
+        acc.add(p_g - (1.0 - p_0) * conf, tols.exact, ev.points["nc"])
 
 
 @_check("bounds/table-report", ("bounds.table1_report", "bounds.gap"))
@@ -944,10 +946,6 @@ def _chk_table(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     acc.ok(not table1_report(1.0, 0.5, 0.5, tols).usd_possible, "c=1 usd flag")
 
 
-def _error(exc: CtxsdError) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
 def verify_all(points: int, tols: Tolerances = DEFAULTS) -> VerifyReport:
     """Build the shared evaluation pass at the given grid density, then run
     every named check on it.
@@ -962,14 +960,15 @@ def verify_all(points: int, tols: Tolerances = DEFAULTS) -> VerifyReport:
     try:
         ev = _Pass(points)
     except CtxsdError as exc:  # no route can be compared: every check fails
-        return VerifyReport(points, tuple(CheckResult(name, ops, False, math.inf, _error(exc))
-                                          for name, ops, _ in _CHECKS))
+        return VerifyReport(points, tuple(
+            CheckResult(name, ops, False, math.inf, f"{type(exc).__name__}: {exc}", 0.0, math.inf,
+                        0.0) for name, ops, _ in _CHECKS))
     results = []
     for name, ops, fn in _CHECKS:
-        acc = _Acc()
+        acc, start = _Acc(), time.perf_counter()
         try:
             fn(ev, tols, acc)
         except CtxsdError as exc:  # a broken route is that check's failure
-            acc.ok(False, _error(exc))
-        results.append(acc.result(name, ops))
+            acc.ok(False, f"{type(exc).__name__}: {exc}")
+        results.append(acc.result(name, ops, time.perf_counter() - start))
     return VerifyReport(points, tuple(results))

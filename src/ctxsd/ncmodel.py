@@ -16,6 +16,15 @@ The module provides the canonical weight assignment, the explicit
 noncontextual strategies (omega-mixed guessing, unambiguous gamma-family),
 their closed-form figures of merit, and brute-force oracles that optimise
 each figure independently of those closed forms.
+
+The model is array-aware, with one code path. ``canonical_scenario`` given
+equal-shape arrays of c and p builds a stack of scenarios, indexed like an
+array; its epistemic states hold (..., 4) weight arrays, response sets hold
+(..., 4) response arrays, and every function and oracle broadcasts over
+those leading axes. Floats in give floats out: a point is a stack of one.
+Inner products over the regions are summed in region order, so a stack and
+each of its points agree bit for bit, and a typed error raised for a stack
+names its first offending point.
 """
 
 from __future__ import annotations
@@ -67,21 +76,50 @@ class Region(IntEnum):
     Sm1m2 = 3
 
 
+def _dot(w, v):
+    """Inner product over the last (region) axis, broadcast over the leading
+    axes and summed in region order, so a stack and each of its points agree
+    bit for bit."""
+    t = (w * v).T  # regions first, so a point's terms are numpy scalars
+    return (t[0] + t[1] + t[2] + t[3]).T
+
+
+def _value(x):
+    """A result over no leading axes as a float; a stack's as its array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _first(x, bad) -> float:
+    """The entry of ``x`` (broadcast over ``bad``) at the first True of ``bad``."""
+    k = np.unravel_index(np.argmax(bad), np.shape(bad))
+    return float(np.broadcast_to(x, np.shape(bad))[k])
+
+
 class EpistemicState:
-    """Probability weights over the four regions."""
+    """Probability weights over the four regions: a (4,) array, or a (..., 4)
+    stack of them."""
 
     __slots__ = ("_w",)
 
     def __init__(self, weights) -> None:
         w = np.array(weights, dtype=float)
-        if w.shape != (4,):
+        if w.shape[-1:] != (4,):
             raise ContractError(f"expected 4 region weights, got shape {w.shape}")
-        if not np.all(w >= 0.0):
+        if not (w >= 0.0).all():
             raise DomainError("region weights must be nonnegative")
-        if not abs(float(w.sum()) - 1.0) <= DEFAULTS.norm:
-            raise DomainError(f"region weights sum to {w.sum()}, expected 1")
+        total = w.sum(axis=-1)
+        unnormalised = ~(np.abs(total - 1.0) <= DEFAULTS.norm)
+        if unnormalised.any():
+            raise DomainError(f"region weights sum to {_first(total, unnormalised)}, expected 1")
         w.flags.writeable = False
         self._w = w
+
+    @classmethod
+    def _part(cls, weights: np.ndarray) -> "EpistemicState":
+        """A read-only part of weights already validated as a larger stack."""
+        state = object.__new__(cls)
+        state._w = weights
+        return state
 
     @property
     def weights(self) -> np.ndarray:
@@ -97,7 +135,8 @@ class EpistemicState:
 
 
 class ResponseSet:
-    """Response vectors for outcomes "1", "2" and the inconclusive "0".
+    """Response vectors for outcomes "1", "2" and the inconclusive "0", each
+    a (4,) array or a (..., 4) stack of equal shape.
 
     A valid measurement responds with probabilities in [0, 1] that sum to
     one region by region.
@@ -106,19 +145,20 @@ class ResponseSet:
     __slots__ = ("_xi1", "_xi2", "_xi0")
 
     def __init__(self, xi1, xi2, xi0) -> None:
-        vecs = []
-        for name, raw in (("1", xi1), ("2", xi2), ("0", xi0)):
-            v = np.array(raw, dtype=float)
-            if v.shape != (4,):
-                raise ContractError(f"response {name} must have 4 entries")
-            if not np.all((v >= -DEFAULTS.norm) & (v <= 1.0 + DEFAULTS.norm)):
-                raise DomainError(f"response {name} leaves [0, 1]")
-            v.flags.writeable = False
-            vecs.append(v)
-        total = vecs[0] + vecs[1] + vecs[2]
-        if not np.max(np.abs(total - 1.0)) <= DEFAULTS.norm:
+        try:
+            xi = np.array((xi1, xi2, xi0), dtype=float)
+        except ValueError:
+            raise ContractError("responses 1, 2 and 0 must have equal shapes") from None
+        if xi.shape[-1:] != (4,):
+            raise ContractError(f"responses must have 4 entries per point, got {xi.shape[1:]}")
+        outside = ~((xi >= -DEFAULTS.norm) & (xi <= 1.0 + DEFAULTS.norm))
+        if outside.any():
+            name = ("1", "2", "0")[np.argmax(outside.reshape(3, -1).any(axis=1))]
+            raise DomainError(f"response {name} leaves [0, 1]")
+        if not (np.abs(xi[0] + xi[1] + xi[2] - 1.0) <= DEFAULTS.norm).all():
             raise DomainError("responses must sum to 1 pointwise")
-        self._xi1, self._xi2, self._xi0 = vecs
+        xi.flags.writeable = False
+        self._xi1, self._xi2, self._xi0 = xi
 
     @property
     def xi1(self) -> np.ndarray:
@@ -139,12 +179,25 @@ class ResponseSet:
         )
 
 
+_STATES = ("prep1", "prep2", "mirror1", "mirror2", "mixed", "noisy1", "noisy2")
+# Where the four pure states put their mass c (the shared support, or Sm1m2
+# for a mirror) and their mass 1 - c (the private region).
+_PURE = np.arange(4)
+_SHARED = np.array([Region.S12, Region.S12, Region.Sm1m2, Region.Sm1m2])
+_PRIVATE = np.array([Region.S1m2, Region.Sm12, Region.Sm12, Region.S1m2])
+
+
 @dataclass(frozen=True, eq=False)
 class NcScenario:
-    """Canonical epistemic states at confusability c and noise p."""
+    """Canonical epistemic states at confusability c and noise p.
 
-    c: float
-    p: float
+    ``c`` and ``p`` are floats, or equal-shape arrays for a stack of
+    scenarios; ``scn[k]`` is the scenario (or stack) at the index ``k`` of
+    those leading axes.
+    """
+
+    c: float | np.ndarray
+    p: float | np.ndarray
     prep1: EpistemicState
     prep2: EpistemicState
     mirror1: EpistemicState
@@ -156,22 +209,34 @@ class NcScenario:
     def __post_init__(self) -> None:
         left = 0.5 * self.prep1.weights + 0.5 * self.mirror1.weights
         right = 0.5 * self.prep2.weights + 0.5 * self.mirror2.weights
-        if not np.array_equal(left, right):
-            raise ContractError("mirror preparation equivalence violated")
-        if self.prep1.weights[Region.S12] != self.prep2.weights[Region.S12]:
-            raise ContractError("preparations must agree on the shared support")
+        broken = (left != right).any(axis=-1)
+        if broken.any():
+            raise ContractError("mirror preparation equivalence violated" + _at(broken, self))
+        apart = self.prep1.weights[..., Region.S12] != self.prep2.weights[..., Region.S12]
+        if apart.any():
+            raise ContractError("preparations must agree on the shared support" + _at(apart, self))
+
+    def __getitem__(self, k) -> "NcScenario":
+        return NcScenario(np.asarray(self.c)[k], np.asarray(self.p)[k],
+                          *(EpistemicState._part(getattr(self, s).weights[k]) for s in _STATES))
+
+
+def _at(bad, scn: NcScenario) -> str:
+    """Where a stacked check failed: the (c, p) of the first True of ``bad``."""
+    return f" at c={_first(scn.c, bad)!r}, p={_first(scn.p, bad)!r}"
 
 
 class NcFigures(NamedTuple):
-    """Figures of merit of one response set; None marks an outcome that never fires."""
+    """Figures of merit of one response set: floats, or arrays for a stack.
+    A confidence is None for an outcome that never fires (NaN in a stack)."""
 
-    p_g: float
-    p_0: float
-    c1: Optional[float]
-    c2: Optional[float]
+    p_g: float | np.ndarray
+    p_0: float | np.ndarray
+    c1: Optional[float] | np.ndarray
+    c2: Optional[float] | np.ndarray
 
 
-def canonical_scenario(c: float, p: float) -> NcScenario:
+def canonical_scenario(c: float | np.ndarray, p: float | np.ndarray) -> NcScenario:
     """Canonical region weights induced by the mirror equivalence.
 
     prep1 = (c, 1-c, 0, 0) and prep2 = (c, 0, 1-c, 0): each preparation puts
@@ -179,37 +244,46 @@ def canonical_scenario(c: float, p: float) -> NcScenario:
     mirrors swap private regions and place their shared mass c on Sm1m2, so
     the even mixture of a state with its mirror is the same vector for both
     pairs. Noisy states mix each preparation with that even mixture.
+
+    ``c`` and ``p`` are floats, or equal-shape arrays for a stack of
+    scenarios. The seven weight vectors are built as one (..., 7, 4) array
+    and validated once: nonnegative with unit sums here, mirror equivalence
+    and the shared support by ``NcScenario``.
     """
-    if not 0.0 <= c <= 1.0:
+    cs, ps = np.asarray(c, dtype=float), np.asarray(p, dtype=float)
+    if cs.shape != ps.shape:
+        raise ContractError(f"c and p must have equal shapes, got {cs.shape} and {ps.shape}")
+    if not _in_unit(cs):
         raise DomainError(f"confusability must lie in [0, 1], got {c}")
-    if not 0.0 <= p <= 1.0:
+    if not _in_unit(ps):
         raise DomainError(f"noise must lie in [0, 1], got {p}")
-    prep1 = EpistemicState((c, 1.0 - c, 0.0, 0.0))
-    prep2 = EpistemicState((c, 0.0, 1.0 - c, 0.0))
-    mirror1 = EpistemicState((0.0, 0.0, 1.0 - c, c))
-    mirror2 = EpistemicState((0.0, 1.0 - c, 0.0, c))
-    mixed = EpistemicState(0.5 * prep1.weights + 0.5 * mirror1.weights)
-    noisy1 = EpistemicState((1.0 - p) * prep1.weights + p * mixed.weights)
-    noisy2 = EpistemicState((1.0 - p) * prep2.weights + p * mixed.weights)
-    return NcScenario(c, p, prep1, prep2, mirror1, mirror2, mixed, noisy1, noisy2)
+    w = np.zeros((*cs.shape, 7, 4))
+    w[..., _PURE, _SHARED] = cs[..., None]
+    w[..., _PURE, _PRIVATE] = 1.0 - cs[..., None]
+    w[..., 4, :] = 0.5 * w[..., 0, :] + 0.5 * w[..., 2, :]  # mixed
+    q = ps[..., None, None]
+    w[..., 5:, :] = (1.0 - q) * w[..., :2, :] + q * w[..., 4:5, :]  # noisy1, noisy2
+    w = EpistemicState(w).weights
+    return NcScenario(c if cs.ndim == 0 else cs, p if ps.ndim == 0 else ps,
+                      *(EpistemicState._part(w[..., i, :]) for i in range(len(_STATES))))
 
 
-def nc_prob(mu: EpistemicState, xi) -> float:
+def nc_prob(mu: EpistemicState, xi) -> float | np.ndarray:
     """Outcome probability: the inner product of weights and responses."""
     v = np.asarray(xi, dtype=float)
-    if v.shape != (4,):
+    if v.shape[-1:] != (4,):
         raise ContractError("response vector must have 4 entries")
-    if not np.all((v >= -DEFAULTS.norm) & (v <= 1.0 + DEFAULTS.norm)):
+    if not ((v >= -DEFAULTS.norm) & (v <= 1.0 + DEFAULTS.norm)).all():
         raise DomainError("response values must lie in [0, 1]")
-    return float(mu.weights @ v)
+    return _value(_dot(mu.weights, v))
 
 
-def confusability(a: EpistemicState, b: EpistemicState) -> float:
+def confusability(a: EpistemicState, b: EpistemicState) -> float | np.ndarray:
     """Mass of b on the support of a."""
-    return float(b.weights[a.support].sum())
+    return _value(_dot(a.support, b.weights))
 
 
-def mesd_mixed_strategy(omega: float) -> ResponseSet:
+def mesd_mixed_strategy(omega: float | np.ndarray) -> ResponseSet:
     """Omega-mixture of the two optimal-guessing strategies.
 
     The first strategy answers "1" exactly on the support of preparation 1,
@@ -217,14 +291,27 @@ def mesd_mixed_strategy(omega: float) -> ResponseSet:
     with weight omega yields xi1 = (omega, 1, 0, 1-omega) and
     xi2 = (1-omega, 0, 1, omega). There is no inconclusive response.
     """
-    if not 0.0 <= omega <= 1.0:
+    if not _in_unit(omega):
         raise DomainError(f"omega must lie in [0, 1], got {omega}")
-    xi1 = np.array([omega, 1.0, 0.0, 1.0 - omega])
-    xi2 = np.array([1.0 - omega, 0.0, 1.0, omega])
-    return ResponseSet(xi1, xi2, np.zeros(4))
+    w = np.asarray(omega, dtype=float)[..., None]
+    # omega times 1, -1 or 0 is exact, so each entry is omega, a constant or
+    # 1 - omega rounded once, as 1.0 - omega is
+    xi1 = w * np.array([1.0, 0.0, 0.0, -1.0]) + np.array([0.0, 1.0, 0.0, 1.0])
+    xi2 = w * np.array([-1.0, 0.0, 0.0, 1.0]) + np.array([1.0, 0.0, 1.0, 0.0])
+    return ResponseSet(xi1, xi2, np.zeros_like(xi1))
 
 
-def usd_response(gamma1: float, gamma2: float) -> ResponseSet:
+# Region patterns of the responses available to a conclusive outcome: a
+# conclusive response is a scaled copy of the indicator of the identifying
+# mirror support, uniformly across it (it represents a rescaling of the
+# measurement that separates the competing preparation from its mirror).
+_IDENTIFYING = {
+    1: np.array([0.0, 1.0, 0.0, 1.0]),
+    2: np.array([0.0, 0.0, 1.0, 1.0]),
+}
+
+
+def usd_response(gamma1: float | np.ndarray, gamma2: float | np.ndarray) -> ResponseSet:
     """Unambiguous-form responses: xi_i = gamma_i on the identifying support.
 
     Outcome 1 responds uniformly on the mirror-2 support (S1m2, Sm1m2),
@@ -233,36 +320,44 @@ def usd_response(gamma1: float, gamma2: float) -> ResponseSet:
     shared mirror region.
     """
     for g in (gamma1, gamma2):
-        if not 0.0 <= g <= 1.0:
+        if not _in_unit(g):
             raise DomainError(f"weights must lie in [0, 1], got {g}")
-    if gamma1 + gamma2 > 1.0 + DEFAULTS.norm:
-        raise InfeasibleWeightsError(
-            f"gamma1 + gamma2 = {gamma1 + gamma2} exceeds 1"
-        )
-    xi1 = np.array([0.0, gamma1, 0.0, gamma1])
-    xi2 = np.array([0.0, 0.0, gamma2, gamma2])
-    xi0 = np.array([1.0, 1.0 - gamma1, 1.0 - gamma2, 1.0 - gamma1 - gamma2])
-    return ResponseSet(xi1, xi2, xi0)
+    g1, g2 = np.broadcast_arrays(np.asarray(gamma1, dtype=float), np.asarray(gamma2, dtype=float))
+    total = g1 + g2
+    over = total > 1.0 + DEFAULTS.norm
+    if over.any():
+        raise InfeasibleWeightsError(f"gamma1 + gamma2 = {_first(total, over)} exceeds 1")
+    xi1, xi2 = g1[..., None] * _IDENTIFYING[1], g2[..., None] * _IDENTIFYING[2]
+    return ResponseSet(xi1, xi2, 1.0 - xi1 - xi2)
+
+
+def _pair(scn: NcScenario, noisy: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of the two discriminated states, pure or noisy."""
+    if noisy:
+        return scn.noisy1.weights, scn.noisy2.weights
+    return scn.prep1.weights, scn.prep2.weights
 
 
 def nc_figures(scn: NcScenario, rs: ResponseSet, noisy: bool = False) -> NcFigures:
     """Evaluate all four figures of merit for the equiprobable pair.
 
-    Confidences come back as None for an outcome with zero probability.
+    A scenario stack and a response stack broadcast against each other.
+    Confidences come back as None for an outcome with zero probability, as
+    NaN at such a point of a stack.
     """
-    s1 = scn.noisy1 if noisy else scn.prep1
-    s2 = scn.noisy2 if noisy else scn.prep2
-    avg = 0.5 * (s1.weights + s2.weights)
-    p_g = 0.5 * (float(s1.weights @ rs.xi1) + float(s2.weights @ rs.xi2))
-    p_0 = float(avg @ rs.xi0)
+    s1, s2 = _pair(scn, noisy)
+    avg = 0.5 * (s1 + s2)
 
-    def conf(own: EpistemicState, xi: np.ndarray) -> Optional[float]:
-        den = float(avg @ xi)
-        if den <= 0.0:
-            return None
-        return 0.5 * float(own.weights @ xi) / den
+    def conf(own: np.ndarray, xi: np.ndarray):
+        den = _dot(avg, xi)
+        fires = den > 0.0
+        value = np.where(fires, 0.5 * _dot(own, xi) / np.where(fires, den, 1.0), math.nan)
+        if value.ndim == 0:
+            return float(value) if fires else None
+        return value
 
-    return NcFigures(p_g, p_0, conf(s1, rs.xi1), conf(s2, rs.xi2))
+    return NcFigures(_value(0.5 * (_dot(s1, rs.xi1) + _dot(s2, rs.xi2))),
+                     _value(_dot(avg, rs.xi0)), conf(s1, rs.xi1), conf(s2, rs.xi2))
 
 
 def _in_unit(x) -> bool:
@@ -321,78 +416,61 @@ def omega_star(c: float) -> float:
 # ---------------------------------------------------------------------------
 # brute-force oracles
 
-_VERTEX_CHOICES = ((1.0, 0.0), (0.0, 1.0), (0.0, 0.0))
+# The 3^4 assignments of a corner of the triangle {xi1, xi2 >= 0,
+# xi1 + xi2 <= 1} to each region, (81, 4, 2), the first region varying
+# slowest.
+_VERTICES = np.array(list(itertools.product(((1.0, 0.0), (0.0, 1.0), (0.0, 0.0)), repeat=4)))
 
-# Region patterns of the responses available to a conclusive outcome: a
-# conclusive response is a scaled copy of the indicator of the identifying
-# mirror support, uniformly across it (it represents a rescaling of the
-# measurement that separates the competing preparation from its mirror).
-_IDENTIFYING = {
-    1: np.array([0.0, 1.0, 0.0, 1.0]),
-    2: np.array([0.0, 0.0, 1.0, 1.0]),
-}
-
-
-def oracle_max_pg(scn: NcScenario, noisy: bool = False) -> tuple[ResponseSet, float]:
+def oracle_max_pg(scn: NcScenario, noisy: bool = False) -> tuple[ResponseSet, float | np.ndarray]:
     """Maximise the guessing probability over every valid response set.
 
     The objective is linear in the two conclusive responses region by
     region, and the per-region feasible set {xi1, xi2 >= 0, xi1 + xi2 <= 1}
     is a triangle, so an optimum sits on one of the 3^4 assignments of its
-    corners; all 81 are enumerated.
+    corners; all 81 are enumerated, and the first of equal maxima wins.
     """
-    s1 = (scn.noisy1 if noisy else scn.prep1).weights
-    s2 = (scn.noisy2 if noisy else scn.prep2).weights
-    best = -1.0
-    best_assign = None
-    for assign in itertools.product(_VERTEX_CHOICES, repeat=4):
-        p_g = 0.5 * sum(s1[r] * a[0] + s2[r] * a[1] for r, a in enumerate(assign))
-        if p_g > best:
-            best = p_g
-            best_assign = assign
-    xi1 = np.array([a[0] for a in best_assign])
-    xi2 = np.array([a[1] for a in best_assign])
-    return ResponseSet(xi1, xi2, 1.0 - xi1 - xi2), best
+    s1, s2 = (w[..., None, :] for w in _pair(scn, noisy))
+    terms = s1 * _VERTICES[..., 0] + s2 * _VERTICES[..., 1]
+    p_g = 0.5 * (terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3])
+    best = np.argmax(p_g, axis=-1)
+    xi1, xi2 = _VERTICES[best, :, 0], _VERTICES[best, :, 1]
+    value = np.take_along_axis(p_g, best[..., None], axis=-1)[..., 0]
+    return ResponseSet(xi1, xi2, 1.0 - xi1 - xi2), _value(value)
 
 
 def oracle_max_confidence(
     scn: NcScenario, outcome: int, noisy: bool = False
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Maximise one conclusive confidence over that outcome's responses.
 
     Candidates are the one-parameter family gamma * identifying-indicator
     (see ``usd_response``). The confidence is a ratio of two terms linear
     in gamma, so gamma cancels and the family is one vertex: the gamma = 1
     representative, the member with the largest outcome probability, is
-    returned.
+    returned for each point.
     """
     if outcome not in (1, 2):
         raise ContractError(f"outcome must be 1 or 2, got {outcome}")
-    own = (scn.noisy1 if noisy else scn.prep1) if outcome == 1 else (
-        scn.noisy2 if noisy else scn.prep2
-    )
-    other = (scn.noisy2 if noisy else scn.prep2) if outcome == 1 else (
-        scn.noisy1 if noisy else scn.prep1
-    )
+    own, other = _pair(scn, noisy)[:: 1 if outcome == 1 else -1]
     pattern = _IDENTIFYING[outcome]
-    num = float(own.weights @ pattern)
-    den = 0.5 * (num + float(other.weights @ pattern))
-    if den <= 0.0:
-        raise UndefinedConfidenceError(
-            f"outcome {outcome} never fires on this scenario"
-        )
-    return pattern.copy(), 0.5 * num / den
+    num = _dot(own, pattern)
+    den = 0.5 * (num + _dot(other, pattern))
+    dead = den <= 0.0
+    if dead.any():
+        raise UndefinedConfidenceError(f"outcome {outcome} never fires" + _at(dead, scn))
+    return np.broadcast_to(pattern, own.shape).copy(), _value(0.5 * num / den)
 
 
 # Vertices of the triangle {gamma1, gamma2 >= 0, gamma1 + gamma2 <= 1}, plus
 # the symmetric point of the hypotenuse, which the minimiser prefers on ties.
-_FACE_CANDIDATES = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5))
+_FACE_CANDIDATES = np.array(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5)))
+_FACE_SYMMETRY = _FACE_CANDIDATES.min(axis=1)  # min(gamma1, gamma2)
 
 # How far a confidence may sit from its maximum on the returned point.
 _CONFIDENCE_FACE = 1e-10
 
 
-def oracle_min_p0_at_max_confidence(scn: NcScenario) -> tuple[ResponseSet, float]:
+def oracle_min_p0_at_max_confidence(scn: NcScenario) -> tuple[ResponseSet, float | np.ndarray]:
     """Smallest inconclusive rate among response sets with both conclusive
     confidences at their maxima.
 
@@ -400,30 +478,31 @@ def oracle_min_p0_at_max_confidence(scn: NcScenario) -> tuple[ResponseSet, float
     maximal-confidence face is the triangle {gamma_i > 0,
     gamma1 + gamma2 <= 1} and the rate is linear on it; vertex enumeration
     of the triangle finds the minimum, preferring the symmetric point of
-    the hypotenuse among ties. Membership of the face is re-checked on the
-    returned point.
+    the hypotenuse among ties (within 1e-15). Membership of the face is
+    re-checked on the returned point.
     """
     target1 = oracle_max_confidence(scn, 1, noisy=True)[1]
     target2 = oracle_max_confidence(scn, 2, noisy=True)[1]
     avg = 0.5 * (scn.noisy1.weights + scn.noisy2.weights)
-    mass1 = float(avg @ _IDENTIFYING[1])
-    mass2 = float(avg @ _IDENTIFYING[2])
+    mass1, mass2 = _dot(avg, _IDENTIFYING[1]), _dot(avg, _IDENTIFYING[2])
 
-    best_p0 = math.inf
-    best_pair = (0.0, 0.0)
-    for g1, g2 in _FACE_CANDIDATES:
+    # candidates in order: a later one wins if its rate is lower by more than
+    # 1e-15, or within 1e-15 of the best and more symmetric
+    best, best_p0 = np.zeros(np.shape(mass1), dtype=int), math.inf
+    for k, (g1, g2) in enumerate(_FACE_CANDIDATES):
         p_0 = 1.0 - g1 * mass1 - g2 * mass2
-        better = p_0 < best_p0 - 1e-15
-        tie = abs(p_0 - best_p0) <= 1e-15 and min(g1, g2) > min(*best_pair)
-        if better or tie:
-            best_p0 = p_0
-            best_pair = (g1, g2)
+        tie = (np.abs(p_0 - best_p0) <= 1e-15) & (_FACE_SYMMETRY[k] > _FACE_SYMMETRY[best])
+        take = (p_0 < best_p0 - 1e-15) | tie
+        best, best_p0 = np.where(take, k, best), np.where(take, p_0, best_p0)
 
-    rs = usd_response(*best_pair)
+    gammas = _FACE_CANDIDATES[best]
+    rs = usd_response(gammas[..., 0], gammas[..., 1])
     figs = nc_figures(scn, rs, noisy=True)
     for got, want in ((figs.c1, target1), (figs.c2, target2)):
-        if got is None or abs(got - want) > _CONFIDENCE_FACE:
-            raise ContractError("minimiser left the maximal-confidence face")
+        # a point whose outcome never fires (None, or NaN in a stack) is off
+        off = ~(np.abs(np.asarray(got, dtype=float) - want) <= _CONFIDENCE_FACE)
+        if off.any():
+            raise ContractError("minimiser left the maximal-confidence face" + _at(off, scn))
     return rs, figs.p_0
 
 

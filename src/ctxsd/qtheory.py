@@ -397,11 +397,12 @@ def usd_optimal(ens: Ensemble) -> tuple[Povm, float]:
     gamma1 + gamma2 while the feasible set is convex and symmetric under
     swapping the weights, so the optimum sits at the largest symmetric
     weight with pi_0 still positive semidefinite, 1/lambda_max of the sum
-    of the two mirror projectors. Coincident states admit no unambiguous
-    measurement and raise.
+    of the two mirror projectors. Only coincident states (the same ray,
+    theta = 0) admit no unambiguous measurement and raise; any distinct
+    pair, however close, has one.
     """
     psi1, psi2 = _pure_pair_of(ens)
-    if ens.overlap_sq >= 1.0 - DEFAULTS.norm:
+    if psi1.amp0 * psi2.amp1 == psi1.amp1 * psi2.amp0:
         raise UsdImpossibleError("states are linearly dependent")
     p1 = mirror(psi2).projector()
     p2 = mirror(psi1).projector()

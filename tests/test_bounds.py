@@ -14,6 +14,8 @@ from ctxsd.bounds import (
     eval_bound,
     eval_column,
     gap,
+    is_advantage,
+    oriented_gap,
     overlap_from_confusability,
     table1_report,
 )
@@ -280,6 +282,18 @@ def test_gap_orientation_for_inconclusive_rate():
     )
     assert cert.gap < 0  # quantum rate is smaller
     assert cert.advantage
+
+
+def test_advantage_rule_of_a_column_is_the_rule_of_gap():
+    cs = np.linspace(0.0, 1.0, 21)
+    for scheme, figure in (("MESD", "P_g"), ("USD", "P_0")):
+        specs = [BoundSpec(scheme, figure, theory, c=0.5) for theory in (QUANTUM, NONCONTEXTUAL)]
+        signed = eval_column(specs[0], "c", cs) - eval_column(specs[1], "c", cs)
+        flags = is_advantage(figure, signed)
+        for c, flag, diff in zip(cs, flags, oriented_gap(figure, signed)):
+            cert = gap(*(BoundSpec(scheme, figure, s.theory, c=float(c)) for s in specs))
+            assert flag == cert.advantage
+            assert diff == (-cert.gap if figure == "P_0" else cert.gap)
 
 
 def test_gap_confidence_arms_outside_window():

@@ -425,6 +425,73 @@ def test_verify_builds_the_mcm_measurements_in_one_stack(monkeypatch):
     assert calls["noisy_ensemble"] <= 21 + 1
 
 
+def test_verify_builds_the_nc_scenarios_in_one_stack(monkeypatch):
+    names = ("canonical_scenario", "oracle_max_pg", "oracle_max_confidence",
+             "oracle_min_p0_at_max_confidence")
+    seen = {}
+    for points in (5, 21):
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name):
+            original = getattr(ncmodel, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(harness, "ncmodel", types.SimpleNamespace(**{
+            **vars(ncmodel), **{name: counted(name) for name in names}}))
+        assert verify_all(points).passed
+        seen[points] = calls
+    assert seen[5] == seen[21]  # independent of the grid density
+    assert all(1 <= count <= 3 for count in seen[21].values()), seen
+
+
+def test_verify_all_passes_at_101_points():
+    report = verify_all(101)
+    assert report.passed, report.render()
+    assert len(report.covered_ops) == 26
+
+
+def test_check_results_report_limit_headroom_and_wall_time():
+    for tols, passed in ((config.DEFAULTS, True), (replace(config.DEFAULTS, exact=1e-18), False)):
+        report = verify_all(5, tols)
+        assert report.passed is passed
+        for ch in report.checks:
+            assert ch.wall_s >= 0.0
+            assert ch.passed == (ch.headroom <= 1.0)
+            if ch.limit > 0.0:
+                assert ch.headroom == ch.max_dev / ch.limit
+            else:
+                assert ch.headroom == (math.inf if ch.max_dev > 0.0 else 0.0)
+
+
+def test_cli_verify_json(capsys):
+    assert cli.main(["verify", "--points", "5", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is True and report["points"] == 5
+    assert report["operations_exercised"] == 26 and report["missing_ops"] == []
+    assert [ch["name"] for ch in report["checks"]] == [name for name, _, _ in harness._CHECKS]
+    closest = max(report["checks"], key=lambda ch: ch["headroom"])
+    assert 0.0 < closest["headroom"] <= 1.0 and closest["worst"]
+    assert all(set(ch) == {"name", "passed", "max_dev", "limit", "headroom", "worst",
+                           "wall_s", "ops"} for ch in report["checks"])
+
+
+def test_cli_verify_json_writes_null_for_a_failed_pass_fail_item(monkeypatch, capsys):
+    def broken(c):
+        raise DomainError("omega* broken")
+
+    monkeypatch.setattr(harness, "ncmodel", types.SimpleNamespace(**{
+        **vars(ncmodel), "omega_star": broken}))
+    assert cli.main(["verify", "--points", "5", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    failed = [ch for ch in report["checks"] if not ch["passed"]]
+    assert {ch["name"] for ch in failed} == {"ncmodel/omega-star", "bounds/mesd-confidence-window"}
+    assert all(ch["headroom"] is None and ch["max_dev"] is None for ch in failed)
+
+
 def test_relation_table_homes_each_route_once():
     homes = {}
     for check, _, route, _, _ in harness._RELATIONS:

@@ -1,10 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from ctxsd import ncmodel as nc
-from ctxsd.errors import DivergenceError, DomainError, InfeasibleWeightsError
+from ctxsd.errors import (
+    ContractError,
+    DivergenceError,
+    DomainError,
+    InfeasibleWeightsError,
+    UndefinedConfidenceError,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -375,3 +382,154 @@ def test_nc_mcm_guessing_factorises():
 def test_region_enum_is_the_documented_order():
     assert [r.name for r in nc.Region] == ["S12", "S1m2", "Sm12", "Sm1m2"]
     assert list(nc.Region) == [0, 1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# stacks: every op broadcasts, and a stack equals its points bit for bit
+
+_EDGE = [1e-16, 0.5 - 1e-16, float(np.nextafter(1.0, 0.0))]
+_AXIS = np.union1d(np.linspace(0.0, 1.0, 21), _EDGE)  # c = 1 and p = 1 give the ties
+
+
+def _same(stacked, point):
+    """``==`` of a stacked entry and a scalar result; NaN in a stack stands
+    for None (an outcome that never fires)."""
+    if point is None:
+        return bool(np.isnan(stacked))
+    return bool(np.all(stacked == point))
+
+
+def _grid_scenario():
+    c, p = np.meshgrid(_AXIS, _AXIS, indexing="ij")
+    return c, p, nc.canonical_scenario(c, p)
+
+
+def test_stacked_scenario_and_responses_equal_their_points():
+    c, p, stack = _grid_scenario()
+    omega = _AXIS
+    strategies = nc.mesd_mixed_strategy(omega)
+    g1 = omega[::-1] * 0.5
+    responses = nc.usd_response(g1, omega * 0.5)
+    for k in np.ndindex(c.shape):
+        point = nc.canonical_scenario(float(c[k]), float(p[k]))
+        assert isinstance(point.c, float) and stack[k].c == point.c
+        for name in ("prep1", "prep2", "mirror1", "mirror2", "mixed", "noisy1", "noisy2"):
+            assert _same(getattr(stack, name).weights[k], getattr(point, name).weights)
+        for a, b in (("prep1", "prep2"), ("prep1", "mirror1"), ("prep1", "mirror2")):
+            got = nc.confusability(getattr(stack, a), getattr(stack, b))[k]
+            assert _same(got, nc.confusability(getattr(point, a), getattr(point, b)))
+        xi = responses.xi0[k[1]]
+        assert _same(nc.nc_prob(stack.mixed, responses.xi0[None, :])[k],
+                     nc.nc_prob(point.mixed, xi))
+    for j, w in enumerate(omega):
+        scalar = nc.mesd_mixed_strategy(float(w))
+        assert _same(strategies.xi1[j], scalar.xi1) and _same(strategies.xi2[j], scalar.xi2)
+        scalar = nc.usd_response(float(g1[j]), float(omega[j] * 0.5))
+        assert _same(responses.xi0[j], scalar.xi0)
+
+
+def test_stacked_figures_equal_their_points():
+    c, p, stack = _grid_scenario()
+    omega = np.array([0.0, 0.3, 0.5, 1.0])
+    g1, g2 = np.array([0.0, 0.5, 1.0, 0.2]), np.array([0.0, 0.5, 0.0, 0.3])
+    cases = [(nc.mesd_mixed_strategy(omega), [nc.mesd_mixed_strategy(float(w)) for w in omega]),
+             (nc.usd_response(g1, g2), [nc.usd_response(float(a), float(b)) for a, b in zip(g1, g2)])]
+    points = {k: nc.canonical_scenario(float(c[k]), float(p[k])) for k in np.ndindex(c.shape)}
+    for responses, each in cases:
+        for noisy in (False, True):
+            figs = nc.nc_figures(stack[:, :, None], responses, noisy=noisy)  # (c, p, response)
+            for k in np.ndindex(figs.p_g.shape):
+                want = nc.nc_figures(points[k[:2]], each[k[2]], noisy=noisy)
+                for got, expected in zip(figs, want):
+                    assert _same(got[k], expected), (k, got[k], expected)
+
+
+def test_stacked_closed_forms_equal_their_points():
+    c, w = np.meshgrid(_AXIS, _AXIS, indexing="ij")
+    c1, c2 = nc.nc_mesd_confidences(c, w)
+    guess = nc.nc_mcm_guessing(c, w)
+    for k in np.ndindex(c.shape):
+        assert (c1[k], c2[k]) == nc.nc_mesd_confidences(float(c[k]), float(w[k]))
+        assert guess[k] == nc.nc_mcm_guessing(float(c[k]), float(w[k]))
+
+
+def test_stacked_oracles_equal_their_points():
+    c, p, stack = _grid_scenario()
+    regular = ~((c == 1.0) & (p == 0.0))  # both outcomes fire
+    nc_stack = stack[regular]
+    pg = {noisy: nc.oracle_max_pg(stack, noisy=noisy) for noisy in (False, True)}
+    conf = {i: nc.oracle_max_confidence(nc_stack, i, noisy=True) for i in (1, 2)}
+    rs, p_0 = nc.oracle_min_p0_at_max_confidence(nc_stack)
+    for row, k in enumerate(zip(*np.nonzero(regular))):
+        point = nc.canonical_scenario(float(c[k]), float(p[k]))
+        for noisy, (witness, value) in pg.items():
+            one_rs, one = nc.oracle_max_pg(point, noisy=noisy)
+            assert isinstance(one, float) and value[k] == one
+            assert _same(witness.xi1[k], one_rs.xi1) and _same(witness.xi2[k], one_rs.xi2)
+        for i, (pattern, value) in conf.items():
+            one_pattern, one = nc.oracle_max_confidence(point, i, noisy=True)
+            assert value[row] == one and _same(pattern[row], one_pattern)
+        one_rs, one = nc.oracle_min_p0_at_max_confidence(point)
+        assert p_0[row] == one
+        assert _same(rs.xi1[row], one_rs.xi1) and _same(rs.xi2[row], one_rs.xi2)
+
+
+def _loop_max_pg(s1, s2):
+    """Reference: the 81 vertices in product order, the first of equal maxima."""
+    best, best_assign = -1.0, None
+    for assign in itertools.product(((1.0, 0.0), (0.0, 1.0), (0.0, 0.0)), repeat=4):
+        p_g = 0.5 * sum(s1[r] * a[0] + s2[r] * a[1] for r, a in enumerate(assign))
+        if p_g > best:
+            best, best_assign = p_g, assign
+    return best, [a[0] for a in best_assign], [a[1] for a in best_assign]
+
+
+def _loop_min_p0(mass1, mass2):
+    """Reference: the four face candidates in order, preferring the symmetric
+    point among rates within 1e-15."""
+    best_p0, best_pair = math.inf, (0.0, 0.0)
+    for g1, g2 in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5)):
+        p_0 = 1.0 - g1 * mass1 - g2 * mass2
+        tie = abs(p_0 - best_p0) <= 1e-15 and min(g1, g2) > min(*best_pair)
+        if p_0 < best_p0 - 1e-15 or tie:
+            best_p0, best_pair = p_0, (g1, g2)
+    return best_pair
+
+
+def test_stacked_oracles_equal_the_scalar_loops():
+    c, p, stack = _grid_scenario()
+    pg = {noisy: nc.oracle_max_pg(stack, noisy=noisy) for noisy in (False, True)}
+    regular = ~((c == 1.0) & (p == 0.0))
+    rs, _ = nc.oracle_min_p0_at_max_confidence(stack[regular])
+    for row, k in enumerate(zip(*np.nonzero(regular))):
+        for noisy, (witness, value) in pg.items():
+            s1, s2 = (getattr(stack, f"{'noisy' if noisy else 'prep'}{i}").weights[k].tolist()
+                      for i in (1, 2))
+            best, xi1, xi2 = _loop_max_pg(s1, s2)
+            assert value[k] == best
+            assert witness.xi1[k].tolist() == xi1 and witness.xi2[k].tolist() == xi2
+        avg = 0.5 * (stack.noisy1.weights[k] + stack.noisy2.weights[k])
+        g1, g2 = _loop_min_p0(float(avg[1] + avg[3]), float(avg[2] + avg[3]))
+        assert (rs.xi1[row, 3], rs.xi2[row, 3]) == (g1, g2)
+
+
+def test_min_p0_prefers_the_symmetric_point_in_stacks():
+    # at p = 1 both noisy states are the even mixture: (1, 0), (0, 1) and the
+    # symmetric point tie, and the symmetric point wins at every c
+    cs = np.linspace(0.0, 1.0, 21)
+    rs, p_0 = nc.oracle_min_p0_at_max_confidence(nc.canonical_scenario(cs, np.ones_like(cs)))
+    assert (rs.xi1[:, 3] == 0.5).all() and (rs.xi2[:, 3] == 0.5).all()
+    assert (p_0 == 0.5 * (1.0 + 0.0 * cs)).all()
+
+
+def test_stacked_errors_name_their_first_point(monkeypatch):
+    c = np.array([0.5, 1.0, 1.0])
+    stack = nc.canonical_scenario(c, np.array([0.0, 0.0, 0.5]))
+    with pytest.raises(UndefinedConfidenceError, match=r"outcome 2 never fires at c=1\.0, p=0\.0"):
+        nc.oracle_max_confidence(stack, 2, noisy=True)
+    monkeypatch.setattr(nc, "_CONFIDENCE_FACE", -1.0)  # every point is off the face
+    with pytest.raises(ContractError, match=r"maximal-confidence face at c=0\.25, p=0\.5"):
+        nc.oracle_min_p0_at_max_confidence(nc.canonical_scenario(np.array([0.25, 0.75]),
+                                                                 np.array([0.5, 0.5])))
+    with pytest.raises(ContractError, match="equal shapes"):
+        nc.canonical_scenario(np.array([0.5, 0.5]), 0.0)

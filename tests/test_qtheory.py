@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from ctxsd import qtheory as qt
+from ctxsd.bounds import QUANTUM, BoundSpec, eval_bound
+from ctxsd.config import DEFAULTS
 from ctxsd.errors import (
     ContractError,
     DegenerateEnsembleError,
@@ -327,6 +329,19 @@ def test_usd_optimal_weight_agrees_with_grid_oracle():
 def test_usd_optimal_impossible_for_coincident_states():
     with pytest.raises(UsdImpossibleError):
         qt.usd_optimal(pure_ensemble(1.0))
+
+
+@pytest.mark.parametrize("c", [1.0 - 1e-13, 1.0 - 1e-15, float(np.nextafter(1.0, 0.0))])
+def test_usd_optimal_exists_for_every_distinct_pair(c):
+    # only the coincident pair (c = 1) raises; next to it the construction
+    # still matches the closed forms, and its conclusive outcomes are certain
+    ens = pure_ensemble(c)
+    m, rate = qt.usd_optimal(ens)
+    closed = {fig: eval_bound(BoundSpec("USD", fig, QUANTUM, c)) for fig in ("P_0", "P_g")}
+    assert abs(rate - closed["P_0"]) <= DEFAULTS.closed_form
+    assert abs(qt.guessing_probability(ens, m) - closed["P_g"]) <= DEFAULTS.closed_form
+    for i in (1, 2):
+        assert qt.confidence(ens, m, i) == pytest.approx(1.0, abs=DEFAULTS.exact)
 
 
 # ---------------------------------------------------------------------------
