@@ -219,19 +219,30 @@ def eval_bound(spec: BoundSpec) -> float:
     return float(_closed_form(spec, spec.c, spec.p, spec.omega))
 
 
-def eval_column(spec: BoundSpec, variable: str, xs: Sequence[float] | np.ndarray) -> np.ndarray:
+def eval_column(spec: BoundSpec, variable: str | Sequence[str],
+                xs: Sequence[float] | np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
     """Values of the cell ``spec`` with its ``variable`` replaced by the grid
-    ``xs``: constant if the cell does not read ``variable``. Raises as
+    ``xs``: constant in a parameter the cell does not read. ``variable`` may
+    also name several parameters, with ``xs`` one equal-shape grid for each
+    (the c and p of every point of a two-parameter grid, say). Raises as
     ``eval_bound`` does if any grid point is singular."""
     params = {"c": spec.c, "p": spec.p, "omega": spec.omega}
-    if variable not in params:
-        raise ContractError(f"unknown parameter {variable!r}")
-    xs = np.asarray(xs, dtype=float)
-    if not ((0.0 <= xs) & (xs <= 1.0)).all():
-        raise DomainError(f"{variable} grid must lie in [0, 1]")
-    if params[variable] is not None:
-        params[variable] = xs
-    return np.broadcast_to(_closed_form(spec, **params), xs.shape)
+    names, grids = ((variable,), (xs,)) if isinstance(variable, str) else (variable, xs)
+    if len(names) != len(grids):
+        raise ContractError(f"{len(names)} parameters need as many grids, got {len(grids)}")
+    shape = None
+    for name, grid in zip(names, grids):
+        if name not in params:
+            raise ContractError(f"unknown parameter {name!r}")
+        grid = np.asarray(grid, dtype=float)
+        if shape not in (None, grid.shape):
+            raise ContractError(f"the grids must have one shape, got {shape} and {grid.shape}")
+        if not ((0.0 <= grid) & (grid <= 1.0)).all():
+            raise DomainError(f"{name} grid must lie in [0, 1]")
+        shape = grid.shape
+        if params[name] is not None:
+            params[name] = grid
+    return np.broadcast_to(_closed_form(spec, **params), shape)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ canned figure CSVs), ``table`` (the nine-cell gap report) and ``verify``
 
 ``verify --json`` prints the report as one JSON object instead of text:
 each check's status, worst deviation, limit, headroom (deviation over
-limit), worst point and wall time.
+limit), worst point, number of compared values and wall time.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on usage or I/O
 errors. The ``CTXSD_TOL`` environment variable loosens the comparison
@@ -173,7 +173,7 @@ def _report_json(report: VerifyReport) -> dict:
     checks = [
         {"name": ch.name, "passed": ch.passed, "max_dev": _finite(ch.max_dev),
          "limit": ch.limit, "headroom": _finite(ch.headroom), "worst": ch.worst,
-         "wall_s": ch.wall_s, "ops": list(ch.ops)}
+         "items": ch.items, "wall_s": ch.wall_s, "ops": list(ch.ops)}
         for ch in report.checks
     ]
     return {"points": report.points, "passed": report.passed, "checks": checks,

@@ -16,12 +16,18 @@ inconclusive element, validated once on construction. The constructions are:
   eigenproblem, with the free conclusive weight set to the largest value
   that keeps the inconclusive element positive semidefinite.
 
-The maximum-confidence construction runs on stacks: ``mcm_stack`` takes
-arrays of theta and p and builds the states, the whitening, the direction
-eigenproblem of both outcomes, the optimal weight and the (N, F, 3, 2, 2)
-elements at F fractions of it as stacked 2x2 linear algebra, validates the
-whole stack once, and returns an ``McmStack`` that also gives the figures of
-merit as arrays. ``mcm_optimal`` and ``mcm_povm`` are batches of one of it.
+Every construction runs on stacks. ``helstrom_stack``, ``usd_stack`` and
+``mcm_stack`` take an array of theta (and, where the scheme reads them, the
+noise levels or conclusive weights), build the N pure pairs as one
+(N, 2, 2) amplitude array and every later step as stacked 2x2 linear
+algebra, with the coincident fallbacks and the typed errors as masks. All
+three return a ``MeasurementStack``: the (N, F, 3, 2, 2) elements of each
+ensemble at F conclusive weights, validated once per stack, and the figures
+of merit as arrays, read from one pass of traces. ``helstrom_povm``,
+``usd_povm``, ``usd_optimal``, ``mcm_povm``, ``mcm_optimal`` and
+``make_pure_pair`` are batches of one of them, and the scalar figures of
+merit run the stack's trace arithmetic, so a stack row equals its batch of
+one bit for bit.
 
 All functions are pure and all values immutable, so everything here is safe
 to evaluate concurrently.
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -62,19 +69,27 @@ __all__ = [
     "usd_optimal",
     "mcm_povm",
     "mcm_optimal",
-    "McmStack",
+    "MeasurementStack",
+    "helstrom_stack",
+    "usd_stack",
     "mcm_stack",
 ]
 
 _IDENTITY = np.eye(2, dtype=complex)
 
 
-def min_eig_2x2(m: np.ndarray) -> float:
-    """Smallest eigenvalue of a 2x2 Hermitian matrix, in closed form."""
-    a = m[0, 0].real
-    b = m[1, 1].real
-    r = math.hypot(0.5 * (a - b), abs(m[0, 1]))
-    return 0.5 * (a + b) - r
+def _centre_radius(m: np.ndarray) -> tuple:
+    """The eigenvalues of 2x2 Hermitian matrices (..., 2, 2) are centre -+ radius."""
+    a = m[..., 0, 0].real
+    b = m[..., 1, 1].real
+    return 0.5 * (a + b), np.hypot(0.5 * (a - b), np.abs(m[..., 0, 1]))
+
+
+def min_eig_2x2(m: np.ndarray) -> float | np.ndarray:
+    """Smallest eigenvalue of a 2x2 Hermitian matrix, or of each of a stack
+    (..., 2, 2) of them, in closed form."""
+    centre, radius = _centre_radius(m)
+    return centre - radius
 
 
 def _phase_fixed(v: np.ndarray) -> np.ndarray:
@@ -164,8 +179,8 @@ class Ensemble:
     ``pair`` and ``noise`` are the whole ensemble, and the priors are the
     class constant (1/2, 1/2). ``states`` (the two density operators, a
     read-only (2, 2, 2) array) and ``average`` (their even mixture, a
-    read-only 2x2 array) are derived from them once on construction;
-    ``overlap_sq`` is |<psi1|psi2>|^2 of the pair.
+    read-only 2x2 array) are derived from them once on construction, as the
+    stacks derive theirs; ``overlap_sq`` is |<psi1|psi2>|^2 of the pair.
     """
 
     priors: ClassVar[tuple[float, float]] = (0.5, 0.5)
@@ -181,10 +196,7 @@ class Ensemble:
             raise ContractError("an ensemble is a pair of PureState values")
         if not 0.0 <= self.noise <= 1.0:
             raise DomainError(f"noise must lie in [0, 1], got {self.noise}")
-        p = self.noise
-        rho1, rho2 = ((1.0 - p) * s.projector() + 0.5 * p * _IDENTITY for s in self.pair)
-        states = np.array((rho1, rho2))
-        average = 0.5 * rho1 + 0.5 * rho2
+        _, (states,), (average,) = _ensembles(_vectors(self), np.array([float(self.noise)]))
         states.flags.writeable = average.flags.writeable = False
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "average", average)
@@ -224,7 +236,7 @@ class Povm:
         e = np.array(self.elements, dtype=complex)
         if e.shape != (3, 2, 2):
             raise ContractError(f"expected a (3, 2, 2) array of elements, got shape {e.shape}")
-        _check_elements(e, np.array([min_eig_2x2(op) for op in e]))
+        _check_elements(e, min_eig_2x2(e))
         e.flags.writeable = False
         object.__setattr__(self, "elements", e)
 
@@ -245,8 +257,38 @@ class Povm:
         return self.elements[2]
 
 
+def _row(bad: np.ndarray) -> str:
+    """Where a stacked check failed: its first bad row, when there are several."""
+    return f" (row {int(np.argmax(bad))})" if bad.size > 1 else ""
+
+
+def _within(x, hi: float, what: str, bound: str) -> np.ndarray:
+    """``x`` (N, ...) as a float array; a DomainError names its first row with
+    an entry outside [0, hi], NaN included."""
+    x = np.asarray(x, dtype=float)
+    if any(not 0.0 <= v <= hi for v in x.ravel().tolist()):  # cheaper than numpy at N = 1
+        bad = ~((0.0 <= x) & (x <= hi))
+        raise DomainError(f"{what} must lie in [0, {bound}], got {x[bad][0]}"
+                          + _row(bad.reshape(len(x), -1).any(axis=1)))
+    return x
+
+
 # ---------------------------------------------------------------------------
 # ensembles
+
+
+def _pure_pairs(theta) -> np.ndarray:
+    """The amplitudes (N, 2, 2) of ``make_pure_pair(theta[k])`` for each k of
+    the 1-D ``theta``: row k holds (psi1, psi2), each as (amp0, amp1)."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 1 or not theta.size:
+        raise ContractError(f"theta must be 1-D and not empty, got shape {theta.shape}")
+    half = 0.5 * _within(theta, math.pi, "theta", "pi")
+    hc, hs = np.cos(half), np.sin(half)
+    vectors = np.empty((len(theta), 2, 2), dtype=complex)
+    vectors[:, :, 0] = hc[:, None]
+    vectors[:, 0, 1], vectors[:, 1, 1] = -hs, hs
+    return vectors
 
 
 def make_pure_pair(theta: float) -> tuple[PureState, PureState]:
@@ -255,11 +297,8 @@ def make_pure_pair(theta: float) -> tuple[PureState, PureState]:
     |psi1> = cos(theta/2)|0> - sin(theta/2)|1> and
     |psi2> = cos(theta/2)|0> + sin(theta/2)|1>, for theta in [0, pi].
     """
-    if not 0.0 <= theta <= math.pi:
-        raise DomainError(f"theta must lie in [0, pi], got {theta}")
-    hc = math.cos(0.5 * theta)
-    hs = math.sin(0.5 * theta)
-    return PureState(complex(hc), complex(-hs)), PureState(complex(hc), complex(hs))
+    (a, b), = _pure_pairs((theta,)).tolist()
+    return PureState(*a), PureState(*b)
 
 
 def mirror(state: PureState) -> PureState:
@@ -274,18 +313,38 @@ def noisy_ensemble(theta: float, p: float) -> Ensemble:
     return Ensemble(make_pure_pair(theta), p)
 
 
-def _pure_pair_of(ens: Ensemble) -> tuple[PureState, PureState]:
+def _vectors(ens: Ensemble) -> np.ndarray:
+    """The ensemble's pure pair as a batch of one: (1, 2, 2) amplitudes."""
+    return np.array([[(s.amp0, s.amp1) for s in ens.pair]], dtype=complex)
+
+
+def _pure_pair_of(ens: Ensemble) -> np.ndarray:
     if ens.noise != 0.0:
         raise ContractError("pure-state ensemble required (noise = 0)")
-    return ens.pair
+    return _vectors(ens)
+
+
+def _ensembles(vectors: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The pair projectors and states (N, 2, 2, 2) and the average states
+    (N, 2, 2) of the pure pairs ``vectors`` (N, 2, 2) dephased at ``p`` (N,):
+    the one place states are formed, for ``Ensemble`` and every stack."""
+    proj = vectors[..., :, None] * vectors[..., None, :].conj()
+    q = p[:, None, None, None]
+    states = (1.0 - q) * proj + 0.5 * q * _IDENTITY
+    return proj, states, 0.5 * states[:, 0] + 0.5 * states[:, 1]
 
 
 # ---------------------------------------------------------------------------
 # figures of merit
 
 
-def _expect(rho: np.ndarray, op: np.ndarray) -> float:
-    return float(np.trace(rho @ op).real)
+def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re Tr[a b] of two broadcasting stacks of 2x2 matrices, as
+    sum_ij Re(a_ij b_ji) with one real array operation per step, so every
+    entry of a stack is computed exactly as it is alone."""
+    bt = b.swapaxes(-1, -2)
+    t = a.real * bt.real - a.imag * bt.imag
+    return (t[..., 0, 0] + t[..., 0, 1]) + (t[..., 1, 0] + t[..., 1, 1])
 
 
 def guessing_probability(ens: Ensemble, m: Povm) -> float:
@@ -293,28 +352,151 @@ def guessing_probability(ens: Ensemble, m: Povm) -> float:
 
     sum_i q_i Tr[rho_i pi_i].
     """
-    total = 0.0
-    for i, (q, rho) in enumerate(zip(ens.priors, ens.states), start=1):
-        total += q * _expect(rho, m.conclusive(i))
-    return total
+    hits = _traces(ens.states, m.elements[:2])
+    return float(ens.priors[0] * hits[0] + ens.priors[1] * hits[1])
 
 
 def inconclusive_rate(ens: Ensemble, m: Povm) -> float:
     """Tr[rho pi_0] under the prior-averaged state."""
-    return _expect(ens.average, m.inconclusive())
+    return float(_traces(ens.average, m.inconclusive()))
 
 
 def confidence(ens: Ensemble, m: Povm, i: int) -> float:
     """Posterior probability that state i was prepared given outcome i."""
-    outcome_prob = _expect(ens.average, m.conclusive(i))
+    outcome_prob = float(_traces(ens.average, m.conclusive(i)))
     if outcome_prob <= 0.0:
         raise UndefinedConfidenceError(f"outcome {i} has zero probability")
-    joint = ens.priors[i - 1] * _expect(ens.states[i - 1], m.conclusive(i))
+    joint = ens.priors[i - 1] * float(_traces(ens.states[i - 1], m.conclusive(i)))
     return joint / outcome_prob
 
 
 # ---------------------------------------------------------------------------
+# measurement stacks
+
+
+@dataclass(frozen=True, eq=False)
+class MeasurementStack:
+    """Measurements of N equiprobable ensembles, each at F conclusive weights.
+
+    ``states`` (N, 2, 2, 2) holds each ensemble's two density operators and
+    ``average`` (N, 2, 2) their even mixtures. ``elements``
+    (N, F, 3, 2, 2) holds the measurements (pi_1, pi_2, pi_0), with
+    ``weights`` (N, F, 2) their conclusive weights (gamma_1, gamma_2), 1 for
+    a projective measurement; they were validated as one stack when built.
+    ``outcome_probs`` and ``hits`` are the traces every figure of merit reads,
+    each formed once, in the arithmetic of the scalar ``confidence``,
+    ``guessing_probability`` and ``inconclusive_rate``, so a measurement and
+    its figures cannot disagree. Indexing by a slice or a mask of rows gives
+    the stack of those rows. All arrays are read-only.
+    """
+
+    states: np.ndarray
+    average: np.ndarray
+    weights: np.ndarray
+    elements: np.ndarray
+
+    def __getitem__(self, rows) -> "MeasurementStack":
+        return MeasurementStack(self.states[rows], self.average[rows], self.weights[rows],
+                                self.elements[rows])
+
+    @cached_property
+    def outcome_probs(self) -> np.ndarray:
+        """(N, F, 3) Tr[rho pi] of every element under the average state."""
+        return _traces(self.average[:, None, None], self.elements)
+
+    @cached_property
+    def hits(self) -> np.ndarray:
+        """(N, F, 2) Tr[rho_i pi_i] of both conclusive outcomes."""
+        return _traces(self.states[:, None], self.elements[:, :, :2])
+
+    def confidence(self, i: int) -> np.ndarray:
+        """(N, F) posterior probability of state i given outcome i."""
+        if i not in (1, 2):
+            raise ContractError(f"conclusive outcomes are 1 and 2, got {i}")
+        prob = self.outcome_probs[..., i - 1]
+        if not (prob > 0.0).all():
+            raise UndefinedConfidenceError(
+                f"outcome {i} has zero probability" + _row(~(prob > 0.0).all(axis=1)))
+        return 0.5 * self.hits[..., i - 1] / prob
+
+    def confidences(self) -> np.ndarray:
+        """(N, F, 2) the confidences of both outcomes."""
+        return np.stack((self.confidence(1), self.confidence(2)), axis=-1)
+
+    def guessing_probability(self) -> np.ndarray:
+        """(N, F) sum_i q_i Tr[rho_i pi_i]."""
+        return 0.5 * self.hits[..., 0] + 0.5 * self.hits[..., 1]
+
+    def inconclusive_rate(self) -> np.ndarray:
+        """(N, F) Tr[rho pi_0] under the prior-averaged state."""
+        return self.outcome_probs[..., 2]
+
+
+def _measurements(states: np.ndarray, average: np.ndarray, dirs: np.ndarray,
+                  weights: np.ndarray) -> MeasurementStack:
+    """The measurements with conclusive elements ``weights[n, f, i] *
+    dirs[n, i]`` and pi_0 = 1 - pi_1 - pi_2, validated as one stack: every
+    pi_0 positive semidefinite (else ``InfeasibleWeightsError`` naming the
+    first bad row's weights), every element Hermitian, positive
+    semidefinite, and all three complete."""
+    elements = np.empty((*weights.shape[:2], 3, 2, 2), dtype=complex)
+    elements[:, :, :2] = weights[..., None, None] * dirs[:, None]
+    elements[:, :, 2] = _IDENTITY - elements[:, :, 0] - elements[:, :, 1]
+    min_eigs = min_eig_2x2(elements)  # (N, F, 3)
+    try:
+        _check_elements(elements, min_eigs)
+    except ContractError:
+        bad = ~(min_eigs[..., 2] >= -DEFAULTS.psd)  # NaN too
+        if bad.any():
+            raise InfeasibleWeightsError(
+                f"weights {tuple(weights[bad][0].tolist())} make the inconclusive element "
+                "indefinite" + _row(bad.any(axis=1))) from None
+        raise
+    for a in (states, average, weights, elements):
+        a.flags.writeable = False
+    return MeasurementStack(states, average, weights, elements)
+
+
+def _optimal_weight(dirs: np.ndarray) -> np.ndarray:
+    """Largest w in [0, 1] keeping 1 - w s positive semidefinite, s = d_1 + d_2
+    the sum of each row's conclusive directions ``dirs`` (N, 2, 2, 2): the
+    eigenvalues of 1 - w s are 1 - w lambda, so the bound is 1/lambda_max(s)."""
+    centre, radius = _centre_radius(dirs[:, 0] + dirs[:, 1])
+    return 1.0 / np.maximum(centre + radius, 1.0)
+
+
+# ---------------------------------------------------------------------------
 # minimum-error measurement
+
+_TIE_BREAK = np.diag([1.0 + 0.0j, 0.0j])  # pi_1 for coincident weighted states
+
+
+def _helstrom(states: np.ndarray, average: np.ndarray) -> MeasurementStack:
+    """Projective measurements onto the eigenspaces of q1 rho1 - q2 rho2 of the
+    ensembles with the states (N, 2, 2, 2) and averages (N, 2, 2).
+
+    Outcome 1 collects the strictly positive eigenspace. Where the weighted
+    states coincide the measurement is a pure tie-break and falls back to the
+    computational basis.
+    """
+    x = 0.5 * states[:, 0] - 0.5 * states[:, 1]
+    w, v = np.linalg.eigh(x)
+    outer = v[:, :, None, :] * v.conj()[:, None, :, :]  # [n, i, j, k] = v_ik conj(v_jk)
+    pi1 = np.where((w > 0.0)[:, None, None, :], outer, 0.0).sum(axis=-1)
+    dirs = np.empty_like(states)
+    dirs[:, 0] = np.where((np.abs(x).max(axis=(-2, -1)) <= DEFAULTS.norm)[:, None, None],
+                          _TIE_BREAK, pi1)
+    dirs[:, 1] = _IDENTITY - dirs[:, 0]
+    return _measurements(states, average, dirs, np.ones((len(x), 1, 2)))
+
+
+def helstrom_stack(theta) -> MeasurementStack:
+    """Minimum-error measurements of the pure pairs make_pure_pair(theta[k])
+    for every k at once, one measurement (F = 1) per pair.
+    ``helstrom_povm`` runs the same construction as a batch of one, on any
+    ensemble."""
+    vectors = _pure_pairs(theta)
+    return _helstrom(*_ensembles(vectors, np.zeros(len(vectors)))[1:])
 
 
 def helstrom_povm(ens: Ensemble) -> Povm:
@@ -322,93 +504,83 @@ def helstrom_povm(ens: Ensemble) -> Povm:
 
     Outcome 1 collects the strictly positive eigenspace. When the weighted
     states coincide the measurement is a pure tie-break and falls back to
-    the computational basis.
+    the computational basis. A batch of one of the stacked construction.
     """
-    x = ens.priors[0] * ens.states[0] - ens.priors[1] * ens.states[1]
-    if np.max(np.abs(x)) <= DEFAULTS.norm:
-        pi1 = np.diag([1.0 + 0.0j, 0.0j])
-    else:
-        w, v = np.linalg.eigh(x)
-        pi1 = np.zeros((2, 2), dtype=complex)
-        for k in range(2):
-            if w[k] > 0.0:
-                pi1 = pi1 + np.outer(v[:, k], v[:, k].conj())
-    return Povm((pi1, _IDENTITY - pi1, np.zeros((2, 2))))
-
-
-# ---------------------------------------------------------------------------
-# measurements with an inconclusive outcome
-
-
-def _povm_with_inconclusive(
-    pi1: np.ndarray, pi2: np.ndarray, weights: tuple[float, float]
-) -> Povm:
-    """Complete two conclusive elements with pi_0 = 1 - pi_1 - pi_2.
-
-    Raises when pi_0 is not positive semidefinite; ``weights`` are the
-    conclusive weights, quoted in the message.
-    """
-    pi0 = _IDENTITY - pi1 - pi2
-    if min_eig_2x2(pi0) < -DEFAULTS.psd:
-        raise InfeasibleWeightsError(
-            f"weights {weights} make the inconclusive element indefinite"
-        )
-    return Povm((pi1, pi2, pi0))
-
-
-def _max_weight(s: np.ndarray) -> float:
-    """Largest w in [0, 1] keeping 1 - w*s positive semidefinite.
-
-    For Hermitian s the eigenvalues of 1 - w*s are 1 - w*lambda, so the
-    bound is 1/lambda_max(s), and lambda_max is the trace minus the
-    smallest eigenvalue.
-    """
-    lam_max = float(s[0, 0].real + s[1, 1].real) - min_eig_2x2(s)
-    return 1.0 if lam_max <= 1.0 else 1.0 / lam_max
+    return Povm._validated(_helstrom(ens.states[None], ens.average[None]).elements[0, 0])
 
 
 # ---------------------------------------------------------------------------
 # unambiguous discrimination
 
 
+def _usd(vectors: np.ndarray, states: np.ndarray, average: np.ndarray, weights: np.ndarray,
+         optimal: bool) -> MeasurementStack:
+    """Unambiguous measurements of the pure pairs ``vectors`` (N, 2, 2), with
+    the states (N, 2, 2, 2) and averages (N, 2, 2), at the conclusive
+    weights ``weights`` (N, F, 2), after the optimal measurement of each pair
+    if ``optimal``.
+
+    pi_i = gamma_i |mirror(psi_j)><mirror(psi_j)|, j != i: each conclusive
+    element projects onto the ray orthogonal to the competing state, so a
+    conclusive click identifies its state with certainty. For an
+    equiprobable pure pair the inconclusive rate falls linearly in
+    gamma_1 + gamma_2 while the feasible set is convex and symmetric under
+    swapping the weights, so the optimum is the largest symmetric weight
+    with pi_0 still positive semidefinite. Only coincident states (the same
+    ray) admit no unambiguous measurement; any distinct pair has one.
+    """
+    mirrors = np.empty_like(vectors)  # outcome 1 takes mirror(psi_2), outcome 2 mirror(psi_1)
+    mirrors[..., 0], mirrors[..., 1] = -vectors[:, ::-1, 1].conj(), vectors[:, ::-1, 0].conj()
+    dirs = mirrors[..., :, None] * mirrors[..., None, :].conj()  # (N, 2, 2, 2)
+    if optimal:
+        coincident = vectors[:, 0, 0] * vectors[:, 1, 1] == vectors[:, 0, 1] * vectors[:, 1, 0]
+        if coincident.any():
+            raise UsdImpossibleError("states are linearly dependent" + _row(coincident))
+        weights = np.concatenate((np.empty((len(dirs), 1, 2)), weights), axis=1)
+        weights[:, 0] = _optimal_weight(dirs)[:, None]
+    return _measurements(states, average, dirs, weights)
+
+
+def usd_stack(theta, weights=None) -> MeasurementStack:
+    """Unambiguous measurements of the pure pairs make_pure_pair(theta[k]) for
+    every k at once: measurement 0 of each row is the optimal one, and
+    ``weights`` (N, F, 2), the (gamma_1, gamma_2) of each further
+    measurement, adds F more. A coincident pair raises
+    ``UsdImpossibleError`` naming its row, and weights leaving pi_0
+    indefinite raise ``InfeasibleWeightsError`` naming theirs.
+    ``usd_optimal`` and ``usd_povm`` run the same construction as batches
+    of one."""
+    vectors = _pure_pairs(theta)
+    n = len(vectors)
+    weights = np.zeros((n, 0, 2)) if weights is None else np.asarray(weights, dtype=float)
+    if weights.ndim != 3 or weights.shape[::2] != (n, 2):
+        raise ContractError(f"weights must have shape ({n}, F, 2), got {weights.shape}")
+    weights = _within(weights, 1.0, "weights", "1")
+    return _usd(vectors, *_ensembles(vectors, np.zeros(n))[1:], weights, optimal=True)
+
+
 def usd_povm(ens: Ensemble, gamma1: float, gamma2: float) -> Povm:
     """Unambiguous POVM pi_i = gamma_i |mirror(psi_j)><mirror(psi_j)|, j != i.
 
-    Each conclusive element projects onto the ray orthogonal to the
-    competing state, so a conclusive click identifies its state with
-    certainty. Requires a pure ensemble and weights that leave
-    pi_0 = 1 - pi_1 - pi_2 positive semidefinite.
+    Requires a pure ensemble and weights that leave pi_0 = 1 - pi_1 - pi_2
+    positive semidefinite. A batch of one of the stacked construction.
     """
-    for g in (gamma1, gamma2):
-        if not 0.0 <= g <= 1.0:
-            raise DomainError(f"weights must lie in [0, 1], got {g}")
-    psi1, psi2 = _pure_pair_of(ens)
-    return _povm_with_inconclusive(
-        gamma1 * mirror(psi2).projector(),
-        gamma2 * mirror(psi1).projector(),
-        (gamma1, gamma2),
-    )
+    weights = _within([[[gamma1, gamma2]]], 1.0, "weights", "1")
+    stack = _usd(_pure_pair_of(ens), ens.states[None], ens.average[None], weights, optimal=False)
+    return Povm._validated(stack.elements[0, 0])
 
 
 def usd_optimal(ens: Ensemble) -> tuple[Povm, float]:
     """Minimise the inconclusive rate over feasible unambiguous weights.
 
-    For an equiprobable pure pair the rate decreases linearly in
-    gamma1 + gamma2 while the feasible set is convex and symmetric under
-    swapping the weights, so the optimum sits at the largest symmetric
-    weight with pi_0 still positive semidefinite, 1/lambda_max of the sum
-    of the two mirror projectors. Only coincident states (the same ray,
-    theta = 0) admit no unambiguous measurement and raise; any distinct
-    pair, however close, has one.
+    The optimum is the largest symmetric weight with pi_0 still positive
+    semidefinite, 1/lambda_max of the sum of the two mirror projectors. Only
+    coincident states (the same ray, theta = 0) raise. A batch of one of the
+    stacked construction.
     """
-    psi1, psi2 = _pure_pair_of(ens)
-    if psi1.amp0 * psi2.amp1 == psi1.amp1 * psi2.amp0:
-        raise UsdImpossibleError("states are linearly dependent")
-    p1 = mirror(psi2).projector()
-    p2 = mirror(psi1).projector()
-    g = _max_weight(p1 + p2)
-    m = _povm_with_inconclusive(g * p1, g * p2, (g, g))
-    return m, inconclusive_rate(ens, m)
+    stack = _usd(_pure_pair_of(ens), ens.states[None], ens.average[None], np.zeros((1, 0, 2)),
+                 optimal=True)
+    return Povm._validated(stack.elements[0, 0]), float(stack.inconclusive_rate()[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -422,87 +594,33 @@ _COINCIDENT_U = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex) / math.sqrt(2
 _WHOLE = np.ones(1)  # the weight itself, as the one fraction
 
 
-@dataclass(frozen=True, eq=False)
-class McmStack:
-    """Maximum-confidence measurements of N ensembles at F conclusive weights.
-
-    ``states`` (N, 2, 2, 2) holds each equiprobable ensemble's two density
-    operators and ``average`` (N, 2, 2) their even mixtures. ``elements``
-    (N, F, 3, 2, 2) holds the measurements (pi_1, pi_2, pi_0) at the weights
-    ``fractions * alpha``, with ``alpha`` (N,) each ensemble's optimal
-    weight; they were validated as one stack when built. The figures of
-    merit are read from Tr[rho pi] of ``elements``, in the arithmetic of the
-    scalar ``confidence``, ``guessing_probability`` and
-    ``inconclusive_rate``, so a measurement and its figures cannot disagree.
-    All arrays are read-only.
-    """
-
-    states: np.ndarray
-    average: np.ndarray
-    alpha: np.ndarray
-    elements: np.ndarray
-
-    def _outcome_probs(self) -> np.ndarray:
-        """Tr[rho pi] of every element under the average state: (N, F, 3)."""
-        return np.trace(self.average[:, None, None] @ self.elements, axis1=-2, axis2=-1).real
-
-    def confidences(self) -> np.ndarray:
-        """(N, F, 2) posterior probability of state i given outcome i."""
-        prob = self._outcome_probs()[..., :2]
-        if not (prob > 0.0).all():
-            raise UndefinedConfidenceError("a conclusive outcome has zero probability")
-        return 0.5 * self._hits() / prob
-
-    def guessing_probability(self) -> np.ndarray:
-        """(N, F) sum_i q_i Tr[rho_i pi_i]."""
-        hits = self._hits()
-        return 0.5 * hits[..., 0] + 0.5 * hits[..., 1]
-
-    def inconclusive_rate(self) -> np.ndarray:
-        """(N, F) Tr[rho pi_0] under the prior-averaged state."""
-        return self._outcome_probs()[..., 2]
-
-    def _hits(self) -> np.ndarray:
-        """Tr[rho_i pi_i] of both conclusive outcomes: (N, F, 2)."""
-        joint = self.states[:, None] @ self.elements[:, :, :2]
-        return np.trace(joint, axis1=-2, axis2=-1).real
-
-
-def _row(bad: np.ndarray) -> str:
-    """Where a stacked check failed: its first bad row, when there are several."""
-    return f" (row {int(np.argmax(bad))})" if bad.size > 1 else ""
-
-
-def mcm_stack(theta, p, fractions=(1.0,)) -> McmStack:
+def mcm_stack(theta, p, fractions=(1.0,)) -> MeasurementStack:
     """Maximum-confidence measurements of noisy_ensemble(theta[k], p[k]) for
     every k at once, at the conclusive weights ``fractions`` times each
     ensemble's optimal weight.
 
-    ``theta`` and ``p`` are equal-length 1-D sequences. The pure pairs come
-    from ``make_pure_pair``; every later step is one stacked 2x2 computation
-    over all N ensembles. ``mcm_optimal`` runs the same construction as a
-    batch of one.
+    ``theta`` and ``p`` are equal-length 1-D sequences. Every step, the pure
+    pairs included, is one stacked 2x2 computation over all N ensembles.
+    ``mcm_optimal`` runs the same construction as a batch of one.
     """
-    theta = np.asarray(theta, dtype=float)
+    vectors = _pure_pairs(theta)
     p = np.asarray(p, dtype=float)
-    if theta.ndim != 1 or theta.shape != p.shape or not theta.size:
-        raise ContractError(f"theta and p must be 1-D of one length, got {theta.shape}, {p.shape}")
-    bad = [x for x in p.tolist() if not 0.0 <= x <= 1.0]  # NaN too
-    if bad:
-        raise DomainError(f"noise must lie in [0, 1], got {bad[0]}")
+    if p.shape != (len(vectors),):
+        raise ContractError(f"theta and p must be 1-D of one length, got {len(vectors)}, {p.shape}")
+    p = _within(p, 1.0, "noise", "1")
     if not all(f >= 0.0 for f in fractions):
         raise DomainError(f"weight fractions must be >= 0, got {fractions}")
     fractions = np.asarray(fractions, dtype=float)
     if fractions.ndim != 1 or not fractions.size:
         raise ContractError(f"weight fractions must be 1-D and not empty, got {fractions}")
-    return _mcm_stack([make_pure_pair(t) for t in theta.tolist()], p, fractions)
+    return _mcm(vectors, p, fractions)
 
 
-def _mcm_stack(pairs: list[tuple[PureState, PureState]], p: np.ndarray, fractions: np.ndarray,
-               alpha: np.ndarray | None = None) -> McmStack:
-    """The stacked construction for the N pure pairs ``pairs`` dephased at
-    ``p`` (N,), at the weights ``fractions * alpha``; ``alpha`` defaults to
-    the optimal weight.
+def _mcm(vectors: np.ndarray, p: np.ndarray, fractions: np.ndarray,
+         alpha: np.ndarray | None = None) -> MeasurementStack:
+    """The stacked construction for the pure pairs ``vectors`` (N, 2, 2)
+    dephased at ``p`` (N,), at the weights ``fractions * alpha``; ``alpha``
+    defaults to the optimal weight.
 
     The direction |phi_i> maximises the retrodictive confidence
     q_i Tr[rho_i pi] / Tr[rho pi] over rank-one pi. Whitening by rho^(-1/2)
@@ -511,11 +629,7 @@ def _mcm_stack(pairs: list[tuple[PureState, PureState]], p: np.ndarray, fraction
     weight is 1/lambda_max of the sum of the two conclusive projectors, the
     largest keeping pi_0 = 1 - pi_1 - pi_2 positive semidefinite.
     """
-    vectors = np.array([[(a.amp0, a.amp1), (b.amp0, b.amp1)] for a, b in pairs])
-    proj = vectors[..., :, None] * vectors[..., None, :].conj()  # (N, 2, 2, 2)
-    q = p[:, None, None, None]
-    states = (1.0 - q) * proj + 0.5 * q * _IDENTITY
-    average = 0.5 * states[:, 0] + 0.5 * states[:, 1]
+    proj, states, average = _ensembles(vectors, p)
     w, v = np.linalg.eigh(average)
     bad = ~(w[:, 0] > DEFAULTS.norm)
     if bad.any():
@@ -536,23 +650,10 @@ def _mcm_stack(pairs: list[tuple[PureState, PureState]], p: np.ndarray, fraction
     d /= np.hypot(mod[..., 0], mod[..., 1])[..., None]
     dirs = d[..., :, None] * d[..., None, :].conj()  # (N, 2, 2, 2)
     if alpha is None:
-        lam_max = np.linalg.eigvalsh(dirs[:, 0] + dirs[:, 1])[:, 1]
-        alpha = 1.0 / np.maximum(lam_max, 1.0)
-    weights = alpha[:, None] * fractions  # (N, F)
-    conclusive = weights[:, :, None, None, None] * dirs[:, None]
-    pi0 = _IDENTITY - conclusive[:, :, 0] - conclusive[:, :, 1]
-    elements = np.concatenate((conclusive, pi0[:, :, None]), axis=2)
-    min_eigs = np.linalg.eigvalsh(elements)[..., 0]  # (N, F, 3)
-    if not min_eigs[..., 2].min() >= -DEFAULTS.psd:  # false for NaN too
-        bad = ~(min_eigs[..., 2] >= -DEFAULTS.psd)
-        g = weights[bad][0]
-        raise InfeasibleWeightsError(
-            f"weights {(g, g)} make the inconclusive element indefinite" + _row(bad.any(axis=1))
-        )
-    _check_elements(elements, min_eigs)
-    for a in (states, average, alpha, elements):
-        a.flags.writeable = False
-    return McmStack(states, average, alpha, elements)
+        alpha = _optimal_weight(dirs)
+    weights = np.empty((len(alpha), len(fractions), 2))
+    weights[...] = (alpha[:, None] * fractions)[..., None]
+    return _measurements(states, average, dirs, weights)
 
 
 def mcm_povm(ens: Ensemble, alpha: float) -> Povm:
@@ -564,7 +665,7 @@ def mcm_povm(ens: Ensemble, alpha: float) -> Povm:
     """
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    stack = _mcm_stack([ens.pair], np.array([ens.noise]), _WHOLE, np.array([float(alpha)]))
+    stack = _mcm(_vectors(ens), np.array([ens.noise]), _WHOLE, np.array([float(alpha)]))
     return Povm._validated(stack.elements[0, 0])
 
 

@@ -198,6 +198,21 @@ def test_column_rejects_bad_grid_and_variable():
         eval_column(spec, "x", [0.5])
 
 
+def test_two_parameter_column_rejects_each_bad_grid():
+    spec = BoundSpec("MCM", "C", QUANTUM, c=0.5, p=0.5)
+    c, p = np.array([0.1, 0.5]), np.array([0.2, 0.3])
+    assert eval_column(spec, ("c", "p"), (c, p)).shape == (2,)
+    for bad in ((np.array([0.1, 1.5]), p), (c, np.array([-0.1, 0.3]))):
+        with pytest.raises(DomainError):
+            eval_column(spec, ("c", "p"), bad)
+    with pytest.raises(ContractError):
+        eval_column(spec, ("c", "p"), (c, p[:1]))  # shapes differ
+    with pytest.raises(ContractError):
+        eval_column(spec, ("c", "p"), (c,))  # one grid too few
+    with pytest.raises(ContractError):
+        eval_column(spec, ("c", "x"), (c, p))
+
+
 # ---------------------------------------------------------------------------
 # constructions and oracles agree with the closed forms
 

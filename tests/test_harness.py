@@ -330,12 +330,21 @@ def test_verify_all_reports_failure_with_corrupted_tolerances():
 # The check that asserts each route's relations; a value off by 1e-6 there
 # must fail it.
 _ROUTE_HOMES = {
-    ("qtheory", "helstrom_povm"): "bounds/construction-consistency",
-    ("qtheory", "usd_optimal"): "bounds/construction-consistency",
+    ("qtheory", "helstrom_stack"): "bounds/construction-consistency",
+    ("qtheory", "usd_stack"): "bounds/construction-consistency",
     ("qtheory", "mcm_stack"): "bounds/construction-consistency",
     ("ncmodel", "oracle_max_pg"): "ncmodel/oracle-max-pg",
     ("ncmodel", "oracle_max_confidence"): "ncmodel/oracle-max-confidence",
     ("ncmodel", "oracle_min_p0_at_max_confidence"): "ncmodel/oracle-min-p0",
+}
+# The scalar constructions, batches of one of the stacks, each rebuild a
+# stack row in the spot check of their home check.
+_SPOT_HOMES = {
+    ("qtheory", "helstrom_povm"): "qtheory/povm-completeness",
+    ("qtheory", "usd_optimal"): "qtheory/povm-completeness",
+    ("qtheory", "usd_povm"): "qtheory/povm-completeness",
+    ("qtheory", "mcm_optimal"): "qtheory/mcm-confidence",
+    ("qtheory", "mcm_povm"): "qtheory/mcm-confidence",
 }
 
 
@@ -353,7 +362,7 @@ def _off_by(value, eps):
     return replace(value, elements=moved)
 
 
-@pytest.mark.parametrize("module, name", list(_ROUTE_HOMES))
+@pytest.mark.parametrize("module, name", [*_ROUTE_HOMES, *_SPOT_HOMES])
 def test_fault_in_a_route_fails_its_home_check(monkeypatch, module, name):
     # Patched where the harness looks it up, so ncmodel's own calls (the
     # min-p0 oracle re-checks its face against the confidence oracle) keep
@@ -365,7 +374,8 @@ def test_fault_in_a_route_fails_its_home_check(monkeypatch, module, name):
     monkeypatch.setattr(harness, module, faulty)
     report = verify_all(5)
     assert not report.passed
-    assert _ROUTE_HOMES[module, name] in {ch.name for ch in report.checks if not ch.passed}
+    home = {**_ROUTE_HOMES, **_SPOT_HOMES}[module, name]
+    assert home in {ch.name for ch in report.checks if not ch.passed}
 
 
 def test_error_inside_a_check_is_its_failure(monkeypatch, capsys):
@@ -425,6 +435,34 @@ def test_verify_builds_the_mcm_measurements_in_one_stack(monkeypatch):
     assert calls["noisy_ensemble"] <= 21 + 1
 
 
+def test_verify_builds_the_pure_measurements_in_one_stack(monkeypatch):
+    stacks = ("helstrom_stack", "usd_stack")
+    scalars = ("helstrom_povm", "usd_optimal", "usd_povm")
+    seen = {}
+    for points in (5, 21):
+        calls = dict.fromkeys(stacks + scalars, 0)
+
+        def counted(name):
+            original = getattr(qtheory, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(harness, "qtheory", types.SimpleNamespace(**{
+            **vars(qtheory), **{name: counted(name) for name in calls}}))
+        assert verify_all(points).passed
+        seen[points] = calls
+    assert seen[5] == seen[21]  # independent of the grid density
+    assert all(1 <= seen[21][name] <= 2 for name in stacks), seen
+    # only the spot check of qtheory/povm-completeness: one row (the
+    # Helstrom measurement, the optimal and the four further USD ones) and
+    # the two typed errors
+    assert {name: seen[21][name] for name in scalars} == {
+        "helstrom_povm": 1, "usd_optimal": 2, "usd_povm": len(harness._USD_FRACTIONS) + 1}
+
+
 def test_verify_builds_the_nc_scenarios_in_one_stack(monkeypatch):
     names = ("canonical_scenario", "oracle_max_pg", "oracle_max_confidence",
              "oracle_min_p0_at_max_confidence")
@@ -476,7 +514,29 @@ def test_cli_verify_json(capsys):
     closest = max(report["checks"], key=lambda ch: ch["headroom"])
     assert 0.0 < closest["headroom"] <= 1.0 and closest["worst"]
     assert all(set(ch) == {"name", "passed", "max_dev", "limit", "headroom", "worst",
-                           "wall_s", "ops"} for ch in report["checks"])
+                           "items", "wall_s", "ops"} for ch in report["checks"])
+
+
+def test_check_results_count_the_values_they_compare(capsys):
+    for points in (5, 21):
+        checks = {ch.name: ch for ch in verify_all(points).checks}
+        assert checks["ncmodel/oracle-max-pg"].items == points  # one P_g per value of c
+        assert checks["bounds/table-report"].items == 13  # 4 values and 9 pass/fail items
+        assert all(ch.items >= 1 for ch in checks.values())
+    assert cli.main(["verify", "--points", "21", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [ch["items"] for ch in report["checks"]] == [ch.items for ch in checks.values()]
+
+
+def test_pass_columns_equal_the_per_c_rows():
+    # one eval_column call over a grid's (c, p) arrays gives, bit for bit, the
+    # columns of one call over p per value of c
+    ev = harness._Pass(21)
+    for grid in ("mcm", "nc"):
+        c, p = ev.grids[grid]
+        for cell in (cell for cell in CELLS if not cell.has_arms):
+            rows = [bounds.eval_column(cell.spec(x, 0.5, 0.5), "p", p[c == x]) for x in ev.cs]
+            assert np.array_equal(ev.closed(cell.label, grid), np.concatenate(rows)), cell.label
 
 
 def test_cli_verify_json_writes_null_for_a_failed_pass_fail_item(monkeypatch, capsys):

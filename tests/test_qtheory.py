@@ -469,7 +469,7 @@ def _assert_rows_equal_scalar_constructions(points):
         assert m_rate == rate[k, 0], (c, p)
         assert qt.guessing_probability(ens, m) == p_g[k, 0], (c, p)
         for f, frac in enumerate(_FRACTIONS):
-            m_f = qt.mcm_povm(ens, frac * stack.alpha[k])
+            m_f = qt.mcm_povm(ens, stack.weights[k, f, 0])
             assert (m_f.elements == stack.elements[k, f]).all(), (c, p, frac)
             assert [qt.confidence(ens, m_f, i) for i in (1, 2)] == list(conf[k, f]), (c, p, frac)
             assert qt.inconclusive_rate(ens, m_f) == rate[k, f], (c, p, frac)
@@ -530,6 +530,91 @@ def test_stack_weight_above_the_optimum_raises():
 def test_stack_rejects_invalid_input(theta, p, fractions, error):
     with pytest.raises(error):
         qt.mcm_stack(theta, p, fractions)
+
+
+# ---------------------------------------------------------------------------
+# the stacked minimum-error and unambiguous constructions
+
+_EDGE_C = [0.0, 0.5, 1.0 - 1e-13, 1.0]
+_USD_WEIGHTS = ((1.0, 0.5), (0.25, 0.25), (0.6, 0.3))  # in units of 1/(1 + sqrt(c))
+
+
+def test_helstrom_stack_rows_equal_their_batches_of_one():
+    cs = _GRID21 + _EDGE_C
+    stack = qt.helstrom_stack([theta_of(c) for c in cs])
+    conf, p_g, rate = stack.confidence(1), stack.guessing_probability(), stack.inconclusive_rate()
+    for k, c in enumerate(cs):
+        ens = pure_ensemble(c)
+        m = qt.helstrom_povm(ens)
+        assert np.array_equal(stack.states[k], ens.states), c
+        assert np.array_equal(m.elements, stack.elements[k, 0]), c
+        assert qt.guessing_probability(ens, m) == p_g[k, 0], c
+        assert qt.inconclusive_rate(ens, m) == rate[k, 0] == 0.0, c
+        assert qt.confidence(ens, m, 1) == conf[k, 0], c
+        if c < 1.0:
+            assert qt.confidence(ens, m, 2) == stack[k:k + 1].confidence(2)[0, 0], c
+    # c = 1: the tie-break measures in the computational basis, P_g = 1/2,
+    # and outcome 2 never fires
+    assert np.array_equal(stack.elements[-1, 0, :2], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    assert p_g[-1, 0] == 0.5
+    with pytest.raises(UndefinedConfidenceError, match=f"row {cs.index(1.0)}"):
+        stack.confidence(2)
+
+
+def test_usd_stack_rows_equal_their_batches_of_one():
+    cs = [c for c in _GRID21 + _EDGE_C if c < 1.0]
+    weights = np.array([[(a / (1.0 + math.sqrt(c)), b / (1.0 + math.sqrt(c)))
+                         for a, b in _USD_WEIGHTS] for c in cs])
+    stack = qt.usd_stack([theta_of(c) for c in cs], weights)
+    assert stack.elements.shape == (len(cs), 1 + len(_USD_WEIGHTS), 3, 2, 2)
+    conf, p_g, rate = stack.confidences(), stack.guessing_probability(), stack.inconclusive_rate()
+    for k, c in enumerate(cs):
+        ens = pure_ensemble(c)
+        m, m_rate = qt.usd_optimal(ens)
+        assert np.array_equal(m.elements, stack.elements[k, 0]), c
+        assert m_rate == rate[k, 0] and qt.guessing_probability(ens, m) == p_g[k, 0], c
+        for f, (g1, g2) in enumerate(weights[k].tolist(), start=1):
+            m_f = qt.usd_povm(ens, g1, g2)  # asymmetric weights
+            assert np.array_equal(m_f.elements, stack.elements[k, f]), (c, g1, g2)
+            assert [qt.confidence(ens, m_f, i) for i in (1, 2)] == list(conf[k, f]), (c, g1, g2)
+            assert qt.inconclusive_rate(ens, m_f) == rate[k, f], (c, g1, g2)
+    assert np.array_equal(stack.weights[:, 1:], weights)
+    assert np.abs(conf - 1.0).max() <= DEFAULTS.exact
+
+
+def test_stack_figures_match_the_matrix_traces():
+    theta = [theta_of(c) for c in _GRID21[:-1]]
+    stacks = (qt.helstrom_stack(theta), qt.usd_stack(theta),
+              qt.mcm_stack(theta, np.linspace(0.05, 1.0, len(theta)), _FRACTIONS))
+    for stack in stacks:
+        probs = np.trace(stack.average[:, None, None] @ stack.elements, axis1=-2, axis2=-1).real
+        hits = np.trace(stack.states[:, None] @ stack.elements[:, :, :2], axis1=-2, axis2=-1).real
+        assert np.abs(stack.inconclusive_rate() - probs[..., 2]).max() <= 1e-15
+        assert np.abs(stack.guessing_probability() - 0.5 * (hits[..., 0] + hits[..., 1])).max() \
+            <= 1e-15
+        assert np.abs(stack.confidences() - 0.5 * hits / probs[..., :2]).max() <= 1e-15
+
+
+def test_stacked_usd_and_helstrom_errors_name_their_row():
+    with pytest.raises(UsdImpossibleError, match="row 2"):
+        qt.usd_stack([theta_of(0.5), theta_of(0.2), theta_of(1.0)])
+    weights = np.full((3, 1, 2), 0.1)
+    weights[1, 0] = (0.9, 0.8)
+    with pytest.raises(InfeasibleWeightsError, match=r"\(0\.9, 0\.8\).*row 1"):
+        qt.usd_stack([theta_of(0.5)] * 3, weights)
+    with pytest.raises(DomainError, match="weights"):
+        qt.usd_stack([theta_of(0.5)], [[[1.5, 0.1]]])
+    with pytest.raises(ContractError):
+        qt.usd_stack([theta_of(0.5), theta_of(0.2)], [[[0.1, 0.1]]])
+    with pytest.raises(DomainError, match="row 1"):
+        qt.helstrom_stack([0.5, 4.0])
+    with pytest.raises(ContractError):
+        qt.helstrom_stack([[0.5, 0.6]])
+    # a batch of one names no row
+    with pytest.raises(InfeasibleWeightsError, match=r"indefinite$"):
+        qt.usd_povm(pure_ensemble(0.5), 0.9, 0.9)
+    with pytest.raises(UsdImpossibleError, match=r"dependent$"):
+        qt.usd_optimal(pure_ensemble(1.0))
 
 
 _NAN = np.array([[np.nan, 0.0], [0.0, 1.0]])
