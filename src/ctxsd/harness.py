@@ -12,15 +12,15 @@ grid (``qtheory.helstrom_stack``, ``usd_stack``, ``mcm_stack``), whose
 figures are read in one pass; the closed form of each cell as one
 ``eval_column`` call over a grid's c and p arrays; and the canonical
 scenarios of the whole grid as one ``ncmodel.canonical_scenario`` stack,
-over which each brute-force oracle runs once. The scalar constructions only
-rebuild a stack row in spot checks, and a point is formatted only when it is
-a check's worst. The relation table ``_RELATIONS`` then compares each table
+over which each brute-force oracle runs once. The scalar constructions and
+figures of merit only rebuild a stack row and its figures in spot checks,
+and a point is formatted only when it is a check's worst. The relation table ``_RELATIONS`` then compares each table
 cell with each independent route to it (the constructions for quantum cells,
 the oracles for noncontextual ones), every relation in exactly one named
 check. The structural checks (completeness, monotonicity, model invariants,
 the inequality suite and the like) read the same stacks. Each check reports
 its largest deviation and the number of values it compared, and the report
-records which public operations it exercised so coverage is auditable. A
+records the audited operations whose results it compared. A
 typed error raised inside a check is that check's failure, reported at the
 error; the other checks still run.
 
@@ -373,9 +373,9 @@ def table_cmd(c: float, p: float, omega: float, tols: Tolerances = DEFAULTS) -> 
 # ---------------------------------------------------------------------------
 # verification suite
 
-# ``qtheory.mcm_optimal`` and ``mcm_povm`` are batches of one of
-# ``mcm_stack``, which the shared pass runs once over the mcm grid: the checks
-# that read its rows list them, and qtheory/mcm-confidence calls both.
+# The audited operations. A check lists those whose results its items
+# compare, called by the check or by the shared pass for it; the checks that
+# read only the pass's stacks and closed-form columns list none.
 OPERATIONS: dict[str, tuple[str, ...]] = {
     "qtheory": (
         "make_pure_pair",
@@ -619,10 +619,10 @@ class _Pass:
     def stack_point(self, grid: str, k: tuple) -> dict:
         """The point of entry ``k`` = (row, measurement, ...) of the stack on
         ``grid``: its coordinates and, away from the optimal measurement, its
-        conclusive weight."""
+        conclusive weight, g for USD and alpha for MCM."""
         point = self.points[grid](k)
         if k[1]:
-            point["weight"] = float(self.stacks[grid].weights[k[0], k[1], 0])
+            point["g" if grid == "c<1" else "alpha"] = float(self.stacks[grid].weights[k[0], k[1], 0])
         return point
 
     def closed(self, cell: str, grid: str) -> np.ndarray:
@@ -692,10 +692,8 @@ def _check(name: str, ops: Sequence[str]):
 
 # Checks made of relation rows only.
 for _name, _ops in (
-    (_BUILT, ("bounds.eval_bound", "qtheory.helstrom_povm", "qtheory.usd_optimal",
-              "qtheory.mcm_optimal", "qtheory.guessing_probability",
-              "qtheory.inconclusive_rate", "qtheory.confidence")),
-    ("bounds/oracle-consistency", ("bounds.eval_bound", "ncmodel.oracle_max_confidence",
+    (_BUILT, ()),  # the stacks against the closed-form columns
+    ("bounds/oracle-consistency", ("ncmodel.oracle_max_confidence",
                                    "ncmodel.oracle_min_p0_at_max_confidence")),
     ("ncmodel/oracle-max-pg", ("ncmodel.oracle_max_pg",)),
     ("ncmodel/oracle-max-confidence", ("ncmodel.oracle_max_confidence",)),
@@ -717,31 +715,38 @@ def _chk_pure_pair(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
 
 
 @_check("qtheory/povm-completeness", ("qtheory.noisy_ensemble", "qtheory.helstrom_povm",
-                                      "qtheory.usd_povm", "qtheory.usd_optimal",
-                                      "qtheory.mcm_povm", "qtheory.mcm_optimal"))
+                                      "qtheory.usd_optimal", "qtheory.usd_povm",
+                                      "qtheory.guessing_probability",
+                                      "qtheory.inconclusive_rate", "qtheory.confidence"))
 def _chk_povm_completeness(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     for grid, stack in ev.stacks.items():
-        point = functools.partial(ev.stack_point, grid)
-        acc.add(np.abs(stack.elements.sum(axis=-3) - np.eye(2)).max(axis=(-2, -1)),
-                tols.completeness, point)
-        acc.add(np.maximum(0.0, -np.linalg.eigvalsh(stack.elements)[..., 0]), tols.psd,
-                lambda k, point=point: {**point(k), "element": _ELEMENTS[k[-1]]})
-    # the scalar constructions rebuild a row of the Helstrom and USD stacks,
-    # the pure pair at the middle c, and raise where the stacks do
+        e, point = stack.elements, functools.partial(ev.stack_point, grid)
+        element = lambda k, point=point: {**point(k), "element": _ELEMENTS[k[-1]]}
+        acc.add(np.abs(e - e.conj().swapaxes(-1, -2)).max(axis=(-2, -1)), tols.exact, element)
+        acc.add(np.abs(e.sum(axis=-3) - np.eye(2)).max(axis=(-2, -1)), tols.completeness, point)
+        acc.add(np.maximum(0.0, -np.linalg.eigvalsh(e)[..., 0]), tols.psd, element)
+    # the scalar constructions and figures rebuild a row of the Helstrom and
+    # USD stacks, the pure pair at the middle c, and raise where the stacks do
     row = ev.n // 2
     ens, point = qtheory.noisy_ensemble(_theta_of(ev.cs[row]), 0.0), ev.points["c"]((row,))
     m, rate = qtheory.usd_optimal(ens)
-    built = [qtheory.helstrom_povm(ens).elements, m.elements,
-             *(qtheory.usd_povm(ens, *g).elements for g in ev.povms.weights[row, 1:].tolist())]
-    stacked = np.concatenate((ev.pure.elements[row], ev.povms.elements[row]))
-    acc.add(np.array(built) - stacked, tols.exact, point)
+    built = [qtheory.helstrom_povm(ens), m,
+             *(qtheory.usd_povm(ens, *g) for g in ev.povms.weights[row, 1:].tolist())]
+    stacks = (ev.pure[row:row + 1], ev.povms[row:row + 1])
+    acc.add(np.array([m.elements for m in built])
+            - np.concatenate([s.elements[0] for s in stacks]), tols.exact, point)
     acc.add(rate - ev.values["USD_P0_Q", _USD][row], tols.exact, point)
+    figures = [[qtheory.guessing_probability(ens, m), qtheory.inconclusive_rate(ens, m),
+                qtheory.confidence(ens, m, 1), qtheory.confidence(ens, m, 2)] for m in built]
+    acc.add(np.array(figures) - np.concatenate([np.stack(
+        (s.guessing_probability(), s.inconclusive_rate(), s.confidence(1), s.confidence(2)),
+        axis=-1)[0] for s in stacks]), tols.exact, point)
     ens = qtheory.noisy_ensemble(_theta_of(0.5), 0.0)
     acc.raises(InfeasibleWeightsError, "c=0.5, g=0.9", qtheory.usd_povm, ens, 0.9, 0.9)
     acc.raises(UsdImpossibleError, "c=1", qtheory.usd_optimal, qtheory.noisy_ensemble(0.0, 0.0))
 
 
-@_check("qtheory/helstrom-balance", ("qtheory.helstrom_povm",))
+@_check("qtheory/helstrom-balance", ())
 def _chk_helstrom_balance(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     # Distinct states only: the c = 1 tie-break measurement has a dead arm.
     hits = ev.pure.hits[:-1, 0]
@@ -749,7 +754,7 @@ def _chk_helstrom_balance(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     acc.add(ev.values["MESD_Pg_Q", _HELSTROM][-1] - 0.5, tols.exact, "c=1 tie-break")
 
 
-@_check("qtheory/mesd-confidence-identity", ("qtheory.confidence",))
+@_check("qtheory/mesd-confidence-identity", ())
 def _chk_mesd_confidence(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     # both confidences of the Helstrom measurement equal its P_g (outcome 2
     # never fires at c = 1)
@@ -758,12 +763,11 @@ def _chk_mesd_confidence(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     acc.add(ev.pure[:-1].confidence(2)[:, 0] - p_g[:-1], 1e-10, ev.points["c<1"])
 
 
-_check("qtheory/usd-certainty", ("qtheory.usd_povm", "qtheory.usd_optimal", "qtheory.confidence"))(
-    lambda ev, tols, acc: None)  # its relation row only
+_check("qtheory/usd-certainty", ())(lambda ev, tols, acc: None)  # its relation row only
 
 
-@_check("qtheory/mcm-confidence", ("qtheory.mcm_optimal", "qtheory.mcm_povm",
-                                    "qtheory.confidence"))
+@_check("qtheory/mcm-confidence", ("qtheory.noisy_ensemble", "qtheory.mcm_optimal",
+                                    "qtheory.mcm_povm", "qtheory.confidence"))
 def _chk_mcm_confidence(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     # the confidences do not depend on the conclusive weight alpha
     optimal = ev.values["MCM_C_Q", _MCM]
@@ -785,7 +789,7 @@ def _chk_mcm_confidence(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     acc.add(conf - optimal[row], tols.exact, point)
 
 
-@_check("qtheory/mcm-monotonicity", ("qtheory.mcm_optimal",))
+@_check("qtheory/mcm-monotonicity", ())
 def _chk_mcm_monotonicity(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     # the optimal rate rises with c at fixed p > 0 and falls with p > 0 at fixed c
     xs, p = ev.cs, ev.grids["mcm"][1]
@@ -794,8 +798,7 @@ def _chk_mcm_monotonicity(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     acc.add(np.minimum(-np.diff(r, axis=1), 0.0), tols.exact, _points(c=xs[:, None], p=xs[2:]))
 
 
-@_check("qtheory/composition-identity", ("qtheory.guessing_probability", "qtheory.confidence",
-                                         "qtheory.inconclusive_rate", "qtheory.mcm_optimal"))
+@_check("qtheory/composition-identity", ())
 def _chk_composition(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     # P_g = (1 - P_0) C(1) for the optimal MCM measurement
     p_g, p_0, conf = (ev.values[f"MCM_{f}_Q", _MCM] for f in ("Pg", "P0", "C"))
@@ -860,7 +863,7 @@ def _chk_mesd_confidences(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     acc.add(closed[0] - ncmodel.nc_mesd_confidences(c, 1.0 - omega)[1], tols.exact, point)
 
 
-@_check("ncmodel/omega-star", ("ncmodel.omega_star",))
+@_check("ncmodel/omega-star", ("ncmodel.omega_star", "ncmodel.nc_mesd_confidences"))
 def _chk_omega_star(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     cs = ev.cs[1:-1]
     point = _points(c=cs)
@@ -888,7 +891,7 @@ def _chk_hand_integrals(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
             _points(c=c, g1=g1, g2=g2))
 
 
-@_check("bounds/inequality-suite", ("bounds.gap", "bounds.eval_bound"))
+@_check("bounds/inequality-suite", ())  # the closed-form columns
 def _chk_inequalities(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     cs = ev.cs
     for scheme, figure in (("MESD", "P_g"), ("USD", "P_0")):
@@ -902,7 +905,7 @@ def _chk_inequalities(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
         acc.ok(is_advantage(figure, signed, tols) | ~interior, ev.points["nc"])
 
 
-@_check("bounds/mesd-confidence-window", ("bounds.gap", "ncmodel.omega_star"))
+@_check("bounds/mesd-confidence-window", ("ncmodel.omega_star",))
 def _chk_window(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     omegas = _grid(max(2 * ev.n + 1, 21))
     step = float(omegas[1] - omegas[0])
@@ -920,7 +923,7 @@ def _chk_window(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     acc.ok((both == inside) | unresolved, _points(c=cs, omega=omegas))
 
 
-@_check("bounds/factorisation", ("bounds.eval_bound", "ncmodel.nc_mcm_guessing"))
+@_check("bounds/factorisation", ("ncmodel.nc_mcm_guessing",))
 def _chk_factorisation(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     # P_g = (1 - P_0) C for the MCM closed forms of both theories
     for theory in ("Q", "NC"):
@@ -928,7 +931,7 @@ def _chk_factorisation(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
         acc.add(p_g - (1.0 - p_0) * conf, tols.exact, ev.points["nc"])
 
 
-@_check("bounds/table-report", ("bounds.table1_report", "bounds.gap"))
+@_check("bounds/table-report", ("bounds.table1_report", "bounds.gap", "bounds.eval_bound"))
 def _chk_table(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     report = table1_report(0.5, 0.5, 0.5, tols)
     acc.add(report.cell("MESD", "P_0").value, 0.0, "definitional MESD P_0")

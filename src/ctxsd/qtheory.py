@@ -76,20 +76,15 @@ __all__ = [
 ]
 
 _IDENTITY = np.eye(2, dtype=complex)
-
-
-def _centre_radius(m: np.ndarray) -> tuple:
-    """The eigenvalues of 2x2 Hermitian matrices (..., 2, 2) are centre -+ radius."""
-    a = m[..., 0, 0].real
-    b = m[..., 1, 1].real
-    return 0.5 * (a + b), np.hypot(0.5 * (a - b), np.abs(m[..., 0, 1]))
+_HALF_IDENTITY = 0.5 * _IDENTITY
 
 
 def min_eig_2x2(m: np.ndarray) -> float | np.ndarray:
     """Smallest eigenvalue of a 2x2 Hermitian matrix, or of each of a stack
-    (..., 2, 2) of them, in closed form."""
-    centre, radius = _centre_radius(m)
-    return centre - radius
+    (..., 2, 2) of them, in closed form: centre - radius."""
+    a = m[..., 0, 0].real
+    b = m[..., 1, 1].real
+    return 0.5 * (a + b) - np.hypot(0.5 * (a - b), np.abs(m[..., 0, 1]))
 
 
 def _phase_fixed(v: np.ndarray) -> np.ndarray:
@@ -207,17 +202,12 @@ class Ensemble:
         return abs(a.overlap(b)) ** 2
 
 
-def _check_elements(e: np.ndarray, min_eigs: np.ndarray) -> None:
-    """Raise unless the POVMs (..., 3, 2, 2) in ``e``, whose elements have the
-    smallest eigenvalues ``min_eigs`` (..., 3), are Hermitian, positive
-    semidefinite and complete."""
-    if not np.abs(e - e.conj().swapaxes(-1, -2)).max() <= DEFAULTS.norm:
-        raise DomainError("POVM elements are not Hermitian within tolerance")
+def _check_psd(min_eigs: np.ndarray) -> None:
+    """Raise unless every element, with the smallest eigenvalues ``min_eigs``
+    (..., 3), is positive semidefinite (NaN is not)."""
     if not min_eigs.min() >= -DEFAULTS.psd:  # false for NaN too
         k = int(np.argmax(~(min_eigs >= -DEFAULTS.psd))) % 3
         raise ContractError(f"element {k} has a negative eigenvalue")
-    if not np.abs(e.sum(axis=-3) - _IDENTITY).max() <= DEFAULTS.completeness:
-        raise ContractError("POVM elements do not sum to the identity")
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,13 +226,17 @@ class Povm:
         e = np.array(self.elements, dtype=complex)
         if e.shape != (3, 2, 2):
             raise ContractError(f"expected a (3, 2, 2) array of elements, got shape {e.shape}")
-        _check_elements(e, min_eig_2x2(e))
+        if not np.abs(e - e.conj().swapaxes(-1, -2)).max() <= DEFAULTS.norm:
+            raise DomainError("POVM elements are not Hermitian within tolerance")
+        _check_psd(min_eig_2x2(e))
+        if not np.abs(e.sum(axis=0) - _IDENTITY).max() <= DEFAULTS.completeness:
+            raise ContractError("POVM elements do not sum to the identity")
         e.flags.writeable = False
         object.__setattr__(self, "elements", e)
 
     @classmethod
     def _validated(cls, elements: np.ndarray) -> "Povm":
-        """Wrap read-only elements that ``_check_elements`` has passed already."""
+        """Wrap the read-only elements of a validated stack row."""
         povm = object.__new__(cls)
         object.__setattr__(povm, "elements", elements)
         return povm
@@ -330,8 +324,8 @@ def _ensembles(vectors: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
     the one place states are formed, for ``Ensemble`` and every stack."""
     proj = vectors[..., :, None] * vectors[..., None, :].conj()
     q = p[:, None, None, None]
-    states = (1.0 - q) * proj + 0.5 * q * _IDENTITY
-    return proj, states, 0.5 * states[:, 0] + 0.5 * states[:, 1]
+    states = (1.0 - q) * proj + q * _HALF_IDENTITY
+    return proj, states, 0.5 * (states[:, 0] + states[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +338,8 @@ def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     entry of a stack is computed exactly as it is alone."""
     bt = b.swapaxes(-1, -2)
     t = a.real * bt.real - a.imag * bt.imag
-    return (t[..., 0, 0] + t[..., 0, 1]) + (t[..., 1, 0] + t[..., 1, 1])
+    t = t[..., 0, :] + t[..., 1, :]
+    return t[..., 0] + t[..., 1]
 
 
 def guessing_probability(ens: Ensemble, m: Povm) -> float:
@@ -435,16 +430,21 @@ class MeasurementStack:
 def _measurements(states: np.ndarray, average: np.ndarray, dirs: np.ndarray,
                   weights: np.ndarray) -> MeasurementStack:
     """The measurements with conclusive elements ``weights[n, f, i] *
-    dirs[n, i]`` and pi_0 = 1 - pi_1 - pi_2, validated as one stack: every
-    pi_0 positive semidefinite (else ``InfeasibleWeightsError`` naming the
-    first bad row's weights), every element Hermitian, positive
-    semidefinite, and all three complete."""
+    dirs[n, i]`` and pi_0 = 1 - pi_1 - pi_2, validated as one stack.
+
+    The directions are Hermitian (outer products, or a projector and its
+    complement) and the weights real, so every element is Hermitian and the
+    three sum to the identity by construction, to rounding. What the inputs
+    decide is checked: every element positive semidefinite (NaN is not),
+    and an indefinite pi_0 raises ``InfeasibleWeightsError`` naming the
+    first bad row's weights.
+    """
     elements = np.empty((*weights.shape[:2], 3, 2, 2), dtype=complex)
     elements[:, :, :2] = weights[..., None, None] * dirs[:, None]
     elements[:, :, 2] = _IDENTITY - elements[:, :, 0] - elements[:, :, 1]
     min_eigs = min_eig_2x2(elements)  # (N, F, 3)
     try:
-        _check_elements(elements, min_eigs)
+        _check_psd(min_eigs)
     except ContractError:
         bad = ~(min_eigs[..., 2] >= -DEFAULTS.psd)  # NaN too
         if bad.any():
@@ -457,12 +457,13 @@ def _measurements(states: np.ndarray, average: np.ndarray, dirs: np.ndarray,
     return MeasurementStack(states, average, weights, elements)
 
 
-def _optimal_weight(dirs: np.ndarray) -> np.ndarray:
-    """Largest w in [0, 1] keeping 1 - w s positive semidefinite, s = d_1 + d_2
-    the sum of each row's conclusive directions ``dirs`` (N, 2, 2, 2): the
-    eigenvalues of 1 - w s are 1 - w lambda, so the bound is 1/lambda_max(s)."""
-    centre, radius = _centre_radius(dirs[:, 0] + dirs[:, 1])
-    return 1.0 / np.maximum(centre + radius, 1.0)
+def _optimal_weight(units: np.ndarray) -> np.ndarray:
+    """Largest w keeping 1 - w s positive semidefinite, s = |u_1><u_1| +
+    |u_2><u_2| for each row's unit conclusive directions ``units`` (N, 2, 2):
+    the eigenvalues of s are 1 -+ |<u_1|u_2>|, so the bound is
+    1/lambda_max(s) = 1/(1 + |<u_1|u_2>|), in (1/2, 1]."""
+    o = units[:, 0].conj() * units[:, 1]
+    return 1.0 / (1.0 + np.abs(o[:, 0] + o[:, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -475,17 +476,18 @@ def _helstrom(states: np.ndarray, average: np.ndarray) -> MeasurementStack:
     """Projective measurements onto the eigenspaces of q1 rho1 - q2 rho2 of the
     ensembles with the states (N, 2, 2, 2) and averages (N, 2, 2).
 
-    Outcome 1 collects the strictly positive eigenspace. Where the weighted
-    states coincide the measurement is a pure tie-break and falls back to the
-    computational basis.
+    Outcome 1 collects the strictly positive eigenspace: the top eigenvector,
+    as the equiprobable unit-trace states make q1 rho1 - q2 rho2 traceless.
+    Where the weighted states coincide the measurement is a pure tie-break
+    and falls back to the computational basis.
     """
-    x = 0.5 * states[:, 0] - 0.5 * states[:, 1]
-    w, v = np.linalg.eigh(x)
-    outer = v[:, :, None, :] * v.conj()[:, None, :, :]  # [n, i, j, k] = v_ik conj(v_jk)
-    pi1 = np.where((w > 0.0)[:, None, None, :], outer, 0.0).sum(axis=-1)
+    x = states[:, 0] - states[:, 1]  # twice q1 rho1 - q2 rho2: the same eigenvectors
+    top = np.linalg.eigh(x)[1][:, :, 1]
     dirs = np.empty_like(states)
-    dirs[:, 0] = np.where((np.abs(x).max(axis=(-2, -1)) <= DEFAULTS.norm)[:, None, None],
-                          _TIE_BREAK, pi1)
+    dirs[:, 0] = top[:, :, None] * top[:, None, :].conj()
+    tie = np.abs(x).max(axis=(-2, -1)) <= 2.0 * DEFAULTS.norm
+    if tie.any():
+        dirs[tie, 0] = _TIE_BREAK
     dirs[:, 1] = _IDENTITY - dirs[:, 0]
     return _measurements(states, average, dirs, np.ones((len(x), 1, 2)))
 
@@ -537,7 +539,7 @@ def _usd(vectors: np.ndarray, states: np.ndarray, average: np.ndarray, weights: 
         if coincident.any():
             raise UsdImpossibleError("states are linearly dependent" + _row(coincident))
         weights = np.concatenate((np.empty((len(dirs), 1, 2)), weights), axis=1)
-        weights[:, 0] = _optimal_weight(dirs)[:, None]
+        weights[:, 0] = _optimal_weight(mirrors)[:, None]
     return _measurements(states, average, dirs, weights)
 
 
@@ -631,26 +633,28 @@ def _mcm(vectors: np.ndarray, p: np.ndarray, fractions: np.ndarray,
     """
     proj, states, average = _ensembles(vectors, p)
     w, v = np.linalg.eigh(average)
-    bad = ~(w[:, 0] > DEFAULTS.norm)
-    if bad.any():
+    if not (w[:, 0] > DEFAULTS.norm).all():
         raise DegenerateEnsembleError(
-            "average state is singular (no noise and coincident or antipodal pair)" + _row(bad)
-        )
+            "average state is singular (no noise and coincident or antipodal pair)"
+            + _row(~(w[:, 0] > DEFAULTS.norm)))
     whiten = (v * w[:, None, :] ** -0.5) @ v.conj().swapaxes(-1, -2)
     # rho_i - rho = +-(1-p)/2 (P_1 - P_2) for the pair's projectors P: the
     # same whitened eigenvectors as rho_i, read from the pair so p -> 1
     # cannot cancel them. Outcome 1 takes the top eigenvector, outcome 2 the
     # bottom one (the top one of -(P_1 - P_2)).
     wg, vg = np.linalg.eigh(whiten @ (proj[:, 0] - proj[:, 1]) @ whiten)
-    u = np.where((wg[:, 1] - wg[:, 0] <= 1e-12)[:, None, None], _COINCIDENT_U,
-                 vg.swapaxes(-1, -2)[:, ::-1])
+    u = vg.swapaxes(-1, -2)[:, ::-1]
+    coincident = wg[:, 1] - wg[:, 0] <= 1e-12
+    if coincident.any():
+        u = u.copy()
+        u[coincident] = _COINCIDENT_U
     d = (whiten[:, None] @ u[..., None])[..., 0]  # (N, 2, 2): outcome, amplitude
     # unit vectors; no phase convention, as only |phi_i><phi_i| is used
     mod = np.abs(d)
     d /= np.hypot(mod[..., 0], mod[..., 1])[..., None]
     dirs = d[..., :, None] * d[..., None, :].conj()  # (N, 2, 2, 2)
     if alpha is None:
-        alpha = _optimal_weight(dirs)
+        alpha = _optimal_weight(d)
     weights = np.empty((len(alpha), len(fractions), 2))
     weights[...] = (alpha[:, None] * fractions)[..., None]
     return _measurements(states, average, dirs, weights)

@@ -338,20 +338,26 @@ _ROUTE_HOMES = {
     ("ncmodel", "oracle_min_p0_at_max_confidence"): "ncmodel/oracle-min-p0",
 }
 # The scalar constructions, batches of one of the stacks, each rebuild a
-# stack row in the spot check of their home check.
+# stack row in the spot check of their home check, and the scalar figures
+# of merit read that row's figures.
 _SPOT_HOMES = {
     ("qtheory", "helstrom_povm"): "qtheory/povm-completeness",
     ("qtheory", "usd_optimal"): "qtheory/povm-completeness",
     ("qtheory", "usd_povm"): "qtheory/povm-completeness",
+    ("qtheory", "guessing_probability"): "qtheory/povm-completeness",
+    ("qtheory", "inconclusive_rate"): "qtheory/povm-completeness",
+    ("qtheory", "confidence"): "qtheory/povm-completeness",
     ("qtheory", "mcm_optimal"): "qtheory/mcm-confidence",
     ("qtheory", "mcm_povm"): "qtheory/mcm-confidence",
 }
 
 
 def _off_by(value, eps):
-    """``value`` with its number moved by ``eps``: a (witness, number) pair,
-    or a POVM or stack of them whose conclusive elements each take ``eps`` of
-    the other."""
+    """``value`` with its number moved by ``eps``: a number, a (witness,
+    number) pair, or a POVM or stack of them whose conclusive elements each
+    take ``eps`` of the other."""
+    if isinstance(value, float):
+        return value + eps
     if isinstance(value, tuple):
         return value[0], value[1] + eps
     e = value.elements
@@ -376,6 +382,25 @@ def test_fault_in_a_route_fails_its_home_check(monkeypatch, module, name):
     assert not report.passed
     home = {**_ROUTE_HOMES, **_SPOT_HOMES}[module, name]
     assert home in {ch.name for ch in report.checks if not ch.passed}
+    if name in harness.OPERATIONS[module]:  # the audit counts it for the check it fails
+        assert f"{module}.{name}" in {name: ops for name, ops, _ in harness._CHECKS}[home]
+
+
+def test_povm_completeness_finds_a_stack_that_is_not_hermitian(monkeypatch):
+    # pi_1 and pi_0 take opposite skew parts: still complete, and positive
+    # semidefinite by their lower triangles, but not Hermitian
+    def skewed(theta):
+        stack = qtheory.helstrom_stack(theta)
+        e = stack.elements.copy()
+        e[..., 0, 0, 1] += 1e-9j
+        e[..., 2, 0, 1] -= 1e-9j
+        return replace(stack, elements=e)
+
+    monkeypatch.setattr(harness, "qtheory", types.SimpleNamespace(**{
+        **vars(qtheory), "helstrom_stack": skewed}))
+    checks = {ch.name: ch for ch in verify_all(5).checks}
+    assert not checks["qtheory/povm-completeness"].passed
+    assert checks["qtheory/povm-completeness"].worst.endswith("pi_1")
 
 
 def test_error_inside_a_check_is_its_failure(monkeypatch, capsys):
