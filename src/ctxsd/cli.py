@@ -17,6 +17,7 @@ tolerances used by ``verify`` and the advantage flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -73,6 +74,7 @@ def _add_point_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--omega", type=float, default=0.5, help="strategy mixing weight")
 
 
+@functools.cache  # one per process: parse_args leaves no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctxsd",

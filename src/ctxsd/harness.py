@@ -25,19 +25,19 @@ typed error raised inside a check is that check's failure, reported at the
 error; the other checks still run.
 
 CSV output is deterministic: comma separated, ``.`` decimal point, LF line
-endings, header row first, every cell the bytes of ``"%.9g" % x``. One
-numpy kernel formats a chunk of rows at a time, so a long sweep never holds
-its whole text in memory. Its fast path covers 1e-4 <= x < 1, nearly every
-cell of a sweep: three comparisons give the decade, one rounded multiply
-gives y = x 10^k in [10^8, 10^9) with an error of at most 2^-24, and
-rint(y) is then the correctly rounded nine-digit mantissa unless y lies
-within 1e-6 of a tie. The twelve fraction digits are an exact float
-integer, read four at a time from a table of ASCII digits, and the trailing
-zeros are dropped by a byte mask. Exact 0 and 1 are written as one digit.
-Every other cell (exponent form, negative, non-finite, a near tie, a value
-that rounds up to 1) is formatted by ``"%.9g"`` itself, all of a chunk's in
-one format string padded to a fixed width, so a column of them costs about
-what per-row formatting did.
+endings, header row first, every cell the bytes of ``"%.9g" % x``. One numpy
+kernel writes 4096 rows at a time (at 8192 a chunk's temporaries outgrow the
+cache) as five uint32 words a cell, every byte it does not set NUL, deleted
+by one ``bytes.translate``. Its fast path covers 1e-4 <= x < 1: y = x 10^k
+in [10^8, 10^9) is within 2^-24 of exact, so rint(y) is the nine-digit
+mantissa unless |y - rint(y)| >= 1/2 - 1e-6. The fraction digits f < 10^12
+split exactly as hi = floor(f 1e-8), rest = f - hi 1e8, mid =
+floor(rest 1e-4), lo = rest - mid 1e4: as fl(1e-8) and fl(1e-4) exceed their
+powers, no product is below its integer part, nor (off by < 2e-12) reaches
+the next one, >= 1e-8 away; the rest is integer arithmetic. A table holds
+each four-digit group and, in its second half, the group with trailing "0"s
+as NUL, read by the lowest group and by a higher one where all below are 0.
+Exact 0 and 1 are one digit; any other cell is ``"%-16.9g"``, spaces NUL.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import time
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, TextIO
+from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -95,69 +95,62 @@ __all__ = [
 ]
 
 _VARIABLES = ("c", "p", "omega")
-_CSV_CHUNK = 8192  # rows formatted per write
+_CSV_CHUNK = 4096  # rows formatted per write
 
 
 def _fmt(v: float) -> str:
     return format(float(v), ".9g")
 
 
-# The CSV kernel writes each cell into a 20-byte slot, "\0\0" "0." then
-# twelve fraction digits, its separator and three NULs, and keeps the bytes
-# of the slot that ``_csv_tables`` marks for its count of trailing zeros.
-_SLOT = np.arange(20)
-_ZERO_DOT = np.frombuffer(b"\0\x000.", np.uint32)[0]
+# The first word of an exact 0 or 1, "\0\0" then its digit and a NUL
+_DIGIT_LEAD = np.frombuffer(b"\0\x000\0\0\x001\0", np.uint32)
+_POW10 = 10.0 ** np.arange(13)
 
 
 @functools.cache
-def _csv_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The CSV kernel's tables, built on its first use: the ASCII digits of
-    0..9999 packed four to a uint32, their counts of trailing zeros, the
-    bytes kept of a slot by its count of trailing zeros (0..12), and the
-    powers 10^0..10^12."""
-    n = np.arange(10_000, dtype=np.uint16)
-    digits4 = (np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
-               .astype(np.uint8) + ord("0")).view(np.uint32).ravel()
-    zeros4 = (n % 10 == 0).astype(np.int8) + (n % 100 == 0) + (n % 1000 == 0) + (n == 0)
-    keep = ((_SLOT >= 2) & (_SLOT < 16 - np.arange(13)[:, None])) | (_SLOT == 16)
-    return digits4, zeros4, keep, 10.0 ** np.arange(13)
+def _csv_digits() -> np.ndarray:
+    """The CSV kernel's digit table, built on its first use: at i the four
+    ASCII digits of i (0..9999) packed into a uint32, and at 10000 + i the
+    same digits with the trailing "0"s set to NUL."""
+    n = np.arange(10_000)[:, None]
+    digits = n // 10 ** np.arange(3, -1, -1) % 10 + ord("0")
+    trailing = n % 10 ** np.arange(4, 0, -1) == 0  # every digit after it is 0
+    table = np.concatenate([digits, np.where(trailing, 0, digits)])
+    return table.astype(np.uint8).view(np.uint32).ravel()
 
 
-def _csv_bytes(block: np.ndarray, seps: Sequence[bytes]) -> bytes:
-    """The bytes of a 2-D ``block`` as CSV: each cell ``b"%.9g" % x``
-    followed by its column's separator in ``seps``."""
-    digits4, zeros4, keep_by_zeros, pow10 = _csv_tables()
+def _csv_bytes(block: np.ndarray, row: np.ndarray) -> bytes:
+    """The bytes of a 2-D ``block`` as CSV, each cell ``b"%.9g" % x`` and
+    its separator, written over ``row``, the five words of each cell of a
+    row: "\0\0" "0.", twelve NUL digits, the separator padded with NUL."""
+    digits = _csv_digits()
     x = block.ravel()
     fast = (x >= 1e-4) & (x < 1.0)
     v = np.where(fast, x, 0.5)
     # x = y 10^-k with 10^8 <= y < 10^9: the thresholds are the doubles
     # nearest 10^-1..10^-3, each just above its power, so k is exact
     k = 9 + (v < 0.1).view(np.int8) + (v < 0.01).view(np.int8) + (v < 0.001).view(np.int8)
-    y = v * pow10[k]
-    f = np.rint(y) * pow10[12 - k]  # the twelve fraction digits, an exact integer
-    fast &= (np.abs(y - np.floor(y) - 0.5) > 1e-6) & (f < 1e12)  # 10^12: x rounds to 1
-    hi, rest = np.divmod(np.where(fast, f, 0.0).astype(np.int64), 10 ** 8)
-    mid, lo = np.divmod(rest, 10 ** 4)
-    words = np.empty((*block.shape, 5), np.uint32)
-    words[..., 0] = _ZERO_DOT
-    words[..., 4] = np.frombuffer(b"".join(s.ljust(4, b"\0") for s in seps), np.uint32)
+    y = v * _POW10[k]
+    r = np.rint(y)
+    f = r * _POW10[12 - k]  # the twelve fraction digits, an exact integer
+    fast &= (np.abs(y - r) < 0.5 - 1e-6) & (f < 1e12)  # 10^12: x rounds to 1
+    f = np.where(fast, f, 0.0)
+    hi = np.floor(f * 1e-8)  # f = hi 10^8 + mid 10^4 + lo, split exactly
+    rest = f - hi * 1e8
+    mid = np.floor(rest * 1e-4)
+    lo = rest - mid * 1e4
+    words = np.tile(row, (len(block), 1, 1))
     cells = words.reshape(-1, 5)
-    cells[:, 1], cells[:, 2], cells[:, 3] = digits4[hi], digits4[mid], digits4[lo]
-    zeros = zeros4[lo] + (lo == 0) * (zeros4[mid] + (mid == 0) * zeros4[hi])
-    keep = np.take(keep_by_zeros, zeros, axis=0)
-    text = cells.view(np.uint8)
-    # exact 0 and 1 (whole columns of some sweeps) keep one digit, byte 2
+    cells[:, 1] = digits[(hi + 1e4 * (rest == 0.0)).astype(np.intp)]
+    cells[:, 2] = digits[(mid + 1e4 * (lo == 0.0)).astype(np.intp)]
+    cells[:, 3] = digits[(lo + 1e4).astype(np.intp)]
     digit = (x == 1.0) | ((x == 0.0) & ~np.signbit(x))
-    text[digit, 2] = ord("0") + x[digit]
-    keep[digit] = (_SLOT == 2) | (_SLOT == 16)
-    # every other cell: its "%.9g" bytes (at most 16, "-d.dddddddde-ddd"),
-    # padded with spaces to 16 by one format, over the first 16 bytes of its
-    # slot; the separator stays at byte 16
+    cells[digit, 0] = _DIGIT_LEAD[(x[digit] == 1.0).view(np.int8)]
+    # every other cell: its "%.9g" bytes, at most 16, NUL-padded by one format
     slow = np.flatnonzero(~(fast | digit))
-    printed = (b"%-16.9g" * len(slow)) % tuple(x[slow].tolist())
-    text[slow, :16] = np.frombuffer(printed, np.uint8).reshape(-1, 16)
-    keep[slow, :16] = text[slow, :16] != ord(" ")
-    return text[keep].tobytes()
+    printed = ((b"%-16.9g" * len(slow)) % tuple(x[slow].tolist())).replace(b" ", b"\0")
+    cells[slow, :4] = np.frombuffer(printed, np.uint32).reshape(-1, 4)
+    return words.tobytes().translate(None, b"\0")
 
 
 def _csv_table(header: Sequence[str], rows: Sequence | np.ndarray) -> np.ndarray:
@@ -175,21 +168,27 @@ def _csv_table(header: Sequence[str], rows: Sequence | np.ndarray) -> np.ndarray
     return table
 
 
+def _csv_chunks(header: Sequence[str], table: np.ndarray) -> Iterator[bytes]:
+    """The CSV bytes of a checked ``table``: the header line, then each chunk."""
+    text = (b"\0\x000." + bytes(12) + b",\0\0\0") * len(header)
+    row = np.frombuffer(text[:-4] + b"\n\0\0\0", np.uint32).reshape(-1, 5)
+    yield (",".join(header) + "\n").encode("utf-8")
+    for start in range(0, len(table), _CSV_CHUNK):
+        yield _csv_bytes(table[start:start + _CSV_CHUNK], row)
+
+
 def write_csv_to(stream: TextIO, header: Sequence[str], rows: Sequence | np.ndarray) -> None:
     """Write a header line and ``rows`` (a 2-D array or a sequence of
     equal-length rows, one value per header column) to an open text stream,
     a chunk of rows at a time."""
-    table = _csv_table(header, rows)
-    seps = [b","] * (len(header) - 1) + [b"\n"]
-    stream.write(",".join(header) + "\n")
-    for start in range(0, len(table), _CSV_CHUNK):
-        stream.write(_csv_bytes(table[start:start + _CSV_CHUNK], seps).decode("ascii"))
+    for chunk in _csv_chunks(header, _csv_table(header, rows)):
+        stream.write(chunk.decode("utf-8"))
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Sequence | np.ndarray) -> None:
-    table = _csv_table(header, rows)  # before the file is truncated
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_csv_to(fh, header, table)
+    chunks = _csv_chunks(header, _csv_table(header, rows))  # checked before truncating
+    with open(path, "wb") as fh:
+        fh.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +270,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             substitutions.append(Substitution(k, x, float(xs[k])))
     columns = [eval_column(t.spec(**spec.fixed), spec.variable, xs) for t in spec.targets]
     header = (spec.variable, *(t.label for t in spec.targets))
-    return SweepResult(header, np.column_stack([xs, *columns]), tuple(substitutions))
+    # row-major by view: a CSV chunk's ravel() transposes it while it is in cache
+    return SweepResult(header, np.stack([xs, *columns]).T, tuple(substitutions))
 
 
 # ---------------------------------------------------------------------------
@@ -867,7 +867,7 @@ def _chk_mesd_confidences(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
 def _chk_omega_star(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     cs = ev.cs[1:-1]
     point = _points(c=cs)
-    w_star = np.array([ncmodel.omega_star(c) for c in cs])
+    w_star = ncmodel.omega_star(cs)
     s = np.sqrt(1.0 - cs)
     textbook = (1.0 - cs) * (1.0 - s) / (2.0 * cs * s)
     acc.add(w_star - textbook, tols.oracle, point)
@@ -910,7 +910,7 @@ def _chk_window(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     omegas = _grid(max(2 * ev.n + 1, 21))
     step = float(omegas[1] - omegas[0])
     cs = ev.cs[1:-1, None]
-    w_star = np.array([ncmodel.omega_star(c) for c in cs[:, 0].tolist()])[:, None]
+    w_star = ncmodel.omega_star(cs)
     quantum = ev.closed("MESD_C_Q", "c")[1:-1, None]
     both = np.ones((len(cs), len(omegas)), dtype=bool)
     for arm in ("MESD_C1_NC", "MESD_C2_NC"):

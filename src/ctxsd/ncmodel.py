@@ -396,21 +396,23 @@ def nc_mesd_confidences(c: float | np.ndarray, omega: float | np.ndarray) -> tup
     return c1, c2
 
 
-def omega_star(c: float) -> float:
+def omega_star(c: float | np.ndarray) -> float | np.ndarray:
     """Mixing weight at which the first arm's confidence drops to the
     optimal guessing probability.
 
     Written as sqrt(1-c) / (2 (1 + sqrt(1-c))), which is algebraically
     equal to the textbook form (1-c)(1 - sqrt(1-c)) / (2 c sqrt(1-c)) but
     stable as c -> 0, where the value tends to 1/4. Bounded by 1/4 on
-    [0, 1); undefined for coincident preparations.
+    [0, 1); undefined for coincident preparations, so any c = 1 raises.
+    ``c`` may be a float or a numpy array.
     """
-    if not 0.0 <= c <= 1.0:
+    if not _in_unit(c):
         raise DomainError(f"confusability must lie in [0, 1], got {c}")
-    if c == 1.0:
+    cs = np.asarray(c, dtype=float)
+    if (cs == 1.0).any():
         raise DivergenceError("threshold undefined for coincident preparations")
-    t = math.sqrt(1.0 - c)
-    return t / (2.0 * (1.0 + t))
+    t = np.sqrt(1.0 - cs)
+    return _value(t / (2.0 * (1.0 + t)))
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,20 @@ def test_sweep_validation():
         SweepSpec("c", 0.0, 1.0, 5, {}, ())
 
 
+def test_sweep_table_equals_the_column_stack_of_its_columns():
+    # the table is laid out column by column in memory; as an array it is
+    # still the row table of x and one column per target
+    targets = tuple(t for t in CELLS if t.figure == "P_g")
+    spec = SweepSpec("c", 0.0, 1.0, 101, {"p": 0.25}, targets)
+    result = run_sweep(spec)
+    xs = np.linspace(0.0, 1.0, 101)
+    want = np.column_stack([xs, *(bounds.eval_column(t.spec(**spec.fixed), "c", xs)
+                                  for t in targets)])
+    assert result.substitutions == ()
+    assert result.table.shape == want.shape and np.array_equal(result.table, want)
+    assert result.rows == tuple(map(tuple, want.tolist()))
+
+
 # ---------------------------------------------------------------------------
 # figures
 
@@ -215,7 +229,7 @@ def csv_text(rows):
     return out.getvalue(), printf_csv(header, np.asarray(rows, dtype=float).tolist())
 
 
-def test_csv_cells_at_the_edges_of_the_fast_path():
+def test_csv_cells_at_the_edges_of_the_fast_path(tmp_path):
     powers = [10.0 ** -k for k in range(6)]
     edges = [v for p in powers for v in (np.nextafter(p, 0.0), p, np.nextafter(p, 2.0))]
     # within 5e-10 (relative) of a ninth-digit tie (m + 1/2) 10^-k, and on it
@@ -232,7 +246,16 @@ def test_csv_cells_at_the_edges_of_the_fast_path():
     for table in (values.reshape(-1, 1), values[: len(values) // 4 * 4].reshape(-1, 4)):
         got, want = csv_text(table)
         assert got == want
+        # the file sink writes the same bytes as the text sink
+        harness.write_csv(tmp_path / "edges.csv", got.split("\n", 1)[0].split(","), table)
+        assert (tmp_path / "edges.csv").read_bytes() == got.encode("ascii")
     assert csv_text([[1.0 - 5e-10, 1.0 - 4e-10, 1e-5]])[0].endswith("\n0.999999999,1,1e-05\n")
+
+
+def test_csv_digit_table_holds_every_group_plain_and_stripped():
+    plain = [f"{i:04d}".encode() for i in range(10_000)]
+    stripped = [d.rstrip(b"0").ljust(4, b"\0") for d in plain]
+    assert harness._csv_digits().tobytes() == b"".join(plain + stripped)
 
 
 def test_csv_chunks_join_seamlessly():
@@ -646,6 +669,34 @@ def test_cli_sweep_stdout_matches_file(tmp_path, capsys):
     # the shifted endpoint is reported on stderr, once per substitution
     note = [line for line in captured.err.splitlines() if line.startswith("note:")]
     assert note == ["note: row 10: c = 1 is singular; evaluated at 0.95"]
+
+
+def _without_wall_times(out):
+    try:
+        report = json.loads(out)
+    except json.JSONDecodeError:
+        return out
+    for ch in report["checks"]:
+        del ch["wall_s"]
+    return report
+
+
+def test_cli_parser_is_built_once_and_keeps_no_parsed_state(capsys):
+    # one parser serves every main() call of a process, and each call behaves
+    # as it does in a fresh process
+    assert cli._build_parser() is cli._build_parser()
+    for argv in (["verify", "--json", "--points", "x"], ["verify", "--points", "5", "--json"],
+                 ["verify", "--points", "5"]):
+        fresh = subprocess.run([sys.executable, "-m", "ctxsd", *argv], capture_output=True,
+                               text=True, env=subprocess_env())
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        got = capsys.readouterr()
+        assert rc == fresh.returncode == (2 if argv[-1] == "x" else 0)
+        assert _without_wall_times(got.out) == _without_wall_times(fresh.stdout)
+        assert got.err == fresh.stderr
 
 
 def test_cli_sweep_interior_singular_point_exits_2(capsys):

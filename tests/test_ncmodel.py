@@ -236,6 +236,22 @@ def test_omega_star_bounded_and_divergent_at_one():
         nc.omega_star(1.0)
 
 
+def test_omega_star_of_an_array_equals_its_scalar_calls():
+    cs = np.linspace(0.0, 1.0 - 1e-9, 101)
+    scalar = [nc.omega_star(float(c)) for c in cs]
+    assert all(type(w) is float for w in scalar)
+    # the closed form in Python floats
+    assert scalar == [math.sqrt(1.0 - c) / (2.0 * (1.0 + math.sqrt(1.0 - c))) for c in cs.tolist()]
+    for shape in ((101,), (101, 1)):
+        got = nc.omega_star(cs.reshape(shape))
+        assert got.shape == shape and got.tobytes() == np.array(scalar).tobytes()
+    with pytest.raises(DivergenceError):
+        nc.omega_star(np.array([0.5, 1.0]))
+    for bad in (np.array([0.5, 1.5]), np.array([-0.1, 0.5]), np.array([math.nan]), -0.1):
+        with pytest.raises(DomainError):
+            nc.omega_star(bad)
+
+
 def test_omega_star_by_bisection_against_helstrom():
     for c in (0.2, 0.5, 0.8):
         helstrom = 0.5 * (1.0 + math.sqrt(1.0 - c))
