@@ -13,16 +13,25 @@ figures are read in one pass; the closed form of each cell as one
 ``eval_column`` call over a grid's c and p arrays; and the canonical
 scenarios of the whole grid as one ``ncmodel.canonical_scenario`` stack,
 over which each brute-force oracle runs once. The scalar constructions and
-figures of merit only rebuild a stack row and its figures in spot checks,
-and a point is formatted only when it is a check's worst. The relation table ``_RELATIONS`` then compares each table
-cell with each independent route to it (the constructions for quantum cells,
-the oracles for noncontextual ones), every relation in exactly one named
-check. The structural checks (completeness, monotonicity, model invariants,
-the inequality suite and the like) read the same stacks. Each check reports
-its largest deviation and the number of values it compared, and the report
-records the audited operations whose results it compared. A
-typed error raised inside a check is that check's failure, reported at the
-error; the other checks still run.
+figures of merit only rebuild a stack row and its figures in spot checks.
+The relation table ``_RELATIONS`` then compares each table cell with each
+independent route to it (the constructions for quantum cells, the oracles
+for noncontextual ones), every relation in exactly one named check. The
+structural checks (completeness, monotonicity, model invariants, the
+inequality suite and the like) read the same stacks. Each check reports its
+largest deviation and the number of values it compared, and the report
+records the audited operations whose results it compared. A typed error
+raised inside a check is that check's failure, reported at the error; the
+other checks still run.
+
+The audits are array expressions with no per-point Python and no LAPACK.
+``povm-completeness`` takes the smallest eigenvalue of each 2x2 element
+from its trace t and determinant d, t/2 - sqrt(t^2/4 - d), apart from the
+``qtheory.min_eig_2x2`` it audits, and Hermiticity from the entries that
+can differ. ``pure-pair-and-mirror`` checks one stack of pairs and their
+mirrors, with the scalar operations compared against its rows. An array's
+deviation is recorded as its largest entry; the entry and its point are
+located and formatted only for a check's worst item.
 
 CSV output is deterministic: comma separated, ``.`` decimal point, LF line
 endings, header row first, every cell the bytes of ``"%.9g" % x``. One numpy
@@ -468,28 +477,29 @@ class VerifyReport:
 
 
 class _Acc:
-    """Accumulates (severity, deviation, limit, point) items for one named
-    check. A point is a string, a dict of coordinates (see ``_label``), or a
-    function returning one, called only if that point is reported."""
+    """Accumulates (severity, deviation, limit, point, |deviations|) items
+    for one named check. A point is a string, a dict of coordinates (see
+    ``_label``), or a function returning one, called only if that point is
+    reported."""
 
     def __init__(self) -> None:
-        self.items: list[tuple[float, float, float, str | dict | Callable[[], dict]]] = []
+        self.items: list[tuple[float, float, float, str | dict | Callable, np.ndarray | None]] = []
         self.count = 0  # values compared
 
     def add(self, dev, limit: float, point) -> None:
         """Record |dev| against ``limit`` at ``point``. An array ``dev`` is
         recorded as its largest entry (NaN counting as the largest), at one
         ``point`` for all entries or at a function from an entry's index to
-        its point."""
+        its point; that entry is only located if the item is reported."""
         self.count += np.size(dev)
+        devs = None
         if isinstance(dev, np.ndarray):
-            dev = np.abs(dev)
-            k = np.unravel_index(np.argmax(np.where(np.isnan(dev), np.inf, dev)), dev.shape)
-            dev, point = dev[k], functools.partial(point, k) if callable(point) else point
+            devs = np.abs(dev)
+            dev = devs.max()  # NaN if any entry is
         dev = abs(float(dev))
         # dev / limit; infinite for NaN, or for any deviation from a zero limit
         severity = dev / limit if limit > 0.0 and dev == dev else 0.0 if dev == 0.0 else math.inf
-        self.items.append((severity, dev, limit, point))
+        self.items.append((severity, dev, limit, point, devs))
 
     def ok(self, passed, point) -> None:
         """Record a pass/fail item, or an array of them failing at its first False."""
@@ -506,7 +516,9 @@ class _Acc:
     def result(self, name: str, ops: tuple[str, ...], wall_s: float) -> CheckResult:
         if not self.items:
             return CheckResult(name, ops, True, 0.0, "", 0.0, 0.0, 0, wall_s)
-        severity, dev, limit, point = max(self.items, key=itemgetter(0))  # the first worst
+        severity, dev, limit, point, devs = max(self.items, key=itemgetter(0))  # the first worst
+        if callable(point) and devs is not None:  # argmax: the first largest entry, or NaN
+            point = functools.partial(point, np.unravel_index(np.argmax(devs), devs.shape))
         return CheckResult(name, ops, severity <= 1.0, dev, _label(point), limit, severity,
                            self.count, wall_s)
 
@@ -555,8 +567,9 @@ class _Pass:
     """Every construction and oracle of one verify run, built once.
 
     ``cs`` is the c grid. ``grids`` holds the c and the p arrays of ``c``
-    (p = 0), ``c<1``, ``mcm`` (n x n without the singular average states) and
-    ``nc`` (n x n without the pure coincident pair), c-major, and
+    (p = 0), ``c<1`` and of ``mcm`` and ``nc``, one n x n grid under two
+    names: all of it but the pure coincident pair (1, 0), where the average
+    state is singular and the confidences are undefined. Each is c-major, and
     ``points[grid]`` the point dict of an index into one. ``values[cell,
     route]`` holds a route's values of one table cell on its relation's grid,
     in point order; readers reshape them to one row per point. ``scenario``
@@ -575,12 +588,8 @@ class _Pass:
         c, p = np.meshgrid(cs, np.union1d(cs, [0.5]), indexing="ij")  # p = 1/2 at every density
         self.scenario = ncmodel.canonical_scenario(c, p)
         square = np.isin(p, cs)
-        masks = {
-            "c": p == 0.0,
-            "c<1": (p == 0.0) & (c < 1.0),
-            "mcm": square & ~((p == 0.0) & ((c == 0.0) | (c == 1.0))),
-            "nc": square & ~((p == 0.0) & (c == 1.0)),
-        }
+        masks = {"c": p == 0.0, "c<1": (p == 0.0) & (c < 1.0)}
+        masks["mcm"] = masks["nc"] = square & ~((p == 0.0) & (c == 1.0))
         self.grids = {name: (c[m], p[m]) for name, m in masks.items()}
         self.points = {name: _points(c=c[m]) if name in ("c", "c<1") else _points(c=c[m], p=p[m])
                        for name, m in masks.items()}
@@ -590,7 +599,7 @@ class _Pass:
         g = np.array(_USD_FRACTIONS) / (1.0 + np.sqrt(cs[:-1, None]))  # no USD at c = 1
         self.povms = qtheory.usd_stack(theta[:-1], np.stack((g, g), axis=-1))
         c, p = self.grids["mcm"]
-        self.mcm = qtheory.mcm_stack([_theta_of(x) for x in c.tolist()], p, (1.0, *_MCM_FRACTIONS))
+        self.mcm = qtheory.mcm_stack(theta[np.searchsorted(cs, c)], p, (1.0, *_MCM_FRACTIONS))
         self.stacks = {"c": self.pure, "c<1": self.povms, "mcm": self.mcm}
         self.values = {("MESD_C_Q", _HELSTROM): self.pure.confidence(1)[:, 0]}
         for scheme, route, part, stack in (("MESD", _HELSTROM, None, self.pure),
@@ -628,6 +637,8 @@ class _Pass:
     def closed(self, cell: str, grid: str) -> np.ndarray:
         """The closed form of the cell labelled ``cell`` at each point of
         ``grid``: one ``eval_column`` over its c and p arrays."""
+        if grid == "mcm":  # the points of "nc"
+            grid = "nc"
         if (cell, grid) not in self._closed:
             self._closed[cell, grid] = eval_column(_CELL[cell].spec(0.5, 0.5, 0.5), ("c", "p"),
                                                    self.grids[grid])
@@ -704,14 +715,42 @@ for _name, _ops in (
 
 @_check("qtheory/pure-pair-and-mirror", ("qtheory.make_pure_pair", "qtheory.mirror"))
 def _chk_pure_pair(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
-    for theta in np.linspace(0.0, math.pi, max(ev.n, 7)):
-        a, b = qtheory.make_pure_pair(float(theta))
-        acc.add(a.overlap(b).real - math.cos(theta), tols.exact, dict(theta=theta))
-        for s in (a, b):
-            m = qtheory.mirror(s)
-            acc.add(abs(s.overlap(m)), tols.exact, dict(theta=theta))
-            back = qtheory.mirror(m)
-            acc.add(abs(s.overlap(back)) - 1.0, tols.exact, dict(theta=theta))
+    # the relations over the theta grid, one stack of pairs and their mirrors
+    theta = np.linspace(0.0, math.pi, max(ev.n, 7))
+    spots = (0.0, 0.5 * math.pi, math.pi)  # appended rows for the scalar operations
+    pairs = qtheory._pure_pairs(np.concatenate((theta, spots)))
+    mirrors = qtheory._mirrors(pairs)
+    n, point = len(theta), _points(theta=theta)
+    overlap = lambda a, b: (a.conj() * b).sum(axis=-1)  # <a|b> of each row
+    acc.add(overlap(pairs[:n, 0], pairs[:n, 1]).real - np.cos(theta), tols.exact, point)
+    acc.add(np.abs(overlap(pairs, mirrors)[:n]), tols.exact, point)
+    acc.add(np.abs(overlap(pairs, qtheory._mirrors(mirrors))[:n]) - 1.0, tols.exact, point)
+    # make_pure_pair and mirror rebuild the stack rows
+    for row, t in enumerate(spots, n):
+        states = qtheory.make_pure_pair(t)
+        built = [[(s.amp0, s.amp1) for s in states],
+                 [(m.amp0, m.amp1) for m in map(qtheory.mirror, states)]]
+        acc.add(np.array(built) - np.stack((pairs[row], mirrors[row])), tols.exact, dict(theta=t))
+
+
+def _skew(e: np.ndarray) -> np.ndarray:
+    """max |e - e^H| of each 2x2 matrix of the stack ``e``, read from the
+    entries that can differ: twice the imaginary parts of the diagonal, and
+    |e01 - conj(e10)|."""
+    diagonal = np.maximum(np.abs(e[..., 0, 0].imag), np.abs(e[..., 1, 1].imag))
+    return np.maximum(2.0 * diagonal, np.abs(e[..., 0, 1] - e[..., 1, 0].conj()))
+
+
+def _min_eigs(e: np.ndarray) -> np.ndarray:
+    """The smallest eigenvalue of each 2x2 Hermitian matrix of the stack
+    ``e`` from its trace t and determinant d = e00 e11 - Re(e01 e10), as
+    t/2 - sqrt(t^2/4 - d): the audit's own formula, apart from the
+    ``qtheory.min_eig_2x2`` the stacks were validated with. NaN stays NaN."""
+    a, b = e[..., 0, 0].real, e[..., 1, 1].real
+    x, y = e[..., 0, 1], e[..., 1, 0]
+    half = 0.5 * (a + b)
+    det = a * b - (x.real * y.real - x.imag * y.imag)
+    return half - np.sqrt(np.maximum(half * half - det, 0.0))
 
 
 @_check("qtheory/povm-completeness", ("qtheory.noisy_ensemble", "qtheory.helstrom_povm",
@@ -722,9 +761,11 @@ def _chk_povm_completeness(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     for grid, stack in ev.stacks.items():
         e, point = stack.elements, functools.partial(ev.stack_point, grid)
         element = lambda k, point=point: {**point(k), "element": _ELEMENTS[k[-1]]}
-        acc.add(np.abs(e - e.conj().swapaxes(-1, -2)).max(axis=(-2, -1)), tols.exact, element)
-        acc.add(np.abs(e.sum(axis=-3) - np.eye(2)).max(axis=(-2, -1)), tols.completeness, point)
-        acc.add(np.maximum(0.0, -np.linalg.eigvalsh(e)[..., 0]), tols.psd, element)
+        acc.add(_skew(e), tols.exact, element)
+        residual = np.abs(e[..., 0, :, :] + e[..., 1, :, :] + e[..., 2, :, :] - np.eye(2))
+        residual = np.maximum(residual[..., 0, :], residual[..., 1, :])
+        acc.add(np.maximum(residual[..., 0], residual[..., 1]), tols.completeness, point)
+        acc.add(np.maximum(0.0, -_min_eigs(e)), tols.psd, element)
     # the scalar constructions and figures rebuild a row of the Helstrom and
     # USD stacks, the pure pair at the middle c, and raise where the stacks do
     row = ev.n // 2

@@ -87,14 +87,6 @@ def min_eig_2x2(m: np.ndarray) -> float | np.ndarray:
     return 0.5 * (a + b) - np.hypot(0.5 * (a - b), np.abs(m[..., 0, 1]))
 
 
-def _phase_fixed(v: np.ndarray) -> np.ndarray:
-    """Rescale by a global phase so the first nonzero amplitude is real >= 0."""
-    for comp in v:
-        if abs(comp) > 1e-12:
-            return v * (comp.conjugate() / abs(comp))
-    raise DomainError("zero vector has no phase convention")
-
-
 @dataclass(frozen=True)
 class PureState:
     """A qubit ray stored as two complex amplitudes of unit norm."""
@@ -295,11 +287,21 @@ def make_pure_pair(theta: float) -> tuple[PureState, PureState]:
     return PureState(*a), PureState(*b)
 
 
+def _mirrors(vectors: np.ndarray) -> np.ndarray:
+    """The mirrors of the unit vectors ``vectors`` (..., 2): each the
+    orthogonal ray (-conj(amp1), conj(amp0)), rescaled by a global phase so
+    that its first amplitude of modulus above 1e-12 is real >= 0."""
+    raw = np.stack((-vectors[..., 1].conj(), vectors[..., 0].conj()), axis=-1)
+    lead = np.where(np.abs(raw[..., 0]) > 1e-12, raw[..., 0], raw[..., 1])
+    r = np.abs(lead)  # conj(lead) / r part by part: exactly 1 for a real positive lead
+    return raw * (lead.real / r - 1j * (lead.imag / r))[..., None]
+
+
 def mirror(state: PureState) -> PureState:
-    """The orthogonal ray, phase-fixed (first nonzero amplitude real >= 0)."""
-    raw = np.array([-state.amp1.conjugate(), state.amp0.conjugate()], dtype=complex)
-    v = _phase_fixed(raw)
-    return PureState(complex(v[0]), complex(v[1]))
+    """The orthogonal ray, phase-fixed (first nonzero amplitude real >= 0).
+    A batch of one of ``_mirrors``."""
+    (amp0, amp1), = _mirrors(np.array([(state.amp0, state.amp1)], dtype=complex)).tolist()
+    return PureState(amp0, amp1)
 
 
 def noisy_ensemble(theta: float, p: float) -> Ensemble:

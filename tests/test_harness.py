@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import types
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -426,6 +426,89 @@ def test_povm_completeness_finds_a_stack_that_is_not_hermitian(monkeypatch):
     assert checks["qtheory/povm-completeness"].worst.endswith("pi_1")
 
 
+def test_povm_completeness_finds_an_element_that_is_not_positive(monkeypatch):
+    # 1e-9 |u><u| moves from pi_1 to pi_0, u the null vector of pi_1: still
+    # Hermitian and complete, but pi_1 has the eigenvalue -1e-9
+    def leaky(*args):
+        stack = qtheory.mcm_stack(*args)
+        e = stack.elements.copy()
+        u = np.linalg.eigh(e[..., 0, :, :])[1][..., :, 0]
+        leak = 1e-9 * u[..., :, None] * u[..., None, :].conj()
+        e[..., 0, :, :] -= leak
+        e[..., 2, :, :] += leak
+        return replace(stack, elements=e)
+
+    monkeypatch.setattr(harness, "qtheory", types.SimpleNamespace(**{
+        **vars(qtheory), "mcm_stack": leaky}))
+    ch = {ch.name: ch for ch in verify_all(5).checks}["qtheory/povm-completeness"]
+    assert not ch.passed and ch.worst.endswith("pi_1")
+    assert ch.max_dev == pytest.approx(1e-9, rel=1e-6)
+
+
+def _unit_stack(rng, n):
+    v = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e3])
+def test_psd_audit_formula_agrees_with_lapack(scale):
+    # LAPACK is the judge here only; the audit itself calls neither it nor
+    # qtheory.min_eig_2x2
+    rng = np.random.default_rng(20261018)
+    x = rng.normal(size=(4000, 2, 2)) + 1j * rng.normal(size=(4000, 2, 2))
+    v = _unit_stack(rng, 1000)
+    for m in (0.5 * (x + x.conj().swapaxes(-1, -2)), v[:, :, None] * v[:, None, :].conj()):
+        m = scale * m
+        want = np.linalg.eigvalsh(m)
+        size = np.abs(m).max(axis=(-2, -1))
+        # t/2 - sqrt(t^2/4 - d): rounding in t^2/4 - d, over the eigenvalue gap
+        bound = 8 * np.finfo(float).eps * size * (1.0 + size / (want[:, 1] - want[:, 0]))
+        assert (np.abs(harness._min_eigs(m) - want[:, 0]) <= bound).all()
+    diagonal = scale * rng.normal(size=(100, 1, 1)) * np.eye(2, dtype=complex)
+    assert np.array_equal(harness._min_eigs(diagonal), diagonal[:, 0, 0].real)
+    assert np.array_equal(harness._min_eigs(np.zeros((3, 2, 2), complex)), np.zeros(3))
+    assert np.isnan(harness._min_eigs(np.array([[[np.nan, 0], [0, 1]]], complex))).all()
+
+
+def test_hermiticity_audit_equals_the_largest_skew_entry():
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(3, 500, 2, 2)) + 1j * rng.normal(size=(3, 500, 2, 2))
+    m[0] = 0.5 * (m[0] + m[0].conj().swapaxes(-1, -2))  # Hermitian
+    m[1, ..., 0, 1] = m[1, ..., 1, 0].conj()  # skew on the diagonal only
+    want = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    assert np.array_equal(harness._skew(m), want)
+
+
+def _rotated(a0, a1, eps=1e-9):
+    """The amplitudes (a0, a1) turned by the angle ``eps``: still a unit vector."""
+    c, s = math.cos(eps), math.sin(eps)
+    return c * a0 - s * a1, s * a0 + c * a1
+
+
+def _faulty_pure_pairs(theta):
+    v = qtheory._pure_pairs(theta).copy()
+    v[:, 1, 0], v[:, 1, 1] = _rotated(v[:, 1, 0], v[:, 1, 1])  # psi2 only
+    return v
+
+
+def _faulty_make_pure_pair(theta):
+    psi1, psi2 = qtheory.make_pure_pair(theta)
+    return psi1, qtheory.PureState(*_rotated(*astuple(psi2)))
+
+
+@pytest.mark.parametrize("name, faulty", [
+    ("_pure_pairs", _faulty_pure_pairs),
+    ("make_pure_pair", _faulty_make_pure_pair),
+    ("mirror", lambda s: qtheory.PureState(*_rotated(*astuple(qtheory.mirror(s))))),
+])
+def test_fault_in_a_pure_pair_or_mirror_fails_its_check(monkeypatch, name, faulty):
+    monkeypatch.setattr(harness, "qtheory", types.SimpleNamespace(**{
+        **vars(qtheory), name: faulty}))
+    ch = {ch.name: ch for ch in verify_all(5).checks}["qtheory/pure-pair-and-mirror"]
+    assert not ch.passed and ch.max_dev >= 5e-10, (ch.max_dev, ch.worst)
+    assert ch.worst.startswith("theta=")
+
+
 def test_error_inside_a_check_is_its_failure(monkeypatch, capsys):
     def broken(c):
         raise DomainError("omega* broken")
@@ -463,6 +546,41 @@ def test_verify_formats_only_the_reported_points(monkeypatch):
     monkeypatch.setattr(harness, "_label", lambda point: calls.append(point) or label(point))
     assert verify_all(5).passed
     assert len(calls) <= len(harness._CHECKS)  # one worst point per check
+
+
+def test_check_accumulator_reports_its_first_worst_entry_and_formats_only_its_point():
+    calls = []
+
+    def points(tag):
+        return lambda k: calls.append((tag, k)) or {"at": f"{tag} {tuple(map(int, k))}"}
+
+    acc = harness._Acc()
+    acc.add(np.array([1.0, -3.0, 3.0]), 4.0, points("a"))  # a tie: the first entry is reported
+    acc.add(-3.0, 4.0, "b")  # as severe, but later
+    acc.add(np.zeros((2, 3)), 0.0, points("c"))  # no deviation from a zero limit
+    acc.ok(np.array([True, True]), points("d"))
+    ch = acc.result("x", (), 0.0)
+    assert (ch.passed, ch.max_dev, ch.limit, ch.headroom, ch.items) == (True, 3.0, 4.0, 0.75, 12)
+    assert ch.worst == "a (1,)" and calls == [("a", (1,))]
+
+    calls.clear()
+    acc = harness._Acc()
+    acc.add(np.array([1.0, 5.0]), 1.0, points("a"))
+    acc.add(np.array([[0.0, np.nan], [np.nan, 9.0]]), 1.0, points("n"))  # NaN: infinitely severe
+    acc.add(math.inf, 1.0, "later")
+    acc.ok(np.array([True, False, False]), points("f"))
+    ch = acc.result("x", (), 0.0)
+    assert not ch.passed and ch.headroom == math.inf and math.isnan(ch.max_dev)
+    assert ch.worst == "n (0, 1)" and calls == [("n", (0, 1))]
+    assert ch.items == 2 + 4 + 1 + 3
+
+    calls.clear()
+    acc = harness._Acc()
+    acc.add(np.array([0.0, 1e-12]), 1e-12, points("a"))
+    acc.ok(np.array([True, False, False]), points("f"))  # fails at its first False
+    ch = acc.result("x", (), 0.0)
+    assert (ch.passed, ch.max_dev, ch.limit, ch.worst) == (False, math.inf, 0.0, "f (1,)")
+    assert calls == [("f", (1,))]
 
 
 def test_verify_builds_the_mcm_measurements_in_one_stack(monkeypatch):

@@ -84,6 +84,22 @@ def test_mirror_involution_on_random_states():
         assert abs(abs(psi.overlap(twice)) - 1.0) < 1e-12
 
 
+def test_mirror_is_a_row_of_the_stacked_mirrors():
+    rng = np.random.default_rng(11)
+    v = rng.normal(size=(200, 2)) + 1j * rng.normal(size=(200, 2))
+    v[::7, 1] *= 1e-13  # mirrors whose first amplitude is below the phase threshold
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    rows = qt._mirrors(v)
+    for vec, row in zip(v.tolist(), rows.tolist()):
+        m = qt.mirror(qt.PureState(*vec))
+        assert (m.amp0, m.amp1) == tuple(row)
+        lead = row[0] if abs(row[0]) > 1e-12 else row[1]
+        assert abs(lead.imag) <= 1e-15 and lead.real > 0.0  # real to rounding
+    # a real state's mirror is exact: the phase is +-1
+    m = qt.mirror(qt.PureState(0.6, 0.8))
+    assert (m.amp0, m.amp1) == (0.8, -0.6)
+
+
 def test_noisy_ensemble_pure_case_rank_one():
     ens = qt.noisy_ensemble(math.pi / 3, 0.0)
     for op in ens.states:
