@@ -445,9 +445,20 @@ def test_povm_completeness_finds_an_element_that_is_not_positive(monkeypatch):
     assert ch.max_dev == pytest.approx(1e-9, rel=1e-6)
 
 
-def _unit_stack(rng, n):
-    v = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+def test_povm_completeness_finds_a_stack_that_is_not_complete(monkeypatch):
+    # pi_0 gains 1e-9 |1><1|: still Hermitian and positive semidefinite, but
+    # the elements sum to the identity off by 1e-9 in their last entry
+    def overfull(*args):
+        stack = qtheory.mcm_stack(*args)
+        e = stack.elements.copy()
+        e[..., 2, 1, 1] += 1e-9
+        return replace(stack, elements=e)
+
+    monkeypatch.setattr(harness, "qtheory", types.SimpleNamespace(**{
+        **vars(qtheory), "mcm_stack": overfull}))
+    ch = {ch.name: ch for ch in verify_all(5).checks}["qtheory/povm-completeness"]
+    assert not ch.passed and not ch.worst.endswith(harness._ELEMENTS)  # a point, no element
+    assert ch.max_dev == pytest.approx(1e-9, rel=1e-6)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e3])
@@ -456,7 +467,8 @@ def test_psd_audit_formula_agrees_with_lapack(scale):
     # qtheory.min_eig_2x2
     rng = np.random.default_rng(20261018)
     x = rng.normal(size=(4000, 2, 2)) + 1j * rng.normal(size=(4000, 2, 2))
-    v = _unit_stack(rng, 1000)
+    v = rng.normal(size=(1000, 2)) + 1j * rng.normal(size=(1000, 2))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
     for m in (0.5 * (x + x.conj().swapaxes(-1, -2)), v[:, :, None] * v[:, None, :].conj()):
         m = scale * m
         want = np.linalg.eigvalsh(m)
@@ -468,6 +480,14 @@ def test_psd_audit_formula_agrees_with_lapack(scale):
     assert np.array_equal(harness._min_eigs(diagonal), diagonal[:, 0, 0].real)
     assert np.array_equal(harness._min_eigs(np.zeros((3, 2, 2), complex)), np.zeros(3))
     assert np.isnan(harness._min_eigs(np.array([[[np.nan, 0], [0, 1]]], complex))).all()
+    # it reads both off-diagonals: on a triangular matrix, not Hermitian, it
+    # gives the smaller diagonal entry, the smaller eigenvalue
+    a, b, u = scale * rng.normal(size=(3, 1000))
+    size = np.maximum(np.maximum(abs(a), abs(b)), abs(u))
+    bound = 8 * np.finfo(float).eps * size * (1.0 + size / abs(a - b))
+    for m in (np.array([[a, u], [0 * u, b]]), np.array([[a, 0 * u], [u, b]])):
+        got = harness._min_eigs(np.moveaxis(m, -1, 0).astype(complex))
+        assert (np.abs(got - np.minimum(a, b)) <= bound).all()
 
 
 def test_hermiticity_audit_equals_the_largest_skew_entry():
@@ -481,13 +501,13 @@ def test_hermiticity_audit_equals_the_largest_skew_entry():
 
 def _rotated(a0, a1, eps=1e-9):
     """The amplitudes (a0, a1) turned by the angle ``eps``: still a unit vector."""
-    c, s = math.cos(eps), math.sin(eps)
+    c, s = np.cos(eps), np.sin(eps)
     return c * a0 - s * a1, s * a0 + c * a1
 
 
-def _faulty_pure_pairs(theta):
+def _faulty_pure_pairs(theta, eps=1e-9):
     v = qtheory._pure_pairs(theta).copy()
-    v[:, 1, 0], v[:, 1, 1] = _rotated(v[:, 1, 0], v[:, 1, 1])  # psi2 only
+    v[:, 1, 0], v[:, 1, 1] = _rotated(v[:, 1, 0], v[:, 1, 1], eps)  # psi2 only
     return v
 
 
@@ -496,8 +516,28 @@ def _faulty_make_pure_pair(theta):
     return psi1, qtheory.PureState(*_rotated(*astuple(psi2)))
 
 
+def _faulty_mirrors(turn):
+    """Stacked mirrors off by 1e-9 |sin(2 theta)| for the pure pair at theta
+    and for its mirrors: turned, or scaled if not ``turn``; exact at theta =
+    0, pi/2 and pi, the rows the scalar operations rebuild, so only a
+    relation can fail."""
+    def mirrors(vectors):
+        a0, a1 = np.abs(vectors[..., 0]), np.abs(vectors[..., 1])
+        eps = 4e-9 * a0 * a1 * np.abs(a0 * a0 - a1 * a1)
+        m = qtheory._mirrors(vectors)
+        if not turn:
+            return m * (1.0 + eps[..., None])
+        m[..., 0], m[..., 1] = _rotated(m[..., 0], m[..., 1], eps)
+        return m
+    return mirrors
+
+
 @pytest.mark.parametrize("name, faulty", [
     ("_pure_pairs", _faulty_pure_pairs),
+    # exact at theta = 0, pi/2 and pi: only <psi1|psi2> = cos(theta) can fail
+    ("_pure_pairs", lambda theta: _faulty_pure_pairs(theta, 1e-9 * np.sin(2 * theta))),
+    ("_mirrors", _faulty_mirrors(turn=True)),  # not orthogonal
+    ("_mirrors", _faulty_mirrors(turn=False)),  # orthogonal, but not an involution
     ("make_pure_pair", _faulty_make_pure_pair),
     ("mirror", lambda s: qtheory.PureState(*_rotated(*astuple(qtheory.mirror(s))))),
 ])
