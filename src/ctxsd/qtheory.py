@@ -4,17 +4,23 @@ Value types (pure states, ensembles, three-outcome POVMs) together with
 the three figures of merit and the optimal-measurement constructions.
 Operators are plain read-only 2x2 complex arrays. An ensemble is an
 equiprobable pure pair dephased at a noise level p; it stores the pair
-itself, so the unambiguous measurement reads the pure states directly, and
-derives its two density operators and their average once on construction.
+itself and its (2, 2) amplitude array, so the unambiguous measurement reads
+the pure states directly, and derives its two density operators and their
+average once on construction.
 A POVM is one (3, 2, 2) array of its elements (pi_1, pi_2, pi_0), pi_0 the
 inconclusive element, validated once on construction. The constructions are:
 
 * minimum-error: projective measurement onto the eigenspaces of the
   weighted state difference,
 * unambiguous: conclusive elements proportional to the mirror projectors,
-* maximum-confidence: rank-one conclusive directions from a whitened
-  eigenproblem, with the free conclusive weight set to the largest value
+* maximum-confidence: rank-one conclusive directions, the eigenvectors of
+  adj(rho)(P_1 - P_2) (those of Herzog's whitened eigenproblem times
+  rho^(-1/2)), with the free conclusive weight set to the largest value
   that keeps the inconclusive element positive semidefinite.
+
+Every eigenvector is a closed form of the 2x2 entries, so no construction
+calls LAPACK; only the coincident maximum-confidence fallback needs
+rho^(-1/2), in closed form too.
 
 Every construction runs on stacks. ``helstrom_stack``, ``usd_stack`` and
 ``mcm_stack`` take an array of theta (and, where the scheme reads them, the
@@ -164,16 +170,19 @@ class Ensemble:
     """Equiprobable pure pair dephased to rho_i = (1-p)|psi_i><psi_i| + p/2.
 
     ``pair`` and ``noise`` are the whole ensemble, and the priors are the
-    class constant (1/2, 1/2). ``states`` (the two density operators, a
-    read-only (2, 2, 2) array) and ``average`` (their even mixture, a
-    read-only 2x2 array) are derived from them once on construction, as the
-    stacks derive theirs; ``overlap_sq`` is |<psi1|psi2>|^2 of the pair.
+    class constant (1/2, 1/2). ``vectors`` (the pair's amplitudes, a
+    read-only (2, 2) array, row i the state psi_{i+1}), ``states`` (the two
+    density operators, a read-only (2, 2, 2) array) and ``average`` (their
+    even mixture, a read-only 2x2 array) are derived from them once on
+    construction, as the stacks derive theirs; ``overlap_sq`` is
+    |<psi1|psi2>|^2 of the pair.
     """
 
     priors: ClassVar[tuple[float, float]] = (0.5, 0.5)
 
     pair: tuple[PureState, PureState]
     noise: float
+    vectors: np.ndarray = field(init=False, compare=False)
     states: np.ndarray = field(init=False, compare=False)
     average: np.ndarray = field(init=False, compare=False)
 
@@ -183,8 +192,10 @@ class Ensemble:
             raise ContractError("an ensemble is a pair of PureState values")
         if not 0.0 <= self.noise <= 1.0:
             raise DomainError(f"noise must lie in [0, 1], got {self.noise}")
-        _, (states,), (average,) = _ensembles(_vectors(self), np.array([float(self.noise)]))
-        states.flags.writeable = average.flags.writeable = False
+        vectors = np.array([(s.amp0, s.amp1) for s in self.pair], dtype=complex)
+        _, (states,), (average,) = _ensembles(vectors[None], np.array([float(self.noise)]))
+        vectors.flags.writeable = states.flags.writeable = average.flags.writeable = False
+        object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "average", average)
 
@@ -252,8 +263,9 @@ def _within(x, hi: float, what: str, bound: str) -> np.ndarray:
     """``x`` (N, ...) as a float array; a DomainError names its first row with
     an entry outside [0, hi], NaN included."""
     x = np.asarray(x, dtype=float)
-    if any(not 0.0 <= v <= hi for v in x.ravel().tolist()):  # cheaper than numpy at N = 1
-        bad = ~((0.0 <= x) & (x <= hi))
+    inside = (0.0 <= x) & (x <= hi)  # false for NaN
+    if not inside.all():
+        bad = ~inside
         raise DomainError(f"{what} must lie in [0, {bound}], got {x[bad][0]}"
                           + _row(bad.reshape(len(x), -1).any(axis=1)))
     return x
@@ -309,15 +321,11 @@ def noisy_ensemble(theta: float, p: float) -> Ensemble:
     return Ensemble(make_pure_pair(theta), p)
 
 
-def _vectors(ens: Ensemble) -> np.ndarray:
-    """The ensemble's pure pair as a batch of one: (1, 2, 2) amplitudes."""
-    return np.array([[(s.amp0, s.amp1) for s in ens.pair]], dtype=complex)
-
-
 def _pure_pair_of(ens: Ensemble) -> np.ndarray:
+    """The ensemble's pure pair as a batch of one: (1, 2, 2) amplitudes."""
     if ens.noise != 0.0:
         raise ContractError("pure-state ensemble required (noise = 0)")
-    return _vectors(ens)
+    return ens.vectors[None]
 
 
 def _ensembles(vectors: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -471,25 +479,33 @@ def _optimal_weight(units: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # minimum-error measurement
 
-_TIE_BREAK = np.diag([1.0 + 0.0j, 0.0j])  # pi_1 for coincident weighted states
-
-
 def _helstrom(states: np.ndarray, average: np.ndarray) -> MeasurementStack:
     """Projective measurements onto the eigenspaces of q1 rho1 - q2 rho2 of the
     ensembles with the states (N, 2, 2, 2) and averages (N, 2, 2).
 
     Outcome 1 collects the strictly positive eigenspace: the top eigenvector,
     as the equiprobable unit-trace states make q1 rho1 - q2 rho2 traceless.
-    Where the weighted states coincide the measurement is a pure tie-break
-    and falls back to the computational basis.
+    For x = rho1 - rho2 with h = (x00 - x11)/2 and r = hypot(h, |x01|) that
+    is (r + h, conj(x01)) or (x01, r - h), in closed form; each row takes
+    the one that does not cancel. Where the weighted states coincide the
+    measurement is a pure tie-break and falls back to the computational
+    basis: outcome 1 takes |0>.
     """
     x = states[:, 0] - states[:, 1]  # twice q1 rho1 - q2 rho2: the same eigenvectors
-    top = np.linalg.eigh(x)[1][:, :, 1]
-    dirs = np.empty_like(states)
-    dirs[:, 0] = top[:, :, None] * top[:, None, :].conj()
-    tie = np.abs(x).max(axis=(-2, -1)) <= 2.0 * DEFAULTS.norm
+    x01 = x[:, 0, 1]
+    h = 0.5 * (x[:, 0, 0].real - x[:, 1, 1].real)
+    r = np.hypot(h, np.abs(x01))
+    top = np.empty((len(x), 2), dtype=complex)  # r + h cancels where h < 0
+    top[:, 0], top[:, 1] = r + h, x01.conj()
+    down = h < 0.0
+    if down.any():
+        top[down] = np.stack((x01[down], (r - h)[down]), axis=-1)
+    tie = r <= 2.0 * DEFAULTS.norm  # x's eigenvalues +-r vanish
     if tie.any():
-        dirs[tie, 0] = _TIE_BREAK
+        top[tie] = (1.0, 0.0)
+    outer = top[:, :, None] * top[:, None, :].conj()
+    dirs = np.empty_like(states)
+    dirs[:, 0] = outer / (outer[:, 0, 0].real + outer[:, 1, 1].real)[:, None, None]
     dirs[:, 1] = _IDENTITY - dirs[:, 0]
     return _measurements(states, average, dirs, np.ones((len(x), 1, 2)))
 
@@ -596,6 +612,7 @@ def usd_optimal(ens: Ensemble) -> tuple[Povm, float]:
 # stays continuous in (theta, p). Row i - 1 is outcome i's.
 _COINCIDENT_U = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex) / math.sqrt(2.0)
 _WHOLE = np.ones(1)  # the weight itself, as the one fraction
+_COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])  # adj(m) = these * m[::-1, ::-1].T
 
 
 def mcm_stack(theta, p, fractions=(1.0,)) -> MeasurementStack:
@@ -627,30 +644,49 @@ def _mcm(vectors: np.ndarray, p: np.ndarray, fractions: np.ndarray,
     defaults to the optimal weight.
 
     The direction |phi_i> maximises the retrodictive confidence
-    q_i Tr[rho_i pi] / Tr[rho pi] over rank-one pi. Whitening by rho^(-1/2)
-    turns that ratio into a Rayleigh quotient, so |phi_i> ~ rho^(-1/2) u
-    with u the top eigenvector of rho^(-1/2) rho_i rho^(-1/2). The optimal
-    weight is 1/lambda_max of the sum of the two conclusive projectors, the
-    largest keeping pi_0 = 1 - pi_1 - pi_2 positive semidefinite.
+    q_i Tr[rho_i pi] / Tr[rho pi] over rank-one pi. Whitening by
+    W = rho^(-1/2) turns that ratio into a Rayleigh quotient, so
+    |phi_i> ~ W u with u the top eigenvector of W rho_i W; these W u are the
+    eigenvectors of rho^-1 rho_i. As rho_i - rho = +-(1-p)/2 (P_1 - P_2) for
+    the pair's projectors P, they are those of A = adj(rho)(P_1 - P_2) =
+    det(rho) rho^-1 (P_1 - P_2), read from the pair so p -> 1 cannot cancel
+    them. A is similar to det(rho) W (P_1 - P_2) W, so its eigenvalues
+    lambda = (m00 + m11)/2 +- root, root = sqrt(((m00 - m11)/2)^2 + m01 m10),
+    are real. Outcome 1 takes the top eigenvector, outcome 2 the bottom one,
+    each as (lambda - m11, m10) or (m01, lambda - m00), whichever does not
+    cancel, with no square root of rho and no eigendecomposition. Coincident
+    states, a gap 2 root <= 1e-12 det(rho), take W u for the fixed u of
+    ``_COINCIDENT_U``, with W ~ adj(rho + sqrt(det rho)). The optimal weight
+    is 1/lambda_max of the sum of the two conclusive projectors, the largest
+    keeping pi_0 = 1 - pi_1 - pi_2 positive semidefinite.
     """
     proj, states, average = _ensembles(vectors, p)
-    w, v = np.linalg.eigh(average)
-    if not (w[:, 0] > DEFAULTS.norm).all():
+    nonsingular = min_eig_2x2(average) > DEFAULTS.norm
+    if not nonsingular.all():
         raise DegenerateEnsembleError(
             "average state is singular (no noise and coincident or antipodal pair)"
-            + _row(~(w[:, 0] > DEFAULTS.norm)))
-    whiten = (v * w[:, None, :] ** -0.5) @ v.conj().swapaxes(-1, -2)
-    # rho_i - rho = +-(1-p)/2 (P_1 - P_2) for the pair's projectors P: the
-    # same whitened eigenvectors as rho_i, read from the pair so p -> 1
-    # cannot cancel them. Outcome 1 takes the top eigenvector, outcome 2 the
-    # bottom one (the top one of -(P_1 - P_2)).
-    wg, vg = np.linalg.eigh(whiten @ (proj[:, 0] - proj[:, 1]) @ whiten)
-    u = vg.swapaxes(-1, -2)[:, ::-1]
-    coincident = wg[:, 1] - wg[:, 0] <= 1e-12
+            + _row(~nonsingular))
+    adj = average[:, ::-1, ::-1].swapaxes(-1, -2) * _COFACTOR_SIGNS
+    prod = adj[..., None] * (proj[:, 0] - proj[:, 1])[:, None]
+    m = prod[:, :, 0] + prod[:, :, 1]  # A
+    m01, m10 = m[:, 0, 1], m[:, 1, 0]
+    h = 0.5 * (m[:, 0, 0] - m[:, 1, 1])
+    root = np.sqrt(np.abs(h * h + m01 * m10))  # real and >= 0 but for rounding
+    # outcome 1 (lambda_+ - m11, m10) and outcome 2 (m01, lambda_- - m00),
+    # lambda_+ - m11 = m00 - lambda_- = root + h; rows with Re h < 0, where
+    # that cancels, take (m01, lambda_+ - m00) and (lambda_- - m11, m10)
+    d = np.empty_like(vectors)  # (N, 2, 2): outcome, amplitude
+    t = root + h
+    d[:, 0, 0], d[:, 0, 1], d[:, 1, 0], d[:, 1, 1] = t, m10, m01, -t
+    down = h.real < 0.0
+    if down.any():
+        t = root[down] - h[down]
+        d[down] = np.stack((m01[down], t, -t, m10[down]), axis=-1).reshape(-1, 2, 2)
+    det = average[:, 0, 0].real * average[:, 1, 1].real - np.abs(average[:, 0, 1]) ** 2
+    coincident = 2.0 * root <= 1e-12 * det
     if coincident.any():
-        u = u.copy()
-        u[coincident] = _COINCIDENT_U
-    d = (whiten[:, None] @ u[..., None])[..., 0]  # (N, 2, 2): outcome, amplitude
+        w = adj[coincident] + np.sqrt(det[coincident])[:, None, None] * _IDENTITY
+        d[coincident] = (w[:, None] * _COINCIDENT_U[:, None]).sum(axis=-1)
     # unit vectors; no phase convention, as only |phi_i><phi_i| is used
     mod = np.abs(d)
     d /= np.hypot(mod[..., 0], mod[..., 1])[..., None]
@@ -671,7 +707,7 @@ def mcm_povm(ens: Ensemble, alpha: float) -> Povm:
     """
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    stack = _mcm(_vectors(ens), np.array([ens.noise]), _WHOLE, np.array([float(alpha)]))
+    stack = _mcm(ens.vectors[None], np.array([ens.noise]), _WHOLE, np.array([float(alpha)]))
     return Povm._validated(stack.elements[0, 0])
 
 

@@ -692,6 +692,21 @@ def test_verify_builds_the_nc_scenarios_in_one_stack(monkeypatch):
     assert all(1 <= count <= 3 for count in seen[21].values()), seen
 
 
+def test_constructions_and_verify_run_without_lapack(monkeypatch):
+    # the construction route and verify's audits use closed-form 2x2
+    # algebra; any LAPACK eigensolver or inverse call would raise here
+    def lapack(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    for name in ("eigh", "eigvalsh", "inv"):
+        monkeypatch.setattr(np.linalg, name, lapack)
+    theta = np.linspace(0.0, math.pi, 9)
+    qtheory.helstrom_stack(theta)
+    qtheory.usd_stack(theta[1:])
+    qtheory.mcm_stack(theta[1:-1], np.linspace(0.0, 1.0, 7))
+    assert verify_all(5).passed
+
+
 def test_verify_all_passes_at_101_points():
     report = verify_all(101)
     assert report.passed, report.render()

@@ -153,8 +153,9 @@ def test_ensemble_and_povm_arrays_are_frozen():
     m = qt.Povm(source)
     source[0] = 0.0
     assert np.array_equal(m.conclusive(1), np.eye(2))  # the POVM holds its own copy
-    for arr in (ens.states, ens.average, m.elements):
+    for arr in (ens.vectors, ens.states, ens.average, m.elements):
         assert not arr.flags.writeable
+    assert np.array_equal(ens.vectors, [s.vector for s in ens.pair])
 
 
 def test_operator2_rejects_non_hermitian():
@@ -655,3 +656,149 @@ _NAN = np.array([[np.nan, 0.0], [0.0, 1.0]])
 def test_povm_rejects_invalid_input(build, error, match):
     with pytest.raises(error, match=match):
         build()
+
+
+# ---------------------------------------------------------------------------
+# the closed-form eigenvectors, judged by LAPACK (used here only)
+
+_EPS = np.finfo(float).eps
+
+
+def _pair_ensemble(vectors, p: float) -> qt.Ensemble:
+    return qt.Ensemble(tuple(qt.PureState(*v) for v in np.asarray(vectors).tolist()), p)
+
+
+def _rotated(angle: float) -> tuple[float, float]:
+    return math.cos(angle), math.sin(angle)
+
+
+def _mcm_projectors_by_lapack(vectors, average):
+    """|phi_i><phi_i| of the whitened eigenproblem, phi_i = rho^(-1/2) u_i
+    with u_1 (u_2) the top (bottom) eigenvector of rho^(-1/2) (P_1 - P_2)
+    rho^(-1/2); also that matrix's eigenvalue gap and rho's smallest
+    eigenvalue, which set how well rounding can fix the directions."""
+    proj = vectors[..., :, None] * vectors[..., None, :].conj()
+    w, v = np.linalg.eigh(average)
+    whiten = (v * w[..., None, :] ** -0.5) @ v.conj().swapaxes(-1, -2)
+    wg, vg = np.linalg.eigh(whiten @ (proj[..., 0, :, :] - proj[..., 1, :, :]) @ whiten)
+    d = (whiten @ vg[..., ::-1]).swapaxes(-1, -2)  # rows: top, bottom
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    return d[..., :, None] * d[..., None, :].conj(), wg[..., 1] - wg[..., 0], w[..., 0]
+
+
+def _assert_mcm_directions_match_lapack(dirs, vectors, average):
+    want, gap, lam_min = _mcm_projectors_by_lapack(vectors, average)
+    bound = 8 * _EPS * (1.0 + 1.0 / (lam_min * gap))  # rounding of A over its gap
+    assert np.abs(dirs - want).max() <= bound, (np.abs(dirs - want).max(), bound)
+
+
+def test_closed_form_directions_match_lapack_on_random_complex_pairs():
+    # generic pairs, not symmetric about |0>, so both branches of each closed
+    # form run: the diagonal of A or of rho_1 - rho_2 falls either way
+    rng = np.random.default_rng(20261018)
+    pairs = rng.normal(size=(400, 2, 2)) + 1j * rng.normal(size=(400, 2, 2))
+    pairs /= np.linalg.norm(pairs, axis=-1, keepdims=True)
+    signs = set()
+    for k, (vectors, p) in enumerate(zip(pairs, rng.uniform(size=400))):
+        ens = _pair_ensemble(vectors, 0.0 if k % 4 == 0 else float(p))
+        assert np.array_equal(ens.vectors, vectors)
+        x = ens.states[0] - ens.states[1]
+        w, v = np.linalg.eigh(x)
+        top = v[:, 1]
+        bound = 8 * _EPS * (1.0 + 1.0 / (w[1] - w[0]))
+        pi_1 = qt.helstrom_povm(ens).conclusive(1)
+        assert np.abs(pi_1 - np.outer(top, top.conj())).max() <= bound
+        signs.add(bool(x[0, 0].real >= x[1, 1].real))
+        m = qt.mcm_povm(ens, 0.5)  # 1/2 is below every optimal weight
+        _assert_mcm_directions_match_lapack(2.0 * m.elements[:2], vectors, ens.average)
+    assert signs == {True, False}
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-12, 1e-6, 0.5, 1.0])
+def test_mcm_stack_directions_match_lapack_towards_the_corner(p):
+    # 1 - c down to 1e-13; the stack is exact where the average state is
+    # singular to its test, and raises there
+    for one_minus_c in (1.0, 0.5, 1e-3, 1e-6, 1e-9, 1e-13):
+        theta = theta_of(1.0 - one_minus_c)
+        vectors = qt._pure_pairs([theta])
+        average = qt._ensembles(vectors, np.array([p]))[2]
+        if np.linalg.eigvalsh(average)[0, 0] <= 1.01 * DEFAULTS.norm:
+            with pytest.raises(DegenerateEnsembleError):
+                qt.mcm_stack([theta], [p])
+            continue
+        stack = qt.mcm_stack([theta], [p])
+        dirs = stack.elements[:, 0, :2] / stack.weights[:, 0, :, None, None]
+        _assert_mcm_directions_match_lapack(dirs, vectors, average)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_closed_forms_take_the_branch_that_does_not_cancel(p):
+    # an orthogonal pair in the computational basis makes A and rho_1 - rho_2
+    # diagonal: one of the two eigenvector forms is then the zero vector
+    for first, second in (((1.0, 0.0), (0.0, 1.0)), ((0.0, 1.0), (1.0, 0.0))):
+        ens = _pair_ensemble((first, second), p)
+        if p == 0.0:
+            helstrom = qt.helstrom_povm(ens)
+            assert np.array_equal(helstrom.conclusive(1), np.outer(first, first))
+        projectors = ens.vectors[:, :, None] * ens.vectors[:, None, :]
+        assert np.array_equal(qt.mcm_povm(ens, 0.5).elements[:2], 0.5 * projectors)
+
+
+@pytest.mark.parametrize("angle", [5e-13, 1e-9])
+def test_mcm_coincident_test_is_relative_to_det_rho(angle):
+    # at full noise det(rho) = 1/4: a pair 5e-13 apart has A's gap 5e-13,
+    # below 1e-12 but above 1e-12 det(rho), and the whitened gap 2e-12, above
+    # 1e-12, so it is generic and takes the directions of the whitened
+    # eigenproblem, not the fallback's (0.3 rad off them)
+    ens = _pair_ensemble((_rotated(0.3), _rotated(0.3 + angle)), 1.0)
+    m = qt.mcm_povm(ens, 0.5)
+    _assert_mcm_directions_match_lapack(2.0 * m.elements[:2], ens.vectors, ens.average)
+
+
+@pytest.mark.parametrize("p", [1e-6, 0.5, 1.0])
+def test_mcm_coincident_fallback_whitens_by_the_adjugate(p):
+    # one state twice, off the axis of make_pure_pair: the fallback directions
+    # are rho^(-1/2) u for the fixed u, with rho^(-1/2) from LAPACK here
+    ens = _pair_ensemble((_rotated(0.3), _rotated(0.3)), p)
+    w, v = np.linalg.eigh(ens.average)
+    whiten = (v * w**-0.5) @ v.conj().T
+    d = qt._COINCIDENT_U @ whiten.T  # rows: rho^(-1/2) u_i
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    want = d[:, :, None] * d[:, None, :].conj()
+    got = 2.0 * qt.mcm_povm(ens, 0.5).elements[:2]
+    assert np.abs(got - want).max() <= 8 * _EPS / w[0]
+
+
+# (c, p) -> the optimal MCM measurement's (C, P_g, P_0), or the error it
+# raises, at the edge points of the domain. The values are the closed forms
+# to rounding; the errors are the outcome the construction route has today.
+_MCM_EDGES = {
+    (0.0, 0.0): (1.0, 1.0, 0.0),
+    (0.0, 1.0): (0.5, 0.5, 0.0),
+    (1.0, 0.0): DegenerateEnsembleError,
+    (1.0, 1.0): (0.5, 0.5, 0.0),
+    (1.0, 1e-300): DegenerateEnsembleError,
+    (1.0, 1e-15): DegenerateEnsembleError,
+    (1.0, 1e-12): DegenerateEnsembleError,
+    (1.0, 1e-8): (0.5, 5e-9, 1.0 - 1e-8),
+    (1.0 - 1e-15, 0.0): DegenerateEnsembleError,
+    (1.0 - 1e-13, 0.0): DegenerateEnsembleError,
+}
+
+
+@pytest.mark.parametrize("c, p", list(_MCM_EDGES))
+def test_stacks_at_the_edge_points(c, p):
+    want = _MCM_EDGES[c, p]
+    if isinstance(want, type):
+        with pytest.raises(want):
+            qt.mcm_stack([theta_of(c)], [p])
+    else:
+        stack = qt.mcm_stack([theta_of(c)], [p])
+        got = (*stack.confidences()[0, 0], stack.guessing_probability()[0, 0],
+               stack.inconclusive_rate()[0, 0])
+        assert np.abs(np.subtract(got, (want[0], *want))).max() <= 4 * _EPS, got
+    # every pair has a minimum-error measurement, P_g = (1 + sin(theta))/2
+    # for the pair <psi1|psi2> = cos(theta) that theta_of(c) gives
+    theta = theta_of(c)
+    helstrom = qt.helstrom_stack([theta])
+    assert abs(helstrom.guessing_probability()[0, 0] - 0.5 * (1.0 + math.sin(theta))) <= 4 * _EPS
