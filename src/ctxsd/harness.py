@@ -47,11 +47,16 @@ the next one, >= 1e-8 away; the rest is integer arithmetic. A table holds
 each four-digit group and, in its second half, the group with trailing "0"s
 as NUL, read by the lowest group and by a higher one where all below are 0.
 Exact 0 and 1 are one digit; any other cell is ``"%-16.9g"``, spaces NUL.
+A column whose 64-bit patterns are equal in every row of a chunk (0.0 and
+-0.0 differ, as do NaN payloads) is formatted once per chunk, by the same
+kernel on a one-row block; each run of such columns is repeated down the
+chunk as its text, and the kernel formats only the other columns' cells.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -128,10 +133,11 @@ def _csv_digits() -> np.ndarray:
     return table.astype(np.uint8).view(np.uint32).ravel()
 
 
-def _csv_bytes(block: np.ndarray, row: np.ndarray) -> bytes:
-    """The bytes of a 2-D ``block`` as CSV, each cell ``b"%.9g" % x`` and
-    its separator, written over ``row``, the five words of each cell of a
-    row: "\0\0" "0.", twelve NUL digits, the separator padded with NUL."""
+def _csv_words(block: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The ``(rows, columns, 5)`` words of a 2-D ``block`` as CSV, each cell
+    ``b"%.9g" % x`` and its separator with NUL bytes in between, written
+    over ``row``, the five words of each cell of a row: "\0\0" "0.", twelve
+    NUL digits, the separator padded with NUL."""
     digits = _csv_digits()
     x = block.ravel()
     fast = (x >= 1e-4) & (x < 1.0)
@@ -159,7 +165,34 @@ def _csv_bytes(block: np.ndarray, row: np.ndarray) -> bytes:
     slow = np.flatnonzero(~(fast | digit))
     printed = ((b"%-16.9g" * len(slow)) % tuple(x[slow].tolist())).replace(b" ", b"\0")
     cells[slow, :4] = np.frombuffer(printed, np.uint32).reshape(-1, 4)
+    return words
+
+
+def _csv_bytes(words: np.ndarray) -> bytes:
+    """The CSV text of kernel words: their bytes with every NUL deleted."""
     return words.tobytes().translate(None, b"\0")
+
+
+def _csv_runs(block: np.ndarray, row: np.ndarray, same: np.ndarray) -> np.ndarray:
+    """The words of a chunk ``block`` whose ``same`` columns are constant, as
+    ``(rows, words)``: each run of adjacent constant columns is its first
+    row's text, formatted once, NULs deleted and padded to a whole word;
+    each other cell is its five kernel words."""
+    n = len(block)
+    first = _csv_words(block[:1], row)[0]
+    varying = _csv_words(block[:, ~same], row[~same]).reshape(n, -1)
+    pieces, col, v = [], 0, 0  # the next column, the next varying column
+    for const, run in itertools.groupby(same.tolist()):
+        m = len(list(run))
+        if const:
+            text = _csv_bytes(first[col:col + m])
+            text += bytes(-len(text) % 4)
+            pieces.append(np.broadcast_to(np.frombuffer(text, np.uint32), (n, len(text) // 4)))
+        else:
+            pieces.append(varying[:, 5 * v:5 * (v + m)])
+            v += m
+        col += m
+    return np.concatenate(pieces, axis=1)
 
 
 def _csv_table(header: Sequence[str], rows: Sequence | np.ndarray) -> np.ndarray:
@@ -183,7 +216,13 @@ def _csv_chunks(header: Sequence[str], table: np.ndarray) -> Iterator[bytes]:
     row = np.frombuffer(text[:-4] + b"\n\0\0\0", np.uint32).reshape(-1, 5)
     yield (",".join(header) + "\n").encode("utf-8")
     for start in range(0, len(table), _CSV_CHUNK):
-        yield _csv_bytes(table[start:start + _CSV_CHUNK], row)
+        block = table[start:start + _CSV_CHUNK]
+        bits = block.view(np.uint64)  # not float ==: 0.0 and -0.0 print apart
+        same = (bits == bits[0]).all(axis=0)
+        if same.any():
+            yield _csv_bytes(_csv_runs(block, row, same))
+        else:
+            yield _csv_bytes(_csv_words(block, row))
 
 
 def write_csv_to(stream: TextIO, header: Sequence[str], rows: Sequence | np.ndarray) -> None:

@@ -267,13 +267,27 @@ def test_csv_chunks_join_seamlessly():
     assert got == want
 
 
-@pytest.mark.parametrize("value", [0.0, 1.0, -0.0, 1e-5])
+@pytest.mark.parametrize("value", [0.0, 1.0, -0.0, 1e-5, math.nan])
 def test_csv_constant_columns(value):
     # whole columns of one value, as a sweep of a definitional target or at p = 1 writes
-    table = np.full((_CSV_CHUNK + 5, 3), value)
-    table[:, 1] = np.linspace(0.0, 1.0, len(table))
-    got, want = csv_text(table)
-    assert got == want
+    n = _CSV_CHUNK + 5
+    varying = np.linspace(0.0, 1.0, n)
+    constant = np.full(n, value)
+    # equal as floats, so a float == test would merge them, but printed "0" and "-0"
+    signed_zeros = np.where(np.arange(n) % 2 == 1, -0.0, 0.0)
+    assert (signed_zeros == signed_zeros[0]).all()
+    first_chunk_only = np.where(np.arange(n) < _CSV_CHUNK, value, varying)
+    tables = [
+        np.column_stack([constant, varying, constant]),
+        np.column_stack([signed_zeros, constant, varying, constant, signed_zeros]),
+        np.column_stack([constant, first_chunk_only, constant]),
+        np.full((n, 3), value),  # every column constant
+        np.full((1, 3), value),  # one row: every column is constant in its chunk
+        [[value, 0.25, -0.0, 1e-5]],
+    ]
+    for table in tables:
+        got, want = csv_text(table)
+        assert got == want
 
 
 def test_csv_rejects_a_table_that_does_not_fit_its_header(tmp_path):
