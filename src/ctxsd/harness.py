@@ -35,22 +35,29 @@ located and formatted only for a check's worst item.
 
 CSV output is deterministic: comma separated, ``.`` decimal point, LF line
 endings, header row first, every cell the bytes of ``"%.9g" % x``. One numpy
-kernel writes 4096 rows at a time (at 8192 a chunk's temporaries outgrow the
-cache) as five uint32 words a cell, every byte it does not set NUL, deleted
-by one ``bytes.translate``. Its fast path covers 1e-4 <= x < 1: y = x 10^k
-in [10^8, 10^9) is within 2^-24 of exact, so rint(y) is the nine-digit
-mantissa unless |y - rint(y)| >= 1/2 - 1e-6. The fraction digits f < 10^12
-split exactly as hi = floor(f 1e-8), rest = f - hi 1e8, mid =
+kernel writes 4096 rows at a time as four uint32 words a cell: a lead word
+holding the separator before the cell (``"\\n"`` for a row's first cell, so
+the header goes out without its newline and one ``"\\n"`` ends the table), a
+NUL and "0.", then three digit words; every byte it does not set is NUL,
+deleted by one ``bytes.translate``. Its fast path covers 1e-4 <= x < 1: y =
+x 10^k in [10^8, 10^9) is within 2^-24 of exact, so rint(y) is the
+nine-digit mantissa unless |y - rint(y)| >= 1/2 - 1e-6; k indexes a power
+table, and 1e12 / 10^k is exact for k = 9..12. The fraction digits f <
+10^12 split exactly as hi = floor(f 1e-8), rest = f - hi 1e8, mid =
 floor(rest 1e-4), lo = rest - mid 1e4: as fl(1e-8) and fl(1e-4) exceed their
 powers, no product is below its integer part, nor (off by < 2e-12) reaches
 the next one, >= 1e-8 away; the rest is integer arithmetic. A table holds
 each four-digit group and, in its second half, the group with trailing "0"s
 as NUL, read by the lowest group and by a higher one where all below are 0.
-Exact 0 and 1 are one digit; any other cell is ``"%-16.9g"``, spaces NUL.
-A column whose 64-bit patterns are equal in every row of a chunk (0.0 and
--0.0 differ, as do NaN payloads) is formatted once per chunk, by the same
-kernel on a one-row block; each run of such columns is repeated down the
-chunk as its text, and the kernel formats only the other columns' cells.
+Exact 0 and 1 are one digit; any other cell is ``"%-15.9g"`` after its
+separator, spaces NUL. The longest such texts are 16 bytes (as
+``-1.23456789e-100``), so a call that holds one gives every cell a fifth
+word, read from the data, and prints ``"%-19.9g"``. A column whose 64-bit
+patterns are equal in every row of a chunk (0.0 and -0.0 differ, as do NaN
+payloads) is not run through the kernel: each run of such columns is
+formatted once per table, keyed by its columns and patterns, and repeated
+down the chunk as its text. A table's kernel temporaries and word buffers
+are allocated once, sized to a chunk, and every step writes into them.
 """
 
 from __future__ import annotations
@@ -116,9 +123,13 @@ def _fmt(v: float) -> str:
     return format(float(v), ".9g")
 
 
-# The first word of an exact 0 or 1, "\0\0" then its digit and a NUL
+# A cell's lead word: its separator, a NUL and "0.", after another cell and
+# first in its row
+_CSV_LEAD = np.frombuffer(b",\x000.\n\x000.", np.uint32)
+# The lead word of an exact 0 or 1 less its separator: a NUL, the digit, a NUL
 _DIGIT_LEAD = np.frombuffer(b"\0\x000\0\0\x001\0", np.uint32)
 _POW10 = 10.0 ** np.arange(13)
+_BELOW_1 = np.nextafter(1.0, 0.0)
 
 
 @functools.cache
@@ -133,66 +144,130 @@ def _csv_digits() -> np.ndarray:
     return table.astype(np.uint8).view(np.uint32).ravel()
 
 
-def _csv_words(block: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """The ``(rows, columns, 5)`` words of a 2-D ``block`` as CSV, each cell
-    ``b"%.9g" % x`` and its separator with NUL bytes in between, written
-    over ``row``, the five words of each cell of a row: "\0\0" "0.", twelve
-    NUL digits, the separator padded with NUL."""
-    digits = _csv_digits()
-    x = block.ravel()
-    fast = (x >= 1e-4) & (x < 1.0)
-    v = np.where(fast, x, 0.5)
-    # x = y 10^-k with 10^8 <= y < 10^9: the thresholds are the doubles
-    # nearest 10^-1..10^-3, each just above its power, so k is exact
-    k = 9 + (v < 0.1).view(np.int8) + (v < 0.01).view(np.int8) + (v < 0.001).view(np.int8)
-    y = v * _POW10[k]
-    r = np.rint(y)
-    f = r * _POW10[12 - k]  # the twelve fraction digits, an exact integer
-    fast &= (np.abs(y - r) < 0.5 - 1e-6) & (f < 1e12)  # 10^12: x rounds to 1
-    f = np.where(fast, f, 0.0)
-    hi = np.floor(f * 1e-8)  # f = hi 10^8 + mid 10^4 + lo, split exactly
-    rest = f - hi * 1e8
-    mid = np.floor(rest * 1e-4)
-    lo = rest - mid * 1e4
-    words = np.tile(row, (len(block), 1, 1))
-    cells = words.reshape(-1, 5)
-    cells[:, 1] = digits[(hi + 1e4 * (rest == 0.0)).astype(np.intp)]
-    cells[:, 2] = digits[(mid + 1e4 * (lo == 0.0)).astype(np.intp)]
-    cells[:, 3] = digits[(lo + 1e4).astype(np.intp)]
-    digit = (x == 1.0) | ((x == 0.0) & ~np.signbit(x))
-    cells[digit, 0] = _DIGIT_LEAD[(x[digit] == 1.0).view(np.int8)]
-    # every other cell: its "%.9g" bytes, at most 16, NUL-padded by one format
-    slow = np.flatnonzero(~(fast | digit))
-    printed = ((b"%-16.9g" * len(slow)) % tuple(x[slow].tolist())).replace(b" ", b"\0")
-    cells[slow, :4] = np.frombuffer(printed, np.uint32).reshape(-1, 4)
-    return words
+class _CsvTable:
+    """The CSV writer of one table of ``columns`` columns: its kernel's
+    scratch, allocated once and sized to a chunk of ``rows`` rows, into which
+    every step of the kernel writes, and the text of each constant run."""
 
+    def __init__(self, rows: int, columns: int) -> None:
+        size = rows * columns
+        self.x, self.v, self.f, self.y, self.r = np.empty((5, size))
+        self.fast, self.b1, self.b2 = np.empty((3, size), bool)
+        self.count = np.empty(size, np.uint8)
+        self.k = np.empty(size, np.intp)
+        self.group = np.empty(size, np.uint32)
+        self.words = np.empty(5 * size, np.uint32)  # four words a cell, or five
+        self.rows = None  # a chunk's words with its constant runs, on first need
+        self.lead = np.where(np.arange(columns) == 0, _CSV_LEAD[1], _CSV_LEAD[0])
+        self.texts: dict[tuple, np.ndarray] = {}  # by columns and bit patterns
 
-def _csv_bytes(words: np.ndarray) -> bytes:
-    """The CSV text of kernel words: their bytes with every NUL deleted."""
-    return words.tobytes().translate(None, b"\0")
+    def chunk(self, block: np.ndarray) -> bytes:
+        """The CSV text of the rows ``block``, each led by its "\\n"."""
+        n, m = block.shape
+        bits = block.view(np.uint64)  # not float ==: 0.0 and -0.0 print apart
+        same = np.equal(bits, bits[0], out=self.b1[:n * m].reshape(n, m)).all(axis=0)
+        words = self._runs(block, same) if same.any() else self._cells(block)
+        return words.tobytes().translate(None, b"\0")
 
+    def _runs(self, block: np.ndarray, same: np.ndarray) -> np.ndarray:
+        """The ``(rows, words)`` of a chunk ``block`` whose ``same`` columns
+        are constant: each run of adjacent constant columns is its text,
+        formatted once per table; the kernel writes the other cells."""
+        n = len(block)
+        spans, col = [], 0  # each run's first column, column count and text (None: varying)
+        for const, run in itertools.groupby(same.tolist()):
+            m = len(list(run))
+            spans.append((col, m, self._text(block, col, m) if const else None))
+            col += m
+        varying = np.flatnonzero(~same)
+        if len(varying):
+            words = self._cells(block, varying)
+            width = words.shape[1] // len(varying)
+        pieces, v = [], 0
+        for col, m, text in spans:
+            if text is None:
+                pieces.append(words[:, width * v:width * (v + m)])
+                v += m
+            else:
+                pieces.append(np.broadcast_to(text, (n, len(text))))
+        if self.rows is None:  # a run's text is at most five words a cell too
+            self.rows = np.empty_like(self.words)
+        total = sum(piece.shape[1] for piece in pieces)
+        return np.concatenate(pieces, axis=1, out=self.rows[:n * total].reshape(n, total))
 
-def _csv_runs(block: np.ndarray, row: np.ndarray, same: np.ndarray) -> np.ndarray:
-    """The words of a chunk ``block`` whose ``same`` columns are constant, as
-    ``(rows, words)``: each run of adjacent constant columns is its first
-    row's text, formatted once, NULs deleted and padded to a whole word;
-    each other cell is its five kernel words."""
-    n = len(block)
-    first = _csv_words(block[:1], row)[0]
-    varying = _csv_words(block[:, ~same], row[~same]).reshape(n, -1)
-    pieces, col, v = [], 0, 0  # the next column, the next varying column
-    for const, run in itertools.groupby(same.tolist()):
-        m = len(list(run))
-        if const:
-            text = _csv_bytes(first[col:col + m])
-            text += bytes(-len(text) % 4)
-            pieces.append(np.broadcast_to(np.frombuffer(text, np.uint32), (n, len(text) // 4)))
+    def _text(self, block: np.ndarray, col: int, m: int) -> np.ndarray:
+        """The words of the first row's ``m`` cells from column ``col``, NULs
+        deleted and padded to a whole word; formatted on first use only."""
+        key = (col, m, block[0, col:col + m].tobytes())
+        text = self.texts.get(key)
+        if text is None:
+            text = self._cells(block[:1], slice(col, col + m)).tobytes().translate(None, b"\0")
+            text = self.texts[key] = np.frombuffer(text + bytes(-len(text) % 4), np.uint32)
+        return text
+
+    def _cells(self, block: np.ndarray, columns: slice | np.ndarray = slice(None)) -> np.ndarray:
+        """The kernel: the ``(rows, words)`` of ``block``'s ``columns`` (a
+        slice or an index array), each cell its column's lead word, then
+        ``b"%.9g" % x``, every byte it does not set NUL. A cell is four words;
+        it is five in every cell if one cell's text is 16 bytes."""
+        lead = self.lead[columns]
+        n, m = len(block), len(lead)
+        size = n * m
+        x, v, f, y, r = (a[:size] for a in (self.x, self.v, self.f, self.y, self.r))
+        fast, b1, b2, count, k, group = (
+            a[:size] for a in (self.fast, self.b1, self.b2, self.count, self.k, self.group)
+        )
+        if isinstance(columns, slice):
+            np.copyto(x.reshape(n, m), block[:, columns])
         else:
-            pieces.append(varying[:, 5 * v:5 * (v + m)])
-            v += m
-        col += m
-    return np.concatenate(pieces, axis=1)
+            np.take(block, columns, axis=1, out=x.reshape(n, m), mode="clip")
+        np.greater_equal(x, 1e-4, out=fast)
+        fast &= np.less(x, 1.0, out=b1)
+        np.fmin(np.fmax(x, 1e-4, out=v), _BELOW_1, out=v)  # x, or any x off the path moved into it
+        # x = y 10^-k with 10^8 <= y < 10^9: the thresholds are the doubles
+        # nearest 10^-1..10^-3, each just above its power, so k is exact
+        np.add(np.less(v, 0.1, out=b1).view(np.uint8), np.less(v, 0.01, out=b2).view(np.uint8),
+               out=count)
+        count += np.less(v, 0.001, out=b1).view(np.uint8)
+        scale = np.take(_POW10, np.add(count, 9, out=k), out=f, mode="wrap")
+        np.multiply(v, scale, out=y)
+        np.rint(y, out=r)
+        fast &= np.less(np.abs(np.subtract(y, r, out=y), out=y), 0.5 - 1e-6, out=b1)
+        # the twelve fraction digits, an exact integer: 1e12 / 10^k is exact
+        np.multiply(r, np.divide(1e12, scale, out=f), out=f)
+        fast &= np.less(f, 1e12, out=b1)  # 10^12: x rounds to 1
+        np.multiply(f, fast, out=f)  # 0 off the fast path: its digit words are NUL
+        # exact 0 and 1 are one digit; every other cell is "%.9g" itself
+        digit = np.greater(np.equal(x, 0.0, out=b1), np.signbit(x, out=b2), out=b1)
+        digit |= np.equal(x, 1.0, out=b2)
+        slow = np.flatnonzero(np.logical_not(np.logical_or(fast, digit, out=b2), out=b2))
+        digit = np.flatnonzero(digit)
+        values = tuple(x[slow].tolist())
+        printed = (b"%-15.9g" * len(slow)) % values
+        width = 4
+        if len(printed) > 15 * len(slow):  # a 16-byte text: with its separator, 17
+            width = 5
+            printed = (b"%-19.9g" * len(slow)) % values
+        cells = self.words[:width * size].reshape(size, width)
+        cells.reshape(n, m, width)[:, :, 0] = lead
+        cells[:, 4:] = 0
+        # f = hi 10^8 + mid 10^4 + lo, split exactly
+        hi = np.floor(np.multiply(f, 1e-8, out=y), out=y)
+        rest = np.subtract(f, np.multiply(hi, 1e8, out=r), out=r)
+        mid = np.floor(np.multiply(rest, 1e-4, out=v), out=v)
+        lo = np.subtract(rest, np.multiply(mid, 1e4, out=f), out=f)
+        # each group's digits, its "0"s NUL from the lowest nonzero group down
+        np.add(np.multiply(np.equal(rest, 0.0, out=b1), 1e4, out=rest), hi, out=hi)
+        np.add(np.multiply(np.equal(lo, 0.0, out=b1), 1e4, out=rest), mid, out=mid)
+        np.add(lo, 1e4, out=lo)
+        digits = _csv_digits()
+        for word, index in ((1, hi), (2, mid), (3, lo)):
+            np.copyto(k, index, casting="unsafe")
+            cells[:, word] = np.take(digits, k, out=group, mode="wrap")
+        cells[digit, 0] = cells[digit, 0] & 0xFF | _DIGIT_LEAD[(x[digit] == 1.0).view(np.int8)]
+        text = cells.view(np.uint8)
+        text[slow, 1:] = np.frombuffer(printed.replace(b" ", b"\0"), np.uint8).reshape(-1, 4 * width - 1)
+        return cells.reshape(n, m * width)
 
 
 def _csv_table(header: Sequence[str], rows: Sequence | np.ndarray) -> np.ndarray:
@@ -211,18 +286,13 @@ def _csv_table(header: Sequence[str], rows: Sequence | np.ndarray) -> np.ndarray
 
 
 def _csv_chunks(header: Sequence[str], table: np.ndarray) -> Iterator[bytes]:
-    """The CSV bytes of a checked ``table``: the header line, then each chunk."""
-    text = (b"\0\x000." + bytes(12) + b",\0\0\0") * len(header)
-    row = np.frombuffer(text[:-4] + b"\n\0\0\0", np.uint32).reshape(-1, 5)
-    yield (",".join(header) + "\n").encode("utf-8")
+    """The CSV bytes of a checked ``table``: the header, each chunk of rows
+    (each row led by its "\\n"), then the last "\\n"."""
+    yield ",".join(header).encode("utf-8")
+    writer = _CsvTable(min(len(table), _CSV_CHUNK), table.shape[1])
     for start in range(0, len(table), _CSV_CHUNK):
-        block = table[start:start + _CSV_CHUNK]
-        bits = block.view(np.uint64)  # not float ==: 0.0 and -0.0 print apart
-        same = (bits == bits[0]).all(axis=0)
-        if same.any():
-            yield _csv_bytes(_csv_runs(block, row, same))
-        else:
-            yield _csv_bytes(_csv_words(block, row))
+        yield writer.chunk(table[start:start + _CSV_CHUNK])
+    yield b"\n"
 
 
 def write_csv_to(stream: TextIO, header: Sequence[str], rows: Sequence | np.ndarray) -> None:

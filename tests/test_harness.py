@@ -243,7 +243,15 @@ def test_csv_cells_at_the_edges_of_the_fast_path(tmp_path):
     special = [0.0, -0.0, 1.0, -1.0, 2.0, -0.5, math.nan, math.inf, -math.inf, 5e-324,
                -1.2345678912345e-100, 1.7976931348623157e308]
     values = np.concatenate([edges, ties, near_ties, exact_ties, carries, special])
-    for table in (values.reshape(-1, 1), values[: len(values) // 4 * 4].reshape(-1, 4)):
+    # the longest texts, 16 bytes, in the first, a middle and the last column,
+    # at the first and last row of a chunk; the middle chunk holds none
+    wide = np.array([-1.34077881e154, -1.23456789e-100, -2.22507386e-308])
+    assert {len("%.9g" % v) for v in wide} == {16}
+    spread = np.random.default_rng(3).random((2 * _CSV_CHUNK + 1, 5))
+    for i, row in enumerate((0, _CSV_CHUNK - 1, 2 * _CSV_CHUNK)):
+        spread[row, [0, 2, 4]] = np.roll(wide, i)
+    for table in (values.reshape(-1, 1), values[: len(values) // 4 * 4].reshape(-1, 4),
+                  wide.reshape(-1, 1), wide.reshape(1, -1), spread):
         got, want = csv_text(table)
         assert got == want
         # the file sink writes the same bytes as the text sink
@@ -267,11 +275,12 @@ def test_csv_chunks_join_seamlessly():
     assert got == want
 
 
-@pytest.mark.parametrize("value", [0.0, 1.0, -0.0, 1e-5, math.nan])
+@pytest.mark.parametrize("value", [0.0, 1.0, -0.0, 1e-5, math.nan, -1.23456789e-100])
 def test_csv_constant_columns(value):
     # whole columns of one value, as a sweep of a definitional target or at p = 1 writes
     n = _CSV_CHUNK + 5
     varying = np.linspace(0.0, 1.0, n)
+    wide = np.where(np.arange(n) % 7 == 3, -2.22507386e-308, varying)  # some 16-byte texts
     constant = np.full(n, value)
     # equal as floats, so a float == test would merge them, but printed "0" and "-0"
     signed_zeros = np.where(np.arange(n) % 2 == 1, -0.0, 0.0)
@@ -281,6 +290,8 @@ def test_csv_constant_columns(value):
         np.column_stack([constant, varying, constant]),
         np.column_stack([signed_zeros, constant, varying, constant, signed_zeros]),
         np.column_stack([constant, first_chunk_only, constant]),
+        np.column_stack([constant, wide, constant, varying]),
+        np.column_stack([wide, constant, np.full(n, -1.34077881e154)]),
         np.full((n, 3), value),  # every column constant
         np.full((1, 3), value),  # one row: every column is constant in its chunk
         [[value, 0.25, -0.0, 1e-5]],
