@@ -3,37 +3,31 @@
 Value types (pure states, ensembles, three-outcome POVMs) together with
 the three figures of merit and the optimal-measurement constructions.
 Operators are plain read-only 2x2 complex arrays. An ensemble is an
-equiprobable pure pair dephased at a noise level p; it stores the pair
-itself and its (2, 2) amplitude array, so the unambiguous measurement reads
-the pure states directly, and derives its two density operators and their
-average once on construction.
-A POVM is one (3, 2, 2) array of its elements (pi_1, pi_2, pi_0), pi_0 the
-inconclusive element, validated once on construction. The constructions are:
+equiprobable pure pair dephased at a noise level p; it stores the pair and
+its (2, 2) amplitude array and derives its two density operators and their
+average once on construction. A POVM is one (3, 2, 2) array of its elements
+(pi_1, pi_2, pi_0), pi_0 the inconclusive element, validated once.
 
-* minimum-error: projective measurement onto the eigenspaces of the
-  weighted state difference,
-* unambiguous: conclusive elements proportional to the mirror projectors,
-* maximum-confidence: rank-one conclusive directions, the eigenvectors of
-  adj(rho)(P_1 - P_2) (those of Herzog's whitened eigenproblem times
-  rho^(-1/2)), with the free conclusive weight set to the largest value
-  that keeps the inconclusive element positive semidefinite.
+The constructions work in Pauli coordinates, on real 3-vectors. With the
+pair's Bloch vectors n_1, n_2, d = n_1 - n_2 and the average state's
+r = (1 - p)(n_1 + n_2)/2 they are:
 
-Every eigenvector is a closed form of the 2x2 entries, so no construction
-calls LAPACK; only the coincident maximum-confidence fallback needs
-rho^(-1/2), in closed form too.
+* minimum-error: the projector (I + d/|d| . sigma)/2 and its complement,
+* unambiguous: pi_i = gamma_i (I - n_j . sigma)/2, the mirror projectors,
+* maximum-confidence: rank-one directions with the Bloch vectors
+  m_+- = -r + ((d . r +- lambda)/|d|^2) d, lambda = sqrt(|d|^2 - |d x r|^2),
+  which solve the whitened eigenproblem of Croke et al. and Herzog,
 
-Every construction runs on stacks. ``helstrom_stack``, ``usd_stack`` and
-``mcm_stack`` take an array of theta (and, where the scheme reads them, the
-noise levels or conclusive weights), build the N pure pairs as one
-(N, 2, 2) amplitude array and every later step as stacked 2x2 linear
-algebra, with the coincident fallbacks and the typed errors as masks. All
-three return a ``MeasurementStack``: the (N, F, 3, 2, 2) elements of each
-ensemble at F conclusive weights, validated once per stack, and the figures
-of merit as arrays, read from one pass of traces. ``helstrom_povm``,
-``usd_povm``, ``usd_optimal``, ``mcm_povm``, ``mcm_optimal`` and
-``make_pure_pair`` are batches of one of them, and the scalar figures of
-merit run the stack's trace arithmetic, so a stack row equals its batch of
-one bit for bit.
+the last two with the conclusive weight at most 1/(1 + |m_1 + m_2|/2) for
+conclusive Bloch vectors m_i, which keeps pi_0 positive semidefinite. Each
+projector becomes a matrix once, in ``_projectors``; nothing calls LAPACK.
+
+Every construction runs on stacks: ``helstrom_stack``, ``usd_stack`` and
+``mcm_stack`` build N ensembles at once, with the coincident fallbacks and
+the typed errors as masks, and return a ``MeasurementStack`` validated once.
+The scalar constructions and ``make_pure_pair`` are batches of one of them,
+and the scalar figures of merit run the stack's trace arithmetic, so a
+stack row equals its batch of one bit for bit.
 
 All functions are pure and all values immutable, so everything here is safe
 to evaluate concurrently.
@@ -83,6 +77,11 @@ __all__ = [
 
 _IDENTITY = np.eye(2, dtype=complex)
 _HALF_IDENTITY = 0.5 * _IDENTITY
+# X, Y, Z as the real and imaginary parts of their entries 00, 01, 10, 11: in
+# them a . sigma = a @ _PAULI and Tr[H sigma] = H @ _PAULI.T, each entry one
+# term or a sum of two, so rounded once at most, in any summation order.
+_PAULI = np.array([[0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0, 0.0],
+                   [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0]])
 
 
 def min_eig_2x2(m: np.ndarray) -> float | np.ndarray:
@@ -174,8 +173,8 @@ class Ensemble:
     read-only (2, 2) array, row i the state psi_{i+1}), ``states`` (the two
     density operators, a read-only (2, 2, 2) array) and ``average`` (their
     even mixture, a read-only 2x2 array) are derived from them once on
-    construction, as the stacks derive theirs; ``overlap_sq`` is
-    |<psi1|psi2>|^2 of the pair.
+    construction, as the stacks derive theirs, and kept with their Pauli
+    coordinates for the constructions; ``overlap_sq`` is |<psi1|psi2>|^2.
     """
 
     priors: ClassVar[tuple[float, float]] = (0.5, 0.5)
@@ -185,6 +184,7 @@ class Ensemble:
     vectors: np.ndarray = field(init=False, compare=False)
     states: np.ndarray = field(init=False, compare=False)
     average: np.ndarray = field(init=False, compare=False)
+    _batch: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pair", tuple(self.pair))
@@ -193,11 +193,12 @@ class Ensemble:
         if not 0.0 <= self.noise <= 1.0:
             raise DomainError(f"noise must lie in [0, 1], got {self.noise}")
         vectors = np.array([(s.amp0, s.amp1) for s in self.pair], dtype=complex)
-        _, (states,), (average,) = _ensembles(vectors[None], np.array([float(self.noise)]))
-        vectors.flags.writeable = states.flags.writeable = average.flags.writeable = False
+        batch = _ensembles(vectors[None], np.array([float(self.noise)]))
+        vectors.flags.writeable = batch[1].flags.writeable = batch[2].flags.writeable = False
         object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "average", average)
+        object.__setattr__(self, "states", batch[1][0])
+        object.__setattr__(self, "average", batch[2][0])
+        object.__setattr__(self, "_batch", batch)
 
     @property
     def overlap_sq(self) -> float:
@@ -321,21 +322,34 @@ def noisy_ensemble(theta: float, p: float) -> Ensemble:
     return Ensemble(make_pure_pair(theta), p)
 
 
-def _pure_pair_of(ens: Ensemble) -> np.ndarray:
-    """The ensemble's pure pair as a batch of one: (1, 2, 2) amplitudes."""
-    if ens.noise != 0.0:
+def _batch_of(ens: Ensemble, pure: bool = False) -> tuple[np.ndarray, ...]:
+    """The ensemble's ``_ensembles`` as a batch of one; noise 0 if ``pure``."""
+    if pure and ens.noise != 0.0:
         raise ContractError("pure-state ensemble required (noise = 0)")
-    return ens.vectors[None]
+    return ens._batch
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b of stacks of real 3-vectors, each entry exactly as it is alone."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
 def _ensembles(vectors: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The pair projectors and states (N, 2, 2, 2) and the average states
-    (N, 2, 2) of the pure pairs ``vectors`` (N, 2, 2) dephased at ``p`` (N,):
-    the one place states are formed, for ``Ensemble`` and every stack."""
+    """The pure pairs ``vectors`` (N, 2, 2) dephased at ``p`` (N,), in the one
+    place states are formed, for ``Ensemble`` and every stack: the Bloch
+    vectors (N, 3, 3), rows n_1, n_2, read off |psi_i><psi_i| =
+    (I + n_i . sigma)/2, and r = (1 - p)(n_1 + n_2)/2 of the average state;
+    the states rho_i = (1 - p)|psi_i><psi_i| + p/2 (N, 2, 2, 2) and their
+    averages (N, 2, 2); and p. The states come from the amplitudes, where a
+    diagonal entry is a sum of positive terms: from n_i the smaller entry
+    (1 - (1 - p)|n_z|)/2 of a nearly pure state would cancel."""
     proj = vectors[..., :, None] * vectors[..., None, :].conj()
     q = p[:, None, None, None]
     states = (1.0 - q) * proj + q * _HALF_IDENTITY
-    return proj, states, 0.5 * (states[:, 0] + states[:, 1])
+    bloch = np.empty((len(vectors), 3, 3))
+    bloch[:, :2] = (proj.view(float).reshape(-1, 8) @ _PAULI.T).reshape(-1, 2, 3)
+    bloch[:, 2] = (0.5 * (1.0 - p))[:, None] * (bloch[:, 0] + bloch[:, 1])
+    return bloch, states, 0.5 * (states[:, 0] + states[:, 1]), p
 
 
 # ---------------------------------------------------------------------------
@@ -437,20 +451,19 @@ class MeasurementStack:
         return self.outcome_probs[..., 2]
 
 
-def _measurements(states: np.ndarray, average: np.ndarray, dirs: np.ndarray,
+def _measurements(states: np.ndarray, average: np.ndarray, projectors: np.ndarray,
                   weights: np.ndarray) -> MeasurementStack:
     """The measurements with conclusive elements ``weights[n, f, i] *
-    dirs[n, i]`` and pi_0 = 1 - pi_1 - pi_2, validated as one stack.
+    projectors[n, i]`` and pi_0 = 1 - pi_1 - pi_2, validated as one stack.
 
-    The directions are Hermitian (outer products, or a projector and its
-    complement) and the weights real, so every element is Hermitian and the
-    three sum to the identity by construction, to rounding. What the inputs
-    decide is checked: every element positive semidefinite (NaN is not),
-    and an indefinite pi_0 raises ``InfeasibleWeightsError`` naming the
-    first bad row's weights.
+    The projectors are Hermitian and the weights real, so every element is
+    Hermitian and the three sum to the identity by construction, to
+    rounding. What the inputs decide is checked: every element positive
+    semidefinite (NaN is not), and an indefinite pi_0 raises
+    ``InfeasibleWeightsError`` naming the first bad row's weights.
     """
     elements = np.empty((*weights.shape[:2], 3, 2, 2), dtype=complex)
-    elements[:, :, :2] = weights[..., None, None] * dirs[:, None]
+    elements[:, :, :2] = weights[..., None, None] * projectors[:, None]
     elements[:, :, 2] = _IDENTITY - elements[:, :, 0] - elements[:, :, 1]
     min_eigs = min_eig_2x2(elements)  # (N, F, 3)
     try:
@@ -467,47 +480,52 @@ def _measurements(states: np.ndarray, average: np.ndarray, dirs: np.ndarray,
     return MeasurementStack(states, average, weights, elements)
 
 
-def _optimal_weight(units: np.ndarray) -> np.ndarray:
-    """Largest w keeping 1 - w s positive semidefinite, s = |u_1><u_1| +
-    |u_2><u_2| for each row's unit conclusive directions ``units`` (N, 2, 2):
-    the eigenvalues of s are 1 -+ |<u_1|u_2>|, so the bound is
-    1/lambda_max(s) = 1/(1 + |<u_1|u_2>|), in (1/2, 1]."""
-    o = units[:, 0].conj() * units[:, 1]
-    return 1.0 / (1.0 + np.abs(o[:, 0] + o[:, 1]))
+def _projectors(dirs: np.ndarray) -> np.ndarray:
+    """The projectors (I + m . sigma)/2 (..., 2, 2) of the unit Bloch vectors
+    ``dirs`` (..., 3), formed from them by ``_PAULI``: the one place the
+    route turns its coordinates into matrices. As the projector is rank one,
+    its smaller diagonal entry (1 - |m_z|)/2 is taken as
+    (m_x^2 + m_y^2) / (2 (1 + |m_z|)): towards the corner c -> 1, p -> 0 the
+    directions are nearly pure states and 1 - |m_z| cancels."""
+    flat = (0.5 * dirs).reshape(-1, 3) @ _PAULI
+    diag, x, y = flat[:, ::6], flat[:, 2], flat[:, 5]
+    diag += 0.5
+    big = np.maximum(diag[:, 0], diag[:, 1])
+    np.copyto(diag, ((x * x + y * y) / big)[:, None], where=diag < big[:, None])
+    return flat.view(complex).reshape(*dirs.shape[:-1], 2, 2)
+
+
+def _optimal_weight(dirs: np.ndarray) -> np.ndarray:
+    """Largest w keeping 1 - w (P_1 + P_2) positive semidefinite for the
+    projectors (I + m_i . sigma)/2 of each row's unit Bloch vectors ``dirs``
+    (N, 2, 3): 1/(1 + |m_1 + m_2|/2), in [1/2, 1]."""
+    s = dirs[:, 0] + dirs[:, 1]
+    return 1.0 / (1.0 + 0.5 * np.sqrt(_dot(s, s)))
 
 
 # ---------------------------------------------------------------------------
 # minimum-error measurement
 
-def _helstrom(states: np.ndarray, average: np.ndarray) -> MeasurementStack:
-    """Projective measurements onto the eigenspaces of q1 rho1 - q2 rho2 of the
-    ensembles with the states (N, 2, 2, 2) and averages (N, 2, 2).
+def _helstrom(ensembles: tuple[np.ndarray, ...]) -> MeasurementStack:
+    """Projective measurements onto the eigenspaces of q1 rho1 - q2 rho2 of
+    the ``ensembles``, as ``_ensembles`` gives them.
 
-    Outcome 1 collects the strictly positive eigenspace: the top eigenvector,
-    as the equiprobable unit-trace states make q1 rho1 - q2 rho2 traceless.
-    For x = rho1 - rho2 with h = (x00 - x11)/2 and r = hypot(h, |x01|) that
-    is (r + h, conj(x01)) or (x01, r - h), in closed form; each row takes
-    the one that does not cancel. Where the weighted states coincide the
-    measurement is a pure tie-break and falls back to the computational
-    basis: outcome 1 takes |0>.
+    q1 rho1 - q2 rho2 = (1 - p) d . sigma/4, so outcome 1, its positive
+    eigenspace, is (I + d/|d| . sigma)/2 and outcome 2 its complement. Where
+    the eigenvalues +-(1 - p)|d|/2 of rho1 - rho2 vanish, a pure tie-break
+    falls back to the computational basis: outcome 1 takes |0>, Bloch +z.
     """
-    x = states[:, 0] - states[:, 1]  # twice q1 rho1 - q2 rho2: the same eigenvectors
-    x01 = x[:, 0, 1]
-    h = 0.5 * (x[:, 0, 0].real - x[:, 1, 1].real)
-    r = np.hypot(h, np.abs(x01))
-    top = np.empty((len(x), 2), dtype=complex)  # r + h cancels where h < 0
-    top[:, 0], top[:, 1] = r + h, x01.conj()
-    down = h < 0.0
-    if down.any():
-        top[down] = np.stack((x01[down], (r - h)[down]), axis=-1)
-    tie = r <= 2.0 * DEFAULTS.norm  # x's eigenvalues +-r vanish
+    bloch, states, average, p = ensembles
+    d = bloch[:, 0] - bloch[:, 1]
+    length = np.sqrt(_dot(d, d))
+    tie = 0.5 * (1.0 - p) * length <= 2.0 * DEFAULTS.norm
+    top = d / np.where(tie, 1.0, length)[:, None]
     if tie.any():
-        top[tie] = (1.0, 0.0)
-    outer = top[:, :, None] * top[:, None, :].conj()
-    dirs = np.empty_like(states)
-    dirs[:, 0] = outer / (outer[:, 0, 0].real + outer[:, 1, 1].real)[:, None, None]
-    dirs[:, 1] = _IDENTITY - dirs[:, 0]
-    return _measurements(states, average, dirs, np.ones((len(x), 1, 2)))
+        top[tie] = (0.0, 0.0, 1.0)
+    projectors = np.empty_like(states)  # outcome 2 the exact complement: pi_0 = 0
+    projectors[:, 0] = _projectors(top)
+    projectors[:, 1] = _IDENTITY - projectors[:, 0]
+    return _measurements(states, average, projectors, np.ones((len(d), 1, 2)))
 
 
 def helstrom_stack(theta) -> MeasurementStack:
@@ -516,49 +534,45 @@ def helstrom_stack(theta) -> MeasurementStack:
     ``helstrom_povm`` runs the same construction as a batch of one, on any
     ensemble."""
     vectors = _pure_pairs(theta)
-    return _helstrom(*_ensembles(vectors, np.zeros(len(vectors)))[1:])
+    return _helstrom(_ensembles(vectors, np.zeros(len(vectors))))
 
 
 def helstrom_povm(ens: Ensemble) -> Povm:
-    """Projective measurement onto the eigenspaces of q1 rho1 - q2 rho2.
-
-    Outcome 1 collects the strictly positive eigenspace. When the weighted
-    states coincide the measurement is a pure tie-break and falls back to
-    the computational basis. A batch of one of the stacked construction.
-    """
-    return Povm._validated(_helstrom(ens.states[None], ens.average[None]).elements[0, 0])
+    """Projective measurement onto the eigenspaces of q1 rho1 - q2 rho2,
+    outcome 1 the positive one, with the computational basis as tie-break.
+    A batch of one of the stacked construction."""
+    return Povm._validated(_helstrom(_batch_of(ens)).elements[0, 0])
 
 
 # ---------------------------------------------------------------------------
 # unambiguous discrimination
 
 
-def _usd(vectors: np.ndarray, states: np.ndarray, average: np.ndarray, weights: np.ndarray,
+def _usd(vectors: np.ndarray, ensembles: tuple[np.ndarray, ...], weights: np.ndarray,
          optimal: bool) -> MeasurementStack:
     """Unambiguous measurements of the pure pairs ``vectors`` (N, 2, 2), with
-    the states (N, 2, 2, 2) and averages (N, 2, 2), at the conclusive
-    weights ``weights`` (N, F, 2), after the optimal measurement of each pair
-    if ``optimal``.
+    their ``_ensembles``, at the conclusive weights ``weights`` (N, F, 2),
+    after the optimal measurement of each pair if ``optimal``.
 
-    pi_i = gamma_i |mirror(psi_j)><mirror(psi_j)|, j != i: each conclusive
-    element projects onto the ray orthogonal to the competing state, so a
-    conclusive click identifies its state with certainty. For an
-    equiprobable pure pair the inconclusive rate falls linearly in
-    gamma_1 + gamma_2 while the feasible set is convex and symmetric under
-    swapping the weights, so the optimum is the largest symmetric weight
-    with pi_0 still positive semidefinite. Only coincident states (the same
-    ray) admit no unambiguous measurement; any distinct pair has one.
+    pi_i = gamma_i |mirror(psi_j)><mirror(psi_j)| = gamma_i (I - n_j . sigma)/2,
+    j != i: each conclusive element projects onto the ray orthogonal to the
+    competing state, so a conclusive click identifies its state with
+    certainty. For an equiprobable pure pair the inconclusive rate falls
+    linearly in gamma_1 + gamma_2 while the feasible set is convex and
+    symmetric under swapping the weights, so the optimum is the largest
+    symmetric weight with pi_0 still positive semidefinite. Only coincident
+    states (the same ray) admit no unambiguous measurement; any distinct
+    pair has one.
     """
-    mirrors = np.empty_like(vectors)  # outcome 1 takes mirror(psi_2), outcome 2 mirror(psi_1)
-    mirrors[..., 0], mirrors[..., 1] = -vectors[:, ::-1, 1].conj(), vectors[:, ::-1, 0].conj()
-    dirs = mirrors[..., :, None] * mirrors[..., None, :].conj()  # (N, 2, 2, 2)
+    bloch, states, average = ensembles[:3]
+    dirs = -bloch[:, 1::-1]  # outcome 1 takes mirror(psi_2), outcome 2 mirror(psi_1)
     if optimal:
         coincident = vectors[:, 0, 0] * vectors[:, 1, 1] == vectors[:, 0, 1] * vectors[:, 1, 0]
         if coincident.any():
             raise UsdImpossibleError("states are linearly dependent" + _row(coincident))
         weights = np.concatenate((np.empty((len(dirs), 1, 2)), weights), axis=1)
-        weights[:, 0] = _optimal_weight(mirrors)[:, None]
-    return _measurements(states, average, dirs, weights)
+        weights[:, 0] = _optimal_weight(dirs)[:, None]
+    return _measurements(states, average, _projectors(dirs), weights)
 
 
 def usd_stack(theta, weights=None) -> MeasurementStack:
@@ -576,7 +590,7 @@ def usd_stack(theta, weights=None) -> MeasurementStack:
     if weights.ndim != 3 or weights.shape[::2] != (n, 2):
         raise ContractError(f"weights must have shape ({n}, F, 2), got {weights.shape}")
     weights = _within(weights, 1.0, "weights", "1")
-    return _usd(vectors, *_ensembles(vectors, np.zeros(n))[1:], weights, optimal=True)
+    return _usd(vectors, _ensembles(vectors, np.zeros(n)), weights, optimal=True)
 
 
 def usd_povm(ens: Ensemble, gamma1: float, gamma2: float) -> Povm:
@@ -586,7 +600,7 @@ def usd_povm(ens: Ensemble, gamma1: float, gamma2: float) -> Povm:
     positive semidefinite. A batch of one of the stacked construction.
     """
     weights = _within([[[gamma1, gamma2]]], 1.0, "weights", "1")
-    stack = _usd(_pure_pair_of(ens), ens.states[None], ens.average[None], weights, optimal=False)
+    stack = _usd(ens.vectors[None], _batch_of(ens, pure=True), weights, optimal=False)
     return Povm._validated(stack.elements[0, 0])
 
 
@@ -598,8 +612,7 @@ def usd_optimal(ens: Ensemble) -> tuple[Povm, float]:
     coincident states (the same ray, theta = 0) raise. A batch of one of the
     stacked construction.
     """
-    stack = _usd(_pure_pair_of(ens), ens.states[None], ens.average[None], np.zeros((1, 0, 2)),
-                 optimal=True)
+    stack = _usd(ens.vectors[None], _batch_of(ens, pure=True), np.zeros((1, 0, 2)), optimal=True)
     return Povm._validated(stack.elements[0, 0]), float(stack.inconclusive_rate()[0, 0])
 
 
@@ -607,12 +620,10 @@ def usd_optimal(ens: Ensemble) -> tuple[Povm, float]:
 # maximum-confidence measurement
 
 
-# u for coincident states, where every direction is optimal: the limit of the
-# generic case, so the pair stays symmetric and the optimal inconclusive rate
-# stays continuous in (theta, p). Row i - 1 is outcome i's.
-_COINCIDENT_U = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex) / math.sqrt(2.0)
-_WHOLE = np.ones(1)  # the weight itself, as the one fraction
-_COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])  # adj(m) = these * m[::-1, ::-1].T
+# Bloch vectors of u = (1, -+1)/sqrt(2), row i - 1 outcome i's, for coincident
+# states, where every direction is optimal: the limit of the generic case, so
+# the optimal inconclusive rate stays continuous in (theta, p).
+_COINCIDENT_E = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 def mcm_stack(theta, p, fractions=(1.0,)) -> MeasurementStack:
@@ -620,9 +631,8 @@ def mcm_stack(theta, p, fractions=(1.0,)) -> MeasurementStack:
     every k at once, at the conclusive weights ``fractions`` times each
     ensemble's optimal weight.
 
-    ``theta`` and ``p`` are equal-length 1-D sequences. Every step, the pure
-    pairs included, is one stacked 2x2 computation over all N ensembles.
-    ``mcm_optimal`` runs the same construction as a batch of one.
+    ``theta`` and ``p`` are equal-length 1-D sequences. ``mcm_optimal`` runs
+    the same construction as a batch of one.
     """
     vectors = _pure_pairs(theta)
     p = np.asarray(p, dtype=float)
@@ -634,68 +644,55 @@ def mcm_stack(theta, p, fractions=(1.0,)) -> MeasurementStack:
     fractions = np.asarray(fractions, dtype=float)
     if fractions.ndim != 1 or not fractions.size:
         raise ContractError(f"weight fractions must be 1-D and not empty, got {fractions}")
-    return _mcm(vectors, p, fractions)
+    return _mcm(_ensembles(vectors, p), fractions)
 
 
-def _mcm(vectors: np.ndarray, p: np.ndarray, fractions: np.ndarray,
+def _mcm(ensembles: tuple[np.ndarray, ...], fractions: np.ndarray,
          alpha: np.ndarray | None = None) -> MeasurementStack:
-    """The stacked construction for the pure pairs ``vectors`` (N, 2, 2)
-    dephased at ``p`` (N,), at the weights ``fractions * alpha``; ``alpha``
-    defaults to the optimal weight.
+    """The stacked construction for the ``_ensembles`` ``ensembles``, at the
+    weights ``fractions * alpha``; ``alpha`` defaults to the optimal weight.
 
-    The direction |phi_i> maximises the retrodictive confidence
-    q_i Tr[rho_i pi] / Tr[rho pi] over rank-one pi. Whitening by
-    W = rho^(-1/2) turns that ratio into a Rayleigh quotient, so
-    |phi_i> ~ W u with u the top eigenvector of W rho_i W; these W u are the
-    eigenvectors of rho^-1 rho_i. As rho_i - rho = +-(1-p)/2 (P_1 - P_2) for
-    the pair's projectors P, they are those of A = adj(rho)(P_1 - P_2) =
-    det(rho) rho^-1 (P_1 - P_2), read from the pair so p -> 1 cannot cancel
-    them. A is similar to det(rho) W (P_1 - P_2) W, so its eigenvalues
-    lambda = (m00 + m11)/2 +- root, root = sqrt(((m00 - m11)/2)^2 + m01 m10),
-    are real. Outcome 1 takes the top eigenvector, outcome 2 the bottom one,
-    each as (lambda - m11, m10) or (m01, lambda - m00), whichever does not
-    cancel, with no square root of rho and no eigendecomposition. Coincident
-    states, a gap 2 root <= 1e-12 det(rho), take W u for the fixed u of
-    ``_COINCIDENT_U``, with W ~ adj(rho + sqrt(det rho)). The optimal weight
-    is 1/lambda_max of the sum of the two conclusive projectors, the largest
-    keeping pi_0 = 1 - pi_1 - pi_2 positive semidefinite.
+    The direction pi = (I + m . sigma)/2 maximises the confidence
+    q_i Tr[rho_i pi] / Tr[rho pi]. As rho_i - rho = +-(1 - p) d . sigma/4,
+    outcome 1 maximises and outcome 2 minimises d . m / (1 + r . m) over
+    unit m, at m_+ and m_- respectively, read from the pair so p -> 1
+    cannot cancel them:
+
+        m_+- = -r + ((d . r +- lambda)/|d|^2) d,
+        lambda^2 = |d|^2 - |d x r|^2 = |d|^2 (1 - |r|^2) + (d . r)^2.
+
+    These are the eigenvectors of A = adj(rho)(P_1 - P_2), whose gap is
+    lambda/2. Coincident states, a gap lambda/2 <= 1e-12 det(rho), take W u
+    for the fixed u of Bloch vector e in ``_COINCIDENT_E``, with
+    W ~ adj(rho + sqrt(det rho)) = w0 I + w . sigma, w0 = 1/2 + sqrt(det rho)
+    and w = -r/2; by the product rule W (I + e . sigma) W has the Bloch vector
+
+        (2 w0 w + (w0^2 - |w|^2) e + 2 (w . e) w) / (w0^2 + |w|^2 + 2 w0 w . e).
     """
-    proj, states, average = _ensembles(vectors, p)
+    bloch, states, average, p = ensembles
     nonsingular = min_eig_2x2(average) > DEFAULTS.norm
     if not nonsingular.all():
         raise DegenerateEnsembleError(
             "average state is singular (no noise and coincident or antipodal pair)"
             + _row(~nonsingular))
-    adj = average[:, ::-1, ::-1].swapaxes(-1, -2) * _COFACTOR_SIGNS
-    prod = adj[..., None] * (proj[:, 0] - proj[:, 1])[:, None]
-    m = prod[:, :, 0] + prod[:, :, 1]  # A
-    m01, m10 = m[:, 0, 1], m[:, 1, 0]
-    h = 0.5 * (m[:, 0, 0] - m[:, 1, 1])
-    root = np.sqrt(np.abs(h * h + m01 * m10))  # real and >= 0 but for rounding
-    # outcome 1 (lambda_+ - m11, m10) and outcome 2 (m01, lambda_- - m00),
-    # lambda_+ - m11 = m00 - lambda_- = root + h; rows with Re h < 0, where
-    # that cancels, take (m01, lambda_+ - m00) and (lambda_- - m11, m10)
-    d = np.empty_like(vectors)  # (N, 2, 2): outcome, amplitude
-    t = root + h
-    d[:, 0, 0], d[:, 0, 1], d[:, 1, 0], d[:, 1, 1] = t, m10, m01, -t
-    down = h.real < 0.0
-    if down.any():
-        t = root[down] - h[down]
-        d[down] = np.stack((m01[down], t, -t, m10[down]), axis=-1).reshape(-1, 2, 2)
-    det = average[:, 0, 0].real * average[:, 1, 1].real - np.abs(average[:, 0, 1]) ** 2
-    coincident = 2.0 * root <= 1e-12 * det
+    d, r = bloch[:, 0] - bloch[:, 1], bloch[:, 2]
+    dd, dr = _dot(d, d), _dot(d, r)
+    det = 0.25 * p * (2.0 - p) + (0.25 * (1.0 - p)) ** 2 * dd  # (1 - |r|^2)/4 for unit n_i
+    lam = np.sqrt(4.0 * det * dd + dr * dr)
+    coincident = 0.5 * lam <= 1e-12 * det
+    scale = (dr[:, None] + lam[:, None] * (1.0, -1.0)) / np.where(coincident, 1.0, dd)[:, None]
+    dirs = scale[..., None] * d[:, None] - r[:, None]  # (N, 2, 3): outcome, Bloch vector
     if coincident.any():
-        w = adj[coincident] + np.sqrt(det[coincident])[:, None, None] * _IDENTITY
-        d[coincident] = (w[:, None] * _COINCIDENT_U[:, None]).sum(axis=-1)
-    # unit vectors; no phase convention, as only |phi_i><phi_i| is used
-    mod = np.abs(d)
-    d /= np.hypot(mod[..., 0], mod[..., 1])[..., None]
-    dirs = d[..., :, None] * d[..., None, :].conj()  # (N, 2, 2, 2)
+        w0 = 0.5 + np.sqrt(det[coincident])[:, None, None]
+        w = -0.5 * r[coincident][:, None]
+        we, ww = _dot(w, _COINCIDENT_E)[..., None], _dot(w, w)[..., None]
+        dirs[coincident] = ((2.0 * w0 * w + (w0 * w0 - ww) * _COINCIDENT_E + 2.0 * we * w)
+                            / (w0 * w0 + ww + 2.0 * w0 * we))
     if alpha is None:
-        alpha = _optimal_weight(d)
+        alpha = _optimal_weight(dirs)
     weights = np.empty((len(alpha), len(fractions), 2))
     weights[...] = (alpha[:, None] * fractions)[..., None]
-    return _measurements(states, average, dirs, weights)
+    return _measurements(states, average, _projectors(dirs), weights)
 
 
 def mcm_povm(ens: Ensemble, alpha: float) -> Povm:
@@ -707,7 +704,7 @@ def mcm_povm(ens: Ensemble, alpha: float) -> Povm:
     """
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    stack = _mcm(ens.vectors[None], np.array([ens.noise]), _WHOLE, np.array([float(alpha)]))
+    stack = _mcm(_batch_of(ens), np.ones(1), np.array([float(alpha)]))
     return Povm._validated(stack.elements[0, 0])
 
 

@@ -229,6 +229,18 @@ def csv_text(rows):
     return out.getvalue(), printf_csv(header, np.asarray(rows, dtype=float).tolist())
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """Fail unless got == want, naming the first line that differs, its index
+    and both texts, rather than rendering a diff of two whole tables."""
+    if got == want:
+        return
+    a, b = got.split("\n"), want.split("\n")
+    i = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    line = [repr(lines[i]) if i < len(lines) else "the end of the text" for lines in (a, b)]
+    pytest.fail(f"line {i} differs: got {line[0]}, want {line[1]} "
+                f"({len(a)} lines against {len(b)})")
+
+
 def test_csv_cells_at_the_edges_of_the_fast_path(tmp_path):
     powers = [10.0 ** -k for k in range(6)]
     edges = [v for p in powers for v in (np.nextafter(p, 0.0), p, np.nextafter(p, 2.0))]
@@ -253,7 +265,7 @@ def test_csv_cells_at_the_edges_of_the_fast_path(tmp_path):
     for table in (values.reshape(-1, 1), values[: len(values) // 4 * 4].reshape(-1, 4),
                   wide.reshape(-1, 1), wide.reshape(1, -1), spread):
         got, want = csv_text(table)
-        assert got == want
+        assert_same_text(got, want)
         # the file sink writes the same bytes as the text sink
         harness.write_csv(tmp_path / "edges.csv", got.split("\n", 1)[0].split(","), table)
         assert (tmp_path / "edges.csv").read_bytes() == got.encode("ascii")
@@ -272,7 +284,7 @@ def test_csv_chunks_join_seamlessly():
     table[::1000, 0] = 0.0
     table[_CSV_CHUNK - 1:_CSV_CHUNK + 1, 1] = [1e-5, 1.0]  # fallback cells at a chunk boundary
     got, want = csv_text(table)
-    assert got == want
+    assert_same_text(got, want)
 
 
 @pytest.mark.parametrize("value", [0.0, 1.0, -0.0, 1e-5, math.nan, -1.23456789e-100])
@@ -298,7 +310,7 @@ def test_csv_constant_columns(value):
     ]
     for table in tables:
         got, want = csv_text(table)
-        assert got == want
+        assert_same_text(got, want)
 
 
 def test_csv_rejects_a_table_that_does_not_fit_its_header(tmp_path):

@@ -15,6 +15,9 @@ from ctxsd.errors import (
     UsdImpossibleError,
 )
 
+# a division that warns and is masked afterwards fails here, not silently
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 SQRT_HALF = math.sqrt(0.5)
 
 
@@ -452,6 +455,16 @@ def test_mcm_optimal_rate_near_full_noise(c):
         assert abs(rate - (1.0 - p) * math.sqrt(c)) <= 1e-14, (c, p)
 
 
+def test_mcm_optimal_rate_is_exactly_zero_for_coincident_states_at_full_noise():
+    # at (c, p) = (1, 1) the average state is I/2, so the fallback directions
+    # are -x and +x exactly, their sum is 0, the weight is 1 and pi_0 = 0: no
+    # rounding residue of either sign is left in the rate
+    stack = qt.mcm_stack([theta_of(1.0)], [1.0])
+    assert not stack.elements[0, 0, 2].any()
+    assert stack.inconclusive_rate()[0, 0] == 0.0
+    assert qt.mcm_optimal(theta_of(1.0), 1.0)[1] == 0.0
+
+
 def test_optimal_weights_leave_inconclusive_element_on_the_boundary():
     # the optimal weight is the largest feasible one, so pi_0 is singular
     grid = [float(x) for x in np.linspace(0.0, 1.0, 41)]
@@ -758,11 +771,13 @@ def test_mcm_coincident_test_is_relative_to_det_rho(angle):
 @pytest.mark.parametrize("p", [1e-6, 0.5, 1.0])
 def test_mcm_coincident_fallback_whitens_by_the_adjugate(p):
     # one state twice, off the axis of make_pure_pair: the fallback directions
-    # are rho^(-1/2) u for the fixed u, with rho^(-1/2) from LAPACK here
+    # are rho^(-1/2) u for the fixed u = (1, -+1)/sqrt(2), with rho^(-1/2)
+    # from LAPACK here
     ens = _pair_ensemble((_rotated(0.3), _rotated(0.3)), p)
     w, v = np.linalg.eigh(ens.average)
     whiten = (v * w**-0.5) @ v.conj().T
-    d = qt._COINCIDENT_U @ whiten.T  # rows: rho^(-1/2) u_i
+    u = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
+    d = u @ whiten.T  # rows: rho^(-1/2) u_i
     d /= np.linalg.norm(d, axis=-1, keepdims=True)
     want = d[:, :, None] * d[:, None, :].conj()
     got = 2.0 * qt.mcm_povm(ens, 0.5).elements[:2]
@@ -802,3 +817,16 @@ def test_stacks_at_the_edge_points(c, p):
     theta = theta_of(c)
     helstrom = qt.helstrom_stack([theta])
     assert abs(helstrom.guessing_probability()[0, 0] - 0.5 * (1.0 + math.sin(theta))) <= 4 * _EPS
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-12, 1e-9, 1e-6, 1e-3])
+def test_mcm_confidence_keeps_its_precision_towards_the_corner(p):
+    # towards c -> 1, p -> 0 the states and conclusive projectors are nearly
+    # rank one and the confidence is a ratio of their small traces. Judged at
+    # the theta the stack is given, where 1 - c = sin^2(theta) does not cancel:
+    # C = (1 + (1 - p) sin(theta) / sqrt(sin^2(theta) + p (2 - p) cos^2(theta)))/2
+    theta = np.logspace(-5.0, -1.0, 13)
+    stack = qt.mcm_stack(theta, np.full(len(theta), p))
+    s, c = np.sin(theta), np.cos(theta)
+    want = 0.5 * (1.0 + (1.0 - p) * s / np.sqrt(s * s + p * (2.0 - p) * c * c))
+    assert np.abs(stack.confidences()[:, 0] - want[:, None]).max() <= 4 * _EPS
