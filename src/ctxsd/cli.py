@@ -22,23 +22,14 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import config
-from .bounds import CELLS, NONCONTEXTUAL, QUANTUM, eval_bound
+from .bounds import CELLS, NONCONTEXTUAL, QUANTUM, Cell as Target, eval_bound
 from .errors import CtxsdError
-from .harness import (
-    FIGURE_IDS,
-    FigureJob,
-    SweepSpec,
-    Target,
-    VerifyReport,
-    emit_figure,
-    run_sweep,
-    table_cmd,
-    verify_all,
-    write_csv,
-    write_csv_to,
-)
+
+if TYPE_CHECKING:
+    from .harness import VerifyReport
 
 _FIGURE_TOKENS = {"PG": "P_g", "P0": "P_0", "C": "C", "C1": "C", "C2": "C"}
 _THEORY_TOKENS = {"Q": QUANTUM, "QUANTUM": QUANTUM, "NC": NONCONTEXTUAL,
@@ -76,6 +67,8 @@ def _add_point_args(sub: argparse.ArgumentParser) -> None:
 
 @functools.cache  # one per process: parse_args leaves no state in it
 def _build_parser() -> argparse.ArgumentParser:
+    from .sweeps import FIGURE_IDS
+
     parser = argparse.ArgumentParser(
         prog="ctxsd",
         description="Quantum versus noncontextual bounds for binary state discrimination.",
@@ -130,6 +123,9 @@ def _cmd_bounds(args: argparse.Namespace, tols: config.Tolerances) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, tols: config.Tolerances) -> int:
+    from .csvout import write_csv, write_csv_to
+    from .sweeps import SweepSpec, run_sweep
+
     targets = tuple(_parse_target(tok) for tok in args.target)
     spec = SweepSpec(
         variable=args.variable,
@@ -155,12 +151,16 @@ def _cmd_sweep(args: argparse.Namespace, tols: config.Tolerances) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace, tols: config.Tolerances) -> int:
+    from .sweeps import FigureJob, emit_figure
+
     path = emit_figure(FigureJob(args.id, args.out))
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_table(args: argparse.Namespace, tols: config.Tolerances) -> int:
+    from .sweeps import table_cmd
+
     print(table_cmd(args.c, args.p, args.omega, tols))
     return 0
 
@@ -184,6 +184,8 @@ def _report_json(report: VerifyReport) -> dict:
 
 
 def _cmd_verify(args: argparse.Namespace, tols: config.Tolerances) -> int:
+    from .harness import verify_all
+
     report = verify_all(args.points, tols)
     print(json.dumps(_report_json(report), indent=2) if args.json else report.render())
     return 0 if report.passed else 1

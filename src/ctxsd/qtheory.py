@@ -670,14 +670,15 @@ def _mcm(ensembles: tuple[np.ndarray, ...], fractions: np.ndarray,
         (2 w0 w + (w0^2 - |w|^2) e + 2 (w . e) w) / (w0^2 + |w|^2 + 2 w0 w . e).
     """
     bloch, states, average, p = ensembles
-    nonsingular = min_eig_2x2(average) > DEFAULTS.norm
+    d, r = bloch[:, 0] - bloch[:, 1], bloch[:, 2]
+    dd, dr = _dot(d, d), _dot(d, r)
+    det = 0.25 * p * (2.0 - p) + (0.25 * (1.0 - p)) ** 2 * dd  # (1 - |r|^2)/4 for unit n_i
+    # lambda_min(rho) = (1 - sqrt(1 - 4 det))/2, in a form that does not cancel
+    nonsingular = 2.0 * det / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * det, 0.0))) > DEFAULTS.norm
     if not nonsingular.all():
         raise DegenerateEnsembleError(
             "average state is singular (no noise and coincident or antipodal pair)"
             + _row(~nonsingular))
-    d, r = bloch[:, 0] - bloch[:, 1], bloch[:, 2]
-    dd, dr = _dot(d, d), _dot(d, r)
-    det = 0.25 * p * (2.0 - p) + (0.25 * (1.0 - p)) ** 2 * dd  # (1 - |r|^2)/4 for unit n_i
     lam = np.sqrt(4.0 * det * dd + dr * dr)
     coincident = 0.5 * lam <= 1e-12 * det
     scale = (dr[:, None] + lam[:, None] * (1.0, -1.0)) / np.where(coincident, 1.0, dd)[:, None]

@@ -1,0 +1,232 @@
+"""Parameter sweeps, the figure CSVs and the rendered gap table.
+
+``run_sweep`` evaluates each target as one array expression over the grid
+(``bounds.eval_column``). A singular grid endpoint moves inward by half a
+step and is recorded as a ``Substitution``; a singular interior point
+raises. Each figure is a ``SweepSpec`` plus a map to its column names.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Mapping
+
+import numpy as np
+
+from .bounds import (
+    CELLS,
+    Cell as Target,
+    ConfidencePairCell,
+    DefinitionalCell,
+    GapCertificate,
+    eval_bound,
+    eval_column,
+    table1_report,
+)
+from .config import DEFAULTS, Tolerances
+from .csvout import write_csv
+from .errors import (
+    ContractError,
+    DegenerateEnsembleError,
+    DivergenceError,
+    DomainError,
+    UsdImpossibleError,
+)
+
+__all__ = [
+    "Target",
+    "SweepSpec",
+    "Substitution",
+    "SweepResult",
+    "run_sweep",
+    "FigureJob",
+    "FIGURE_IDS",
+    "emit_figure",
+    "table_cmd",
+]
+
+_VARIABLES = ("c", "p", "omega")
+
+
+def _fmt(v: float) -> str:
+    return format(float(v), ".9g")
+
+
+# ---------------------------------------------------------------------------
+# sweeps
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """Grid over one parameter with the other two held fixed."""
+
+    variable: str
+    start: float
+    stop: float
+    points: int
+    fixed: Mapping[str, float]
+    targets: tuple[Target, ...]
+
+    def __post_init__(self) -> None:
+        if self.variable not in _VARIABLES:
+            raise ContractError(f"unknown sweep variable {self.variable!r}")
+        if self.points < 1:
+            raise DomainError("a sweep needs at least one grid point")
+        if not (0.0 <= self.start <= self.stop <= 1.0):
+            raise DomainError("sweep range must satisfy 0 <= start <= stop <= 1")
+        if not self.targets:
+            raise ContractError("a sweep needs at least one target")
+        merged = {"c": 0.5, "p": 0.5, "omega": 0.5}
+        merged.update(self.fixed)
+        for name, value in merged.items():
+            if not 0.0 <= value <= 1.0:
+                raise DomainError(f"fixed parameter {name} must lie in [0, 1]")
+        object.__setattr__(self, "fixed", merged)
+        object.__setattr__(self, "targets", tuple(self.targets))
+
+
+@dataclass(frozen=True)
+class Substitution:
+    """A grid point a sweep evaluated elsewhere: its index, the grid value
+    and the value used instead."""
+
+    index: int
+    grid_x: float
+    used_x: float
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    """``table`` holds one row per grid point: the x used, then one value
+    per target."""
+
+    header: tuple[str, ...]
+    table: np.ndarray
+    substitutions: tuple[Substitution, ...] = ()
+
+    @property
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(map(tuple, self.table.tolist()))
+
+
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Evaluate every target on the grid, one column per target.
+
+    A grid endpoint at which a target's closed form is singular (for
+    example the confidence of a pure coincident pair) is shifted inward by
+    half a step for every target, so the output stays free of NaN
+    placeholders; each shift is recorded in ``substitutions``. A singular
+    interior point raises.
+    """
+    xs = np.linspace(spec.start, spec.stop, spec.points)
+    step = (spec.stop - spec.start) / (spec.points - 1) if spec.points > 1 else 0.0
+    substitutions = []
+    for k, shift in ((0, 0.5 * step), (spec.points - 1, -0.5 * step)) if step else ():
+        x = float(xs[k])
+        try:
+            for t in spec.targets:
+                eval_bound(t.spec(**{**spec.fixed, spec.variable: x}))
+        except (DivergenceError, UsdImpossibleError, DegenerateEnsembleError):
+            xs[k] = x + shift
+            substitutions.append(Substitution(k, x, float(xs[k])))
+    columns = [eval_column(t.spec(**spec.fixed), spec.variable, xs) for t in spec.targets]
+    header = (spec.variable, *(t.label for t in spec.targets))
+    # row-major by view: a CSV chunk's ravel() transposes it while it is in cache
+    return SweepResult(header, np.stack([xs, *columns]).T, tuple(substitutions))
+
+
+# ---------------------------------------------------------------------------
+# figures
+
+_FIG_POINTS = 201
+
+
+# Figure column names of the sweep columns the figures plot.
+_FIGURE_HEADER = {
+    "MESD_C_Q": "C_Q", "MESD_C1_NC": "C_NC_1", "MESD_C2_NC": "C_NC_2",
+    "MCM_P0_Q": "P0_Q", "MCM_P0_NC": "P0_NC", "MCM_Pg_Q": "Pg_Q", "MCM_Pg_NC": "Pg_NC",
+}
+
+
+def _cells(scheme: str, figure: str) -> tuple[Target, ...]:
+    return tuple(t for t in CELLS if (t.scheme, t.figure) == (scheme, figure))
+
+
+_FIGURES = {
+    # confidence trade-off over omega at c = 1/2
+    "fig2": SweepSpec("omega", 0.0, 1.0, _FIG_POINTS, {"c": 0.5}, _cells("MESD", "C")),
+    # inconclusive rates over p at c = 1/2
+    "fig3a": SweepSpec("p", 0.0, 1.0, _FIG_POINTS, {"c": 0.5}, _cells("MCM", "P_0")),
+    # inconclusive rates over c at p = 3/4
+    "fig3b": SweepSpec("c", 0.0, 1.0, _FIG_POINTS, {"p": 0.75}, _cells("MCM", "P_0")),
+    # guessing probabilities over c at p = 1/2
+    "fig4": SweepSpec("c", 0.0, 1.0, _FIG_POINTS, {"p": 0.5}, _cells("MCM", "P_g")),
+}
+
+FIGURE_IDS = tuple(sorted(_FIGURES))
+
+
+@dataclass(frozen=True)
+class FigureJob:
+    figure_id: str
+    out_path: Path
+
+    def __post_init__(self) -> None:
+        if self.figure_id not in _FIGURES:
+            raise ContractError(
+                f"unknown figure {self.figure_id!r}; choose from {FIGURE_IDS}"
+            )
+        object.__setattr__(self, "out_path", Path(self.out_path))
+
+
+def emit_figure(job: FigureJob) -> Path:
+    """Write one figure's data as CSV and return the path."""
+    result = run_sweep(_FIGURES[job.figure_id])
+    header = [_FIGURE_HEADER.get(name, name) for name in result.header]
+    write_csv(job.out_path, header, result.table)
+    return job.out_path
+
+
+# ---------------------------------------------------------------------------
+# table rendering
+
+
+def table_cmd(c: float, p: float, omega: float, tols: Tolerances = DEFAULTS) -> str:
+    """Render the nine-cell gap table as text, one line per cell."""
+    report = table1_report(c, p, omega, tols)
+    lines = [
+        f"gap table at c={_fmt(c)}, p={_fmt(p)}, omega={_fmt(omega)}",
+        f"{'scheme':<7}{'figure':<7}{'quantum':<15}{'noncontextual':<15}"
+        f"{'gap':<16}advantage",
+    ]
+
+    def cert_line(scheme: str, figure: str, cert: GapCertificate) -> str:
+        return (
+            f"{scheme:<7}{figure:<7}{_fmt(cert.quantum_value):<15}"
+            f"{_fmt(cert.noncontextual_value):<15}"
+            f"{cert.gap:<+16.9g}{'yes' if cert.advantage else 'no'}"
+        )
+
+    for (scheme, figure), cell in report.cells.items():
+        if isinstance(cell, DefinitionalCell):
+            lines.append(
+                f"{scheme:<7}{figure:<7}{_fmt(cell.value)} (definitional: {cell.note})"
+            )
+        elif isinstance(cell, ConfidencePairCell):
+            lines.append(cert_line(scheme, "C(1)", cell.arm1))
+            lines.append(cert_line(scheme, "C(2)", cell.arm2))
+        else:
+            lines.append(cert_line(scheme, figure, cell))
+
+    mesd_c = report.cell("MESD", "C")
+    if mesd_c.window is not None:
+        lo, hi = mesd_c.window
+        lines.append(
+            f"both-arm confidence advantage window: omega in [{_fmt(lo)}, {_fmt(hi)}]"
+        )
+    else:
+        lines.append("both-arm confidence advantage window: undefined at this c")
+    if not report.usd_possible:
+        lines.append("note: unambiguous discrimination impossible (coincident states)")
+    return "\n".join(lines)

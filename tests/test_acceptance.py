@@ -17,7 +17,7 @@ import pytest
 
 from ctxsd import ncmodel, qtheory
 from ctxsd.bounds import BoundSpec, NONCONTEXTUAL, QUANTUM, eval_bound
-from ctxsd.harness import FigureJob, emit_figure
+from ctxsd.sweeps import FigureJob, emit_figure
 
 SQRT_HALF = math.sqrt(0.5)
 

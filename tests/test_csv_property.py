@@ -15,7 +15,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ctxsd import harness  # noqa: E402
+from ctxsd import csvout  # noqa: E402
 
 _FLOATS = st.one_of(
     st.floats(0.0, 1.0, exclude_max=True),  # the sweep range
@@ -56,7 +56,7 @@ def _printf_csv(header, table):
 def test_csv_cells_are_printf_bytes(table):
     header = [f"x{i}" for i in range(table.shape[1])]
     out = io.StringIO()
-    harness.write_csv_to(out, header, table)
+    csvout.write_csv_to(out, header, table)
     assert out.getvalue() == _printf_csv(header, table)
 
 
@@ -84,6 +84,6 @@ def test_csv_rows_and_constant_runs_cross_chunk_edges(drawn):
     chunk, table = drawn
     header = [f"x{i}" for i in range(table.shape[1])]
     out = io.StringIO()
-    with patch.object(harness, "_CSV_CHUNK", chunk):
-        harness.write_csv_to(out, header, table)
+    with patch.object(csvout, "_CSV_CHUNK", chunk):
+        csvout.write_csv_to(out, header, table)
     assert out.getvalue() == _printf_csv(header, table)

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 import ctxsd
-from ctxsd import bounds, cli, config, harness, ncmodel, qtheory
+from ctxsd import bounds, cli, config, csvout, harness, ncmodel, qtheory, sweeps
 from ctxsd.bounds import CELLS, NONCONTEXTUAL, QUANTUM
+from ctxsd.csvout import _CSV_CHUNK
 from ctxsd.errors import ContractError, DomainError
-from ctxsd.harness import (
-    _CSV_CHUNK,
+from ctxsd.harness import verify_all
+from ctxsd.sweeps import (
     FIGURE_IDS,
     FigureJob,
     Substitution,
@@ -26,7 +27,6 @@ from ctxsd.harness import (
     emit_figure,
     run_sweep,
     table_cmd,
-    verify_all,
 )
 
 
@@ -188,7 +188,7 @@ def test_fig4_endpoint_values(tmp_path):
 
 
 def test_all_figures_emit_finite_unit_interval_values(tmp_path):
-    for figure_id in harness.FIGURE_IDS:
+    for figure_id in sweeps.FIGURE_IDS:
         path = emit_figure(FigureJob(figure_id, tmp_path / f"{figure_id}.csv"))
         _, rows = read_csv(path)
         assert len(rows) == 201
@@ -225,7 +225,7 @@ def csv_text(rows):
     """What ``write_csv_to`` writes for ``rows``, and the ``"%.9g"`` text of them."""
     header = [f"x{i}" for i in range(np.shape(rows)[1])]
     out = io.StringIO()
-    harness.write_csv_to(out, header, rows)
+    csvout.write_csv_to(out, header, rows)
     return out.getvalue(), printf_csv(header, np.asarray(rows, dtype=float).tolist())
 
 
@@ -267,7 +267,7 @@ def test_csv_cells_at_the_edges_of_the_fast_path(tmp_path):
         got, want = csv_text(table)
         assert_same_text(got, want)
         # the file sink writes the same bytes as the text sink
-        harness.write_csv(tmp_path / "edges.csv", got.split("\n", 1)[0].split(","), table)
+        csvout.write_csv(tmp_path / "edges.csv", got.split("\n", 1)[0].split(","), table)
         assert (tmp_path / "edges.csv").read_bytes() == got.encode("ascii")
     assert csv_text([[1.0 - 5e-10, 1.0 - 4e-10, 1e-5]])[0].endswith("\n0.999999999,1,1e-05\n")
 
@@ -275,7 +275,7 @@ def test_csv_cells_at_the_edges_of_the_fast_path(tmp_path):
 def test_csv_digit_table_holds_every_group_plain_and_stripped():
     plain = [f"{i:04d}".encode() for i in range(10_000)]
     stripped = [d.rstrip(b"0").ljust(4, b"\0") for d in plain]
-    assert harness._csv_digits().tobytes() == b"".join(plain + stripped)
+    assert csvout._csv_digits().tobytes() == b"".join(plain + stripped)
 
 
 def test_csv_chunks_join_seamlessly():
@@ -319,12 +319,12 @@ def test_csv_rejects_a_table_that_does_not_fit_its_header(tmp_path):
     for rows in ([[0.5, 0.25], [0.5]], np.zeros(3), np.zeros((2, 3)), np.zeros((2, 2, 1)),
                  [["a", "b"]]):
         with pytest.raises(ContractError):
-            harness.write_csv_to(io.StringIO(), ["a", "b"], rows)
+            csvout.write_csv_to(io.StringIO(), ["a", "b"], rows)
         with pytest.raises(ContractError):
-            harness.write_csv(path, ["a", "b"], rows)
+            csvout.write_csv(path, ["a", "b"], rows)
     assert path.read_text() == "kept\n"  # rejected before the file is opened
     out = io.StringIO()
-    harness.write_csv_to(out, ["a", "b"], [])  # no rows: the header alone
+    csvout.write_csv_to(out, ["a", "b"], [])  # no rows: the header alone
     assert out.getvalue() == "a,b\n"
 
 
@@ -1048,7 +1048,7 @@ def test_cli_honours_env_tolerance(monkeypatch, capsys):
 # package boundary
 
 
-@pytest.mark.parametrize("module", [ctxsd, qtheory, ncmodel, bounds, harness],
+@pytest.mark.parametrize("module", [ctxsd, qtheory, ncmodel, bounds, csvout, sweeps, harness],
                          ids=lambda m: m.__name__)
 def test_every_exported_name_resolves(module):
     # perfbench/run.py --trace 1 looks up each name of __all__ with getattr

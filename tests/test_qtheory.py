@@ -425,6 +425,19 @@ def test_mcm_degenerate_ensemble_error():
         qt.mcm_optimal(math.pi, 0.0)
 
 
+def test_mcm_singularity_test_does_not_cancel_at_its_threshold():
+    # at c = 1 the average state's smallest eigenvalue is p/2: 1.000001e-12,
+    # just above DEFAULTS.norm, is regular and 1e-12 is singular, where
+    # centre - radius of the eigenvalues cancels to either side
+    p = 2.000002e-12
+    m, rate = qt.mcm_optimal(theta_of(1.0), p)
+    ens = qt.noisy_ensemble(theta_of(1.0), p)
+    assert abs(rate - (1.0 - p)) <= 4 * _EPS
+    assert [qt.confidence(ens, m, i) for i in (1, 2)] == [0.5, 0.5]
+    with pytest.raises(DegenerateEnsembleError):
+        qt.mcm_optimal(theta_of(1.0), 2e-12)
+
+
 @pytest.mark.parametrize(
     "c,p,expected",
     [
