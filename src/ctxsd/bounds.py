@@ -15,7 +15,7 @@ convention overlap^2 = c is applied in exactly one place,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -118,9 +118,10 @@ class Cell:
     figure: str
     theory: str
     outcome: int = 1
+    _template: BoundSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.spec(0.5, 0.5, 0.5)  # BoundSpec validates the cell
+        object.__setattr__(self, "_template", self.spec(0.5, 0.5, 0.5))  # checks the cell
 
     @property
     def has_arms(self) -> bool:
@@ -138,6 +139,13 @@ class Cell:
         return BoundSpec(self.scheme, self.figure, self.theory, c,
                          p=p if self.scheme == "MCM" else None,
                          omega=omega if self.has_arms else None, outcome=self.outcome)
+
+    def _checked_spec(self, c: float, p: float, omega: float) -> BoundSpec:
+        """``spec`` for parameters that ``spec`` has already accepted."""
+        spec, t = object.__new__(BoundSpec), self._template
+        spec.__dict__.update(t.__dict__, c=c, p=None if t.p is None else p,
+                             omega=None if t.omega is None else omega)
+        return spec
 
 
 # The 19 cells in table order; each quantum cell comes before its
@@ -345,6 +353,9 @@ def table1_report(
     c: float, p: float, omega: float, tols: Tolerances = DEFAULTS
 ) -> Table1Report:
     """Evaluate every cell of the gap table at one parameter point."""
+    # c, omega and p, checked once, in the order the cells would check them
+    BoundSpec("MESD", "C", NONCONTEXTUAL, c, omega=omega)
+    BoundSpec("MCM", "C", QUANTUM, c, p=p)
     if 0.0 < c < 1.0:
         w_star = omega_star(c)
         window: Optional[tuple[float, float]] = (w_star, 1.0 - w_star)
@@ -356,11 +367,11 @@ def table1_report(
         if key in _DEFINITIONAL:
             cells[key] = _DEFINITIONAL[key]
         elif cell.theory == QUANTUM:
-            quantum = cell.spec(c, p, omega)
+            quantum = cell._checked_spec(c, p, omega)
         elif cell.outcome == 1:
-            cells[key] = gap(quantum, cell.spec(c, p, omega), tols)
+            cells[key] = gap(quantum, cell._checked_spec(c, p, omega), tols)
         else:  # the second arm of the noncontextual MESD confidence
-            arm1, arm2 = cells[key], gap(quantum, cell.spec(c, p, omega), tols)
+            arm1, arm2 = cells[key], gap(quantum, cell._checked_spec(c, p, omega), tols)
             cells[key] = ConfidencePairCell(
                 arm1, arm2, window, arm1.advantage and arm2.advantage
             )

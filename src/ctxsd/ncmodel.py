@@ -108,9 +108,9 @@ class EpistemicState:
         if not (w >= 0.0).all():
             raise DomainError("region weights must be nonnegative")
         total = w.sum(axis=-1)
-        unnormalised = ~(np.abs(total - 1.0) <= DEFAULTS.norm)
-        if unnormalised.any():
-            raise DomainError(f"region weights sum to {_first(total, unnormalised)}, expected 1")
+        normalised = np.abs(total - 1.0) <= DEFAULTS.norm
+        if not normalised.all():
+            raise DomainError(f"region weights sum to {_first(total, ~normalised)}, expected 1")
         w.flags.writeable = False
         self._w = w
 
@@ -151,14 +151,20 @@ class ResponseSet:
             raise ContractError("responses 1, 2 and 0 must have equal shapes") from None
         if xi.shape[-1:] != (4,):
             raise ContractError(f"responses must have 4 entries per point, got {xi.shape[1:]}")
-        outside = ~((xi >= -DEFAULTS.norm) & (xi <= 1.0 + DEFAULTS.norm))
-        if outside.any():
-            name = ("1", "2", "0")[np.argmax(outside.reshape(3, -1).any(axis=1))]
+        inside = (xi >= -DEFAULTS.norm) & (xi <= 1.0 + DEFAULTS.norm)
+        if not inside.all():
+            name = ("1", "2", "0")[np.argmin(inside.reshape(3, -1).all(axis=1))]
             raise DomainError(f"response {name} leaves [0, 1]")
         if not (np.abs(xi[0] + xi[1] + xi[2] - 1.0) <= DEFAULTS.norm).all():
             raise DomainError("responses must sum to 1 pointwise")
         xi.flags.writeable = False
         self._xi1, self._xi2, self._xi0 = xi
+
+    def __getitem__(self, k) -> "ResponseSet":
+        """The responses (or stack) at the index ``k`` of the leading axes."""
+        rs = object.__new__(ResponseSet)
+        rs._xi1, rs._xi2, rs._xi0 = self._xi1[k], self._xi2[k], self._xi0[k]
+        return rs
 
     @property
     def xi1(self) -> np.ndarray:
@@ -209,11 +215,11 @@ class NcScenario:
     def __post_init__(self) -> None:
         left = 0.5 * self.prep1.weights + 0.5 * self.mirror1.weights
         right = 0.5 * self.prep2.weights + 0.5 * self.mirror2.weights
-        broken = (left != right).any(axis=-1)
-        if broken.any():
-            raise ContractError("mirror preparation equivalence violated" + _at(broken, self))
         apart = self.prep1.weights[..., Region.S12] != self.prep2.weights[..., Region.S12]
-        if apart.any():
+        if not (left == right).all() or apart.any():
+            broken = ~(left == right).all(axis=-1)
+            if broken.any():
+                raise ContractError("mirror preparation equivalence violated" + _at(broken, self))
             raise ContractError("preparations must agree on the shared support" + _at(apart, self))
 
     def __getitem__(self, k) -> "NcScenario":
@@ -305,10 +311,8 @@ def mesd_mixed_strategy(omega: float | np.ndarray) -> ResponseSet:
 # conclusive response is a scaled copy of the indicator of the identifying
 # mirror support, uniformly across it (it represents a rescaling of the
 # measurement that separates the competing preparation from its mirror).
-_IDENTIFYING = {
-    1: np.array([0.0, 1.0, 0.0, 1.0]),
-    2: np.array([0.0, 0.0, 1.0, 1.0]),
-}
+_IDENTIFYING = np.array(((0.0, 1.0, 0.0, 1.0), (0.0, 0.0, 1.0, 1.0)))  # row i - 1 outcome i's
+_PAIR_PATTERNS = np.concatenate((_IDENTIFYING, _IDENTIFYING))
 
 
 def usd_response(gamma1: float | np.ndarray, gamma2: float | np.ndarray) -> ResponseSet:
@@ -327,7 +331,7 @@ def usd_response(gamma1: float | np.ndarray, gamma2: float | np.ndarray) -> Resp
     over = total > 1.0 + DEFAULTS.norm
     if over.any():
         raise InfeasibleWeightsError(f"gamma1 + gamma2 = {_first(total, over)} exceeds 1")
-    xi1, xi2 = g1[..., None] * _IDENTIFYING[1], g2[..., None] * _IDENTIFYING[2]
+    xi1, xi2 = g1[..., None] * _IDENTIFYING[0], g2[..., None] * _IDENTIFYING[1]
     return ResponseSet(xi1, xi2, 1.0 - xi1 - xi2)
 
 
@@ -347,17 +351,17 @@ def nc_figures(scn: NcScenario, rs: ResponseSet, noisy: bool = False) -> NcFigur
     """
     s1, s2 = _pair(scn, noisy)
     avg = 0.5 * (s1 + s2)
+    hit1, hit2 = _dot(s1, rs.xi1), _dot(s2, rs.xi2)
 
-    def conf(own: np.ndarray, xi: np.ndarray):
-        den = _dot(avg, xi)
+    def conf(hit, den):
         fires = den > 0.0
-        value = np.where(fires, 0.5 * _dot(own, xi) / np.where(fires, den, 1.0), math.nan)
-        if value.ndim == 0:
+        value = _where(fires, 0.5 * hit / _where(fires, den, 1.0), math.nan)
+        if np.ndim(value) == 0:
             return float(value) if fires else None
         return value
 
-    return NcFigures(_value(0.5 * (_dot(s1, rs.xi1) + _dot(s2, rs.xi2))),
-                     _value(_dot(avg, rs.xi0)), conf(s1, rs.xi1), conf(s2, rs.xi2))
+    return NcFigures(_value(0.5 * (hit1 + hit2)), _value(_dot(avg, rs.xi0)),
+                     conf(hit1, _dot(avg, rs.xi1)), conf(hit2, _dot(avg, rs.xi2)))
 
 
 def _in_unit(x) -> bool:
@@ -419,9 +423,11 @@ def omega_star(c: float | np.ndarray) -> float | np.ndarray:
 # brute-force oracles
 
 # The 3^4 assignments of a corner of the triangle {xi1, xi2 >= 0,
-# xi1 + xi2 <= 1} to each region, (81, 4, 2), the first region varying
-# slowest.
-_VERTICES = np.array(list(itertools.product(((1.0, 0.0), (0.0, 1.0), (0.0, 0.0)), repeat=4)))
+# xi1 + xi2 <= 1} (with xi0 = 1 - xi1 - xi2) to each region, the first region
+# varying slowest, as a stack of 81 response sets validated once.
+_VERTICES = np.array(list(itertools.product(np.eye(3), repeat=4)))  # (81, 4, 3)
+_VERTEX_RESPONSES = ResponseSet(*np.moveaxis(_VERTICES, -1, 0))
+
 
 def oracle_max_pg(scn: NcScenario, noisy: bool = False) -> tuple[ResponseSet, float | np.ndarray]:
     """Maximise the guessing probability over every valid response set.
@@ -432,12 +438,9 @@ def oracle_max_pg(scn: NcScenario, noisy: bool = False) -> tuple[ResponseSet, fl
     corners; all 81 are enumerated, and the first of equal maxima wins.
     """
     s1, s2 = (w[..., None, :] for w in _pair(scn, noisy))
-    terms = s1 * _VERTICES[..., 0] + s2 * _VERTICES[..., 1]
+    terms = s1 * _VERTEX_RESPONSES.xi1 + s2 * _VERTEX_RESPONSES.xi2
     p_g = 0.5 * (terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3])
-    best = np.argmax(p_g, axis=-1)
-    xi1, xi2 = _VERTICES[best, :, 0], _VERTICES[best, :, 1]
-    value = np.take_along_axis(p_g, best[..., None], axis=-1)[..., 0]
-    return ResponseSet(xi1, xi2, 1.0 - xi1 - xi2), _value(value)
+    return _VERTEX_RESPONSES[p_g.argmax(axis=-1)], _value(p_g.max(axis=-1))
 
 
 def oracle_max_confidence(
@@ -453,20 +456,28 @@ def oracle_max_confidence(
     """
     if outcome not in (1, 2):
         raise ContractError(f"outcome must be 1 or 2, got {outcome}")
-    own, other = _pair(scn, noisy)[:: 1 if outcome == 1 else -1]
-    pattern = _IDENTIFYING[outcome]
-    num = _dot(own, pattern)
-    den = 0.5 * (num + _dot(other, pattern))
+    value = _max_confidences(scn, noisy, (outcome,))[outcome - 1]
+    return _IDENTIFYING[outcome - 1] + np.zeros_like(scn.prep1.weights), _value(value)
+
+
+def _max_confidences(scn: NcScenario, noisy: bool, outcomes: tuple) -> np.ndarray:
+    """(2, ...) the confidences of outcomes 1 and 2 from one pass over the pair:
+    an outcome of ``outcomes`` that never fires raises, one not asked for is NaN."""
+    s1, s2 = _pair(scn, noisy)
+    # psi_i on outcome i's support (row i - 1), then the other state (row i + 1)
+    onto = _dot(np.array((s1, s2, s2, s1)), _PAIR_PATTERNS.reshape(4, *(1,) * (s1.ndim - 1), 4))
+    den = 0.5 * (onto[:2] + onto[2:])
     dead = den <= 0.0
-    if dead.any():
-        raise UndefinedConfidenceError(f"outcome {outcome} never fires" + _at(dead, scn))
-    return np.broadcast_to(pattern, own.shape).copy(), _value(0.5 * num / den)
+    for i in outcomes:
+        if dead[i - 1].any():
+            raise UndefinedConfidenceError(f"outcome {i} never fires" + _at(dead[i - 1], scn))
+    return 0.5 * onto[:2] / np.where(dead, math.nan, den)
 
 
-# Vertices of the triangle {gamma1, gamma2 >= 0, gamma1 + gamma2 <= 1}, plus
-# the symmetric point of the hypotenuse, which the minimiser prefers on ties.
-_FACE_CANDIDATES = np.array(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5)))
-_FACE_SYMMETRY = _FACE_CANDIDATES.min(axis=1)  # min(gamma1, gamma2)
+# The symmetric point of the hypotenuse, then the vertices of the triangle
+# {gamma1, gamma2 >= 0, gamma1 + gamma2 <= 1}: the minimiser's order on ties.
+_FACE_CANDIDATES = np.array(((0.5, 0.5), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+_FACE_RESPONSES = usd_response(_FACE_CANDIDATES[:, 0], _FACE_CANDIDATES[:, 1])
 
 # How far a confidence may sit from its maximum on the returned point.
 _CONFIDENCE_FACE = 1e-10
@@ -479,32 +490,22 @@ def oracle_min_p0_at_max_confidence(scn: NcScenario) -> tuple[ResponseSet, float
     Both confidences are constant along the identifying family, so the
     maximal-confidence face is the triangle {gamma_i > 0,
     gamma1 + gamma2 <= 1} and the rate is linear on it; vertex enumeration
-    of the triangle finds the minimum, preferring the symmetric point of
-    the hypotenuse among ties (within 1e-15). Membership of the face is
+    of the triangle finds the minimum. Among the candidates whose rate is
+    within 1e-15 of the smallest, the symmetric point of the hypotenuse wins,
+    then (0, 0), (1, 0) and (0, 1) in that order. Membership of the face is
     re-checked on the returned point.
     """
-    target1 = oracle_max_confidence(scn, 1, noisy=True)[1]
-    target2 = oracle_max_confidence(scn, 2, noisy=True)[1]
+    targets = _max_confidences(scn, True, (1, 2))
     avg = 0.5 * (scn.noisy1.weights + scn.noisy2.weights)
-    mass1, mass2 = _dot(avg, _IDENTIFYING[1]), _dot(avg, _IDENTIFYING[2])
-
-    # candidates in order: a later one wins if its rate is lower by more than
-    # 1e-15, or within 1e-15 of the best and more symmetric
-    best, best_p0 = np.zeros(np.shape(mass1), dtype=int), math.inf
-    for k, (g1, g2) in enumerate(_FACE_CANDIDATES):
-        p_0 = 1.0 - g1 * mass1 - g2 * mass2
-        tie = (np.abs(p_0 - best_p0) <= 1e-15) & (_FACE_SYMMETRY[k] > _FACE_SYMMETRY[best])
-        take = (p_0 < best_p0 - 1e-15) | tie
-        best, best_p0 = np.where(take, k, best), np.where(take, p_0, best_p0)
-
-    gammas = _FACE_CANDIDATES[best]
-    rs = usd_response(gammas[..., 0], gammas[..., 1])
+    mass = _dot(avg[..., None, :], _IDENTIFYING)  # (..., 2)
+    rates = 1.0 - _FACE_CANDIDATES[:, 0] * mass[..., :1] - _FACE_CANDIDATES[:, 1] * mass[..., 1:]
+    near = rates <= rates.min(axis=-1, keepdims=True) + 1e-15
+    rs = _FACE_RESPONSES[near.argmax(axis=-1)]
     figs = nc_figures(scn, rs, noisy=True)
-    for got, want in ((figs.c1, target1), (figs.c2, target2)):
-        # a point whose outcome never fires (None, or NaN in a stack) is off
-        off = ~(np.abs(np.asarray(got, dtype=float) - want) <= _CONFIDENCE_FACE)
-        if off.any():
-            raise ContractError("minimiser left the maximal-confidence face" + _at(off, scn))
+    # a point whose outcome never fires (None, or NaN in a stack) is off
+    off = ~(np.abs(np.array((figs.c1, figs.c2), dtype=float) - targets) <= _CONFIDENCE_FACE)
+    if off.any():
+        raise ContractError("minimiser left the maximal-confidence face" + _at(off.any(0), scn))
     return rs, figs.p_0
 
 

@@ -190,12 +190,15 @@ class Ensemble:
         object.__setattr__(self, "pair", tuple(self.pair))
         if len(self.pair) != 2 or not all(isinstance(s, PureState) for s in self.pair):
             raise ContractError("an ensemble is a pair of PureState values")
+        self._derive(np.array([[(s.amp0, s.amp1) for s in self.pair]], dtype=complex))
+
+    def _derive(self, vectors: np.ndarray) -> None:
+        """Check the noise and derive the arrays from the amplitudes (1, 2, 2)."""
         if not 0.0 <= self.noise <= 1.0:
             raise DomainError(f"noise must lie in [0, 1], got {self.noise}")
-        vectors = np.array([(s.amp0, s.amp1) for s in self.pair], dtype=complex)
-        batch = _ensembles(vectors[None], np.array([float(self.noise)]))
+        batch = _ensembles(vectors, np.array([float(self.noise)]))
         vectors.flags.writeable = batch[1].flags.writeable = batch[2].flags.writeable = False
-        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "vectors", vectors[0])
         object.__setattr__(self, "states", batch[1][0])
         object.__setattr__(self, "average", batch[2][0])
         object.__setattr__(self, "_batch", batch)
@@ -319,7 +322,11 @@ def mirror(state: PureState) -> PureState:
 
 def noisy_ensemble(theta: float, p: float) -> Ensemble:
     """Equiprobable dephased pair rho_i = (1-p)|psi_i><psi_i| + p/2."""
-    return Ensemble(make_pure_pair(theta), p)
+    vectors = _pure_pairs((theta,))
+    ens = object.__new__(Ensemble)  # the pair built from its amplitude array, not the reverse
+    vars(ens).update(pair=tuple(PureState(*a) for a in vectors[0].tolist()), noise=p)
+    ens._derive(vectors)
+    return ens
 
 
 def _batch_of(ens: Ensemble, pure: bool = False) -> tuple[np.ndarray, ...]:
@@ -331,7 +338,8 @@ def _batch_of(ens: Ensemble, pure: bool = False) -> tuple[np.ndarray, ...]:
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a . b of stacks of real 3-vectors, each entry exactly as it is alone."""
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+    t = (a * b).T
+    return (t[0] + t[1] + t[2]).T
 
 
 def _ensembles(vectors: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -347,8 +355,8 @@ def _ensembles(vectors: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
     q = p[:, None, None, None]
     states = (1.0 - q) * proj + q * _HALF_IDENTITY
     bloch = np.empty((len(vectors), 3, 3))
-    bloch[:, :2] = (proj.view(float).reshape(-1, 8) @ _PAULI.T).reshape(-1, 2, 3)
-    bloch[:, 2] = (0.5 * (1.0 - p))[:, None] * (bloch[:, 0] + bloch[:, 1])
+    np.matmul(proj.view(float).reshape(-1, 2, 8), _PAULI.T, out=bloch[:, :2])
+    np.multiply((0.5 * (1.0 - p))[:, None], bloch[:, 0] + bloch[:, 1], out=bloch[:, 2])
     return bloch, states, 0.5 * (states[:, 0] + states[:, 1]), p
 
 
@@ -463,7 +471,7 @@ def _measurements(states: np.ndarray, average: np.ndarray, projectors: np.ndarra
     ``InfeasibleWeightsError`` naming the first bad row's weights.
     """
     elements = np.empty((*weights.shape[:2], 3, 2, 2), dtype=complex)
-    elements[:, :, :2] = weights[..., None, None] * projectors[:, None]
+    np.multiply(weights[..., None, None], projectors[:, None], out=elements[:, :, :2])
     elements[:, :, 2] = _IDENTITY - elements[:, :, 0] - elements[:, :, 1]
     min_eigs = min_eig_2x2(elements)  # (N, F, 3)
     try:
@@ -519,12 +527,12 @@ def _helstrom(ensembles: tuple[np.ndarray, ...]) -> MeasurementStack:
     d = bloch[:, 0] - bloch[:, 1]
     length = np.sqrt(_dot(d, d))
     tie = 0.5 * (1.0 - p) * length <= 2.0 * DEFAULTS.norm
-    top = d / np.where(tie, 1.0, length)[:, None]
-    if tie.any():
+    top = d / (np.where(tie, 1.0, length) if (tied := tie.any()) else length)[:, None]
+    if tied:
         top[tie] = (0.0, 0.0, 1.0)
     projectors = np.empty_like(states)  # outcome 2 the exact complement: pi_0 = 0
     projectors[:, 0] = _projectors(top)
-    projectors[:, 1] = _IDENTITY - projectors[:, 0]
+    np.subtract(_IDENTITY, projectors[:, 0], out=projectors[:, 1])
     return _measurements(states, average, projectors, np.ones((len(d), 1, 2)))
 
 
@@ -570,8 +578,7 @@ def _usd(vectors: np.ndarray, ensembles: tuple[np.ndarray, ...], weights: np.nda
         coincident = vectors[:, 0, 0] * vectors[:, 1, 1] == vectors[:, 0, 1] * vectors[:, 1, 0]
         if coincident.any():
             raise UsdImpossibleError("states are linearly dependent" + _row(coincident))
-        weights = np.concatenate((np.empty((len(dirs), 1, 2)), weights), axis=1)
-        weights[:, 0] = _optimal_weight(dirs)[:, None]
+        weights = np.concatenate((_optimal_weight(dirs)[:, None, None].repeat(2, -1), weights), 1)
     return _measurements(states, average, _projectors(dirs), weights)
 
 
@@ -624,6 +631,7 @@ def usd_optimal(ens: Ensemble) -> tuple[Povm, float]:
 # states, where every direction is optimal: the limit of the generic case, so
 # the optimal inconclusive rate stays continuous in (theta, p).
 _COINCIDENT_E = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+_SIGNS = np.array(((1.0,), (-1.0,)))  # m_+ for outcome 1, m_- for outcome 2
 
 
 def mcm_stack(theta, p, fractions=(1.0,)) -> MeasurementStack:
@@ -671,7 +679,7 @@ def _mcm(ensembles: tuple[np.ndarray, ...], fractions: np.ndarray,
     """
     bloch, states, average, p = ensembles
     d, r = bloch[:, 0] - bloch[:, 1], bloch[:, 2]
-    dd, dr = _dot(d, d), _dot(d, r)
+    dd, dr = _dot(d, np.array((d, r)))
     det = 0.25 * p * (2.0 - p) + (0.25 * (1.0 - p)) ** 2 * dd  # (1 - |r|^2)/4 for unit n_i
     # lambda_min(rho) = (1 - sqrt(1 - 4 det))/2, in a form that does not cancel
     nonsingular = 2.0 * det / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * det, 0.0))) > DEFAULTS.norm
@@ -681,9 +689,10 @@ def _mcm(ensembles: tuple[np.ndarray, ...], fractions: np.ndarray,
             + _row(~nonsingular))
     lam = np.sqrt(4.0 * det * dd + dr * dr)
     coincident = 0.5 * lam <= 1e-12 * det
-    scale = (dr[:, None] + lam[:, None] * (1.0, -1.0)) / np.where(coincident, 1.0, dd)[:, None]
+    divisor = np.where(coincident, 1.0, dd) if (fallback := coincident.any()) else dd
+    scale = ((dr + lam * _SIGNS) / divisor).T  # (N, 2): outcome
     dirs = scale[..., None] * d[:, None] - r[:, None]  # (N, 2, 3): outcome, Bloch vector
-    if coincident.any():
+    if fallback:
         w0 = 0.5 + np.sqrt(det[coincident])[:, None, None]
         w = -0.5 * r[coincident][:, None]
         we, ww = _dot(w, _COINCIDENT_E)[..., None], _dot(w, w)[..., None]
@@ -691,8 +700,7 @@ def _mcm(ensembles: tuple[np.ndarray, ...], fractions: np.ndarray,
                             / (w0 * w0 + ww + 2.0 * w0 * we))
     if alpha is None:
         alpha = _optimal_weight(dirs)
-    weights = np.empty((len(alpha), len(fractions), 2))
-    weights[...] = (alpha[:, None] * fractions)[..., None]
+    weights = (alpha[:, None] * fractions)[..., None].repeat(2, -1)
     return _measurements(states, average, _projectors(dirs), weights)
 
 
@@ -714,7 +722,7 @@ def mcm_optimal(theta: float, p: float) -> tuple[Povm, float]:
 
     The confidence is alpha-independent, so this is the measurement with
     maximal confidences and minimal inconclusive rate. A batch of one of
-    ``mcm_stack``.
+    ``mcm_stack``'s construction.
     """
-    stack = mcm_stack((theta,), (p,))
+    stack = _mcm(_ensembles(_pure_pairs((theta,)), _within((p,), 1.0, "noise", "1")), np.ones(1))
     return Povm._validated(stack.elements[0, 0]), float(stack.inconclusive_rate()[0, 0])
