@@ -4,10 +4,13 @@
 (``bounds.eval_column``). A singular grid endpoint moves inward by half a
 step and is recorded as a ``Substitution``; a singular interior point
 raises. Each figure is a ``SweepSpec`` plus a map to its column names.
+A sweep's table is one ``(1 + targets, points)`` array, returned transposed,
+so a sweep holds it once, plus the temporaries of one column.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -71,12 +74,19 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.variable not in _VARIABLES:
             raise ContractError(f"unknown sweep variable {self.variable!r}")
+        try:
+            object.__setattr__(self, "points", operator.index(self.points))
+        except TypeError:
+            raise ContractError(f"sweep points must be an integer, got {self.points!r}") from None
         if self.points < 1:
             raise DomainError("a sweep needs at least one grid point")
         if not (0.0 <= self.start <= self.stop <= 1.0):
             raise DomainError("sweep range must satisfy 0 <= start <= stop <= 1")
         if not self.targets:
             raise ContractError("a sweep needs at least one target")
+        unknown = set(self.fixed) - set(_VARIABLES)
+        if unknown:
+            raise ContractError(f"unknown fixed parameter(s) {sorted(unknown)}")
         merged = {"c": 0.5, "p": 0.5, "omega": 0.5}
         merged.update(self.fixed)
         for name, value in merged.items():
@@ -119,7 +129,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     placeholders; each shift is recorded in ``substitutions``. A singular
     interior point raises.
     """
-    xs = np.linspace(spec.start, spec.stop, spec.points)
+    table = np.empty((1 + len(spec.targets), spec.points))
+    xs = table[0]
+    xs[...] = np.linspace(spec.start, spec.stop, spec.points)
     step = (spec.stop - spec.start) / (spec.points - 1) if spec.points > 1 else 0.0
     substitutions = []
     for k, shift in ((0, 0.5 * step), (spec.points - 1, -0.5 * step)) if step else ():
@@ -130,10 +142,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         except (DivergenceError, UsdImpossibleError, DegenerateEnsembleError):
             xs[k] = x + shift
             substitutions.append(Substitution(k, x, float(xs[k])))
-    columns = [eval_column(t.spec(**spec.fixed), spec.variable, xs) for t in spec.targets]
+    for row, t in zip(table[1:], spec.targets):
+        row[...] = eval_column(t.spec(**spec.fixed), spec.variable, xs)
     header = (spec.variable, *(t.label for t in spec.targets))
-    # row-major by view: a CSV chunk's ravel() transposes it while it is in cache
-    return SweepResult(header, np.stack([xs, *columns]).T, tuple(substitutions))
+    # column-major as a row table: the CSV writer's np.copyto of a chunk into
+    # its row-major scratch (csvout._CsvTable._cells) does the transpose
+    return SweepResult(header, table.T, tuple(substitutions))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from dataclasses import asdict, astuple, replace
 from pathlib import Path
@@ -136,6 +137,59 @@ def test_sweep_table_equals_the_column_stack_of_its_columns():
     assert result.substitutions == ()
     assert result.table.shape == want.shape and np.array_equal(result.table, want)
     assert result.rows == tuple(map(tuple, want.tolist()))
+
+
+def test_sweep_rejects_an_unknown_fixed_parameter():
+    with pytest.raises(ContractError, match="'q'"):
+        SweepSpec("c", 0.0, 1.0, 5, {"q": 0.3}, (Target("MESD", "P_g", QUANTUM),))
+
+
+def test_sweep_points_must_be_an_integer():
+    targets = (Target("MESD", "P_g", QUANTUM),)
+    with pytest.raises(ContractError, match="2.5"):
+        SweepSpec("c", 0.0, 1.0, 2.5, {}, targets)
+    spec = SweepSpec("c", 0.0, 1.0, np.int64(5), {}, targets)
+    assert type(spec.points) is int and len(run_sweep(spec).rows) == 5
+
+
+_SWEPT_CELLS = tuple(t for t in CELLS if (t.scheme, t.figure) not in bounds._DEFINITIONAL)
+
+
+@pytest.mark.parametrize("variable", ["c", "p"])
+def test_sweep_holds_its_table_once(variable):
+    # one table plus the temporaries of a column; a copy of the table would
+    # take the peak to about twice its size
+    spec = SweepSpec(variable, 0.0, 1.0, 100_001, {}, _SWEPT_CELLS)
+    tracemalloc.start()
+    try:
+        result = run_sweep(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * result.table.nbytes
+    assert result.table.T.flags.c_contiguous  # the CSV kernel reads it column by column
+
+
+@pytest.mark.parametrize("fixed, targets, substitutions, constant", [
+    # most cells do not read p: eval_column returns them as broadcast views
+    ({"c": 0.3, "omega": 0.6}, _SWEPT_CELLS, (), 9),
+    # the MCM confidence is singular at (c, p) = (1, 0): p = 0 moves in half a step
+    ({"c": 1.0}, tuple(t for t in _SWEPT_CELLS if t.scheme == "MCM"),
+     (Substitution(0, 0.0, 0.0125),), 0),
+])
+def test_sweep_fills_each_column_from_eval_column_at_the_points_used(
+        fixed, targets, substitutions, constant):
+    spec = SweepSpec("p", 0.0, 1.0, 41, fixed, targets)
+    result = run_sweep(spec)
+    assert result.substitutions == substitutions
+    used = np.linspace(0.0, 1.0, 41)
+    for sub in substitutions:
+        used[sub.index] = sub.used_x
+    assert result.table[:, 0].tobytes() == used.tobytes()
+    columns = [bounds.eval_column(t.spec(**spec.fixed), "p", used) for t in targets]
+    assert sum(col.strides == (0,) for col in columns) == constant
+    for k, (t, col) in enumerate(zip(targets, columns), 1):
+        assert result.table[:, k].tobytes() == col.tobytes(), t.label
 
 
 # ---------------------------------------------------------------------------
