@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -1128,3 +1129,133 @@ _PREP = ncmodel.canonical_scenario(0.5, 0.0).prep1
 def test_validators_reject_nan(build):
     with pytest.raises(DomainError):
         build()
+
+
+# The bounded parameters of the public API and the upper end of each range.
+_BOUNDED = {"c": 1.0, "p": 1.0, "omega": 1.0, "theta": math.pi, "noise": 1.0, "alpha": 1.0,
+            "gamma1": 1.0, "gamma2": 1.0, "start": 1.0, "stop": 1.0, "fixed": 1.0, "xs": 1.0}
+_PURE = qtheory.noisy_ensemble(1.0, 0.0)
+_NOISY = qtheory.noisy_ensemble(1.0, 0.2)
+
+# Valid keyword arguments for every public callable with a bounded parameter:
+# one dict per call, together naming each of its bounded parameters. None
+# marks a callable whose such names are not parameters: the records that
+# hold what a checked builder computed, and an enum's ``start`` numbering.
+_BASE_ARGS = {
+    "qtheory.Ensemble": [dict(pair=qtheory.make_pure_pair(1.0), noise=0.2)],
+    "qtheory.make_pure_pair": [dict(theta=1.0)],
+    "qtheory.noisy_ensemble": [dict(theta=1.0, p=0.2)],
+    "qtheory.usd_povm": [dict(ens=_PURE, gamma1=0.3, gamma2=0.2)],
+    "qtheory.mcm_povm": [dict(ens=_NOISY, alpha=0.2)],
+    "qtheory.mcm_optimal": [dict(theta=1.0, p=0.2)],
+    "qtheory.helstrom_stack": [dict(theta=[1.0, 2.0])],
+    "qtheory.usd_stack": [dict(theta=[1.0, 2.0])],
+    "qtheory.mcm_stack": [dict(theta=[1.0, 2.0], p=[0.2, 0.3])],
+    "ncmodel.Region": None,
+    "ncmodel.NcScenario": None,
+    "ncmodel.canonical_scenario": [dict(c=0.3, p=0.2)],
+    "ncmodel.mesd_mixed_strategy": [dict(omega=0.4)],
+    "ncmodel.usd_response": [dict(gamma1=0.3, gamma2=0.2)],
+    "ncmodel.nc_mesd_confidences": [dict(c=0.3, omega=0.4)],
+    "ncmodel.omega_star": [dict(c=0.3)],
+    "ncmodel.nc_mcm_guessing": [dict(c=0.3, p=0.2)],
+    "bounds.BoundSpec": [dict(scheme="MCM", figure="C", theory=QUANTUM, c=0.3, p=0.2),
+                         dict(scheme="MESD", figure="C", theory=NONCONTEXTUAL, c=0.3, omega=0.4)],
+    "bounds.Table1Report": None,
+    "bounds.overlap_from_confusability": [dict(c=0.3)],
+    "bounds.eval_column": [dict(spec=bounds.BoundSpec("MCM", "C", QUANTUM, 0.3, p=0.2),
+                                variable="p", xs=[0.1, 0.5])],
+    "bounds.table1_report": [dict(c=0.3, p=0.2, omega=0.4)],
+    "sweeps.SweepSpec": [dict(variable="c", start=0.2, stop=0.8, points=3, fixed={"p": 0.5},
+                              targets=(CELLS[0],))],
+    "sweeps.table_cmd": [dict(c=0.3, p=0.2, omega=0.4)],
+}
+
+
+def _bounded_callables():
+    """{"module.name": (callable, its bounded parameters)} found from the API."""
+    found = {}
+    for module in (qtheory, ncmodel, bounds, sweeps):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if callable(obj):
+                params = [k for k in inspect.signature(obj).parameters if k in _BOUNDED]
+                if params:
+                    found[f"{module.__name__.rsplit('.', 1)[1]}.{name}"] = (obj, params)
+    return found
+
+
+_FOUND = _bounded_callables()
+_CHECKED = [(key, name) for key, (_, params) in _FOUND.items() if _BASE_ARGS.get(key)
+            for name in params]
+
+
+def test_every_bounded_parameter_has_base_arguments():
+    assert set(_FOUND) == set(_BASE_ARGS)  # a new entry point needs a row
+    for key, (_, params) in _FOUND.items():
+        if _BASE_ARGS[key] is not None:
+            assert set(params) <= {k for kwargs in _BASE_ARGS[key] for k in kwargs}, key
+
+
+def _put(base, value):
+    """``base`` with ``value`` in place of each number: every entry of a
+    list (a grid or a stack) or a mapping (the fixed values of a sweep)."""
+    if isinstance(base, list):
+        return [value] * len(base)
+    if isinstance(base, dict):
+        return dict.fromkeys(base, value)
+    return value
+
+
+def _bits(x):
+    """What a result holds, recursively: an array by its dtype, shape and
+    bytes, and a number, Python or numpy, by the bits of its value as a
+    float (a complex by both parts)."""
+    if isinstance(x, np.generic):
+        x = x.item()
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if x is None or isinstance(x, (bool, str)):
+        return x
+    if isinstance(x, (int, float)):
+        return float(x).hex()
+    if isinstance(x, complex):
+        return x.real.hex(), x.imag.hex()
+    if isinstance(x, (tuple, list)):
+        return tuple(map(_bits, x))
+    if isinstance(x, dict):
+        return tuple((k, _bits(v)) for k, v in x.items())
+    state = dict(getattr(x, "__dict__", {}))
+    state.update((s, getattr(x, s)) for cls in type(x).__mro__
+                 for s in getattr(cls, "__slots__", ()) if hasattr(x, s))
+    return type(x).__name__, _bits(state)
+
+
+def _outcome(fn, kwargs):
+    """The bits of ``fn(**kwargs)``, or the class of the error it raised."""
+    try:
+        return _bits(fn(**kwargs))
+    except Exception as exc:  # compared, not hidden: the float's call must raise it too
+        return type(exc)
+
+
+@pytest.mark.parametrize("key, name", _CHECKED, ids=[f"{k}-{n}" for k, n in _CHECKED])
+def test_every_bounded_parameter_is_typed_and_range_checked(key, name):
+    fn, hi = _FOUND[key][0], _BOUNDED[name]
+    for kwargs in (kw for kw in _BASE_ARGS[key] if name in kw):
+        def call(value):
+            return {**kwargs, name: _put(kwargs[name], value)}
+
+        for bad in ("0.3", None):
+            with pytest.raises(ContractError):
+                fn(**call(bad))
+        for bad in (math.nan, -0.1, hi + 0.1):
+            with pytest.raises(DomainError):
+                fn(**call(bad))
+        returned = False
+        for k in (0, 1):
+            want = _outcome(fn, call(float(k)))
+            returned = returned or not isinstance(want, type)
+            for same in (k, np.float64(k), np.int64(k)):
+                assert _outcome(fn, call(same)) == want, (same, want)
+        assert returned  # 0.0 or 1.0 gave a value, so the bits were compared
