@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import DEFAULTS, Tolerances
-from .errors import ContractError, DivergenceError, DomainError
+from .errors import ContractError, DivergenceError, require_in
 from .ncmodel import nc_mcm_guessing, nc_mesd_confidences, omega_star
 
 __all__ = [
@@ -54,7 +54,7 @@ NONCONTEXTUAL = "noncontextual"
 
 def overlap_from_confusability(c: float | np.ndarray) -> float | np.ndarray:
     """|<psi1|psi2>| matching confusability c: the square root (float or array)."""
-    return np.sqrt(c)
+    return np.sqrt(require_in(c, "confusability"))
 
 
 @dataclass(frozen=True)
@@ -80,13 +80,11 @@ class BoundSpec:
             raise ContractError(f"unknown figure {self.figure!r}")
         if self.theory not in THEORIES:
             raise ContractError(f"unknown theory {self.theory!r}")
-        if not 0.0 <= self.c <= 1.0:
-            raise DomainError(f"confusability must lie in [0, 1], got {self.c}")
+        object.__setattr__(self, "c", require_in(self.c, "confusability"))
         if self.scheme == "MCM":
             if self.p is None:
                 raise ContractError("MCM bounds require the noise level p")
-            if not 0.0 <= self.p <= 1.0:
-                raise DomainError(f"noise must lie in [0, 1], got {self.p}")
+            object.__setattr__(self, "p", require_in(self.p, "noise"))
         elif self.p is not None:
             raise ContractError(f"p is not a parameter of {self.scheme} bounds")
         mesd_conf_nc = (
@@ -99,8 +97,7 @@ class BoundSpec:
                 raise ContractError(
                     "the noncontextual MESD confidence requires omega"
                 )
-            if not 0.0 <= self.omega <= 1.0:
-                raise DomainError(f"omega must lie in [0, 1], got {self.omega}")
+            object.__setattr__(self, "omega", require_in(self.omega, "omega"))
         elif self.omega is not None:
             raise ContractError("omega only parametrises the noncontextual MESD confidence")
         if self.outcome not in (1, 2):
@@ -242,12 +239,10 @@ def eval_column(spec: BoundSpec, variable: str | Sequence[str],
     for name, grid in zip(names, grids):
         if name not in params:
             raise ContractError(f"unknown parameter {name!r}")
-        grid = np.asarray(grid, dtype=float)
-        if shape not in (None, grid.shape):
-            raise ContractError(f"the grids must have one shape, got {shape} and {grid.shape}")
-        if not ((0.0 <= grid) & (grid <= 1.0)).all():
-            raise DomainError(f"{name} grid must lie in [0, 1]")
-        shape = grid.shape
+        grid = require_in(grid, f"{name} grid")
+        if shape not in (None, np.shape(grid)):
+            raise ContractError(f"the grids must have one shape, got {shape} and {np.shape(grid)}")
+        shape = np.shape(grid)
         if params[name] is not None:
             params[name] = grid
     return np.broadcast_to(_closed_form(spec, **params), shape)
@@ -354,8 +349,8 @@ def table1_report(
 ) -> Table1Report:
     """Evaluate every cell of the gap table at one parameter point."""
     # c, omega and p, checked once, in the order the cells would check them
-    BoundSpec("MESD", "C", NONCONTEXTUAL, c, omega=omega)
-    BoundSpec("MCM", "C", QUANTUM, c, p=p)
+    for x, name in ((c, "confusability"), (omega, "omega"), (p, "noise")):
+        require_in(x, name)
     if 0.0 < c < 1.0:
         w_star = omega_star(c)
         window: Optional[tuple[float, float]] = (w_star, 1.0 - w_star)

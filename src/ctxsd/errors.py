@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one range check of
+its parameters."""
+
+import math
+
+import numpy as np
 
 
 class CtxsdError(Exception):
@@ -31,3 +36,37 @@ class DegenerateEnsembleError(CtxsdError):
 
 class DivergenceError(CtxsdError):
     """A closed-form expression diverges at the requested parameter."""
+
+
+_FLOAT = np.dtype(float)
+
+
+def require_in(x, name: str, hi: float = 1.0):
+    """``x`` as a parameter in [0, hi]: a float for a scalar, a float array
+    for an array or a sequence.
+
+    Python ints and floats, numpy integer and floating scalars, and arrays or
+    sequences of them pass. Anything else (a str, None, a bool, a complex
+    value, or an array of them) raises ContractError. A value outside
+    [0, hi], NaN included, raises DomainError naming the first one and, when
+    ``x`` has several rows, its row.
+    """
+    if type(x) is float or type(x) is int:  # the scalar fast path
+        if 0.0 <= x <= hi:  # false for NaN
+            return float(x)
+        bad = x
+    else:
+        try:
+            a = np.asarray(x)
+        except ValueError:  # a ragged sequence
+            a = None
+        if a is None or a.dtype.kind not in "fiu":
+            raise ContractError(f"{name} must be a real number or an array of them, got {x!r}")
+        if a.dtype is not _FLOAT:
+            a = a.astype(float)
+        inside = (0.0 <= a) & (a <= hi)
+        if inside.all():
+            return a if a.ndim else float(a)
+        rows = ~inside.reshape(len(a), -1).all(axis=1) if a.ndim else inside
+        bad = f"{a[~inside][0]}" + (f" (row {int(rows.argmax())})" if rows.size > 1 else "")
+    raise DomainError(f"{name} must lie in [0, {'pi' if hi == math.pi else f'{hi:g}'}], got {bad}")

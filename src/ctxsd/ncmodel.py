@@ -44,6 +44,7 @@ from .errors import (
     DomainError,
     InfeasibleWeightsError,
     UndefinedConfidenceError,
+    require_in,
 )
 
 __all__ = [
@@ -256,13 +257,10 @@ def canonical_scenario(c: float | np.ndarray, p: float | np.ndarray) -> NcScenar
     and validated once: nonnegative with unit sums here, mirror equivalence
     and the shared support by ``NcScenario``.
     """
-    cs, ps = np.asarray(c, dtype=float), np.asarray(p, dtype=float)
+    c, p = require_in(c, "confusability"), require_in(p, "noise")
+    cs, ps = np.asarray(c), np.asarray(p)
     if cs.shape != ps.shape:
         raise ContractError(f"c and p must have equal shapes, got {cs.shape} and {ps.shape}")
-    if not _in_unit(cs):
-        raise DomainError(f"confusability must lie in [0, 1], got {c}")
-    if not _in_unit(ps):
-        raise DomainError(f"noise must lie in [0, 1], got {p}")
     w = np.zeros((*cs.shape, 7, 4))
     w[..., _PURE, _SHARED] = cs[..., None]
     w[..., _PURE, _PRIVATE] = 1.0 - cs[..., None]
@@ -270,8 +268,7 @@ def canonical_scenario(c: float | np.ndarray, p: float | np.ndarray) -> NcScenar
     q = ps[..., None, None]
     w[..., 5:, :] = (1.0 - q) * w[..., :2, :] + q * w[..., 4:5, :]  # noisy1, noisy2
     w = EpistemicState(w).weights
-    return NcScenario(c if cs.ndim == 0 else cs, p if ps.ndim == 0 else ps,
-                      *(EpistemicState._part(w[..., i, :]) for i in range(len(_STATES))))
+    return NcScenario(c, p, *(EpistemicState._part(w[..., i, :]) for i in range(len(_STATES))))
 
 
 def nc_prob(mu: EpistemicState, xi) -> float | np.ndarray:
@@ -297,9 +294,7 @@ def mesd_mixed_strategy(omega: float | np.ndarray) -> ResponseSet:
     with weight omega yields xi1 = (omega, 1, 0, 1-omega) and
     xi2 = (1-omega, 0, 1, omega). There is no inconclusive response.
     """
-    if not _in_unit(omega):
-        raise DomainError(f"omega must lie in [0, 1], got {omega}")
-    w = np.asarray(omega, dtype=float)[..., None]
+    w = np.asarray(require_in(omega, "omega"))[..., None]
     # omega times 1, -1 or 0 is exact, so each entry is omega, a constant or
     # 1 - omega rounded once, as 1.0 - omega is
     xi1 = w * np.array([1.0, 0.0, 0.0, -1.0]) + np.array([0.0, 1.0, 0.0, 1.0])
@@ -323,10 +318,7 @@ def usd_response(gamma1: float | np.ndarray, gamma2: float | np.ndarray) -> Resp
     response absorbs the rest, which forces gamma1 + gamma2 <= 1 on the
     shared mirror region.
     """
-    for g in (gamma1, gamma2):
-        if not _in_unit(g):
-            raise DomainError(f"weights must lie in [0, 1], got {g}")
-    g1, g2 = np.broadcast_arrays(np.asarray(gamma1, dtype=float), np.asarray(gamma2, dtype=float))
+    g1, g2 = np.broadcast_arrays(require_in(gamma1, "weights"), require_in(gamma2, "weights"))
     total = g1 + g2
     over = total > 1.0 + DEFAULTS.norm
     if over.any():
@@ -364,13 +356,6 @@ def nc_figures(scn: NcScenario, rs: ResponseSet, noisy: bool = False) -> NcFigur
                      conf(hit1, _dot(avg, rs.xi1)), conf(hit2, _dot(avg, rs.xi2)))
 
 
-def _in_unit(x) -> bool:
-    """Whether a float, or every entry of an array, lies in [0, 1]."""
-    if isinstance(x, np.ndarray):
-        return bool(((0.0 <= x) & (x <= 1.0)).all())
-    return 0.0 <= x <= 1.0
-
-
 def _where(mask, a, b):
     """``np.where`` for array masks; a plain choice for a scalar mask."""
     if isinstance(mask, np.ndarray):
@@ -387,10 +372,7 @@ def nc_mesd_confidences(c: float | np.ndarray, omega: float | np.ndarray) -> tup
     whenever the outcome fires at all. ``c`` and ``omega`` may be floats
     or numpy arrays.
     """
-    if not _in_unit(c):
-        raise DomainError(f"confusability must lie in [0, 1], got {c}")
-    if not _in_unit(omega):
-        raise DomainError(f"omega must lie in [0, 1], got {omega}")
+    c, omega = require_in(c, "confusability"), require_in(omega, "omega")
     coincident = c == 1.0
     # at c = 1 a denominator can vanish; divide by 1 there, then discard
     den1 = _where(coincident, 1.0, 1.0 - (1.0 - 2.0 * omega) * c)
@@ -410,9 +392,7 @@ def omega_star(c: float | np.ndarray) -> float | np.ndarray:
     [0, 1); undefined for coincident preparations, so any c = 1 raises.
     ``c`` may be a float or a numpy array.
     """
-    if not _in_unit(c):
-        raise DomainError(f"confusability must lie in [0, 1], got {c}")
-    cs = np.asarray(c, dtype=float)
+    cs = np.asarray(require_in(c, "confusability"))
     if (cs == 1.0).any():
         raise DivergenceError("threshold undefined for coincident preparations")
     t = np.sqrt(1.0 - cs)
@@ -512,8 +492,5 @@ def oracle_min_p0_at_max_confidence(scn: NcScenario) -> tuple[ResponseSet, float
 def nc_mcm_guessing(c: float | np.ndarray, p: float | np.ndarray) -> float | np.ndarray:
     """Closed-form guessing probability of the maximal-confidence strategy:
     (1 - p/2 - (1-p) c) / 2. ``c`` and ``p`` may be floats or numpy arrays."""
-    if not _in_unit(c):
-        raise DomainError(f"confusability must lie in [0, 1], got {c}")
-    if not _in_unit(p):
-        raise DomainError(f"noise must lie in [0, 1], got {p}")
+    c, p = require_in(c, "confusability"), require_in(p, "noise")
     return 0.5 * (1.0 - 0.5 * p - (1.0 - p) * c)

@@ -50,6 +50,7 @@ from .errors import (
     InfeasibleWeightsError,
     UndefinedConfidenceError,
     UsdImpossibleError,
+    require_in,
 )
 
 __all__ = [
@@ -137,28 +138,9 @@ class Operator2:
         m.flags.writeable = False
         self._m = m
 
-    @classmethod
-    def identity(cls) -> "Operator2":
-        return cls(_IDENTITY)
-
-    @classmethod
-    def zero(cls) -> "Operator2":
-        return cls(np.zeros((2, 2), dtype=complex))
-
     @property
     def matrix(self) -> np.ndarray:
         return self._m
-
-    @property
-    def trace(self) -> float:
-        return float(self._m[0, 0].real + self._m[1, 1].real)
-
-    def min_eigenvalue(self) -> float:
-        return min_eig_2x2(self._m)
-
-    def eigenvalues(self) -> np.ndarray:
-        """Both eigenvalues, ascending (LAPACK route)."""
-        return np.linalg.eigvalsh(self._m)
 
     def __repr__(self) -> str:
         return f"Operator2({self._m.tolist()!r})"
@@ -194,9 +176,7 @@ class Ensemble:
 
     def _derive(self, vectors: np.ndarray) -> None:
         """Check the noise and derive the arrays from the amplitudes (1, 2, 2)."""
-        if not 0.0 <= self.noise <= 1.0:
-            raise DomainError(f"noise must lie in [0, 1], got {self.noise}")
-        batch = _ensembles(vectors, np.array([float(self.noise)]))
+        batch = _ensembles(vectors, np.array([float(require_in(self.noise, "noise"))]))
         vectors.flags.writeable = batch[1].flags.writeable = batch[2].flags.writeable = False
         object.__setattr__(self, "vectors", vectors[0])
         object.__setattr__(self, "states", batch[1][0])
@@ -263,18 +243,6 @@ def _row(bad: np.ndarray) -> str:
     return f" (row {int(np.argmax(bad))})" if bad.size > 1 else ""
 
 
-def _within(x, hi: float, what: str, bound: str) -> np.ndarray:
-    """``x`` (N, ...) as a float array; a DomainError names its first row with
-    an entry outside [0, hi], NaN included."""
-    x = np.asarray(x, dtype=float)
-    inside = (0.0 <= x) & (x <= hi)  # false for NaN
-    if not inside.all():
-        bad = ~inside
-        raise DomainError(f"{what} must lie in [0, {bound}], got {x[bad][0]}"
-                          + _row(bad.reshape(len(x), -1).any(axis=1)))
-    return x
-
-
 # ---------------------------------------------------------------------------
 # ensembles
 
@@ -282,10 +250,10 @@ def _within(x, hi: float, what: str, bound: str) -> np.ndarray:
 def _pure_pairs(theta) -> np.ndarray:
     """The amplitudes (N, 2, 2) of ``make_pure_pair(theta[k])`` for each k of
     the 1-D ``theta``: row k holds (psi1, psi2), each as (amp0, amp1)."""
-    theta = np.asarray(theta, dtype=float)
+    theta = np.asarray(theta)
     if theta.ndim != 1 or not theta.size:
         raise ContractError(f"theta must be 1-D and not empty, got shape {theta.shape}")
-    half = 0.5 * _within(theta, math.pi, "theta", "pi")
+    half = 0.5 * require_in(theta, "theta", math.pi)
     hc, hs = np.cos(half), np.sin(half)
     vectors = np.empty((len(theta), 2, 2), dtype=complex)
     vectors[:, :, 0] = hc[:, None]
@@ -593,11 +561,11 @@ def usd_stack(theta, weights=None) -> MeasurementStack:
     of one."""
     vectors = _pure_pairs(theta)
     n = len(vectors)
-    weights = np.zeros((n, 0, 2)) if weights is None else np.asarray(weights, dtype=float)
+    weights = np.zeros((n, 0, 2)) if weights is None else np.asarray(weights)
     if weights.ndim != 3 or weights.shape[::2] != (n, 2):
         raise ContractError(f"weights must have shape ({n}, F, 2), got {weights.shape}")
-    weights = _within(weights, 1.0, "weights", "1")
-    return _usd(vectors, _ensembles(vectors, np.zeros(n)), weights, optimal=True)
+    return _usd(vectors, _ensembles(vectors, np.zeros(n)), require_in(weights, "weights"),
+                optimal=True)
 
 
 def usd_povm(ens: Ensemble, gamma1: float, gamma2: float) -> Povm:
@@ -606,7 +574,7 @@ def usd_povm(ens: Ensemble, gamma1: float, gamma2: float) -> Povm:
     Requires a pure ensemble and weights that leave pi_0 = 1 - pi_1 - pi_2
     positive semidefinite. A batch of one of the stacked construction.
     """
-    weights = _within([[[gamma1, gamma2]]], 1.0, "weights", "1")
+    weights = require_in([[[gamma1, gamma2]]], "weights")
     stack = _usd(ens.vectors[None], _batch_of(ens, pure=True), weights, optimal=False)
     return Povm._validated(stack.elements[0, 0])
 
@@ -643,16 +611,13 @@ def mcm_stack(theta, p, fractions=(1.0,)) -> MeasurementStack:
     the same construction as a batch of one.
     """
     vectors = _pure_pairs(theta)
-    p = np.asarray(p, dtype=float)
+    p, fractions = np.asarray(p), np.asarray(fractions)
     if p.shape != (len(vectors),):
         raise ContractError(f"theta and p must be 1-D of one length, got {len(vectors)}, {p.shape}")
-    p = _within(p, 1.0, "noise", "1")
-    if not all(f >= 0.0 for f in fractions):
-        raise DomainError(f"weight fractions must be >= 0, got {fractions}")
-    fractions = np.asarray(fractions, dtype=float)
     if fractions.ndim != 1 or not fractions.size:
         raise ContractError(f"weight fractions must be 1-D and not empty, got {fractions}")
-    return _mcm(_ensembles(vectors, p), fractions)
+    return _mcm(_ensembles(vectors, require_in(p, "noise")),
+                require_in(fractions, "weight fractions", math.inf))
 
 
 def _mcm(ensembles: tuple[np.ndarray, ...], fractions: np.ndarray,
@@ -711,9 +676,7 @@ def mcm_povm(ens: Ensemble, alpha: float) -> Povm:
     conclusive rate, and must leave pi_0 = 1 - pi_1 - pi_2 positive
     semidefinite. A batch of one of the stacked construction.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    stack = _mcm(_batch_of(ens), np.ones(1), np.array([float(alpha)]))
+    stack = _mcm(_batch_of(ens), np.ones(1), require_in((alpha,), "alpha"))
     return Povm._validated(stack.elements[0, 0])
 
 
@@ -724,5 +687,5 @@ def mcm_optimal(theta: float, p: float) -> tuple[Povm, float]:
     maximal confidences and minimal inconclusive rate. A batch of one of
     ``mcm_stack``'s construction.
     """
-    stack = _mcm(_ensembles(_pure_pairs((theta,)), _within((p,), 1.0, "noise", "1")), np.ones(1))
+    stack = _mcm(_ensembles(_pure_pairs((theta,)), require_in((p,), "noise")), np.ones(1))
     return Povm._validated(stack.elements[0, 0]), float(stack.inconclusive_rate()[0, 0])

@@ -29,13 +29,7 @@ from .bounds import (
 )
 from .config import DEFAULTS, Tolerances
 from .csvout import write_csv
-from .errors import (
-    ContractError,
-    DegenerateEnsembleError,
-    DivergenceError,
-    DomainError,
-    UsdImpossibleError,
-)
+from .errors import ContractError, DivergenceError, DomainError, require_in
 
 __all__ = [
     "Target",
@@ -80,19 +74,21 @@ class SweepSpec:
             raise ContractError(f"sweep points must be an integer, got {self.points!r}") from None
         if self.points < 1:
             raise DomainError("a sweep needs at least one grid point")
-        if not (0.0 <= self.start <= self.stop <= 1.0):
+        for name in ("start", "stop"):
+            object.__setattr__(self, name, require_in(getattr(self, name), f"sweep {name}"))
+        if not self.start <= self.stop:
             raise DomainError("sweep range must satisfy 0 <= start <= stop <= 1")
         if not self.targets:
             raise ContractError("a sweep needs at least one target")
+        if not isinstance(self.fixed, Mapping):
+            raise ContractError(f"fixed must map parameter names to values, got {self.fixed!r}")
         unknown = set(self.fixed) - set(_VARIABLES)
         if unknown:
             raise ContractError(f"unknown fixed parameter(s) {sorted(unknown)}")
         merged = {"c": 0.5, "p": 0.5, "omega": 0.5}
         merged.update(self.fixed)
-        for name, value in merged.items():
-            if not 0.0 <= value <= 1.0:
-                raise DomainError(f"fixed parameter {name} must lie in [0, 1]")
-        object.__setattr__(self, "fixed", merged)
+        object.__setattr__(self, "fixed", {name: require_in(value, f"fixed parameter {name}")
+                                           for name, value in merged.items()})
         object.__setattr__(self, "targets", tuple(self.targets))
 
 
@@ -139,7 +135,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         try:
             for t in spec.targets:
                 eval_bound(t.spec(**{**spec.fixed, spec.variable: x}))
-        except (DivergenceError, UsdImpossibleError, DegenerateEnsembleError):
+        except DivergenceError:  # the only error a closed form raises
             xs[k] = x + shift
             substitutions.append(Substitution(k, x, float(xs[k])))
     for row, t in zip(table[1:], spec.targets):

@@ -145,6 +145,11 @@ def test_sweep_rejects_an_unknown_fixed_parameter():
         SweepSpec("c", 0.0, 1.0, 5, {"q": 0.3}, (Target("MESD", "P_g", QUANTUM),))
 
 
+def test_sweep_fixed_values_must_be_a_mapping():
+    with pytest.raises(ContractError, match="fixed must map"):
+        SweepSpec("c", 0.0, 1.0, 5, None, (Target("MESD", "P_g", QUANTUM),))
+
+
 def test_sweep_points_must_be_an_integer():
     targets = (Target("MESD", "P_g", QUANTUM),)
     with pytest.raises(ContractError, match="2.5"):
