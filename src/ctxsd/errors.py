@@ -38,7 +38,7 @@ class DivergenceError(CtxsdError):
     """A closed-form expression diverges at the requested parameter."""
 
 
-_FLOAT = np.dtype(float)
+_FLOAT = np.dtype(float)  # float64 input skips astype: a batch of one is priced per numpy call
 
 
 def require_in(x, name: str, hi: float = 1.0):
