@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 # The public names by the module that defines each.
 _HOMES = {
     "bounds": ("BoundSpec", "ConfidencePairCell", "DefinitionalCell", "GapCertificate",
-               "Table1Report", "eval_bound", "gap", "overlap_from_confusability",
-               "table1_report"),
+               "Table1Report", "eval_bound", "gap", "nc_mcm_guessing", "nc_mesd_confidences",
+               "omega_star", "overlap_from_confusability", "table1_report"),
     "config": ("DEFAULTS", "Tolerances"),
     "errors": ("ContractError", "CtxsdError", "DegenerateEnsembleError", "DivergenceError",
                "DomainError", "InfeasibleWeightsError", "UndefinedConfidenceError",
@@ -30,9 +30,8 @@ _HOMES = {
     "harness": ("VerifyReport", "verify_all"),
     "ncmodel": ("EpistemicState", "NcFigures", "NcScenario", "Region", "ResponseSet",
                 "canonical_scenario", "confusability", "mesd_mixed_strategy", "nc_figures",
-                "nc_mcm_guessing", "nc_mesd_confidences", "nc_prob", "omega_star",
-                "oracle_max_confidence", "oracle_max_pg", "oracle_min_p0_at_max_confidence",
-                "usd_response"),
+                "nc_prob", "oracle_max_confidence", "oracle_max_pg",
+                "oracle_min_p0_at_max_confidence", "usd_response"),
     "qtheory": ("Ensemble", "Operator2", "Povm", "PureState", "confidence",
                 "guessing_probability", "helstrom_povm", "inconclusive_rate", "make_pure_pair",
                 "mcm_optimal", "mcm_povm", "mirror", "noisy_ensemble", "usd_optimal", "usd_povm"),

@@ -8,9 +8,10 @@ and pairs them into signed gap certificates. Two cells are definitional
 rather than comparative: a minimum-error measurement has no inconclusive
 outcome (P_0 = 0) and unambiguous conclusive outcomes are certain (C = 1).
 
-Quantum formulas are written in the overlap |<psi1|psi2>|; the comparison
-convention overlap^2 = c is applied in exactly one place,
-``overlap_from_confusability``.
+This is the closed-form route; it imports neither of the others. The 19
+cells' expressions are written once, in ``_closed_form``, over a namespace
+that supplies sqrt (numpy here, sympy or mpmath to evaluate the same code
+exactly), and guarded outside it, in ``_guarded`` and ``omega_star``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 
 from .config import DEFAULTS, Tolerances
 from .errors import ContractError, DivergenceError, require_in
-from .ncmodel import nc_mcm_guessing, nc_mesd_confidences, omega_star
 
 __all__ = [
     "SCHEMES",
@@ -38,6 +38,9 @@ __all__ = [
     "overlap_from_confusability",
     "eval_bound",
     "eval_column",
+    "nc_mesd_confidences",
+    "omega_star",
+    "nc_mcm_guessing",
     "gap",
     "oriented_gap",
     "is_advantage",
@@ -50,6 +53,7 @@ THEORIES = ("quantum", "noncontextual")
 
 QUANTUM = "quantum"
 NONCONTEXTUAL = "noncontextual"
+_ARMED = ("MESD", "C", NONCONTEXTUAL)  # the one cell with an arm per outcome
 
 
 def overlap_from_confusability(c: float | np.ndarray) -> float | np.ndarray:
@@ -80,24 +84,18 @@ class BoundSpec:
             raise ContractError(f"unknown figure {self.figure!r}")
         if self.theory not in THEORIES:
             raise ContractError(f"unknown theory {self.theory!r}")
-        object.__setattr__(self, "c", require_in(self.c, "confusability"))
+        object.__setattr__(self, "c", require_in(self.c, "confusability", scalar=True))
         if self.scheme == "MCM":
             if self.p is None:
                 raise ContractError("MCM bounds require the noise level p")
-            object.__setattr__(self, "p", require_in(self.p, "noise"))
+            object.__setattr__(self, "p", require_in(self.p, "noise", scalar=True))
         elif self.p is not None:
             raise ContractError(f"p is not a parameter of {self.scheme} bounds")
-        mesd_conf_nc = (
-            self.scheme == "MESD"
-            and self.figure == "C"
-            and self.theory == NONCONTEXTUAL
-        )
+        mesd_conf_nc = (self.scheme, self.figure, self.theory) == _ARMED
         if mesd_conf_nc:
             if self.omega is None:
-                raise ContractError(
-                    "the noncontextual MESD confidence requires omega"
-                )
-            object.__setattr__(self, "omega", require_in(self.omega, "omega"))
+                raise ContractError("the noncontextual MESD confidence requires omega")
+            object.__setattr__(self, "omega", require_in(self.omega, "omega", scalar=True))
         elif self.omega is not None:
             raise ContractError("omega only parametrises the noncontextual MESD confidence")
         if self.outcome not in (1, 2):
@@ -122,7 +120,7 @@ class Cell:
 
     @property
     def has_arms(self) -> bool:
-        return (self.scheme, self.figure, self.theory) == ("MESD", "C", NONCONTEXTUAL)
+        return (self.scheme, self.figure, self.theory) == _ARMED
 
     @property
     def label(self) -> str:
@@ -152,76 +150,89 @@ CELLS = tuple(
     for scheme in SCHEMES
     for figure in FIGURES
     for theory in THEORIES
-    for outcome in ((1, 2) if (scheme, figure, theory) == ("MESD", "C", NONCONTEXTUAL)
-                    else (1,))
+    for outcome in ((1, 2) if (scheme, figure, theory) == _ARMED else (1,))
 )
+_ARMS = tuple(cell for cell in CELLS if cell.has_arms)  # outcomes 1 and 2
+_MCM_PG_NC = Cell("MCM", "P_g", NONCONTEXTUAL)
 
-# The kernels below take floats or numpy arrays: the scalar API passes
+# The closed forms below take floats or numpy arrays: the scalar API passes
 # Python floats, a sweep column passes the grid as an array. Both run the
 # same operations in the same order, so a column equals its cells bit for bit.
 
 
-def _helstrom_value(c):
-    return 0.5 * (1.0 + np.sqrt(1.0 - c))
+def _mcm_denominator(quantum: bool, c, p):
+    """The MCM confidence's 1 - (1-p)^2 c (quantum) or 1 - (1-p) c
+    (noncontextual), written so that it does not cancel as c -> 1, p -> 0."""
+    return (1.0 - c) + c * p * (2.0 - p) if quantum else (1.0 - c) + c * p
 
 
-def _require_regular(denom) -> None:
-    singular = denom <= DEFAULTS.norm
-    if singular.any() if isinstance(singular, np.ndarray) else singular:
-        raise DivergenceError("confidence undefined for a pure coincident pair")
-
-
-def _mcm_confidence_quantum(c, p):
-    # 1 - (1-p)^2 c, written so it does not cancel as c -> 1, p -> 0
-    denom_sq = (1.0 - c) + c * p * (2.0 - p)
-    _require_regular(denom_sq)
-    return 0.5 * (1.0 + (1.0 - p) * np.sqrt(1.0 - c) / np.sqrt(denom_sq))
-
-
-def _mcm_confidence_nc(c, p):
-    denom = (1.0 - c) + c * p  # 1 - (1-p) c, without the cancellation as c -> 1, p -> 0
-    _require_regular(denom)
-    return 0.5 * (1.0 + (1.0 - p) * (1.0 - c) / denom)
-
-
-def _mcm_guessing_quantum(c, p):
-    o = overlap_from_confusability(c)
+def _closed_form(cell, c, p, omega, xp=np):
+    """Value of ``cell`` (a ``Cell`` or a ``BoundSpec``) at (c, p, omega),
+    unguarded, with ``xp`` supplying sqrt. Quantum values are written in
+    the overlap |<psi1|psi2>| = sqrt(c)."""
+    scheme, figure, quantum = cell.scheme, cell.figure, cell.theory == QUANTUM
+    if scheme == "MESD":
+        if figure == "P_0":
+            return 0.0
+        if quantum:  # the Helstrom value: P_g, and both confidences
+            return 0.5 * (1.0 + xp.sqrt(1.0 - c))
+        if figure == "P_g":
+            return 1.0 - 0.5 * c
+        # the confidences of the omega-mixed guessing strategies, arm by arm
+        if cell.outcome == 1:
+            return (1.0 - (1.0 - omega) * c) / (1.0 - (1.0 - 2.0 * omega) * c)
+        return (1.0 - omega * c) / (1.0 + (1.0 - 2.0 * omega) * c)
+    if scheme == "USD":
+        if figure == "C":
+            return 1.0
+        if figure == "P_0":
+            return xp.sqrt(c) if quantum else 0.5 * (1.0 + c)
+        return 1.0 - xp.sqrt(c) if quantum else 0.5 * (1.0 - c)
+    # MCM
+    if figure == "C":
+        if quantum:
+            return 0.5 * (1.0 + (1.0 - p) * xp.sqrt(1.0 - c)
+                          / xp.sqrt(_mcm_denominator(quantum, c, p)))
+        return 0.5 * (1.0 + (1.0 - p) * (1.0 - c) / _mcm_denominator(quantum, c, p))
+    if figure == "P_0":
+        return (1.0 - p) * xp.sqrt(c) if quantum else 0.5 * (1.0 + (1.0 - p) * c)
+    if not quantum:
+        return 0.5 * (1.0 - 0.5 * p - (1.0 - p) * c)
+    o = xp.sqrt(c)
     t = (1.0 - p) * o
     one_minus_t = (1.0 - c) / (1.0 + o) + p * o  # 1 - t, without the cancellation
-    return 0.5 * (one_minus_t + (1.0 - p) * np.sqrt(one_minus_t / (1.0 + t)) * np.sqrt(1.0 - c))
+    return 0.5 * (one_minus_t + (1.0 - p) * xp.sqrt(one_minus_t / (1.0 + t)) * xp.sqrt(1.0 - c))
 
 
-def _closed_form(spec: BoundSpec, c, p, omega):
-    """Value of the cell ``spec`` at (c, p, omega), floats or arrays."""
-    s, f, t = spec.scheme, spec.figure, spec.theory
-    if s == "MESD":
-        if f == "P_0":
-            return 0.0
-        if f == "P_g":
-            return _helstrom_value(c) if t == QUANTUM else 1.0 - 0.5 * c
-        # confidence
-        if t == QUANTUM:
-            return _helstrom_value(c)
-        return nc_mesd_confidences(c, omega)[spec.outcome - 1]
-    if s == "USD":
-        if f == "C":
-            return 1.0
-        o = overlap_from_confusability(c)
-        if f == "P_0":
-            return o if t == QUANTUM else 0.5 * (1.0 + c)
-        return 1.0 - o if t == QUANTUM else 0.5 * (1.0 - c)
-    # MCM
-    if f == "C":
-        return _mcm_confidence_quantum(c, p) if t == QUANTUM else _mcm_confidence_nc(c, p)
-    if f == "P_0":
-        o = overlap_from_confusability(c)
-        return (1.0 - p) * o if t == QUANTUM else 0.5 * (1.0 + (1.0 - p) * c)
-    return _mcm_guessing_quantum(c, p) if t == QUANTUM else nc_mcm_guessing(c, p)
+def _omega_star(c, xp=np):
+    """``omega_star``, unguarded: the stable form of the textbook
+    (1-c)(1 - sqrt(1-c)) / (2 c sqrt(1-c)), which tends to 1/4 as c -> 0."""
+    t = xp.sqrt(1.0 - c)
+    return t / (2.0 * (1.0 + t))
+
+
+def _guarded(cell, c, p, omega):
+    """``_closed_form`` over numpy, guarded: an MCM confidence raises
+    DivergenceError where its denominator is within ``DEFAULTS.norm`` of 0
+    (the pure coincident pair), and both MESD arms take 1/2 at c = 1, where
+    the canonical model forces it and their denominators can vanish."""
+    if cell.scheme == "MCM" and cell.figure == "C":
+        singular = _mcm_denominator(cell.theory == QUANTUM, c, p) <= DEFAULTS.norm
+        if singular.any() if isinstance(singular, np.ndarray) else singular:
+            raise DivergenceError("confidence undefined for a pure coincident pair")
+    elif (cell.scheme, cell.figure, cell.theory) == _ARMED:
+        coincident = c == 1.0
+        if isinstance(coincident, np.ndarray):
+            with np.errstate(divide="ignore", invalid="ignore"):  # discarded at c = 1
+                return np.where(coincident, 0.5, _closed_form(cell, c, p, omega))
+        if coincident:
+            return 0.5
+    return _closed_form(cell, c, p, omega)
 
 
 def eval_bound(spec: BoundSpec) -> float:
     """Closed-form value of one table cell."""
-    return float(_closed_form(spec, spec.c, spec.p, spec.omega))
+    return float(_guarded(spec, spec.c, spec.p, spec.omega))
 
 
 def eval_column(spec: BoundSpec, variable: str | Sequence[str],
@@ -245,7 +256,33 @@ def eval_column(spec: BoundSpec, variable: str | Sequence[str],
         shape = np.shape(grid)
         if params[name] is not None:
             params[name] = grid
-    return np.broadcast_to(_closed_form(spec, **params), shape)
+    return np.broadcast_to(_guarded(spec, **params), shape)
+
+
+def nc_mesd_confidences(c: float | np.ndarray, omega: float | np.ndarray) -> tuple:
+    """Closed-form confidences (C(1), C(2)) of the omega-mixed guessing
+    strategies, the two arms of the noncontextual MESD confidence; (1/2, 1/2)
+    at c = 1. ``c`` and ``omega`` may be floats or numpy arrays."""
+    c, omega = require_in(c, "confusability"), require_in(omega, "omega")
+    return tuple(_guarded(arm, c, None, omega) for arm in _ARMS)
+
+
+def omega_star(c: float | np.ndarray) -> float | np.ndarray:
+    """Mixing weight at which the first arm's confidence drops to the
+    optimal guessing probability: bounded by 1/4 on [0, 1), and undefined
+    for coincident preparations, so any c = 1 raises DivergenceError. ``c``
+    may be a float or a numpy array."""
+    c = require_in(c, "confusability")
+    if (c == 1.0).any() if isinstance(c, np.ndarray) else c == 1.0:
+        raise DivergenceError("threshold undefined for coincident preparations")
+    w = _omega_star(c)
+    return w if isinstance(c, np.ndarray) else float(w)
+
+
+def nc_mcm_guessing(c: float | np.ndarray, p: float | np.ndarray) -> float | np.ndarray:
+    """Closed-form guessing probability of the maximal-confidence strategy,
+    the noncontextual MCM P_g. ``c`` and ``p`` may be floats or numpy arrays."""
+    return _closed_form(_MCM_PG_NC, require_in(c, "confusability"), require_in(p, "noise"), None)
 
 
 @dataclass(frozen=True)
@@ -350,7 +387,7 @@ def table1_report(
     """Evaluate every cell of the gap table at one parameter point."""
     # c, omega and p, checked once, in the order the cells would check them
     for x, name in ((c, "confusability"), (omega, "omega"), (p, "noise")):
-        require_in(x, name)
+        require_in(x, name, scalar=True)
     if 0.0 < c < 1.0:
         w_star = omega_star(c)
         window: Optional[tuple[float, float]] = (w_star, 1.0 - w_star)

@@ -41,15 +41,16 @@ class DivergenceError(CtxsdError):
 _FLOAT = np.dtype(float)  # float64 input skips astype: a batch of one is priced per numpy call
 
 
-def require_in(x, name: str, hi: float = 1.0):
+def require_in(x, name: str, hi: float = 1.0, scalar: bool = False):
     """``x`` as a parameter in [0, hi]: a float for a scalar, a float array
     for an array or a sequence.
 
     Python ints and floats, numpy integer and floating scalars, and arrays or
     sequences of them pass. Anything else (a str, None, a bool, a complex
-    value, or an array of them) raises ContractError. A value outside
-    [0, hi], NaN included, raises DomainError naming the first one and, when
-    ``x`` has several rows, its row.
+    value, or an array of them) raises ContractError, as does an array or a
+    sequence for a parameter that is one number by nature (``scalar``). A
+    value outside [0, hi], NaN included, raises DomainError naming the first
+    one and, when ``x`` has several rows, its row.
     """
     if type(x) is float or type(x) is int:  # the scalar fast path
         if 0.0 <= x <= hi:  # false for NaN
@@ -62,6 +63,8 @@ def require_in(x, name: str, hi: float = 1.0):
             a = None
         if a is None or a.dtype.kind not in "fiu":
             raise ContractError(f"{name} must be a real number or an array of them, got {x!r}")
+        if scalar and a.ndim:
+            raise ContractError(f"{name} must be a single number, got shape {a.shape}")
         if a.dtype is not _FLOAT:
             a = a.astype(float)
         inside = (0.0 <= a) & (a <= hi)

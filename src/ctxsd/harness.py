@@ -11,7 +11,9 @@ over which each brute-force oracle runs once. The scalar constructions and
 figures of merit only rebuild a stack row and its figures in spot checks.
 The relation table ``_RELATIONS`` then compares each table cell with each
 independent route to it (the constructions for quantum cells, the oracles
-for noncontextual ones), every relation in exactly one named check. The
+for noncontextual ones), every relation in exactly one named check. Every
+closed form comes from ``bounds``, even in an ``ncmodel`` check such as
+``mesd-confidences``, which compares it with ``ncmodel.nc_figures``. The
 structural checks (completeness, monotonicity, model invariants, the
 inequality suite and the like) read the same stacks. Each check reports its
 largest deviation and the number of values it compared, and the report
@@ -40,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import ncmodel, qtheory
+from . import bounds, ncmodel, qtheory
 from .bounds import (
     CELLS,
     DefinitionalCell,
@@ -113,14 +115,12 @@ OPERATIONS: dict[str, tuple[str, ...]] = {
         "mesd_mixed_strategy",
         "usd_response",
         "nc_figures",
-        "nc_mesd_confidences",
-        "omega_star",
         "oracle_max_pg",
         "oracle_max_confidence",
         "oracle_min_p0_at_max_confidence",
-        "nc_mcm_guessing",
     ),
-    "bounds": ("eval_bound", "gap", "table1_report"),
+    "bounds": ("eval_bound", "gap", "table1_report", "nc_mesd_confidences", "omega_star",
+               "nc_mcm_guessing"),
 }
 
 _ALL_OPS = frozenset(
@@ -595,34 +595,35 @@ def _chk_confusability(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
 def _chk_omega_invariance(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     c, omega = ev.scenario.c[:, :1], _grid(101)  # the pure scenarios, one row per c
     figs = ncmodel.nc_figures(ev.scenario[:, :1], ncmodel.mesd_mixed_strategy(omega))
-    acc.add(figs.p_g - (1.0 - 0.5 * c), tols.exact, _points(c=c, omega=omega))
+    acc.add(figs.p_g - ev.closed("MESD_Pg_NC", "c")[:, None], tols.exact, _points(c=c, omega=omega))
 
 
-@_check("ncmodel/mesd-confidences", ("ncmodel.nc_mesd_confidences", "ncmodel.nc_figures",
+@_check("ncmodel/mesd-confidences", ("bounds.nc_mesd_confidences", "ncmodel.nc_figures",
                                      "ncmodel.mesd_mixed_strategy"))
 def _chk_mesd_confidences(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     c = ev.scenario.c[:, :1]
     omega = c[:, 0]  # omega runs over the c grid
     point = _points(c=c, omega=omega)
-    closed = ncmodel.nc_mesd_confidences(c, omega)
+    closed = bounds.nc_mesd_confidences(c, omega)
     figs = ncmodel.nc_figures(ev.scenario[:, :1], ncmodel.mesd_mixed_strategy(omega))
     for got, want in ((figs.c1, closed[0]), (figs.c2, closed[1])):
         acc.add(np.where(np.isnan(got), 0.0, got - want), tols.exact, point)  # NaN: never fires
-    acc.add(closed[0] - ncmodel.nc_mesd_confidences(c, 1.0 - omega)[1], tols.exact, point)
+    acc.add(closed[0] - bounds.nc_mesd_confidences(c, 1.0 - omega)[1], tols.exact, point)
 
 
-@_check("ncmodel/omega-star", ("ncmodel.omega_star", "ncmodel.nc_mesd_confidences"))
+@_check("ncmodel/omega-star", ("bounds.omega_star", "bounds.nc_mesd_confidences"))
 def _chk_omega_star(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     cs = ev.cs[1:-1]
     point = _points(c=cs)
-    w_star = ncmodel.omega_star(cs)
+    w_star = bounds.omega_star(cs)
     s = np.sqrt(1.0 - cs)
     textbook = (1.0 - cs) * (1.0 - s) / (2.0 * cs * s)
     acc.add(w_star - textbook, tols.oracle, point)
     acc.ok(w_star <= 0.25 + tols.exact, point)
     # there the first arm's confidence equals the optimal guessing probability
-    acc.add(ncmodel.nc_mesd_confidences(cs, w_star)[0] - 0.5 * (1.0 + s), 1e-10, point)
-    acc.raises(DivergenceError, "c=1", ncmodel.omega_star, 1.0)
+    helstrom = ev.closed("MESD_C_Q", "c")[1:-1]
+    acc.add(bounds.nc_mesd_confidences(cs, w_star)[0] - helstrom, 1e-10, point)
+    acc.raises(DivergenceError, "c=1", bounds.omega_star, 1.0)
 
 
 @_check("ncmodel/hand-integrals",
@@ -653,12 +654,12 @@ def _chk_inequalities(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
         acc.ok(is_advantage(figure, signed, tols) | ~interior, ev.points["nc"])
 
 
-@_check("bounds/mesd-confidence-window", ("ncmodel.omega_star",))
+@_check("bounds/mesd-confidence-window", ("bounds.omega_star",))
 def _chk_window(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     omegas = _grid(max(2 * ev.n + 1, 21))
     step = float(omegas[1] - omegas[0])
     cs = ev.cs[1:-1, None]
-    w_star = ncmodel.omega_star(cs)
+    w_star = bounds.omega_star(cs)
     quantum = ev.closed("MESD_C_Q", "c")[1:-1, None]
     both = np.ones((len(cs), len(omegas)), dtype=bool)
     for arm in ("MESD_C1_NC", "MESD_C2_NC"):
@@ -671,11 +672,13 @@ def _chk_window(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     acc.ok((both == inside) | unresolved, _points(c=cs, omega=omegas))
 
 
-@_check("bounds/factorisation", ("ncmodel.nc_mcm_guessing",))
+@_check("bounds/factorisation", ("bounds.nc_mcm_guessing",))
 def _chk_factorisation(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
-    # P_g = (1 - P_0) C for the MCM closed forms of both theories
-    for theory in ("Q", "NC"):
-        p_g, p_0, conf = (ev.closed(f"MCM_{f}_{theory}", "nc") for f in ("Pg", "P0", "C"))
+    # P_g = (1 - P_0) C for the MCM closed forms of both theories, the
+    # noncontextual P_g read through its public function
+    for theory, p_g in (("Q", ev.closed("MCM_Pg_Q", "nc")),
+                        ("NC", bounds.nc_mcm_guessing(*ev.grids["nc"]))):
+        p_0, conf = (ev.closed(f"MCM_{f}_{theory}", "nc") for f in ("P0", "C"))
         acc.add(p_g - (1.0 - p_0) * conf, tols.exact, ev.points["nc"])
 
 

@@ -14,8 +14,9 @@ mirrors).
 
 The module provides the canonical weight assignment, the explicit
 noncontextual strategies (omega-mixed guessing, unambiguous gamma-family),
-their closed-form figures of merit, and brute-force oracles that optimise
-each figure independently of those closed forms.
+the figures of merit of any response set (``nc_figures``), and brute-force
+oracles that optimise each figure. The closed forms they are checked
+against are the closed-form route's, in ``bounds``.
 
 The model is array-aware, with one code path. ``canonical_scenario`` given
 equal-shape arrays of c and p builds a stack of scenarios, indexed like an
@@ -40,7 +41,6 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import (
     ContractError,
-    DivergenceError,
     DomainError,
     InfeasibleWeightsError,
     UndefinedConfidenceError,
@@ -59,12 +59,9 @@ __all__ = [
     "mesd_mixed_strategy",
     "usd_response",
     "nc_figures",
-    "nc_mesd_confidences",
-    "omega_star",
     "oracle_max_pg",
     "oracle_max_confidence",
     "oracle_min_p0_at_max_confidence",
-    "nc_mcm_guessing",
 ]
 
 
@@ -363,42 +360,6 @@ def _where(mask, a, b):
     return a if mask else b
 
 
-def nc_mesd_confidences(c: float | np.ndarray, omega: float | np.ndarray) -> tuple:
-    """Closed-form confidences of the omega-mixed guessing strategies.
-
-    C(1) = (1 - (1-omega)c) / (1 - (1-2*omega)c) and
-    C(2) = (1 - omega*c) / (1 + (1-2*omega)c). Coincident preparations
-    (c = 1) give (1/2, 1/2), the value forced by the canonical model
-    whenever the outcome fires at all. ``c`` and ``omega`` may be floats
-    or numpy arrays.
-    """
-    c, omega = require_in(c, "confusability"), require_in(omega, "omega")
-    coincident = c == 1.0
-    # at c = 1 a denominator can vanish; divide by 1 there, then discard
-    den1 = _where(coincident, 1.0, 1.0 - (1.0 - 2.0 * omega) * c)
-    den2 = _where(coincident, 1.0, 1.0 + (1.0 - 2.0 * omega) * c)
-    c1 = _where(coincident, 0.5, (1.0 - (1.0 - omega) * c) / den1)
-    c2 = _where(coincident, 0.5, (1.0 - omega * c) / den2)
-    return c1, c2
-
-
-def omega_star(c: float | np.ndarray) -> float | np.ndarray:
-    """Mixing weight at which the first arm's confidence drops to the
-    optimal guessing probability.
-
-    Written as sqrt(1-c) / (2 (1 + sqrt(1-c))), which is algebraically
-    equal to the textbook form (1-c)(1 - sqrt(1-c)) / (2 c sqrt(1-c)) but
-    stable as c -> 0, where the value tends to 1/4. Bounded by 1/4 on
-    [0, 1); undefined for coincident preparations, so any c = 1 raises.
-    ``c`` may be a float or a numpy array.
-    """
-    cs = np.asarray(require_in(c, "confusability"))
-    if (cs == 1.0).any():
-        raise DivergenceError("threshold undefined for coincident preparations")
-    t = np.sqrt(1.0 - cs)
-    return _value(t / (2.0 * (1.0 + t)))
-
-
 # ---------------------------------------------------------------------------
 # brute-force oracles
 
@@ -487,10 +448,3 @@ def oracle_min_p0_at_max_confidence(scn: NcScenario) -> tuple[ResponseSet, float
     if off.any():
         raise ContractError("minimiser left the maximal-confidence face" + _at(off.any(0), scn))
     return rs, figs.p_0
-
-
-def nc_mcm_guessing(c: float | np.ndarray, p: float | np.ndarray) -> float | np.ndarray:
-    """Closed-form guessing probability of the maximal-confidence strategy:
-    (1 - p/2 - (1-p) c) / 2. ``c`` and ``p`` may be floats or numpy arrays."""
-    c, p = require_in(c, "confusability"), require_in(p, "noise")
-    return 0.5 * (1.0 - 0.5 * p - (1.0 - p) * c)

@@ -176,7 +176,7 @@ class Ensemble:
 
     def _derive(self, vectors: np.ndarray) -> None:
         """Check the noise and derive the arrays from the amplitudes (1, 2, 2)."""
-        batch = _ensembles(vectors, np.array([float(require_in(self.noise, "noise"))]))
+        batch = _ensembles(vectors, np.array([require_in(self.noise, "noise", scalar=True)]))
         vectors.flags.writeable = batch[1].flags.writeable = batch[2].flags.writeable = False
         object.__setattr__(self, "vectors", vectors[0])
         object.__setattr__(self, "states", batch[1][0])
@@ -574,7 +574,7 @@ def usd_povm(ens: Ensemble, gamma1: float, gamma2: float) -> Povm:
     Requires a pure ensemble and weights that leave pi_0 = 1 - pi_1 - pi_2
     positive semidefinite. A batch of one of the stacked construction.
     """
-    weights = require_in([[[gamma1, gamma2]]], "weights")
+    weights = np.array([[[require_in(g, "weights", scalar=True) for g in (gamma1, gamma2)]]])
     stack = _usd(ens.vectors[None], _batch_of(ens, pure=True), weights, optimal=False)
     return Povm._validated(stack.elements[0, 0])
 
@@ -676,7 +676,7 @@ def mcm_povm(ens: Ensemble, alpha: float) -> Povm:
     conclusive rate, and must leave pi_0 = 1 - pi_1 - pi_2 positive
     semidefinite. A batch of one of the stacked construction.
     """
-    stack = _mcm(_batch_of(ens), np.ones(1), require_in((alpha,), "alpha"))
+    stack = _mcm(_batch_of(ens), np.ones(1), np.array([require_in(alpha, "alpha", scalar=True)]))
     return Povm._validated(stack.elements[0, 0])
 
 
@@ -687,5 +687,6 @@ def mcm_optimal(theta: float, p: float) -> tuple[Povm, float]:
     maximal confidences and minimal inconclusive rate. A batch of one of
     ``mcm_stack``'s construction.
     """
-    stack = _mcm(_ensembles(_pure_pairs((theta,)), require_in((p,), "noise")), np.ones(1))
+    noise = np.array([require_in(p, "noise", scalar=True)])
+    stack = _mcm(_ensembles(_pure_pairs((theta,)), noise), np.ones(1))
     return Povm._validated(stack.elements[0, 0]), float(stack.inconclusive_rate()[0, 0])

@@ -75,7 +75,8 @@ class SweepSpec:
         if self.points < 1:
             raise DomainError("a sweep needs at least one grid point")
         for name in ("start", "stop"):
-            object.__setattr__(self, name, require_in(getattr(self, name), f"sweep {name}"))
+            object.__setattr__(self, name, require_in(getattr(self, name), f"sweep {name}",
+                                                      scalar=True))
         if not self.start <= self.stop:
             raise DomainError("sweep range must satisfy 0 <= start <= stop <= 1")
         if not self.targets:
@@ -87,8 +88,8 @@ class SweepSpec:
             raise ContractError(f"unknown fixed parameter(s) {sorted(unknown)}")
         merged = {"c": 0.5, "p": 0.5, "omega": 0.5}
         merged.update(self.fixed)
-        object.__setattr__(self, "fixed", {name: require_in(value, f"fixed parameter {name}")
-                                           for name, value in merged.items()})
+        object.__setattr__(self, "fixed", {k: require_in(v, f"fixed parameter {k}", scalar=True)
+                                           for k, v in merged.items()})
         object.__setattr__(self, "targets", tuple(self.targets))
 
 

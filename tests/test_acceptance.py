@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctxsd import ncmodel, qtheory
+from ctxsd import bounds, ncmodel, qtheory
 from ctxsd.bounds import BoundSpec, NONCONTEXTUAL, QUANTUM, eval_bound
 from ctxsd.sweeps import FigureJob, emit_figure
 
@@ -61,7 +61,7 @@ def test_criterion_03_mesd_confidences_and_window():
     for c in np.linspace(0.0, 1.0, 101):
         scn = ncmodel.canonical_scenario(float(c), 0.0)
         for w in np.linspace(0.0, 1.0, 101):
-            closed = ncmodel.nc_mesd_confidences(float(c), float(w))
+            closed = bounds.nc_mesd_confidences(float(c), float(w))
             figs = ncmodel.nc_figures(scn, ncmodel.mesd_mixed_strategy(float(w)))
             for got, want in ((figs.c1, closed[0]), (figs.c2, closed[1])):
                 if got is None:
@@ -74,12 +74,12 @@ def test_criterion_03_mesd_confidences_and_window():
 
     # advantage window at c = 1/2, via the closed form and by bisection
     c = 0.5
-    lo_closed = ncmodel.omega_star(c)
+    lo_closed = bounds.omega_star(c)
     helstrom = eval_bound(BoundSpec("MESD", "C", QUANTUM, c=c))
     lo_b, hi_b = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo_b + hi_b)
-        if ncmodel.nc_mesd_confidences(c, mid)[0] > helstrom:
+        if bounds.nc_mesd_confidences(c, mid)[0] > helstrom:
             lo_b = mid
         else:
             hi_b = mid

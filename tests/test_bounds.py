@@ -15,6 +15,8 @@ from ctxsd.bounds import (
     eval_column,
     gap,
     is_advantage,
+    nc_mesd_confidences,
+    omega_star,
     oriented_gap,
     overlap_from_confusability,
     table1_report,
@@ -86,7 +88,7 @@ def test_mesd_nc_confidence_arms():
     c = 0.5
     spec1 = BoundSpec("MESD", "C", NONCONTEXTUAL, c=c, omega=0.2, outcome=1)
     spec2 = BoundSpec("MESD", "C", NONCONTEXTUAL, c=c, omega=0.2, outcome=2)
-    want = ncmodel.nc_mesd_confidences(c, 0.2)
+    want = nc_mesd_confidences(c, 0.2)
     assert eval_bound(spec1) == want[0]
     assert eval_bound(spec2) == want[1]
 
@@ -313,7 +315,7 @@ def test_advantage_rule_of_a_column_is_the_rule_of_gap():
 
 def test_gap_confidence_arms_outside_window():
     c = 0.5
-    w_star = ncmodel.omega_star(c)
+    w_star = omega_star(c)
     outside = 0.5 * w_star  # below the window: arm 1 favours the nc model
     cert1 = gap(
         BoundSpec("MESD", "C", QUANTUM, c=c),

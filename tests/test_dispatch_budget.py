@@ -26,7 +26,7 @@ _THETA = math.acos(math.sqrt(_C))
 
 # (Python calls, C calls) of one warm call, as counted when the budgets were set.
 _COUNTS = {
-    "table1_report": (124, 51),
+    "table1_report": (111, 37),
     "mcm_optimal": (27, 33),
     "noisy_ensemble": (13, 23),
     "helstrom_povm": (16, 12),

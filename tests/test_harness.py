@@ -470,13 +470,20 @@ _SPOT_HOMES = {
     ("qtheory", "mcm_optimal"): "qtheory/mcm-confidence",
     ("qtheory", "mcm_povm"): "qtheory/mcm-confidence",
 }
+# The closed forms that checks call by name, each with a check that lists it.
+_CLOSED_FORM_HOMES = {
+    ("bounds", "nc_mesd_confidences"): "ncmodel/mesd-confidences",
+    ("bounds", "omega_star"): "ncmodel/omega-star",
+    ("bounds", "nc_mcm_guessing"): "bounds/factorisation",
+}
 
 
 def _off_by(value, eps):
-    """``value`` with its number moved by ``eps``: a number, a (witness,
-    number) pair, or a POVM or stack of them whose conclusive elements each
-    take ``eps`` of the other."""
-    if isinstance(value, float):
+    """``value`` with its number moved by ``eps``: a number or an array, the
+    second of a pair (a witness and its number, or the two MESD arms), or a
+    POVM or stack of them whose conclusive elements each take ``eps`` of the
+    other."""
+    if isinstance(value, (float, np.ndarray)):
         return value + eps
     if isinstance(value, tuple):
         return value[0], value[1] + eps
@@ -488,7 +495,7 @@ def _off_by(value, eps):
     return replace(value, elements=moved)
 
 
-@pytest.mark.parametrize("module, name", [*_ROUTE_HOMES, *_SPOT_HOMES])
+@pytest.mark.parametrize("module, name", [*_ROUTE_HOMES, *_SPOT_HOMES, *_CLOSED_FORM_HOMES])
 def test_fault_in_a_route_fails_its_home_check(monkeypatch, module, name):
     # Patched where the harness looks it up, so ncmodel's own calls (the
     # min-p0 oracle re-checks its face against the confidence oracle) keep
@@ -500,7 +507,7 @@ def test_fault_in_a_route_fails_its_home_check(monkeypatch, module, name):
     monkeypatch.setattr(harness, module, faulty)
     report = verify_all(5)
     assert not report.passed
-    home = {**_ROUTE_HOMES, **_SPOT_HOMES}[module, name]
+    home = {**_ROUTE_HOMES, **_SPOT_HOMES, **_CLOSED_FORM_HOMES}[module, name]
     assert home in {ch.name for ch in report.checks if not ch.passed}
     if name in harness.OPERATIONS[module]:  # the audit counts it for the check it fails
         assert f"{module}.{name}" in {name: ops for name, ops, _ in harness._CHECKS}[home]
@@ -647,17 +654,23 @@ def test_fault_in_a_pure_pair_or_mirror_fails_its_check(monkeypatch, name, fault
 
 
 def test_error_inside_a_check_is_its_failure(monkeypatch, capsys):
-    def broken(c):
-        raise DomainError("omega* broken")
+    def broken(*args):
+        raise DomainError("closed form broken")
 
-    monkeypatch.setattr(harness, "ncmodel", types.SimpleNamespace(**{
-        **vars(ncmodel), "omega_star": broken}))
-    report = verify_all(5)
-    failed = {ch.name: ch for ch in report.checks if not ch.passed}
-    # the two checks that call omega_star fail, every other check still runs and passes
+    # a closed form the checks call by name, broken where the harness looks
+    # it up: the checks that list it fail, every other check still runs and
+    # passes
+    for name in ("nc_mesd_confidences", "nc_mcm_guessing", "omega_star"):
+        monkeypatch.setattr(harness, "bounds", types.SimpleNamespace(**{
+            **vars(bounds), name: broken}))
+        report = verify_all(5)
+        failed = {ch.name: ch for ch in report.checks if not ch.passed}
+        assert set(failed) == {check for check, ops, _ in harness._CHECKS
+                               if f"bounds.{name}" in ops}, name
+        assert all(ch.worst == "DomainError: closed form broken" for ch in failed.values())
+        assert len(report.checks) == len(harness._CHECKS)
+    # the last, omega_star, is called by these two checks
     assert set(failed) == {"ncmodel/omega-star", "bounds/mesd-confidence-window"}
-    assert failed["ncmodel/omega-star"].worst == "DomainError: omega* broken"
-    assert len(report.checks) == len(harness._CHECKS)
     assert cli.main(["verify", "--points", "5"]) == 1
     assert "FAIL ncmodel/omega-star" in capsys.readouterr().out
 
@@ -861,8 +874,8 @@ def test_cli_verify_json_writes_null_for_a_failed_pass_fail_item(monkeypatch, ca
     def broken(c):
         raise DomainError("omega* broken")
 
-    monkeypatch.setattr(harness, "ncmodel", types.SimpleNamespace(**{
-        **vars(ncmodel), "omega_star": broken}))
+    monkeypatch.setattr(harness, "bounds", types.SimpleNamespace(**{
+        **vars(bounds), "omega_star": broken}))
     assert cli.main(["verify", "--points", "5", "--json"]) == 1
     report = json.loads(capsys.readouterr().out)
     failed = [ch for ch in report["checks"] if not ch["passed"]]
@@ -1161,9 +1174,6 @@ _BASE_ARGS = {
     "ncmodel.canonical_scenario": [dict(c=0.3, p=0.2)],
     "ncmodel.mesd_mixed_strategy": [dict(omega=0.4)],
     "ncmodel.usd_response": [dict(gamma1=0.3, gamma2=0.2)],
-    "ncmodel.nc_mesd_confidences": [dict(c=0.3, omega=0.4)],
-    "ncmodel.omega_star": [dict(c=0.3)],
-    "ncmodel.nc_mcm_guessing": [dict(c=0.3, p=0.2)],
     "bounds.BoundSpec": [dict(scheme="MCM", figure="C", theory=QUANTUM, c=0.3, p=0.2),
                          dict(scheme="MESD", figure="C", theory=NONCONTEXTUAL, c=0.3, omega=0.4)],
     "bounds.Table1Report": None,
@@ -1171,9 +1181,29 @@ _BASE_ARGS = {
     "bounds.eval_column": [dict(spec=bounds.BoundSpec("MCM", "C", QUANTUM, 0.3, p=0.2),
                                 variable="p", xs=[0.1, 0.5])],
     "bounds.table1_report": [dict(c=0.3, p=0.2, omega=0.4)],
+    "bounds.nc_mesd_confidences": [dict(c=0.3, omega=0.4)],
+    "bounds.omega_star": [dict(c=0.3)],
+    "bounds.nc_mcm_guessing": [dict(c=0.3, p=0.2)],
     "sweeps.SweepSpec": [dict(variable="c", start=0.2, stop=0.8, points=3, fixed={"p": 0.5},
                               targets=(CELLS[0],))],
     "sweeps.table_cmd": [dict(c=0.3, p=0.2, omega=0.4)],
+}
+
+# The scalar-only column of the table: the bounded parameters that are one
+# number by nature, for which an array or a sequence is a ContractError.
+# Every other bounded parameter takes an array: a grid, a stack, or the
+# array-aware model and closed forms.
+_SCALAR_ONLY = {
+    "qtheory.Ensemble": ("noise",),
+    "qtheory.make_pure_pair": ("theta",),
+    "qtheory.noisy_ensemble": ("theta", "p"),
+    "qtheory.usd_povm": ("gamma1", "gamma2"),
+    "qtheory.mcm_povm": ("alpha",),
+    "qtheory.mcm_optimal": ("theta", "p"),
+    "bounds.BoundSpec": ("c", "p", "omega"),
+    "bounds.table1_report": ("c", "p", "omega"),
+    "sweeps.SweepSpec": ("start", "stop", "fixed"),
+    "sweeps.table_cmd": ("c", "p", "omega"),
 }
 
 
@@ -1200,6 +1230,8 @@ def test_every_bounded_parameter_has_base_arguments():
     for key, (_, params) in _FOUND.items():
         if _BASE_ARGS[key] is not None:
             assert set(params) <= {k for kwargs in _BASE_ARGS[key] for k in kwargs}, key
+    for key, names in _SCALAR_ONLY.items():
+        assert _BASE_ARGS[key] and set(names) <= set(_FOUND[key][1]), key
 
 
 def _put(base, value):
@@ -1264,3 +1296,11 @@ def test_every_bounded_parameter_is_typed_and_range_checked(key, name):
             for same in (k, np.float64(k), np.int64(k)):
                 assert _outcome(fn, call(same)) == want, (same, want)
         assert returned  # 0.0 or 1.0 gave a value, so the bits were compared
+        # the scalar-only column: a shaped value is a ContractError there,
+        # and an array is taken by every other parameter given as a number
+        if name in _SCALAR_ONLY.get(key, ()):
+            for shaped in (np.array([0.1, 0.2]), [0.1, 0.2], np.array([[0.3]])):
+                with pytest.raises(ContractError):
+                    fn(**call(shaped))
+        elif not isinstance(kwargs[name], (list, dict)):
+            fn(**{**kwargs, **{k: np.array([0.1, 0.2]) for k in kwargs if k in _BOUNDED}})

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ctxsd import ncmodel as nc
+from ctxsd import bounds, ncmodel as nc
 from ctxsd.errors import (
     ContractError,
     DivergenceError,
@@ -179,7 +179,7 @@ def test_nc_mesd_confidences_against_construction():
     for c in np.linspace(0.0, 1.0, 21):
         scn = nc.canonical_scenario(float(c), 0.0)
         for w in np.linspace(0.0, 1.0, 21):
-            closed = nc.nc_mesd_confidences(float(c), float(w))
+            closed = bounds.nc_mesd_confidences(float(c), float(w))
             figs = nc.nc_figures(scn, nc.mesd_mixed_strategy(float(w)))
             if figs.c1 is not None:
                 assert figs.c1 == pytest.approx(closed[0], abs=1e-12)
@@ -189,25 +189,25 @@ def test_nc_mesd_confidences_against_construction():
 
 def test_nc_mesd_confidences_examples():
     c = 0.6
-    assert nc.nc_mesd_confidences(c, 0.5) == pytest.approx(
+    assert bounds.nc_mesd_confidences(c, 0.5) == pytest.approx(
         (1.0 - 0.5 * c, 1.0 - 0.5 * c), abs=1e-15
     )
-    c1, c2 = nc.nc_mesd_confidences(c, 0.0)
+    c1, c2 = bounds.nc_mesd_confidences(c, 0.0)
     assert c1 == pytest.approx(1.0, abs=1e-15)
     assert c2 == pytest.approx(1.0 / (1.0 + c), abs=1e-15)
-    assert nc.nc_mesd_confidences(1.0, 0.0) == (0.5, 0.5)
+    assert bounds.nc_mesd_confidences(1.0, 0.0) == (0.5, 0.5)
 
 
 def test_nc_mesd_confidence_at_threshold_equals_helstrom():
-    c1, _ = nc.nc_mesd_confidences(0.5, nc.omega_star(0.5))
+    c1, _ = bounds.nc_mesd_confidences(0.5, bounds.omega_star(0.5))
     assert c1 == pytest.approx(0.8535533905932738, abs=1e-12)
 
 
 def test_omega_symmetry():
     for c in np.linspace(0.0, 1.0, 21):
         for w in np.linspace(0.0, 1.0, 21):
-            a = nc.nc_mesd_confidences(float(c), float(w))
-            b = nc.nc_mesd_confidences(float(c), 1.0 - float(w))
+            a = bounds.nc_mesd_confidences(float(c), float(w))
+            b = bounds.nc_mesd_confidences(float(c), 1.0 - float(w))
             assert a[0] == pytest.approx(b[1], abs=1e-12)
             assert a[1] == pytest.approx(b[0], abs=1e-12)
 
@@ -217,39 +217,39 @@ def test_omega_symmetry():
 
 
 def test_omega_star_value_and_limit():
-    assert nc.omega_star(0.5) == pytest.approx(0.2071067811865475, abs=1e-12)
-    assert nc.omega_star(1e-6) == pytest.approx(0.25, abs=1e-4)
-    assert nc.omega_star(0.0) == 0.25
+    assert bounds.omega_star(0.5) == pytest.approx(0.2071067811865475, abs=1e-12)
+    assert bounds.omega_star(1e-6) == pytest.approx(0.25, abs=1e-4)
+    assert bounds.omega_star(0.0) == 0.25
 
 
 def test_omega_star_matches_textbook_form():
     for c in np.linspace(0.01, 0.99, 50):
         s = math.sqrt(1.0 - c)
         textbook = (1.0 - c) * (1.0 - s) / (2.0 * c * s)
-        assert nc.omega_star(float(c)) == pytest.approx(textbook, abs=1e-12)
+        assert bounds.omega_star(float(c)) == pytest.approx(textbook, abs=1e-12)
 
 
 def test_omega_star_bounded_and_divergent_at_one():
     for c in np.linspace(0.01, 0.99, 25):
-        assert 0.0 < nc.omega_star(float(c)) <= 0.25
+        assert 0.0 < bounds.omega_star(float(c)) <= 0.25
     with pytest.raises(DivergenceError):
-        nc.omega_star(1.0)
+        bounds.omega_star(1.0)
 
 
 def test_omega_star_of_an_array_equals_its_scalar_calls():
     cs = np.linspace(0.0, 1.0 - 1e-9, 101)
-    scalar = [nc.omega_star(float(c)) for c in cs]
+    scalar = [bounds.omega_star(float(c)) for c in cs]
     assert all(type(w) is float for w in scalar)
     # the closed form in Python floats
     assert scalar == [math.sqrt(1.0 - c) / (2.0 * (1.0 + math.sqrt(1.0 - c))) for c in cs.tolist()]
     for shape in ((101,), (101, 1)):
-        got = nc.omega_star(cs.reshape(shape))
+        got = bounds.omega_star(cs.reshape(shape))
         assert got.shape == shape and got.tobytes() == np.array(scalar).tobytes()
     with pytest.raises(DivergenceError):
-        nc.omega_star(np.array([0.5, 1.0]))
+        bounds.omega_star(np.array([0.5, 1.0]))
     for bad in (np.array([0.5, 1.5]), np.array([-0.1, 0.5]), np.array([math.nan]), -0.1):
         with pytest.raises(DomainError):
-            nc.omega_star(bad)
+            bounds.omega_star(bad)
 
 
 def test_omega_star_by_bisection_against_helstrom():
@@ -258,11 +258,11 @@ def test_omega_star_by_bisection_against_helstrom():
         lo, hi = 0.0, 1.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if nc.nc_mesd_confidences(c, mid)[0] > helstrom:
+            if bounds.nc_mesd_confidences(c, mid)[0] > helstrom:
                 lo = mid
             else:
                 hi = mid
-        assert nc.omega_star(c) == pytest.approx(0.5 * (lo + hi), abs=1e-9)
+        assert bounds.omega_star(c) == pytest.approx(0.5 * (lo + hi), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -378,19 +378,19 @@ def test_hand_integral_reproduction():
 
 
 def test_nc_mcm_guessing_examples():
-    assert nc.nc_mcm_guessing(0.5, 0.5) == pytest.approx(0.25, abs=1e-15)
+    assert bounds.nc_mcm_guessing(0.5, 0.5) == pytest.approx(0.25, abs=1e-15)
     for p in (0.0, 0.3, 1.0):
-        assert nc.nc_mcm_guessing(0.0, p) == pytest.approx(
+        assert bounds.nc_mcm_guessing(0.0, p) == pytest.approx(
             0.5 * (1.0 - 0.5 * p), abs=1e-15
         )
-    assert nc.nc_mcm_guessing(0.4, 0.0) == pytest.approx(0.3, abs=1e-15)  # (1-c)/2
+    assert bounds.nc_mcm_guessing(0.4, 0.0) == pytest.approx(0.3, abs=1e-15)  # (1-c)/2
 
 
 def test_nc_mcm_guessing_factorises():
     for c in np.linspace(0.0, 1.0, 21):
         for p in np.linspace(0.05, 1.0, 20):
             p_0 = 0.5 * (1.0 + (1.0 - p) * c)
-            assert nc.nc_mcm_guessing(float(c), float(p)) == pytest.approx(
+            assert bounds.nc_mcm_guessing(float(c), float(p)) == pytest.approx(
                 (1.0 - p_0) * mcnc(float(c), float(p)), abs=1e-12
             )
 
@@ -462,11 +462,11 @@ def test_stacked_figures_equal_their_points():
 
 def test_stacked_closed_forms_equal_their_points():
     c, w = np.meshgrid(_AXIS, _AXIS, indexing="ij")
-    c1, c2 = nc.nc_mesd_confidences(c, w)
-    guess = nc.nc_mcm_guessing(c, w)
+    c1, c2 = bounds.nc_mesd_confidences(c, w)
+    guess = bounds.nc_mcm_guessing(c, w)
     for k in np.ndindex(c.shape):
-        assert (c1[k], c2[k]) == nc.nc_mesd_confidences(float(c[k]), float(w[k]))
-        assert guess[k] == nc.nc_mcm_guessing(float(c[k]), float(w[k]))
+        assert (c1[k], c2[k]) == bounds.nc_mesd_confidences(float(c[k]), float(w[k]))
+        assert guess[k] == bounds.nc_mcm_guessing(float(c[k]), float(w[k]))
 
 
 def test_stacked_oracles_equal_their_points():

@@ -2,9 +2,11 @@
 
 ``import ctxsd`` loads no submodule, and each command loads only the
 modules it runs: ``bounds``, ``table``, ``sweep`` and ``figure`` load
-neither the construction route (``qtheory``) nor the verify suite
-(``harness``). Each public name is imported from its home module on first
-use, and is that module's object.
+neither the construction route (``qtheory``), nor the oracle route
+(``ncmodel``), nor the verify suite (``harness``). The closed-form route,
+``bounds``, is a leaf: importing it loads only ``config`` and ``errors``.
+Each public name is imported from its home module on first use, and is
+that module's object.
 """
 
 import json
@@ -25,6 +27,8 @@ def loaded():
 
 import ctxsd
 bare = loaded()
+import ctxsd.bounds
+leaf = loaded()
 from ctxsd.cli import main
 codes = []
 for argv in json.loads(sys.argv[1]):
@@ -36,7 +40,7 @@ star = {}
 exec("from ctxsd import *", star)
 home = lambda name: importlib.import_module("ctxsd." + ctxsd._HOME[name])
 print(json.dumps({
-    "bare": bare, "codes": codes, "commands": commands, "checks": checks,
+    "bare": bare, "leaf": leaf, "codes": codes, "commands": commands, "checks": checks,
     "not_home": [n for n in ctxsd.__all__ if getattr(ctxsd, n) is not getattr(home(n), n)],
     "not_starred": [n for n in ctxsd.__all__ if star.get(n) is not getattr(ctxsd, n)],
 }))
@@ -57,8 +61,10 @@ def test_import_loads_only_what_a_command_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
     assert seen["bare"] == []
+    assert seen["leaf"] == ["ctxsd.bounds", "ctxsd.config", "ctxsd.errors"]
     assert seen["codes"] == [0] * len(commands)
-    assert not {"ctxsd.qtheory", "ctxsd.harness"} & set(seen["commands"]), seen["commands"]
+    other_routes = {"ctxsd.qtheory", "ctxsd.ncmodel", "ctxsd.harness"}
+    assert not other_routes & set(seen["commands"]), seen["commands"]
     assert seen["checks"] > 0
     assert seen["not_home"] == []
     assert seen["not_starred"] == []
