@@ -11,7 +11,8 @@ outcome (P_0 = 0) and unambiguous conclusive outcomes are certain (C = 1).
 This is the closed-form route; it imports neither of the others. The 19
 cells' expressions are written once, in ``_closed_form``, over a namespace
 that supplies sqrt (numpy here, sympy or mpmath to evaluate the same code
-exactly), and guarded outside it, in ``_guarded`` and ``omega_star``.
+exactly), and guarded outside it, in ``_require_regular``, ``_guarded`` and
+``omega_star``.
 """
 
 from __future__ import annotations
@@ -211,16 +212,21 @@ def _omega_star(c, xp=np):
     return t / (2.0 * (1.0 + t))
 
 
-def _guarded(cell, c, p, omega):
-    """``_closed_form`` over numpy, guarded: an MCM confidence raises
-    DivergenceError where its denominator is within ``DEFAULTS.norm`` of 0
-    (the pure coincident pair), and both MESD arms take 1/2 at c = 1, where
-    the canonical model forces it and their denominators can vanish."""
+def _require_regular(cell, c, p) -> None:
+    """Raise DivergenceError if ``cell`` is an MCM confidence whose
+    denominator is within ``DEFAULTS.norm`` of 0 at (c, p), or at any point
+    of a grid (c, p): the pure coincident pair. Every other cell is finite."""
     if cell.scheme == "MCM" and cell.figure == "C":
         singular = _mcm_denominator(cell.theory == QUANTUM, c, p) <= DEFAULTS.norm
         if singular.any() if isinstance(singular, np.ndarray) else singular:
             raise DivergenceError("confidence undefined for a pure coincident pair")
-    elif (cell.scheme, cell.figure, cell.theory) == _ARMED:
+
+
+def _guarded(cell, c, p, omega):
+    """``_closed_form`` over numpy at points that ``_require_regular`` has
+    passed, with both MESD arms 1/2 at c = 1, where the canonical model
+    forces it and their denominators can vanish."""
+    if (cell.scheme, cell.figure, cell.theory) == _ARMED:
         coincident = c == 1.0
         if isinstance(coincident, np.ndarray):
             with np.errstate(divide="ignore", invalid="ignore"):  # discarded at c = 1
@@ -232,6 +238,7 @@ def _guarded(cell, c, p, omega):
 
 def eval_bound(spec: BoundSpec) -> float:
     """Closed-form value of one table cell."""
+    _require_regular(spec, spec.c, spec.p)
     return float(_guarded(spec, spec.c, spec.p, spec.omega))
 
 
@@ -256,6 +263,7 @@ def eval_column(spec: BoundSpec, variable: str | Sequence[str],
         shape = np.shape(grid)
         if params[name] is not None:
             params[name] = grid
+    _require_regular(spec, params["c"], params["p"])
     return np.broadcast_to(_guarded(spec, **params), shape)
 
 
@@ -385,11 +393,12 @@ def table1_report(
     c: float, p: float, omega: float, tols: Tolerances = DEFAULTS
 ) -> Table1Report:
     """Evaluate every cell of the gap table at one parameter point."""
-    # c, omega and p, checked once, in the order the cells would check them
-    for x, name in ((c, "confusability"), (omega, "omega"), (p, "noise")):
-        require_in(x, name, scalar=True)
+    # c, omega and p as floats, checked once, in the order the cells would check them
+    c_passed, c = c, require_in(c, "confusability", scalar=True)
+    omega = require_in(omega, "omega", scalar=True)
+    p = require_in(p, "noise", scalar=True)
     if 0.0 < c < 1.0:
-        w_star = omega_star(c)
+        w_star = float(_omega_star(c))  # omega_star, with c already checked
         window: Optional[tuple[float, float]] = (w_star, 1.0 - w_star)
     else:
         window = None
@@ -407,4 +416,5 @@ def table1_report(
             cells[key] = ConfidencePairCell(
                 arm1, arm2, window, arm1.advantage and arm2.advantage
             )
-    return Table1Report(c, p, omega, cells, usd_possible=c < 1.0)
+    # compared as passed: a numpy bool for a numpy c
+    return Table1Report(c, p, omega, cells, usd_possible=c_passed < 1.0)

@@ -124,7 +124,7 @@ def _cmd_bounds(args: argparse.Namespace, tols: config.Tolerances) -> int:
 
 def _cmd_sweep(args: argparse.Namespace, tols: config.Tolerances) -> int:
     from .csvout import write_csv, write_csv_to
-    from .sweeps import SweepSpec, run_sweep
+    from .sweeps import SweepSpec, _stream
 
     targets = tuple(_parse_target(tok) for tok in args.target)
     spec = SweepSpec(
@@ -135,17 +135,17 @@ def _cmd_sweep(args: argparse.Namespace, tols: config.Tolerances) -> int:
         fixed={"c": args.c, "p": args.p, "omega": args.omega},
         targets=targets,
     )
-    result = run_sweep(spec)
-    for sub in result.substitutions:
+    header, substitutions, blocks = _stream(spec)  # raises before a byte is written
+    for sub in substitutions:
         print(
             f"note: row {sub.index}: {spec.variable} = {sub.grid_x:.9g} is singular; "
             f"evaluated at {sub.used_x:.9g}",
             file=sys.stderr,
         )
     if args.out is None:
-        write_csv_to(sys.stdout, result.header, result.table)
+        write_csv_to(sys.stdout, header, blocks)
     else:
-        write_csv(args.out, result.header, result.table)
+        write_csv(args.out, header, blocks)
         print(f"wrote {args.out}")
     return 0
 

@@ -20,9 +20,13 @@ separator, spaces NUL. The longest such texts are 16 bytes (as
 word, read from the data, and prints ``"%-19.9g"``. A column whose 64-bit
 patterns are equal in every row of a chunk (0.0 and -0.0 differ, as do NaN
 payloads) is not run through the kernel: each run of such columns is
-formatted once per table, keyed by its columns and patterns, and repeated
-down the chunk as its text. A table's kernel temporaries and word buffers
-are allocated once, sized to a chunk, and every step writes into them.
+formatted once per output, keyed by its columns and patterns, and repeated
+down the chunk as its text. An output's kernel temporaries and word
+buffers are allocated once, sized to its longest chunk, and every step
+writes into them. An output may come as an iterator of row blocks (a sweep
+writes its rows so): each block is formatted and written before the next is
+drawn, so the writer holds one block at a time, and the first block is
+drawn before a byte is written or a file is opened.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -39,6 +43,9 @@ from .errors import ContractError
 __all__ = ["write_csv", "write_csv_to"]
 
 _CSV_CHUNK = 4096  # rows formatted per write
+
+# One table, or an iterator of them: its row blocks
+_Rows = Union[Sequence, np.ndarray, Iterator[Union[Sequence, np.ndarray]]]
 
 # A cell's lead word: its separator, a NUL and "0.", after another cell and
 # first in its row
@@ -62,12 +69,21 @@ def _csv_digits() -> np.ndarray:
 
 
 class _CsvTable:
-    """The CSV writer of one table of ``columns`` columns: its kernel's
-    scratch, allocated once and sized to a chunk of ``rows`` rows, into which
-    every step of the kernel writes, and the text of each constant run."""
+    """The CSV writer of one output of ``columns`` columns: its kernel's
+    scratch, allocated at its first chunk, sized to that chunk and enlarged
+    only for a longer one, into which every step of the kernel writes, and
+    the text of each constant run."""
 
-    def __init__(self, rows: int, columns: int) -> None:
-        size = rows * columns
+    def __init__(self, columns: int) -> None:
+        self.size = 0  # cells the scratch holds
+        self.lead = np.where(np.arange(columns) == 0, _CSV_LEAD[1], _CSV_LEAD[0])
+        self.texts: dict[tuple, np.ndarray] = {}  # by columns and bit patterns
+
+    def _reserve(self, size: int) -> None:
+        """Scratch for ``size`` cells."""
+        if size <= self.size:
+            return
+        self.size = size
         self.x, self.v, self.f, self.y, self.r = np.empty((5, size))
         self.fast, self.b1, self.b2 = np.empty((3, size), bool)
         self.count = np.empty(size, np.uint8)
@@ -75,12 +91,11 @@ class _CsvTable:
         self.group = np.empty(size, np.uint32)
         self.words = np.empty(5 * size, np.uint32)  # four words a cell, or five
         self.rows = None  # a chunk's words with its constant runs, on first need
-        self.lead = np.where(np.arange(columns) == 0, _CSV_LEAD[1], _CSV_LEAD[0])
-        self.texts: dict[tuple, np.ndarray] = {}  # by columns and bit patterns
 
     def chunk(self, block: np.ndarray) -> bytes:
         """The CSV text of the rows ``block``, each led by its "\\n"."""
         n, m = block.shape
+        self._reserve(n * m)
         bits = block.view(np.uint64)  # not float ==: 0.0 and -0.0 print apart
         same = np.equal(bits, bits[0], out=self.b1[:n * m].reshape(n, m)).all(axis=0)
         words = self._runs(block, same) if same.any() else self._cells(block)
@@ -89,7 +104,7 @@ class _CsvTable:
     def _runs(self, block: np.ndarray, same: np.ndarray) -> np.ndarray:
         """The ``(rows, words)`` of a chunk ``block`` whose ``same`` columns
         are constant: each run of adjacent constant columns is its text,
-        formatted once per table; the kernel writes the other cells."""
+        formatted once per output; the kernel writes the other cells."""
         n = len(block)
         spans, col = [], 0  # each run's first column, column count and text (None: varying)
         for const, run in itertools.groupby(same.tolist()):
@@ -202,25 +217,37 @@ def _csv_table(header: Sequence[str], rows: Sequence | np.ndarray) -> np.ndarray
     return table
 
 
-def _csv_chunks(header: Sequence[str], table: np.ndarray) -> Iterator[bytes]:
-    """The CSV bytes of a checked ``table``: the header, each chunk of rows
-    (each row led by its "\\n"), then the last "\\n"."""
+def _csv_chunks(header: Sequence[str], rows: _Rows) -> Iterator[bytes]:
+    """The CSV bytes of ``rows``: the header, each chunk of rows (each row
+    led by its "\\n"), then the last "\\n". ``rows`` is one table (an array
+    or a sequence of rows) or an iterator of them, its row blocks; the first
+    block is drawn and checked before the header is yielded."""
+    if isinstance(rows, (np.ndarray, Sequence)):
+        rows = (rows,)
+    blocks = (_csv_table(header, block) for block in rows)
+    first = list(itertools.islice(blocks, 1))
     yield ",".join(header).encode("utf-8")
-    writer = _CsvTable(min(len(table), _CSV_CHUNK), table.shape[1])
-    for start in range(0, len(table), _CSV_CHUNK):
-        yield writer.chunk(table[start:start + _CSV_CHUNK])
+    writer = _CsvTable(len(header))
+    for block in itertools.chain(first, blocks):
+        for start in range(0, len(block), _CSV_CHUNK):
+            yield writer.chunk(block[start:start + _CSV_CHUNK])
     yield b"\n"
 
 
-def write_csv_to(stream: TextIO, header: Sequence[str], rows: Sequence | np.ndarray) -> None:
-    """Write a header line and ``rows`` (a 2-D array or a sequence of
-    equal-length rows, one value per header column) to an open text stream,
-    a chunk of rows at a time."""
-    for chunk in _csv_chunks(header, _csv_table(header, rows)):
+def write_csv_to(stream: TextIO, header: Sequence[str], rows: _Rows) -> None:
+    """Write a header line and ``rows`` to an open text stream, a chunk of
+    rows at a time. ``rows`` is a 2-D array or a sequence of equal-length
+    rows, one value per header column, or an iterator of such tables (row
+    blocks, each written before the next is drawn)."""
+    for chunk in _csv_chunks(header, rows):
         stream.write(chunk.decode("utf-8"))
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Sequence | np.ndarray) -> None:
-    chunks = _csv_chunks(header, _csv_table(header, rows))  # checked before truncating
+def write_csv(path: Path, header: Sequence[str], rows: _Rows) -> None:
+    """``write_csv_to`` into the file ``path``, which is opened only once
+    the first block of ``rows`` is drawn and checked."""
+    chunks = _csv_chunks(header, rows)
+    head = next(chunks)  # a first block that does not fit leaves the file as it was
     with open(path, "wb") as fh:
+        fh.write(head)
         fh.writelines(chunks)

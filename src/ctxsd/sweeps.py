@@ -1,11 +1,15 @@
 """Parameter sweeps, the figure CSVs and the rendered gap table.
 
-``run_sweep`` evaluates each target as one array expression over the grid
-(``bounds.eval_column``). A singular grid endpoint moves inward by half a
-step and is recorded as a ``Substitution``; a singular interior point
-raises. Each figure is a ``SweepSpec`` plus a map to its column names.
-A sweep's table is one ``(1 + targets, points)`` array, returned transposed,
-so a sweep holds it once, plus the temporaries of one column.
+A sweep is evaluated ``_BLOCK`` rows at a time (``_stream``): a target that
+reads the swept variable is one array expression over a block of the grid
+(``bounds``' guarded closed form), any other target is evaluated once. A
+singular grid endpoint moves inward by half a step and is recorded as a
+``Substitution``; a singular interior point raises before the first block,
+so a sweep writes all of its rows or none. ``ctxsd sweep`` and
+``emit_figure`` write each block as it comes, so a sweep holds its grid and
+one block, not its table; ``run_sweep`` copies the blocks into one
+``(1 + targets, points)`` array, returned transposed. Each figure is a
+``SweepSpec`` plus a map to its column names.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -23,12 +27,13 @@ from .bounds import (
     ConfidencePairCell,
     DefinitionalCell,
     GapCertificate,
+    _guarded,
+    _require_regular,
     eval_bound,
-    eval_column,
     table1_report,
 )
 from .config import DEFAULTS, Tolerances
-from .csvout import write_csv
+from .csvout import _CSV_CHUNK, write_csv
 from .errors import ContractError, DivergenceError, DomainError, require_in
 
 __all__ = [
@@ -117,18 +122,23 @@ class SweepResult:
         return tuple(map(tuple, self.table.tolist()))
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every target on the grid, one column per target.
+_BLOCK = 4 * _CSV_CHUNK  # rows a sweep evaluates, and writes, at a time
+
+
+def _stream(spec: SweepSpec) -> tuple[tuple[str, ...], tuple[Substitution, ...],
+                                      Iterator[np.ndarray]]:
+    """The sweep ``spec`` as its header, its substitutions and an iterator
+    of its row blocks, ``_BLOCK`` rows each but the last.
 
     A grid endpoint at which a target's closed form is singular (for
     example the confidence of a pure coincident pair) is shifted inward by
     half a step for every target, so the output stays free of NaN
-    placeholders; each shift is recorded in ``substitutions``. A singular
-    interior point raises.
+    placeholders. A singular interior point raises here, before any block
+    is drawn: every block is tested first, so drawing them raises nothing.
+    A target that does not read the swept variable is evaluated once. Each
+    block is a view of one buffer, which the next block overwrites.
     """
-    table = np.empty((1 + len(spec.targets), spec.points))
-    xs = table[0]
-    xs[...] = np.linspace(spec.start, spec.stop, spec.points)
+    xs = np.linspace(spec.start, spec.stop, spec.points)
     step = (spec.stop - spec.start) / (spec.points - 1) if spec.points > 1 else 0.0
     substitutions = []
     for k, shift in ((0, 0.5 * step), (spec.points - 1, -0.5 * step)) if step else ():
@@ -139,12 +149,47 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         except DivergenceError:  # the only error a closed form raises
             xs[k] = x + shift
             substitutions.append(Substitution(k, x, float(xs[k])))
-    for row, t in zip(table[1:], spec.targets):
-        row[...] = eval_column(t.spec(**spec.fixed), spec.variable, xs)
+    xs = require_in(xs, f"{spec.variable} grid")
+    starts = range(0, spec.points, _BLOCK)
+    buffer = np.empty((1 + len(spec.targets), min(spec.points, _BLOCK)))
+    varying = []  # (row, cell, its parameters with the variable a block's grid)
+    for row, t in enumerate(spec.targets, 1):
+        cell = t.spec(**spec.fixed)
+        params = {"c": cell.c, "p": cell.p, "omega": cell.omega}
+        if params[spec.variable] is None:  # constant: every block shares the row
+            buffer[row] = eval_bound(cell)
+            continue
+        for lo in starts:
+            params[spec.variable] = xs[lo:lo + _BLOCK]
+            _require_regular(cell, params["c"], params["p"])
+        varying.append((row, cell, params))
+
+    def blocks() -> Iterator[np.ndarray]:
+        for lo in starts:
+            x = xs[lo:lo + _BLOCK]
+            n = len(x)
+            buffer[0, :n] = x
+            for row, cell, params in varying:
+                params[spec.variable] = x
+                buffer[row, :n] = _guarded(cell, **params)
+            # column-major as a row table: the CSV writer's np.copyto of a
+            # chunk into its row-major scratch (csvout._CsvTable._cells)
+            # does the transpose
+            yield buffer[:, :n].T
+
     header = (spec.variable, *(t.label for t in spec.targets))
-    # column-major as a row table: the CSV writer's np.copyto of a chunk into
-    # its row-major scratch (csvout._CsvTable._cells) does the transpose
-    return SweepResult(header, table.T, tuple(substitutions))
+    return header, tuple(substitutions), blocks()
+
+
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Evaluate every target on the grid, one column per target, each
+    endpoint substitution recorded in ``substitutions``; a singular interior
+    point raises DivergenceError."""
+    header, substitutions, blocks = _stream(spec)
+    table = np.empty((len(header), spec.points))
+    for lo, block in zip(range(0, spec.points, _BLOCK), blocks):
+        table[:, lo:lo + len(block)] = block.T
+    return SweepResult(header, table.T, substitutions)
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +238,8 @@ class FigureJob:
 
 def emit_figure(job: FigureJob) -> Path:
     """Write one figure's data as CSV and return the path."""
-    result = run_sweep(_FIGURES[job.figure_id])
-    header = [_FIGURE_HEADER.get(name, name) for name in result.header]
-    write_csv(job.out_path, header, result.table)
+    header, _, blocks = _stream(_FIGURES[job.figure_id])
+    write_csv(job.out_path, [_FIGURE_HEADER.get(name, name) for name in header], blocks)
     return job.out_path
 
 

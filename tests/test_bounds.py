@@ -400,6 +400,43 @@ def test_table_full_noise_mcm_confidence_gap_closes():
     assert not cell.advantage
 
 
+def _report_values(report):
+    """Every number of a report as ``float.hex`` (and every flag), in order."""
+    values = [report.c, report.p, report.omega]
+    for cell in report.cells.values():
+        certs = (cell.arm1, cell.arm2) if isinstance(cell, ConfidencePairCell) else (cell,)
+        for cert in certs:
+            if isinstance(cert, DefinitionalCell):
+                values.append(cert.value)
+                continue
+            values += [cert.quantum_value, cert.noncontextual_value, cert.gap, cert.advantage]
+            values += [cert.quantum.c, cert.quantum.p, cert.noncontextual.omega]
+        if isinstance(cell, ConfidencePairCell):
+            values += [*(cell.window or ()), cell.advantage]
+    return [type(v).__name__ + ":" + (repr(v) if v is None or isinstance(v, bool)
+                                      else float.hex(v)) for v in values]
+
+
+@pytest.mark.parametrize("make, point", [
+    (np.float32, (0.3, 0.2, 0.4)),
+    (np.float64, (0.3, 0.2, 0.4)),
+    (np.float64, (1.0 - 1e-12, 1e-9, 0.7)),
+    (int, (0, 1, 0)),
+    (int, (1, 1, 0)),
+])
+def test_table_evaluates_its_cells_at_the_checked_floats(make, point):
+    # a numpy or int argument gives the report of the Python float of the same
+    # value, bit for bit: the cells read the floats that the range check returns
+    given = tuple(make(x) for x in point)
+    report = table1_report(*given)
+    want = table1_report(*(float(x) for x in given))
+    assert _report_values(report) == _report_values(want)
+    assert report.usd_possible == want.usd_possible
+    assert type(want.usd_possible) is bool
+    if make is int:
+        assert type(report.usd_possible) is bool
+
+
 def test_factorisation_identity_both_theories():
     for theory in (QUANTUM, NONCONTEXTUAL):
         for c in np.linspace(0.0, 1.0, 21):
