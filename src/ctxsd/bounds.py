@@ -394,7 +394,7 @@ def table1_report(
 ) -> Table1Report:
     """Evaluate every cell of the gap table at one parameter point."""
     # c, omega and p as floats, checked once, in the order the cells would check them
-    c_passed, c = c, require_in(c, "confusability", scalar=True)
+    c = require_in(c, "confusability", scalar=True)
     omega = require_in(omega, "omega", scalar=True)
     p = require_in(p, "noise", scalar=True)
     if 0.0 < c < 1.0:
@@ -416,5 +416,4 @@ def table1_report(
             cells[key] = ConfidencePairCell(
                 arm1, arm2, window, arm1.advantage and arm2.advantage
             )
-    # compared as passed: a numpy bool for a numpy c
-    return Table1Report(c, p, omega, cells, usd_possible=c_passed < 1.0)
+    return Table1Report(c, p, omega, cells, usd_possible=c < 1.0)

@@ -67,7 +67,7 @@ def _add_point_args(sub: argparse.ArgumentParser) -> None:
 
 @functools.cache  # one per process: parse_args leaves no state in it
 def _build_parser() -> argparse.ArgumentParser:
-    from .sweeps import FIGURE_IDS
+    from .sweeps import FIGURE_IDS, _VARIABLES
 
     parser = argparse.ArgumentParser(
         prog="ctxsd",
@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=_cmd_bounds)
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter and emit CSV")
-    p_sweep.add_argument("--variable", choices=("c", "p", "omega"), required=True)
+    p_sweep.add_argument("--variable", choices=_VARIABLES, required=True)
     p_sweep.add_argument("--start", type=float, default=0.0)
     p_sweep.add_argument("--stop", type=float, default=1.0)
     p_sweep.add_argument("--points", type=int, default=101)
@@ -197,10 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         tols = config.from_env()
         return args.func(args, tols)
-    except CtxsdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CtxsdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,19 +7,20 @@ grid (``qtheory.helstrom_stack``, ``usd_stack``, ``mcm_stack``), whose
 figures are read in one pass; the closed form of each cell as one
 ``eval_column`` call over a grid's c and p arrays; and the canonical
 scenarios of the whole grid as one ``ncmodel.canonical_scenario`` stack,
-over which each brute-force oracle runs once. The scalar constructions and
-figures of merit only rebuild a stack row and its figures in spot checks.
-The relation table ``_RELATIONS`` then compares each table cell with each
-independent route to it (the constructions for quantum cells, the oracles
-for noncontextual ones), every relation in exactly one named check. Every
-closed form comes from ``bounds``, even in an ``ncmodel`` check such as
-``mesd-confidences``, which compares it with ``ncmodel.nc_figures``. The
-structural checks (completeness, monotonicity, model invariants, the
-inequality suite and the like) read the same stacks. Each check reports its
-largest deviation and the number of values it compared, and the report
-records the audited operations whose results it compared. A typed error
-raised inside a check is that check's failure, reported at the error; the
-other checks still run.
+over which each brute-force oracle runs once. The pass keeps the angle
+theta = acos(sqrt(c)) of each c of its grid, computed once: the scalar
+constructions and figures of merit only rebuild a stack row and its figures
+in spot checks, at that row's theta. The relation table ``_RELATIONS`` then
+compares each table cell with each independent route to it (the
+constructions for quantum cells, the oracles for noncontextual ones), every
+relation in exactly one named check. Every closed form comes from
+``bounds``, even in an ``ncmodel`` check such as ``mesd-confidences``, which
+compares it with ``ncmodel.nc_figures``. The structural checks
+(completeness, monotonicity, model invariants, the inequality suite and the
+like) read the same stacks. Each check reports its largest deviation and the
+number of values it compared, and the report records the audited operations
+whose results it compared. A typed error raised inside a check is that
+check's failure, reported at the error; the other checks still run.
 
 The audits are array expressions with no per-point Python and no LAPACK.
 ``povm-completeness`` takes the smallest eigenvalue of each 2x2 element
@@ -34,6 +35,7 @@ located and formatted only for a check's worst item.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import time
 from dataclasses import dataclass
@@ -42,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import bounds, ncmodel, qtheory
+from . import _HOMES, bounds, csvout, ncmodel, qtheory, sweeps
 from .bounds import (
     CELLS,
     DefinitionalCell,
@@ -60,67 +62,22 @@ from .errors import (
     UsdImpossibleError,
 )
 # re-exported: perfbench/run.py traces each function of __all__ as harness.<name>
-from .csvout import write_csv, write_csv_to
-from .sweeps import (
-    FIGURE_IDS,
-    FigureJob,
-    Substitution,
-    SweepResult,
-    SweepSpec,
-    Target,
-    emit_figure,
-    run_sweep,
-    table_cmd,
-)
+from .csvout import *  # noqa: F403
+from .sweeps import *  # noqa: F403
 
-__all__ = [
-    "Target",
-    "SweepSpec",
-    "Substitution",
-    "SweepResult",
-    "run_sweep",
-    "FigureJob",
-    "FIGURE_IDS",
-    "emit_figure",
-    "write_csv",
-    "write_csv_to",
-    "table_cmd",
-    "CheckResult",
-    "VerifyReport",
-    "verify_all",
-    "OPERATIONS",
-]
+__all__ = [*sweeps.__all__, *csvout.__all__, "CheckResult", "VerifyReport", "verify_all",
+           "OPERATIONS"]
 
-# The audited operations. A check lists those whose results its items
-# compare, called by the check or by the shared pass for it; the checks that
-# read only the pass's stacks and closed-form columns list none.
+# The audited operations: every public function of the three routes, less
+# the square root of c, which no route computes independently. A check lists
+# those whose results its items compare, called by the check or by the shared
+# pass for it; the checks that read only the pass's stacks and closed-form
+# columns list none. An operation no check lists fails verify.
+_UNAUDITED = "bounds.overlap_from_confusability"
 OPERATIONS: dict[str, tuple[str, ...]] = {
-    "qtheory": (
-        "make_pure_pair",
-        "mirror",
-        "noisy_ensemble",
-        "guessing_probability",
-        "inconclusive_rate",
-        "confidence",
-        "helstrom_povm",
-        "usd_povm",
-        "usd_optimal",
-        "mcm_povm",
-        "mcm_optimal",
-    ),
-    "ncmodel": (
-        "canonical_scenario",
-        "nc_prob",
-        "confusability",
-        "mesd_mixed_strategy",
-        "usd_response",
-        "nc_figures",
-        "oracle_max_pg",
-        "oracle_max_confidence",
-        "oracle_min_p0_at_max_confidence",
-    ),
-    "bounds": ("eval_bound", "gap", "table1_report", "nc_mesd_confidences", "omega_star",
-               "nc_mcm_guessing"),
+    name: tuple(op for op in _HOMES[name] if inspect.isfunction(getattr(module, op))
+                and f"{name}.{op}" != _UNAUDITED)
+    for name, module in (("qtheory", qtheory), ("ncmodel", ncmodel), ("bounds", bounds))
 }
 
 _ALL_OPS = frozenset(
@@ -234,10 +191,6 @@ def _grid(n: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, n)
 
 
-def _theta_of(c: float) -> float:
-    return math.acos(math.sqrt(c))
-
-
 def _label(point: str | dict | Callable[[], dict]) -> str:
     """The text of a point. Checks record a point as a string, as a dict of
     its named coordinates or as a function giving that dict, and only the
@@ -273,7 +226,8 @@ _ELEMENTS = ("pi_1", "pi_2", "pi_0")
 class _Pass:
     """Every construction and oracle of one verify run, built once.
 
-    ``cs`` is the c grid. ``grids`` holds the c and the p arrays of ``c``
+    ``cs`` is the c grid and ``theta`` its angles, acos(sqrt(c)), those of
+    every stack and spot check. ``grids`` holds the c and the p arrays of ``c``
     (p = 0), ``c<1`` and of ``mcm`` and ``nc``, one n x n grid under two
     names: all of it but the pure coincident pair (1, 0), where the average
     state is singular and the confidences are undefined. Each is c-major, and
@@ -301,7 +255,7 @@ class _Pass:
         self.points = {name: _points(c=c[m]) if name in ("c", "c<1") else _points(c=c[m], p=p[m])
                        for name, m in masks.items()}
         self._closed = {}
-        theta = np.array([_theta_of(x) for x in cs.tolist()])
+        self.theta = theta = np.array([math.acos(math.sqrt(x)) for x in cs.tolist()])
         self.pure = qtheory.helstrom_stack(theta)
         g = np.array(_USD_FRACTIONS) / (1.0 + np.sqrt(cs[:-1, None]))  # no USD at c = 1
         self.povms = qtheory.usd_stack(theta[:-1], np.stack((g, g), axis=-1))
@@ -476,7 +430,7 @@ def _chk_povm_completeness(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     # the scalar constructions and figures rebuild a row of the Helstrom and
     # USD stacks, the pure pair at the middle c, and raise where the stacks do
     row = ev.n // 2
-    ens, point = qtheory.noisy_ensemble(_theta_of(ev.cs[row]), 0.0), ev.points["c"]((row,))
+    ens, point = qtheory.noisy_ensemble(ev.theta[row], 0.0), ev.points["c"]((row,))
     m, rate = qtheory.usd_optimal(ens)
     built = [qtheory.helstrom_povm(ens), m,
              *(qtheory.usd_povm(ens, *g) for g in ev.povms.weights[row, 1:].tolist())]
@@ -489,8 +443,7 @@ def _chk_povm_completeness(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     acc.add(np.array(figures) - np.concatenate([np.stack(
         (s.guessing_probability(), s.inconclusive_rate(), s.confidence(1), s.confidence(2)),
         axis=-1)[0] for s in stacks]), tols.exact, point)
-    ens = qtheory.noisy_ensemble(_theta_of(0.5), 0.0)
-    acc.raises(InfeasibleWeightsError, "c=0.5, g=0.9", qtheory.usd_povm, ens, 0.9, 0.9)
+    acc.raises(InfeasibleWeightsError, {**point, "g": 0.9}, qtheory.usd_povm, ens, 0.9, 0.9)
     acc.raises(UsdImpossibleError, "c=1", qtheory.usd_optimal, qtheory.noisy_ensemble(0.0, 0.0))
 
 
@@ -523,10 +476,10 @@ def _chk_mcm_confidence(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     acc.add(seen.max(axis=1) - seen.min(axis=1), tols.closed_form, ev.points["mcm"])
     # the scalar constructions rebuild a row of the stack: the pure ensemble
     # at the middle c, a point of the mcm grid
-    c = ev.cs[ev.n // 2]
-    ens = qtheory.noisy_ensemble(_theta_of(c), 0.0)
+    c, theta = ev.cs[ev.n // 2], ev.theta[ev.n // 2]
+    ens = qtheory.noisy_ensemble(theta, 0.0)
     row = int(np.flatnonzero((ev.grids["mcm"][0] == c) & (ev.grids["mcm"][1] == 0.0))[0])
-    m, rate = qtheory.mcm_optimal(_theta_of(c), 0.0)
+    m, rate = qtheory.mcm_optimal(theta, 0.0)
     alphas = ev.mcm.weights[row, 1:, 0].tolist()
     built = [m.elements, *(qtheory.mcm_povm(ens, a).elements for a in alphas)]
     acc.add(np.array(built) - ev.mcm.elements[row], tols.exact,
@@ -556,8 +509,7 @@ def _chk_composition(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
 @_check("ncmodel/canonical-invariants", ("ncmodel.canonical_scenario",))
 def _chk_canonical(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     scn = ev.scenario
-    states = ("prep1", "prep2", "mirror1", "mirror2", "mixed", "noisy1", "noisy2")
-    w = np.stack([getattr(scn, s).weights for s in states], axis=-2)
+    w = np.stack([getattr(scn, s).weights for s in ncmodel._STATES], axis=-2)
     prep1, prep2, mirror1, mirror2, mixed, noisy1, _ = (w[..., i, :] for i in range(7))
     q, point = scn.p[..., None], _points(c=scn.c, p=scn.p)
     acc.ok(~((0.5 * prep1 + 0.5 * mirror1 != 0.5 * prep2 + 0.5 * mirror2).any(-1)  # mirrors

@@ -433,8 +433,7 @@ def test_table_evaluates_its_cells_at_the_checked_floats(make, point):
     assert _report_values(report) == _report_values(want)
     assert report.usd_possible == want.usd_possible
     assert type(want.usd_possible) is bool
-    if make is int:
-        assert type(report.usd_possible) is bool
+    assert type(report.usd_possible) is bool
 
 
 def test_factorisation_identity_both_theories():

@@ -905,6 +905,31 @@ def test_render_lists_every_check_once():
     assert "operations exercised: 26/26" in rendered
 
 
+def test_the_audit_is_every_public_function_of_the_routes():
+    # every function ``import ctxsd`` exports from a route, but the square
+    # root of c that no route computes
+    public = {f"{ctxsd._HOME[name]}.{name}" for name in ctxsd.__all__
+              if ctxsd._HOME[name] in ("qtheory", "ncmodel", "bounds")
+              and inspect.isfunction(getattr(ctxsd, name))}
+    audited = {f"{module}.{op}" for module, ops in harness.OPERATIONS.items() for op in ops}
+    assert audited == public - {"bounds.overlap_from_confusability"}
+    assert len(audited) == 26
+
+
+def test_an_operation_no_check_declares_fails_verify(monkeypatch):
+    checks = [(name, tuple(op for op in ops if op != "qtheory.mirror"), fn)
+              for name, ops, fn in harness._CHECKS]
+    assert checks != harness._CHECKS
+    monkeypatch.setattr(harness, "_CHECKS", checks)
+    report = verify_all(5)
+    assert all(ch.passed for ch in report.checks)
+    assert not report.passed
+    assert report.missing_ops == ("qtheory.mirror",)
+    rendered = report.render()
+    assert "operations exercised: 25/26" in rendered
+    assert "not exercised: qtheory.mirror" in rendered.splitlines()
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -1127,6 +1152,15 @@ def test_every_exported_name_resolves(module):
     # perfbench/run.py --trace 1 looks up each name of __all__ with getattr
     for name in module.__all__:
         assert hasattr(module, name), name
+
+
+def test_harness_reexports_the_sweep_and_csv_functions_it_traces():
+    # perfbench/run.py traces each function of harness.__all__ by identity,
+    # in every module that binds it
+    for module in (sweeps, csvout):
+        for name in module.__all__:
+            assert name in harness.__all__, name
+            assert getattr(harness, name) is getattr(module, name), name
 
 
 _NAN = math.nan
