@@ -8,6 +8,7 @@ variable.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -50,8 +51,8 @@ def from_env(base: Tolerances = DEFAULTS) -> Tolerances:
         floor = float(raw)
     except ValueError:
         raise DomainError(f"{ENV_TOL} must be a number, got {raw!r}") from None
-    if not floor > 0.0:
-        raise DomainError(f"{ENV_TOL} must be positive, got {floor}")
+    if not 0.0 < floor < math.inf:
+        raise DomainError(f"{ENV_TOL} must be positive and finite, got {floor}")
     return replace(
         base,
         exact=max(base.exact, floor),

@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the one range check of
-its parameters."""
+"""Exception types shared across the package, the one range check of its
+parameters and the one type check of its counts."""
 
 import math
+import operator
 
 import numpy as np
 
@@ -73,3 +74,14 @@ def require_in(x, name: str, hi: float = 1.0, scalar: bool = False):
         rows = ~inside.reshape(len(a), -1).all(axis=1) if a.ndim else inside
         bad = f"{a[~inside][0]}" + (f" (row {int(rows.argmax())})" if rows.size > 1 else "")
     raise DomainError(f"{name} must lie in [0, {'pi' if hi == math.pi else f'{hi:g}'}], got {bad}")
+
+
+def require_int(x, name: str) -> int:
+    """``x`` as an int: a Python or numpy integer. Anything else (a float, a
+    str, None, a bool) raises ContractError."""
+    if not isinstance(x, bool):  # operator.index takes True as 1
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ContractError(f"{name} must be an integer, got {x!r}")

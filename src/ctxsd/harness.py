@@ -10,12 +10,14 @@ scenarios of the whole grid as one ``ncmodel.canonical_scenario`` stack,
 over which each brute-force oracle runs once. The pass keeps the angle
 theta = acos(sqrt(c)) of each c of its grid, computed once: the scalar
 constructions and figures of merit only rebuild a stack row and its figures
-in spot checks, at that row's theta. The relation table ``_RELATIONS`` then
+in spot checks, at that row's theta. The route table ``_RELATIONS`` then
 compares each table cell with each independent route to it (the
 constructions for quantum cells, the oracles for noncontextual ones), every
-relation in exactly one named check. Every closed form comes from
-``bounds``, even in an ``ncmodel`` check such as ``mesd-confidences``, which
-compares it with ``ncmodel.nc_figures``. The structural checks
+relation in exactly one named check: a row names the check, the cell, its
+grid, the reader that takes the route's values from the pass and the limit.
+Each check takes its rows when it is registered. Every closed form comes
+from ``bounds``, even in an ``ncmodel`` check such as ``mesd-confidences``,
+which compares it with ``ncmodel.nc_figures``. The structural checks
 (completeness, monotonicity, model invariants, the inequality suite and the
 like) read the same stacks. Each check reports its largest deviation and the
 number of values it compared, and the report records the audited operations
@@ -60,6 +62,7 @@ from .errors import (
     DomainError,
     InfeasibleWeightsError,
     UsdImpossibleError,
+    require_int,
 )
 # re-exported: perfbench/run.py traces each function of __all__ as harness.<name>
 from .csvout import *  # noqa: F403
@@ -215,11 +218,6 @@ def _points(**coords) -> Callable[[tuple], dict]:
 _CELL = {cell.label: cell for cell in CELLS}
 _USD_FRACTIONS = (0.25, 0.5, 0.6, 1.0)  # usd_povm weights, in units of 1/(1 + sqrt(c))
 _MCM_FRACTIONS = (0.25, 0.5)  # MCM weights besides the optimal alpha, in units of it
-# the routes of the stacks: their optimal measurements, and those at further weights
-_HELSTROM, _USD, _MCM = "helstrom_stack", "usd_stack", "mcm_stack"
-_USD_PART, _MCM_PART = "usd_stack at given weights", "mcm_stack at fractions of alpha"
-_MIN_P0 = "oracle_min_p0_at_max_confidence"
-_BOTH_ORACLES = "(1 - P_0) C(1) of both oracles"
 _ELEMENTS = ("pi_1", "pi_2", "pi_0")
 
 
@@ -227,20 +225,21 @@ class _Pass:
     """Every construction and oracle of one verify run, built once.
 
     ``cs`` is the c grid and ``theta`` its angles, acos(sqrt(c)), those of
-    every stack and spot check. ``grids`` holds the c and the p arrays of ``c``
-    (p = 0), ``c<1`` and of ``mcm`` and ``nc``, one n x n grid under two
-    names: all of it but the pure coincident pair (1, 0), where the average
-    state is singular and the confidences are undefined. Each is c-major, and
-    ``points[grid]`` the point dict of an index into one. ``values[cell,
-    route]`` holds a route's values of one table cell on its relation's grid,
-    in point order; readers reshape them to one row per point. ``scenario``
-    is one ``canonical_scenario`` stack over the c grid times the p grid and
-    p = 1/2; each oracle runs once over its part. The measurements are one
-    stack per scheme, ``stacks[grid]`` the one on each grid: ``pure`` the
-    Helstrom measurements of the ``c`` grid, ``povms`` the USD measurements
-    of the ``c<1`` grid, at the optimal weight and at ``_USD_FRACTIONS``,
-    and ``mcm`` the MCM measurements of the ``mcm`` grid, at the optimal
-    weight and at ``_MCM_FRACTIONS`` of it.
+    every stack and spot check. ``grids`` holds the c and the p arrays of
+    ``c`` (p = 0), ``c<1`` and ``nc``, the n x n grid but for the pure
+    coincident pair (1, 0), where the average state is singular and the
+    confidences are undefined. Each is c-major, and ``points[grid]`` the
+    point dict of an index into one. ``scenario`` is one
+    ``canonical_scenario`` stack over the c grid times the p grid and
+    p = 1/2. The measurements are one stack per scheme, ``stacks[grid]`` the
+    one on each grid: ``pure`` the Helstrom measurements of the ``c`` grid,
+    ``povms`` the USD measurements of the ``c<1`` grid, at the optimal
+    weight and at ``_USD_FRACTIONS``, and ``mcm`` the MCM measurements of
+    the ``nc`` grid, at the optimal weight and at ``_MCM_FRACTIONS`` of it.
+    Each oracle runs once over its part of ``scenario``, in point order:
+    ``max_pg`` on the ``c`` grid, and ``min_p0`` and both columns of
+    ``max_conf`` on the ``nc`` grid, whose pure scenarios, the points of
+    ``c<1``, ``pure_nc`` marks.
     """
 
     def __init__(self, n: int) -> None:
@@ -248,43 +247,26 @@ class _Pass:
         self.n = n
         c, p = np.meshgrid(cs, np.union1d(cs, [0.5]), indexing="ij")  # p = 1/2 at every density
         self.scenario = ncmodel.canonical_scenario(c, p)
-        square = np.isin(p, cs)
-        masks = {"c": p == 0.0, "c<1": (p == 0.0) & (c < 1.0)}
-        masks["mcm"] = masks["nc"] = square & ~((p == 0.0) & (c == 1.0))
+        masks = {"c": p == 0.0, "c<1": (p == 0.0) & (c < 1.0),
+                 "nc": np.isin(p, cs) & ~((p == 0.0) & (c == 1.0))}
         self.grids = {name: (c[m], p[m]) for name, m in masks.items()}
-        self.points = {name: _points(c=c[m]) if name in ("c", "c<1") else _points(c=c[m], p=p[m])
+        self.points = {name: _points(c=c[m], p=p[m]) if name == "nc" else _points(c=c[m])
                        for name, m in masks.items()}
         self._closed = {}
         self.theta = theta = np.array([math.acos(math.sqrt(x)) for x in cs.tolist()])
         self.pure = qtheory.helstrom_stack(theta)
         g = np.array(_USD_FRACTIONS) / (1.0 + np.sqrt(cs[:-1, None]))  # no USD at c = 1
         self.povms = qtheory.usd_stack(theta[:-1], np.stack((g, g), axis=-1))
-        c, p = self.grids["mcm"]
+        c, p = self.grids["nc"]
         self.mcm = qtheory.mcm_stack(theta[np.searchsorted(cs, c)], p, (1.0, *_MCM_FRACTIONS))
-        self.stacks = {"c": self.pure, "c<1": self.povms, "mcm": self.mcm}
-        self.values = {("MESD_C_Q", _HELSTROM): self.pure.confidence(1)[:, 0]}
-        for scheme, route, part, stack in (("MESD", _HELSTROM, None, self.pure),
-                                           ("USD", _USD, _USD_PART, self.povms),
-                                           ("MCM", _MCM, _MCM_PART, self.mcm)):
-            self.values[f"{scheme}_Pg_Q", route] = stack.guessing_probability()[:, 0]
-            self.values[f"{scheme}_P0_Q", route] = stack.inconclusive_rate()[:, 0]
-            if part:  # the optimal measurements, then those at further weights
-                conf = stack.confidences()
-                self.values[f"{scheme}_C_Q", route] = conf[:, 0]
-                self.values[f"{scheme}_C_Q", part] = conf[:, 1:]
+        self.stacks = {"c": self.pure, "c<1": self.povms, "nc": self.mcm}
 
         nc = self.scenario[masks["nc"]]
-        p_0 = ncmodel.oracle_min_p0_at_max_confidence(nc)[1]
-        conf = np.stack([ncmodel.oracle_max_confidence(nc, i, noisy=True)[1] for i in (1, 2)], -1)
-        pure = nc.p == 0.0  # the pure scenarios, at c < 1
-        self.values.update({
-            ("MESD_Pg_NC", "oracle_max_pg"): ncmodel.oracle_max_pg(self.scenario[masks["c"]])[1],
-            ("MCM_P0_NC", _MIN_P0): p_0,
-            ("MCM_C_NC", "oracle_max_confidence"): conf,
-            ("MCM_Pg_NC", _BOTH_ORACLES): (1.0 - p_0) * conf[:, 0],
-            ("USD_P0_NC", _MIN_P0): p_0[pure],
-            ("USD_Pg_NC", _MIN_P0): 1.0 - p_0[pure],
-        })
+        self.min_p0 = ncmodel.oracle_min_p0_at_max_confidence(nc)[1]
+        self.max_conf = np.stack([ncmodel.oracle_max_confidence(nc, i, noisy=True)[1]
+                                  for i in (1, 2)], -1)
+        self.max_pg = ncmodel.oracle_max_pg(self.scenario[masks["c"]])[1]
+        self.pure_nc = nc.p == 0.0
 
     def stack_point(self, grid: str, k: tuple) -> dict:
         """The point of entry ``k`` = (row, measurement, ...) of the stack on
@@ -298,8 +280,6 @@ class _Pass:
     def closed(self, cell: str, grid: str) -> np.ndarray:
         """The closed form of the cell labelled ``cell`` at each point of
         ``grid``: one ``eval_column`` over its c and p arrays."""
-        if grid == "mcm":  # the points of "nc"
-            grid = "nc"
         if (cell, grid) not in self._closed:
             self._closed[cell, grid] = eval_column(_CELL[cell].spec(0.5, 0.5, 0.5), ("c", "p"),
                                                    self.grids[grid])
@@ -313,53 +293,58 @@ class _Pass:
 
 _CLOSED, _ORACLE, _EXACT = (attrgetter(f) for f in ("closed_form", "oracle", "exact"))
 _BUILT = "bounds/construction-consistency"
+_Read = Callable[[_Pass], np.ndarray]
 
-# Every cross-route relation of the table, each asserted by one check: what
-# ``route`` gives for the table cell ``cell`` on ``grid`` equals the cell's
-# closed form within ``limit(tols)``. Quantum cells are compared with the
-# measurement constructions, noncontextual cells with the oracles.
-_RELATIONS: tuple[tuple[str, str, str, str, Callable[[Tolerances], float]], ...] = (
-    # check, cell, route, grid, limit
-    (_BUILT, "MESD_Pg_Q", _HELSTROM, "c", lambda t: min(t.closed_form, 1e-10)),
-    (_BUILT, "MESD_P0_Q", _HELSTROM, "c", _EXACT),
-    (_BUILT, "MESD_C_Q", _HELSTROM, "c", _CLOSED),
-    (_BUILT, "USD_P0_Q", _USD, "c<1", _CLOSED),
-    (_BUILT, "USD_Pg_Q", _USD, "c<1", _CLOSED),
-    (_BUILT, "USD_C_Q", _USD, "c<1", _CLOSED),
-    (_BUILT, "MCM_P0_Q", _MCM, "mcm", _CLOSED),
-    (_BUILT, "MCM_Pg_Q", _MCM, "mcm", _CLOSED),
-    (_BUILT, "MCM_C_Q", _MCM, "mcm", _CLOSED),
-    ("qtheory/usd-certainty", "USD_C_Q", _USD_PART, "c<1", lambda t: 1e-10),
-    ("qtheory/mcm-confidence", "MCM_C_Q", _MCM_PART, "mcm", _CLOSED),
-    ("ncmodel/oracle-max-pg", "MESD_Pg_NC", "oracle_max_pg", "c", _ORACLE),
-    ("ncmodel/oracle-max-confidence", "MCM_C_NC", "oracle_max_confidence", "nc",
+# The route table: every cross-route relation of the table, each asserted by
+# one check. What ``read`` takes from the pass for the table cell ``cell``,
+# one value or row per point of ``grid``, equals the cell's closed form there
+# within ``limit(tols)``. Quantum cells read the measurement stacks, at the
+# optimal weight ([:, 0]) or at the further ones ([:, 1:]); noncontextual
+# cells read the oracles.
+_RELATIONS: tuple[tuple[str, str, str, _Read, Callable[[Tolerances], float]], ...] = (
+    # check, cell, grid, read, limit
+    (_BUILT, "MESD_Pg_Q", "c", lambda ev: ev.pure.guessing_probability()[:, 0],
+     lambda t: min(t.closed_form, 1e-10)),
+    (_BUILT, "MESD_P0_Q", "c", lambda ev: ev.pure.inconclusive_rate()[:, 0], _EXACT),
+    (_BUILT, "MESD_C_Q", "c", lambda ev: ev.pure.confidence(1)[:, 0], _CLOSED),
+    (_BUILT, "USD_P0_Q", "c<1", lambda ev: ev.povms.inconclusive_rate()[:, 0], _CLOSED),
+    (_BUILT, "USD_Pg_Q", "c<1", lambda ev: ev.povms.guessing_probability()[:, 0], _CLOSED),
+    (_BUILT, "USD_C_Q", "c<1", lambda ev: ev.povms.confidences()[:, 0], _CLOSED),
+    (_BUILT, "MCM_P0_Q", "nc", lambda ev: ev.mcm.inconclusive_rate()[:, 0], _CLOSED),
+    (_BUILT, "MCM_Pg_Q", "nc", lambda ev: ev.mcm.guessing_probability()[:, 0], _CLOSED),
+    (_BUILT, "MCM_C_Q", "nc", lambda ev: ev.mcm.confidences()[:, 0], _CLOSED),
+    ("qtheory/usd-certainty", "USD_C_Q", "c<1", lambda ev: ev.povms.confidences()[:, 1:],
+     lambda t: 1e-10),
+    ("qtheory/mcm-confidence", "MCM_C_Q", "nc", lambda ev: ev.mcm.confidences()[:, 1:], _CLOSED),
+    ("ncmodel/oracle-max-pg", "MESD_Pg_NC", "c", attrgetter("max_pg"), _ORACLE),
+    ("ncmodel/oracle-max-confidence", "MCM_C_NC", "nc", attrgetter("max_conf"),
      lambda t: min(t.exact, t.oracle)),
-    ("ncmodel/oracle-min-p0", "MCM_P0_NC", _MIN_P0, "nc", _ORACLE),
-    ("ncmodel/oracle-min-p0", "USD_P0_NC", _MIN_P0, "c<1", _ORACLE),
-    ("ncmodel/oracle-min-p0", "USD_Pg_NC", _MIN_P0, "c<1", _ORACLE),
-    ("bounds/oracle-consistency", "MCM_Pg_NC", _BOTH_ORACLES, "nc", _ORACLE),
+    ("ncmodel/oracle-min-p0", "MCM_P0_NC", "nc", attrgetter("min_p0"), _ORACLE),
+    ("ncmodel/oracle-min-p0", "USD_P0_NC", "c<1", lambda ev: ev.min_p0[ev.pure_nc], _ORACLE),
+    ("ncmodel/oracle-min-p0", "USD_Pg_NC", "c<1", lambda ev: 1.0 - ev.min_p0[ev.pure_nc],
+     _ORACLE),
+    ("bounds/oracle-consistency", "MCM_Pg_NC", "nc",  # (1 - P_0) C(1) of both oracles
+     lambda ev: (1.0 - ev.min_p0) * ev.max_conf[:, 0], _ORACLE),
 )
 
 _CHECKS: list[tuple[str, tuple[str, ...], Callable[[_Pass, Tolerances, _Acc], None]]] = []
 
 
 def _check(name: str, ops: Sequence[str]):
-    """Register the check ``name``: its rows of ``_RELATIONS``, then the
-    structural items the decorated function adds."""
+    """Register the check ``name`` with its rows of ``_RELATIONS``; a check
+    with structural items decorates the function that adds them."""
+    rows = tuple(row[1:] for row in _RELATIONS if row[0] == name)
+    body = []
 
-    def deco(fn):
-        def run(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
-            for check, cell, route, grid, limit in _RELATIONS:
-                if check == name:
-                    want = ev.closed(cell, grid)
-                    got = ev.values[cell, route].reshape(len(want), -1)
-                    acc.add(got - want[:, None], limit(tols), ev.points[grid])
+    def run(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
+        for cell, grid, read, limit in rows:
+            want = ev.closed(cell, grid)
+            acc.add(read(ev).reshape(len(want), -1) - want[:, None], limit(tols), ev.points[grid])
+        for fn in body:
             fn(ev, tols, acc)
 
-        _CHECKS.append((name, tuple(ops), run))
-        return fn
-
-    return deco
+    _CHECKS.append((name, tuple(ops), run))
+    return lambda fn: body.append(fn) or fn
 
 
 # Checks made of relation rows only.
@@ -371,7 +356,7 @@ for _name, _ops in (
     ("ncmodel/oracle-max-confidence", ("ncmodel.oracle_max_confidence",)),
     ("ncmodel/oracle-min-p0", ("ncmodel.oracle_min_p0_at_max_confidence", "ncmodel.nc_figures")),
 ):
-    _check(_name, _ops)(lambda ev, tols, acc: None)
+    _check(_name, _ops)
 
 
 @_check("qtheory/pure-pair-and-mirror", ("qtheory.make_pure_pair", "qtheory.mirror"))
@@ -437,7 +422,7 @@ def _chk_povm_completeness(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     stacks = (ev.pure[row:row + 1], ev.povms[row:row + 1])
     acc.add(np.array([m.elements for m in built])
             - np.concatenate([s.elements[0] for s in stacks]), tols.exact, point)
-    acc.add(rate - ev.values["USD_P0_Q", _USD][row], tols.exact, point)
+    acc.add(rate - ev.povms.inconclusive_rate()[row, 0], tols.exact, point)
     figures = [[qtheory.guessing_probability(ens, m), qtheory.inconclusive_rate(ens, m),
                 qtheory.confidence(ens, m, 1), qtheory.confidence(ens, m, 2)] for m in built]
     acc.add(np.array(figures) - np.concatenate([np.stack(
@@ -452,49 +437,48 @@ def _chk_helstrom_balance(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     # Distinct states only: the c = 1 tie-break measurement has a dead arm.
     hits = ev.pure.hits[:-1, 0]
     acc.add(hits[:, 0] - hits[:, 1], 1e-10, ev.points["c<1"])
-    acc.add(ev.values["MESD_Pg_Q", _HELSTROM][-1] - 0.5, tols.exact, "c=1 tie-break")
+    acc.add(ev.pure.guessing_probability()[-1, 0] - 0.5, tols.exact, "c=1 tie-break")
 
 
 @_check("qtheory/mesd-confidence-identity", ())
 def _chk_mesd_confidence(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     # both confidences of the Helstrom measurement equal its P_g (outcome 2
     # never fires at c = 1)
-    p_g = ev.values["MESD_Pg_Q", _HELSTROM]
-    acc.add(ev.values["MESD_C_Q", _HELSTROM] - p_g, 1e-10, ev.points["c"])
+    p_g = ev.pure.guessing_probability()[:, 0]
+    acc.add(ev.pure.confidence(1)[:, 0] - p_g, 1e-10, ev.points["c"])
     acc.add(ev.pure[:-1].confidence(2)[:, 0] - p_g[:-1], 1e-10, ev.points["c<1"])
 
 
-_check("qtheory/usd-certainty", ())(lambda ev, tols, acc: None)  # its relation row only
+_check("qtheory/usd-certainty", ())  # its relation row only
 
 
 @_check("qtheory/mcm-confidence", ("qtheory.noisy_ensemble", "qtheory.mcm_optimal",
                                     "qtheory.mcm_povm", "qtheory.confidence"))
 def _chk_mcm_confidence(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     # the confidences do not depend on the conclusive weight alpha
-    optimal = ev.values["MCM_C_Q", _MCM]
-    seen = np.hstack([optimal, ev.values["MCM_C_Q", _MCM_PART].reshape(len(optimal), -1)])
-    acc.add(seen.max(axis=1) - seen.min(axis=1), tols.closed_form, ev.points["mcm"])
+    seen = ev.mcm.confidences()
+    acc.add(seen.max(axis=(1, 2)) - seen.min(axis=(1, 2)), tols.closed_form, ev.points["nc"])
     # the scalar constructions rebuild a row of the stack: the pure ensemble
-    # at the middle c, a point of the mcm grid
+    # at the middle c, a point of the nc grid
     c, theta = ev.cs[ev.n // 2], ev.theta[ev.n // 2]
     ens = qtheory.noisy_ensemble(theta, 0.0)
-    row = int(np.flatnonzero((ev.grids["mcm"][0] == c) & (ev.grids["mcm"][1] == 0.0))[0])
+    row = int(np.flatnonzero((ev.grids["nc"][0] == c) & (ev.grids["nc"][1] == 0.0))[0])
     m, rate = qtheory.mcm_optimal(theta, 0.0)
     alphas = ev.mcm.weights[row, 1:, 0].tolist()
     built = [m.elements, *(qtheory.mcm_povm(ens, a).elements for a in alphas)]
     acc.add(np.array(built) - ev.mcm.elements[row], tols.exact,
-            lambda k: ev.stack_point("mcm", (row, *k)))
-    point = ev.points["mcm"]((row,))
-    acc.add(rate - ev.values["MCM_P0_Q", _MCM][row], tols.exact, point)
+            lambda k: ev.stack_point("nc", (row, *k)))
+    point = ev.points["nc"]((row,))
+    acc.add(rate - ev.mcm.inconclusive_rate()[row, 0], tols.exact, point)
     conf = [qtheory.confidence(ens, m, i) for i in (1, 2)]
-    acc.add(conf - optimal[row], tols.exact, point)
+    acc.add(conf - seen[row, 0], tols.exact, point)
 
 
 @_check("qtheory/mcm-monotonicity", ())
 def _chk_mcm_monotonicity(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     # the optimal rate rises with c at fixed p > 0 and falls with p > 0 at fixed c
-    xs, p = ev.cs, ev.grids["mcm"][1]
-    r = ev.values["MCM_P0_Q", _MCM][p > 0.0].reshape(ev.n, -1)  # one row per c, p > 0
+    xs, p = ev.cs, ev.grids["nc"][1]
+    r = ev.mcm.inconclusive_rate()[p > 0.0, 0].reshape(ev.n, -1)  # one row per c, p > 0
     acc.add(np.minimum(np.diff(r, axis=0), 0.0), tols.exact, _points(c=xs[1:, None], p=xs[1:]))
     acc.add(np.minimum(-np.diff(r, axis=1), 0.0), tols.exact, _points(c=xs[:, None], p=xs[2:]))
 
@@ -502,8 +486,9 @@ def _chk_mcm_monotonicity(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
 @_check("qtheory/composition-identity", ())
 def _chk_composition(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     # P_g = (1 - P_0) C(1) for the optimal MCM measurement
-    p_g, p_0, conf = (ev.values[f"MCM_{f}_Q", _MCM] for f in ("Pg", "P0", "C"))
-    acc.add(p_g - (1.0 - p_0) * conf[:, 0], 1e-10, ev.points["mcm"])
+    m = ev.mcm
+    acc.add(m.guessing_probability()[:, 0] - (1.0 - m.inconclusive_rate()[:, 0])
+            * m.confidence(1)[:, 0], 1e-10, ev.points["nc"])
 
 
 @_check("ncmodel/canonical-invariants", ("ncmodel.canonical_scenario",))
@@ -657,7 +642,10 @@ def verify_all(points: int, tols: Tolerances = DEFAULTS) -> VerifyReport:
     properties pinned to a 101-point grid keep that density regardless. A
     check that raises a ``CtxsdError`` fails with the error as its worst
     point; one raised while the shared pass is built fails every check.
+    ``points`` that is not an integer raises ContractError, and one below 5
+    DomainError.
     """
+    points = require_int(points, "grid density")
     if points < 5:
         raise DomainError(f"grid density must be at least 5, got {points}")
     try:

@@ -14,7 +14,6 @@ one block, not its table; ``run_sweep`` copies the blocks into one
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -34,7 +33,7 @@ from .bounds import (
 )
 from .config import DEFAULTS, Tolerances
 from .csvout import _CSV_CHUNK, write_csv
-from .errors import ContractError, DivergenceError, DomainError, require_in
+from .errors import ContractError, DivergenceError, DomainError, require_in, require_int
 
 __all__ = [
     "Target",
@@ -73,10 +72,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.variable not in _VARIABLES:
             raise ContractError(f"unknown sweep variable {self.variable!r}")
-        try:
-            object.__setattr__(self, "points", operator.index(self.points))
-        except TypeError:
-            raise ContractError(f"sweep points must be an integer, got {self.points!r}") from None
+        object.__setattr__(self, "points", require_int(self.points, "sweep points"))
         if self.points < 1:
             raise DomainError("a sweep needs at least one grid point")
         for name in ("start", "stop"):

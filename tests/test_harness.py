@@ -158,6 +158,12 @@ def test_sweep_points_must_be_an_integer():
     assert type(spec.points) is int and len(run_sweep(spec).rows) == 5
 
 
+@pytest.mark.parametrize("points", [True, "5", None])
+def test_sweep_points_reject_a_bool_a_str_and_none(points):
+    with pytest.raises(ContractError, match="sweep points must be an integer"):
+        SweepSpec("c", 0.0, 1.0, points, {}, (Target("MESD", "P_g", QUANTUM),))
+
+
 _SWEPT_CELLS = tuple(t for t in CELLS if (t.scheme, t.figure) not in bounds._DEFINITIONAL)
 
 
@@ -434,6 +440,19 @@ def test_verify_all_passes_at_low_density():
 def test_verify_all_rejects_sparse_grid():
     with pytest.raises(DomainError):
         verify_all(4)
+
+
+@pytest.mark.parametrize("points", [5.0, "21", None, True])
+def test_verify_all_rejects_a_grid_density_that_is_not_an_integer(points):
+    with pytest.raises(ContractError, match="grid density must be an integer"):
+        verify_all(points)
+
+
+def test_verify_all_density_rule_is_the_sweep_points_rule():
+    # a numpy integer is taken as an int; one below the minimum keeps its message
+    assert verify_all(np.int64(5)).points == 5
+    with pytest.raises(DomainError, match="grid density must be at least 5, got 4"):
+        verify_all(np.int64(4))
 
 
 def test_verify_all_reports_failure_with_corrupted_tolerances():
@@ -863,11 +882,10 @@ def test_pass_columns_equal_the_per_c_rows():
     # one eval_column call over a grid's (c, p) arrays gives, bit for bit, the
     # columns of one call over p per value of c
     ev = harness._Pass(21)
-    for grid in ("mcm", "nc"):
-        c, p = ev.grids[grid]
-        for cell in (cell for cell in CELLS if not cell.has_arms):
-            rows = [bounds.eval_column(cell.spec(x, 0.5, 0.5), "p", p[c == x]) for x in ev.cs]
-            assert np.array_equal(ev.closed(cell.label, grid), np.concatenate(rows)), cell.label
+    c, p = ev.grids["nc"]
+    for cell in (cell for cell in CELLS if not cell.has_arms):
+        rows = [bounds.eval_column(cell.spec(x, 0.5, 0.5), "p", p[c == x]) for x in ev.cs]
+        assert np.array_equal(ev.closed(cell.label, "nc"), np.concatenate(rows)), cell.label
 
 
 def test_cli_verify_json_writes_null_for_a_failed_pass_fail_item(monkeypatch, capsys):
@@ -884,17 +902,35 @@ def test_cli_verify_json_writes_null_for_a_failed_pass_fail_item(monkeypatch, ca
 
 
 def test_relation_table_homes_each_route_once():
-    homes = {}
-    for check, _, route, _, _ in harness._RELATIONS:
-        homes.setdefault(route, set()).add(check)
-    assert all(len(checks) == 1 for checks in homes.values()), homes
-    for (_, name), home in _ROUTE_HOMES.items():
-        assert homes[name] == {home}
+    # every quantum cell is read from the measurement stacks alone, every
+    # noncontextual cell from the oracle results alone
+    ev = harness._Pass(5)
+    stacks = types.SimpleNamespace(pure=ev.pure, povms=ev.povms, mcm=ev.mcm)
+    oracles = types.SimpleNamespace(max_pg=ev.max_pg, min_p0=ev.min_p0, max_conf=ev.max_conf,
+                                    pure_nc=ev.pure_nc)
+    quantum = {cell.label for cell in CELLS if cell.theory == QUANTUM}
+    for _, cell, grid, read, _ in harness._RELATIONS:
+        values = read(stacks if cell in quantum else oracles)
+        assert len(values) == len(ev.grids[grid][0]), cell
+    assert quantum <= {cell for _, cell, _, _, _ in harness._RELATIONS}
     registered = {name for name, _, _ in harness._CHECKS}
-    assert set().union(*homes.values()) <= registered
-    # every quantum cell is compared with a construction
-    cells = {cell for _, cell, _, _, _ in harness._RELATIONS}
-    assert {cell.label for cell in CELLS if cell.theory == QUANTUM} <= cells
+    assert {check for check, _, _, _, _ in harness._RELATIONS} <= registered
+
+
+# The cells with no relation row, each held by a named check.
+_STRUCTURAL_CELLS = {
+    "MESD_P0_NC": "bounds/table-report",
+    "USD_C_NC": "bounds/table-report",
+    "MESD_C1_NC": "ncmodel/mesd-confidences",
+    "MESD_C2_NC": "ncmodel/mesd-confidences",
+}
+
+
+def test_every_cell_has_a_relation_row_or_is_structural():
+    related = {cell for _, cell, _, _, _ in harness._RELATIONS}
+    assert related == {cell.label for cell in CELLS} - set(_STRUCTURAL_CELLS)
+    registered = {name for name, _, _ in harness._CHECKS}
+    assert set(_STRUCTURAL_CELLS.values()) <= registered
 
 
 def test_render_lists_every_check_once():
@@ -1112,9 +1148,10 @@ def test_env_tolerance_override(monkeypatch):
     monkeypatch.setenv(config.ENV_TOL, "junk")
     with pytest.raises(DomainError):
         config.from_env()
-    monkeypatch.setenv(config.ENV_TOL, "-1")
-    with pytest.raises(DomainError):
-        config.from_env()
+    for raw in ("-1", "inf", "1e400"):
+        monkeypatch.setenv(config.ENV_TOL, raw)
+        with pytest.raises(DomainError):
+            config.from_env()
 
 
 def test_env_tolerance_only_loosens(monkeypatch):
