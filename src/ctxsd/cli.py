@@ -200,6 +200,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CtxsdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # an input too large to hold, such as 10^12 sweep points
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,32 +1,32 @@
 """CSV output is deterministic: comma separated, ``.`` decimal point, LF line
 endings, header row first, every cell the bytes of ``"%.9g" % x``. One numpy
-kernel writes 4096 rows at a time as four uint32 words a cell: a lead word
-holding the separator before the cell (``"\\n"`` for a row's first cell, so
-the header goes out without its newline and one ``"\\n"`` ends the table), a
-NUL and "0.", then three digit words; every byte it does not set is NUL,
-deleted by one ``bytes.translate``. Its fast path covers 1e-4 <= x < 1: y =
-x 10^k in [10^8, 10^9) is within 2^-24 of exact, so rint(y) is the
-nine-digit mantissa unless |y - rint(y)| >= 1/2 - 1e-6; k indexes a power
-table, and 1e12 / 10^k is exact for k = 9..12. The fraction digits f <
-10^12 split exactly as hi = floor(f 1e-8), rest = f - hi 1e8, mid =
-floor(rest 1e-4), lo = rest - mid 1e4: as fl(1e-8) and fl(1e-4) exceed their
-powers, no product is below its integer part, nor (off by < 2e-12) reaches
-the next one, >= 1e-8 away; the rest is integer arithmetic. A table holds
-each four-digit group and, in its second half, the group with trailing "0"s
-as NUL, read by the lowest group and by a higher one where all below are 0.
-Exact 0 and 1 are one digit; any other cell is ``"%-15.9g"`` after its
-separator, spaces NUL. The longest such texts are 16 bytes (as
-``-1.23456789e-100``), so a call that holds one gives every cell a fifth
-word, read from the data, and prints ``"%-19.9g"``. A column whose 64-bit
-patterns are equal in every row of a chunk (0.0 and -0.0 differ, as do NaN
-payloads) is not run through the kernel: each run of such columns is
-formatted once per output, keyed by its columns and patterns, and repeated
-down the chunk as its text. An output's kernel temporaries and word
-buffers are allocated once, sized to its longest chunk, and every step
-writes into them. An output may come as an iterator of row blocks (a sweep
-writes its rows so): each block is formatted and written before the next is
-drawn, so the writer holds one block at a time, and the first block is
-drawn before a byte is written or a file is opened.
+kernel writes a chunk of ``_CELLS`` cells at a time (whole rows, at least
+one) as four uint32 words a cell: a lead word holding the separator before
+the cell (``"\\n"`` for a row's first cell, so the header goes out without
+its newline and one ``"\\n"`` ends the table), a NUL and "0.", then three
+digit words; every byte it does not set is NUL, deleted by one
+``bytes.translate``. Its fast path covers 1e-4 <= x < 1: y = x 10^k in
+[10^8, 10^9) is within 2^-24 of exact, so rint(y) is the nine-digit mantissa
+unless |y - rint(y)| >= 1/2 - 1e-6; k indexes a power table, and 1e12 / 10^k
+is exact for k = 9..12. The fraction digits f < 10^12 split exactly as hi =
+floor(f 1e-8), rest = f - hi 1e8, mid = floor(rest 1e-4), lo = rest - mid
+1e4: as fl(1e-8) and fl(1e-4) exceed their powers, no product is below its
+integer part, nor (off by < 2e-12) reaches the next one, >= 1e-8 away; the
+rest is integer arithmetic. A table holds each four-digit group and, in its
+second half, the group with trailing "0"s as NUL, read by the lowest group
+and by a higher one where all below are 0. Exact 0 and 1 are one digit; any
+other cell is ``"%-15.9g"`` after its separator, spaces NUL. The longest
+such texts are 16 bytes (as ``-1.23456789e-100``), so a call that holds one
+gives every cell a fifth word, read from the data, and prints
+``"%-19.9g"``. A column whose 64-bit patterns are equal in every row of a
+chunk of rows (0.0 and -0.0 differ, as do NaN payloads) skips the kernel:
+each run of such columns is formatted once per output, keyed by its
+columns and patterns, and its text repeated down the chunk among the
+kernel's cells. The kernel's temporaries and one word buffer are allocated
+once per output, sized to its longest chunk. An output may come as an
+iterator of row blocks (a sweep writes its rows so): each block is written
+before the next is drawn, so the writer holds one block at a time, and the
+first is drawn before a byte is written or a file is opened.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import ContractError
 
 __all__ = ["write_csv", "write_csv_to"]
 
-_CSV_CHUNK = 4096  # rows formatted per write
+_CELLS = 32_768  # cells formatted per write
 
 # One table, or an iterator of them: its row blocks
 _Rows = Union[Sequence, np.ndarray, Iterator[Union[Sequence, np.ndarray]]]
@@ -54,6 +54,11 @@ _CSV_LEAD = np.frombuffer(b",\x000.\n\x000.", np.uint32)
 _DIGIT_LEAD = np.frombuffer(b"\0\x000\0\0\x001\0", np.uint32)
 _POW10 = 10.0 ** np.arange(13)
 _BELOW_1 = np.nextafter(1.0, 0.0)
+
+
+def _chunk_rows(columns: int) -> int:
+    """The rows of a chunk of ``columns`` columns: ``_CELLS`` cells, or one row."""
+    return max(1, _CELLS // columns)
 
 
 @functools.cache
@@ -70,9 +75,8 @@ def _csv_digits() -> np.ndarray:
 
 class _CsvTable:
     """The CSV writer of one output of ``columns`` columns: its kernel's
-    scratch, allocated at its first chunk, sized to that chunk and enlarged
-    only for a longer one, into which every step of the kernel writes, and
-    the text of each constant run."""
+    scratch, sized to its longest chunk so far, into which every step of
+    the kernel writes, and the text of each constant run."""
 
     def __init__(self, columns: int) -> None:
         self.size = 0  # cells the scratch holds
@@ -81,16 +85,12 @@ class _CsvTable:
 
     def _reserve(self, size: int) -> None:
         """Scratch for ``size`` cells."""
-        if size <= self.size:
-            return
-        self.size = size
-        self.x, self.v, self.f, self.y, self.r = np.empty((5, size))
-        self.fast, self.b1, self.b2 = np.empty((3, size), bool)
-        self.count = np.empty(size, np.uint8)
-        self.k = np.empty(size, np.intp)
-        self.group = np.empty(size, np.uint32)
-        self.words = np.empty(5 * size, np.uint32)  # four words a cell, or five
-        self.rows = None  # a chunk's words with its constant runs, on first need
+        if size > self.size:
+            self.size = size
+            self.x, self.y, self.f, self.r = np.empty((4, size))
+            self.fast, self.b1, self.b2 = np.empty((3, size), bool)
+            self.count = np.empty(size, np.uint8)
+            self.words = np.empty(5 * size, np.uint32)  # four words a cell, or five
 
     def chunk(self, block: np.ndarray) -> bytes:
         """The CSV text of the rows ``block``, each led by its "\\n"."""
@@ -98,34 +98,13 @@ class _CsvTable:
         self._reserve(n * m)
         bits = block.view(np.uint64)  # not float ==: 0.0 and -0.0 print apart
         same = np.equal(bits, bits[0], out=self.b1[:n * m].reshape(n, m)).all(axis=0)
-        words = self._runs(block, same) if same.any() else self._cells(block)
-        return words.tobytes().translate(None, b"\0")
-
-    def _runs(self, block: np.ndarray, same: np.ndarray) -> np.ndarray:
-        """The ``(rows, words)`` of a chunk ``block`` whose ``same`` columns
-        are constant: each run of adjacent constant columns is its text,
-        formatted once per output; the kernel writes the other cells."""
-        n = len(block)
+        same &= n > 1  # one row is all constant: its texts would pile up, one per row
         spans, col = [], 0  # each run's first column, column count and text (None: varying)
         for const, run in itertools.groupby(same.tolist()):
-            m = len(list(run))
-            spans.append((col, m, self._text(block, col, m) if const else None))
-            col += m
-        varying = np.flatnonzero(~same)
-        if len(varying):
-            words = self._cells(block, varying)
-            width = words.shape[1] // len(varying)
-        pieces, v = [], 0
-        for col, m, text in spans:
-            if text is None:
-                pieces.append(words[:, width * v:width * (v + m)])
-                v += m
-            else:
-                pieces.append(np.broadcast_to(text, (n, len(text))))
-        if self.rows is None:  # a run's text is at most five words a cell too
-            self.rows = np.empty_like(self.words)
-        total = sum(piece.shape[1] for piece in pieces)
-        return np.concatenate(pieces, axis=1, out=self.rows[:n * total].reshape(n, total))
+            count = len(list(run))
+            spans.append((col, count, self._text(block, col, count) if const else None))
+            col += count
+        return self._cells(block, spans).tobytes().translate(None, b"\0")
 
     def _text(self, block: np.ndarray, col: int, m: int) -> np.ndarray:
         """The words of the first row's ``m`` cells from column ``col``, NULs
@@ -133,40 +112,40 @@ class _CsvTable:
         key = (col, m, block[0, col:col + m].tobytes())
         text = self.texts.get(key)
         if text is None:
-            text = self._cells(block[:1], slice(col, col + m)).tobytes().translate(None, b"\0")
+            text = self._cells(block[:1], [(col, m, None)]).tobytes().translate(None, b"\0")
             text = self.texts[key] = np.frombuffer(text + bytes(-len(text) % 4), np.uint32)
         return text
 
-    def _cells(self, block: np.ndarray, columns: slice | np.ndarray = slice(None)) -> np.ndarray:
-        """The kernel: the ``(rows, words)`` of ``block``'s ``columns`` (a
-        slice or an index array), each cell its column's lead word, then
-        ``b"%.9g" % x``, every byte it does not set NUL. A cell is four words;
-        it is five in every cell if one cell's text is 16 bytes."""
-        lead = self.lead[columns]
-        n, m = len(block), len(lead)
-        size = n * m
-        x, v, f, y, r = (a[:size] for a in (self.x, self.v, self.f, self.y, self.r))
-        fast, b1, b2, count, k, group = (
-            a[:size] for a in (self.fast, self.b1, self.b2, self.count, self.k, self.group)
-        )
-        if isinstance(columns, slice):
-            np.copyto(x.reshape(n, m), block[:, columns])
-        else:
-            np.take(block, columns, axis=1, out=x.reshape(n, m), mode="clip")
+    def _cells(self, block: np.ndarray, spans: list) -> np.ndarray:
+        """The kernel: the ``(rows, words)`` of ``block`` laid out as
+        ``spans``, its runs of (first column, count, text). A run with a text
+        is that text in each row; each cell of another is its column's lead
+        word then ``b"%.9g" % x``, every byte it does not set NUL. A cell is
+        four words; it is five in every cell if one cell's text is 16 bytes."""
+        n = len(block)
+        varying = [(col, m) for col, m, text in spans if text is None]  # its cells are x
+        starts = [0, *itertools.accumulate(m for _, m in varying)]  # of each run in x
+        mv = starts[-1]
+        x, y, f, r = (a[:n * mv] for a in (self.x, self.y, self.f, self.r))
+        fast, b1, b2, count = (a[:n * mv] for a in (self.fast, self.b1, self.b2, self.count))
+        k = r.view(np.intp)  # an index, in r while r is free
+        for (col, m), at in zip(varying, starts):
+            np.copyto(x.reshape(n, mv)[:, at:at + m], block[:, col:col + m])
         np.greater_equal(x, 1e-4, out=fast)
         fast &= np.less(x, 1.0, out=b1)
-        np.fmin(np.fmax(x, 1e-4, out=v), _BELOW_1, out=v)  # x, or any x off the path moved into it
+        np.fmin(np.fmax(x, 1e-4, out=y), _BELOW_1, out=y)  # x, or any x off the path moved into it
         # x = y 10^-k with 10^8 <= y < 10^9: the thresholds are the doubles
         # nearest 10^-1..10^-3, each just above its power, so k is exact
-        np.add(np.less(v, 0.1, out=b1).view(np.uint8), np.less(v, 0.01, out=b2).view(np.uint8),
+        np.add(np.less(y, 0.1, out=b1).view(np.uint8), np.less(y, 0.01, out=b2).view(np.uint8),
                out=count)
-        count += np.less(v, 0.001, out=b1).view(np.uint8)
+        count += np.less(y, 0.001, out=b1).view(np.uint8)
         scale = np.take(_POW10, np.add(count, 9, out=k), out=f, mode="wrap")
-        np.multiply(v, scale, out=y)
+        np.multiply(y, scale, out=y)
+        np.divide(1e12, scale, out=f)  # exact
         np.rint(y, out=r)
         fast &= np.less(np.abs(np.subtract(y, r, out=y), out=y), 0.5 - 1e-6, out=b1)
-        # the twelve fraction digits, an exact integer: 1e12 / 10^k is exact
-        np.multiply(r, np.divide(1e12, scale, out=f), out=f)
+        # the twelve fraction digits, an exact integer
+        np.multiply(r, f, out=f)
         fast &= np.less(f, 1e12, out=b1)  # 10^12: x rounds to 1
         np.multiply(f, fast, out=f)  # 0 off the fast path: its digit words are NUL
         # exact 0 and 1 are one digit; every other cell is "%.9g" itself
@@ -174,32 +153,52 @@ class _CsvTable:
         digit |= np.equal(x, 1.0, out=b2)
         slow = np.flatnonzero(np.logical_not(np.logical_or(fast, digit, out=b2), out=b2))
         digit = np.flatnonzero(digit)
+        digit_lead = _DIGIT_LEAD[(x[digit] == 1.0).view(np.int8), None]
         values = tuple(x[slow].tolist())
-        printed = (b"%-15.9g" * len(slow)) % values
+        printed = (b"\0%-15.9g" * len(slow)) % values
         width = 4
-        if len(printed) > 15 * len(slow):  # a 16-byte text: with its separator, 17
+        if len(printed) > 16 * len(slow):  # a 16-byte text: with its separator, 17
             width = 5
-            printed = (b"%-19.9g" * len(slow)) % values
-        cells = self.words[:width * size].reshape(size, width)
-        cells.reshape(n, m, width)[:, :, 0] = lead
-        cells[:, 4:] = 0
-        # f = hi 10^8 + mid 10^4 + lo, split exactly
-        hi = np.floor(np.multiply(f, 1e-8, out=y), out=y)
+            printed = (b"\0%-19.9g" * len(slow)) % values
+        # each run in its place in a row: its text, or width words a cell
+        total = sum(width * m if text is None else len(text) for _, m, text in spans)
+        words = self.words[:n * total]
+        rows = words.reshape(n, total)
+        views, first, place = [], [], 0  # each varying run's cells; each x column's first word
+        for col, m, text in spans:
+            if text is None:
+                cells = rows[:, place:place + width * m].reshape(n, m, width)
+                cells[:, :, 0] = self.lead[col:col + m]
+                cells[:, :, 4:] = 0
+                views.append(cells)
+                first.extend(range(place, place + width * m, width))
+            else:
+                rows[:, place:place + len(text)] = text
+            place += width * m if text is None else len(text)
+        # f = hi 10^8 + mid 10^4 + lo, split exactly into the spent x, r and y
+        hi = np.floor(np.multiply(f, 1e-8, out=x), out=x)
         rest = np.subtract(f, np.multiply(hi, 1e8, out=r), out=r)
-        mid = np.floor(np.multiply(rest, 1e-4, out=v), out=v)
+        mid = np.floor(np.multiply(rest, 1e-4, out=y), out=y)
         lo = np.subtract(rest, np.multiply(mid, 1e4, out=f), out=f)
         # each group's digits, its "0"s NUL from the lowest nonzero group down
         np.add(np.multiply(np.equal(rest, 0.0, out=b1), 1e4, out=rest), hi, out=hi)
         np.add(np.multiply(np.equal(lo, 0.0, out=b1), 1e4, out=rest), mid, out=mid)
         np.add(lo, 1e4, out=lo)
-        digits = _csv_digits()
+        digits, group = _csv_digits(), x.view(np.uint32)[:n * mv]  # in x once hi is in k
         for word, index in ((1, hi), (2, mid), (3, lo)):
             np.copyto(k, index, casting="unsafe")
-            cells[:, word] = np.take(digits, k, out=group, mode="wrap")
-        cells[digit, 0] = cells[digit, 0] & 0xFF | _DIGIT_LEAD[(x[digit] == 1.0).view(np.int8)]
-        text = cells.view(np.uint8)
-        text[slow, 1:] = np.frombuffer(printed.replace(b" ", b"\0"), np.uint8).reshape(-1, 4 * width - 1)
-        return cells.reshape(n, m * width)
+            groups = np.take(digits, k, out=group, mode="wrap").reshape(n, mv)
+            for (_, m), at, cells in zip(varying, starts, views):
+                cells[:, :, word] = groups[:, at:at + m]
+        # the one-digit and printed cells, each at its first word in words
+        printed = np.frombuffer(printed.replace(b" ", b"\0"), np.uint32).reshape(-1, width)
+        for cells, text in ((digit, digit_lead), (slow, printed)):
+            if len(cells):  # few chunks have any
+                at = cells // mv * total + np.array(first, np.intp)[cells % mv]
+                words[at] = words[at] & 0xFF | text[:, 0]
+                for word in range(1, text.shape[1]):
+                    words[at + word] = text[:, word]
+        return rows
 
 
 def _csv_table(header: Sequence[str], rows: Sequence | np.ndarray) -> np.ndarray:
@@ -227,10 +226,10 @@ def _csv_chunks(header: Sequence[str], rows: _Rows) -> Iterator[bytes]:
     blocks = (_csv_table(header, block) for block in rows)
     first = list(itertools.islice(blocks, 1))
     yield ",".join(header).encode("utf-8")
-    writer = _CsvTable(len(header))
+    writer, chunk = _CsvTable(len(header)), _chunk_rows(len(header))
     for block in itertools.chain(first, blocks):
-        for start in range(0, len(block), _CSV_CHUNK):
-            yield writer.chunk(block[start:start + _CSV_CHUNK])
+        for start in range(0, len(block), chunk):
+            yield writer.chunk(block[start:start + chunk])
     yield b"\n"
 
 

@@ -381,8 +381,9 @@ class MeasurementStack:
     ``outcome_probs`` and ``hits`` are the traces every figure of merit reads,
     each formed once, in the arithmetic of the scalar ``confidence``,
     ``guessing_probability`` and ``inconclusive_rate``, so a measurement and
-    its figures cannot disagree. Indexing by a slice or a mask of rows gives
-    the stack of those rows. All arrays are read-only.
+    its figures cannot disagree; each figure is formed once too. Indexing by
+    a slice or a mask of rows gives the stack of those rows. All arrays are
+    read-only.
     """
 
     states: np.ndarray
@@ -397,12 +398,22 @@ class MeasurementStack:
     @cached_property
     def outcome_probs(self) -> np.ndarray:
         """(N, F, 3) Tr[rho pi] of every element under the average state."""
-        return _traces(self.average[:, None, None], self.elements)
+        return _read_only(_traces(self.average[:, None, None], self.elements))
 
     @cached_property
     def hits(self) -> np.ndarray:
         """(N, F, 2) Tr[rho_i pi_i] of both conclusive outcomes."""
-        return _traces(self.states[:, None], self.elements[:, :, :2])
+        return _read_only(_traces(self.states[:, None], self.elements[:, :, :2]))
+
+    @cached_property
+    def _posteriors(self) -> np.ndarray:
+        """(N, F, 2) both confidences, inf or NaN where the outcome never fires."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _read_only(0.5 * self.hits / self.outcome_probs[..., :2])
+
+    @cached_property
+    def _guessing(self) -> np.ndarray:
+        return _read_only(0.5 * self.hits[..., 0] + 0.5 * self.hits[..., 1])
 
     def confidence(self, i: int) -> np.ndarray:
         """(N, F) posterior probability of state i given outcome i."""
@@ -412,19 +423,26 @@ class MeasurementStack:
         if not (prob > 0.0).all():
             raise UndefinedConfidenceError(
                 f"outcome {i} has zero probability" + _row(~(prob > 0.0).all(axis=1)))
-        return 0.5 * self.hits[..., i - 1] / prob
+        return self._posteriors[..., i - 1]
 
     def confidences(self) -> np.ndarray:
         """(N, F, 2) the confidences of both outcomes."""
-        return np.stack((self.confidence(1), self.confidence(2)), axis=-1)
+        for i in (1, 2):
+            self.confidence(i)  # raises where outcome i never fires
+        return self._posteriors
 
     def guessing_probability(self) -> np.ndarray:
         """(N, F) sum_i q_i Tr[rho_i pi_i]."""
-        return 0.5 * self.hits[..., 0] + 0.5 * self.hits[..., 1]
+        return self._guessing
 
     def inconclusive_rate(self) -> np.ndarray:
         """(N, F) Tr[rho pi_0] under the prior-averaged state."""
         return self.outcome_probs[..., 2]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _measurements(states: np.ndarray, average: np.ndarray, projectors: np.ndarray,

@@ -1,7 +1,8 @@
 """Parameter sweeps, the figure CSVs and the rendered gap table.
 
-A sweep is evaluated ``_BLOCK`` rows at a time (``_stream``): a target that
-reads the swept variable is one array expression over a block of the grid
+A sweep is evaluated a block of rows at a time (``_stream``), four of the
+CSV writer's chunks of its width (``_block_rows``): a target that reads the
+swept variable is one array expression over a block of the grid
 (``bounds``' guarded closed form), any other target is evaluated once. A
 singular grid endpoint moves inward by half a step and is recorded as a
 ``Substitution``; a singular interior point raises before the first block,
@@ -32,7 +33,7 @@ from .bounds import (
     table1_report,
 )
 from .config import DEFAULTS, Tolerances
-from .csvout import _CSV_CHUNK, write_csv
+from .csvout import _chunk_rows, write_csv
 from .errors import ContractError, DivergenceError, DomainError, require_in, require_int
 
 __all__ = [
@@ -118,13 +119,16 @@ class SweepResult:
         return tuple(map(tuple, self.table.tolist()))
 
 
-_BLOCK = 4 * _CSV_CHUNK  # rows a sweep evaluates, and writes, at a time
+def _block_rows(columns: int) -> int:
+    """The rows a sweep of ``columns`` columns evaluates, and writes, at a
+    time: four of the CSV writer's chunks."""
+    return 4 * _chunk_rows(columns)
 
 
 def _stream(spec: SweepSpec) -> tuple[tuple[str, ...], tuple[Substitution, ...],
                                       Iterator[np.ndarray]]:
     """The sweep ``spec`` as its header, its substitutions and an iterator
-    of its row blocks, ``_BLOCK`` rows each but the last.
+    of its row blocks, each ``_block_rows`` of its width but the last.
 
     A grid endpoint at which a target's closed form is singular (for
     example the confidence of a pure coincident pair) is shifted inward by
@@ -146,8 +150,9 @@ def _stream(spec: SweepSpec) -> tuple[tuple[str, ...], tuple[Substitution, ...],
             xs[k] = x + shift
             substitutions.append(Substitution(k, x, float(xs[k])))
     xs = require_in(xs, f"{spec.variable} grid")
-    starts = range(0, spec.points, _BLOCK)
-    buffer = np.empty((1 + len(spec.targets), min(spec.points, _BLOCK)))
+    rows = _block_rows(1 + len(spec.targets))
+    starts = range(0, spec.points, rows)
+    buffer = np.empty((1 + len(spec.targets), min(spec.points, rows)))
     varying = []  # (row, cell, its parameters with the variable a block's grid)
     for row, t in enumerate(spec.targets, 1):
         cell = t.spec(**spec.fixed)
@@ -156,13 +161,13 @@ def _stream(spec: SweepSpec) -> tuple[tuple[str, ...], tuple[Substitution, ...],
             buffer[row] = eval_bound(cell)
             continue
         for lo in starts:
-            params[spec.variable] = xs[lo:lo + _BLOCK]
+            params[spec.variable] = xs[lo:lo + rows]
             _require_regular(cell, params["c"], params["p"])
         varying.append((row, cell, params))
 
     def blocks() -> Iterator[np.ndarray]:
         for lo in starts:
-            x = xs[lo:lo + _BLOCK]
+            x = xs[lo:lo + rows]
             n = len(x)
             buffer[0, :n] = x
             for row, cell, params in varying:
@@ -183,7 +188,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     point raises DivergenceError."""
     header, substitutions, blocks = _stream(spec)
     table = np.empty((len(header), spec.points))
-    for lo, block in zip(range(0, spec.points, _BLOCK), blocks):
+    for lo, block in zip(range(0, spec.points, _block_rows(len(header))), blocks):
         table[:, lo:lo + len(block)] = block.T
     return SweepResult(header, table.T, substitutions)
 

@@ -62,10 +62,13 @@ def test_csv_cells_are_printf_bytes(table):
 
 @st.composite
 def _chunked_tables(draw):
-    """A chunk size of a few rows and a table of up to 40 rows whose columns
-    are each arbitrary, or constant within every chunk at a value drawn per
-    chunk, so that a later chunk repeats an earlier value or changes it."""
-    chunk, rows, cols = draw(st.integers(1, 6)), draw(st.integers(0, 40)), draw(st.integers(1, 6))
+    """A cell budget of up to six rows, or less than one, and a table of up
+    to 40 rows whose columns are each arbitrary, or constant within every
+    chunk at a value drawn per chunk, so that a later chunk repeats an
+    earlier value or changes it."""
+    rows, cols = draw(st.integers(0, 40)), draw(st.integers(1, 8))
+    cells = draw(st.integers(1, 6 * cols))
+    chunk = max(1, cells // cols)  # one row when the table is wider than the budget
     columns = []
     for _ in range(cols):
         if draw(st.booleans()):
@@ -74,16 +77,16 @@ def _chunked_tables(draw):
             columns.append([per_chunk[i // chunk] for i in range(rows)])
         else:
             columns.append(draw(st.lists(_FLOATS, min_size=rows, max_size=rows)))
-    return chunk, np.array(columns, dtype=float).reshape(cols, rows).T
+    return cells, np.array(columns, dtype=float).reshape(cols, rows).T
 
 
 @settings(deadline=None)
 @given(_chunked_tables())
 def test_csv_rows_and_constant_runs_cross_chunk_edges(drawn):
     # each row carries its "\n" and each constant run's text is kept per table
-    chunk, table = drawn
+    cells, table = drawn
     header = [f"x{i}" for i in range(table.shape[1])]
     out = io.StringIO()
-    with patch.object(csvout, "_CSV_CHUNK", chunk):
+    with patch.object(csvout, "_CELLS", cells):
         csvout.write_csv_to(out, header, table)
     assert out.getvalue() == _printf_csv(header, table)

@@ -17,7 +17,7 @@ import pytest
 import ctxsd
 from ctxsd import bounds, cli, config, csvout, harness, ncmodel, qtheory, sweeps
 from ctxsd.bounds import CELLS, NONCONTEXTUAL, QUANTUM
-from ctxsd.csvout import _CSV_CHUNK
+from ctxsd.csvout import _chunk_rows
 from ctxsd.errors import ContractError, DomainError
 from ctxsd.harness import verify_all
 from ctxsd.sweeps import (
@@ -325,8 +325,9 @@ def test_csv_cells_at_the_edges_of_the_fast_path(tmp_path):
     # at the first and last row of a chunk; the middle chunk holds none
     wide = np.array([-1.34077881e154, -1.23456789e-100, -2.22507386e-308])
     assert {len("%.9g" % v) for v in wide} == {16}
-    spread = np.random.default_rng(3).random((2 * _CSV_CHUNK + 1, 5))
-    for i, row in enumerate((0, _CSV_CHUNK - 1, 2 * _CSV_CHUNK)):
+    chunk = _chunk_rows(5)
+    spread = np.random.default_rng(3).random((2 * chunk + 1, 5))
+    for i, row in enumerate((0, chunk - 1, 2 * chunk)):
         spread[row, [0, 2, 4]] = np.roll(wide, i)
     for table in (values.reshape(-1, 1), values[: len(values) // 4 * 4].reshape(-1, 4),
                   wide.reshape(-1, 1), wide.reshape(1, -1), spread):
@@ -346,9 +347,10 @@ def test_csv_digit_table_holds_every_group_plain_and_stripped():
 
 def test_csv_chunks_join_seamlessly():
     rng = np.random.default_rng(1)
-    table = rng.random((2 * _CSV_CHUNK + 123, 3))
+    chunk = _chunk_rows(3)
+    table = rng.random((2 * chunk + 123, 3))
     table[::1000, 0] = 0.0
-    table[_CSV_CHUNK - 1:_CSV_CHUNK + 1, 1] = [1e-5, 1.0]  # fallback cells at a chunk boundary
+    table[chunk - 1:chunk + 1, 1] = [1e-5, 1.0]  # fallback cells at a chunk boundary
     got, want = csv_text(table)
     assert_same_text(got, want)
 
@@ -356,14 +358,16 @@ def test_csv_chunks_join_seamlessly():
 @pytest.mark.parametrize("value", [0.0, 1.0, -0.0, 1e-5, math.nan, -1.23456789e-100])
 def test_csv_constant_columns(value):
     # whole columns of one value, as a sweep of a definitional target or at p = 1 writes
-    n = _CSV_CHUNK + 5
+    # past a chunk of the narrowest table, three columns: so past one of every table
+    chunk = _chunk_rows(3)
+    n = chunk + 5
     varying = np.linspace(0.0, 1.0, n)
     wide = np.where(np.arange(n) % 7 == 3, -2.22507386e-308, varying)  # some 16-byte texts
     constant = np.full(n, value)
     # equal as floats, so a float == test would merge them, but printed "0" and "-0"
     signed_zeros = np.where(np.arange(n) % 2 == 1, -0.0, 0.0)
     assert (signed_zeros == signed_zeros[0]).all()
-    first_chunk_only = np.where(np.arange(n) < _CSV_CHUNK, value, varying)
+    first_chunk_only = np.where(np.arange(n) < chunk, value, varying)  # in a 3-column table
     tables = [
         np.column_stack([constant, varying, constant]),
         np.column_stack([signed_zeros, constant, varying, constant, signed_zeros]),
@@ -1117,6 +1121,28 @@ def test_cli_rejects_arm_on_cell_without_arms(token, capsys):
 def test_cli_figure_to_unwritable_path_exits_2(tmp_path):
     rc = cli.main(["figure", "--id", "fig2", "--out", str(tmp_path / "no" / "x.csv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (harness, "verify_all", ["verify", "--points", "10000000"]),
+    (sweeps, "_stream", ["sweep", "--variable", "c", "--points", "1000000000000",
+                         "--target", "MESD:Pg:Q"]),
+])
+def test_cli_out_of_memory_exits_2(module, name, argv, monkeypatch, tmp_path, capsys):
+    # inputs too large to hold: the stand-in raises as numpy does, allocating nothing
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+    monkeypatch.setattr(module, name, out_of_memory)
+    path = tmp_path / "kept.csv"
+    path.write_bytes(b"kept\n")
+    for out in (["--out", str(path)], []) if argv[0] == "sweep" else ([],):
+        assert cli.main(argv + out) == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == ("error: out of memory: Unable to allocate 7.28 TiB for an array "
+                           "with shape (1000000000000,)\n")
+    assert path.read_bytes() == b"kept\n"
 
 
 def subprocess_env():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -602,6 +603,28 @@ def test_helstrom_stack_rows_equal_their_batches_of_one():
     assert p_g[-1, 0] == 0.5
     with pytest.raises(UndefinedConfidenceError, match=f"row {cs.index(1.0)}"):
         stack.confidence(2)
+
+
+def test_stack_figures_are_formed_once_and_read_only():
+    cs = np.array(_GRID21 + _EDGE_C)
+    stack = qt.helstrom_stack([theta_of(c) for c in cs])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # outcome 2 never fires at c = 1: no division warning
+        figures = (stack.confidence(1), stack.guessing_probability(), stack.inconclusive_rate())
+    for figure, again in zip(figures, (stack.confidence(1), stack.guessing_probability(),
+                                       stack.inconclusive_rate())):
+        assert np.shares_memory(figure, again) and not figure.flags.writeable
+    assert not stack.outcome_probs.flags.writeable and not stack.hits.flags.writeable
+    for _ in range(2):  # the cached confidences still refuse an outcome that never fires
+        with pytest.raises(UndefinedConfidenceError, match="outcome 2"):
+            stack.confidence(2)
+        with pytest.raises(UndefinedConfidenceError, match="outcome 2"):
+            stack.confidences()
+    inner = stack[cs < 1.0]
+    both = inner.confidences()
+    assert both is inner.confidences() and not both.flags.writeable
+    assert np.array_equal(both, np.stack([inner.confidence(1), inner.confidence(2)], axis=-1))
+    assert np.array_equal(both[..., 1], 0.5 * inner.hits[..., 1] / inner.outcome_probs[..., 1])
 
 
 def test_usd_stack_rows_equal_their_batches_of_one():

@@ -15,24 +15,33 @@ import pytest
 
 from ctxsd import bounds, cli, csvout
 from ctxsd.config import DEFAULTS
-from ctxsd.csvout import _CSV_CHUNK
+from ctxsd.csvout import _chunk_rows
 from ctxsd.errors import ContractError, DivergenceError
-from ctxsd.sweeps import SweepSpec, _BLOCK, run_sweep
+from ctxsd.sweeps import SweepSpec, _block_rows, run_sweep
 
-_POINTS = (1, 2, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1,
-           _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
-
+# seven targets each: x and seven columns make 4096-row chunks
 _SWEEPS = {
     # c up to 1 at p = 0: the MCM confidence is singular at c = 1, so the
     # last point moves in half a step
     "c": ["--variable", "c", "--p", "0", "--target", "MCM:C:Q", "--target", "MESD:C1:NC",
-          "--target", "MCM:Pg:NC"],
-    # most cells do not read p: constant columns
+          "--target", "MCM:Pg:NC", "--target", "MESD:Pg:Q", "--target", "USD:P0:Q",
+          "--target", "MCM:P0:NC", "--target", "MESD:C2:NC"],
+    # most cells do not read p: constant columns, in runs between varying ones
     "p": ["--variable", "p", "--c", "0.3", "--target", "MESD:Pg:Q", "--target", "USD:P0:NC",
-          "--target", "MCM:C:NC", "--target", "MESD:C2:NC"],
+          "--target", "MCM:C:NC", "--target", "MESD:C2:NC", "--target", "MESD:C:Q",
+          "--target", "USD:Pg:NC", "--target", "MCM:P0:Q"],
     "omega": ["--variable", "omega", "--c", "0.8", "--target", "MESD:C1:NC",
-              "--target", "MESD:C2:NC", "--target", "MCM:P0:Q"],
+              "--target", "MESD:C2:NC", "--target", "MCM:P0:Q", "--target", "MESD:Pg:NC",
+              "--target", "USD:Pg:Q", "--target", "MCM:C:NC", "--target", "MCM:Pg:Q"],
 }
+
+
+def _edges(case):
+    """Grid sizes at the chunk and block edges of the sweep ``case``, whose
+    width sets both."""
+    columns = 1 + _SWEEPS[case].count("--target")
+    chunk, block = _chunk_rows(columns), _block_rows(columns)
+    return (1, 2, chunk - 1, chunk, chunk + 1, block - 1, block, block + 1, 2 * block + 1)
 
 
 def _spec(argv):
@@ -43,8 +52,7 @@ def _spec(argv):
                      tuple(cli._parse_target(tok) for tok in args.target))
 
 
-@pytest.mark.parametrize("points", _POINTS)
-@pytest.mark.parametrize("case", list(_SWEEPS))
+@pytest.mark.parametrize("case, points", [(case, n) for case in _SWEEPS for n in _edges(case)])
 def test_streamed_bytes_equal_the_bytes_of_the_whole_table(case, points, tmp_path, capsys):
     argv = ["sweep", "--points", str(points), *_SWEEPS[case]]
     result = run_sweep(_spec(argv))
@@ -71,7 +79,8 @@ def test_a_late_singular_point_writes_nothing(tmp_path, capsys):
     # the grid is singular only in its last block, past its moved endpoint
     xs = np.linspace(0.9999999999, 1.0, 100_001)
     singular = np.flatnonzero(bounds._mcm_denominator(True, xs[:-1], 0.0) <= DEFAULTS.norm)
-    assert len(singular) and singular[0] >= _BLOCK * (len(xs) // _BLOCK)
+    block = _block_rows(2)
+    assert len(singular) and singular[0] >= block * (len(xs) // block)
     path = tmp_path / "kept.csv"
     path.write_bytes(b"kept\n")
     for argv in (_LATE + ["--out", str(path)], _LATE):
@@ -105,11 +114,26 @@ def test_sweep_memory_does_not_grow_with_its_table(variable, tmp_path, capsys):
     assert large - small <= 16 * 300_000 + 2e6
 
 
+# the 19 table columns less the four definitional ones, as sweep targets
+_NON_DEFINITIONAL = tuple(t.label.replace("_", ":") for t in bounds.CELLS
+                          if (t.scheme, t.figure) not in bounds._DEFINITIONAL)
+
+
+def test_a_wide_sweep_holds_a_chunk_of_cells_not_of_rows(tmp_path, capsys):
+    # 46 columns: a chunk of 712 rows, 2.5 MB of writer scratch; with chunks
+    # of 4096 rows, whatever their width, this sweep peaked at 27.2 MB
+    targets = [arg for target in _NON_DEFINITIONAL * 3 for arg in ("--target", target)]
+    argv = ["sweep", "--variable", "c", *targets, "--out", str(tmp_path / "wide.csv")]
+    assert cli.main(argv + ["--points", "101"]) == 0  # builds the parser and digit table
+    assert _traced_peak(argv + ["--points", "100001"]) < 8e6
+
+
 def test_csv_writes_an_iterator_of_blocks_as_one_table(tmp_path):
     rng = np.random.default_rng(7)
-    table = rng.random((2 * _CSV_CHUNK + 7, 3))
+    chunk = _chunk_rows(3)
+    table = rng.random((2 * chunk + 7, 3))
     table[:, 1] = 0.25  # constant across blocks
-    cuts = [0, 1, 3, _CSV_CHUNK + 3, _CSV_CHUNK + 3, len(table)]  # an empty block too
+    cuts = [0, 1, 3, chunk + 3, chunk + 3, len(table)]  # an empty block too
     want = io.StringIO()
     csvout.write_csv_to(want, ["a", "b", "c"], table)
     got = io.StringIO()
