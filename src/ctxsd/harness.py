@@ -18,11 +18,14 @@ grid, the reader that takes the route's values from the pass and the limit.
 Each check takes its rows when it is registered. Every closed form comes
 from ``bounds``, even in an ``ncmodel`` check such as ``mesd-confidences``,
 which compares it with ``ncmodel.nc_figures``. The structural checks
-(completeness, monotonicity, model invariants, the inequality suite and the
-like) read the same stacks. Each check reports its largest deviation and the
-number of values it compared, and the report records the audited operations
-whose results it compared. A typed error raised inside a check is that
-check's failure, reported at the error; the other checks still run.
+(completeness, monotonicity, the inequality suite and the like) read the
+same stacks. What a constructor enforces (the four-region model's mirror
+equivalence and unit sums, the responses' normalisation) is no check: a
+route that broke it raises before any check could compare. Each check
+reports its largest deviation and the number of values it compared, and
+the report records the audited operations whose results it compared. A
+typed error raised inside a check is that check's failure, reported at the
+error; the other checks still run.
 
 The audits are array expressions with no per-point Python and no LAPACK.
 ``povm-completeness`` takes the smallest eigenvalue of each 2x2 element
@@ -491,27 +494,6 @@ def _chk_composition(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
             * m.confidence(1)[:, 0], 1e-10, ev.points["nc"])
 
 
-@_check("ncmodel/canonical-invariants", ("ncmodel.canonical_scenario",))
-def _chk_canonical(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
-    scn = ev.scenario
-    w = np.stack([getattr(scn, s).weights for s in ncmodel._STATES], axis=-2)
-    prep1, prep2, mirror1, mirror2, mixed, noisy1, _ = (w[..., i, :] for i in range(7))
-    q, point = scn.p[..., None], _points(c=scn.c, p=scn.p)
-    acc.ok(~((0.5 * prep1 + 0.5 * mirror1 != 0.5 * prep2 + 0.5 * mirror2).any(-1)  # mirrors
-             | (prep1[..., 0] != prep2[..., 0])  # shared support
-             | ((1.0 - q) * prep1 + q * mixed != noisy1).any(-1)), point)
-    acc.add(w.sum(axis=-1) - 1.0, tols.norm, point)
-
-
-@_check("ncmodel/response-normalisation", ("ncmodel.mesd_mixed_strategy", "ncmodel.usd_response"))
-def _chk_response_norm(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
-    x = _grid(max(ev.n, 11))
-    g2 = np.minimum(1.0 - x, x)
-    for rs, point in ((ncmodel.mesd_mixed_strategy(x), _points(omega=x)),
-                      (ncmodel.usd_response(x, g2), _points(g1=x, g2=g2))):
-        acc.add(np.abs(rs.xi1 + rs.xi2 + rs.xi0 - 1.0).max(axis=-1), tols.norm, point)
-
-
 @_check("ncmodel/confusability",
         ("ncmodel.confusability", "ncmodel.nc_prob", "ncmodel.canonical_scenario"))
 def _chk_confusability(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
@@ -543,8 +525,11 @@ def _chk_mesd_confidences(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     point = _points(c=c, omega=omega)
     closed = bounds.nc_mesd_confidences(c, omega)
     figs = ncmodel.nc_figures(ev.scenario[:, :1], ncmodel.mesd_mixed_strategy(omega))
-    for got, want in ((figs.c1, closed[0]), (figs.c2, closed[1])):
-        acc.add(np.where(np.isnan(got), 0.0, got - want), tols.exact, point)  # NaN: never fires
+    # outcome 1 never fires only at (c, omega) = (1, 0), outcome 2 only at (1, 1):
+    # there the route gives NaN (a deviation of 0, else 1), elsewhere the closed form
+    for got, want, dead_omega in ((figs.c1, closed[0], 0.0), (figs.c2, closed[1], 1.0)):
+        dead = (c == 1.0) & (omega == dead_omega)
+        acc.add(np.where(dead, np.isnan(got) - 1.0, got - want), tols.exact, point)
     acc.add(closed[0] - bounds.nc_mesd_confidences(c, 1.0 - omega)[1], tols.exact, point)
 
 

@@ -15,7 +15,7 @@ r = (1 - p)(n_1 + n_2)/2 they are:
 * minimum-error: the projector (I + d/|d| . sigma)/2 and its complement,
 * unambiguous: pi_i = gamma_i (I - n_j . sigma)/2, the mirror projectors,
 * maximum-confidence: rank-one directions with the Bloch vectors
-  m_+- = -r + ((d . r +- lambda)/|d|^2) d, lambda = sqrt(|d|^2 - |d x r|^2),
+  m_+- = -r +- (lambda/|d|^2) d, lambda = |d| sqrt(1 - |r|^2) (d . r = 0),
   which solve the whitened eigenproblem of Croke et al. and Herzog,
 
 the last two with the conclusive weight at most 1/(1 + |m_1 + m_2|/2) for
@@ -649,8 +649,9 @@ def _mcm(ensembles: tuple[np.ndarray, ...], fractions: np.ndarray,
     unit m, at m_+ and m_- respectively, read from the pair so p -> 1
     cannot cancel them:
 
-        m_+- = -r + ((d . r +- lambda)/|d|^2) d,
-        lambda^2 = |d|^2 - |d x r|^2 = |d|^2 (1 - |r|^2) + (d . r)^2.
+        m_+- = -r +- (lambda/|d|^2) d,    lambda = |d| sqrt(1 - |r|^2),
+
+    as d . r = (1 - p)(|n_1|^2 - |n_2|^2)/2 = 0 for an equiprobable pair.
 
     These are the eigenvectors of A = adj(rho)(P_1 - P_2), whose gap is
     lambda/2. Coincident states, a gap lambda/2 <= 1e-12 det(rho), take W u
@@ -662,7 +663,7 @@ def _mcm(ensembles: tuple[np.ndarray, ...], fractions: np.ndarray,
     """
     bloch, states, average, p = ensembles
     d, r = bloch[:, 0] - bloch[:, 1], bloch[:, 2]
-    dd, dr = _dot(d, np.array((d, r)))
+    dd = _dot(d, d)
     det = 0.25 * p * (2.0 - p) + (0.25 * (1.0 - p)) ** 2 * dd  # (1 - |r|^2)/4 for unit n_i
     # lambda_min(rho) = (1 - sqrt(1 - 4 det))/2, in a form that does not cancel
     nonsingular = 2.0 * det / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * det, 0.0))) > DEFAULTS.norm
@@ -670,10 +671,10 @@ def _mcm(ensembles: tuple[np.ndarray, ...], fractions: np.ndarray,
         raise DegenerateEnsembleError(
             "average state is singular (no noise and coincident or antipodal pair)"
             + _row(~nonsingular))
-    lam = np.sqrt(4.0 * det * dd + dr * dr)
+    lam = np.sqrt(4.0 * det * dd)
     coincident = 0.5 * lam <= 1e-12 * det
     divisor = np.where(coincident, 1.0, dd) if (fallback := coincident.any()) else dd
-    scale = ((dr + lam * _SIGNS) / divisor).T  # (N, 2): outcome
+    scale = (lam * _SIGNS / divisor).T  # (N, 2): outcome
     dirs = scale[..., None] * d[:, None] - r[:, None]  # (N, 2, 3): outcome, Bloch vector
     if fallback:
         w0 = 0.5 + np.sqrt(det[coincident])[:, None, None]

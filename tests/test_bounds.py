@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from ctxsd import ncmodel, qtheory
 from ctxsd.bounds import (
     CELLS,
     BoundSpec,
@@ -25,10 +24,6 @@ from ctxsd.config import DEFAULTS
 from ctxsd.errors import ContractError, DivergenceError, DomainError
 
 SQRT_HALF = math.sqrt(0.5)
-
-
-def theta_of(c: float) -> float:
-    return math.acos(math.sqrt(c))
 
 
 # ---------------------------------------------------------------------------
@@ -213,59 +208,6 @@ def test_two_parameter_column_rejects_each_bad_grid():
         eval_column(spec, ("c", "p"), (c,))  # one grid too few
     with pytest.raises(ContractError):
         eval_column(spec, ("c", "x"), (c, p))
-
-
-# ---------------------------------------------------------------------------
-# constructions and oracles agree with the closed forms
-
-
-def test_quantum_bounds_match_constructions_on_grid():
-    for c in np.linspace(0.0, 1.0, 21):
-        c = float(c)
-        ens = qtheory.noisy_ensemble(theta_of(c), 0.0)
-        m = qtheory.helstrom_povm(ens)
-        assert qtheory.guessing_probability(ens, m) == pytest.approx(
-            eval_bound(BoundSpec("MESD", "P_g", QUANTUM, c=c)), abs=1e-9
-        )
-        if c < 1.0:
-            _, rate = qtheory.usd_optimal(ens)
-            assert rate == pytest.approx(
-                eval_bound(BoundSpec("USD", "P_0", QUANTUM, c=c)), abs=1e-9
-            )
-
-
-def test_mcm_bounds_match_constructions_on_grid():
-    for c in np.linspace(0.0, 1.0, 11):
-        for p in np.linspace(0.1, 1.0, 10):
-            c_f, p_f = float(c), float(p)
-            m, rate = qtheory.mcm_optimal(theta_of(c_f), p_f)
-            assert rate == pytest.approx(
-                eval_bound(BoundSpec("MCM", "P_0", QUANTUM, c=c_f, p=p_f)), abs=1e-9
-            )
-            ens = qtheory.noisy_ensemble(theta_of(c_f), p_f)
-            assert qtheory.guessing_probability(ens, m) == pytest.approx(
-                eval_bound(BoundSpec("MCM", "P_g", QUANTUM, c=c_f, p=p_f)), abs=1e-9
-            )
-
-
-def test_nc_bounds_match_oracles_on_grid():
-    for c in np.linspace(0.0, 1.0, 11):
-        c_f = float(c)
-        scn = ncmodel.canonical_scenario(c_f, 0.0)
-        assert ncmodel.oracle_max_pg(scn)[1] == pytest.approx(
-            eval_bound(BoundSpec("MESD", "P_g", NONCONTEXTUAL, c=c_f)), abs=1e-9
-        )
-        for p in np.linspace(0.1, 1.0, 10):
-            p_f = float(p)
-            noisy = ncmodel.canonical_scenario(c_f, p_f)
-            assert ncmodel.oracle_max_confidence(noisy, 1, noisy=True)[1] == pytest.approx(
-                eval_bound(BoundSpec("MCM", "C", NONCONTEXTUAL, c=c_f, p=p_f)),
-                abs=1e-9,
-            )
-            assert ncmodel.oracle_min_p0_at_max_confidence(noisy)[1] == pytest.approx(
-                eval_bound(BoundSpec("MCM", "P_0", NONCONTEXTUAL, c=c_f, p=p_f)),
-                abs=1e-9,
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ _THETA = math.acos(math.sqrt(_C))
 # (Python calls, C calls) of one warm call, as counted when the budgets were set.
 _COUNTS = {
     "table1_report": (111, 37),
-    "mcm_optimal": (27, 33),
+    "mcm_optimal": (27, 30),
     "noisy_ensemble": (13, 23),
     "helstrom_povm": (16, 12),
     "usd_optimal": (19, 16),

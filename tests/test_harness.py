@@ -676,6 +676,24 @@ def test_fault_in_a_pure_pair_or_mirror_fails_its_check(monkeypatch, name, fault
     assert ch.worst.startswith("theta=")
 
 
+@pytest.mark.parametrize("arm, fault", [
+    ("c1", lambda c: np.full_like(c, math.nan)),  # every outcome 1 reported as never firing
+    ("c2", lambda c: np.full_like(c, math.nan)),
+    ("c1", lambda c: np.nan_to_num(c, nan=0.5)),  # the dead outcome at its closed form's 1/2
+], ids=["c1-never", "c2-never", "c1-dead-fires"])
+def test_mesd_confidences_hold_nan_to_the_two_dead_points(monkeypatch, arm, fault):
+    # outcome 1 never fires only at (c, omega) = (1, 0) and outcome 2 only at
+    # (1, 1): a NaN anywhere else, or a number there, fails the check
+    def nc_figures(*args, **kwargs):
+        figs = ncmodel.nc_figures(*args, **kwargs)
+        return figs._replace(**{arm: fault(getattr(figs, arm))})
+
+    monkeypatch.setattr(harness, "ncmodel", types.SimpleNamespace(**{
+        **vars(ncmodel), "nc_figures": nc_figures}))
+    report = verify_all(21)
+    assert {ch.name for ch in report.checks if not ch.passed} == {"ncmodel/mesd-confidences"}
+
+
 def test_error_inside_a_check_is_its_failure(monkeypatch, capsys):
     def broken(*args):
         raise DomainError("closed form broken")
