@@ -184,8 +184,8 @@ class _Acc:
         self.ok(False, point)
 
     def result(self, name: str, ops: tuple[str, ...], wall_s: float) -> CheckResult:
-        if not self.items:
-            return CheckResult(name, ops, True, 0.0, "", 0.0, 0.0, 0, wall_s)
+        if not self.items:  # a check that compared nothing cannot pass
+            return CheckResult(name, ops, False, 0.0, "no value compared", 0.0, math.inf, 0, wall_s)
         severity, dev, limit, point, devs = max(self.items, key=itemgetter(0))  # the first worst
         if callable(point) and devs is not None:  # argmax: the first largest entry, or NaN
             point = functools.partial(point, np.unravel_index(np.argmax(devs), devs.shape))
@@ -233,12 +233,12 @@ class _Pass:
     coincident pair (1, 0), where the average state is singular and the
     confidences are undefined. Each is c-major, and ``points[grid]`` the
     point dict of an index into one. ``scenario`` is one
-    ``canonical_scenario`` stack over the c grid times the p grid and
-    p = 1/2. The measurements are one stack per scheme, ``stacks[grid]`` the
-    one on each grid: ``pure`` the Helstrom measurements of the ``c`` grid,
-    ``povms`` the USD measurements of the ``c<1`` grid, at the optimal
-    weight and at ``_USD_FRACTIONS``, and ``mcm`` the MCM measurements of
-    the ``nc`` grid, at the optimal weight and at ``_MCM_FRACTIONS`` of it.
+    ``canonical_scenario`` stack over the n x n grid. The measurements are
+    one stack per scheme, ``stacks[grid]`` the one on each grid: ``pure``
+    the Helstrom measurements of the ``c`` grid, ``povms`` the USD
+    measurements of the ``c<1`` grid, at the optimal weight and at
+    ``_USD_FRACTIONS``, and ``mcm`` the MCM measurements of the ``nc``
+    grid, at the optimal weight and at ``_MCM_FRACTIONS`` of it.
     Each oracle runs once over its part of ``scenario``, in point order:
     ``max_pg`` on the ``c`` grid, and ``min_p0`` and both columns of
     ``max_conf`` on the ``nc`` grid, whose pure scenarios, the points of
@@ -248,10 +248,9 @@ class _Pass:
     def __init__(self, n: int) -> None:
         self.cs = cs = _grid(n)
         self.n = n
-        c, p = np.meshgrid(cs, np.union1d(cs, [0.5]), indexing="ij")  # p = 1/2 at every density
+        c, p = np.meshgrid(cs, cs, indexing="ij")
         self.scenario = ncmodel.canonical_scenario(c, p)
-        masks = {"c": p == 0.0, "c<1": (p == 0.0) & (c < 1.0),
-                 "nc": np.isin(p, cs) & ~((p == 0.0) & (c == 1.0))}
+        masks = {"c": p == 0.0, "c<1": (p == 0.0) & (c < 1.0), "nc": ~((p == 0.0) & (c == 1.0))}
         self.grids = {name: (c[m], p[m]) for name, m in masks.items()}
         self.points = {name: _points(c=c[m], p=p[m]) if name == "nc" else _points(c=c[m])
                        for name, m in masks.items()}
@@ -619,6 +618,12 @@ def _chk_table(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     acc.ok(not table1_report(1.0, 0.5, 0.5, tols).usd_possible, "c=1 usd flag")
 
 
+# The grid densities verify accepts. A pass holds about 1.8 KB per grid point
+# (tracemalloc peaks of verify_all: 18 MiB at 101 points, 70 MiB at 201, 157 MiB
+# at 301; Python 3.11.7, numpy 2.4.6), so 750 points peak near 0.96 GiB.
+_MIN_POINTS, _MAX_POINTS = 5, 750
+
+
 def verify_all(points: int, tols: Tolerances = DEFAULTS) -> VerifyReport:
     """Build the shared evaluation pass at the given grid density, then run
     every named check on it.
@@ -627,12 +632,14 @@ def verify_all(points: int, tols: Tolerances = DEFAULTS) -> VerifyReport:
     properties pinned to a 101-point grid keep that density regardless. A
     check that raises a ``CtxsdError`` fails with the error as its worst
     point; one raised while the shared pass is built fails every check.
-    ``points`` that is not an integer raises ContractError, and one below 5
-    DomainError.
+    ``points`` that is not an integer raises ContractError, and one outside
+    [5, 750] DomainError, before any grid is built.
     """
     points = require_int(points, "grid density")
-    if points < 5:
-        raise DomainError(f"grid density must be at least 5, got {points}")
+    if points < _MIN_POINTS:
+        raise DomainError(f"grid density must be at least {_MIN_POINTS}, got {points}")
+    if points > _MAX_POINTS:  # its grids would not fit
+        raise DomainError(f"grid density must be at most {_MAX_POINTS}, got {points}")
     try:
         ev = _Pass(points)
     except CtxsdError as exc:  # no route can be compared: every check fails

@@ -53,8 +53,6 @@ def test_spec_rejects_bad_tokens_and_ranges():
         BoundSpec("XYZ", "P_g", QUANTUM, c=0.5)
     with pytest.raises(ContractError):
         BoundSpec("MESD", "Pg", QUANTUM, c=0.5)
-    with pytest.raises(DomainError):
-        BoundSpec("MESD", "P_g", QUANTUM, c=1.5)
     with pytest.raises(ContractError):
         BoundSpec("MCM", "C", QUANTUM, c=0.5, p=0.5, outcome=2)
 
@@ -376,14 +374,3 @@ def test_table_evaluates_its_cells_at_the_checked_floats(make, point):
     assert report.usd_possible == want.usd_possible
     assert type(want.usd_possible) is bool
     assert type(report.usd_possible) is bool
-
-
-def test_factorisation_identity_both_theories():
-    for theory in (QUANTUM, NONCONTEXTUAL):
-        for c in np.linspace(0.0, 1.0, 21):
-            for p in np.linspace(0.05, 1.0, 20):
-                kw = dict(c=float(c), p=float(p))
-                p_g = eval_bound(BoundSpec("MCM", "P_g", theory, **kw))
-                p_0 = eval_bound(BoundSpec("MCM", "P_0", theory, **kw))
-                conf = eval_bound(BoundSpec("MCM", "C", theory, **kw))
-                assert p_g == pytest.approx((1.0 - p_0) * conf, abs=1e-12)

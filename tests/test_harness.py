@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 import ctxsd
-from ctxsd import bounds, cli, config, csvout, harness, ncmodel, qtheory, sweeps
+from ctxsd import bounds, cli, config, csvout, errors, harness, ncmodel, qtheory, sweeps
 from ctxsd.bounds import CELLS, NONCONTEXTUAL, QUANTUM
 from ctxsd.csvout import _chunk_rows
-from ctxsd.errors import ContractError, DomainError
+from ctxsd.errors import ContractError, CtxsdError, DomainError, UsdImpossibleError
 from ctxsd.harness import verify_all
 from ctxsd.sweeps import (
     FIGURE_IDS,
@@ -446,6 +446,19 @@ def test_verify_all_rejects_sparse_grid():
         verify_all(4)
 
 
+def test_verify_all_refuses_a_density_whose_pass_would_not_fit(capsys):
+    # refused before any grid is built (one 10^7 x 10^7 grid alone is 728 TiB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="grid density must be at most 750, got 10000000"):
+            verify_all(10**7)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    assert cli.main(["verify", "--points", "10000000"]) == 2
+    assert "at most 750" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("points", [5.0, "21", None, True])
 def test_verify_all_rejects_a_grid_density_that_is_not_an_integer(points):
     with pytest.raises(ContractError, match="grid density must be an integer"):
@@ -772,6 +785,24 @@ def test_check_accumulator_reports_its_first_worst_entry_and_formats_only_its_po
     ch = acc.result("x", (), 0.0)
     assert (ch.passed, ch.max_dev, ch.limit, ch.worst) == (False, math.inf, 0.0, "f (1,)")
     assert calls == [("f", (1,))]
+
+    ch = harness._Acc().result("x", (), 0.0)  # a check that compared nothing fails
+    assert (ch.passed, ch.items, ch.headroom, ch.worst) == (False, 0, math.inf, "no value compared")
+
+
+def test_a_route_that_stops_raising_fails_its_check(monkeypatch):
+    # usd_optimal returning at the coincident pair instead of raising
+    usd_optimal = qtheory.usd_optimal
+
+    def returns(ens):
+        try:
+            return usd_optimal(ens)
+        except UsdImpossibleError:
+            return None
+
+    monkeypatch.setattr(qtheory, "usd_optimal", returns)
+    failed = [(ch.name, ch.worst) for ch in verify_all(5).checks if not ch.passed]
+    assert failed == [("qtheory/povm-completeness", "c=1")]
 
 
 def test_verify_builds_the_mcm_measurements_in_one_stack(monkeypatch):
@@ -1263,6 +1294,55 @@ _PREP = ncmodel.canonical_scenario(0.5, 0.0).prep1
 def test_validators_reject_nan(build):
     with pytest.raises(DomainError):
         build()
+
+
+_SCN = ncmodel.canonical_scenario(0.5, 0.0)
+_BASIS = np.array([[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]], dtype=complex)  # |0><0|, |1><1|
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: bounds.BoundSpec("MESD", "P_g", "classical", c=0.5), ContractError,
+         "unknown theory"),
+        (lambda: bounds.BoundSpec("MESD", "C", NONCONTEXTUAL, c=0.5, omega=0.5, outcome=3),
+         ContractError, "outcome must be 1 or 2"),
+        (lambda: ncmodel.EpistemicState([0.5, 0.5, 0.0]), ContractError, "4 region weights"),
+        (lambda: ncmodel.ResponseSet([0.0] * 4, [0.0] * 3, [1.0] * 4), ContractError,
+         "equal shapes"),
+        (lambda: ncmodel.ResponseSet([0.0] * 3, [0.0] * 3, [1.0] * 3), ContractError,
+         "4 entries"),
+        (lambda: replace(_SCN, mirror1=_SCN.prep2), ContractError,
+         r"mirror preparation equivalence violated at c=0\.5, p=0\.0"),
+        (lambda: replace(_SCN, prep1=_SCN.mirror2, mirror1=_SCN.prep2), ContractError,
+         r"agree on the shared support at c=0\.5, p=0\.0"),
+        (lambda: ncmodel.nc_prob(_SCN.prep1, [0.0, 0.5, 1.0]), ContractError, "4 entries"),
+        (lambda: ncmodel.oracle_max_confidence(_SCN, 3), ContractError, "outcome must be 1 or 2"),
+        (lambda: qtheory.helstrom_stack([1.0]).confidence(3), ContractError, "1 and 2, got 3"),
+        (lambda: qtheory.mcm_stack([1.0], [0.5], ()), ContractError, "not empty"),
+        (lambda: qtheory._measurements(_BASIS, 0.5 * np.eye(2)[None], _BASIS,
+                                       np.array([[[-0.1, 0.5]]])),
+         ContractError, "element 0 has a negative eigenvalue"),
+        (lambda: errors.require_in([[0.1], [0.1, 0.2]], "c"), ContractError, "real number"),
+        (lambda: cli._parse_target("MESD:XX:Q"), CtxsdError, "unknown figure token"),
+        (lambda: cli._parse_target("MESD:Pg:XX"), CtxsdError, "unknown theory token"),
+    ],
+    ids=["spec-theory", "spec-outcome", "state-shape", "responses-unequal", "responses-3",
+         "scenario-mirrors", "scenario-support", "nc_prob-3", "oracle-outcome",
+         "stack-outcome", "mcm_stack-fractions", "psd-outside-pi0", "ragged", "cli-figure",
+         "cli-theory"],
+)
+def test_each_typed_error_path_raises_its_error(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
+def test_responses_leave_their_range_only_beyond_the_norm_tolerance():
+    norm = config.DEFAULTS.norm  # exactly this far outside [0, 1] is inside; twice is not
+    ncmodel.ResponseSet([-norm, 0, 0, 0], [0] * 4, [1.0 + norm, 1, 1, 1])
+    for xi1 in ([-2.0 * norm, 0, 0, 0], [1.0 + 2.0 * norm, 0, 0, 0]):
+        with pytest.raises(DomainError, match="response 1 leaves"):
+            ncmodel.ResponseSet(xi1, [0] * 4, [1] * 4)
 
 
 # The bounded parameters of the public API and the upper end of each range.
