@@ -315,7 +315,11 @@ def usd_response(gamma1: float | np.ndarray, gamma2: float | np.ndarray) -> Resp
     response absorbs the rest, which forces gamma1 + gamma2 <= 1 on the
     shared mirror region.
     """
-    g1, g2 = np.broadcast_arrays(require_in(gamma1, "weights"), require_in(gamma2, "weights"))
+    g1, g2 = require_in(gamma1, "weights"), require_in(gamma2, "weights")
+    shape1, shape2 = getattr(g1, "shape", ()), getattr(g2, "shape", ())
+    if shape1 != shape2:
+        raise ContractError(f"gamma1 and gamma2 must have equal shapes, got {shape1} and {shape2}")
+    g1, g2 = np.broadcast_arrays(g1, g2)
     total = g1 + g2
     over = total > 1.0 + DEFAULTS.norm
     if over.any():

@@ -292,7 +292,8 @@ def noisy_ensemble(theta: float, p: float) -> Ensemble:
     """Equiprobable dephased pair rho_i = (1-p)|psi_i><psi_i| + p/2."""
     vectors = _pure_pairs((theta,))
     ens = object.__new__(Ensemble)  # the pair built from its amplitude array, not the reverse
-    vars(ens).update(pair=tuple(PureState(*a) for a in vectors[0].tolist()), noise=p)
+    [(a, b)] = vectors.tolist()
+    vars(ens).update(pair=(PureState(*a), PureState(*b)), noise=p)
     ens._derive(vectors)
     return ens
 

@@ -93,6 +93,9 @@ class SweepSpec:
         object.__setattr__(self, "fixed", {k: require_in(v, f"fixed parameter {k}", scalar=True)
                                            for k, v in merged.items()})
         object.__setattr__(self, "targets", tuple(self.targets))
+        for t in self.targets:
+            if not isinstance(t, Target):
+                raise ContractError(f"a sweep target must be a table cell, got {t!r}")
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,6 @@ from ctxsd import bounds, ncmodel, qtheory
 from ctxsd.bounds import BoundSpec, NONCONTEXTUAL, QUANTUM, eval_bound
 from ctxsd.sweeps import FigureJob, emit_figure
 
-SQRT_HALF = math.sqrt(0.5)
-
 
 def theta_of(c: float) -> float:
     return math.acos(math.sqrt(c))

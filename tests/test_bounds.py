@@ -212,26 +212,6 @@ def test_two_parameter_column_rejects_each_bad_grid():
 # gaps
 
 
-def test_gap_mesd_advantage_on_open_interval():
-    for c in np.linspace(0.05, 0.95, 19):
-        cert = gap(
-            BoundSpec("MESD", "P_g", QUANTUM, c=float(c)),
-            BoundSpec("MESD", "P_g", NONCONTEXTUAL, c=float(c)),
-        )
-        assert cert.advantage
-        assert cert.gap > 0
-
-
-def test_gap_vanishes_at_endpoints_for_mesd():
-    for c in (0.0, 1.0):
-        cert = gap(
-            BoundSpec("MESD", "P_g", QUANTUM, c=c),
-            BoundSpec("MESD", "P_g", NONCONTEXTUAL, c=c),
-        )
-        assert cert.gap == pytest.approx(0.0, abs=1e-12)
-        assert not cert.advantage
-
-
 def test_gap_orientation_for_inconclusive_rate():
     cert = gap(
         BoundSpec("USD", "P_0", QUANTUM, c=0.5),

@@ -28,7 +28,7 @@ _THETA = math.acos(math.sqrt(_C))
 _COUNTS = {
     "table1_report": (111, 35),
     "mcm_optimal": (27, 30),
-    "noisy_ensemble": (13, 23),
+    "noisy_ensemble": (11, 23),
     "helstrom_povm": (16, 12),
     "usd_optimal": (19, 16),
     "canonical_scenario": (33, 23),
