@@ -312,6 +312,8 @@ def test_csv_cells_at_the_edges_of_the_fast_path(tmp_path):
     special = [0.0, -0.0, 1.0, -1.0, 2.0, -0.5, math.nan, math.inf, -math.inf, 5e-324,
                -1.2345678912345e-100, 1.7976931348623157e308]
     values = np.concatenate([edges, ties, near_ties, exact_ties, carries, special])
+    # a nonzero tenth digit just above and below each decade threshold
+    decades = np.array([10.0**-k * (1 + s * 1.234e-8) for k in range(1, 5) for s in (1, -1)])
     # the longest texts, 16 bytes, in the first, a middle and the last column,
     # at the first and last row of a chunk; the middle chunk holds none
     wide = np.array([-1.34077881e154, -1.23456789e-100, -2.22507386e-308])
@@ -321,7 +323,7 @@ def test_csv_cells_at_the_edges_of_the_fast_path(tmp_path):
     for i, row in enumerate((0, chunk - 1, 2 * chunk)):
         spread[row, [0, 2, 4]] = np.roll(wide, i)
     for table in (values.reshape(-1, 1), values[: len(values) // 4 * 4].reshape(-1, 4),
-                  wide.reshape(-1, 1), wide.reshape(1, -1), spread):
+                  decades.reshape(-1, 1), wide.reshape(-1, 1), wide.reshape(1, -1), spread):
         got, want = csv_text(table)
         assert_same_text(got, want)
         # the file sink writes the same bytes as the text sink
