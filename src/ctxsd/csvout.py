@@ -5,28 +5,30 @@ one) as four uint32 words a cell: a lead word holding the separator before
 the cell (``"\\n"`` for a row's first cell, so the header goes out without
 its newline and one ``"\\n"`` ends the table), a NUL and "0.", then three
 digit words; every byte it does not set is NUL, deleted by one
-``bytes.translate``. Its fast path covers 1e-4 <= x < 1: y = x 10^k in
-[10^8, 10^9) is within 2^-24 of exact, so rint(y) is the nine-digit mantissa
-unless |y - rint(y)| >= 1/2 - 1e-6; k indexes a power table, and 1e12 / 10^k
-is exact for k = 9..12. The fraction digits f < 10^12 split exactly as hi =
+``bytes.translate``. Its fast path is the x that a clamp into [1e-4, _TIE]
+leaves in place (NaN, +-0, +-inf, x >= 1 and the x that print as 1 move): y
+= x 10^(9+k), k the decade thresholds above x, is in [10^8, 10^9] and within
+2^-24 of exact, so rint(y) is the nine-digit mantissa unless |y - rint(y)|
+>= 1/2 - 1e-6, and the fraction digits f = rint(y) 1e12 / 10^(9+k) are exact
+and, as _TIE 10^9 rounds to a tie, below 10^12. They split exactly as hi =
 floor(f 1e-8), rest = f - hi 1e8, mid = floor(rest 1e-4), lo = rest - mid
 1e4: as fl(1e-8) and fl(1e-4) exceed their powers, no product is below its
-integer part, nor (off by < 2e-12) reaches the next one, >= 1e-8 away; the
-rest is integer arithmetic. A table holds each four-digit group and, in its
-second half, the group with trailing "0"s as NUL, read by the lowest group
-and by a higher one where all below are 0. Exact 0 and 1 are one digit; any
-other cell is ``"%-15.9g"`` after its separator, spaces NUL. The longest
-such texts are 16 bytes (as ``-1.23456789e-100``), so a call that holds one
-gives every cell a fifth word, read from the data, and prints
-``"%-19.9g"``. A column whose 64-bit patterns are equal in every row of a
-chunk of rows (0.0 and -0.0 differ, as do NaN payloads) skips the kernel:
-each run of such columns is formatted once per output, keyed by its
-columns and patterns, and its text repeated down the chunk among the
-kernel's cells. The kernel's temporaries and one word buffer are allocated
-once per output, sized to its longest chunk. An output may come as an
-iterator of row blocks (a sweep writes its rows so): each block is written
-before the next is drawn, so the writer holds one block at a time, and the
-first is drawn before a byte is written or a file is opened.
+integer part, nor (off by < 2e-12) reaches the next one, >= 1e-8 away. A
+table holds each four-digit group and, in its second half, the group with
+trailing "0"s as NUL, read by the lowest group and by a higher one where all
+below are 0. Of the cells off the path, exact 0 and 1 are one digit and any
+other is ``"%-15.9g"`` after its separator, spaces NUL; a call that holds a
+16-byte text (as ``-1.23456789e-100``) gives every cell a fifth word and
+prints ``"%-19.9g"``. A column whose 64-bit patterns are equal in every row
+of a chunk (0.0 and -0.0 differ, as do NaN payloads; tested in the block's
+own layout) skips the kernel: each run of such columns is formatted once per
+output, keyed by its columns and patterns, and its text repeated down the
+chunk. The kernel's scratch is allocated once per output, sized to its
+longest chunk, and keeps its lead words and texts from one chunk to the next
+of the same layout. An output may come as an iterator of row blocks (a sweep
+writes its rows so): each block is written before the next is drawn, so the
+writer holds one block at a time, and the first is drawn before a byte is
+written or a file is opened.
 """
 
 from __future__ import annotations
@@ -47,13 +49,12 @@ _CELLS = 32_768  # cells formatted per write
 # One table, or an iterator of them: its row blocks
 _Rows = Union[Sequence, np.ndarray, Iterator[Union[Sequence, np.ndarray]]]
 
-# A cell's lead word: its separator, a NUL and "0.", after another cell and
-# first in its row
+# A cell's lead word, after another cell and first in its row: separator, NUL, "0."
 _CSV_LEAD = np.frombuffer(b",\x000.\n\x000.", np.uint32)
-# The lead word of an exact 0 or 1 less its separator: a NUL, the digit, a NUL
-_DIGIT_LEAD = np.frombuffer(b"\0\x000\0\0\x001\0", np.uint32)
-_POW10 = 10.0 ** np.arange(13)
-_BELOW_1 = np.nextafter(1.0, 0.0)
+# The four words of an exact 0 or 1 less its separator: a NUL, the digit, NULs
+_DIGIT_CELL = np.frombuffer(b"\0\x000" + bytes(14) + b"\x001" + bytes(13), np.uint32).reshape(2, 4)
+_SCALE = 10.0 ** np.arange(9, 13)  # 10^(9+k)
+_TIE = 1.0 - 5e-10  # the largest double below 0.9999999995, the last to print below 1
 
 
 def _chunk_rows(columns: int) -> int:
@@ -82,22 +83,22 @@ class _CsvTable:
         self.size = 0  # cells the scratch holds
         self.lead = np.where(np.arange(columns) == 0, _CSV_LEAD[1], _CSV_LEAD[0])
         self.texts: dict[tuple, np.ndarray] = {}  # by columns and bit patterns
+        self.layout, self.patched = None, None  # what the words hold: see _cells
 
     def _reserve(self, size: int) -> None:
         """Scratch for ``size`` cells."""
         if size > self.size:
             self.size = size
             self.x, self.y, self.f, self.r = np.empty((4, size))
-            self.fast, self.b1, self.b2 = np.empty((3, size), bool)
-            self.count = np.empty(size, np.uint8)
-            self.words = np.empty(5 * size, np.uint32)  # four words a cell, or five
+            self.off, self.b1, self.b2 = np.empty((3, size), bool)
+            self.words, self.layout = np.empty(5 * size, np.uint32), None  # 4 or 5 words a cell
 
     def chunk(self, block: np.ndarray) -> bytes:
         """The CSV text of the rows ``block``, each led by its "\\n"."""
         n, m = block.shape
         self._reserve(n * m)
         bits = block.view(np.uint64)  # not float ==: 0.0 and -0.0 print apart
-        same = np.equal(bits, bits[0], out=self.b1[:n * m].reshape(n, m)).all(axis=0)
+        same = np.equal(bits, bits[0]).all(axis=0)  # in the block's layout
         same &= n > 1  # one row is all constant: its texts would pile up, one per row
         spans, col = [], 0  # each run's first column, column count and text (None: varying)
         for const, run in itertools.groupby(same.tolist()):
@@ -127,52 +128,50 @@ class _CsvTable:
         starts = [0, *itertools.accumulate(m for _, m in varying)]  # of each run in x
         mv = starts[-1]
         x, y, f, r = (a[:n * mv] for a in (self.x, self.y, self.f, self.r))
-        fast, b1, b2, count = (a[:n * mv] for a in (self.fast, self.b1, self.b2, self.count))
+        off, b1, b2 = (a[:n * mv] for a in (self.off, self.b1, self.b2))
         k = r.view(np.intp)  # an index, in r while r is free
         for (col, m), at in zip(varying, starts):
             np.copyto(x.reshape(n, mv)[:, at:at + m], block[:, col:col + m])
-        np.greater_equal(x, 1e-4, out=fast)
-        fast &= np.less(x, 1.0, out=b1)
-        np.fmin(np.fmax(x, 1e-4, out=y), _BELOW_1, out=y)  # x, or any x off the path moved into it
-        # x = y 10^-k with 10^8 <= y < 10^9: the thresholds are the doubles
-        # nearest 10^-1..10^-3, each just above its power, so k is exact
-        np.add(np.less(y, 0.1, out=b1).view(np.uint8), np.less(y, 0.01, out=b2).view(np.uint8),
-               out=count)
-        count += np.less(y, 0.001, out=b1).view(np.uint8)
-        scale = np.take(_POW10, np.add(count, 9, out=k), out=f, mode="wrap")
-        np.multiply(y, scale, out=y)
-        np.divide(1e12, scale, out=f)  # exact
+        np.not_equal(np.fmin(np.fmax(x, 1e-4, out=y), _TIE, out=y), x, out=off)  # the clamp
+        # k: the thresholds, nearest 10^-1..10^-3, lie just above their powers
+        count = np.add(np.less(y, 0.1, out=b1).view(np.uint8),
+                       np.less(y, 0.01, out=b2).view(np.uint8), out=b2.view(np.uint8))
+        np.copyto(k, np.add(count, np.less(y, 0.001, out=b1).view(np.uint8), out=count))
+        np.multiply(y, np.take(_SCALE, k, out=f, mode="wrap"), out=y)
+        np.divide(1e12, f, out=f)  # exact
         np.rint(y, out=r)
-        fast &= np.less(np.abs(np.subtract(y, r, out=y), out=y), 0.5 - 1e-6, out=b1)
-        # the twelve fraction digits, an exact integer
-        np.multiply(r, f, out=f)
-        fast &= np.less(f, 1e12, out=b1)  # 10^12: x rounds to 1
-        np.multiply(f, fast, out=f)  # 0 off the fast path: its digit words are NUL
-        # exact 0 and 1 are one digit; every other cell is "%.9g" itself
-        digit = np.greater(np.equal(x, 0.0, out=b1), np.signbit(x, out=b2), out=b1)
-        digit |= np.equal(x, 1.0, out=b2)
-        slow = np.flatnonzero(np.logical_not(np.logical_or(fast, digit, out=b2), out=b2))
-        digit = np.flatnonzero(digit)
-        digit_lead = _DIGIT_LEAD[(x[digit] == 1.0).view(np.int8), None]
-        values = tuple(x[slow].tolist())
-        printed = (b"\0%-15.9g" * len(slow)) % values
+        off |= np.greater_equal(np.abs(np.subtract(y, r, out=y), out=y), 0.5 - 1e-6, out=b1)
+        np.multiply(r, f, out=f)  # the twelve fraction digits, an exact integer
+        # off the path, exact 0 and 1 are one digit; any other cell is "%.9g" itself
+        off = np.flatnonzero(off)
+        x_off = x[off]
+        one_digit = (x_off.view(np.uint64) == 0) | (x_off == 1.0)
+        values = tuple(x_off[~one_digit].tolist())
+        printed = (b"\0%-15.9g" * len(values)) % values
         width = 4
-        if len(printed) > 16 * len(slow):  # a 16-byte text: with its separator, 17
+        if len(printed) > 16 * len(values):  # a 16-byte text: with its separator, 17
             width = 5
-            printed = (b"\0%-19.9g" * len(slow)) % values
+            printed = (b"\0%-19.9g" * len(values)) % values
         # each run in its place in a row: its text, or width words a cell
         total = sum(width * m if text is None else len(text) for _, m, text in spans)
         words = self.words[:n * total]
         rows = words.reshape(n, total)
+        # if the last call had this layout, its leads and texts are in place but where it patched
+        layout = (n, width, [(col, m, text is None or id(text)) for col, m, text in spans])
+        fresh, self.layout = layout != self.layout, layout
+        if not fresh and len(self.patched):
+            words[self.patched] = words[self.patched] & 0xFF | _CSV_LEAD[0] & 0xFFFFFF00
+            words[self.patched + width - 1] = 0  # a fifth word; a fourth is rewritten
         views, first, place = [], [], 0  # each varying run's cells; each x column's first word
         for col, m, text in spans:
             if text is None:
                 cells = rows[:, place:place + width * m].reshape(n, m, width)
-                cells[:, :, 0] = self.lead[col:col + m]
-                cells[:, :, 4:] = 0
+                if fresh:
+                    cells[:, :, 0] = self.lead[col:col + m]
+                    cells[:, :, 4:] = 0
                 views.append(cells)
                 first.extend(range(place, place + width * m, width))
-            else:
+            elif fresh:
                 rows[:, place:place + len(text)] = text
             place += width * m if text is None else len(text)
         # f = hi 10^8 + mid 10^4 + lo, split exactly into the spent x, r and y
@@ -183,18 +182,19 @@ class _CsvTable:
         # each group's digits, its "0"s NUL from the lowest nonzero group down
         np.add(np.multiply(np.equal(rest, 0.0, out=b1), 1e4, out=rest), hi, out=hi)
         np.add(np.multiply(np.equal(lo, 0.0, out=b1), 1e4, out=rest), mid, out=mid)
-        np.add(lo, 1e4, out=lo)
         digits, group = _csv_digits(), x.view(np.uint32)[:n * mv]  # in x once hi is in k
-        for word, index in ((1, hi), (2, mid), (3, lo)):
+        for word, index, table in ((1, hi, digits), (2, mid, digits), (3, lo, digits[10_000:])):
             np.copyto(k, index, casting="unsafe")
-            groups = np.take(digits, k, out=group, mode="wrap").reshape(n, mv)
+            groups = np.take(table, k, out=group, mode="wrap").reshape(n, mv)
             for (_, m), at, cells in zip(varying, starts, views):
                 cells[:, :, word] = groups[:, at:at + m]
-        # the one-digit and printed cells, each at its first word in words
-        printed = np.frombuffer(printed.replace(b" ", b"\0"), np.uint32).reshape(-1, width)
-        for cells, text in ((digit, digit_lead), (slow, printed)):
-            if len(cells):  # few chunks have any
-                at = cells // mv * total + np.array(first, np.intp)[cells % mv]
+        # the one-digit and printed cells, each patched in at its first word
+        self.patched = off  # few chunks have any
+        if len(off):
+            self.patched = at = off // mv * total + np.array(first, np.intp)[off % mv]
+            printed = np.frombuffer(printed.replace(b" ", b"\0"), np.uint32).reshape(-1, width)
+            digit = _DIGIT_CELL[(x_off[one_digit] == 1.0).view(np.int8)]
+            for at, text in ((at[one_digit], digit), (at[~one_digit], printed)):
                 words[at] = words[at] & 0xFF | text[:, 0]
                 for word in range(1, text.shape[1]):
                     words[at + word] = text[:, word]
