@@ -239,7 +239,8 @@ def _guarded(cell, c, p, omega):
 def eval_bound(spec: BoundSpec) -> float:
     """Closed-form value of one table cell."""
     _require_regular(spec, spec.c, spec.p)
-    return float(_guarded(spec, spec.c, spec.p, spec.omega))
+    form = _guarded if (spec.scheme, spec.figure, spec.theory) == _ARMED else _closed_form
+    return float(form(spec, spec.c, spec.p, spec.omega))
 
 
 def eval_column(spec: BoundSpec, variable: str | Sequence[str],

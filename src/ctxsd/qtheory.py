@@ -607,7 +607,8 @@ def usd_optimal(ens: Ensemble) -> tuple[Povm, float]:
     stacked construction.
     """
     stack = _usd(ens.vectors[None], _batch_of(ens, pure=True), np.zeros((1, 0, 2)), optimal=True)
-    return Povm._validated(stack.elements[0, 0]), float(stack.inconclusive_rate()[0, 0])
+    povm = Povm._validated(stack.elements[0, 0])
+    return povm, inconclusive_rate(ens, povm)
 
 
 # ---------------------------------------------------------------------------
