@@ -531,6 +531,19 @@ def test_fault_in_a_route_fails_its_home_check(monkeypatch, module, name):
         assert f"{module}.{name}" in {name: ops for name, ops, _ in harness._CHECKS}[home]
 
 
+@pytest.mark.parametrize("shift, caught", [(0.1, True), (0.06, True), (0.01, False)])
+def test_window_check_fails_for_a_threshold_moved_past_half_its_grid_step(
+        monkeypatch, shift, caught):
+    # At 5 points the window check's omega grid has step 0.05 and leaves the
+    # half step on each side of omega_star unresolved: 0.01 is inside that band.
+    real = bounds.omega_star
+    monkeypatch.setattr(harness, "bounds", types.SimpleNamespace(
+        **{**vars(bounds), "omega_star": lambda c: real(c) + shift}))
+    checks = {ch.name: ch.passed for ch in verify_all(5).checks}
+    assert checks["bounds/mesd-confidence-window"] is not caught
+    assert not checks["ncmodel/omega-star"]
+
+
 def test_povm_completeness_finds_a_stack_that_is_not_hermitian(monkeypatch):
     # pi_1 and pi_0 take opposite skew parts: still complete, and positive
     # semidefinite by their lower triangles, but not Hermitian
