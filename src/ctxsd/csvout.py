@@ -77,13 +77,13 @@ def _csv_digits() -> np.ndarray:
 class _CsvTable:
     """The CSV writer of one output of ``columns`` columns: its kernel's
     scratch, sized to its longest chunk so far, into which every step of
-    the kernel writes, and the text of each constant run."""
+    the kernel writes, the text of each constant run and the last layout."""
 
     def __init__(self, columns: int) -> None:
         self.size = 0  # cells the scratch holds
         self.lead = np.where(np.arange(columns) == 0, _CSV_LEAD[1], _CSV_LEAD[0])
         self.texts: dict[tuple, np.ndarray] = {}  # by columns and bit patterns
-        self.layout, self.patched = None, None  # what the words hold: see _cells
+        self.layout, self.patched = None, None  # the words' last layout, its patched cells
 
     def _reserve(self, size: int) -> None:
         """Scratch for ``size`` cells."""
@@ -132,8 +132,8 @@ class _CsvTable:
         k = r.view(np.intp)  # an index, in r while r is free
         for (col, m), at in zip(varying, starts):
             np.copyto(x.reshape(n, mv)[:, at:at + m], block[:, col:col + m])
-        np.not_equal(np.fmin(np.fmax(x, 1e-4, out=y), _TIE, out=y), x, out=off)  # the clamp
-        # k: the thresholds, nearest 10^-1..10^-3, lie just above their powers
+        np.not_equal(np.fmin(np.fmax(x, 1e-4, out=y), _TIE, out=y), x, out=off)  # moved: off
+        # k counts the thresholds above y, each the double just above 10^-j, so it is exact
         count = np.add(np.less(y, 0.1, out=b1).view(np.uint8),
                        np.less(y, 0.01, out=b2).view(np.uint8), out=b2.view(np.uint8))
         np.copyto(k, np.add(count, np.less(y, 0.001, out=b1).view(np.uint8), out=count))
