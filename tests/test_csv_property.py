@@ -2,7 +2,8 @@
 
 Runs only where hypothesis is installed (the ``test`` extra); the
 enumerated edge, chunk and digest tests in ``test_harness.py`` run
-everywhere.
+everywhere. Each property draws the same 100 examples in every run
+(derandomized, with no example database), whatever ran before it.
 """
 
 import io
@@ -51,7 +52,7 @@ def _printf_csv(header, table):
     return "\n".join(lines) + "\n"
 
 
-@settings(deadline=None)
+@settings(deadline=None, derandomize=True, database=None)
 @given(_tables())
 def test_csv_cells_are_printf_bytes(table):
     header = [f"x{i}" for i in range(table.shape[1])]
@@ -80,7 +81,7 @@ def _chunked_tables(draw):
     return cells, np.array(columns, dtype=float).reshape(cols, rows).T
 
 
-@settings(deadline=None)
+@settings(deadline=None, derandomize=True, database=None)
 @given(_chunked_tables())
 def test_csv_rows_and_constant_runs_cross_chunk_edges(drawn):
     # each row carries its "\n" and each constant run's text is kept per table
