@@ -330,6 +330,11 @@ def test_csv_cells_at_the_edges_of_the_fast_path(tmp_path):
         csvout.write_csv(tmp_path / "edges.csv", got.split("\n", 1)[0].split(","), table)
         assert (tmp_path / "edges.csv").read_bytes() == got.encode("ascii")
     assert csv_text([[1.0 - 5e-10, 1.0 - 4e-10, 1e-5]])[0].endswith("\n0.999999999,1,1e-05\n")
+    # with no 16-byte text a cell is four words; the clamp keeps 1e-4 and the
+    # cells below the tie 1 - 5e-10, which its tie margin alone sends to printf
+    writer = csvout._CsvTable(4)
+    writer.chunk(np.array([[1e-4, 1.0 - 6e-10, 0.5, 1.0 - 5e-10]]))
+    assert writer.layout[:2] == (1, 4) and writer.patched.tolist() == [12]
 
 
 def test_csv_digit_table_holds_every_group_plain_and_stripped():
@@ -1110,10 +1115,13 @@ def test_csv_bytes_match_stored_checksums(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
-def test_dense_sweep_bytes_match_the_benchmark_digests(tmp_path):
+def test_dense_sweep_bytes_match_the_benchmark_digests(tmp_path, monkeypatch):
     # 100 001 points reach the exponent-form x (1e-05 ...) and cross CSV chunks
     pinned = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "digests.json")
                         .read_text())
+    patched, chunk = [], csvout._CsvTable.chunk  # the cells each chunk sends off the fast path
+    monkeypatch.setattr(csvout._CsvTable, "chunk", lambda self, block: (
+        chunk(self, block), patched.append(len(self.patched)))[0])
     for variable in ("c", "p"):
         name = f"sweep-{variable}-100001.csv"
         argv = ["sweep", "--variable", variable, "--points", "100001",
@@ -1122,6 +1130,8 @@ def test_dense_sweep_bytes_match_the_benchmark_digests(tmp_path):
             argv += ["--target", target]
         assert cli.main(argv) == 0
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == pinned[name], name
+        if variable == "c":  # only the end rows of the sweep go to printf
+            assert patched == [18] + [0] * 47 + [44]
 
 
 def test_cli_rejects_bad_target(capsys):
