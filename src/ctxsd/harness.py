@@ -213,9 +213,12 @@ def _label(point: str | dict | Callable[[], dict]) -> str:
 def _points(**coords) -> Callable[[tuple], dict]:
     """The points of a stack whose named coordinates are the arrays
     ``coords``, broadcast over its leading axes: a function from the index
-    of an entry to the dict of its point."""
-    coords = dict(zip(coords, np.broadcast_arrays(*coords.values())))
-    return lambda k: {name: v[k[:v.ndim]] for name, v in coords.items()}
+    of an entry to the dict of its point. The coordinates are broadcast only
+    when a point is formatted, a check's worst one."""
+    def point(k: tuple) -> dict:
+        arrays = np.broadcast_arrays(*coords.values())
+        return {name: v[k[:v.ndim]] for name, v in zip(coords, arrays)}
+    return point
 
 
 _CELL = {cell.label: cell for cell in CELLS}
