@@ -140,16 +140,6 @@ def test_sweep_table_equals_the_column_stack_of_its_columns():
     assert result.rows == tuple(map(tuple, want.tolist()))
 
 
-def test_sweep_rejects_an_unknown_fixed_parameter():
-    with pytest.raises(ContractError, match="'q'"):
-        SweepSpec("c", 0.0, 1.0, 5, {"q": 0.3}, (Target("MESD", "P_g", QUANTUM),))
-
-
-def test_sweep_fixed_values_must_be_a_mapping():
-    with pytest.raises(ContractError, match="fixed must map"):
-        SweepSpec("c", 0.0, 1.0, 5, None, (Target("MESD", "P_g", QUANTUM),))
-
-
 def test_sweep_points_must_be_an_integer():
     targets = (Target("MESD", "P_g", QUANTUM),)
     with pytest.raises(ContractError, match="2.5"):
@@ -253,11 +243,6 @@ def test_all_figures_emit_finite_unit_interval_values(tmp_path):
             for v in row:
                 assert math.isfinite(v)
                 assert -1e-12 <= v <= 1.0 + 1e-12
-
-
-def test_figure_job_rejects_unknown_id(tmp_path):
-    with pytest.raises(ContractError):
-        FigureJob("fig9", tmp_path / "x.csv")
 
 
 def test_csv_significant_digits(tmp_path):
@@ -426,11 +411,6 @@ def test_table_cmd_flags_impossible_usd():
 
 # ---------------------------------------------------------------------------
 # verify
-
-
-def test_verify_all_rejects_sparse_grid():
-    with pytest.raises(DomainError):
-        verify_all(4)
 
 
 def test_verify_all_refuses_a_density_whose_pass_would_not_fit(capsys):
@@ -1024,11 +1004,6 @@ def test_an_operation_no_check_declares_fails_verify(monkeypatch):
 # CLI
 
 
-def test_cli_verify_exit_codes():
-    assert cli.main(["verify", "--points", "5"]) == 0
-    assert cli.main(["verify", "--points", "2"]) == 2  # usage error
-
-
 def test_cli_table_and_bounds_run(capsys):
     assert cli.main(["table", "--c", "0.5"]) == 0
     out = capsys.readouterr().out
@@ -1284,6 +1259,7 @@ def test_validators_reject_nan(build):
 
 
 _SCN = ncmodel.canonical_scenario(0.5, 0.0)
+_THETA_HALF = math.acos(math.sqrt(0.5))  # the angle of c = 0.5
 _BASIS = np.array([[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]], dtype=complex)  # |0><0|, |1><1|
 
 
@@ -1317,11 +1293,38 @@ _BASIS = np.array([[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]], dtype=complex)  
          r"equal shapes, got \(2,\) and \(3,\)"),
         (lambda: SweepSpec("c", 0.0, 1.0, 5, {}, ("MESD:Pg:Q",)), ContractError,
          "target must be a table cell, got 'MESD:Pg:Q'"),
+        (lambda: SweepSpec("c", 0.0, 1.0, 5, {"q": 0.3}, (Target("MESD", "P_g", QUANTUM),)),
+         ContractError, r"unknown fixed parameter\(s\) \['q'\]"),
+        (lambda: SweepSpec("c", 0.0, 1.0, 5, None, (Target("MESD", "P_g", QUANTUM),)),
+         ContractError, "fixed must map"),
+        (lambda: FigureJob("fig9", Path("fig9.csv")), ContractError, "unknown figure 'fig9'"),
+        (lambda: qtheory.PureState(1.0, 1.0), DomainError, "squared norm 2.0, expected 1"),
+        (lambda: qtheory.Operator2(np.array([[0.0, 1.0], [0.0, 0.0]])), DomainError,
+         "not Hermitian"),
+        (lambda: qtheory.usd_povm(qtheory.noisy_ensemble(_THETA_HALF, 0.2), 0.1, 0.1),
+         ContractError, r"pure-state ensemble required \(noise = 0\)"),
+        (lambda: qtheory.mcm_povm(qtheory.noisy_ensemble(_THETA_HALF, 0.75), 1.0),
+         errors.InfeasibleWeightsError, r"weights \(1\.0, 1\.0\) make the inconclusive"),
+        (lambda: qtheory.mcm_povm(qtheory.noisy_ensemble(0.0, 0.0), 0.1),
+         errors.DegenerateEnsembleError, "average state is singular"),
+        (lambda: qtheory.mcm_optimal(math.pi, 0.0), errors.DegenerateEnsembleError,
+         "average state is singular"),
+        (lambda: qtheory.mcm_stack([_THETA_HALF, 0.0, math.acos(math.sqrt(0.3))], [0.5, 0.0, 0.2]),
+         errors.DegenerateEnsembleError, r"singular .*\(row 1\)$"),
+        (lambda: ncmodel.EpistemicState([0.5, 0.5, 0.5, 0.0]), DomainError, "sum to 1.5"),
+        (lambda: ncmodel.EpistemicState([-0.1, 0.6, 0.5, 0.0]), DomainError, "nonnegative"),
+        (lambda: ncmodel.nc_prob(_SCN.prep1, [0.0, 1.5, 0.0, 0.0]), DomainError,
+         r"response values must lie in \[0, 1\]"),
+        (lambda: ncmodel.ResponseSet(np.ones(4), np.ones(4), np.ones(4)), DomainError,
+         "sum to 1 pointwise"),
     ],
     ids=["spec-theory", "spec-outcome", "state-shape", "responses-unequal", "responses-3",
          "scenario-mirrors", "scenario-support", "nc_prob-3", "oracle-outcome",
          "stack-outcome", "mcm_stack-fractions", "psd-outside-pi0", "ragged", "cli-figure",
-         "cli-theory", "usd_response-shapes", "sweep-target"],
+         "cli-theory", "usd_response-shapes", "sweep-target", "sweep-fixed-name",
+         "sweep-fixed-mapping", "figure-id", "state-norm", "operator-hermitian", "usd-noisy",
+         "mcm-alpha", "mcm_povm-singular", "mcm_optimal-singular", "mcm_stack-singular",
+         "state-sum", "state-negative", "nc_prob-range", "responses-sum"],
 )
 def test_each_typed_error_path_raises_its_error(build, error, match):
     with pytest.raises(error, match=match):
