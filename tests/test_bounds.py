@@ -212,15 +212,6 @@ def test_two_parameter_column_rejects_each_bad_grid():
 # gaps
 
 
-def test_gap_orientation_for_inconclusive_rate():
-    cert = gap(
-        BoundSpec("USD", "P_0", QUANTUM, c=0.5),
-        BoundSpec("USD", "P_0", NONCONTEXTUAL, c=0.5),
-    )
-    assert cert.gap < 0  # quantum rate is smaller
-    assert cert.advantage
-
-
 def test_advantage_rule_of_a_column_is_the_rule_of_gap():
     cs = np.linspace(0.0, 1.0, 21)
     for scheme, figure in (("MESD", "P_g"), ("USD", "P_0")):
