@@ -213,12 +213,10 @@ def _label(point: str | dict | Callable[[], dict]) -> str:
 def _points(**coords) -> Callable[[tuple], dict]:
     """The points of a stack whose named coordinates are the arrays
     ``coords``, broadcast over its leading axes: a function from the index
-    of an entry to the dict of its point. The coordinates are broadcast only
-    when a point is formatted, a check's worst one."""
-    def point(k: tuple) -> dict:
-        arrays = np.broadcast_arrays(*coords.values())
-        return {name: v[k[:v.ndim]] for name, v in zip(coords, arrays)}
-    return point
+    of an entry to the dict of its point. The coordinates are broadcast when
+    a point is first formatted, a check's worst one, and then kept."""
+    arrays = functools.cache(lambda: np.broadcast_arrays(*coords.values()))
+    return lambda k: {name: v[k[:v.ndim]] for name, v in zip(coords, arrays())}
 
 
 _CELL = {cell.label: cell for cell in CELLS}
