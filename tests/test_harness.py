@@ -1094,9 +1094,14 @@ def test_dense_sweep_bytes_match_the_benchmark_digests(tmp_path, monkeypatch):
     # 100 001 points reach the exponent-form x (1e-05 ...) and cross CSV chunks
     pinned = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "digests.json")
                         .read_text())
-    patched, chunk = [], csvout._CsvTable.chunk  # the cells each chunk sends off the fast path
-    monkeypatch.setattr(csvout._CsvTable, "chunk", lambda self, block: (
-        chunk(self, block), patched.append(len(self.patched)))[0])
+    patched, chunk = [], csvout._CsvTable.chunk
+
+    def counted(self, block):  # and the cells it sent off the fast path
+        text = chunk(self, block)
+        patched.append(len(self.patched))
+        return text
+
+    monkeypatch.setattr(csvout._CsvTable, "chunk", counted)
     for variable in ("c", "p"):
         name = f"sweep-{variable}-100001.csv"
         argv = ["sweep", "--variable", variable, "--points", "100001",
