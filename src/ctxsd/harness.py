@@ -18,8 +18,8 @@ grid, the reader that takes the route's values from the pass and the limit.
 Each check takes its rows when it is registered. Every closed form comes
 from ``bounds``, even in an ``ncmodel`` check such as ``mesd-confidences``,
 which compares it with ``ncmodel.nc_figures``. The structural checks
-(completeness, monotonicity, the inequality suite and the like) read the
-same stacks. What a constructor enforces (the four-region model's mirror
+(completeness, the inequality suite, the advantage window and the like)
+read the same stacks. What a constructor enforces (the four-region model's mirror
 equivalence and unit sums, the responses' normalisation) is no check: a
 route that broke it raises before any check could compare. Each check
 reports its largest deviation and the number of values it compared, and
@@ -316,8 +316,6 @@ _RELATIONS: tuple[tuple[str, str, str, _Read, Callable[[Tolerances], float]], ..
     (_BUILT, "MCM_P0_Q", "nc", lambda ev: ev.mcm.inconclusive_rate()[:, 0], _CLOSED),
     (_BUILT, "MCM_Pg_Q", "nc", lambda ev: ev.mcm.guessing_probability()[:, 0], _CLOSED),
     (_BUILT, "MCM_C_Q", "nc", lambda ev: ev.mcm.confidences()[:, 0], _CLOSED),
-    ("qtheory/usd-certainty", "USD_C_Q", "c<1", lambda ev: ev.povms.confidences()[:, 1:],
-     lambda t: 1e-10),
     ("qtheory/mcm-confidence", "MCM_C_Q", "nc", lambda ev: ev.mcm.confidences()[:, 1:], _CLOSED),
     ("ncmodel/oracle-max-pg", "MESD_Pg_NC", "c", attrgetter("max_pg"), _ORACLE),
     ("ncmodel/oracle-max-confidence", "MCM_C_NC", "nc", attrgetter("max_conf"),
@@ -435,32 +433,9 @@ def _chk_povm_completeness(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     acc.raises(UsdImpossibleError, "c=1", qtheory.usd_optimal, qtheory.noisy_ensemble(0.0, 0.0))
 
 
-@_check("qtheory/helstrom-balance", ())
-def _chk_helstrom_balance(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
-    # Distinct states only: the c = 1 tie-break measurement has a dead arm.
-    hits = ev.pure.hits[:-1, 0]
-    acc.add(hits[:, 0] - hits[:, 1], 1e-10, ev.points["c<1"])
-    acc.add(ev.pure.guessing_probability()[-1, 0] - 0.5, tols.exact, "c=1 tie-break")
-
-
-@_check("qtheory/mesd-confidence-identity", ())
-def _chk_mesd_confidence(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
-    # both confidences of the Helstrom measurement equal its P_g (outcome 2
-    # never fires at c = 1)
-    p_g = ev.pure.guessing_probability()[:, 0]
-    acc.add(ev.pure.confidence(1)[:, 0] - p_g, 1e-10, ev.points["c"])
-    acc.add(ev.pure[:-1].confidence(2)[:, 0] - p_g[:-1], 1e-10, ev.points["c<1"])
-
-
-_check("qtheory/usd-certainty", ())  # its relation row only
-
-
 @_check("qtheory/mcm-confidence", ("qtheory.noisy_ensemble", "qtheory.mcm_optimal",
                                     "qtheory.mcm_povm", "qtheory.confidence"))
 def _chk_mcm_confidence(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
-    # the confidences do not depend on the conclusive weight alpha
-    seen = ev.mcm.confidences()
-    acc.add(seen.max(axis=(1, 2)) - seen.min(axis=(1, 2)), tols.closed_form, ev.points["nc"])
     # the scalar constructions rebuild a row of the stack: the pure ensemble
     # at the middle c, a point of the nc grid
     c, theta = ev.cs[ev.n // 2], ev.theta[ev.n // 2]
@@ -474,24 +449,7 @@ def _chk_mcm_confidence(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     point = ev.points["nc"]((row,))
     acc.add(rate - ev.mcm.inconclusive_rate()[row, 0], tols.exact, point)
     conf = [qtheory.confidence(ens, m, i) for i in (1, 2)]
-    acc.add(conf - seen[row, 0], tols.exact, point)
-
-
-@_check("qtheory/mcm-monotonicity", ())
-def _chk_mcm_monotonicity(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
-    # the optimal rate rises with c at fixed p > 0 and falls with p > 0 at fixed c
-    xs, p = ev.cs, ev.grids["nc"][1]
-    r = ev.mcm.inconclusive_rate()[p > 0.0, 0].reshape(ev.n, -1)  # one row per c, p > 0
-    acc.add(np.minimum(np.diff(r, axis=0), 0.0), tols.exact, _points(c=xs[1:, None], p=xs[1:]))
-    acc.add(np.minimum(-np.diff(r, axis=1), 0.0), tols.exact, _points(c=xs[:, None], p=xs[2:]))
-
-
-@_check("qtheory/composition-identity", ())
-def _chk_composition(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
-    # P_g = (1 - P_0) C(1) for the optimal MCM measurement
-    m = ev.mcm
-    acc.add(m.guessing_probability()[:, 0] - (1.0 - m.inconclusive_rate()[:, 0])
-            * m.confidence(1)[:, 0], 1e-10, ev.points["nc"])
+    acc.add(conf - ev.mcm.confidences()[row, 0], tols.exact, point)
 
 
 @_check("ncmodel/confusability",
