@@ -273,7 +273,11 @@ def nc_mesd_confidences(c: float | np.ndarray, omega: float | np.ndarray) -> tup
     strategies, the two arms of the noncontextual MESD confidence; (1/2, 1/2)
     at c = 1. ``c`` and ``omega`` may be floats or numpy arrays."""
     c, omega = require_in(c, "confusability"), require_in(omega, "omega")
-    return tuple(_guarded(arm, c, None, omega) for arm in _ARMS)
+    try:
+        return tuple(_guarded(arm, c, None, omega) for arm in _ARMS)
+    except ValueError:  # arrays that do not broadcast
+        raise ContractError(f"c and omega must broadcast, got shapes {np.shape(c)} and "
+                            f"{np.shape(omega)}") from None
 
 
 def omega_star(c: float | np.ndarray) -> float | np.ndarray:
@@ -291,7 +295,12 @@ def omega_star(c: float | np.ndarray) -> float | np.ndarray:
 def nc_mcm_guessing(c: float | np.ndarray, p: float | np.ndarray) -> float | np.ndarray:
     """Closed-form guessing probability of the maximal-confidence strategy,
     the noncontextual MCM P_g. ``c`` and ``p`` may be floats or numpy arrays."""
-    return _closed_form(_MCM_PG_NC, require_in(c, "confusability"), require_in(p, "noise"), None)
+    c, p = require_in(c, "confusability"), require_in(p, "noise")
+    try:
+        return _closed_form(_MCM_PG_NC, c, p, None)
+    except ValueError:  # arrays that do not broadcast
+        raise ContractError(f"c and p must broadcast, got shapes {np.shape(c)} and "
+                            f"{np.shape(p)}") from None
 
 
 @dataclass(frozen=True)

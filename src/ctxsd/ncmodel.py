@@ -78,7 +78,11 @@ def _dot(w, v):
     """Inner product over the last (region) axis, broadcast over the leading
     axes and summed in region order, so a stack and each of its points agree
     bit for bit."""
-    t = (w * v).T  # regions first, so a point's terms are numpy scalars
+    try:
+        t = (w * v).T  # regions first, so a point's terms are numpy scalars
+    except ValueError:  # leading axes that do not broadcast
+        raise ContractError(f"region arrays of shapes {np.shape(w)} and {np.shape(v)} do not "
+                            "broadcast") from None
     return (t[0] + t[1] + t[2] + t[3]).T
 
 
@@ -100,7 +104,10 @@ class EpistemicState:
     __slots__ = ("_w",)
 
     def __init__(self, weights) -> None:
-        w = np.array(weights, dtype=float)
+        try:
+            w = np.array(weights, dtype=float)
+        except (ValueError, TypeError) as exc:  # a non-numeric entry, or a ragged stack
+            raise ContractError(f"region weights must be real numbers: {exc}") from None
         if w.shape[-1:] != (4,):
             raise ContractError(f"expected 4 region weights, got shape {w.shape}")
         if not (w >= 0.0).all():
@@ -270,7 +277,10 @@ def canonical_scenario(c: float | np.ndarray, p: float | np.ndarray) -> NcScenar
 
 def nc_prob(mu: EpistemicState, xi) -> float | np.ndarray:
     """Outcome probability: the inner product of weights and responses."""
-    v = np.asarray(xi, dtype=float)
+    try:
+        v = np.asarray(xi, dtype=float)
+    except (ValueError, TypeError) as exc:  # a non-numeric entry, or a ragged stack
+        raise ContractError(f"response vector must hold real numbers: {exc}") from None
     if v.shape[-1:] != (4,):
         raise ContractError("response vector must have 4 entries")
     if not ((v >= -DEFAULTS.norm) & (v <= 1.0 + DEFAULTS.norm)).all():

@@ -101,7 +101,11 @@ class PureState:
     amp1: complex
 
     def __post_init__(self) -> None:
-        n = abs(self.amp0) ** 2 + abs(self.amp1) ** 2
+        try:
+            n = abs(self.amp0) ** 2 + abs(self.amp1) ** 2
+        except TypeError:  # an amplitude that is no number
+            raise ContractError(f"amplitudes must be numbers, got {self.amp0!r} and "
+                                f"{self.amp1!r}") from None
         if not abs(n - 1.0) <= DEFAULTS.norm:
             raise DomainError(f"amplitudes have squared norm {n}, expected 1")
 
@@ -210,7 +214,10 @@ class Povm:
     elements: np.ndarray
 
     def __post_init__(self) -> None:
-        e = np.array(self.elements, dtype=complex)
+        try:
+            e = np.array(self.elements, dtype=complex)
+        except (ValueError, TypeError) as exc:  # a non-numeric entry, or a ragged array
+            raise ContractError(f"POVM elements must be complex numbers: {exc}") from None
         if e.shape != (3, 2, 2):
             raise ContractError(f"expected a (3, 2, 2) array of elements, got shape {e.shape}")
         if not np.abs(e - e.conj().swapaxes(-1, -2)).max() <= DEFAULTS.norm:

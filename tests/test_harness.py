@@ -115,17 +115,6 @@ def test_sweep_shifts_singular_endpoint_inward():
     assert result.substitutions == (Substitution(10, 1.0, result.rows[-1][0]),)
 
 
-def test_sweep_validation():
-    with pytest.raises(ContractError):
-        SweepSpec("x", 0.0, 1.0, 5, {}, (Target("MESD", "P_g", QUANTUM),))
-    with pytest.raises(DomainError):
-        SweepSpec("c", 0.0, 1.5, 5, {}, (Target("MESD", "P_g", QUANTUM),))
-    with pytest.raises(DomainError):
-        SweepSpec("c", 0.0, 1.0, 0, {}, (Target("MESD", "P_g", QUANTUM),))
-    with pytest.raises(ContractError):
-        SweepSpec("c", 0.0, 1.0, 5, {}, ())
-
-
 def test_sweep_table_equals_the_column_stack_of_its_columns():
     # the table is laid out column by column in memory; as an array it is
     # still the row table of x and one column per target
@@ -514,6 +503,47 @@ def test_fault_in_a_route_fails_its_home_check(monkeypatch, module, name):
     assert home in {ch.name for ch in report.checks if not ch.passed}
     if name in harness.OPERATIONS[module]:  # the audit counts it for the check it fails
         assert f"{module}.{name}" in {name: ops for name, ops, _ in harness._CHECKS}[home]
+
+
+def _moved_p_g(figures):
+    return figures._replace(p_g=figures.p_g + 1e-6)
+
+
+# A fault for each check that no route fault above singles out: the function
+# the harness looks up (a module's function, or a name harness imports), the
+# fault made of the real function, and every check the fault fails.
+_CHECK_FAULTS = {
+    "ncmodel/confusability": (
+        "ncmodel", "confusability", lambda real: lambda *args: real(*args) + 1e-6,
+        {"ncmodel/confusability"}),
+    "ncmodel/mesd-omega-invariance": (  # P_g alone moves; the confidences stay
+        "ncmodel", "nc_figures", lambda real: lambda *args: _moved_p_g(real(*args)),
+        {"ncmodel/mesd-omega-invariance"}),
+    "ncmodel/hand-integrals": (  # a feasible weight, off by a factor of 1 - 1e-6
+        "ncmodel", "usd_response", lambda real: lambda g1, g2: real(g1 * (1.0 - 1e-6), g2),
+        {"ncmodel/hand-integrals"}),
+    "bounds/inequality-suite": (  # forgets that a smaller P_0 is the better one
+        None, "is_advantage", lambda real: lambda figure, signed, tols: signed > tols.advantage,
+        {"bounds/inequality-suite"}),
+    "bounds/oracle-consistency": (  # no oracle fault within oracle-min-p0's limit fails it
+        "ncmodel", "oracle_min_p0_at_max_confidence",
+        lambda real: lambda *args: _off_by(real(*args), 1e-6),
+        {"ncmodel/oracle-min-p0", "bounds/oracle-consistency"}),
+}
+
+
+@pytest.mark.parametrize("check", _CHECK_FAULTS)
+def test_fault_fails_exactly_its_listed_checks(monkeypatch, check):
+    module, name, fault, failing = _CHECK_FAULTS[check]
+    if module is None:
+        monkeypatch.setattr(harness, name, fault(getattr(harness, name)))
+    else:
+        real = getattr(harness, module)
+        faulty = types.SimpleNamespace(**vars(real))
+        setattr(faulty, name, fault(getattr(real, name)))
+        monkeypatch.setattr(harness, module, faulty)
+    assert check in failing
+    assert {ch.name for ch in verify_all(5).checks if not ch.passed} == failing
 
 
 @pytest.mark.parametrize("shift, caught", [(0.1, True), (0.06, True), (0.01, False)])
@@ -1264,8 +1294,12 @@ def test_validators_reject_nan(build):
 
 
 _SCN = ncmodel.canonical_scenario(0.5, 0.0)
+_SCN3 = ncmodel.canonical_scenario(np.linspace(0.0, 1.0, 3), np.zeros(3))  # a stack of 3
 _THETA_HALF = math.acos(math.sqrt(0.5))  # the angle of c = 0.5
 _BASIS = np.array([[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]], dtype=complex)  # |0><0|, |1><1|
+_ONE, _HALF, _ZERO = np.eye(2), 0.5 * np.eye(2), np.zeros((2, 2))
+_NAN_ELEMENT = np.array([[np.nan, 0.0], [0.0, 1.0]])
+_PG = Target("MESD", "P_g", QUANTUM)
 
 
 @pytest.mark.parametrize(
@@ -1322,6 +1356,73 @@ _BASIS = np.array([[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]], dtype=complex)  
          r"response values must lie in \[0, 1\]"),
         (lambda: ncmodel.ResponseSet(np.ones(4), np.ones(4), np.ones(4)), DomainError,
          "sum to 1 pointwise"),
+        (lambda: qtheory.Povm((_HALF, _HALF)), ContractError,
+         r"\(3, 2, 2\) array of elements, got shape \(2, 2, 2\)"),
+        (lambda: qtheory.Povm(([[0.0, 1.0], [0.0, 0.0]], _ZERO, [[1.0, -1.0], [0.0, 1.0]])),
+         DomainError, "POVM elements are not Hermitian"),
+        (lambda: qtheory.Povm((np.diag([1.5, 0.5]), np.diag([-0.5, 0.5]), _ZERO)),
+         ContractError, "negative eigenvalue"),
+        (lambda: qtheory.Povm((_HALF, _ZERO, _ZERO)), ContractError, "do not sum to the identity"),
+        (lambda: qtheory.Povm((_NAN_ELEMENT, _ZERO, _ONE - _NAN_ELEMENT)), DomainError,
+         "POVM elements are not Hermitian"),
+        (lambda: qtheory.Povm((_ONE, _ZERO, _ZERO)).conclusive(0), ContractError, "1 and 2, got 0"),
+        (lambda: qtheory.Povm((_ONE, _ZERO, _ZERO)).conclusive(3), ContractError, "1 and 2, got 3"),
+        (lambda: qtheory.mcm_stack([0.5, 0.5], [0.5], (1.0,)), ContractError,
+         r"1-D of one length, got 2, \(1,\)"),
+        (lambda: qtheory.mcm_stack([[0.5]], [[0.5]], (1.0,)), ContractError,
+         r"1-D and not empty, got shape \(1, 1\)"),
+        (lambda: qtheory.mcm_stack([], [], (1.0,)), ContractError,
+         r"1-D and not empty, got shape \(0,\)"),
+        (lambda: qtheory.mcm_stack([0.5, 4.0], [0.5, 0.5], (1.0,)), DomainError,
+         r"theta must lie in \[0, pi\], got 4\.0 \(row 1\)"),
+        (lambda: qtheory.mcm_stack([0.5], [1.5], (1.0,)), DomainError,
+         r"noise must lie in \[0, 1\], got 1\.5"),
+        (lambda: qtheory.mcm_stack([0.5], [np.nan], (1.0,)), DomainError,
+         r"noise must lie in \[0, 1\], got nan"),
+        (lambda: qtheory.mcm_stack([0.5], [0.5], (-0.5,)), DomainError,
+         r"weight fractions must lie in \[0, inf\], got -0\.5"),
+        (lambda: bounds.BoundSpec("MCM", "P_g", QUANTUM, c=0.5), ContractError,
+         "MCM bounds require the noise level p"),
+        (lambda: bounds.BoundSpec("MESD", "P_g", QUANTUM, c=0.5, p=0.5), ContractError,
+         "p is not a parameter of MESD bounds"),
+        (lambda: bounds.BoundSpec("MESD", "C", NONCONTEXTUAL, c=0.5), ContractError,
+         "noncontextual MESD confidence requires omega"),
+        (lambda: bounds.BoundSpec("MESD", "C", QUANTUM, c=0.5, omega=0.5), ContractError,
+         "omega only parametrises the noncontextual MESD confidence"),
+        (lambda: bounds.BoundSpec("MESD", "P_g", QUANTUM, c=0.5, omega=0.5), ContractError,
+         "omega only parametrises the noncontextual MESD confidence"),
+        (lambda: bounds.BoundSpec("XYZ", "P_g", QUANTUM, c=0.5), ContractError,
+         "unknown scheme 'XYZ'"),
+        (lambda: bounds.BoundSpec("MESD", "Pg", QUANTUM, c=0.5), ContractError,
+         "unknown figure 'Pg'"),
+        (lambda: bounds.BoundSpec("MCM", "C", QUANTUM, c=0.5, p=0.5, outcome=2), ContractError,
+         "only the noncontextual MESD confidence has distinct arms"),
+        (lambda: SweepSpec("x", 0.0, 1.0, 5, {}, (_PG,)), ContractError,
+         "unknown sweep variable 'x'"),
+        (lambda: SweepSpec("c", 0.0, 1.5, 5, {}, (_PG,)), DomainError,
+         r"sweep stop must lie in \[0, 1\], got 1\.5"),
+        (lambda: SweepSpec("c", 0.0, 1.0, 0, {}, (_PG,)), DomainError,
+         "a sweep needs at least one grid point"),
+        (lambda: SweepSpec("c", 0.0, 1.0, 5, {}, ()), ContractError,
+         "a sweep needs at least one target"),
+        (lambda: ncmodel.nc_prob(_SCN3.prep1, np.zeros((2, 4))), ContractError,
+         r"shapes \(3, 4\) and \(2, 4\) do not broadcast"),
+        (lambda: ncmodel.nc_figures(_SCN3, ncmodel.usd_response(np.array([0.1, 0.2]),
+                                                                np.array([0.1, 0.2]))),
+         ContractError, r"shapes \(3, 4\) and \(2, 4\) do not broadcast"),
+        (lambda: ncmodel.confusability(_SCN3.prep1, _SCN3[:2].prep2), ContractError,
+         r"shapes \(3, 4\) and \(2, 4\) do not broadcast"),
+        (lambda: bounds.nc_mesd_confidences(np.linspace(0.0, 1.0, 3), np.array([0.1, 0.2])),
+         ContractError, r"c and omega must broadcast, got shapes \(3,\) and \(2,\)"),
+        (lambda: bounds.nc_mcm_guessing(np.linspace(0.0, 1.0, 3), np.array([0.1, 0.2])),
+         ContractError, r"c and p must broadcast, got shapes \(3,\) and \(2,\)"),
+        (lambda: ncmodel.EpistemicState(["a"] * 4), ContractError,
+         "region weights must be real numbers: could not convert string to float: 'a'"),
+        (lambda: ncmodel.nc_prob(_SCN.prep1, "abcd"), ContractError,
+         "response vector must hold real numbers: could not convert string to float: 'abcd'"),
+        (lambda: qtheory.Povm("x"), ContractError, "POVM elements must be complex numbers"),
+        (lambda: qtheory.PureState("a", 0), ContractError,
+         "amplitudes must be numbers, got 'a' and 0"),
     ],
     ids=["spec-theory", "spec-outcome", "state-shape", "responses-unequal", "responses-3",
          "scenario-mirrors", "scenario-support", "nc_prob-3", "oracle-outcome",
@@ -1329,7 +1430,17 @@ _BASIS = np.array([[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]], dtype=complex)  
          "cli-theory", "usd_response-shapes", "sweep-target", "sweep-fixed-name",
          "sweep-fixed-mapping", "figure-id", "state-norm", "operator-hermitian", "usd-noisy",
          "mcm-alpha", "mcm_povm-singular", "mcm_optimal-singular", "mcm_stack-singular",
-         "state-sum", "state-negative", "nc_prob-range", "responses-sum"],
+         "state-sum", "state-negative", "nc_prob-range", "responses-sum", "povm-shape",
+         "povm-non-hermitian", "povm-indefinite", "povm-incomplete", "povm-nan",
+         "povm-conclusive-0", "povm-conclusive-3", "mcm_stack-lengths", "mcm_stack-2-d",
+         "mcm_stack-empty", "mcm_stack-theta", "mcm_stack-noise", "mcm_stack-nan",
+         "mcm_stack-fraction", "spec-mcm-without-p", "spec-mesd-with-p",
+         "spec-arms-without-omega", "spec-quantum-confidence-with-omega", "spec-pg-with-omega",
+         "spec-scheme", "spec-figure", "spec-arm-outside-nc-mesd", "sweep-variable",
+         "sweep-stop", "sweep-points", "sweep-no-target", "nc_prob-broadcast",
+         "nc_figures-broadcast", "confusability-broadcast", "nc_mesd_confidences-broadcast",
+         "nc_mcm_guessing-broadcast", "state-entry", "nc_prob-entry", "povm-entry",
+         "pure-state-entry"],
 )
 def test_each_typed_error_path_raises_its_error(build, error, match):
     with pytest.raises(error, match=match):

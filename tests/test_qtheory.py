@@ -481,24 +481,6 @@ def test_stack_weight_above_the_optimum_raises():
         qt.mcm_stack(theta, p, (1.0, 0.0)).confidences()
 
 
-@pytest.mark.parametrize(
-    "theta, p, fractions, error",
-    [
-        ([0.5, 0.5], [0.5], (1.0,), ContractError),
-        ([[0.5]], [[0.5]], (1.0,), ContractError),
-        ([], [], (1.0,), ContractError),
-        ([0.5, 4.0], [0.5, 0.5], (1.0,), DomainError),
-        ([0.5], [1.5], (1.0,), DomainError),
-        ([0.5], [np.nan], (1.0,), DomainError),
-        ([0.5], [0.5], (-0.5,), DomainError),
-    ],
-    ids=["lengths", "2-d", "empty", "theta", "noise", "nan", "fraction"],
-)
-def test_stack_rejects_invalid_input(theta, p, fractions, error):
-    with pytest.raises(error):
-        qt.mcm_stack(theta, p, fractions)
-
-
 # ---------------------------------------------------------------------------
 # the stacked minimum-error and unambiguous constructions
 
@@ -604,30 +586,6 @@ def test_stacked_usd_and_helstrom_errors_name_their_row():
         qt.usd_povm(pure_ensemble(0.5), 0.9, 0.9)
     with pytest.raises(UsdImpossibleError, match=r"dependent$"):
         qt.usd_optimal(pure_ensemble(1.0))
-
-
-_NAN = np.array([[np.nan, 0.0], [0.0, 1.0]])
-
-
-@pytest.mark.parametrize(
-    "build, error, match",
-    [
-        (lambda: qt.Povm((HALF, HALF)), ContractError, "shape"),
-        (lambda: qt.Povm(([[0.0, 1.0], [0.0, 0.0]], ZERO, [[1.0, -1.0], [0.0, 1.0]])),
-         DomainError, "Hermitian"),
-        (lambda: qt.Povm((np.diag([1.5, 0.5]), np.diag([-0.5, 0.5]), ZERO)), ContractError,
-         "negative eigenvalue"),
-        (lambda: qt.Povm((HALF, ZERO, ZERO)), ContractError, "identity"),
-        (lambda: qt.Povm((_NAN, ZERO, ONE - _NAN)), DomainError, "Hermitian"),
-        (lambda: qt.Povm((ONE, ZERO, ZERO)).conclusive(0), ContractError, "1 and 2"),
-        (lambda: qt.Povm((ONE, ZERO, ZERO)).conclusive(3), ContractError, "1 and 2"),
-    ],
-    ids=["shape", "non-hermitian", "indefinite", "incomplete", "nan", "conclusive-0",
-         "conclusive-3"],
-)
-def test_povm_rejects_invalid_input(build, error, match):
-    with pytest.raises(error, match=match):
-        build()
 
 
 # ---------------------------------------------------------------------------
