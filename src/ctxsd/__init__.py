@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 _HOMES = {
     "bounds": ("BoundSpec", "ConfidencePairCell", "DefinitionalCell", "GapCertificate",
                "Table1Report", "eval_bound", "gap", "nc_mcm_guessing", "nc_mesd_confidences",
-               "omega_star", "overlap_from_confusability", "table1_report"),
+               "omega_star", "table1_report"),
     "config": ("DEFAULTS", "Tolerances"),
     "errors": ("ContractError", "CtxsdError", "DegenerateEnsembleError", "DivergenceError",
                "DomainError", "InfeasibleWeightsError", "UndefinedConfidenceError",

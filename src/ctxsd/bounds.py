@@ -36,7 +36,6 @@ __all__ = [
     "DefinitionalCell",
     "ConfidencePairCell",
     "Table1Report",
-    "overlap_from_confusability",
     "eval_bound",
     "eval_column",
     "nc_mesd_confidences",
@@ -55,11 +54,6 @@ THEORIES = ("quantum", "noncontextual")
 QUANTUM = "quantum"
 NONCONTEXTUAL = "noncontextual"
 _ARMED = ("MESD", "C", NONCONTEXTUAL)  # the one cell with an arm per outcome
-
-
-def overlap_from_confusability(c: float | np.ndarray) -> float | np.ndarray:
-    """|<psi1|psi2>| matching confusability c: the square root (float or array)."""
-    return np.sqrt(require_in(c, "confusability"))
 
 
 @dataclass(frozen=True)

@@ -38,15 +38,15 @@ class Tolerances:
 DEFAULTS = Tolerances()
 
 
-def from_env(base: Tolerances = DEFAULTS) -> Tolerances:
-    """Return ``base`` with the comparison tolerances floored at CTXSD_TOL.
+def from_env() -> Tolerances:
+    """Return the defaults with the comparison tolerances floored at CTXSD_TOL.
 
     The override can only loosen checks (useful on platforms with a weaker
     libm); the structural tolerances are untouched.
     """
     raw = os.environ.get(ENV_TOL)
     if raw is None:
-        return base
+        return DEFAULTS
     try:
         floor = float(raw)
     except ValueError:
@@ -54,9 +54,9 @@ def from_env(base: Tolerances = DEFAULTS) -> Tolerances:
     if not 0.0 < floor < math.inf:
         raise DomainError(f"{ENV_TOL} must be positive and finite, got {floor}")
     return replace(
-        base,
-        exact=max(base.exact, floor),
-        closed_form=max(base.closed_form, floor),
-        oracle=max(base.oracle, floor),
-        advantage=max(base.advantage, floor),
+        DEFAULTS,
+        exact=max(DEFAULTS.exact, floor),
+        closed_form=max(DEFAULTS.closed_form, floor),
+        oracle=max(DEFAULTS.oracle, floor),
+        advantage=max(DEFAULTS.advantage, floor),
     )

@@ -23,9 +23,9 @@ read the same stacks. What a constructor enforces (the four-region model's mirro
 equivalence and unit sums, the responses' normalisation) is no check: a
 route that broke it raises before any check could compare. Each check
 reports its largest deviation and the number of values it compared, and
-the report records the audited operations whose results it compared. A
-typed error raised inside a check is that check's failure, reported at the
-error; the other checks still run.
+the report records the audited operations (the routes' public functions)
+whose results it compared. A typed error raised inside a check is that
+check's failure, reported at the error; the other checks still run.
 
 The audits are array expressions with no per-point Python and no LAPACK.
 ``povm-completeness`` takes the smallest eigenvalue of each 2x2 element
@@ -74,15 +74,12 @@ from .sweeps import *  # noqa: F403
 __all__ = [*sweeps.__all__, *csvout.__all__, "CheckResult", "VerifyReport", "verify_all",
            "OPERATIONS"]
 
-# The audited operations: every public function of the three routes, less
-# the square root of c, which no route computes independently. A check lists
-# those whose results its items compare, called by the check or by the shared
-# pass for it; the checks that read only the pass's stacks and closed-form
-# columns list none. An operation no check lists fails verify.
-_UNAUDITED = "bounds.overlap_from_confusability"
+# The audited operations: every public function of the three routes. A check
+# lists those whose results its items compare, called by the check or by the
+# shared pass for it; the checks that read only the pass's stacks and
+# closed-form columns list none. An operation no check lists fails verify.
 OPERATIONS: dict[str, tuple[str, ...]] = {
-    name: tuple(op for op in _HOMES[name] if inspect.isfunction(getattr(module, op))
-                and f"{name}.{op}" != _UNAUDITED)
+    name: tuple(op for op in _HOMES[name] if inspect.isfunction(getattr(module, op)))
     for name, module in (("qtheory", qtheory), ("ncmodel", ncmodel), ("bounds", bounds))
 }
 
@@ -266,7 +263,7 @@ class _Pass:
 
         nc = self.scenario[masks["nc"]]
         self.min_p0 = ncmodel.oracle_min_p0_at_max_confidence(nc)[1]
-        self.max_conf = np.stack([ncmodel.oracle_max_confidence(nc, i, noisy=True)[1]
+        self.max_conf = np.stack([ncmodel.oracle_max_confidence(nc, i)[1]
                                   for i in (1, 2)], -1)
         self.max_pg = ncmodel.oracle_max_pg(self.scenario[masks["c"]])[1]
         self.pure_nc = nc.p == 0.0
@@ -324,7 +321,7 @@ _RELATIONS: tuple[tuple[str, str, str, _Read, Callable[[Tolerances], float]], ..
     ("ncmodel/oracle-min-p0", "USD_P0_NC", "c<1", lambda ev: ev.min_p0[ev.pure_nc], _ORACLE),
     ("ncmodel/oracle-min-p0", "USD_Pg_NC", "c<1", lambda ev: 1.0 - ev.min_p0[ev.pure_nc],
      _ORACLE),
-    ("bounds/oracle-consistency", "MCM_Pg_NC", "nc",  # (1 - P_0) C(1) of both oracles
+    ("ncmodel/oracle-min-p0", "MCM_Pg_NC", "nc",  # (1 - P_0) C(1) of both oracles
      lambda ev: (1.0 - ev.min_p0) * ev.max_conf[:, 0], _ORACLE),
 )
 
@@ -351,11 +348,10 @@ def _check(name: str, ops: Sequence[str]):
 # Checks made of relation rows only.
 for _name, _ops in (
     (_BUILT, ()),  # the stacks against the closed-form columns
-    ("bounds/oracle-consistency", ("ncmodel.oracle_max_confidence",
-                                   "ncmodel.oracle_min_p0_at_max_confidence")),
     ("ncmodel/oracle-max-pg", ("ncmodel.oracle_max_pg",)),
     ("ncmodel/oracle-max-confidence", ("ncmodel.oracle_max_confidence",)),
-    ("ncmodel/oracle-min-p0", ("ncmodel.oracle_min_p0_at_max_confidence", "ncmodel.nc_figures")),
+    ("ncmodel/oracle-min-p0", ("ncmodel.oracle_min_p0_at_max_confidence", "ncmodel.nc_figures",
+                               "ncmodel.oracle_max_confidence")),
 ):
     _check(_name, _ops)
 
@@ -468,21 +464,15 @@ def _chk_confusability(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     acc.add(ncmodel.nc_prob(scn.prep1, np.zeros(4)), tols.exact, point)
 
 
-@_check("ncmodel/mesd-omega-invariance", ("ncmodel.mesd_mixed_strategy", "ncmodel.nc_figures"))
-def _chk_omega_invariance(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
-    c, omega = ev.scenario.c[:, :1], _grid(101)  # the pure scenarios, one row per c
-    figs = ncmodel.nc_figures(ev.scenario[:, :1], ncmodel.mesd_mixed_strategy(omega))
-    acc.add(figs.p_g - ev.closed("MESD_Pg_NC", "c")[:, None], tols.exact, _points(c=c, omega=omega))
-
-
 @_check("ncmodel/mesd-confidences", ("bounds.nc_mesd_confidences", "ncmodel.nc_figures",
                                      "ncmodel.mesd_mixed_strategy"))
 def _chk_mesd_confidences(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
-    c = ev.scenario.c[:, :1]
-    omega = c[:, 0]  # omega runs over the c grid
+    c, omega = ev.scenario.c[:, :1], _grid(max(ev.n, 101))  # the pure scenarios, one row per c
     point = _points(c=c, omega=omega)
     closed = bounds.nc_mesd_confidences(c, omega)
     figs = ncmodel.nc_figures(ev.scenario[:, :1], ncmodel.mesd_mixed_strategy(omega))
+    # the guessing probability does not depend on omega
+    acc.add(figs.p_g - ev.closed("MESD_Pg_NC", "c")[:, None], tols.exact, point)
     # outcome 1 never fires only at (c, omega) = (1, 0), outcome 2 only at (1, 1):
     # there the route gives NaN (a deviation of 0, else 1), elsewhere the closed form
     for got, want, dead_omega in ((figs.c1, closed[0], 0.0), (figs.c2, closed[1], 1.0)):

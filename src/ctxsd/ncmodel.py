@@ -16,7 +16,10 @@ The module provides the canonical weight assignment, the explicit
 noncontextual strategies (omega-mixed guessing, unambiguous gamma-family),
 the figures of merit of any response set (``nc_figures``), and brute-force
 oracles that optimise each figure. The closed forms they are checked
-against are the closed-form route's, in ``bounds``.
+against are the closed-form route's, in ``bounds``. ``oracle_max_pg``
+takes the pure pair (prep1, prep2), as minimum-error P_g has no noise p;
+``nc_figures`` and the maximum-confidence oracles take the noisy pair
+(noisy1, noisy2), which at p = 0 is the pure pair bit for bit.
 
 The model is array-aware, with one code path. ``canonical_scenario`` given
 equal-shape arrays of c and p builds a stack of scenarios, indexed like an
@@ -152,7 +155,12 @@ class ResponseSet:
     def __init__(self, xi1, xi2, xi0) -> None:
         try:
             xi = np.array((xi1, xi2, xi0), dtype=float)
-        except ValueError:
+        except (ValueError, TypeError):  # a non-real entry, or unequal shapes
+            for name, x in zip(("1", "2", "0"), (xi1, xi2, xi0)):
+                try:
+                    np.array(x, dtype=float)
+                except (ValueError, TypeError) as exc:
+                    raise ContractError(f"response {name} must hold real numbers: {exc}") from None
             raise ContractError("responses 1, 2 and 0 must have equal shapes") from None
         if xi.shape[-1:] != (4,):
             raise ContractError(f"responses must have 4 entries per point, got {xi.shape[1:]}")
@@ -338,21 +346,14 @@ def usd_response(gamma1: float | np.ndarray, gamma2: float | np.ndarray) -> Resp
     return ResponseSet(xi1, xi2, 1.0 - xi1 - xi2)
 
 
-def _pair(scn: NcScenario, noisy: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Weights of the two discriminated states, pure or noisy."""
-    if noisy:
-        return scn.noisy1.weights, scn.noisy2.weights
-    return scn.prep1.weights, scn.prep2.weights
-
-
-def nc_figures(scn: NcScenario, rs: ResponseSet, noisy: bool = False) -> NcFigures:
-    """Evaluate all four figures of merit for the equiprobable pair.
+def nc_figures(scn: NcScenario, rs: ResponseSet) -> NcFigures:
+    """Evaluate all four figures of merit for the equiprobable noisy pair.
 
     A scenario stack and a response stack broadcast against each other.
     Confidences come back as None for an outcome with zero probability, as
     NaN at such a point of a stack.
     """
-    s1, s2 = _pair(scn, noisy)
+    s1, s2 = scn.noisy1.weights, scn.noisy2.weights
     avg = 0.5 * (s1 + s2)
     hit1, hit2 = _dot(s1, rs.xi1), _dot(s2, rs.xi2)
 
@@ -384,24 +385,22 @@ _VERTICES = np.array(list(itertools.product(np.eye(3), repeat=4)))  # (81, 4, 3)
 _VERTEX_RESPONSES = ResponseSet(*np.moveaxis(_VERTICES, -1, 0))
 
 
-def oracle_max_pg(scn: NcScenario, noisy: bool = False) -> tuple[ResponseSet, float | np.ndarray]:
-    """Maximise the guessing probability over every valid response set.
+def oracle_max_pg(scn: NcScenario) -> tuple[ResponseSet, float | np.ndarray]:
+    """Maximise the pure pair's guessing probability over every valid response set.
 
     The objective is linear in the two conclusive responses region by
     region, and the per-region feasible set {xi1, xi2 >= 0, xi1 + xi2 <= 1}
     is a triangle, so an optimum sits on one of the 3^4 assignments of its
     corners; all 81 are enumerated, and the first of equal maxima wins.
     """
-    s1, s2 = (w[..., None, :] for w in _pair(scn, noisy))
+    s1, s2 = scn.prep1.weights[..., None, :], scn.prep2.weights[..., None, :]
     terms = s1 * _VERTEX_RESPONSES.xi1 + s2 * _VERTEX_RESPONSES.xi2
     p_g = 0.5 * (terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3])
     return _VERTEX_RESPONSES[p_g.argmax(axis=-1)], _value(p_g.max(axis=-1))
 
 
-def oracle_max_confidence(
-    scn: NcScenario, outcome: int, noisy: bool = False
-) -> tuple[np.ndarray, float | np.ndarray]:
-    """Maximise one conclusive confidence over that outcome's responses.
+def oracle_max_confidence(scn: NcScenario, outcome: int) -> tuple[np.ndarray, float | np.ndarray]:
+    """Maximise one conclusive confidence of the noisy pair over that outcome's responses.
 
     Candidates are the one-parameter family gamma * identifying-indicator
     (see ``usd_response``). The confidence is a ratio of two terms linear
@@ -411,14 +410,14 @@ def oracle_max_confidence(
     """
     if outcome not in (1, 2):
         raise ContractError(f"outcome must be 1 or 2, got {outcome}")
-    value = _max_confidences(scn, noisy, (outcome,))[outcome - 1]
+    value = _max_confidences(scn, (outcome,))[outcome - 1]
     return _IDENTIFYING[outcome - 1] + np.zeros_like(scn.prep1.weights), _value(value)
 
 
-def _max_confidences(scn: NcScenario, noisy: bool, outcomes: tuple) -> np.ndarray:
-    """(2, ...) the confidences of outcomes 1 and 2 from one pass over the pair:
+def _max_confidences(scn: NcScenario, outcomes: tuple) -> np.ndarray:
+    """(2, ...) the confidences of outcomes 1 and 2 from one pass over the noisy pair:
     an outcome of ``outcomes`` that never fires raises, one not asked for is NaN."""
-    s1, s2 = _pair(scn, noisy)
+    s1, s2 = scn.noisy1.weights, scn.noisy2.weights
     # psi_i on outcome i's support (row i - 1), then the other state (row i + 1)
     onto = _dot(np.array((s1, s2, s2, s1)), _PAIR_PATTERNS.reshape(4, *(1,) * (s1.ndim - 1), 4))
     den = 0.5 * (onto[:2] + onto[2:])
@@ -450,13 +449,13 @@ def oracle_min_p0_at_max_confidence(scn: NcScenario) -> tuple[ResponseSet, float
     then (0, 0), (1, 0) and (0, 1) in that order. Membership of the face is
     re-checked on the returned point.
     """
-    targets = _max_confidences(scn, True, (1, 2))
+    targets = _max_confidences(scn, (1, 2))
     avg = 0.5 * (scn.noisy1.weights + scn.noisy2.weights)
     mass = _dot(avg[..., None, :], _IDENTIFYING)  # (..., 2)
     rates = 1.0 - _FACE_CANDIDATES[:, 0] * mass[..., :1] - _FACE_CANDIDATES[:, 1] * mass[..., 1:]
     near = rates <= rates.min(axis=-1, keepdims=True) + 1e-15
     rs = _FACE_RESPONSES[near.argmax(axis=-1)]
-    figs = nc_figures(scn, rs, noisy=True)
+    figs = nc_figures(scn, rs)
     # a point whose outcome never fires (None, or NaN in a stack) is off
     off = ~(np.abs(np.array((figs.c1, figs.c2), dtype=float) - targets) <= _CONFIDENCE_FACE)
     if off.any():

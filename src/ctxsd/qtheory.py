@@ -103,23 +103,12 @@ class PureState:
     def __post_init__(self) -> None:
         try:
             n = abs(self.amp0) ** 2 + abs(self.amp1) ** 2
-        except TypeError:  # an amplitude that is no number
+            off = not abs(n - 1.0) <= DEFAULTS.norm
+        except (TypeError, ValueError):  # an amplitude that is no number, or an array
             raise ContractError(f"amplitudes must be numbers, got {self.amp0!r} and "
                                 f"{self.amp1!r}") from None
-        if not abs(n - 1.0) <= DEFAULTS.norm:
+        if off:
             raise DomainError(f"amplitudes have squared norm {n}, expected 1")
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.amp0, self.amp1], dtype=complex)
-
-    def overlap(self, other: "PureState") -> complex:
-        """Inner product <self|other>."""
-        return complex(np.vdot(self.vector, other.vector))
-
-    def projector(self) -> np.ndarray:
-        v = self.vector
-        return np.outer(v, v.conj())
 
 
 class Operator2:
@@ -134,7 +123,10 @@ class Operator2:
     __slots__ = ("_m",)
 
     def __init__(self, matrix) -> None:
-        m = np.array(matrix, dtype=complex)
+        try:
+            m = np.array(matrix, dtype=complex)
+        except (ValueError, TypeError):  # a non-numeric entry, or a ragged array
+            raise ContractError(f"operator entries must be numbers, got {matrix!r}") from None
         if m.shape != (2, 2):
             raise ContractError(f"expected a 2x2 matrix, got shape {m.shape}")
         if not np.max(np.abs(m - m.conj().T)) <= DEFAULTS.norm:
@@ -160,7 +152,7 @@ class Ensemble:
     density operators, a read-only (2, 2, 2) array) and ``average`` (their
     even mixture, a read-only 2x2 array) are derived from them once on
     construction, as the stacks derive theirs, and kept with their Pauli
-    coordinates for the constructions; ``overlap_sq`` is |<psi1|psi2>|^2.
+    coordinates for the constructions.
     """
 
     priors: ClassVar[tuple[float, float]] = (0.5, 0.5)
@@ -186,11 +178,6 @@ class Ensemble:
         object.__setattr__(self, "states", batch[1][0])
         object.__setattr__(self, "average", batch[2][0])
         object.__setattr__(self, "_batch", batch)
-
-    @property
-    def overlap_sq(self) -> float:
-        a, b = self.pair
-        return abs(a.overlap(b)) ** 2
 
 
 def _check_psd(min_eigs: np.ndarray) -> None:

@@ -124,7 +124,7 @@ def test_criterion_05_mcm_confidence():
         scn = ncmodel.canonical_scenario(c, p)
         nc_value = eval_bound(BoundSpec("MCM", "C", NONCONTEXTUAL, c=c, p=p))
         for i in (1, 2):
-            _, got = ncmodel.oracle_max_confidence(scn, i, noisy=True)
+            _, got = ncmodel.oracle_max_confidence(scn, i)
             worst_nc = max(worst_nc, abs(got - nc_value))
         assert quantum >= nc_value - 1e-15
         if 0.0 < c < 1.0 and p < 1.0:

@@ -17,7 +17,6 @@ from ctxsd.bounds import (
     nc_mesd_confidences,
     omega_star,
     oriented_gap,
-    overlap_from_confusability,
     table1_report,
 )
 from ctxsd.config import DEFAULTS
@@ -38,11 +37,6 @@ def test_spec_requires_p_only_for_mcm():
 
 def test_spec_requires_omega_only_for_nc_mesd_confidence():
     BoundSpec("MESD", "C", NONCONTEXTUAL, c=0.5, omega=0.5, outcome=2)  # fine
-
-
-def test_overlap_convention_is_square_root():
-    assert overlap_from_confusability(0.25) == 0.5
-    assert overlap_from_confusability(0.5) == pytest.approx(SQRT_HALF, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

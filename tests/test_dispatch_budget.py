@@ -32,8 +32,8 @@ _COUNTS = {
     "helstrom_povm": (16, 12),
     "usd_optimal": (18, 13),
     "canonical_scenario": (33, 23),
-    "oracle_max_pg": (14, 5),
-    "oracle_min_p0_at_max_confidence": (46, 19),
+    "oracle_max_pg": (10, 5),
+    "oracle_min_p0_at_max_confidence": (44, 19),
 }
 _BUDGETS = {name: tuple(math.ceil(1.1 * n) for n in counts) for name, counts in _COUNTS.items()}
 

@@ -516,19 +516,15 @@ _CHECK_FAULTS = {
     "ncmodel/confusability": (
         "ncmodel", "confusability", lambda real: lambda *args: real(*args) + 1e-6,
         {"ncmodel/confusability"}),
-    "ncmodel/mesd-omega-invariance": (  # P_g alone moves; the confidences stay
+    "ncmodel/mesd-confidences": (  # P_g alone moves; the confidences stay
         "ncmodel", "nc_figures", lambda real: lambda *args: _moved_p_g(real(*args)),
-        {"ncmodel/mesd-omega-invariance"}),
+        {"ncmodel/mesd-confidences"}),
     "ncmodel/hand-integrals": (  # a feasible weight, off by a factor of 1 - 1e-6
         "ncmodel", "usd_response", lambda real: lambda g1, g2: real(g1 * (1.0 - 1e-6), g2),
         {"ncmodel/hand-integrals"}),
     "bounds/inequality-suite": (  # forgets that a smaller P_0 is the better one
         None, "is_advantage", lambda real: lambda figure, signed, tols: signed > tols.advantage,
         {"bounds/inequality-suite"}),
-    "bounds/oracle-consistency": (  # no oracle fault within oracle-min-p0's limit fails it
-        "ncmodel", "oracle_min_p0_at_max_confidence",
-        lambda real: lambda *args: _off_by(real(*args), 1e-6),
-        {"ncmodel/oracle-min-p0", "bounds/oracle-consistency"}),
 }
 
 
@@ -1005,15 +1001,14 @@ def test_render_lists_every_check_once():
 
 
 def test_the_audit_is_every_public_function_of_the_routes():
-    # every non-class callable ``import ctxsd`` exports that a route defines,
-    # but the square root of c that no route computes
+    # every non-class callable ``import ctxsd`` exports that a route defines
     routes = {f"ctxsd.{module}": module for module in ("qtheory", "ncmodel", "bounds")}
     exported = [(name, getattr(ctxsd, name)) for name in ctxsd.__all__]
     public = {f"{routes[obj.__module__]}.{name}" for name, obj in exported
               if callable(obj) and not isinstance(obj, type)
               and getattr(obj, "__module__", None) in routes}
     audited = {f"{module}.{op}" for module, ops in harness.OPERATIONS.items() for op in ops}
-    assert audited == public - {"bounds.overlap_from_confusability"}
+    assert audited == public
 
 
 def test_an_operation_no_check_declares_fails_verify(monkeypatch):
@@ -1423,6 +1418,14 @@ _PG = Target("MESD", "P_g", QUANTUM)
         (lambda: qtheory.Povm("x"), ContractError, "POVM elements must be complex numbers"),
         (lambda: qtheory.PureState("a", 0), ContractError,
          "amplitudes must be numbers, got 'a' and 0"),
+        (lambda: ncmodel.ResponseSet([1j] * 4, [0] * 4, [1] * 4), ContractError,
+         "response 1 must hold real numbers: .* not 'complex'"),
+        (lambda: ncmodel.ResponseSet(["a"] * 4, [0] * 4, [1] * 4), ContractError,
+         "response 1 must hold real numbers: could not convert string to float: 'a'"),
+        (lambda: qtheory.Operator2("x"), ContractError,
+         "operator entries must be numbers, got 'x'"),
+        (lambda: qtheory.PureState(np.array([1.0, 0.0]), 0), ContractError,
+         r"amplitudes must be numbers, got array\(\[1\., 0\.\]\) and 0"),
     ],
     ids=["spec-theory", "spec-outcome", "state-shape", "responses-unequal", "responses-3",
          "scenario-mirrors", "scenario-support", "nc_prob-3", "oracle-outcome",
@@ -1440,7 +1443,8 @@ _PG = Target("MESD", "P_g", QUANTUM)
          "sweep-stop", "sweep-points", "sweep-no-target", "nc_prob-broadcast",
          "nc_figures-broadcast", "confusability-broadcast", "nc_mesd_confidences-broadcast",
          "nc_mcm_guessing-broadcast", "state-entry", "nc_prob-entry", "povm-entry",
-         "pure-state-entry"],
+         "pure-state-entry", "responses-complex", "responses-entry", "operator-entry",
+         "pure-state-array"],
 )
 def test_each_typed_error_path_raises_its_error(build, error, match):
     with pytest.raises(error, match=match):
@@ -1483,7 +1487,6 @@ _BASE_ARGS = {
     "bounds.BoundSpec": [dict(scheme="MCM", figure="C", theory=QUANTUM, c=0.3, p=0.2),
                          dict(scheme="MESD", figure="C", theory=NONCONTEXTUAL, c=0.3, omega=0.4)],
     "bounds.Table1Report": None,
-    "bounds.overlap_from_confusability": [dict(c=0.3)],
     "bounds.eval_column": [dict(spec=bounds.BoundSpec("MCM", "C", QUANTUM, 0.3, p=0.2),
                                 variable="p", xs=[0.1, 0.5])],
     "bounds.table1_report": [dict(c=0.3, p=0.2, omega=0.4)],

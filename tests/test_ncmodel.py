@@ -111,7 +111,7 @@ def test_usd_response_structure_and_feasibility():
 def test_nc_figures_usd_noisy_inconclusive_rate():
     c, p = 0.4, 0.6
     scn = nc.canonical_scenario(c, p)
-    figs = nc.nc_figures(scn, nc.usd_response(0.5, 0.5), noisy=True)
+    figs = nc.nc_figures(scn, nc.usd_response(0.5, 0.5))
     assert figs.p_0 == pytest.approx(0.5 * (1.0 + (1.0 - p) * c), abs=1e-12)
 
 
@@ -206,11 +206,12 @@ def test_oracle_max_pg_examples(c, expected):
 
 
 def test_oracle_max_pg_matches_explicit_enumeration_noisy():
-    # independent per-region maximisation for the noisy objective
+    # independent per-region maximisation over the pure pair, as MESD P_g has
+    # no p: a noisy scenario's value is its pure pair's
     c, p = 0.3, 0.6
     scn = nc.canonical_scenario(c, p)
-    _, value = nc.oracle_max_pg(scn, noisy=True)
-    s1, s2 = scn.noisy1.weights, scn.noisy2.weights
+    _, value = nc.oracle_max_pg(scn)
+    s1, s2 = scn.prep1.weights, scn.prep2.weights
     expected = 0.5 * sum(max(s1[r], s2[r], 0.0) for r in range(4))
     assert value == pytest.approx(expected, abs=1e-15)
 
@@ -225,7 +226,7 @@ def test_oracle_max_confidence_pure_case_is_certain():
 def test_oracle_max_confidence_full_noise_is_half():
     scn = nc.canonical_scenario(0.5, 1.0)
     for outcome in (1, 2):
-        _, value = nc.oracle_max_confidence(scn, outcome, noisy=True)
+        _, value = nc.oracle_max_confidence(scn, outcome)
         assert value == pytest.approx(0.5, abs=1e-15)
 
 
@@ -335,12 +336,11 @@ def test_stacked_figures_equal_their_points():
              (nc.usd_response(g1, g2), [nc.usd_response(float(a), float(b)) for a, b in zip(g1, g2)])]
     points = {k: nc.canonical_scenario(float(c[k]), float(p[k])) for k in np.ndindex(c.shape)}
     for responses, each in cases:
-        for noisy in (False, True):
-            figs = nc.nc_figures(stack[:, :, None], responses, noisy=noisy)  # (c, p, response)
-            for k in np.ndindex(figs.p_g.shape):
-                want = nc.nc_figures(points[k[:2]], each[k[2]], noisy=noisy)
-                for got, expected in zip(figs, want):
-                    assert _same(got[k], expected), (k, got[k], expected)
+        figs = nc.nc_figures(stack[:, :, None], responses)  # (c, p, response)
+        for k in np.ndindex(figs.p_g.shape):
+            want = nc.nc_figures(points[k[:2]], each[k[2]])
+            for got, expected in zip(figs, want):
+                assert _same(got[k], expected), (k, got[k], expected)
 
 
 def test_stacked_closed_forms_equal_their_points():
@@ -356,18 +356,17 @@ def test_stacked_oracles_equal_their_points():
     c, p, stack = _grid_scenario()
     regular = ~((c == 1.0) & (p == 0.0))  # both outcomes fire
     nc_stack = stack[regular]
-    pg = {noisy: nc.oracle_max_pg(stack, noisy=noisy) for noisy in (False, True)}
-    conf = {i: nc.oracle_max_confidence(nc_stack, i, noisy=True) for i in (1, 2)}
+    witness, value = nc.oracle_max_pg(stack)
+    conf = {i: nc.oracle_max_confidence(nc_stack, i) for i in (1, 2)}
     rs, p_0 = nc.oracle_min_p0_at_max_confidence(nc_stack)
     for row, k in enumerate(zip(*np.nonzero(regular))):
         point = nc.canonical_scenario(float(c[k]), float(p[k]))
-        for noisy, (witness, value) in pg.items():
-            one_rs, one = nc.oracle_max_pg(point, noisy=noisy)
-            assert isinstance(one, float) and value[k] == one
-            assert _same(witness.xi1[k], one_rs.xi1) and _same(witness.xi2[k], one_rs.xi2)
-        for i, (pattern, value) in conf.items():
-            one_pattern, one = nc.oracle_max_confidence(point, i, noisy=True)
-            assert value[row] == one and _same(pattern[row], one_pattern)
+        one_rs, one = nc.oracle_max_pg(point)
+        assert isinstance(one, float) and value[k] == one
+        assert _same(witness.xi1[k], one_rs.xi1) and _same(witness.xi2[k], one_rs.xi2)
+        for i, (pattern, confidence) in conf.items():
+            one_pattern, one = nc.oracle_max_confidence(point, i)
+            assert confidence[row] == one and _same(pattern[row], one_pattern)
         one_rs, one = nc.oracle_min_p0_at_max_confidence(point)
         assert p_0[row] == one
         assert _same(rs.xi1[row], one_rs.xi1) and _same(rs.xi2[row], one_rs.xi2)
@@ -397,16 +396,14 @@ def _loop_min_p0(mass1, mass2):
 
 def test_stacked_oracles_equal_the_scalar_loops():
     c, p, stack = _grid_scenario()
-    pg = {noisy: nc.oracle_max_pg(stack, noisy=noisy) for noisy in (False, True)}
+    witness, value = nc.oracle_max_pg(stack)
     regular = ~((c == 1.0) & (p == 0.0))
     rs, _ = nc.oracle_min_p0_at_max_confidence(stack[regular])
     for row, k in enumerate(zip(*np.nonzero(regular))):
-        for noisy, (witness, value) in pg.items():
-            s1, s2 = (getattr(stack, f"{'noisy' if noisy else 'prep'}{i}").weights[k].tolist()
-                      for i in (1, 2))
-            best, xi1, xi2 = _loop_max_pg(s1, s2)
-            assert value[k] == best
-            assert witness.xi1[k].tolist() == xi1 and witness.xi2[k].tolist() == xi2
+        best, xi1, xi2 = _loop_max_pg(stack.prep1.weights[k].tolist(),
+                                      stack.prep2.weights[k].tolist())
+        assert value[k] == best
+        assert witness.xi1[k].tolist() == xi1 and witness.xi2[k].tolist() == xi2
         avg = 0.5 * (stack.noisy1.weights[k] + stack.noisy2.weights[k])
         g1, g2 = _loop_min_p0(float(avg[1] + avg[3]), float(avg[2] + avg[3]))
         assert (rs.xi1[row, 3], rs.xi2[row, 3]) == (g1, g2)
@@ -425,7 +422,7 @@ def test_stacked_errors_name_their_first_point(monkeypatch):
     c = np.array([0.5, 1.0, 1.0])
     stack = nc.canonical_scenario(c, np.array([0.0, 0.0, 0.5]))
     with pytest.raises(UndefinedConfidenceError, match=r"outcome 2 never fires at c=1\.0, p=0\.0"):
-        nc.oracle_max_confidence(stack, 2, noisy=True)
+        nc.oracle_max_confidence(stack, 2)
     monkeypatch.setattr(nc, "_CONFIDENCE_FACE", -1.0)  # every point is off the face
     with pytest.raises(ContractError, match=r"maximal-confidence face at c=0\.25, p=0\.5"):
         nc.oracle_min_p0_at_max_confidence(nc.canonical_scenario(np.array([0.25, 0.75]),
