@@ -343,6 +343,11 @@ def gap(
     )
     if not same_cell:
         raise ContractError("specs must agree on scheme, figure and parameters")
+    return _certificate(quantum, noncontextual, tols)
+
+
+def _certificate(quantum, noncontextual, tols: Tolerances) -> GapCertificate:
+    """``gap``'s certificate for a pair it accepts, without its checks."""
     qv = eval_bound(quantum)
     nv = eval_bound(noncontextual)
     signed = qv - nv
@@ -406,7 +411,7 @@ def table1_report(
         window: Optional[tuple[float, float]] = (w_star, 1.0 - w_star)
     else:
         window = None
-    cells: dict = {}
+    cells: dict = {}  # each pair's specs share one checked point: gap's checks hold
     for cell in CELLS:
         key = (cell.scheme, cell.figure)
         if key in _DEFINITIONAL:
@@ -414,9 +419,9 @@ def table1_report(
         elif cell.theory == QUANTUM:
             quantum = cell._checked_spec(c, p, omega)
         elif cell.outcome == 1:
-            cells[key] = gap(quantum, cell._checked_spec(c, p, omega), tols)
+            cells[key] = _certificate(quantum, cell._checked_spec(c, p, omega), tols)
         else:  # the second arm of the noncontextual MESD confidence
-            arm1, arm2 = cells[key], gap(quantum, cell._checked_spec(c, p, omega), tols)
+            arm1, arm2 = cells[key], _certificate(quantum, cell._checked_spec(c, p, omega), tols)
             cells[key] = ConfidencePairCell(
                 arm1, arm2, window, arm1.advantage and arm2.advantage
             )

@@ -173,7 +173,7 @@ class Ensemble:
     def _derive(self, vectors: np.ndarray) -> None:
         """Check the noise and derive the arrays from the amplitudes (1, 2, 2)."""
         batch = _ensembles(vectors, np.array([require_in(self.noise, "noise", scalar=True)]))
-        vectors.flags.writeable = batch[1].flags.writeable = batch[2].flags.writeable = False
+        vectors.flags.writeable = False
         object.__setattr__(self, "vectors", vectors[0])
         object.__setattr__(self, "states", batch[1][0])
         object.__setattr__(self, "average", batch[2][0])
@@ -241,13 +241,18 @@ def _row(bad: np.ndarray) -> str:
 # ensembles
 
 
-def _pure_pairs(theta) -> np.ndarray:
+def _pure_pairs(theta, scalar: bool = False) -> np.ndarray:
     """The amplitudes (N, 2, 2) of ``make_pure_pair(theta[k])`` for each k of
-    the 1-D ``theta``: row k holds (psi1, psi2), each as (amp0, amp1)."""
-    theta = np.asarray(theta)
-    if theta.ndim != 1 or not theta.size:
-        raise ContractError(f"theta must be 1-D and not empty, got shape {theta.shape}")
-    half = 0.5 * require_in(theta, "theta", math.pi)
+    the 1-D ``theta``, or (1, 2, 2) for the one number ``theta`` if
+    ``scalar``: row k holds (psi1, psi2), each as (amp0, amp1)."""
+    if scalar:
+        theta = np.array([require_in(theta, "theta", math.pi, scalar=True)])
+    else:
+        theta = np.asarray(theta)
+        if theta.ndim != 1 or not theta.size:
+            raise ContractError(f"theta must be 1-D and not empty, got shape {theta.shape}")
+        theta = require_in(theta, "theta", math.pi)
+    half = 0.5 * theta
     hc, hs = np.cos(half), np.sin(half)
     vectors = np.empty((len(theta), 2, 2), dtype=complex)
     vectors[:, :, 0] = hc[:, None]
@@ -261,7 +266,7 @@ def make_pure_pair(theta: float) -> tuple[PureState, PureState]:
     |psi1> = cos(theta/2)|0> - sin(theta/2)|1> and
     |psi2> = cos(theta/2)|0> + sin(theta/2)|1>, for theta in [0, pi].
     """
-    (a, b), = _pure_pairs((theta,)).tolist()
+    (a, b), = _pure_pairs(theta, scalar=True).tolist()
     return PureState(*a), PureState(*b)
 
 
@@ -284,7 +289,7 @@ def mirror(state: PureState) -> PureState:
 
 def noisy_ensemble(theta: float, p: float) -> Ensemble:
     """Equiprobable dephased pair rho_i = (1-p)|psi_i><psi_i| + p/2."""
-    vectors = _pure_pairs((theta,))
+    vectors = _pure_pairs(theta, scalar=True)
     ens = object.__new__(Ensemble)  # the pair built from its amplitude array, not the reverse
     [(a, b)] = vectors.tolist()
     vars(ens).update(pair=(PureState(*a), PureState(*b)), noise=p)
@@ -311,16 +316,18 @@ def _ensembles(vectors: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
     vectors (N, 3, 3), rows n_1, n_2, read off |psi_i><psi_i| =
     (I + n_i . sigma)/2, and r = (1 - p)(n_1 + n_2)/2 of the average state;
     the states rho_i = (1 - p)|psi_i><psi_i| + p/2 (N, 2, 2, 2) and their
-    averages (N, 2, 2); and p. The states come from the amplitudes, where a
-    diagonal entry is a sum of positive terms: from n_i the smaller entry
-    (1 - (1 - p)|n_z|)/2 of a nearly pure state would cancel."""
+    averages (N, 2, 2), both read-only; and p. The states come from the
+    amplitudes, where a diagonal entry is a sum of positive terms: from n_i
+    a nearly pure state's smaller entry (1 - (1 - p)|n_z|)/2 would cancel."""
     proj = vectors[..., :, None] * vectors[..., None, :].conj()
     q = p[:, None, None, None]
     states = (1.0 - q) * proj + q * _HALF_IDENTITY
+    average = 0.5 * (states[:, 0] + states[:, 1])
+    states.flags.writeable = average.flags.writeable = False
     bloch = np.empty((len(vectors), 3, 3))
     np.matmul(proj.view(float).reshape(-1, 2, 8), _PAULI.T, out=bloch[:, :2])
     np.multiply((0.5 * (1.0 - p))[:, None], bloch[:, 0] + bloch[:, 1], out=bloch[:, 2])
-    return bloch, states, 0.5 * (states[:, 0] + states[:, 1]), p
+    return bloch, states, average, p
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +471,7 @@ def _measurements(states: np.ndarray, average: np.ndarray, projectors: np.ndarra
                 f"weights {tuple(weights[bad][0].tolist())} make the inconclusive element "
                 "indefinite" + _row(bad.any(axis=1))) from None
         raise
-    for a in (states, average, weights, elements):
-        a.flags.writeable = False
+    weights.flags.writeable = elements.flags.writeable = False  # _ensembles froze the states
     return MeasurementStack(states, average, weights, elements)
 
 
@@ -700,8 +706,9 @@ def mcm_optimal(theta: float, p: float) -> tuple[Povm, float]:
 
     The confidence is alpha-independent, so this is the measurement with
     maximal confidences and minimal inconclusive rate. A batch of one of
-    ``mcm_stack``'s construction.
+    ``mcm_stack``'s construction; its rate is one trace, as in ``usd_optimal``.
     """
     noise = np.array([require_in(p, "noise", scalar=True)])
-    stack = _mcm(_ensembles(_pure_pairs((theta,)), noise), np.ones(1))
-    return Povm._validated(stack.elements[0, 0]), float(stack.inconclusive_rate()[0, 0])
+    stack = _mcm(_ensembles(_pure_pairs(theta, scalar=True), noise), np.ones(1))
+    povm = Povm._validated(stack.elements[0, 0])
+    return povm, float(_traces(stack.average[0], povm.inconclusive()))

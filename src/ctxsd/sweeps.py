@@ -1,8 +1,8 @@
 """Parameter sweeps, the figure CSVs and the rendered gap table.
 
-A sweep is evaluated a block of rows at a time (``_stream``), four of the
-CSV writer's chunks of its width (``_block_rows``): a target that reads the
-swept variable is one array expression over a block of the grid
+A sweep is evaluated a block of rows at a time (``_stream``), four CSV
+chunks of its width, 8192 rows at most (``_block_rows``): a target that
+reads the swept variable is one array expression over a block of the grid
 (``bounds``' guarded closed form), any other target is evaluated once. A
 singular grid endpoint moves inward by half a step and is recorded as a
 ``Substitution``; a singular interior point raises before the first block,
@@ -124,8 +124,9 @@ class SweepResult:
 
 def _block_rows(columns: int) -> int:
     """The rows a sweep of ``columns`` columns evaluates, and writes, at a
-    time: four of the CSV writer's chunks."""
-    return 4 * _chunk_rows(columns)
+    time: four of the CSV writer's chunks, but no more than the 8192 rows of
+    a 16-column block, as the closed forms' temporaries grow with the rows."""
+    return 4 * _chunk_rows(max(columns, 16))
 
 
 def _stream(spec: SweepSpec) -> tuple[tuple[str, ...], tuple[Substitution, ...],

@@ -27,8 +27,8 @@ _THETA = math.acos(math.sqrt(_C))
 # (Python calls, C calls) of one warm call, as counted when the budgets were set.
 _COUNTS = {
     "table1_report": (108, 35),
-    "mcm_optimal": (27, 30),
-    "noisy_ensemble": (11, 23),
+    "mcm_optimal": (23, 24),
+    "noisy_ensemble": (10, 20),
     "helstrom_povm": (16, 12),
     "usd_optimal": (18, 13),
     "canonical_scenario": (33, 23),

@@ -1426,6 +1426,7 @@ _PG = Target("MESD", "P_g", QUANTUM)
          "operator entries must be numbers, got 'x'"),
         (lambda: qtheory.PureState(np.array([1.0, 0.0]), 0), ContractError,
          r"amplitudes must be numbers, got array\(\[1\., 0\.\]\) and 0"),
+        (lambda: errors.require_in(np.array([2.0]), "c"), DomainError, r"got 2\.0$"),
     ],
     ids=["spec-theory", "spec-outcome", "state-shape", "responses-unequal", "responses-3",
          "scenario-mirrors", "scenario-support", "nc_prob-3", "oracle-outcome",
@@ -1444,7 +1445,7 @@ _PG = Target("MESD", "P_g", QUANTUM)
          "nc_figures-broadcast", "confusability-broadcast", "nc_mesd_confidences-broadcast",
          "nc_mcm_guessing-broadcast", "state-entry", "nc_prob-entry", "povm-entry",
          "pure-state-entry", "responses-complex", "responses-entry", "operator-entry",
-         "pure-state-array"],
+         "pure-state-array", "require_in-one-row"],
 )
 def test_each_typed_error_path_raises_its_error(build, error, match):
     with pytest.raises(error, match=match):
@@ -1595,7 +1596,8 @@ def test_every_bounded_parameter_is_typed_and_range_checked(key, name):
         for bad in ("0.3", None):
             with pytest.raises(ContractError):
                 fn(**call(bad))
-        for bad in (math.nan, -0.1, hi + 0.1):
+        for bad in (math.nan, -0.1, hi + 0.1, math.nextafter(hi, math.inf),
+                    math.nextafter(0.0, -math.inf)):
             with pytest.raises(DomainError):
                 fn(**call(bad))
         returned = False

@@ -143,7 +143,12 @@ def test_ensemble_and_povm_arrays_are_frozen():
     m = qt.Povm(source)
     source[0] = 0.0
     assert np.array_equal(m.conclusive(1), np.eye(2))  # the POVM holds its own copy
-    for arr in (ens.vectors, ens.states, ens.average, m.elements):
+    stacks = (qt.helstrom_stack([1.0]), qt.usd_stack([1.0]), qt.mcm_stack([1.0], [0.2]))
+    frozen = [ens.vectors, ens.states, ens.average, m.elements,
+              qt.mcm_optimal(math.pi / 3, 0.2)[0].elements]
+    frozen += [getattr(s, name) for s in stacks
+               for name in ("states", "average", "weights", "elements")]
+    for arr in frozen:
         assert not arr.flags.writeable
     assert np.array_equal(ens.vectors, [(s.amp0, s.amp1) for s in ens.pair])
 

@@ -110,6 +110,7 @@ def test_sweep_memory_does_not_grow_with_its_table(variable, tmp_path, capsys):
             "--target", "MCM:Pg:Q", "--out", str(tmp_path / "sweep.csv")]
     assert cli.main(argv + ["--points", "101"]) == 0  # builds the parser and digit table
     small, large = (_traced_peak(argv + ["--points", str(n)]) for n in (100_001, 400_001))
+    assert small < 4.5e6  # no more than the wide sweep below: blocks stop at 8192 rows
     assert large < 16e6
     assert large - small <= 16 * 300_000 + 2e6
 
