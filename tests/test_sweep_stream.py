@@ -38,10 +38,12 @@ _SWEEPS = {
 
 def _edges(case):
     """Grid sizes at the chunk and block edges of the sweep ``case``, whose
-    width sets both."""
+    width sets both: the edges of its first and second blocks, and a grid
+    of four blocks and a row."""
     columns = 1 + _SWEEPS[case].count("--target")
     chunk, block = _chunk_rows(columns), _block_rows(columns)
-    return (1, 2, chunk - 1, chunk, chunk + 1, block - 1, block, block + 1, 2 * block + 1)
+    return (1, 2, chunk - 1, chunk, chunk + 1, block - 1, block, block + 1,
+            2 * block - 1, 2 * block, 2 * block + 1, 4 * block + 1)
 
 
 def _spec(argv):
