@@ -10,13 +10,15 @@ outcome (P_0 = 0) and unambiguous conclusive outcomes are certain (C = 1).
 
 This is the closed-form route; it imports neither of the others. The 19
 cells' expressions are written once, in ``_closed_form``, over a namespace
-that supplies sqrt (numpy here, sympy or mpmath to evaluate the same code
-exactly), and guarded outside it, in ``_require_regular``, ``_guarded`` and
-``omega_star``.
+that supplies sqrt: ``math`` for a float point (``eval_bound`` and
+``table1_report`` run no numpy), numpy for a column, sympy or mpmath to
+evaluate the same code exactly. They are guarded outside it, in
+``_require_regular``, ``_guarded`` and ``omega_star``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -130,13 +132,6 @@ class Cell:
                          p=p if self.scheme == "MCM" else None,
                          omega=omega if self.has_arms else None, outcome=self.outcome)
 
-    def _checked_spec(self, c: float, p: float, omega: float) -> BoundSpec:
-        """``spec`` for parameters that ``spec`` has already accepted."""
-        spec, t = object.__new__(BoundSpec), self._template
-        spec.__dict__.update(t.__dict__, c=c, p=None if t.p is None else p,
-                             omega=None if t.omega is None else omega)
-        return spec
-
 
 # The 19 cells in table order; each quantum cell comes before its
 # noncontextual counterpart(s).
@@ -150,9 +145,10 @@ CELLS = tuple(
 _ARMS = tuple(cell for cell in CELLS if cell.has_arms)  # outcomes 1 and 2
 _MCM_PG_NC = Cell("MCM", "P_g", NONCONTEXTUAL)
 
-# The closed forms below take floats or numpy arrays: the scalar API passes
-# Python floats, a sweep column passes the grid as an array. Both run the
-# same operations in the same order, so a column equals its cells bit for bit.
+# The closed forms below take floats over math or numpy arrays over numpy:
+# the scalar API passes Python floats, a sweep column passes the grid as an
+# array. Both run the same IEEE operations in the same order (math.sqrt and
+# np.sqrt are both correctly rounded), so a column equals its cells bit for bit.
 
 
 def _mcm_denominator(quantum: bool, c, p):
@@ -212,29 +208,28 @@ def _require_regular(cell, c, p) -> None:
     of a grid (c, p): the pure coincident pair. Every other cell is finite."""
     if cell.scheme == "MCM" and cell.figure == "C":
         singular = _mcm_denominator(cell.theory == QUANTUM, c, p) <= DEFAULTS.norm
-        if singular.any() if isinstance(singular, np.ndarray) else singular:
+        if singular if type(singular) is bool else singular.any():  # a float point or a grid
             raise DivergenceError("confidence undefined for a pure coincident pair")
 
 
-def _guarded(cell, c, p, omega):
-    """``_closed_form`` over numpy at points that ``_require_regular`` has
+def _guarded(cell, c, p, omega, xp=np):
+    """``_closed_form`` over ``xp`` at points that ``_require_regular`` has
     passed, with both MESD arms 1/2 at c = 1, where the canonical model
     forces it and their denominators can vanish."""
     if (cell.scheme, cell.figure, cell.theory) == _ARMED:
         coincident = c == 1.0
-        if isinstance(coincident, np.ndarray):
+        if type(coincident) is not bool:  # a grid
             with np.errstate(divide="ignore", invalid="ignore"):  # discarded at c = 1
                 return np.where(coincident, 0.5, _closed_form(cell, c, p, omega))
         if coincident:
             return 0.5
-    return _closed_form(cell, c, p, omega)
+    return _closed_form(cell, c, p, omega, xp)
 
 
 def eval_bound(spec: BoundSpec) -> float:
-    """Closed-form value of one table cell."""
+    """Closed-form value of one table cell, over ``math``."""
     _require_regular(spec, spec.c, spec.p)
-    form = _guarded if (spec.scheme, spec.figure, spec.theory) == _ARMED else _closed_form
-    return float(form(spec, spec.c, spec.p, spec.omega))
+    return _guarded(spec, spec.c, spec.p, spec.omega, math)
 
 
 def eval_column(spec: BoundSpec, variable: str | Sequence[str],
@@ -343,11 +338,6 @@ def gap(
     )
     if not same_cell:
         raise ContractError("specs must agree on scheme, figure and parameters")
-    return _certificate(quantum, noncontextual, tols)
-
-
-def _certificate(quantum, noncontextual, tols: Tolerances) -> GapCertificate:
-    """``gap``'s certificate for a pair it accepts, without its checks."""
     qv = eval_bound(quantum)
     nv = eval_bound(noncontextual)
     signed = qv - nv
@@ -407,22 +397,35 @@ def table1_report(
     omega = require_in(omega, "omega", scalar=True)
     p = require_in(p, "noise", scalar=True)
     if 0.0 < c < 1.0:
-        w_star = float(_omega_star(c))  # omega_star, with c already checked
+        w_star = _omega_star(c, math)  # omega_star, with c already checked
         window: Optional[tuple[float, float]] = (w_star, 1.0 - w_star)
     else:
         window = None
-    cells: dict = {}  # each pair's specs share one checked point: gap's checks hold
+    # One value per cell, over math. Specs and certificates skip their checks:
+    # the point is checked above, and a pair's specs share it, so gap's hold.
+    cells: dict = {}
     for cell in CELLS:
         key = (cell.scheme, cell.figure)
         if key in _DEFINITIONAL:
             cells[key] = _DEFINITIONAL[key]
-        elif cell.theory == QUANTUM:
-            quantum = cell._checked_spec(c, p, omega)
-        elif cell.outcome == 1:
-            cells[key] = _certificate(quantum, cell._checked_spec(c, p, omega), tols)
-        else:  # the second arm of the noncontextual MESD confidence
-            arm1, arm2 = cells[key], _certificate(quantum, cell._checked_spec(c, p, omega), tols)
-            cells[key] = ConfidencePairCell(
-                arm1, arm2, window, arm1.advantage and arm2.advantage
-            )
+            continue
+        _require_regular(cell, c, p)
+        value = _guarded(cell, c, p, omega, math)
+        t, spec = cell._template, object.__new__(BoundSpec)
+        object.__setattr__(spec, "__dict__", {  # cell.spec(c, p, omega)
+            "scheme": t.scheme, "figure": t.figure, "theory": t.theory, "c": c,
+            "p": None if t.p is None else p, "omega": None if t.omega is None else omega,
+            "outcome": t.outcome})
+        if cell.theory == QUANTUM:
+            quantum, qv = spec, value
+            continue
+        signed, cert = qv - value, object.__new__(GapCertificate)
+        object.__setattr__(cert, "__dict__", {  # is_advantage's rule, inlined
+            "quantum": quantum, "noncontextual": spec, "quantum_value": qv,
+            "noncontextual_value": value, "gap": signed,
+            "advantage": (-signed if key[1] == "P_0" else signed) > tols.advantage})
+        if cell.outcome == 2:  # the second arm of the noncontextual MESD confidence
+            arm1 = cells[key]
+            cert = ConfidencePairCell(arm1, cert, window, arm1.advantage and cert.advantage)
+        cells[key] = cert
     return Table1Report(c, p, omega, cells, usd_possible=c < 1.0)

@@ -91,7 +91,7 @@ def _dot(w, v):
 
 def _value(x):
     """A result over no leading axes as a float; a stack's as its array."""
-    return float(x) if np.ndim(x) == 0 else x
+    return float(x) if x.ndim == 0 else x  # a numpy scalar or an array
 
 
 def _first(x, bad) -> float:
@@ -113,11 +113,11 @@ class EpistemicState:
             raise ContractError(f"region weights must be real numbers: {exc}") from None
         if w.shape[-1:] != (4,):
             raise ContractError(f"expected 4 region weights, got shape {w.shape}")
-        if not (w >= 0.0).all():
+        if np.count_nonzero(w >= 0.0) < w.size:  # NaN is not >=
             raise DomainError("region weights must be nonnegative")
         total = w.sum(axis=-1)
         normalised = np.abs(total - 1.0) <= DEFAULTS.norm
-        if not normalised.all():
+        if np.count_nonzero(normalised) < normalised.size:
             raise DomainError(f"region weights sum to {_first(total, ~normalised)}, expected 1")
         w.flags.writeable = False
         self._w = w
@@ -199,11 +199,13 @@ class ResponseSet:
 
 
 _STATES = ("prep1", "prep2", "mirror1", "mirror2", "mixed", "noisy1", "noisy2")
-# Where the four pure states put their mass c (the shared support, or Sm1m2
-# for a mirror) and their mass 1 - c (the private region).
-_PURE = np.arange(4)
-_SHARED = np.array([Region.S12, Region.S12, Region.Sm1m2, Region.Sm1m2])
-_PRIVATE = np.array([Region.S1m2, Region.Sm12, Region.Sm12, Region.S1m2])
+# The first five states' weights are c * _SLOPES + _OFFSETS, each entry as the
+# textbook form rounds it: c (plus -0.0, which keeps even c = -0.0), 1 - c,
+# 0, and, for the even mixture of prep1 and mirror1, c/2 and (1 - c)/2.
+_SLOPES = np.array(((1.0, -1.0, 0.0, 0.0), (1.0, 0.0, -1.0, 0.0), (0.0, 0.0, -1.0, 1.0),
+                    (0.0, -1.0, 0.0, 1.0), (0.5, -0.5, -0.5, 0.5)))
+_OFFSETS = np.array(((-0.0, 1.0, 0.0, 0.0), (-0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 1.0, -0.0),
+                     (0.0, 1.0, 0.0, -0.0), (0.0, 0.5, 0.5, 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +231,7 @@ class NcScenario:
         left = 0.5 * self.prep1.weights + 0.5 * self.mirror1.weights
         right = 0.5 * self.prep2.weights + 0.5 * self.mirror2.weights
         apart = self.prep1.weights[..., Region.S12] != self.prep2.weights[..., Region.S12]
-        if not (left == right).all() or apart.any():
+        if np.count_nonzero(left != right) or np.count_nonzero(apart):
             broken = ~(left == right).all(axis=-1)
             if broken.any():
                 raise ContractError("mirror preparation equivalence violated" + _at(broken, self))
@@ -273,14 +275,12 @@ def canonical_scenario(c: float | np.ndarray, p: float | np.ndarray) -> NcScenar
     cs, ps = np.asarray(c), np.asarray(p)
     if cs.shape != ps.shape:
         raise ContractError(f"c and p must have equal shapes, got {cs.shape} and {ps.shape}")
-    w = np.zeros((*cs.shape, 7, 4))
-    w[..., _PURE, _SHARED] = cs[..., None]
-    w[..., _PURE, _PRIVATE] = 1.0 - cs[..., None]
-    w[..., 4, :] = 0.5 * w[..., 0, :] + 0.5 * w[..., 2, :]  # mixed
+    w = np.empty((*cs.shape, 7, 4))
+    np.add(cs[..., None, None] * _SLOPES, _OFFSETS, out=w[..., :5, :])  # prep1 to mixed
     q = ps[..., None, None]
-    w[..., 5:, :] = (1.0 - q) * w[..., :2, :] + q * w[..., 4:5, :]  # noisy1, noisy2
+    np.add((1.0 - q) * w[..., :2, :], q * w[..., 4:5, :], out=w[..., 5:, :])  # noisy1, noisy2
     w = EpistemicState(w).weights
-    return NcScenario(c, p, *(EpistemicState._part(w[..., i, :]) for i in range(len(_STATES))))
+    return NcScenario(c, p, *[EpistemicState._part(w[..., i, :]) for i in range(len(_STATES))])
 
 
 def nc_prob(mu: EpistemicState, xi) -> float | np.ndarray:
@@ -359,20 +359,12 @@ def nc_figures(scn: NcScenario, rs: ResponseSet) -> NcFigures:
 
     def conf(hit, den):
         fires = den > 0.0
-        value = _where(fires, 0.5 * hit / _where(fires, den, 1.0), math.nan)
-        if np.ndim(value) == 0:
-            return float(value) if fires else None
-        return value
+        if fires.ndim == 0:  # a point
+            return float(0.5 * hit / den) if fires else None
+        return np.where(fires, 0.5 * hit / np.where(fires, den, 1.0), math.nan)
 
     return NcFigures(_value(0.5 * (hit1 + hit2)), _value(_dot(avg, rs.xi0)),
                      conf(hit1, _dot(avg, rs.xi1)), conf(hit2, _dot(avg, rs.xi2)))
-
-
-def _where(mask, a, b):
-    """``np.where`` for array masks; a plain choice for a scalar mask."""
-    if isinstance(mask, np.ndarray):
-        return np.where(mask, a, b)
-    return a if mask else b
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +415,7 @@ def _max_confidences(scn: NcScenario, outcomes: tuple) -> np.ndarray:
     den = 0.5 * (onto[:2] + onto[2:])
     dead = den <= 0.0
     for i in outcomes:
-        if dead[i - 1].any():
+        if np.count_nonzero(dead[i - 1]):
             raise UndefinedConfidenceError(f"outcome {i} never fires" + _at(dead[i - 1], scn))
     return 0.5 * onto[:2] / np.where(dead, math.nan, den)
 
@@ -458,6 +450,6 @@ def oracle_min_p0_at_max_confidence(scn: NcScenario) -> tuple[ResponseSet, float
     figs = nc_figures(scn, rs)
     # a point whose outcome never fires (None, or NaN in a stack) is off
     off = ~(np.abs(np.array((figs.c1, figs.c2), dtype=float) - targets) <= _CONFIDENCE_FACE)
-    if off.any():
+    if np.count_nonzero(off):
         raise ContractError("minimiser left the maximal-confidence face" + _at(off.any(0), scn))
     return rs, figs.p_0

@@ -78,11 +78,16 @@ __all__ = [
 
 _IDENTITY = np.eye(2, dtype=complex)
 _HALF_IDENTITY = 0.5 * _IDENTITY
+# a batch of one's weight fraction, no further weights, and a projective measurement's weights
+_ONE, _NO_WEIGHTS, _UNIT_WEIGHTS = np.ones(1), np.zeros((1, 0, 2)), np.ones((1, 1, 2))
 # X, Y, Z as the real and imaginary parts of their entries 00, 01, 10, 11: in
 # them a . sigma = a @ _PAULI and Tr[H sigma] = H @ _PAULI.T, each entry one
 # term or a sum of two, so rounded once at most, in any summation order.
 _PAULI = np.array([[0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0, 0.0],
                    [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0]])
+_HALF_PAULI = 0.5 * _PAULI  # m @ _HALF_PAULI is (0.5 m) @ _PAULI: each entry one exact product
+# I/2 as those eight parts; adding -0.0 leaves every entry, a signed zero too, as it is
+_HALF_DIAGONAL = np.array([0.5, -0.0, -0.0, -0.0, -0.0, -0.0, 0.5, -0.0])
 
 
 def min_eig_2x2(m: np.ndarray) -> float | np.ndarray:
@@ -183,9 +188,9 @@ class Ensemble:
 def _check_psd(min_eigs: np.ndarray) -> None:
     """Raise unless every element, with the smallest eigenvalues ``min_eigs``
     (..., 3), is positive semidefinite (NaN is not)."""
-    if not min_eigs.min() >= -DEFAULTS.psd:  # false for NaN too
-        k = int(np.argmax(~(min_eigs >= -DEFAULTS.psd))) % 3
-        raise ContractError(f"element {k} has a negative eigenvalue")
+    psd = min_eigs >= -DEFAULTS.psd  # NaN is not
+    if np.count_nonzero(psd) < psd.size:
+        raise ContractError(f"element {int(np.argmax(~psd)) % 3} has a negative eigenvalue")
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,28 +311,23 @@ def _batch_of(ens: Ensemble, pure: bool = False) -> tuple[np.ndarray, ...]:
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a . b of stacks of real 3-vectors, each entry exactly as it is alone."""
-    t = (a * b).T
-    return (t[0] + t[1] + t[2]).T
+    t = a * b
+    return t[..., 0] + t[..., 1] + t[..., 2]
 
 
 def _ensembles(vectors: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
     """The pure pairs ``vectors`` (N, 2, 2) dephased at ``p`` (N,), in the one
     place states are formed, for ``Ensemble`` and every stack: the Bloch
-    vectors (N, 3, 3), rows n_1, n_2, read off |psi_i><psi_i| =
-    (I + n_i . sigma)/2, and r = (1 - p)(n_1 + n_2)/2 of the average state;
+    vectors n_1, n_2 (N, 2, 3), read off |psi_i><psi_i| = (I + n_i . sigma)/2;
     the states rho_i = (1 - p)|psi_i><psi_i| + p/2 (N, 2, 2, 2) and their
     averages (N, 2, 2), both read-only; and p. The states come from the
     amplitudes, where a diagonal entry is a sum of positive terms: from n_i
     a nearly pure state's smaller entry (1 - (1 - p)|n_z|)/2 would cancel."""
     proj = vectors[..., :, None] * vectors[..., None, :].conj()
-    q = p[:, None, None, None]
-    states = (1.0 - q) * proj + q * _HALF_IDENTITY
+    states = (1.0 - p)[:, None, None, None] * proj + p[:, None, None, None] * _HALF_IDENTITY
     average = 0.5 * (states[:, 0] + states[:, 1])
     states.flags.writeable = average.flags.writeable = False
-    bloch = np.empty((len(vectors), 3, 3))
-    np.matmul(proj.view(float).reshape(-1, 2, 8), _PAULI.T, out=bloch[:, :2])
-    np.multiply((0.5 * (1.0 - p))[:, None], bloch[:, 0] + bloch[:, 1], out=bloch[:, 2])
-    return bloch, states, average, p
+    return (proj.view(float).reshape(-1, 8) @ _PAULI.T).reshape(-1, 2, 3), states, average, p
 
 
 # ---------------------------------------------------------------------------
@@ -460,17 +460,16 @@ def _measurements(states: np.ndarray, average: np.ndarray, projectors: np.ndarra
     """
     elements = np.empty((*weights.shape[:2], 3, 2, 2), dtype=complex)
     np.multiply(weights[..., None, None], projectors[:, None], out=elements[:, :, :2])
-    elements[:, :, 2] = _IDENTITY - elements[:, :, 0] - elements[:, :, 1]
+    np.subtract(_IDENTITY - elements[:, :, 0], elements[:, :, 1], out=elements[:, :, 2])
     min_eigs = min_eig_2x2(elements)  # (N, F, 3)
-    try:
-        _check_psd(min_eigs)
-    except ContractError:
-        bad = ~(min_eigs[..., 2] >= -DEFAULTS.psd)  # NaN too
+    psd = min_eigs >= -DEFAULTS.psd  # NaN is not
+    if np.count_nonzero(psd) < psd.size:  # _check_psd's test, an indefinite pi_0 named first
+        bad = ~psd[..., 2]
         if bad.any():
             raise InfeasibleWeightsError(
                 f"weights {tuple(weights[bad][0].tolist())} make the inconclusive element "
-                "indefinite" + _row(bad.any(axis=1))) from None
-        raise
+                "indefinite" + _row(bad.any(axis=1)))
+        _check_psd(min_eigs)
     weights.flags.writeable = elements.flags.writeable = False  # _ensembles froze the states
     return MeasurementStack(states, average, weights, elements)
 
@@ -482,10 +481,10 @@ def _projectors(dirs: np.ndarray) -> np.ndarray:
     its smaller diagonal entry (1 - |m_z|)/2 is taken as
     (m_x^2 + m_y^2) / (2 (1 + |m_z|)): towards the corner c -> 1, p -> 0 the
     directions are nearly pure states and 1 - |m_z| cancels."""
-    flat = (0.5 * dirs).reshape(-1, 3) @ _PAULI
+    flat = dirs.reshape(-1, 3) @ _HALF_PAULI
+    flat += _HALF_DIAGONAL  # contiguous, so cheaper than adding 0.5 to the diagonal's view
     diag, x, y = flat[:, ::6], flat[:, 2], flat[:, 5]
-    diag += 0.5
-    big = np.maximum(diag[:, 0], diag[:, 1])
+    big = np.maximum(flat[:, 0], flat[:, 6])
     np.copyto(diag, ((x * x + y * y) / big)[:, None], where=diag < big[:, None])
     return flat.view(complex).reshape(*dirs.shape[:-1], 2, 2)
 
@@ -510,17 +509,17 @@ def _helstrom(ensembles: tuple[np.ndarray, ...]) -> MeasurementStack:
     the eigenvalues +-(1 - p)|d|/2 of rho1 - rho2 vanish, a pure tie-break
     falls back to the computational basis: outcome 1 takes |0>, Bloch +z.
     """
-    bloch, states, average, p = ensembles
-    d = bloch[:, 0] - bloch[:, 1]
+    n, states, average, p = ensembles
+    d = n[:, 0] - n[:, 1]
     length = np.sqrt(_dot(d, d))
     tie = 0.5 * (1.0 - p) * length <= 2.0 * DEFAULTS.norm
-    top = d / (np.where(tie, 1.0, length) if (tied := tie.any()) else length)[:, None]
+    top = d / (np.where(tie, 1.0, length) if (tied := np.count_nonzero(tie)) else length)[:, None]
     if tied:
         top[tie] = (0.0, 0.0, 1.0)
-    projectors = np.empty_like(states)  # outcome 2 the exact complement: pi_0 = 0
+    projectors = np.empty(states.shape, complex)  # outcome 2 the exact complement: pi_0 = 0
     projectors[:, 0] = _projectors(top)
     np.subtract(_IDENTITY, projectors[:, 0], out=projectors[:, 1])
-    return _measurements(states, average, projectors, np.ones((len(d), 1, 2)))
+    return _measurements(states, average, projectors, _UNIT_WEIGHTS.repeat(len(d), 0))
 
 
 def helstrom_stack(theta) -> MeasurementStack:
@@ -559,11 +558,11 @@ def _usd(vectors: np.ndarray, ensembles: tuple[np.ndarray, ...], weights: np.nda
     states (the same ray) admit no unambiguous measurement; any distinct
     pair has one.
     """
-    bloch, states, average = ensembles[:3]
-    dirs = -bloch[:, 1::-1]  # outcome 1 takes mirror(psi_2), outcome 2 mirror(psi_1)
+    n, states, average = ensembles[:3]
+    dirs = -n[:, ::-1]  # outcome 1 takes mirror(psi_2), outcome 2 mirror(psi_1)
     if optimal:
         coincident = vectors[:, 0, 0] * vectors[:, 1, 1] == vectors[:, 0, 1] * vectors[:, 1, 0]
-        if coincident.any():
+        if np.count_nonzero(coincident):
             raise UsdImpossibleError("states are linearly dependent" + _row(coincident))
         weights = np.concatenate((_optimal_weight(dirs)[:, None, None].repeat(2, -1), weights), 1)
     return _measurements(states, average, _projectors(dirs), weights)
@@ -606,9 +605,9 @@ def usd_optimal(ens: Ensemble) -> tuple[Povm, float]:
     coincident states (the same ray, theta = 0) raise. A batch of one of the
     stacked construction.
     """
-    stack = _usd(ens.vectors[None], _batch_of(ens, pure=True), np.zeros((1, 0, 2)), optimal=True)
+    stack = _usd(ens.vectors[None], _batch_of(ens, pure=True), _NO_WEIGHTS, optimal=True)
     povm = Povm._validated(stack.elements[0, 0])
-    return povm, inconclusive_rate(ens, povm)
+    return povm, float(_traces(stack.average[0], povm.inconclusive()))
 
 
 # ---------------------------------------------------------------------------
@@ -663,19 +662,21 @@ def _mcm(ensembles: tuple[np.ndarray, ...], fractions: np.ndarray,
 
         (2 w0 w + (w0^2 - |w|^2) e + 2 (w . e) w) / (w0^2 + |w|^2 + 2 w0 w . e).
     """
-    bloch, states, average, p = ensembles
-    d, r = bloch[:, 0] - bloch[:, 1], bloch[:, 2]
+    n, states, average, p = ensembles
+    keep = 1.0 - p
+    d, r = n[:, 0] - n[:, 1], (0.5 * keep)[:, None] * (n[:, 0] + n[:, 1])
     dd = _dot(d, d)
-    det = 0.25 * p * (2.0 - p) + (0.25 * (1.0 - p)) ** 2 * dd  # (1 - |r|^2)/4 for unit n_i
+    det = 0.25 * p * (2.0 - p) + (0.25 * keep) ** 2 * dd  # (1 - |r|^2)/4 for unit n_i
     # lambda_min(rho) = (1 - sqrt(1 - 4 det))/2, in a form that does not cancel
-    nonsingular = 2.0 * det / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * det, 0.0))) > DEFAULTS.norm
-    if not nonsingular.all():
+    four_det = 4.0 * det
+    nonsingular = 2.0 * det / (1.0 + np.sqrt(np.maximum(1.0 - four_det, 0.0))) > DEFAULTS.norm
+    if np.count_nonzero(nonsingular) < nonsingular.size:
         raise DegenerateEnsembleError(
             "average state is singular (no noise and coincident or antipodal pair)"
             + _row(~nonsingular))
-    lam = np.sqrt(4.0 * det * dd)
+    lam = np.sqrt(four_det * dd)
     coincident = 0.5 * lam <= 1e-12 * det
-    divisor = np.where(coincident, 1.0, dd) if (fallback := coincident.any()) else dd
+    divisor = np.where(coincident, 1.0, dd) if (fallback := np.count_nonzero(coincident)) else dd
     scale = (lam * _SIGNS / divisor).T  # (N, 2): outcome
     dirs = scale[..., None] * d[:, None] - r[:, None]  # (N, 2, 3): outcome, Bloch vector
     if fallback:
@@ -697,7 +698,7 @@ def mcm_povm(ens: Ensemble, alpha: float) -> Povm:
     conclusive rate, and must leave pi_0 = 1 - pi_1 - pi_2 positive
     semidefinite. A batch of one of the stacked construction.
     """
-    stack = _mcm(_batch_of(ens), np.ones(1), np.array([require_in(alpha, "alpha", scalar=True)]))
+    stack = _mcm(_batch_of(ens), _ONE, np.array([require_in(alpha, "alpha", scalar=True)]))
     return Povm._validated(stack.elements[0, 0])
 
 
@@ -709,6 +710,6 @@ def mcm_optimal(theta: float, p: float) -> tuple[Povm, float]:
     ``mcm_stack``'s construction; its rate is one trace, as in ``usd_optimal``.
     """
     noise = np.array([require_in(p, "noise", scalar=True)])
-    stack = _mcm(_ensembles(_pure_pairs(theta, scalar=True), noise), np.ones(1))
+    stack = _mcm(_ensembles(_pure_pairs(theta, scalar=True), noise), _ONE)
     povm = Povm._validated(stack.elements[0, 0])
     return povm, float(_traces(stack.average[0], povm.inconclusive()))

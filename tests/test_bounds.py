@@ -1,8 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ctxsd import bounds
 from ctxsd.bounds import (
     CELLS,
     BoundSpec,
@@ -19,8 +22,8 @@ from ctxsd.bounds import (
     oriented_gap,
     table1_report,
 )
-from ctxsd.config import DEFAULTS
-from ctxsd.errors import ContractError, DivergenceError, DomainError
+from ctxsd.config import DEFAULTS, Tolerances
+from ctxsd.errors import ContractError, CtxsdError, DivergenceError, DomainError
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -162,6 +165,52 @@ def test_columns_equal_scalar_cells_exactly(variable):
     assert compared > 19 * len(fixed_values) ** 2 // 2
 
 
+# The closed forms at the corner c -> 1, p -> 0 and on the domain's edges,
+# pinned in tests/data/corner_cells.json: for each point, every cell's value
+# as float.hex or the class of the error it raises. Regenerate only for an
+# intended change of results (the edge rule of ROADMAP item 4 is one), with
+# ``PYTHONPATH=src python tests/test_bounds.py``.
+_CORNER_FILE = Path(__file__).parent / "data" / "corner_cells.json"
+
+
+def _corner_points() -> list[tuple[float, float, float]]:
+    decades = np.linspace(1.0, 12.0, 4)  # 1 - c and p log-spaced over [1e-12, 1e-1]
+    corner = [(1.0 - 10.0 ** -a, 10.0 ** -b) for a in decades for b in decades]
+    edges = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+    edges += [(1.0, p) for p in (1e-300, 1e-15, 1e-12, 2.5e-12, 1e-8)]
+    edges += [(1.0 - e, 0.0) for e in (1e-15, 1e-13)]
+    return [(c, p, 0.3) for c, p in corner + edges]
+
+
+def _pinned_cell(evaluate, cell, point):
+    try:
+        return float(evaluate(cell, point)).hex()
+    except CtxsdError as exc:
+        return {"raises": type(exc).__name__}
+
+
+def _scalar(cell, point):
+    return eval_bound(cell.spec(*point))
+
+
+def _one_point_column(cell, point):
+    grids = tuple(np.array([x]) for x in point)
+    return eval_column(cell.spec(*point), ("c", "p", "omega"), grids)[0]
+
+
+@pytest.mark.parametrize("evaluate", [_scalar, _one_point_column], ids=["math", "numpy"])
+def test_closed_forms_meet_their_pins_at_the_corner_and_the_edges(evaluate):
+    pinned = json.loads(_CORNER_FILE.read_text(encoding="utf-8"))
+    assert [entry["point"] for entry in pinned] == [
+        [float(x).hex() for x in point] for point in _corner_points()]
+    wrong = [(entry["point"], label, got, want)
+             for entry, point in zip(pinned, _corner_points())
+             for cell in CELLS
+             for label, want in [(cell.label, entry["cells"][cell.label])]
+             if (got := _pinned_cell(evaluate, cell, point)) != want]
+    assert not wrong, f"{len(wrong)} cells differ, first {wrong[0]}"
+
+
 def test_column_rejects_bad_grid_and_variable():
     spec = BoundSpec("MESD", "P_g", QUANTUM, c=0.5)
     with pytest.raises(DomainError):
@@ -199,6 +248,34 @@ def test_advantage_rule_of_a_column_is_the_rule_of_gap():
             cert = gap(*(BoundSpec(scheme, figure, s.theory, c=float(c)) for s in specs))
             assert flag == cert.advantage
             assert diff == (-cert.gap if figure == "P_0" else cert.gap)
+
+
+def _certificates(report):
+    """The report's gap certificates by (scheme, figure, arm)."""
+    certs = {}
+    for (scheme, figure), cell in report.cells.items():
+        if isinstance(cell, ConfidencePairCell):
+            certs[scheme, figure, 1], certs[scheme, figure, 2] = cell.arm1, cell.arm2
+        elif not isinstance(cell, DefinitionalCell):
+            certs[scheme, figure, 1] = cell
+    return certs
+
+
+_TIE_KEYS = list(_certificates(table1_report(0.3, 0.4, 0.2)))
+
+
+@pytest.mark.parametrize("key", _TIE_KEYS, ids=[f"{s}-{f}-{arm}" for s, f, arm in _TIE_KEYS])
+def test_an_exact_tie_is_no_advantage(key):
+    # at a threshold equal to the oriented gap the rule reports no advantage,
+    # and one ulp below it one, in table1_report, gap and is_advantage alike
+    point, figure = (0.3, 0.4, 0.2), key[1]
+    cert = _certificates(table1_report(*point))[key]
+    tie = -cert.gap if figure == "P_0" else cert.gap
+    for threshold, want in ((tie, False), (math.nextafter(tie, -math.inf), True)):
+        tols = Tolerances(advantage=threshold)
+        assert _certificates(table1_report(*point, tols))[key].advantage is want
+        assert gap(cert.quantum, cert.noncontextual, tols).advantage is want
+        assert is_advantage(figure, np.array([cert.gap]), tols).tolist() == [want]
 
 
 def test_gap_confidence_arms_outside_window():
@@ -322,3 +399,34 @@ def test_table_evaluates_its_cells_at_the_checked_floats(make, point):
     assert report.usd_possible == want.usd_possible
     assert type(want.usd_possible) is bool
     assert type(report.usd_possible) is bool
+
+
+class _NoNumpy:
+    """Stands in for numpy where a float point must not reach it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a float point used numpy (np.{name})")
+
+
+def test_a_float_point_runs_no_numpy(monkeypatch):
+    points = [(0.3, 0.4, 0.2), (0.7, 0.1, 0.6), (0.05, 0.9, 0.45), (0.0, 0.5, 0.5)]
+    specs = {point: [cell.spec(*point) for cell in CELLS] for point in points}
+    want = {point: ([eval_bound(spec) for spec in specs[point]], table1_report(*point))
+            for point in points}
+    monkeypatch.setattr(bounds, "np", _NoNumpy())
+    for point in points:
+        values = [eval_bound(spec) for spec in specs[point]]
+        assert values == want[point][0]
+        report = table1_report(*point)
+        assert report == want[point][1]
+        numbers = values + [getattr(cert, name) for cert in _certificates(report).values()
+                            for name in ("quantum_value", "noncontextual_value", "gap")]
+        assert all(type(x) is float for x in numbers), point
+
+
+if __name__ == "__main__":
+    entries = (json.dumps({"point": [float(x).hex() for x in point],
+                           "cells": {cell.label: _pinned_cell(_scalar, cell, point)
+                                     for cell in CELLS}})
+               for point in _corner_points())
+    _CORNER_FILE.write_text("[\n" + ",\n".join(entries) + "\n]\n", encoding="utf-8")
