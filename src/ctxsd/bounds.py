@@ -12,14 +12,17 @@ This is the closed-form route; it imports neither of the others. The 19
 cells' expressions are written once, in ``_closed_form``, over a namespace
 that supplies sqrt: ``math`` for a float point (``eval_bound`` and
 ``table1_report`` run no numpy), numpy for a column, sympy or mpmath to
-evaluate the same code exactly. They are guarded outside it, in
-``_require_regular``, ``_guarded`` and ``omega_star``.
+evaluate the same code exactly. They are guarded outside it:
+``_require_regular`` raises at a singular MCM confidence, checked per cell
+by ``eval_bound`` and ``eval_column`` and once per point by
+``table1_report``; ``_guarded`` fixes the MESD arms at c = 1; and
+``omega_star`` raises at c = 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -110,10 +113,9 @@ class Cell:
     figure: str
     theory: str
     outcome: int = 1
-    _template: BoundSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_template", self.spec(0.5, 0.5, 0.5))  # checks the cell
+        self.spec(0.5, 0.5, 0.5)  # checks the cell
 
     @property
     def has_arms(self) -> bool:
@@ -144,6 +146,7 @@ CELLS = tuple(
 )
 _ARMS = tuple(cell for cell in CELLS if cell.has_arms)  # outcomes 1 and 2
 _MCM_PG_NC = Cell("MCM", "P_g", NONCONTEXTUAL)
+_MCM_C_NC = Cell("MCM", "C", NONCONTEXTUAL)
 
 # The closed forms below take floats over math or numpy arrays over numpy:
 # the scalar API passes Python floats, a sweep column passes the grid as an
@@ -301,8 +304,6 @@ class GapCertificate:
     by the figure (larger P_g and C, smaller P_0).
     """
 
-    quantum: BoundSpec
-    noncontextual: BoundSpec
     quantum_value: float
     noncontextual_value: float
     gap: float
@@ -341,8 +342,7 @@ def gap(
     qv = eval_bound(quantum)
     nv = eval_bound(noncontextual)
     signed = qv - nv
-    return GapCertificate(quantum, noncontextual, qv, nv, signed,
-                          is_advantage(quantum.figure, signed, tols))
+    return GapCertificate(qv, nv, signed, is_advantage(quantum.figure, signed, tols))
 
 
 @dataclass(frozen=True)
@@ -401,29 +401,24 @@ def table1_report(
         window: Optional[tuple[float, float]] = (w_star, 1.0 - w_star)
     else:
         window = None
-    # One value per cell, over math. Specs and certificates skip their checks:
-    # the point is checked above, and a pair's specs share it, so gap's hold.
+    # The one regularity check: rounding is monotone, so in IEEE arithmetic
+    # (1-c) + c*p*(2-p) >= (1-c) + c*p, and the noncontextual MCM confidence's
+    # denominator is never above the quantum one. Where that cell is regular,
+    # every cell is.
+    _require_regular(_MCM_C_NC, c, p)
     cells: dict = {}
-    for cell in CELLS:
+    for cell in CELLS:  # one value per cell, over math
         key = (cell.scheme, cell.figure)
         if key in _DEFINITIONAL:
             cells[key] = _DEFINITIONAL[key]
             continue
-        _require_regular(cell, c, p)
         value = _guarded(cell, c, p, omega, math)
-        t, spec = cell._template, object.__new__(BoundSpec)
-        object.__setattr__(spec, "__dict__", {  # cell.spec(c, p, omega)
-            "scheme": t.scheme, "figure": t.figure, "theory": t.theory, "c": c,
-            "p": None if t.p is None else p, "omega": None if t.omega is None else omega,
-            "outcome": t.outcome})
         if cell.theory == QUANTUM:
-            quantum, qv = spec, value
+            qv = value
             continue
-        signed, cert = qv - value, object.__new__(GapCertificate)
-        object.__setattr__(cert, "__dict__", {  # is_advantage's rule, inlined
-            "quantum": quantum, "noncontextual": spec, "quantum_value": qv,
-            "noncontextual_value": value, "gap": signed,
-            "advantage": (-signed if key[1] == "P_0" else signed) > tols.advantage})
+        signed = qv - value
+        cert = GapCertificate(qv, value, signed,  # is_advantage's rule, inlined
+                              (-signed if key[1] == "P_0" else signed) > tols.advantage)
         if cell.outcome == 2:  # the second arm of the noncontextual MESD confidence
             arm1 = cells[key]
             cert = ConfidencePairCell(arm1, cert, window, arm1.advantage and cert.advantage)

@@ -52,6 +52,10 @@ import numpy as np
 from . import _HOMES, bounds, csvout, ncmodel, qtheory, sweeps
 from .bounds import (
     CELLS,
+    NONCONTEXTUAL,
+    QUANTUM,
+    Cell,
+    ConfidencePairCell,
     DefinitionalCell,
     eval_column,
     is_advantage,
@@ -554,12 +558,24 @@ def _chk_factorisation(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
 
 @_check("bounds/table-report", ("bounds.table1_report", "bounds.gap", "bounds.eval_bound"))
 def _chk_table(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
-    report = table1_report(0.5, 0.5, 0.5, tols)
+    point = (0.5, 0.5, 0.5)
+    report = table1_report(*point, tols)
     acc.add(report.cell("MESD", "P_0").value, 0.0, "definitional MESD P_0")
     acc.add(report.cell("USD", "C").value - 1.0, 0.0, "definitional USD C")
     for (scheme, figure), cell in report.cells.items():
-        if not isinstance(cell, DefinitionalCell):  # MESD C: both arms
-            acc.ok(cell.advantage, f"{scheme} {figure}")
+        if isinstance(cell, DefinitionalCell):
+            continue
+        acc.ok(cell.advantage, f"{scheme} {figure}")  # MESD C: both arms
+        # each certificate is gap's for its pair of specs, and each value
+        # eval_bound's for its cell, exactly
+        arms = (cell.arm1, cell.arm2) if isinstance(cell, ConfidencePairCell) else (cell,)
+        quantum = Cell(scheme, figure, QUANTUM).spec(*point)
+        for outcome, cert in enumerate(arms, 1):
+            nc_cell = Cell(scheme, figure, NONCONTEXTUAL, outcome)
+            nc, where = nc_cell.spec(*point), f"the certificate of {nc_cell.label}"
+            acc.add(bounds.eval_bound(quantum) - cert.quantum_value, 0.0, where)
+            acc.add(bounds.eval_bound(nc) - cert.noncontextual_value, 0.0, where)
+            acc.ok(bounds.gap(quantum, nc, tols) == cert, where)
     degenerate = table1_report(0.0, 0.5, 0.5, tols)
     acc.add(degenerate.cell("MESD", "P_g").gap, tols.exact, "c=0 MESD P_g")
     acc.add(degenerate.cell("MCM", "C").gap, tols.exact, "c=0 MCM C")

@@ -9,6 +9,7 @@ from ctxsd import bounds
 from ctxsd.bounds import (
     CELLS,
     BoundSpec,
+    Cell,
     ConfidencePairCell,
     DefinitionalCell,
     NONCONTEXTUAL,
@@ -270,11 +271,14 @@ def test_an_exact_tie_is_no_advantage(key):
     # and one ulp below it one, in table1_report, gap and is_advantage alike
     point, figure = (0.3, 0.4, 0.2), key[1]
     cert = _certificates(table1_report(*point))[key]
+    specs = (Cell(key[0], figure, QUANTUM).spec(*point),
+             Cell(key[0], figure, NONCONTEXTUAL, key[2]).spec(*point))
+    assert gap(*specs) == cert
     tie = -cert.gap if figure == "P_0" else cert.gap
     for threshold, want in ((tie, False), (math.nextafter(tie, -math.inf), True)):
         tols = Tolerances(advantage=threshold)
         assert _certificates(table1_report(*point, tols))[key].advantage is want
-        assert gap(cert.quantum, cert.noncontextual, tols).advantage is want
+        assert gap(*specs, tols).advantage is want
         assert is_advantage(figure, np.array([cert.gap]), tols).tolist() == [want]
 
 
@@ -356,6 +360,26 @@ def test_table_degenerate_confusabilities():
     assert not full.usd_possible
     assert full.cell("USD", "P_0").gap == pytest.approx(0.0, abs=1e-12)
 
+    # at c = 1 the report raises exactly where the noncontextual MCM confidence
+    # does: both MCM confidences raise at the corner, the noncontextual one
+    # alone at (1, 1e-12), where the quantum one is 1/2, and neither beyond
+    for c, p, want in ((1.0, 0.0, (True, True)), (1.0 - 1e-13, 0.0, (True, True)),
+                       (1.0, 1e-300, (True, True)), (1.0, 1e-12, (False, True)),
+                       (1.0, 2.5e-12, (False, False))):
+        specs = [Cell("MCM", "C", theory).spec(c, p, 0.5) for theory in (QUANTUM, NONCONTEXTUAL)]
+        assert tuple(_diverges(eval_bound, spec) for spec in specs) == want, (c, p)
+        assert _diverges(table1_report, c, p, 0.5) is want[1], (c, p)
+    assert eval_bound(Cell("MCM", "C", QUANTUM).spec(1.0, 1e-12, 0.5)) == 0.5
+
+
+def _diverges(fn, *args) -> bool:
+    """Whether ``fn(*args)`` raises DivergenceError."""
+    try:
+        fn(*args)
+    except DivergenceError:
+        return True
+    return False
+
 
 def test_table_full_noise_mcm_confidence_gap_closes():
     report = table1_report(0.5, 1.0, 0.5)
@@ -375,7 +399,6 @@ def _report_values(report):
                 values.append(cert.value)
                 continue
             values += [cert.quantum_value, cert.noncontextual_value, cert.gap, cert.advantage]
-            values += [cert.quantum.c, cert.quantum.p, cert.noncontextual.omega]
         if isinstance(cell, ConfidencePairCell):
             values += [*(cell.window or ()), cell.advantage]
     return [type(v).__name__ + ":" + (repr(v) if v is None or isinstance(v, bool)

@@ -467,18 +467,22 @@ _CLOSED_FORM_HOMES = {
     ("bounds", "nc_mesd_confidences"): "ncmodel/mesd-confidences",
     ("bounds", "omega_star"): "ncmodel/omega-star",
     ("bounds", "nc_mcm_guessing"): "bounds/factorisation",
+    ("bounds", "gap"): "bounds/table-report",
+    ("bounds", "eval_bound"): "bounds/table-report",
 }
 
 
 def _off_by(value, eps):
     """``value`` with its number moved by ``eps``: a number or an array, the
-    second of a pair (a witness and its number, or the two MESD arms), or a
-    POVM or stack of them whose conclusive elements each take ``eps`` of the
-    other."""
+    second of a pair (a witness and its number, or the two MESD arms), a gap
+    certificate's quantum value and gap, or a POVM or stack of them whose
+    conclusive elements each take ``eps`` of the other."""
     if isinstance(value, (float, np.ndarray)):
         return value + eps
     if isinstance(value, tuple):
         return value[0], value[1] + eps
+    if isinstance(value, bounds.GapCertificate):
+        return replace(value, quantum_value=value.quantum_value + eps, gap=value.gap + eps)
     e = value.elements
     pi1, pi2, pi0 = e[..., 0, :, :], e[..., 1, :, :], e[..., 2, :, :]
     moved = np.stack(((1 - eps) * pi1 + eps * pi2, (1 - eps) * pi2 + eps * pi1, pi0), axis=-3)
@@ -930,7 +934,8 @@ def test_check_results_count_the_values_they_compare(capsys):
     for points in (5, 21):
         checks = {ch.name: ch for ch in verify_all(points).checks}
         assert checks["ncmodel/oracle-max-pg"].items == points  # one P_g per value of c
-        assert checks["bounds/table-report"].items == 13  # 4 values and 9 pass/fail items
+        # 4 values and 9 pass/fail items, and 2 values and gap's certificate for each of 8 pairs
+        assert checks["bounds/table-report"].items == 37
         assert all(ch.items >= 1 for ch in checks.values())
     assert cli.main(["verify", "--points", "21", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
