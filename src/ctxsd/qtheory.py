@@ -26,8 +26,8 @@ Every construction runs on stacks: ``helstrom_stack``, ``usd_stack`` and
 ``mcm_stack`` build N ensembles at once, with the coincident fallbacks and
 the typed errors as masks, and return a ``MeasurementStack`` validated once.
 The scalar constructions and ``make_pure_pair`` are batches of one of them,
-and the scalar figures of merit run the stack's trace arithmetic, so a
-stack row equals its batch of one bit for bit.
+their geometry the stack's formulas over floats and ``math``, the rest the
+stack's arithmetic, so a stack row equals its batch of one bit for bit.
 
 All functions are pure and all values immutable, so everything here is safe
 to evaluate concurrently.
@@ -176,13 +176,14 @@ class Ensemble:
         self._derive(np.array([[(s.amp0, s.amp1) for s in self.pair]], dtype=complex))
 
     def _derive(self, vectors: np.ndarray) -> None:
-        """Check the noise and derive the arrays from the amplitudes (1, 2, 2)."""
-        batch = _ensembles(vectors, np.array([require_in(self.noise, "noise", scalar=True)]))
+        """Check the noise; derive the arrays and the batch of one from the amplitudes."""
+        noise = require_in(self.noise, "noise", scalar=True)
+        batch = _ensembles(vectors, np.array([noise]))
         vectors.flags.writeable = False
         object.__setattr__(self, "vectors", vectors[0])
         object.__setattr__(self, "states", batch[1][0])
         object.__setattr__(self, "average", batch[2][0])
-        object.__setattr__(self, "_batch", batch)
+        object.__setattr__(self, "_batch", (batch[0][..., 0].tolist(), *batch[1:3], noise))
 
 
 def _check_psd(min_eigs: np.ndarray) -> None:
@@ -239,7 +240,7 @@ class Povm:
 
 def _row(bad: np.ndarray) -> str:
     """Where a stacked check failed: its first bad row, when there are several."""
-    return f" (row {int(np.argmax(bad))})" if bad.size > 1 else ""
+    return f" (row {int(np.argmax(bad))})" if np.size(bad) > 1 else ""
 
 
 # ---------------------------------------------------------------------------
@@ -302,23 +303,22 @@ def noisy_ensemble(theta: float, p: float) -> Ensemble:
     return ens
 
 
-def _batch_of(ens: Ensemble, pure: bool = False) -> tuple[np.ndarray, ...]:
-    """The ensemble's ``_ensembles`` as a batch of one; noise 0 if ``pure``."""
+def _batch_of(ens: Ensemble, pure: bool = False) -> tuple:
+    """The ensemble's ``_ensembles``, n and p as floats; noise 0 if ``pure``."""
     if pure and ens.noise != 0.0:
         raise ContractError("pure-state ensemble required (noise = 0)")
     return ens._batch
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a . b of stacks of real 3-vectors, each entry exactly as it is alone."""
-    t = a * b
-    return t[..., 0] + t[..., 1] + t[..., 2]
+def _dot(a, b):
+    """a . b of 3-vectors as components, each entry exactly as it is alone."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _ensembles(vectors: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
     """The pure pairs ``vectors`` (N, 2, 2) dephased at ``p`` (N,), in the one
     place states are formed, for ``Ensemble`` and every stack: the Bloch
-    vectors n_1, n_2 (N, 2, 3), read off |psi_i><psi_i| = (I + n_i . sigma)/2;
+    vectors n_1, n_2 as components (3, 2, N), read off |psi_i><psi_i| = (I + n_i . sigma)/2;
     the states rho_i = (1 - p)|psi_i><psi_i| + p/2 (N, 2, 2, 2) and their
     averages (N, 2, 2), both read-only; and p. The states come from the
     amplitudes, where a diagonal entry is a sum of positive terms: from n_i
@@ -327,7 +327,7 @@ def _ensembles(vectors: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
     states = (1.0 - p)[:, None, None, None] * proj + p[:, None, None, None] * _HALF_IDENTITY
     average = 0.5 * (states[:, 0] + states[:, 1])
     states.flags.writeable = average.flags.writeable = False
-    return (proj.view(float).reshape(-1, 8) @ _PAULI.T).reshape(-1, 2, 3), states, average, p
+    return (proj.view(float).reshape(-1, 8) @ _PAULI.T).reshape(-1, 2, 3).T, states, average, p
 
 
 # ---------------------------------------------------------------------------
@@ -489,37 +489,50 @@ def _projectors(dirs: np.ndarray) -> np.ndarray:
     return flat.view(complex).reshape(*dirs.shape[:-1], 2, 2)
 
 
-def _optimal_weight(dirs: np.ndarray) -> np.ndarray:
+def _select(test, yes, no):
+    """``yes`` where ``test`` holds, else ``no``: by a point's bool or row by row."""
+    return (yes if test else no) if type(test) is bool else np.where(test, yes, no)
+
+
+def _rows(vectors, xp) -> np.ndarray:
+    """The directions ``vectors``, as components, as rows (N, ..., 3)."""
+    return np.array(vectors)[None] if xp is math else np.moveaxis(np.array(vectors), -1, 0)
+
+
+def _optimal_weight(m1, m2, xp) -> np.ndarray:
     """Largest w keeping 1 - w (P_1 + P_2) positive semidefinite for the
-    projectors (I + m_i . sigma)/2 of each row's unit Bloch vectors ``dirs``
-    (N, 2, 3): 1/(1 + |m_1 + m_2|/2), in [1/2, 1]."""
-    s = dirs[:, 0] + dirs[:, 1]
-    return 1.0 / (1.0 + 0.5 * np.sqrt(_dot(s, s)))
+    projectors (I + m_i . sigma)/2 of the unit Bloch vectors m_1, m_2:
+    1/(1 + |m_1 + m_2|/2), in [1/2, 1], as the weights (N, 1, 2) (w, w)."""
+    s = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+    return (_UNIT_WEIGHTS.T / (1.0 + 0.5 * xp.sqrt(_dot(s, s)))).T
 
 
 # ---------------------------------------------------------------------------
 # minimum-error measurement
 
-def _helstrom(ensembles: tuple[np.ndarray, ...]) -> MeasurementStack:
+def _helstrom(ensembles: tuple) -> MeasurementStack:
     """Projective measurements onto the eigenspaces of q1 rho1 - q2 rho2 of
-    the ``ensembles``, as ``_ensembles`` gives them.
+    the ``ensembles``, as ``_ensembles`` or ``_batch_of`` gives them.
 
     q1 rho1 - q2 rho2 = (1 - p) d . sigma/4, so outcome 1, its positive
     eigenspace, is (I + d/|d| . sigma)/2 and outcome 2 its complement. Where
     the eigenvalues +-(1 - p)|d|/2 of rho1 - rho2 vanish, a pure tie-break
     falls back to the computational basis: outcome 1 takes |0>, Bloch +z.
     """
-    n, states, average, p = ensembles
-    d = n[:, 0] - n[:, 1]
-    length = np.sqrt(_dot(d, d))
+    ((x1, x2), (y1, y2), (z1, z2)), states, average, p = ensembles
+    xp = math if type(p) is float else np
+    d = (x1 - x2, y1 - y2, z1 - z2)
+    length = xp.sqrt(_dot(d, d))
     tie = 0.5 * (1.0 - p) * length <= 2.0 * DEFAULTS.norm
-    top = d / (np.where(tie, 1.0, length) if (tied := np.count_nonzero(tie)) else length)[:, None]
+    if tied := tie if type(tie) is bool else np.count_nonzero(tie):
+        length = _select(tie, 1.0, length)
+    top = _rows((d[0] / length, d[1] / length, d[2] / length), xp)
     if tied:
-        top[tie] = (0.0, 0.0, 1.0)
+        top[tie] = (0.0, 0.0, 1.0)  # a point's bool indexes its one row
     projectors = np.empty(states.shape, complex)  # outcome 2 the exact complement: pi_0 = 0
     projectors[:, 0] = _projectors(top)
     np.subtract(_IDENTITY, projectors[:, 0], out=projectors[:, 1])
-    return _measurements(states, average, projectors, _UNIT_WEIGHTS.repeat(len(d), 0))
+    return _measurements(states, average, projectors, _UNIT_WEIGHTS.repeat(len(states), 0))
 
 
 def helstrom_stack(theta) -> MeasurementStack:
@@ -542,10 +555,10 @@ def helstrom_povm(ens: Ensemble) -> Povm:
 # unambiguous discrimination
 
 
-def _usd(vectors: np.ndarray, ensembles: tuple[np.ndarray, ...], weights: np.ndarray,
+def _usd(vectors: np.ndarray, ensembles: tuple, weights: np.ndarray,
          optimal: bool) -> MeasurementStack:
     """Unambiguous measurements of the pure pairs ``vectors`` (N, 2, 2), with
-    their ``_ensembles``, at the conclusive weights ``weights`` (N, F, 2),
+    their ``ensembles`` (as ``_helstrom`` takes them), at the weights ``weights`` (N, F, 2),
     after the optimal measurement of each pair if ``optimal``.
 
     pi_i = gamma_i |mirror(psi_j)><mirror(psi_j)| = gamma_i (I - n_j . sigma)/2,
@@ -558,14 +571,15 @@ def _usd(vectors: np.ndarray, ensembles: tuple[np.ndarray, ...], weights: np.nda
     states (the same ray) admit no unambiguous measurement; any distinct
     pair has one.
     """
-    n, states, average = ensembles[:3]
-    dirs = -n[:, ::-1]  # outcome 1 takes mirror(psi_2), outcome 2 mirror(psi_1)
+    ((x1, x2), (y1, y2), (z1, z2)), states, average, p = ensembles
+    xp = math if type(p) is float else np
+    dirs = ((-x2, -y2, -z2), (-x1, -y1, -z1))  # outcome 1 takes mirror(psi_2), 2 mirror(psi_1)
     if optimal:
         coincident = vectors[:, 0, 0] * vectors[:, 1, 1] == vectors[:, 0, 1] * vectors[:, 1, 0]
         if np.count_nonzero(coincident):
             raise UsdImpossibleError("states are linearly dependent" + _row(coincident))
-        weights = np.concatenate((_optimal_weight(dirs)[:, None, None].repeat(2, -1), weights), 1)
-    return _measurements(states, average, _projectors(dirs), weights)
+        weights = np.concatenate((_optimal_weight(*dirs, xp), weights), 1)
+    return _measurements(states, average, _projectors(_rows(dirs, xp)), weights)
 
 
 def usd_stack(theta, weights=None) -> MeasurementStack:
@@ -607,18 +621,17 @@ def usd_optimal(ens: Ensemble) -> tuple[Povm, float]:
     """
     stack = _usd(ens.vectors[None], _batch_of(ens, pure=True), _NO_WEIGHTS, optimal=True)
     povm = Povm._validated(stack.elements[0, 0])
-    return povm, float(_traces(stack.average[0], povm.inconclusive()))
+    return povm, float(_traces(stack.average[0], povm.elements[2]))
 
 
 # ---------------------------------------------------------------------------
 # maximum-confidence measurement
 
 
-# Bloch vectors of u = (1, -+1)/sqrt(2), row i - 1 outcome i's, for coincident
+# Bloch vectors of u = (1, -+1)/sqrt(2), outcome 1's then 2's, for coincident
 # states, where every direction is optimal: the limit of the generic case, so
 # the optimal inconclusive rate stays continuous in (theta, p).
-_COINCIDENT_E = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-_SIGNS = np.array(((1.0,), (-1.0,)))  # m_+ for outcome 1, m_- for outcome 2
+_COINCIDENT_E = ((-1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
 
 
 def mcm_stack(theta, p, fractions=(1.0,)) -> MeasurementStack:
@@ -639,10 +652,10 @@ def mcm_stack(theta, p, fractions=(1.0,)) -> MeasurementStack:
                 require_in(fractions, "weight fractions", math.inf))
 
 
-def _mcm(ensembles: tuple[np.ndarray, ...], fractions: np.ndarray,
+def _mcm(ensembles: tuple, fractions: np.ndarray,
          alpha: np.ndarray | None = None) -> MeasurementStack:
-    """The stacked construction for the ``_ensembles`` ``ensembles``, at the
-    weights ``fractions * alpha``; ``alpha`` defaults to the optimal weight.
+    """The construction for the ``ensembles`` (as ``_helstrom`` takes them), at
+    the weights ``fractions * alpha``; ``alpha`` (N, 1, 2) defaults to the optimal weights.
 
     The direction pi = (I + m . sigma)/2 maximises the confidence
     q_i Tr[rho_i pi] / Tr[rho pi]. As rho_i - rho = +-(1 - p) d . sigma/4,
@@ -662,33 +675,34 @@ def _mcm(ensembles: tuple[np.ndarray, ...], fractions: np.ndarray,
 
         (2 w0 w + (w0^2 - |w|^2) e + 2 (w . e) w) / (w0^2 + |w|^2 + 2 w0 w . e).
     """
-    n, states, average, p = ensembles
-    keep = 1.0 - p
-    d, r = n[:, 0] - n[:, 1], (0.5 * keep)[:, None] * (n[:, 0] + n[:, 1])
+    ((x1, x2), (y1, y2), (z1, z2)), states, average, p = ensembles
+    xp = math if type(p) is float else np
+    keep, d = 1.0 - p, (x1 - x2, y1 - y2, z1 - z2)
+    rx, ry, rz = 0.5 * keep * (x1 + x2), 0.5 * keep * (y1 + y2), 0.5 * keep * (z1 + z2)
     dd = _dot(d, d)
-    det = 0.25 * p * (2.0 - p) + (0.25 * keep) ** 2 * dd  # (1 - |r|^2)/4 for unit n_i
-    # lambda_min(rho) = (1 - sqrt(1 - 4 det))/2, in a form that does not cancel
-    four_det = 4.0 * det
-    nonsingular = 2.0 * det / (1.0 + np.sqrt(np.maximum(1.0 - four_det, 0.0))) > DEFAULTS.norm
-    if np.count_nonzero(nonsingular) < nonsingular.size:
+    det = 0.25 * p * (2.0 - p) + 0.25 * keep * (0.25 * keep) * dd  # (1 - |r|^2)/4 for unit n_i
+    # lambda_min(rho) = (1 - sqrt(1 - 4 det))/2, in a form that does not cancel; never NaN
+    root = xp.sqrt(_select(4.0 * det > 1.0, 0.0, 1.0 - 4.0 * det))
+    singular = 2.0 * det / (1.0 + root) <= DEFAULTS.norm
+    if singular if type(singular) is bool else np.count_nonzero(singular):
         raise DegenerateEnsembleError(
             "average state is singular (no noise and coincident or antipodal pair)"
-            + _row(~nonsingular))
-    lam = np.sqrt(four_det * dd)
+            + _row(singular))
+    lam = xp.sqrt(4.0 * det * dd)
     coincident = 0.5 * lam <= 1e-12 * det
-    divisor = np.where(coincident, 1.0, dd) if (fallback := np.count_nonzero(coincident)) else dd
-    scale = (lam * _SIGNS / divisor).T  # (N, 2): outcome
-    dirs = scale[..., None] * d[:, None] - r[:, None]  # (N, 2, 3): outcome, Bloch vector
-    if fallback:
-        w0 = 0.5 + np.sqrt(det[coincident])[:, None, None]
-        w = -0.5 * r[coincident][:, None]
-        we, ww = _dot(w, _COINCIDENT_E)[..., None], _dot(w, w)[..., None]
-        dirs[coincident] = ((2.0 * w0 * w + (w0 * w0 - ww) * _COINCIDENT_E + 2.0 * we * w)
-                            / (w0 * w0 + ww + 2.0 * w0 * we))
-    if alpha is None:
-        alpha = _optimal_weight(dirs)
-    weights = (alpha[:, None] * fractions)[..., None].repeat(2, -1)
-    return _measurements(states, average, _projectors(dirs), weights)
+    scale = lam / _select(coincident, 1.0, dd)
+    dirs = [(scale * d[0] - rx, scale * d[1] - ry, scale * d[2] - rz),  # m_+ for outcome 1
+            (-scale * d[0] - rx, -scale * d[1] - ry, -scale * d[2] - rz)]  # m_- for outcome 2
+    if coincident if type(coincident) is bool else np.count_nonzero(coincident):  # W u, as above
+        w0, w = 0.5 + xp.sqrt(det), (-0.5 * rx, -0.5 * ry, -0.5 * rz)
+        ww = _dot(w, w)
+        for i, e in enumerate(_COINCIDENT_E):
+            we = _dot(w, e)
+            den = w0 * w0 + ww + 2.0 * w0 * we
+            dirs[i] = _select(coincident, [(2.0 * w0 * wk + (w0 * w0 - ww) * ek + 2.0 * we * wk)
+                                           / den for wk, ek in zip(w, e)], dirs[i])
+    weights = (_optimal_weight(*dirs, xp) if alpha is None else alpha) * fractions[:, None]
+    return _measurements(states, average, _projectors(_rows(dirs, xp)), weights)
 
 
 def mcm_povm(ens: Ensemble, alpha: float) -> Povm:
@@ -698,7 +712,7 @@ def mcm_povm(ens: Ensemble, alpha: float) -> Povm:
     conclusive rate, and must leave pi_0 = 1 - pi_1 - pi_2 positive
     semidefinite. A batch of one of the stacked construction.
     """
-    stack = _mcm(_batch_of(ens), _ONE, np.array([require_in(alpha, "alpha", scalar=True)]))
+    stack = _mcm(_batch_of(ens), _ONE, require_in(alpha, "alpha", scalar=True) * _UNIT_WEIGHTS)
     return Povm._validated(stack.elements[0, 0])
 
 
@@ -709,7 +723,8 @@ def mcm_optimal(theta: float, p: float) -> tuple[Povm, float]:
     maximal confidences and minimal inconclusive rate. A batch of one of
     ``mcm_stack``'s construction; its rate is one trace, as in ``usd_optimal``.
     """
-    noise = np.array([require_in(p, "noise", scalar=True)])
-    stack = _mcm(_ensembles(_pure_pairs(theta, scalar=True), noise), _ONE)
+    noise = require_in(p, "noise", scalar=True)
+    n, states, average, _ = _ensembles(_pure_pairs(theta, scalar=True), np.array([noise]))
+    stack = _mcm((n[..., 0].tolist(), states, average, noise), _ONE)
     povm = Povm._validated(stack.elements[0, 0])
-    return povm, float(_traces(stack.average[0], povm.inconclusive()))
+    return povm, float(_traces(stack.average[0], povm.elements[2]))

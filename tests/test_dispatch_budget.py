@@ -14,6 +14,13 @@ do. So ``math.sqrt`` is counted, while ``np.sqrt`` and operator ufuncs are
 invisible. The budgets are the counts of the current code plus 10%, set on
 Python 3.11.7 with numpy 2.4.6; another numpy can move the counts of its
 own Python-level functions.
+
+A pin is lowered when its count falls, and never raised. The constructions
+run their geometry over floats at a batch of one, where ``math.sqrt`` and
+``.tolist()`` are counted C calls that the numpy geometry did not show: so
+``mcm_optimal``, ``noisy_ensemble``, ``helstrom_povm`` and ``usd_optimal``
+read 21, 20, 12 and 11 C calls against their pins of 19, 19, 11 and 10,
+within their budgets, while ``mcm_optimal``'s Python calls fell from 23 to 21.
 """
 
 import math
@@ -28,7 +35,7 @@ _THETA = math.acos(math.sqrt(_C))
 # (Python calls, C calls) of one warm call, as counted when the budgets were set.
 _COUNTS = {
     "table1_report": (49, 12),
-    "mcm_optimal": (23, 19),
+    "mcm_optimal": (21, 19),
     "noisy_ensemble": (10, 19),
     "helstrom_povm": (14, 11),
     "usd_optimal": (18, 10),

@@ -7,6 +7,7 @@ import pytest
 from ctxsd import bounds, ncmodel as nc
 from ctxsd.errors import (
     ContractError,
+    CtxsdError,
     DivergenceError,
     DomainError,
     InfeasibleWeightsError,
@@ -245,6 +246,53 @@ def test_oracle_min_p0_examples():
     scn = nc.canonical_scenario(0.0, 0.4)
     _, p_0 = nc.oracle_min_p0_at_max_confidence(scn)
     assert p_0 == pytest.approx(0.5, abs=1e-9)  # mass stays on the shared mirror region
+
+
+# (c, p) -> the oracles' (max P_g, max C outcome 1, max C outcome 2, min P_0
+# at max C) as float.hex, or the typed error each raises, at the edge points
+# of test_bounds._corner_points: the oracle column of the edge table. Only
+# the pure coincident pair (1, 0) raises; the closed-form and construction
+# columns raise at more of these points (ROADMAP item 4).
+_UNDEFINED = UndefinedConfidenceError.__name__
+_ORACLE_EDGES = {
+    (0.0, 0.0): ("0x1.0000000000000p+0", "0x1.0000000000000p+0",
+                 "0x1.0000000000000p+0", "0x1.0000000000000p-1"),
+    (0.0, 1.0): ("0x1.0000000000000p+0", "0x1.0000000000000p-1",
+                 "0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+    (1.0, 0.0): ("0x1.0000000000000p-1", _UNDEFINED, _UNDEFINED, _UNDEFINED),
+    (1.0, 1.0): ("0x1.0000000000000p-1", "0x1.0000000000000p-1",
+                 "0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+    (1.0, 1e-300): ("0x1.0000000000000p-1", "0x1.0000000000000p-1",
+                    "0x1.0000000000000p-1", "0x1.0000000000000p+0"),
+    (1.0, 1e-15): ("0x1.0000000000000p-1", "0x1.0000000000000p-1",
+                   "0x1.0000000000000p-1", "0x1.ffffffffffffcp-1"),
+    (1.0, 1e-12): ("0x1.0000000000000p-1", "0x1.0000000000000p-1",
+                   "0x1.0000000000000p-1", "0x1.fffffffffee69p-1"),
+    (1.0, 2.5e-12): ("0x1.0000000000000p-1", "0x1.0000000000000p-1",
+                     "0x1.0000000000000p-1", "0x1.fffffffffd405p-1"),
+    (1.0, 1e-8): ("0x1.0000000000000p-1", "0x1.0000000000000p-1",
+                  "0x1.0000000000000p-1", "0x1.ffffffd50ce23p-1"),
+    (1.0 - 1e-15, 0.0): ("0x1.0000000000004p-1", "0x1.0000000000000p+0",
+                         "0x1.0000000000000p+0", "0x1.ffffffffffffbp-1"),
+    (1.0 - 1e-13, 0.0): ("0x1.00000000001c2p-1", "0x1.0000000000000p+0",
+                         "0x1.0000000000000p+0", "0x1.ffffffffffe3dp-1"),
+}
+
+
+def _pinned_oracle(oracle, *args):
+    try:
+        return float(oracle(*args)[1]).hex()
+    except CtxsdError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("c, p", list(_ORACLE_EDGES))
+def test_oracles_at_the_edge_points(c, p):
+    scn = nc.canonical_scenario(c, p)
+    got = (_pinned_oracle(nc.oracle_max_pg, scn), _pinned_oracle(nc.oracle_max_confidence, scn, 1),
+           _pinned_oracle(nc.oracle_max_confidence, scn, 2),
+           _pinned_oracle(nc.oracle_min_p0_at_max_confidence, scn))
+    assert got == _ORACLE_EDGES[c, p]
 
 
 # ---------------------------------------------------------------------------

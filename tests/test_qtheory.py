@@ -436,31 +436,50 @@ def test_optimal_weights_leave_inconclusive_element_on_the_boundary():
 
 _GRID21 = [float(x) for x in np.linspace(0.0, 1.0, 21)]
 _FRACTIONS = (1.0, 0.25, 0.5)
+_DECADES = np.linspace(1.0, 12.0, 4)  # 1 - c and p log-spaced over [1e-12, 1e-1]
+
+
+def _bits(x) -> bytes:
+    """The bytes of a number or an array: unlike ``==``, tells -0.0 from 0.0."""
+    return np.asarray(x).tobytes()
 
 
 def _assert_rows_equal_scalar_constructions(points):
-    """Each row of one mcm_stack over ``points`` is exactly what the scalar
-    constructions and figures of merit give at that point."""
+    """Each row of one mcm_stack over ``points`` is, byte for byte, what the
+    scalar constructions and figures of merit give at that point."""
     theta = [theta_of(c) for c, _ in points]
     stack = qt.mcm_stack(theta, [p for _, p in points], _FRACTIONS)
     conf, p_g, rate = stack.confidences(), stack.guessing_probability(), stack.inconclusive_rate()
     for k, ((c, p), t) in enumerate(zip(points, theta)):
         ens = qt.noisy_ensemble(t, p)
         m, m_rate = qt.mcm_optimal(t, p)
-        assert (m.elements == stack.elements[k, 0]).all(), (c, p)
-        assert m_rate == rate[k, 0], (c, p)
-        assert qt.guessing_probability(ens, m) == p_g[k, 0], (c, p)
+        assert _bits(m.elements) == _bits(stack.elements[k, 0]), (c, p)
+        assert _bits(m_rate) == _bits(rate[k, 0]), (c, p)
+        assert _bits(qt.guessing_probability(ens, m)) == _bits(p_g[k, 0]), (c, p)
         for f, frac in enumerate(_FRACTIONS):
             m_f = qt.mcm_povm(ens, stack.weights[k, f, 0])
-            assert (m_f.elements == stack.elements[k, f]).all(), (c, p, frac)
-            assert [qt.confidence(ens, m_f, i) for i in (1, 2)] == list(conf[k, f]), (c, p, frac)
-            assert qt.inconclusive_rate(ens, m_f) == rate[k, f], (c, p, frac)
+            assert _bits(m_f.elements) == _bits(stack.elements[k, f]), (c, p, frac)
+            assert _bits([qt.confidence(ens, m_f, i) for i in (1, 2)]) == _bits(conf[k, f]), \
+                (c, p, frac)
+            assert _bits(qt.inconclusive_rate(ens, m_f)) == _bits(rate[k, f]), (c, p, frac)
     return stack
 
 
 def test_stack_equals_scalar_constructions_on_the_verify_grid():
     _assert_rows_equal_scalar_constructions(
         [(c, p) for c in _GRID21 for p in _GRID21 if not (p == 0.0 and c in (0.0, 1.0))])
+
+
+def test_stack_equals_scalar_constructions_towards_the_corner():
+    points = []
+    for c, p in ((1.0 - 10.0 ** -a, 10.0 ** -b) for a in _DECADES for b in _DECADES):
+        try:
+            qt.mcm_optimal(theta_of(c), p)
+        except DegenerateEnsembleError:  # the average state is singular to its test
+            continue
+        points.append((c, p))
+    assert len(points) >= 12
+    _assert_rows_equal_scalar_constructions(points)
 
 
 def test_stack_equals_scalar_constructions_at_full_noise():
@@ -494,7 +513,7 @@ def test_stack_weight_above_the_optimum_raises():
 # ---------------------------------------------------------------------------
 # the stacked minimum-error and unambiguous constructions
 
-_EDGE_C = [0.0, 0.5, 1.0 - 1e-13, 1.0]
+_EDGE_C = [0.0, 0.5, 1.0 - 1e-13, *(1.0 - 10.0 ** -k for k in _DECADES), 1.0]  # 1.0 last
 _USD_WEIGHTS = ((1.0, 0.5), (0.25, 0.25), (0.6, 0.3))  # in units of 1/(1 + sqrt(c))
 
 
@@ -505,13 +524,13 @@ def test_helstrom_stack_rows_equal_their_batches_of_one():
     for k, c in enumerate(cs):
         ens = pure_ensemble(c)
         m = qt.helstrom_povm(ens)
-        assert np.array_equal(stack.states[k], ens.states), c
-        assert np.array_equal(m.elements, stack.elements[k, 0]), c
-        assert qt.guessing_probability(ens, m) == p_g[k, 0], c
-        assert qt.inconclusive_rate(ens, m) == rate[k, 0] == 0.0, c
-        assert qt.confidence(ens, m, 1) == conf[k, 0], c
+        assert _bits(stack.states[k]) == _bits(ens.states), c
+        assert _bits(m.elements) == _bits(stack.elements[k, 0]), c
+        assert _bits(qt.guessing_probability(ens, m)) == _bits(p_g[k, 0]), c
+        assert _bits(qt.inconclusive_rate(ens, m)) == _bits(rate[k, 0]) == _bits(0.0), c
+        assert _bits(qt.confidence(ens, m, 1)) == _bits(conf[k, 0]), c
         if c < 1.0:
-            assert qt.confidence(ens, m, 2) == stack[k:k + 1].confidence(2)[0, 0], c
+            assert _bits(qt.confidence(ens, m, 2)) == _bits(stack[k:k + 1].confidence(2)[0, 0]), c
     # c = 1: the tie-break measures in the computational basis, P_g = 1/2,
     # and outcome 2 never fires
     assert np.array_equal(stack.elements[-1, 0, :2], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
@@ -552,14 +571,16 @@ def test_usd_stack_rows_equal_their_batches_of_one():
     for k, c in enumerate(cs):
         ens = pure_ensemble(c)
         m, m_rate = qt.usd_optimal(ens)
-        assert np.array_equal(m.elements, stack.elements[k, 0]), c
-        assert m_rate == rate[k, 0] and qt.guessing_probability(ens, m) == p_g[k, 0], c
+        assert _bits(m.elements) == _bits(stack.elements[k, 0]), c
+        assert _bits(m_rate) == _bits(rate[k, 0]), c
+        assert _bits(qt.guessing_probability(ens, m)) == _bits(p_g[k, 0]), c
         for f, (g1, g2) in enumerate(weights[k].tolist(), start=1):
             m_f = qt.usd_povm(ens, g1, g2)  # asymmetric weights
-            assert np.array_equal(m_f.elements, stack.elements[k, f]), (c, g1, g2)
-            assert [qt.confidence(ens, m_f, i) for i in (1, 2)] == list(conf[k, f]), (c, g1, g2)
-            assert qt.inconclusive_rate(ens, m_f) == rate[k, f], (c, g1, g2)
-    assert np.array_equal(stack.weights[:, 1:], weights)
+            assert _bits(m_f.elements) == _bits(stack.elements[k, f]), (c, g1, g2)
+            assert _bits([qt.confidence(ens, m_f, i) for i in (1, 2)]) == _bits(conf[k, f]), \
+                (c, g1, g2)
+            assert _bits(qt.inconclusive_rate(ens, m_f)) == _bits(rate[k, f]), (c, g1, g2)
+    assert _bits(stack.weights[:, 1:]) == _bits(weights)
     assert np.abs(conf - 1.0).max() <= DEFAULTS.exact
 
 
