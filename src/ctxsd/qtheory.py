@@ -155,9 +155,8 @@ class Ensemble:
     class constant (1/2, 1/2). ``vectors`` (the pair's amplitudes, a
     read-only (2, 2) array, row i the state psi_{i+1}), ``states`` (the two
     density operators, a read-only (2, 2, 2) array) and ``average`` (their
-    even mixture, a read-only 2x2 array) are derived from them once on
-    construction, as the stacks derive theirs, and kept with their Pauli
-    coordinates for the constructions.
+    even mixture, a read-only 2x2 array) are derived once on construction
+    by ``_ensembles``, as a stack's are, with the constructions' batch of one.
     """
 
     priors: ClassVar[tuple[float, float]] = (0.5, 0.5)
@@ -177,13 +176,12 @@ class Ensemble:
 
     def _derive(self, vectors: np.ndarray) -> None:
         """Check the noise; derive the arrays and the batch of one from the amplitudes."""
-        noise = require_in(self.noise, "noise", scalar=True)
-        batch = _ensembles(vectors, np.array([noise]))
+        batch = _ensembles(vectors, require_in(self.noise, "noise", scalar=True))
         vectors.flags.writeable = False
         object.__setattr__(self, "vectors", vectors[0])
         object.__setattr__(self, "states", batch[1][0])
         object.__setattr__(self, "average", batch[2][0])
-        object.__setattr__(self, "_batch", (batch[0][..., 0].tolist(), *batch[1:3], noise))
+        object.__setattr__(self, "_batch", batch)
 
 
 def _check_psd(min_eigs: np.ndarray) -> None:
@@ -303,31 +301,28 @@ def noisy_ensemble(theta: float, p: float) -> Ensemble:
     return ens
 
 
-def _batch_of(ens: Ensemble, pure: bool = False) -> tuple:
-    """The ensemble's ``_ensembles``, n and p as floats; noise 0 if ``pure``."""
-    if pure and ens.noise != 0.0:
-        raise ContractError("pure-state ensemble required (noise = 0)")
-    return ens._batch
-
-
 def _dot(a, b):
     """a . b of 3-vectors as components, each entry exactly as it is alone."""
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _ensembles(vectors: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, ...]:
+def _ensembles(vectors: np.ndarray, p) -> tuple:
     """The pure pairs ``vectors`` (N, 2, 2) dephased at ``p`` (N,), in the one
-    place states are formed, for ``Ensemble`` and every stack: the Bloch
-    vectors n_1, n_2 as components (3, 2, N), read off |psi_i><psi_i| = (I + n_i . sigma)/2;
-    the states rho_i = (1 - p)|psi_i><psi_i| + p/2 (N, 2, 2, 2) and their
-    averages (N, 2, 2), both read-only; and p. The states come from the
-    amplitudes, where a diagonal entry is a sum of positive terms: from n_i
-    a nearly pure state's smaller entry (1 - (1 - p)|n_z|)/2 would cancel."""
+    place states are formed: the Bloch vectors n_1, n_2 as components
+    (3, 2, N), read off |psi_i><psi_i| = (I + n_i . sigma)/2; the states
+    rho_i = (1 - p)|psi_i><psi_i| + p/2 (N, 2, 2, 2) and their averages
+    (N, 2, 2), both read-only; p; and numpy. For a float p, a batch of one,
+    n is nested lists of floats and ``math`` replaces numpy. The states come
+    from the amplitudes, where a diagonal entry is a sum of positive terms:
+    from n_i a nearly pure state's smaller entry (1 - (1 - p)|n_z|)/2 would cancel."""
+    point = type(p) is float
+    col = np.array([p]) if point else p
     proj = vectors[..., :, None] * vectors[..., None, :].conj()
-    states = (1.0 - p)[:, None, None, None] * proj + p[:, None, None, None] * _HALF_IDENTITY
+    states = (1.0 - col)[:, None, None, None] * proj + col[:, None, None, None] * _HALF_IDENTITY
     average = 0.5 * (states[:, 0] + states[:, 1])
     states.flags.writeable = average.flags.writeable = False
-    return (proj.view(float).reshape(-1, 8) @ _PAULI.T).reshape(-1, 2, 3).T, states, average, p
+    n = (proj.view(float).reshape(-1, 8) @ _PAULI.T).reshape(-1, 2, 3).T
+    return (n[..., 0].tolist(), states, average, p, math) if point else (n, states, average, p, np)
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +489,11 @@ def _select(test, yes, no):
     return (yes if test else no) if type(test) is bool else np.where(test, yes, no)
 
 
+def _any(test):
+    """Whether ``test`` holds anywhere: a point's bool, or a stack's count of rows."""
+    return test if type(test) is bool else np.count_nonzero(test)
+
+
 def _rows(vectors, xp) -> np.ndarray:
     """The directions ``vectors``, as components, as rows (N, ..., 3)."""
     return np.array(vectors)[None] if xp is math else np.moveaxis(np.array(vectors), -1, 0)
@@ -512,20 +512,19 @@ def _optimal_weight(m1, m2, xp) -> np.ndarray:
 
 def _helstrom(ensembles: tuple) -> MeasurementStack:
     """Projective measurements onto the eigenspaces of q1 rho1 - q2 rho2 of
-    the ``ensembles``, as ``_ensembles`` or ``_batch_of`` gives them.
+    the ``ensembles``, as ``_ensembles`` gives them.
 
     q1 rho1 - q2 rho2 = (1 - p) d . sigma/4, so outcome 1, its positive
     eigenspace, is (I + d/|d| . sigma)/2 and outcome 2 its complement. Where
     the eigenvalues +-(1 - p)|d|/2 of rho1 - rho2 vanish, a pure tie-break
     falls back to the computational basis: outcome 1 takes |0>, Bloch +z.
     """
-    ((x1, x2), (y1, y2), (z1, z2)), states, average, p = ensembles
-    xp = math if type(p) is float else np
+    ((x1, x2), (y1, y2), (z1, z2)), states, average, p, xp = ensembles
     d = (x1 - x2, y1 - y2, z1 - z2)
     length = xp.sqrt(_dot(d, d))
     tie = 0.5 * (1.0 - p) * length <= 2.0 * DEFAULTS.norm
-    if tied := tie if type(tie) is bool else np.count_nonzero(tie):
-        length = _select(tie, 1.0, length)
+    if tied := _any(tie):
+        length = _select(tie, 1.0, length)  # the tied rows are replaced below
     top = _rows((d[0] / length, d[1] / length, d[2] / length), xp)
     if tied:
         top[tie] = (0.0, 0.0, 1.0)  # a point's bool indexes its one row
@@ -548,7 +547,7 @@ def helstrom_povm(ens: Ensemble) -> Povm:
     """Projective measurement onto the eigenspaces of q1 rho1 - q2 rho2,
     outcome 1 the positive one, with the computational basis as tie-break.
     A batch of one of the stacked construction."""
-    return Povm._validated(_helstrom(_batch_of(ens)).elements[0, 0])
+    return Povm._validated(_helstrom(ens._batch).elements[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +570,9 @@ def _usd(vectors: np.ndarray, ensembles: tuple, weights: np.ndarray,
     states (the same ray) admit no unambiguous measurement; any distinct
     pair has one.
     """
-    ((x1, x2), (y1, y2), (z1, z2)), states, average, p = ensembles
-    xp = math if type(p) is float else np
+    ((x1, x2), (y1, y2), (z1, z2)), states, average, p, xp = ensembles
+    if _any(p != 0.0):
+        raise ContractError("pure-state ensemble required (noise = 0)")
     dirs = ((-x2, -y2, -z2), (-x1, -y1, -z1))  # outcome 1 takes mirror(psi_2), 2 mirror(psi_1)
     if optimal:
         coincident = vectors[:, 0, 0] * vectors[:, 1, 1] == vectors[:, 0, 1] * vectors[:, 1, 0]
@@ -607,7 +607,7 @@ def usd_povm(ens: Ensemble, gamma1: float, gamma2: float) -> Povm:
     positive semidefinite. A batch of one of the stacked construction.
     """
     weights = np.array([[[require_in(g, "weights", scalar=True) for g in (gamma1, gamma2)]]])
-    stack = _usd(ens.vectors[None], _batch_of(ens, pure=True), weights, optimal=False)
+    stack = _usd(ens.vectors[None], ens._batch, weights, optimal=False)
     return Povm._validated(stack.elements[0, 0])
 
 
@@ -619,7 +619,7 @@ def usd_optimal(ens: Ensemble) -> tuple[Povm, float]:
     coincident states (the same ray, theta = 0) raise. A batch of one of the
     stacked construction.
     """
-    stack = _usd(ens.vectors[None], _batch_of(ens, pure=True), _NO_WEIGHTS, optimal=True)
+    stack = _usd(ens.vectors[None], ens._batch, _NO_WEIGHTS, optimal=True)
     povm = Povm._validated(stack.elements[0, 0])
     return povm, float(_traces(stack.average[0], povm.elements[2]))
 
@@ -675,8 +675,7 @@ def _mcm(ensembles: tuple, fractions: np.ndarray,
 
         (2 w0 w + (w0^2 - |w|^2) e + 2 (w . e) w) / (w0^2 + |w|^2 + 2 w0 w . e).
     """
-    ((x1, x2), (y1, y2), (z1, z2)), states, average, p = ensembles
-    xp = math if type(p) is float else np
+    ((x1, x2), (y1, y2), (z1, z2)), states, average, p, xp = ensembles
     keep, d = 1.0 - p, (x1 - x2, y1 - y2, z1 - z2)
     rx, ry, rz = 0.5 * keep * (x1 + x2), 0.5 * keep * (y1 + y2), 0.5 * keep * (z1 + z2)
     dd = _dot(d, d)
@@ -684,16 +683,18 @@ def _mcm(ensembles: tuple, fractions: np.ndarray,
     # lambda_min(rho) = (1 - sqrt(1 - 4 det))/2, in a form that does not cancel; never NaN
     root = xp.sqrt(_select(4.0 * det > 1.0, 0.0, 1.0 - 4.0 * det))
     singular = 2.0 * det / (1.0 + root) <= DEFAULTS.norm
-    if singular if type(singular) is bool else np.count_nonzero(singular):
+    if _any(singular):
         raise DegenerateEnsembleError(
             "average state is singular (no noise and coincident or antipodal pair)"
             + _row(singular))
     lam = xp.sqrt(4.0 * det * dd)
     coincident = 0.5 * lam <= 1e-12 * det
-    scale = lam / _select(coincident, 1.0, dd)
+    if fallback := _any(coincident):
+        dd = _select(coincident, 1.0, dd)  # the coincident rows are replaced below
+    scale = lam / dd
     dirs = [(scale * d[0] - rx, scale * d[1] - ry, scale * d[2] - rz),  # m_+ for outcome 1
             (-scale * d[0] - rx, -scale * d[1] - ry, -scale * d[2] - rz)]  # m_- for outcome 2
-    if coincident if type(coincident) is bool else np.count_nonzero(coincident):  # W u, as above
+    if fallback:  # W u, as above
         w0, w = 0.5 + xp.sqrt(det), (-0.5 * rx, -0.5 * ry, -0.5 * rz)
         ww = _dot(w, w)
         for i, e in enumerate(_COINCIDENT_E):
@@ -712,7 +713,7 @@ def mcm_povm(ens: Ensemble, alpha: float) -> Povm:
     conclusive rate, and must leave pi_0 = 1 - pi_1 - pi_2 positive
     semidefinite. A batch of one of the stacked construction.
     """
-    stack = _mcm(_batch_of(ens), _ONE, require_in(alpha, "alpha", scalar=True) * _UNIT_WEIGHTS)
+    stack = _mcm(ens._batch, _ONE, require_in(alpha, "alpha", scalar=True) * _UNIT_WEIGHTS)
     return Povm._validated(stack.elements[0, 0])
 
 
@@ -724,7 +725,6 @@ def mcm_optimal(theta: float, p: float) -> tuple[Povm, float]:
     ``mcm_stack``'s construction; its rate is one trace, as in ``usd_optimal``.
     """
     noise = require_in(p, "noise", scalar=True)
-    n, states, average, _ = _ensembles(_pure_pairs(theta, scalar=True), np.array([noise]))
-    stack = _mcm((n[..., 0].tolist(), states, average, noise), _ONE)
+    stack = _mcm(_ensembles(_pure_pairs(theta, scalar=True), noise), _ONE)
     povm = Povm._validated(stack.elements[0, 0])
     return povm, float(_traces(stack.average[0], povm.elements[2]))
