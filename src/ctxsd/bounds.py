@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULTS, Tolerances
+from .config import DEFAULTS, NORM, Tolerances
 from .errors import ContractError, DivergenceError, require_in
 
 __all__ = [
@@ -207,10 +207,10 @@ def _omega_star(c, xp=np):
 
 def _require_regular(cell, c, p) -> None:
     """Raise DivergenceError if ``cell`` is an MCM confidence whose
-    denominator is within ``DEFAULTS.norm`` of 0 at (c, p), or at any point
+    denominator is within ``NORM`` of 0 at (c, p), or at any point
     of a grid (c, p): the pure coincident pair. Every other cell is finite."""
     if cell.scheme == "MCM" and cell.figure == "C":
-        singular = _mcm_denominator(cell.theory == QUANTUM, c, p) <= DEFAULTS.norm
+        singular = _mcm_denominator(cell.theory == QUANTUM, c, p) <= NORM
         if singular if type(singular) is bool else singular.any():  # a float point or a grid
             raise DivergenceError("confidence undefined for a pure coincident pair")
 
@@ -378,7 +378,12 @@ class Table1Report:
     usd_possible: bool
 
     def cell(self, scheme: str, figure: str):
-        return self.cells[(scheme, figure)]
+        """The cell of ``scheme`` and ``figure``; ContractError names the nine."""
+        try:
+            return self.cells[scheme, figure]
+        except KeyError:
+            raise ContractError(f"no cell {scheme} {figure}; the cells are "
+                                + ", ".join(f"{s} {f}" for s, f in self.cells)) from None
 
 
 # Cells fixed by the scheme's definition rather than by a comparison.

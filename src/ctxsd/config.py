@@ -1,33 +1,35 @@
-"""Central tolerance record.
+"""Numeric thresholds: the comparison tolerances and the structural constants.
 
-Every numeric comparison in the package reads its tolerance from a single
-``Tolerances`` value, so tests can pin the defaults and the CLI can relax
-the comparison thresholds uniformly through the ``CTXSD_TOL`` environment
-variable.
+``Tolerances`` holds the three limits within which two routes to the same
+number must agree and the advantage threshold; ``DEFAULTS`` is its default
+value, and the ``CTXSD_TOL`` environment variable floors all four
+(``from_env``).
+The type invariants read the constants ``NORM``, ``PSD`` and
+``COMPLETENESS``, which no setting changes: a construction either is a
+state, a response or a POVM to these limits or raises. The route-local
+windows (tie-breaks and coincidence tests) are listed in the README's
+"Tolerances" section, each beside its reason.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass
 
 from .errors import DomainError
 
 ENV_TOL = "CTXSD_TOL"
 
+NORM = 1e-12           # normalisation, Hermiticity, weight sums, singular denominators
+PSD = 1e-10            # smallest admissible POVM eigenvalue
+COMPLETENESS = 1e-10   # entrywise |sum of elements - identity|
+
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric thresholds used across the package.
-
-    The first group guards type invariants, the second sets how closely
-    independent routes to the same number must agree.
-    """
-
-    norm: float = 1e-12            # normalisation, Hermiticity, weight sums
-    psd: float = 1e-10             # smallest admissible POVM eigenvalue
-    completeness: float = 1e-10    # entrywise |sum of elements - identity|
+    """How closely independent routes to the same number must agree, and
+    the strict-gap threshold of the advantage flags."""
 
     exact: float = 1e-12           # identities that hold to rounding error
     closed_form: float = 1e-9      # measurement construction vs closed form
@@ -39,10 +41,10 @@ DEFAULTS = Tolerances()
 
 
 def from_env() -> Tolerances:
-    """Return the defaults with the comparison tolerances floored at CTXSD_TOL.
+    """Return the defaults with every tolerance floored at CTXSD_TOL.
 
     The override can only loosen checks (useful on platforms with a weaker
-    libm); the structural tolerances are untouched.
+    libm); the structural constants are untouched.
     """
     raw = os.environ.get(ENV_TOL)
     if raw is None:
@@ -53,10 +55,4 @@ def from_env() -> Tolerances:
         raise DomainError(f"{ENV_TOL} must be a number, got {raw!r}") from None
     if not 0.0 < floor < math.inf:
         raise DomainError(f"{ENV_TOL} must be positive and finite, got {floor}")
-    return replace(
-        DEFAULTS,
-        exact=max(DEFAULTS.exact, floor),
-        closed_form=max(DEFAULTS.closed_form, floor),
-        oracle=max(DEFAULTS.oracle, floor),
-        advantage=max(DEFAULTS.advantage, floor),
-    )
+    return Tolerances(*(max(limit, floor) for limit in astuple(DEFAULTS)))

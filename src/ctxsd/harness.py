@@ -62,7 +62,7 @@ from .bounds import (
     oriented_gap,
     table1_report,
 )
-from .config import DEFAULTS, Tolerances
+from .config import COMPLETENESS, DEFAULTS, PSD, Tolerances
 from .errors import (
     CtxsdError,
     DivergenceError,
@@ -411,8 +411,8 @@ def _chk_povm_completeness(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
         acc.add(_skew(e), tols.exact, element)
         residual = np.abs(e[..., 0, :, :] + e[..., 1, :, :] + e[..., 2, :, :] - np.eye(2))
         residual = np.maximum(residual[..., 0, :], residual[..., 1, :])
-        acc.add(np.maximum(residual[..., 0], residual[..., 1]), tols.completeness, point)
-        acc.add(np.maximum(0.0, -_min_eigs(e)), tols.psd, element)
+        acc.add(np.maximum(residual[..., 0], residual[..., 1]), COMPLETENESS, point)
+        acc.add(np.maximum(0.0, -_min_eigs(e)), PSD, element)
     # the scalar constructions and figures rebuild a row of the Helstrom and
     # USD stacks, the pure pair at the middle c, and raise where the stacks do
     row = ev.n // 2
@@ -465,7 +465,6 @@ def _chk_confusability(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     acc.add(np.where((0.0 < c) & (c < 1.0), rest, 0.0), tols.exact, point)
     acc.add(ncmodel.nc_prob(scn.prep2, scn.prep1.support.astype(float)) - c12, tols.exact, point)
     acc.add(ncmodel.nc_prob(scn.prep1, np.ones(4)) - 1.0, tols.exact, point)
-    acc.add(ncmodel.nc_prob(scn.prep1, np.zeros(4)), tols.exact, point)
 
 
 @_check("ncmodel/mesd-confidences", ("bounds.nc_mesd_confidences", "ncmodel.nc_figures",
@@ -493,7 +492,6 @@ def _chk_omega_star(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     s = np.sqrt(1.0 - cs)
     textbook = (1.0 - cs) * (1.0 - s) / (2.0 * cs * s)
     acc.add(w_star - textbook, tols.oracle, point)
-    acc.ok(w_star <= 0.25 + tols.exact, point)
     # there the first arm's confidence equals the optimal guessing probability
     helstrom = ev.closed("MESD_C_Q", "c")[1:-1]
     acc.add(bounds.nc_mesd_confidences(cs, w_star)[0] - helstrom, 1e-10, point)
@@ -566,16 +564,14 @@ def _chk_table(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
         if isinstance(cell, DefinitionalCell):
             continue
         acc.ok(cell.advantage, f"{scheme} {figure}")  # MESD C: both arms
-        # each certificate is gap's for its pair of specs, and each value
-        # eval_bound's for its cell, exactly
+        # each certificate is gap's for its pair of specs, exactly: gap's
+        # values are eval_bound's for the two cells
         arms = (cell.arm1, cell.arm2) if isinstance(cell, ConfidencePairCell) else (cell,)
         quantum = Cell(scheme, figure, QUANTUM).spec(*point)
         for outcome, cert in enumerate(arms, 1):
             nc_cell = Cell(scheme, figure, NONCONTEXTUAL, outcome)
-            nc, where = nc_cell.spec(*point), f"the certificate of {nc_cell.label}"
-            acc.add(bounds.eval_bound(quantum) - cert.quantum_value, 0.0, where)
-            acc.add(bounds.eval_bound(nc) - cert.noncontextual_value, 0.0, where)
-            acc.ok(bounds.gap(quantum, nc, tols) == cert, where)
+            acc.ok(bounds.gap(quantum, nc_cell.spec(*point), tols) == cert,
+                   f"the certificate of {nc_cell.label}")
     degenerate = table1_report(0.0, 0.5, 0.5, tols)
     acc.add(degenerate.cell("MESD", "P_g").gap, tols.exact, "c=0 MESD P_g")
     acc.add(degenerate.cell("MCM", "C").gap, tols.exact, "c=0 MCM C")

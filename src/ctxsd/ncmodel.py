@@ -41,7 +41,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import NORM
 from .errors import (
     ContractError,
     DomainError,
@@ -116,7 +116,7 @@ class EpistemicState:
         if np.count_nonzero(w >= 0.0) < w.size:  # NaN is not >=
             raise DomainError("region weights must be nonnegative")
         total = w.sum(axis=-1)
-        normalised = np.abs(total - 1.0) <= DEFAULTS.norm
+        normalised = np.abs(total - 1.0) <= NORM
         if np.count_nonzero(normalised) < normalised.size:
             raise DomainError(f"region weights sum to {_first(total, ~normalised)}, expected 1")
         w.flags.writeable = False
@@ -164,11 +164,11 @@ class ResponseSet:
             raise ContractError("responses 1, 2 and 0 must have equal shapes") from None
         if xi.shape[-1:] != (4,):
             raise ContractError(f"responses must have 4 entries per point, got {xi.shape[1:]}")
-        inside = (xi >= -DEFAULTS.norm) & (xi <= 1.0 + DEFAULTS.norm)
+        inside = (xi >= -NORM) & (xi <= 1.0 + NORM)
         if not inside.all():
             name = ("1", "2", "0")[np.argmin(inside.reshape(3, -1).all(axis=1))]
             raise DomainError(f"response {name} leaves [0, 1]")
-        if not (np.abs(xi[0] + xi[1] + xi[2] - 1.0) <= DEFAULTS.norm).all():
+        if not (np.abs(xi[0] + xi[1] + xi[2] - 1.0) <= NORM).all():
             raise DomainError("responses must sum to 1 pointwise")
         xi.flags.writeable = False
         self._xi1, self._xi2, self._xi0 = xi
@@ -291,7 +291,7 @@ def nc_prob(mu: EpistemicState, xi) -> float | np.ndarray:
         raise ContractError(f"response vector must hold real numbers: {exc}") from None
     if v.shape[-1:] != (4,):
         raise ContractError("response vector must have 4 entries")
-    if not ((v >= -DEFAULTS.norm) & (v <= 1.0 + DEFAULTS.norm)).all():
+    if not ((v >= -NORM) & (v <= 1.0 + NORM)).all():
         raise DomainError("response values must lie in [0, 1]")
     return _value(_dot(mu.weights, v))
 
@@ -339,7 +339,7 @@ def usd_response(gamma1: float | np.ndarray, gamma2: float | np.ndarray) -> Resp
         raise ContractError(f"gamma1 and gamma2 must have equal shapes, got {shape1} and {shape2}")
     g1, g2 = np.broadcast_arrays(g1, g2)
     total = g1 + g2
-    over = total > 1.0 + DEFAULTS.norm
+    over = total > 1.0 + NORM
     if over.any():
         raise InfeasibleWeightsError(f"gamma1 + gamma2 = {_first(total, over)} exceeds 1")
     xi1, xi2 = g1[..., None] * _IDENTIFYING[0], g2[..., None] * _IDENTIFYING[1]

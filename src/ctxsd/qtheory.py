@@ -42,7 +42,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import COMPLETENESS, NORM, PSD
 from .errors import (
     ContractError,
     DegenerateEnsembleError,
@@ -108,7 +108,7 @@ class PureState:
     def __post_init__(self) -> None:
         try:
             n = abs(self.amp0) ** 2 + abs(self.amp1) ** 2
-            off = not abs(n - 1.0) <= DEFAULTS.norm
+            off = not abs(n - 1.0) <= NORM
         except (TypeError, ValueError):  # an amplitude that is no number, or an array
             raise ContractError(f"amplitudes must be numbers, got {self.amp0!r} and "
                                 f"{self.amp1!r}") from None
@@ -134,7 +134,7 @@ class Operator2:
             raise ContractError(f"operator entries must be numbers, got {matrix!r}") from None
         if m.shape != (2, 2):
             raise ContractError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if not np.max(np.abs(m - m.conj().T)) <= DEFAULTS.norm:
+        if not np.max(np.abs(m - m.conj().T)) <= NORM:
             raise DomainError("matrix is not Hermitian within tolerance")
         m.flags.writeable = False
         self._m = m
@@ -187,7 +187,7 @@ class Ensemble:
 def _check_psd(min_eigs: np.ndarray) -> None:
     """Raise unless every element, with the smallest eigenvalues ``min_eigs``
     (..., 3), is positive semidefinite (NaN is not)."""
-    psd = min_eigs >= -DEFAULTS.psd  # NaN is not
+    psd = min_eigs >= -PSD  # NaN is not
     if np.count_nonzero(psd) < psd.size:
         raise ContractError(f"element {int(np.argmax(~psd)) % 3} has a negative eigenvalue")
 
@@ -211,10 +211,10 @@ class Povm:
             raise ContractError(f"POVM elements must be complex numbers: {exc}") from None
         if e.shape != (3, 2, 2):
             raise ContractError(f"expected a (3, 2, 2) array of elements, got shape {e.shape}")
-        if not np.abs(e - e.conj().swapaxes(-1, -2)).max() <= DEFAULTS.norm:
+        if not np.abs(e - e.conj().swapaxes(-1, -2)).max() <= NORM:
             raise DomainError("POVM elements are not Hermitian within tolerance")
         _check_psd(min_eig_2x2(e))
-        if not np.abs(e.sum(axis=0) - _IDENTITY).max() <= DEFAULTS.completeness:
+        if not np.abs(e.sum(axis=0) - _IDENTITY).max() <= COMPLETENESS:
             raise ContractError("POVM elements do not sum to the identity")
         e.flags.writeable = False
         object.__setattr__(self, "elements", e)
@@ -457,7 +457,7 @@ def _measurements(states: np.ndarray, average: np.ndarray, projectors: np.ndarra
     np.multiply(weights[..., None, None], projectors[:, None], out=elements[:, :, :2])
     np.subtract(_IDENTITY - elements[:, :, 0], elements[:, :, 1], out=elements[:, :, 2])
     min_eigs = min_eig_2x2(elements)  # (N, F, 3)
-    psd = min_eigs >= -DEFAULTS.psd  # NaN is not
+    psd = min_eigs >= -PSD  # NaN is not
     if np.count_nonzero(psd) < psd.size:  # _check_psd's test, an indefinite pi_0 named first
         bad = ~psd[..., 2]
         if bad.any():
@@ -522,7 +522,7 @@ def _helstrom(ensembles: tuple) -> MeasurementStack:
     ((x1, x2), (y1, y2), (z1, z2)), states, average, p, xp = ensembles
     d = (x1 - x2, y1 - y2, z1 - z2)
     length = xp.sqrt(_dot(d, d))
-    tie = 0.5 * (1.0 - p) * length <= 2.0 * DEFAULTS.norm
+    tie = 0.5 * (1.0 - p) * length <= 2.0 * NORM
     if tied := _any(tie):
         length = _select(tie, 1.0, length)  # the tied rows are replaced below
     top = _rows((d[0] / length, d[1] / length, d[2] / length), xp)
@@ -682,7 +682,7 @@ def _mcm(ensembles: tuple, fractions: np.ndarray,
     det = 0.25 * p * (2.0 - p) + 0.25 * keep * (0.25 * keep) * dd  # (1 - |r|^2)/4 for unit n_i
     # lambda_min(rho) = (1 - sqrt(1 - 4 det))/2, in a form that does not cancel; never NaN
     root = xp.sqrt(_select(4.0 * det > 1.0, 0.0, 1.0 - 4.0 * det))
-    singular = 2.0 * det / (1.0 + root) <= DEFAULTS.norm
+    singular = 2.0 * det / (1.0 + root) <= NORM
     if _any(singular):
         raise DegenerateEnsembleError(
             "average state is singular (no noise and coincident or antipodal pair)"

@@ -495,16 +495,24 @@ def _off_by(value, eps):
 def test_fault_in_a_route_fails_its_home_check(monkeypatch, module, name):
     # Patched where the harness looks it up, so ncmodel's own calls (the
     # min-p0 oracle re-checks its face against the confidence oracle) keep
-    # the true values.
+    # the true values. The harness reads eval_bound only through gap, so
+    # eval_bound is patched where gap looks it up, and fails its home alone.
     real = getattr(harness, module)
     original = getattr(real, name)
-    faulty = types.SimpleNamespace(**vars(real))
-    setattr(faulty, name, lambda *args, **kwargs: _off_by(original(*args, **kwargs), 1e-6))
-    monkeypatch.setattr(harness, module, faulty)
+    fault = lambda *args, **kwargs: _off_by(original(*args, **kwargs), 1e-6)
+    if name == "eval_bound":
+        monkeypatch.setattr(bounds, name, fault)
+    else:
+        faulty = types.SimpleNamespace(**vars(real))
+        setattr(faulty, name, fault)
+        monkeypatch.setattr(harness, module, faulty)
     report = verify_all(5)
     assert not report.passed
     home = {**_ROUTE_HOMES, **_SPOT_HOMES, **_CLOSED_FORM_HOMES}[module, name]
-    assert home in {ch.name for ch in report.checks if not ch.passed}
+    failed = {ch.name for ch in report.checks if not ch.passed}
+    assert home in failed
+    if name == "eval_bound":
+        assert failed == {home}
     if name in harness.OPERATIONS[module]:  # the audit counts it for the check it fails
         assert f"{module}.{name}" in {name: ops for name, ops, _ in harness._CHECKS}[home]
 
@@ -934,8 +942,8 @@ def test_check_results_count_the_values_they_compare(capsys):
     for points in (5, 21):
         checks = {ch.name: ch for ch in verify_all(points).checks}
         assert checks["ncmodel/oracle-max-pg"].items == points  # one P_g per value of c
-        # 4 values and 9 pass/fail items, and 2 values and gap's certificate for each of 8 pairs
-        assert checks["bounds/table-report"].items == 37
+        # 4 values and 9 pass/fail items, and gap's certificate for each of 8 pairs
+        assert checks["bounds/table-report"].items == 21
         assert all(ch.items >= 1 for ch in checks.values())
     assert cli.main(["verify", "--points", "21", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -1212,11 +1220,7 @@ def test_cli_entry_point_subprocess(tmp_path):
 
 def test_env_tolerance_override(monkeypatch):
     monkeypatch.setenv(config.ENV_TOL, "1e-6")
-    tols = config.from_env()
-    assert tols.advantage == 1e-6
-    assert tols.oracle == 1e-6
-    assert tols.closed_form == 1e-6
-    assert tols.norm == config.DEFAULTS.norm  # structural tolerances untouched
+    assert asdict(config.from_env()) == dict.fromkeys(asdict(config.DEFAULTS), 1e-6)
     monkeypatch.setenv(config.ENV_TOL, "junk")
     with pytest.raises(DomainError):
         config.from_env()
@@ -1234,14 +1238,12 @@ def test_env_tolerance_only_loosens(monkeypatch):
 
 def test_tolerance_defaults_are_pinned():
     assert asdict(config.DEFAULTS) == {
-        "norm": 1e-12,
-        "psd": 1e-10,
-        "completeness": 1e-10,
         "exact": 1e-12,
         "closed_form": 1e-9,
         "oracle": 1e-9,
         "advantage": 1e-12,
     }
+    assert (config.NORM, config.PSD, config.COMPLETENESS) == (1e-12, 1e-10, 1e-10)
 
 
 def test_cli_honours_env_tolerance(monkeypatch, capsys):
@@ -1432,6 +1434,9 @@ _PG = Target("MESD", "P_g", QUANTUM)
         (lambda: qtheory.PureState(np.array([1.0, 0.0]), 0), ContractError,
          r"amplitudes must be numbers, got array\(\[1\., 0\.\]\) and 0"),
         (lambda: errors.require_in(np.array([2.0]), "c"), DomainError, r"got 2\.0$"),
+        (lambda: bounds.table1_report(0.5, 0.5, 0.5).cell("MESD", "C(1)"), ContractError,
+         r"no cell MESD C\(1\); the cells are MESD P_g, MESD P_0, MESD C, USD P_g, USD P_0, "
+         "USD C, MCM P_g, MCM P_0, MCM C$"),
     ],
     ids=["spec-theory", "spec-outcome", "state-shape", "responses-unequal", "responses-3",
          "scenario-mirrors", "scenario-support", "nc_prob-3", "oracle-outcome",
@@ -1450,7 +1455,7 @@ _PG = Target("MESD", "P_g", QUANTUM)
          "nc_figures-broadcast", "confusability-broadcast", "nc_mesd_confidences-broadcast",
          "nc_mcm_guessing-broadcast", "state-entry", "nc_prob-entry", "povm-entry",
          "pure-state-entry", "responses-complex", "responses-entry", "operator-entry",
-         "pure-state-array", "require_in-one-row"],
+         "pure-state-array", "require_in-one-row", "table-cell"],
 )
 def test_each_typed_error_path_raises_its_error(build, error, match):
     with pytest.raises(error, match=match):
@@ -1458,7 +1463,7 @@ def test_each_typed_error_path_raises_its_error(build, error, match):
 
 
 def test_responses_leave_their_range_only_beyond_the_norm_tolerance():
-    norm = config.DEFAULTS.norm  # exactly this far outside [0, 1] is inside; twice is not
+    norm = config.NORM  # exactly this far outside [0, 1] is inside; twice is not
     ncmodel.ResponseSet([-norm, 0, 0, 0], [0] * 4, [1.0 + norm, 1, 1, 1])
     for xi1 in ([-2.0 * norm, 0, 0, 0], [1.0 + 2.0 * norm, 0, 0, 0]):
         with pytest.raises(DomainError, match="response 1 leaves"):

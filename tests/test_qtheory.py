@@ -6,7 +6,7 @@ import pytest
 
 from ctxsd import qtheory as qt
 from ctxsd.bounds import QUANTUM, BoundSpec, eval_bound
-from ctxsd.config import DEFAULTS
+from ctxsd.config import DEFAULTS, NORM
 from ctxsd.errors import (
     ContractError,
     DegenerateEnsembleError,
@@ -379,7 +379,7 @@ def test_mcm_confidence_alpha_invariant():
 
 def test_mcm_singularity_test_does_not_cancel_at_its_threshold():
     # at c = 1 the average state's smallest eigenvalue is p/2: 1.000001e-12,
-    # just above DEFAULTS.norm, is regular and 1e-12 is singular, where
+    # just above NORM, is regular and 1e-12 is singular, where
     # centre - radius of the eigenvalues cancels to either side
     p = 2.000002e-12
     m, rate = qt.mcm_optimal(theta_of(1.0), p)
@@ -683,7 +683,7 @@ def test_mcm_stack_directions_match_lapack_towards_the_corner(p):
         theta = theta_of(1.0 - one_minus_c)
         vectors = qt._pure_pairs([theta])
         average = qt._ensembles(vectors, np.array([p]))[2]
-        if np.linalg.eigvalsh(average)[0, 0] <= 1.01 * DEFAULTS.norm:
+        if np.linalg.eigvalsh(average)[0, 0] <= 1.01 * NORM:
             with pytest.raises(DegenerateEnsembleError):
                 qt.mcm_stack([theta], [p])
             continue

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ctxsd import bounds, cli, csvout
-from ctxsd.config import DEFAULTS
+from ctxsd.config import NORM
 from ctxsd.csvout import _chunk_rows
 from ctxsd.errors import ContractError, DivergenceError
 from ctxsd.sweeps import SweepSpec, _block_rows, run_sweep
@@ -80,7 +80,7 @@ _LATE = ["sweep", "--variable", "c", "--start", "0.9999999999", "--stop", "1", "
 def test_a_late_singular_point_writes_nothing(tmp_path, capsys):
     # the grid is singular only in its last block, past its moved endpoint
     xs = np.linspace(0.9999999999, 1.0, 100_001)
-    singular = np.flatnonzero(bounds._mcm_denominator(True, xs[:-1], 0.0) <= DEFAULTS.norm)
+    singular = np.flatnonzero(bounds._mcm_denominator(True, xs[:-1], 0.0) <= NORM)
     block = _block_rows(2)
     assert len(singular) and singular[0] >= block * (len(xs) // block)
     path = tmp_path / "kept.csv"
