@@ -381,7 +381,7 @@ class Table1Report:
         """The cell of ``scheme`` and ``figure``; ContractError names the nine."""
         try:
             return self.cells[scheme, figure]
-        except KeyError:
+        except (KeyError, TypeError):  # an unknown or an unhashable key
             raise ContractError(f"no cell {scheme} {figure}; the cells are "
                                 + ", ".join(f"{s} {f}" for s, f in self.cells)) from None
 

@@ -10,8 +10,9 @@ each check's status, worst deviation, limit, headroom (deviation over
 limit), worst point, number of compared values and wall time.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on usage or I/O
-errors. The ``CTXSD_TOL`` environment variable loosens the comparison
-tolerances used by ``verify`` and the advantage flags.
+errors. The ``CTXSD_TOL`` environment variable, read only by ``table`` and
+``verify``, loosens the comparison tolerances of ``verify`` and the
+advantage flags.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_bounds(args: argparse.Namespace, tols: config.Tolerances) -> int:
+def _cmd_bounds(args: argparse.Namespace) -> int:
     lines = []
     for cell in CELLS:
         figure = f"C({cell.outcome})" if cell.has_arms else cell.figure
@@ -122,7 +123,7 @@ def _cmd_bounds(args: argparse.Namespace, tols: config.Tolerances) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace, tols: config.Tolerances) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
     from .csvout import write_csv, write_csv_to
     from .sweeps import SweepSpec, _stream
 
@@ -150,7 +151,7 @@ def _cmd_sweep(args: argparse.Namespace, tols: config.Tolerances) -> int:
     return 0
 
 
-def _cmd_figure(args: argparse.Namespace, tols: config.Tolerances) -> int:
+def _cmd_figure(args: argparse.Namespace) -> int:
     from .sweeps import FigureJob, emit_figure
 
     path = emit_figure(FigureJob(args.id, args.out))
@@ -158,10 +159,10 @@ def _cmd_figure(args: argparse.Namespace, tols: config.Tolerances) -> int:
     return 0
 
 
-def _cmd_table(args: argparse.Namespace, tols: config.Tolerances) -> int:
+def _cmd_table(args: argparse.Namespace) -> int:
     from .sweeps import table_cmd
 
-    print(table_cmd(args.c, args.p, args.omega, tols))
+    print(table_cmd(args.c, args.p, args.omega, config.from_env()))
     return 0
 
 
@@ -183,10 +184,10 @@ def _report_json(report: VerifyReport) -> dict:
             "missing_ops": list(report.missing_ops)}
 
 
-def _cmd_verify(args: argparse.Namespace, tols: config.Tolerances) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     from .harness import verify_all
 
-    report = verify_all(args.points, tols)
+    report = verify_all(args.points, config.from_env())
     print(json.dumps(_report_json(report), indent=2) if args.json else report.render())
     return 0 if report.passed else 1
 
@@ -195,8 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        tols = config.from_env()
-        return args.func(args, tols)
+        return args.func(args)
     except (CtxsdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

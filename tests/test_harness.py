@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import inspect
 import io
@@ -28,7 +29,6 @@ from ctxsd.sweeps import (
     Target,
     emit_figure,
     run_sweep,
-    table_cmd,
 )
 
 
@@ -371,34 +371,6 @@ def test_csv_rejects_a_table_that_does_not_fit_its_header(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# table rendering
-
-
-def test_table_cmd_lists_all_cells():
-    text = table_cmd(0.5, 0.5, 0.5)
-    for needle in (
-        "MESD",
-        "USD",
-        "MCM",
-        "P_g",
-        "P_0",
-        "C(1)",
-        "C(2)",
-        "definitional",
-        "advantage window",
-    ):
-        assert needle in text
-    # stable figure order inside each scheme block
-    mesd_lines = [ln for ln in text.split("\n") if ln.startswith("MESD")]
-    assert [ln.split()[1] for ln in mesd_lines] == ["P_g", "P_0", "C(1)", "C(2)"]
-
-
-def test_table_cmd_flags_impossible_usd():
-    text = table_cmd(1.0, 0.5, 0.5)
-    assert "impossible" in text
-
-
-# ---------------------------------------------------------------------------
 # verify
 
 
@@ -439,40 +411,29 @@ def test_verify_all_reports_failure_with_corrupted_tolerances():
     assert "check(s) failed" in rendered
 
 
-# The check that asserts each route's relations; a value off by 1e-6 there
-# must fail it.
-_ROUTE_HOMES = {
-    ("qtheory", "helstrom_stack"): "bounds/construction-consistency",
-    ("qtheory", "usd_stack"): "bounds/construction-consistency",
-    ("qtheory", "mcm_stack"): "bounds/construction-consistency",
-    ("ncmodel", "oracle_max_pg"): "ncmodel/oracle-max-pg",
-    ("ncmodel", "oracle_max_confidence"): "ncmodel/oracle-max-confidence",
-    ("ncmodel", "oracle_min_p0_at_max_confidence"): "ncmodel/oracle-min-p0",
-}
-# The scalar constructions, batches of one of the stacks, each rebuild a
-# stack row in the spot check of their home check, and the scalar figures
-# of merit read that row's figures.
-_SPOT_HOMES = {
-    ("qtheory", "helstrom_povm"): "qtheory/povm-completeness",
-    ("qtheory", "usd_optimal"): "qtheory/povm-completeness",
-    ("qtheory", "usd_povm"): "qtheory/povm-completeness",
-    ("qtheory", "guessing_probability"): "qtheory/povm-completeness",
-    ("qtheory", "inconclusive_rate"): "qtheory/povm-completeness",
-    ("qtheory", "confidence"): "qtheory/povm-completeness",
-    ("qtheory", "mcm_optimal"): "qtheory/mcm-confidence",
-    ("qtheory", "mcm_povm"): "qtheory/mcm-confidence",
-}
-# The closed forms that checks call by name, each with a check that lists it.
-_CLOSED_FORM_HOMES = {
-    ("bounds", "nc_mesd_confidences"): "ncmodel/mesd-confidences",
-    ("bounds", "omega_star"): "ncmodel/omega-star",
-    ("bounds", "nc_mcm_guessing"): "bounds/factorisation",
-    ("bounds", "gap"): "bounds/table-report",
-    ("bounds", "eval_bound"): "bounds/table-report",
-}
+def _inject(monkeypatch, where: str, fault) -> None:
+    """Replace the function ``where`` names with ``fault(real)`` as the
+    harness sees it: ``module.name`` in a copy of the module that only the
+    harness holds, so the routes' own calls keep the real function; a bare
+    name in the harness; ``ctxsd.module.name`` in the module itself."""
+    *owner, name = where.split(".")
+    if owner[:1] == ["ctxsd"]:
+        module = sys.modules[".".join(owner)]
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    elif owner:
+        real = getattr(harness, owner[0])
+        monkeypatch.setattr(harness, owner[0], types.SimpleNamespace(
+            **{**vars(real), name: fault(getattr(real, name))}))
+    else:
+        monkeypatch.setattr(harness, name, fault(getattr(harness, name)))
 
 
-def _off_by(value, eps):
+def _then(change):
+    """The fault that applies ``change`` to what the real function returns."""
+    return lambda real: lambda *args, **kwargs: change(real(*args, **kwargs))
+
+
+def _moved(value, eps=1e-6):
     """``value`` with its number moved by ``eps``: a number or an array, the
     second of a pair (a witness and its number, or the two MESD arms), a gap
     certificate's quantum value and gap, or a POVM or stack of them whose
@@ -491,132 +452,205 @@ def _off_by(value, eps):
     return replace(value, elements=moved)
 
 
-@pytest.mark.parametrize("module, name", [*_ROUTE_HOMES, *_SPOT_HOMES, *_CLOSED_FORM_HOMES])
-def test_fault_in_a_route_fails_its_home_check(monkeypatch, module, name):
-    # Patched where the harness looks it up, so ncmodel's own calls (the
-    # min-p0 oracle re-checks its face against the confidence oracle) keep
-    # the true values. The harness reads eval_bound only through gap, so
-    # eval_bound is patched where gap looks it up, and fails its home alone.
-    real = getattr(harness, module)
-    original = getattr(real, name)
-    fault = lambda *args, **kwargs: _off_by(original(*args, **kwargs), 1e-6)
-    if name == "eval_bound":
-        monkeypatch.setattr(bounds, name, fault)
-    else:
-        faulty = types.SimpleNamespace(**vars(real))
-        setattr(faulty, name, fault)
-        monkeypatch.setattr(harness, module, faulty)
-    report = verify_all(5)
-    assert not report.passed
-    home = {**_ROUTE_HOMES, **_SPOT_HOMES, **_CLOSED_FORM_HOMES}[module, name]
-    failed = {ch.name for ch in report.checks if not ch.passed}
-    assert home in failed
-    if name == "eval_bound":
-        assert failed == {home}
-    if name in harness.OPERATIONS[module]:  # the audit counts it for the check it fails
-        assert f"{module}.{name}" in {name: ops for name, ops, _ in harness._CHECKS}[home]
+_OFF = _then(_moved)
 
 
-def _moved_p_g(figures):
-    return figures._replace(p_g=figures.p_g + 1e-6)
+def _rotated(a0, a1, eps=1e-9):
+    """The amplitudes (a0, a1) turned by the angle ``eps``: still a unit vector."""
+    c, s = np.cos(eps), np.sin(eps)
+    return c * a0 - s * a1, s * a0 + c * a1
 
 
-# A fault for each check that no route fault above singles out: the function
-# the harness looks up (a module's function, or a name harness imports), the
-# fault made of the real function, and every check the fault fails.
-_CHECK_FAULTS = {
-    "ncmodel/confusability": (
-        "ncmodel", "confusability", lambda real: lambda *args: real(*args) + 1e-6,
-        {"ncmodel/confusability"}),
-    "ncmodel/mesd-confidences": (  # P_g alone moves; the confidences stay
-        "ncmodel", "nc_figures", lambda real: lambda *args: _moved_p_g(real(*args)),
-        {"ncmodel/mesd-confidences"}),
-    "ncmodel/hand-integrals": (  # a feasible weight, off by a factor of 1 - 1e-6
-        "ncmodel", "usd_response", lambda real: lambda g1, g2: real(g1 * (1.0 - 1e-6), g2),
-        {"ncmodel/hand-integrals"}),
-    "bounds/inequality-suite": (  # forgets that a smaller P_0 is the better one
-        None, "is_advantage", lambda real: lambda figure, signed, tols: signed > tols.advantage,
-        {"bounds/inequality-suite"}),
+def _turned(state):
+    return qtheory.PureState(*_rotated(*astuple(state)))
+
+
+def _pairs_turned(eps):
+    """Stacked pure pairs with psi2 turned by ``eps(theta)``."""
+    def fault(real):
+        def pure_pairs(theta):
+            v = real(theta).copy()
+            v[:, 1, 0], v[:, 1, 1] = _rotated(v[:, 1, 0], v[:, 1, 1], eps(theta))
+            return v
+        return pure_pairs
+    return fault
+
+
+def _mirrors_off(turn):
+    """Stacked mirrors off by 1e-9 |sin(2 theta)| for the pure pair at theta
+    and for its mirrors: turned, or scaled if not ``turn``; exact at theta =
+    0, pi/2 and pi, the rows the scalar operations rebuild, so only a
+    relation can fail."""
+    def fault(real):
+        def mirrors(vectors):
+            a0, a1 = np.abs(vectors[..., 0]), np.abs(vectors[..., 1])
+            eps = 4e-9 * a0 * a1 * np.abs(a0 * a0 - a1 * a1)
+            m = real(vectors)
+            if not turn:
+                return m * (1.0 + eps[..., None])
+            m[..., 0], m[..., 1] = _rotated(m[..., 0], m[..., 1], eps)
+            return m
+        return mirrors
+    return fault
+
+
+def _elements(change):
+    """The real stack with its elements changed, in a copy, by ``change``."""
+    return _then(lambda stack: replace(stack, elements=change(stack.elements.copy())))
+
+
+def _skewed(e):
+    # pi_1 and pi_0 take opposite skew parts: still complete, and positive
+    # semidefinite by their lower triangles, but not Hermitian
+    e[..., 0, 0, 1] += 1e-9j
+    e[..., 2, 0, 1] -= 1e-9j
+    return e
+
+
+def _leaky(e):
+    # 1e-9 |u><u| moves from pi_1 to pi_0, u the null vector of pi_1: still
+    # Hermitian and complete, but pi_1 has the eigenvalue -1e-9
+    u = np.linalg.eigh(e[..., 0, :, :])[1][..., :, 0]
+    leak = 1e-9 * u[..., :, None] * u[..., None, :].conj()
+    e[..., 0, :, :] -= leak
+    e[..., 2, :, :] += leak
+    return e
+
+
+def _overfull(e):
+    # pi_0 gains 1e-9 |1><1|: still Hermitian and positive semidefinite, but
+    # the elements sum to the identity off by 1e-9 in their last entry
+    e[..., 2, 1, 1] += 1e-9
+    return e
+
+
+def _returns_none(real):
+    """usd_optimal returning at the coincident pair instead of raising."""
+    def usd_optimal(ens):
+        try:
+            return real(ens)
+        except UsdImpossibleError:
+            return None
+    return usd_optimal
+
+
+def _figure(name, change):
+    """nc_figures with the figure ``name`` changed by ``change``."""
+    return _then(lambda figs: figs._replace(**{name: change(getattr(figs, name))}))
+
+
+def _at_pure_pair(ch):
+    return ch.max_dev >= 5e-10 and ch.worst.startswith("theta=")
+
+
+def _near_1e_9(ch):
+    return ch.max_dev == pytest.approx(1e-9, rel=1e-6)
+
+
+_PAIR, _POVMS, _MCM_C = ("qtheory/pure-pair-and-mirror", "qtheory/povm-completeness",
+                         "qtheory/mcm-confidence")
+_MESD_C, _OMEGA, _MIN_P0 = "ncmodel/mesd-confidences", "ncmodel/omega-star", "ncmodel/oracle-min-p0"
+_BUILT, _WINDOW = "bounds/construction-consistency", "bounds/mesd-confidence-window"
+
+# The fault table: for each verify check, its home, the faults it must
+# catch. A row names the function it patches (as ``_inject`` reads the
+# name), the fault made of the real function, the set of checks that must
+# then fail in a 5-point verify, and any further assertion on the home
+# check's result.
+_FAULTS = {
+    _BUILT: [("qtheory.helstrom_stack", _OFF, {_BUILT, _POVMS}, None),
+             ("qtheory.usd_stack", _OFF, {_BUILT, _POVMS}, None),
+             ("qtheory.mcm_stack", _OFF, {_BUILT, _MCM_C}, None)],
+    _PAIR: [
+        ("qtheory._pure_pairs", _pairs_turned(lambda theta: 1e-9), {_PAIR}, _at_pure_pair),
+        # exact at theta = 0, pi/2 and pi: only <psi1|psi2> = cos(theta) can fail
+        ("qtheory._pure_pairs", _pairs_turned(lambda theta: 1e-9 * np.sin(2 * theta)), {_PAIR},
+         _at_pure_pair),
+        ("qtheory._mirrors", _mirrors_off(turn=True), {_PAIR}, _at_pure_pair),  # not orthogonal
+        # orthogonal, but not an involution
+        ("qtheory._mirrors", _mirrors_off(turn=False), {_PAIR}, _at_pure_pair),
+        ("qtheory.make_pure_pair", _then(lambda pair: (pair[0], _turned(pair[1]))), {_PAIR},
+         _at_pure_pair),
+        ("qtheory.mirror", _then(_turned), {_PAIR}, _at_pure_pair),
+    ],
+    # the scalar constructions rebuild a stack row in the spot check, and the
+    # scalar figures of merit read that row's figures
+    _POVMS: [
+        *((f"qtheory.{name}", _OFF, {_POVMS}, None)
+          for name in ("helstrom_povm", "usd_optimal", "usd_povm", "guessing_probability",
+                       "inconclusive_rate")),
+        ("qtheory.confidence", _OFF, {_POVMS, _MCM_C}, None),
+        ("qtheory.helstrom_stack", _elements(_skewed), {_POVMS},
+         lambda ch: ch.worst.endswith("pi_1")),
+        ("qtheory.mcm_stack", _elements(_leaky), {_POVMS, _MCM_C, _BUILT},
+         lambda ch: ch.worst.endswith("pi_1") and _near_1e_9(ch)),
+        ("qtheory.mcm_stack", _elements(_overfull), {_POVMS, _MCM_C},  # at a point
+         lambda ch: not ch.worst.endswith(harness._ELEMENTS) and _near_1e_9(ch)),
+        ("qtheory.usd_optimal", _returns_none, {_POVMS}, lambda ch: ch.worst == "c=1"),
+    ],
+    _MCM_C: [("qtheory.mcm_optimal", _OFF, {_MCM_C}, None),
+             ("qtheory.mcm_povm", _OFF, {_MCM_C}, None)],
+    "ncmodel/confusability": [("ncmodel.confusability", _OFF, {"ncmodel/confusability"}, None)],
+    # outcome 1 never fires only at (c, omega) = (1, 0) and outcome 2 only at
+    # (1, 1): a NaN anywhere else, or a number there, fails the check
+    _MESD_C: [
+        ("bounds.nc_mesd_confidences", _OFF, {_MESD_C}, None),
+        # P_g alone moves; the confidences stay
+        ("ncmodel.nc_figures", _figure("p_g", lambda x: x + 1e-6), {_MESD_C}, None),
+        *(("ncmodel.nc_figures", _figure(arm, lambda c: np.full_like(c, math.nan)), {_MESD_C},
+           None) for arm in ("c1", "c2")),  # every outcome of the arm reported as never firing
+        # the dead outcome at its closed form's 1/2
+        ("ncmodel.nc_figures", _figure("c1", lambda c: np.nan_to_num(c, nan=0.5)),
+         {_MESD_C}, None),
+    ],
+    _OMEGA: [("bounds.omega_star", _OFF, {_OMEGA}, None)],
+    "ncmodel/oracle-max-pg": [("ncmodel.oracle_max_pg", _OFF, {"ncmodel/oracle-max-pg"}, None)],
+    "ncmodel/oracle-max-confidence": [
+        ("ncmodel.oracle_max_confidence", _OFF, {"ncmodel/oracle-max-confidence", _MIN_P0}, None)],
+    _MIN_P0: [("ncmodel.oracle_min_p0_at_max_confidence", _OFF, {_MIN_P0}, None)],
+    "ncmodel/hand-integrals": [  # a feasible weight, off by a factor of 1 - 1e-6
+        ("ncmodel.usd_response", lambda real: lambda g1, g2: real(g1 * (1.0 - 1e-6), g2),
+         {"ncmodel/hand-integrals"}, None)],
+    "bounds/inequality-suite": [  # forgets that a smaller P_0 is the better one
+        ("is_advantage", lambda real: lambda figure, signed, tols: signed > tols.advantage,
+         {"bounds/inequality-suite"}, None)],
+    # At 5 points the window check's omega grid has step 0.05 and leaves the
+    # half step on each side of omega_star unresolved: 0.01 is inside that band.
+    _WINDOW: [("bounds.omega_star", _then(lambda w: w + 0.1), {_WINDOW, _OMEGA}, None),
+              ("bounds.omega_star", _then(lambda w: w + 0.06), {_WINDOW, _OMEGA}, None),
+              ("bounds.omega_star", _then(lambda w: w + 0.01), {_OMEGA}, None)],
+    "bounds/factorisation": [("bounds.nc_mcm_guessing", _OFF, {"bounds/factorisation"}, None)],
+    "bounds/table-report": [("bounds.gap", _OFF, {"bounds/table-report"}, None),
+                            # the harness reaches eval_bound only through gap
+                            ("ctxsd.bounds.eval_bound", _OFF, {"bounds/table-report"}, None)],
 }
 
 
-@pytest.mark.parametrize("check", _CHECK_FAULTS)
-def test_fault_fails_exactly_its_listed_checks(monkeypatch, check):
-    module, name, fault, failing = _CHECK_FAULTS[check]
-    if module is None:
-        monkeypatch.setattr(harness, name, fault(getattr(harness, name)))
-    else:
-        real = getattr(harness, module)
-        faulty = types.SimpleNamespace(**vars(real))
-        setattr(faulty, name, fault(getattr(real, name)))
-        monkeypatch.setattr(harness, module, faulty)
-    assert check in failing
-    assert {ch.name for ch in verify_all(5).checks if not ch.passed} == failing
+def _fault_rows():
+    """Every row of the fault table with its check, its id the function it
+    patches, numbered from its second row."""
+    seen = collections.Counter()
+    for check, rows in _FAULTS.items():
+        for row in rows:
+            name = row[0].removeprefix("ctxsd.").replace(".", "-")
+            seen[name] += 1
+            yield pytest.param(check, *row, id=name if seen[name] == 1 else f"{name}-{seen[name]}")
 
 
-@pytest.mark.parametrize("shift, caught", [(0.1, True), (0.06, True), (0.01, False)])
-def test_window_check_fails_for_a_threshold_moved_past_half_its_grid_step(
-        monkeypatch, shift, caught):
-    # At 5 points the window check's omega grid has step 0.05 and leaves the
-    # half step on each side of omega_star unresolved: 0.01 is inside that band.
-    real = bounds.omega_star
-    monkeypatch.setattr(harness, "bounds", types.SimpleNamespace(
-        **{**vars(bounds), "omega_star": lambda c: real(c) + shift}))
-    checks = {ch.name: ch.passed for ch in verify_all(5).checks}
-    assert checks["bounds/mesd-confidence-window"] is not caught
-    assert not checks["ncmodel/omega-star"]
+def test_every_check_has_a_fault():
+    assert set(_FAULTS) == {name for name, _, _ in harness._CHECKS}
+    assert all(any(check in failing for _, _, failing, _ in rows) for check, rows in _FAULTS.items())
 
 
-def test_povm_completeness_finds_a_stack_that_is_not_hermitian(monkeypatch):
-    # pi_1 and pi_0 take opposite skew parts: still complete, and positive
-    # semidefinite by their lower triangles, but not Hermitian
-    def skewed(theta):
-        stack = qtheory.helstrom_stack(theta)
-        e = stack.elements.copy()
-        e[..., 0, 0, 1] += 1e-9j
-        e[..., 2, 0, 1] -= 1e-9j
-        return replace(stack, elements=e)
-
-    monkeypatch.setattr(harness, "qtheory", types.SimpleNamespace(**{
-        **vars(qtheory), "helstrom_stack": skewed}))
+@pytest.mark.parametrize("check, where, fault, failing, extra", _fault_rows())
+def test_fault_in_a_route_fails_its_home_check(monkeypatch, check, where, fault, failing, extra):
+    _inject(monkeypatch, where, fault)
     checks = {ch.name: ch for ch in verify_all(5).checks}
-    assert not checks["qtheory/povm-completeness"].passed
-    assert checks["qtheory/povm-completeness"].worst.endswith("pi_1")
-
-
-def test_povm_completeness_finds_an_element_that_is_not_positive(monkeypatch):
-    # 1e-9 |u><u| moves from pi_1 to pi_0, u the null vector of pi_1: still
-    # Hermitian and complete, but pi_1 has the eigenvalue -1e-9
-    def leaky(*args):
-        stack = qtheory.mcm_stack(*args)
-        e = stack.elements.copy()
-        u = np.linalg.eigh(e[..., 0, :, :])[1][..., :, 0]
-        leak = 1e-9 * u[..., :, None] * u[..., None, :].conj()
-        e[..., 0, :, :] -= leak
-        e[..., 2, :, :] += leak
-        return replace(stack, elements=e)
-
-    monkeypatch.setattr(harness, "qtheory", types.SimpleNamespace(**{
-        **vars(qtheory), "mcm_stack": leaky}))
-    ch = {ch.name: ch for ch in verify_all(5).checks}["qtheory/povm-completeness"]
-    assert not ch.passed and ch.worst.endswith("pi_1")
-    assert ch.max_dev == pytest.approx(1e-9, rel=1e-6)
-
-
-def test_povm_completeness_finds_a_stack_that_is_not_complete(monkeypatch):
-    # pi_0 gains 1e-9 |1><1|: still Hermitian and positive semidefinite, but
-    # the elements sum to the identity off by 1e-9 in their last entry
-    def overfull(*args):
-        stack = qtheory.mcm_stack(*args)
-        e = stack.elements.copy()
-        e[..., 2, 1, 1] += 1e-9
-        return replace(stack, elements=e)
-
-    monkeypatch.setattr(harness, "qtheory", types.SimpleNamespace(**{
-        **vars(qtheory), "mcm_stack": overfull}))
-    ch = {ch.name: ch for ch in verify_all(5).checks}["qtheory/povm-completeness"]
-    assert not ch.passed and not ch.worst.endswith(harness._ELEMENTS)  # a point, no element
-    assert ch.max_dev == pytest.approx(1e-9, rel=1e-6)
+    assert {name for name, ch in checks.items() if not ch.passed} == failing
+    assert extra is None or extra(checks[check]), checks[check]
+    op = where.removeprefix("ctxsd.")
+    if op in harness._ALL_OPS and check in failing:  # the audit counts it where it fails
+        assert op in {name: ops for name, ops, _ in harness._CHECKS}[check]
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e3])
@@ -655,74 +689,6 @@ def test_hermiticity_audit_equals_the_largest_skew_entry():
     m[1, ..., 0, 1] = m[1, ..., 1, 0].conj()  # skew on the diagonal only
     want = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     assert np.array_equal(harness._skew(m), want)
-
-
-def _rotated(a0, a1, eps=1e-9):
-    """The amplitudes (a0, a1) turned by the angle ``eps``: still a unit vector."""
-    c, s = np.cos(eps), np.sin(eps)
-    return c * a0 - s * a1, s * a0 + c * a1
-
-
-def _faulty_pure_pairs(theta, eps=1e-9):
-    v = qtheory._pure_pairs(theta).copy()
-    v[:, 1, 0], v[:, 1, 1] = _rotated(v[:, 1, 0], v[:, 1, 1], eps)  # psi2 only
-    return v
-
-
-def _faulty_make_pure_pair(theta):
-    psi1, psi2 = qtheory.make_pure_pair(theta)
-    return psi1, qtheory.PureState(*_rotated(*astuple(psi2)))
-
-
-def _faulty_mirrors(turn):
-    """Stacked mirrors off by 1e-9 |sin(2 theta)| for the pure pair at theta
-    and for its mirrors: turned, or scaled if not ``turn``; exact at theta =
-    0, pi/2 and pi, the rows the scalar operations rebuild, so only a
-    relation can fail."""
-    def mirrors(vectors):
-        a0, a1 = np.abs(vectors[..., 0]), np.abs(vectors[..., 1])
-        eps = 4e-9 * a0 * a1 * np.abs(a0 * a0 - a1 * a1)
-        m = qtheory._mirrors(vectors)
-        if not turn:
-            return m * (1.0 + eps[..., None])
-        m[..., 0], m[..., 1] = _rotated(m[..., 0], m[..., 1], eps)
-        return m
-    return mirrors
-
-
-@pytest.mark.parametrize("name, faulty", [
-    ("_pure_pairs", _faulty_pure_pairs),
-    # exact at theta = 0, pi/2 and pi: only <psi1|psi2> = cos(theta) can fail
-    ("_pure_pairs", lambda theta: _faulty_pure_pairs(theta, 1e-9 * np.sin(2 * theta))),
-    ("_mirrors", _faulty_mirrors(turn=True)),  # not orthogonal
-    ("_mirrors", _faulty_mirrors(turn=False)),  # orthogonal, but not an involution
-    ("make_pure_pair", _faulty_make_pure_pair),
-    ("mirror", lambda s: qtheory.PureState(*_rotated(*astuple(qtheory.mirror(s))))),
-])
-def test_fault_in_a_pure_pair_or_mirror_fails_its_check(monkeypatch, name, faulty):
-    monkeypatch.setattr(harness, "qtheory", types.SimpleNamespace(**{
-        **vars(qtheory), name: faulty}))
-    ch = {ch.name: ch for ch in verify_all(5).checks}["qtheory/pure-pair-and-mirror"]
-    assert not ch.passed and ch.max_dev >= 5e-10, (ch.max_dev, ch.worst)
-    assert ch.worst.startswith("theta=")
-
-
-@pytest.mark.parametrize("arm, fault", [
-    ("c1", lambda c: np.full_like(c, math.nan)),  # every outcome 1 reported as never firing
-    ("c2", lambda c: np.full_like(c, math.nan)),
-    ("c1", lambda c: np.nan_to_num(c, nan=0.5)),  # the dead outcome at its closed form's 1/2
-], ids=["c1-never", "c2-never", "c1-dead-fires"])
-def test_mesd_confidences_hold_nan_to_the_two_dead_points(monkeypatch, arm, fault):
-    # outcome 1 never fires only at (c, omega) = (1, 0) and outcome 2 only at
-    # (1, 1): a NaN anywhere else, or a number there, fails the check
-    def nc_figures(*args, **kwargs):
-        figs = ncmodel.nc_figures(*args, **kwargs)
-        return figs._replace(**{arm: fault(getattr(figs, arm))})
-
-    monkeypatch.setattr(harness, "ncmodel", types.SimpleNamespace(**{
-        **vars(ncmodel), "nc_figures": nc_figures}))
-    report = verify_all(21)
-    assert {ch.name for ch in report.checks if not ch.passed} == {"ncmodel/mesd-confidences"}
 
 
 def test_error_inside_a_check_is_its_failure(monkeypatch, capsys):
@@ -808,19 +774,14 @@ def test_check_accumulator_reports_its_first_worst_entry_and_formats_only_its_po
     assert (ch.passed, ch.items, ch.headroom, ch.worst) == (False, 0, math.inf, "no value compared")
 
 
-def test_a_route_that_stops_raising_fails_its_check(monkeypatch):
-    # usd_optimal returning at the coincident pair instead of raising
-    usd_optimal = qtheory.usd_optimal
-
-    def returns(ens):
-        try:
-            return usd_optimal(ens)
-        except UsdImpossibleError:
-            return None
-
-    monkeypatch.setattr(qtheory, "usd_optimal", returns)
-    failed = [(ch.name, ch.worst) for ch in verify_all(5).checks if not ch.passed]
-    assert failed == [("qtheory/povm-completeness", "c=1")]
+def test_check_accumulator_passes_a_deviation_equal_to_its_limit():
+    acc = harness._Acc()
+    acc.add(np.array([0.0, 1e-9]), 1e-9, "at the limit")
+    ch = acc.result("x", (), 0.0)
+    assert (ch.passed, ch.headroom) == (True, 1.0)
+    acc = harness._Acc()
+    acc.add(1e-9 * (1.0 + 1e-7), 1e-9, "past the limit")
+    assert not acc.result("x", (), 0.0).passed
 
 
 def test_verify_builds_the_mcm_measurements_in_one_stack(monkeypatch):
@@ -1042,15 +1003,6 @@ def test_an_operation_no_check_declares_fails_verify(monkeypatch):
 # CLI
 
 
-def test_cli_table_and_bounds_run(capsys):
-    assert cli.main(["table", "--c", "0.5"]) == 0
-    out = capsys.readouterr().out
-    assert "MCM" in out
-    assert cli.main(["bounds"]) == 0
-    out = capsys.readouterr().out
-    assert "0.853553391" in out
-
-
 def test_cli_sweep_stdout_matches_file(tmp_path, capsys):
     argv = ["sweep", "--variable", "c", "--p", "0", "--points", "11",
             "--target", "MCM:C:Q", "--target", "MESD:C2:NC"]
@@ -1246,6 +1198,20 @@ def test_tolerance_defaults_are_pinned():
     assert (config.NORM, config.PSD, config.COMPLETENESS) == (1e-12, 1e-10, 1e-10)
 
 
+def test_only_table_and_verify_read_the_env_tolerance(monkeypatch, capsys, tmp_path):
+    for argv in (["bounds"], ["sweep", "--variable", "c", "--points", "5", "--target", "MCM:C:Q"],
+                 ["figure", "--id", "fig2", "--out", str(tmp_path / "fig2.csv")]):
+        monkeypatch.delenv(config.ENV_TOL, raising=False)
+        assert cli.main(argv) == 0
+        unset = capsys.readouterr()
+        monkeypatch.setenv(config.ENV_TOL, "junk")
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == unset, argv
+    for argv in (["table"], ["verify", "--points", "5"]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: CTXSD_TOL must be a number, got 'junk'\n"
+
+
 def test_cli_honours_env_tolerance(monkeypatch, capsys):
     # with a huge tolerance every gap is below threshold: no advantages
     monkeypatch.setenv(config.ENV_TOL, "0.5")
@@ -1437,6 +1403,8 @@ _PG = Target("MESD", "P_g", QUANTUM)
         (lambda: bounds.table1_report(0.5, 0.5, 0.5).cell("MESD", "C(1)"), ContractError,
          r"no cell MESD C\(1\); the cells are MESD P_g, MESD P_0, MESD C, USD P_g, USD P_0, "
          "USD C, MCM P_g, MCM P_0, MCM C$"),
+        (lambda: bounds.table1_report(0.5, 0.5, 0.5).cell(["MESD"], "P_g"), ContractError,
+         r"no cell \['MESD'\] P_g; the cells are MESD P_g, .*, MCM C$"),
     ],
     ids=["spec-theory", "spec-outcome", "state-shape", "responses-unequal", "responses-3",
          "scenario-mirrors", "scenario-support", "nc_prob-3", "oracle-outcome",
@@ -1455,7 +1423,7 @@ _PG = Target("MESD", "P_g", QUANTUM)
          "nc_figures-broadcast", "confusability-broadcast", "nc_mesd_confidences-broadcast",
          "nc_mcm_guessing-broadcast", "state-entry", "nc_prob-entry", "povm-entry",
          "pure-state-entry", "responses-complex", "responses-entry", "operator-entry",
-         "pure-state-array", "require_in-one-row", "table-cell"],
+         "pure-state-array", "require_in-one-row", "table-cell", "table-cell-unhashable"],
 )
 def test_each_typed_error_path_raises_its_error(build, error, match):
     with pytest.raises(error, match=match):

@@ -163,15 +163,14 @@ def test_omega_star_bounded_and_divergent_at_one():
         bounds.omega_star(1.0)
 
 
-def test_omega_star_of_an_array_equals_its_scalar_calls():
+def test_omega_star_is_a_float_for_a_float_and_keeps_an_arrays_shape():
     cs = np.linspace(0.0, 1.0 - 1e-9, 101)
     scalar = [bounds.omega_star(float(c)) for c in cs]
     assert all(type(w) is float for w in scalar)
     # the closed form in Python floats
     assert scalar == [math.sqrt(1.0 - c) / (2.0 * (1.0 + math.sqrt(1.0 - c))) for c in cs.tolist()]
     for shape in ((101,), (101, 1)):
-        got = bounds.omega_star(cs.reshape(shape))
-        assert got.shape == shape and got.tobytes() == np.array(scalar).tobytes()
+        assert bounds.omega_star(cs.reshape(shape)).shape == shape
     with pytest.raises(DivergenceError):
         bounds.omega_star(np.array([0.5, 1.0]))
     for bad in (np.array([0.5, 1.5]), np.array([-0.1, 0.5]), np.array([math.nan]), -0.1):
@@ -333,91 +332,16 @@ def test_region_enum_is_the_documented_order():
 
 
 # ---------------------------------------------------------------------------
-# stacks: every op broadcasts, and a stack equals its points bit for bit
+# stacks: every op broadcasts (tests/test_batch_property.py holds the table
+# of each stack's rows against its points)
 
 _EDGE = [1e-16, 0.5 - 1e-16, float(np.nextafter(1.0, 0.0))]
 _AXIS = np.union1d(np.linspace(0.0, 1.0, 21), _EDGE)  # c = 1 and p = 1 give the ties
 
 
-def _same(stacked, point):
-    """``==`` of a stacked entry and a scalar result; NaN in a stack stands
-    for None (an outcome that never fires)."""
-    if point is None:
-        return bool(np.isnan(stacked))
-    return bool(np.all(stacked == point))
-
-
 def _grid_scenario():
     c, p = np.meshgrid(_AXIS, _AXIS, indexing="ij")
     return c, p, nc.canonical_scenario(c, p)
-
-
-def test_stacked_scenario_and_responses_equal_their_points():
-    c, p, stack = _grid_scenario()
-    omega = _AXIS
-    strategies = nc.mesd_mixed_strategy(omega)
-    g1 = omega[::-1] * 0.5
-    responses = nc.usd_response(g1, omega * 0.5)
-    for k in np.ndindex(c.shape):
-        point = nc.canonical_scenario(float(c[k]), float(p[k]))
-        assert isinstance(point.c, float) and stack[k].c == point.c
-        for name in ("prep1", "prep2", "mirror1", "mirror2", "mixed", "noisy1", "noisy2"):
-            assert _same(getattr(stack, name).weights[k], getattr(point, name).weights)
-        for a, b in (("prep1", "prep2"), ("prep1", "mirror1"), ("prep1", "mirror2")):
-            got = nc.confusability(getattr(stack, a), getattr(stack, b))[k]
-            assert _same(got, nc.confusability(getattr(point, a), getattr(point, b)))
-        xi = responses.xi0[k[1]]
-        assert _same(nc.nc_prob(stack.mixed, responses.xi0[None, :])[k],
-                     nc.nc_prob(point.mixed, xi))
-    for j, w in enumerate(omega):
-        scalar = nc.mesd_mixed_strategy(float(w))
-        assert _same(strategies.xi1[j], scalar.xi1) and _same(strategies.xi2[j], scalar.xi2)
-        scalar = nc.usd_response(float(g1[j]), float(omega[j] * 0.5))
-        assert _same(responses.xi0[j], scalar.xi0)
-
-
-def test_stacked_figures_equal_their_points():
-    c, p, stack = _grid_scenario()
-    omega = np.array([0.0, 0.3, 0.5, 1.0])
-    g1, g2 = np.array([0.0, 0.5, 1.0, 0.2]), np.array([0.0, 0.5, 0.0, 0.3])
-    cases = [(nc.mesd_mixed_strategy(omega), [nc.mesd_mixed_strategy(float(w)) for w in omega]),
-             (nc.usd_response(g1, g2), [nc.usd_response(float(a), float(b)) for a, b in zip(g1, g2)])]
-    points = {k: nc.canonical_scenario(float(c[k]), float(p[k])) for k in np.ndindex(c.shape)}
-    for responses, each in cases:
-        figs = nc.nc_figures(stack[:, :, None], responses)  # (c, p, response)
-        for k in np.ndindex(figs.p_g.shape):
-            want = nc.nc_figures(points[k[:2]], each[k[2]])
-            for got, expected in zip(figs, want):
-                assert _same(got[k], expected), (k, got[k], expected)
-
-
-def test_stacked_closed_forms_equal_their_points():
-    c, w = np.meshgrid(_AXIS, _AXIS, indexing="ij")
-    c1, c2 = bounds.nc_mesd_confidences(c, w)
-    guess = bounds.nc_mcm_guessing(c, w)
-    for k in np.ndindex(c.shape):
-        assert (c1[k], c2[k]) == bounds.nc_mesd_confidences(float(c[k]), float(w[k]))
-        assert guess[k] == bounds.nc_mcm_guessing(float(c[k]), float(w[k]))
-
-
-def test_stacked_oracles_equal_their_points():
-    c, p, stack = _grid_scenario()
-    regular = ~((c == 1.0) & (p == 0.0))  # both outcomes fire
-    nc_stack = stack[regular]
-    witness, value = nc.oracle_max_pg(stack)
-    conf = {i: nc.oracle_max_confidence(nc_stack, i) for i in (1, 2)}
-    rs, p_0 = nc.oracle_min_p0_at_max_confidence(nc_stack)
-    for row, k in enumerate(zip(*np.nonzero(regular))):
-        point = nc.canonical_scenario(float(c[k]), float(p[k]))
-        one_rs, one = nc.oracle_max_pg(point)
-        assert isinstance(one, float) and value[k] == one
-        assert _same(witness.xi1[k], one_rs.xi1) and _same(witness.xi2[k], one_rs.xi2)
-        for i, (pattern, confidence) in conf.items():
-            one_pattern, one = nc.oracle_max_confidence(point, i)
-            assert confidence[row] == one and _same(pattern[row], one_pattern)
-        one_rs, one = nc.oracle_min_p0_at_max_confidence(point)
-        assert p_0[row] == one
-        assert _same(rs.xi1[row], one_rs.xi1) and _same(rs.xi2[row], one_rs.xi2)
 
 
 def _loop_max_pg(s1, s2):
