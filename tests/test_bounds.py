@@ -139,6 +139,33 @@ def test_cells_enumerate_the_table_once():
     assert labels[4:7] == ["MESD_C_Q", "MESD_C1_NC", "MESD_C2_NC"]
 
 
+_EDGES = (0.0, 1.0)
+_SEEDED = tuple(np.random.default_rng(20240611).uniform(0.0, 1.0, 4))
+
+
+@pytest.mark.parametrize("variable", ["c", "p", "omega"])
+def test_columns_equal_scalar_cells_exactly(variable):
+    xs = np.array(sorted(_EDGES + _SEEDED + (0.5,)))
+    fixed_values = _EDGES + _SEEDED[:2]
+    others = [v for v in ("c", "p", "omega") if v != variable]
+    compared = 0
+    for cell in CELLS:
+        for a in fixed_values:
+            for b in fixed_values:
+                fixed = {variable: 0.5, others[0]: a, others[1]: b}
+                try:
+                    want = [eval_bound(cell.spec(**{**fixed, variable: float(x)}))
+                            for x in xs]
+                except DivergenceError:
+                    with pytest.raises(DivergenceError):
+                        eval_column(cell.spec(**fixed), variable, xs)
+                    continue
+                got = eval_column(cell.spec(**fixed), variable, xs)
+                assert got.tolist() == want, (cell.label, fixed)
+                compared += 1
+    assert compared > 19 * len(fixed_values) ** 2 // 2
+
+
 # The closed forms at the corner c -> 1, p -> 0 and on the domain's edges,
 # pinned in tests/data/corner_cells.json: for each point, every cell's value
 # as float.hex or the class of the error it raises. Regenerate only for an

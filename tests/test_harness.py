@@ -29,6 +29,7 @@ from ctxsd.sweeps import (
     Target,
     emit_figure,
     run_sweep,
+    table_cmd,
 )
 
 
@@ -368,6 +369,34 @@ def test_csv_rejects_a_table_that_does_not_fit_its_header(tmp_path):
     out = io.StringIO()
     csvout.write_csv_to(out, ["a", "b"], [])  # no rows: the header alone
     assert out.getvalue() == "a,b\n"
+
+
+# ---------------------------------------------------------------------------
+# table rendering
+
+
+def test_table_cmd_lists_all_cells():
+    text = table_cmd(0.5, 0.5, 0.5)
+    for needle in (
+        "MESD",
+        "USD",
+        "MCM",
+        "P_g",
+        "P_0",
+        "C(1)",
+        "C(2)",
+        "definitional",
+        "advantage window",
+    ):
+        assert needle in text
+    # stable figure order inside each scheme block
+    mesd_lines = [ln for ln in text.split("\n") if ln.startswith("MESD")]
+    assert [ln.split()[1] for ln in mesd_lines] == ["P_g", "P_0", "C(1)", "C(2)"]
+
+
+def test_table_cmd_flags_impossible_usd():
+    text = table_cmd(1.0, 0.5, 0.5)
+    assert "impossible" in text
 
 
 # ---------------------------------------------------------------------------
@@ -1001,6 +1030,15 @@ def test_an_operation_no_check_declares_fails_verify(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # CLI
+
+
+def test_cli_table_and_bounds_run(capsys):
+    assert cli.main(["table", "--c", "0.5"]) == 0
+    out = capsys.readouterr().out
+    assert "MCM" in out
+    assert cli.main(["bounds"]) == 0
+    out = capsys.readouterr().out
+    assert "0.853553391" in out
 
 
 def test_cli_sweep_stdout_matches_file(tmp_path, capsys):
