@@ -17,17 +17,22 @@ evaluate the same code exactly. They are guarded outside it:
 by ``eval_bound`` and ``eval_column`` and once per point by
 ``table1_report``; ``_guarded`` fixes the MESD arms at c = 1; and
 ``omega_star`` raises at c = 1.
+
+Each gap is written once too, in ``_gap``, from its certificate: factors
+that are nonnegative on the square, so it does not cancel, and whose signs,
+not their rounded product, give the advantage verdict, with no threshold.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULTS, NORM, Tolerances
+from .config import NORM
 from .errors import ContractError, DivergenceError, require_in
 
 __all__ = [
@@ -48,7 +53,6 @@ __all__ = [
     "nc_mcm_guessing",
     "gap",
     "oriented_gap",
-    "is_advantage",
     "table1_report",
 ]
 
@@ -160,16 +164,19 @@ def _mcm_denominator(quantum: bool, c, p):
     return (1.0 - c) + c * p * (2.0 - p) if quantum else (1.0 - c) + c * p
 
 
-def _closed_form(cell, c, p, omega, xp=np):
+def _closed_form(cell, c, p, omega, xp=np, s=None, r=None):
     """Value of ``cell`` (a ``Cell`` or a ``BoundSpec``) at (c, p, omega),
     unguarded, with ``xp`` supplying sqrt. Quantum values are written in
-    the overlap |<psi1|psi2>| = sqrt(c)."""
+    the overlap s = |<psi1|psi2>| = sqrt(c) and in r = sqrt(1 - c), taken
+    as given where the caller shares them with the gaps."""
     scheme, figure, quantum = cell.scheme, cell.figure, cell.theory == QUANTUM
+    if quantum and s is None:
+        s, r = xp.sqrt(c), xp.sqrt(1.0 - c)
     if scheme == "MESD":
         if figure == "P_0":
             return 0.0
         if quantum:  # the Helstrom value: P_g, and both confidences
-            return 0.5 * (1.0 + xp.sqrt(1.0 - c))
+            return 0.5 * (1.0 + r)
         if figure == "P_g":
             return 1.0 - 0.5 * c
         # the confidences of the omega-mixed guessing strategies, arm by arm
@@ -180,22 +187,20 @@ def _closed_form(cell, c, p, omega, xp=np):
         if figure == "C":
             return 1.0
         if figure == "P_0":
-            return xp.sqrt(c) if quantum else 0.5 * (1.0 + c)
-        return 1.0 - xp.sqrt(c) if quantum else 0.5 * (1.0 - c)
+            return s if quantum else 0.5 * (1.0 + c)
+        return 1.0 - s if quantum else 0.5 * (1.0 - c)
     # MCM
     if figure == "C":
         if quantum:
-            return 0.5 * (1.0 + (1.0 - p) * xp.sqrt(1.0 - c)
-                          / xp.sqrt(_mcm_denominator(quantum, c, p)))
+            return 0.5 * (1.0 + (1.0 - p) * r / xp.sqrt(_mcm_denominator(quantum, c, p)))
         return 0.5 * (1.0 + (1.0 - p) * (1.0 - c) / _mcm_denominator(quantum, c, p))
     if figure == "P_0":
-        return (1.0 - p) * xp.sqrt(c) if quantum else 0.5 * (1.0 + (1.0 - p) * c)
+        return (1.0 - p) * s if quantum else 0.5 * (1.0 + (1.0 - p) * c)
     if not quantum:
         return 0.5 * (1.0 - 0.5 * p - (1.0 - p) * c)
-    o = xp.sqrt(c)
-    t = (1.0 - p) * o
-    one_minus_t = (1.0 - c) / (1.0 + o) + p * o  # 1 - t, without the cancellation
-    return 0.5 * (one_minus_t + (1.0 - p) * xp.sqrt(one_minus_t / (1.0 + t)) * xp.sqrt(1.0 - c))
+    t = (1.0 - p) * s
+    one_minus_t = (1.0 - c) / (1.0 + s) + p * s  # 1 - t, without the cancellation
+    return 0.5 * (one_minus_t + (1.0 - p) * xp.sqrt(one_minus_t / (1.0 + t)) * r)
 
 
 def _omega_star(c, xp=np):
@@ -299,9 +304,10 @@ def nc_mcm_guessing(c: float | np.ndarray, p: float | np.ndarray) -> float | np.
 class GapCertificate:
     """Signed quantum-minus-noncontextual gap for one figure of merit.
 
-    ``advantage`` is True when the quantum value is strictly better than
-    the noncontextual one beyond the tolerance, in the direction favoured
-    by the figure (larger P_g and C, smaller P_0).
+    ``gap`` is computed from the cell's certificate (see ``_gap``), and
+    ``advantage`` is True exactly where the quantum value is strictly
+    better than the noncontextual one in the direction favoured by the
+    figure (larger P_g and C, smaller P_0).
     """
 
     quantum_value: float
@@ -313,21 +319,91 @@ class GapCertificate:
 def oriented_gap(figure: str, signed):
     """A quantum-minus-noncontextual difference (float or array) signed so
     that a positive value favours the quantum theory: negated for P_0,
-    where smaller is better."""
-    return -signed if figure == "P_0" else signed
+    where smaller is better, as 0 - signed, so that a zero stays +0. It is
+    its own inverse."""
+    return 0.0 - signed if figure == "P_0" else signed
 
 
-def is_advantage(figure: str, signed, tols: Tolerances = DEFAULTS):
-    """The advantage rule of ``gap``: the oriented difference exceeds
-    ``tols.advantage``. Floats or arrays."""
-    return oriented_gap(figure, signed) > tols.advantage
+# The float f of a MESD arm's sign factor 2v(1 + r) - r is within 16.5u of
+# its value at the exact inputs (u = 2^-53; v, r <= 1: the roundings of
+# 1 - c, its sqrt, v = 1 - omega, 1 + r and the product), so where |f| > 32u
+# f shows its sign; the arm's gap then has a relative error of about 16.5u/|f|.
+_ARM_ROUNDING = 2.0 ** -48
 
 
-def gap(
-    quantum: BoundSpec,
-    noncontextual: BoundSpec,
-    tols: Tolerances = DEFAULTS,
-) -> GapCertificate:
+def _arm_factor(c: float, omega: float, outcome: int, r: float) -> tuple[float, bool]:
+    """A MESD arm's sign factor F = 2v(1 + r) - r at the floats c < 1 and
+    omega (v = omega for arm 1, 1 - omega for arm 2) where its float is too
+    close to 0 to show its sign, and whether F > 0. There v < 1/2, so F =
+    2v - (1 - 2v) r has the sign of n = 4v^2 - (1 - c)(1 - 2v)^2, exact in
+    ``fractions.Fraction``, and is n / (2v + (1 - 2v) r) with a positive
+    denominator that does not cancel."""
+    v = Fraction(omega) if outcome == 1 else 1 - Fraction(omega)
+    n = 4 * v * v - (1 - Fraction(c)) * (1 - 2 * v) ** 2
+    return float(n) / (2.0 * float(v) + float(1 - 2 * v) * r), n > 0
+
+
+def _gap(cell, qv, nv, c, p, omega, xp=np, s=None, r=None):
+    """The signed gap qv - nv of the noncontextual ``cell`` (a ``Cell`` or a
+    ``BoundSpec``) to its quantum counterpart at (c, p, omega), and whether
+    it favours the quantum theory: floats over ``math``, arrays over numpy
+    at regular points, or the gap's expression over sympy. Each oriented
+    gap is its certificate (``tests/test_certified_signs.py``), in factors
+    that are nonnegative on the square, with s = sqrt(c), r = sqrt(1 - c)
+    and t = 1 - p, s and r taken as given where the caller shares them:
+
+    * MESD P_g: r (1 - r) / 2, 1 - r = c / (1 + r); MESD C, per arm,
+      r (1 - r) F / (2 D) with F = 2v(1 + r) - r, D = (1 - c) + 2vc and
+      v = omega (arm 1) or 1 - omega (arm 2);
+    * USD: (1 - s)^2 / 2, 1 - s = (1 - c) / (1 + s); MCM P_0:
+      ((1 - ts)^2 + t p c) / 2;
+    * MCM C: t (a^2 - b^2) / (2 (a + b)) with a = r / sqrt(Dq), b = r^2 / Dn
+      (``_mcm_denominator``) and a^2 - b^2 = c (1 - c) p^2 / (Dq Dn^2);
+    * MCM P_g, which has no certificate yet: qv - nv, its verdict qv > nv.
+
+    Every other verdict is that each factor is positive, read from the
+    factors' floats, whose signs are exact (c, 1 - c, p, 1 - p, and 1 - s
+    or 1 - ts, positive where c < 1 or, for MCM P_0, p > 0), and for a
+    MESD arm's F from ``_arm_factor`` where its float is within its
+    rounding error of 0."""
+    scheme, figure = cell.scheme, cell.figure
+    if scheme == "MCM" and figure == "P_g":
+        return qv - nv, qv > nv
+    if s is None:
+        s, r = xp.sqrt(c), xp.sqrt(1.0 - c)
+    if scheme == "MESD":
+        g, positive = 0.5 * r * (c / (1.0 + r)), (c > 0.0) & (r > 0.0)
+        if figure == "P_g":
+            return g, positive
+        v = omega if cell.outcome == 1 else 1.0 - omega
+        f = 2.0 * v * (1.0 + r) - r
+        sign = f > 0.0
+        undecided = (-_ARM_ROUNDING <= f) & (f <= _ARM_ROUNDING) & (r > 0.0)
+        if type(undecided) is bool:  # a float point
+            if undecided:
+                f, sign = _arm_factor(c, omega, cell.outcome, r)
+        elif isinstance(undecided, np.ndarray):  # a grid; over sympy, f is exact
+            cs, omegas, rs = np.broadcast_arrays(c, omega, r)
+            for k in zip(*np.nonzero(undecided)):
+                f[k], sign[k] = _arm_factor(float(cs[k]), float(omegas[k]), cell.outcome,
+                                            float(rs[k]))
+        d = (1.0 - c) + 2.0 * v * c  # 0 only at (c, v) = (1, 0), where g = 0: read as 1
+        return g * f / (d + 1.0 * (d == 0.0)), positive & sign
+    if figure == "C":  # MCM
+        t, dn = 1.0 - p, _mcm_denominator(False, c, p)
+        root_dq = xp.sqrt(_mcm_denominator(True, c, p))
+        return (0.5 * t * c * r * p * p / (dn * root_dq * (dn + r * root_dq)),
+                (t > 0.0) & (c > 0.0) & (r > 0.0) & (p > 0.0))
+    m = (1.0 - c) / (1.0 + s)  # 1 - s
+    if scheme == "MCM":  # P_0
+        m = m + p * s
+        g = 0.5 * (m * m + (1.0 - p) * p * c)
+    else:
+        g = 0.5 * m * m
+    return (0.0 - g if figure == "P_0" else g), m > 0.0  # signed as qv - nv, as oriented_gap
+
+
+def gap(quantum: BoundSpec, noncontextual: BoundSpec) -> GapCertificate:
     """Certify the gap between a matching quantum / noncontextual pair."""
     if quantum.theory != QUANTUM or noncontextual.theory != NONCONTEXTUAL:
         raise ContractError("gap expects one quantum spec and one noncontextual spec")
@@ -339,10 +415,9 @@ def gap(
     )
     if not same_cell:
         raise ContractError("specs must agree on scheme, figure and parameters")
-    qv = eval_bound(quantum)
-    nv = eval_bound(noncontextual)
-    signed = qv - nv
-    return GapCertificate(qv, nv, signed, is_advantage(quantum.figure, signed, tols))
+    qv, nv = eval_bound(quantum), eval_bound(noncontextual)
+    return GapCertificate(qv, nv, *_gap(noncontextual, qv, nv, noncontextual.c,
+                                        noncontextual.p, noncontextual.omega, math))
 
 
 @dataclass(frozen=True)
@@ -393,9 +468,7 @@ _DEFINITIONAL = {
 }
 
 
-def table1_report(
-    c: float, p: float, omega: float, tols: Tolerances = DEFAULTS
-) -> Table1Report:
+def table1_report(c: float, p: float, omega: float) -> Table1Report:
     """Evaluate every cell of the gap table at one parameter point."""
     # c, omega and p as floats, checked once, in the order the cells would check them
     c = require_in(c, "confusability", scalar=True)
@@ -411,19 +484,18 @@ def table1_report(
     # denominator is never above the quantum one. Where that cell is regular,
     # every cell is.
     _require_regular(_MCM_C_NC, c, p)
+    s, r = math.sqrt(c), math.sqrt(1.0 - c)  # shared by the quantum values and the gaps
     cells: dict = {}
     for cell in CELLS:  # one value per cell, over math
         key = (cell.scheme, cell.figure)
         if key in _DEFINITIONAL:
             cells[key] = _DEFINITIONAL[key]
             continue
-        value = _guarded(cell, c, p, omega, math)
         if cell.theory == QUANTUM:
-            qv = value
+            qv = _closed_form(cell, c, p, omega, math, s, r)
             continue
-        signed = qv - value
-        cert = GapCertificate(qv, value, signed,  # is_advantage's rule, inlined
-                              (-signed if key[1] == "P_0" else signed) > tols.advantage)
+        nv = _guarded(cell, c, p, omega, math)
+        cert = GapCertificate(qv, nv, *_gap(cell, qv, nv, c, p, omega, math, s, r))
         if cell.outcome == 2:  # the second arm of the noncontextual MESD confidence
             arm1 = cells[key]
             cert = ConfidencePairCell(arm1, cert, window, arm1.advantage and cert.advantage)

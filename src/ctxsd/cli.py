@@ -10,9 +10,9 @@ each check's status, worst deviation, limit, headroom (deviation over
 limit), worst point, number of compared values and wall time.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on usage or I/O
-errors. The ``CTXSD_TOL`` environment variable, read only by ``table`` and
-``verify``, loosens the comparison tolerances of ``verify`` and the
-advantage flags.
+errors. The ``CTXSD_TOL`` environment variable, read only by ``verify``,
+loosens its comparison tolerances. ``table`` has no tolerance: a cell shows
+an advantage exactly where its gap is positive.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     from .sweeps import table_cmd
 
-    print(table_cmd(args.c, args.p, args.omega, config.from_env()))
+    print(table_cmd(args.c, args.p, args.omega))
     return 0
 
 

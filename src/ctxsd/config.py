@@ -1,9 +1,10 @@
 """Numeric thresholds: the comparison tolerances and the structural constants.
 
 ``Tolerances`` holds the three limits within which two routes to the same
-number must agree and the advantage threshold; ``DEFAULTS`` is its default
-value, and the ``CTXSD_TOL`` environment variable floors all four
-(``from_env``).
+number must agree; ``DEFAULTS`` is its default value, and the ``CTXSD_TOL``
+environment variable floors all three (``from_env``, read by ``verify``
+alone). No tolerance decides an advantage: ``bounds`` reads each verdict
+from the signs of its gap's factors.
 The type invariants read the constants ``NORM``, ``PSD`` and
 ``COMPLETENESS``, which no setting changes: a construction either is a
 state, a response or a POVM to these limits or raises. The route-local
@@ -28,13 +29,11 @@ COMPLETENESS = 1e-10   # entrywise |sum of elements - identity|
 
 @dataclass(frozen=True)
 class Tolerances:
-    """How closely independent routes to the same number must agree, and
-    the strict-gap threshold of the advantage flags."""
+    """How closely independent routes to the same number must agree."""
 
     exact: float = 1e-12           # identities that hold to rounding error
     closed_form: float = 1e-9      # measurement construction vs closed form
     oracle: float = 1e-9           # brute-force oracle vs closed form
-    advantage: float = 1e-12       # strict-gap threshold for advantage flags
 
 
 DEFAULTS = Tolerances()

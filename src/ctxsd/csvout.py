@@ -24,8 +24,7 @@ of a chunk (0.0 and -0.0 differ, as do NaN payloads; tested in the block's
 own layout) skips the kernel: each run of such columns is formatted once per
 output, keyed by its columns and patterns, and its text repeated down the
 chunk. The kernel's scratch is allocated once per output, sized to its
-longest chunk, and keeps its lead words and texts from one chunk to the next
-of the same layout. An output may come as an iterator of row blocks (a sweep
+longest chunk. An output may come as an iterator of row blocks (a sweep
 writes its rows so): each block is written before the next is drawn, so the
 writer holds one block at a time, and the first is drawn before a byte is
 written or a file is opened.
@@ -77,13 +76,12 @@ def _csv_digits() -> np.ndarray:
 class _CsvTable:
     """The CSV writer of one output of ``columns`` columns: its kernel's
     scratch, sized to its longest chunk so far, into which every step of
-    the kernel writes, the text of each constant run and the last layout."""
+    the kernel writes, and the text of each constant run."""
 
     def __init__(self, columns: int) -> None:
         self.size = 0  # cells the scratch holds
         self.lead = np.where(np.arange(columns) == 0, _CSV_LEAD[1], _CSV_LEAD[0])
         self.texts: dict[tuple, np.ndarray] = {}  # by columns and bit patterns
-        self.layout, self.patched = None, None  # the words' last layout, its patched cells
 
     def _reserve(self, size: int) -> None:
         """Scratch for ``size`` cells."""
@@ -91,7 +89,7 @@ class _CsvTable:
             self.size = size
             self.x, self.y, self.f, self.r = np.empty((4, size))
             self.off, self.b1, self.b2 = np.empty((3, size), bool)
-            self.words, self.layout = np.empty(5 * size, np.uint32), None  # 4 or 5 words a cell
+            self.words = np.empty(5 * size, np.uint32)  # 4 or 5 words a cell
 
     def chunk(self, block: np.ndarray) -> bytes:
         """The CSV text of the rows ``block``, each led by its "\\n"."""
@@ -156,22 +154,15 @@ class _CsvTable:
         total = sum(width * m if text is None else len(text) for _, m, text in spans)
         words = self.words[:n * total]
         rows = words.reshape(n, total)
-        # if the last call had this layout, its leads and texts are in place but where it patched
-        layout = (n, width, [(col, m, text is None or id(text)) for col, m, text in spans])
-        fresh, self.layout = layout != self.layout, layout
-        if not fresh and len(self.patched):
-            words[self.patched] = words[self.patched] & 0xFF | _CSV_LEAD[0] & 0xFFFFFF00
-            words[self.patched + width - 1] = 0  # a fifth word; a fourth is rewritten
         views, first, place = [], [], 0  # each varying run's cells; each x column's first word
         for col, m, text in spans:
             if text is None:
                 cells = rows[:, place:place + width * m].reshape(n, m, width)
-                if fresh:
-                    cells[:, :, 0] = self.lead[col:col + m]
-                    cells[:, :, 4:] = 0
+                cells[:, :, 0] = self.lead[col:col + m]
+                cells[:, :, 4:] = 0
                 views.append(cells)
                 first.extend(range(place, place + width * m, width))
-            elif fresh:
+            else:
                 rows[:, place:place + len(text)] = text
             place += width * m if text is None else len(text)
         # f = hi 10^8 + mid 10^4 + lo, split exactly into the spent x, r and y
@@ -189,9 +180,8 @@ class _CsvTable:
             for (_, m), at, cells in zip(varying, starts, views):
                 cells[:, :, word] = groups[:, at:at + m]
         # the one-digit and printed cells, each patched in at its first word
-        self.patched = off  # few chunks have any
         if len(off):
-            self.patched = at = off // mv * total + np.array(first, np.intp)[off % mv]
+            at = off // mv * total + np.array(first, np.intp)[off % mv]
             printed = np.frombuffer(printed.replace(b" ", b"\0"), np.uint32).reshape(-1, width)
             digit = _DIGIT_CELL[(x_off[one_digit] == 1.0).view(np.int8)]
             for at, text in ((at[one_digit], digit), (at[~one_digit], printed)):

@@ -58,7 +58,6 @@ from .bounds import (
     ConfidencePairCell,
     DefinitionalCell,
     eval_column,
-    is_advantage,
     oriented_gap,
     table1_report,
 )
@@ -294,6 +293,14 @@ class _Pass:
         label = f"{scheme}_{figure.replace('_', '')}"
         return self.closed(f"{label}_Q", grid) - self.closed(f"{label}_NC", grid)
 
+    def advantage(self, scheme: str, figure: str, grid: str) -> np.ndarray:
+        """``bounds``' verdict of one table cell at each point of ``grid``,
+        read from the cell's gap certificate over the closed-form columns."""
+        label = f"{scheme}_{figure.replace('_', '')}"
+        c, p = self.grids[grid]
+        return bounds._gap(_CELL[f"{label}_NC"], self.closed(f"{label}_Q", grid),
+                           self.closed(f"{label}_NC", grid), c, p, None)[1]
+
 
 _CLOSED, _ORACLE, _EXACT = (attrgetter(f) for f in ("closed_form", "oracle", "exact"))
 _BUILT = "bounds/construction-consistency"
@@ -514,16 +521,21 @@ def _chk_hand_integrals(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
 
 @_check("bounds/inequality-suite", ())  # the closed-form columns
 def _chk_inequalities(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
+    # each verdict is an advantage exactly off its certificate's zero set:
+    # MESD P_g's c = 0 and 1, USD P_0's c = 1, MCM P_0's (1, 0), which the
+    # grid leaves out, and MCM C's edges of the square; MCM P_g, which has no
+    # certificate, at least inside the square
     cs = ev.cs
-    for scheme, figure in (("MESD", "P_g"), ("USD", "P_0")):
-        acc.ok(is_advantage(figure, ev.gap(scheme, figure, "c")[1:-1], tols), _points(c=cs[1:-1]))
+    for scheme, figure, where in (("MESD", "P_g", (0.0 < cs) & (cs < 1.0)),
+                                  ("USD", "P_0", cs < 1.0)):
+        acc.ok(ev.advantage(scheme, figure, "c") == where, _points(c=cs))
     acc.add(ev.gap("MESD", "P_g", "c")[[0, -1]], tols.exact, _points(c=cs[[0, -1]]))
     c, p = ev.grids["nc"]
     interior = (0.0 < c) & (c < 1.0) & (0.0 < p) & (p < 1.0)
-    for figure in ("P_g", "P_0", "C"):
-        signed = ev.gap("MCM", figure, "nc")
-        acc.ok(oriented_gap(figure, signed) >= -tols.exact, ev.points["nc"])
-        acc.ok(is_advantage(figure, signed, tols) | ~interior, ev.points["nc"])
+    for figure, where in (("P_g", interior), ("P_0", True), ("C", interior)):
+        acc.ok(oriented_gap(figure, ev.gap("MCM", figure, "nc")) >= -tols.exact, ev.points["nc"])
+        advantage = ev.advantage("MCM", figure, "nc")
+        acc.ok(advantage | ~where if figure == "P_g" else advantage == where, ev.points["nc"])
 
 
 @_check("bounds/mesd-confidence-window", ("bounds.omega_star",))
@@ -537,7 +549,7 @@ def _chk_window(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     for arm in ("MESD_C1_NC", "MESD_C2_NC"):
         nc = eval_column(_CELL[arm].spec(0.5, 0.0, 0.5), ("c", "omega"),
                          np.broadcast_arrays(cs, omegas))
-        both &= is_advantage("C", quantum - nc, tols)
+        both &= bounds._gap(_CELL[arm], quantum, nc, cs, None, omegas)[1]
     inside = (w_star <= omegas) & (omegas <= 1.0 - w_star)
     # too close to the boundary for the grid to resolve
     unresolved = np.minimum(abs(omegas - w_star), abs(omegas - (1.0 - w_star))) <= 0.5 * step
@@ -557,7 +569,7 @@ def _chk_factorisation(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
 @_check("bounds/table-report", ("bounds.table1_report", "bounds.gap", "bounds.eval_bound"))
 def _chk_table(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     point = (0.5, 0.5, 0.5)
-    report = table1_report(*point, tols)
+    report = table1_report(*point)
     acc.add(report.cell("MESD", "P_0").value, 0.0, "definitional MESD P_0")
     acc.add(report.cell("USD", "C").value - 1.0, 0.0, "definitional USD C")
     for (scheme, figure), cell in report.cells.items():
@@ -570,13 +582,13 @@ def _chk_table(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
         quantum = Cell(scheme, figure, QUANTUM).spec(*point)
         for outcome, cert in enumerate(arms, 1):
             nc_cell = Cell(scheme, figure, NONCONTEXTUAL, outcome)
-            acc.ok(bounds.gap(quantum, nc_cell.spec(*point), tols) == cert,
+            acc.ok(bounds.gap(quantum, nc_cell.spec(*point)) == cert,
                    f"the certificate of {nc_cell.label}")
-    degenerate = table1_report(0.0, 0.5, 0.5, tols)
+    degenerate = table1_report(0.0, 0.5, 0.5)
     acc.add(degenerate.cell("MESD", "P_g").gap, tols.exact, "c=0 MESD P_g")
     acc.add(degenerate.cell("MCM", "C").gap, tols.exact, "c=0 MCM C")
     acc.ok(degenerate.cell("MESD", "C").window is None, "c=0 window")
-    acc.ok(not table1_report(1.0, 0.5, 0.5, tols).usd_possible, "c=1 usd flag")
+    acc.ok(not table1_report(1.0, 0.5, 0.5).usd_possible, "c=1 usd flag")
 
 
 # The grid densities verify accepts. A pass holds about 1.8 KB per grid point

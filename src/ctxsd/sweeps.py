@@ -32,7 +32,6 @@ from .bounds import (
     eval_bound,
     table1_report,
 )
-from .config import DEFAULTS, Tolerances
 from .csvout import _chunk_rows, write_csv
 from .errors import ContractError, DivergenceError, DomainError, require_in, require_int
 
@@ -53,6 +52,12 @@ _VARIABLES = ("c", "p", "omega")
 
 def _fmt(v: float) -> str:
     return format(float(v), ".9g")
+
+
+def _fmt_exact(v: float) -> str:
+    """``_fmt`` where it reads back as ``v``, else the shortest text that does."""
+    text = _fmt(v)
+    return text if float(text) == v else repr(v)
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +257,13 @@ def emit_figure(job: FigureJob) -> Path:
 # table rendering
 
 
-def table_cmd(c: float, p: float, omega: float, tols: Tolerances = DEFAULTS) -> str:
-    """Render the nine-cell gap table as text, one line per cell."""
-    report = table1_report(c, p, omega, tols)
+def table_cmd(c: float, p: float, omega: float) -> str:
+    """Render the nine-cell gap table as text, one line per cell, under a
+    header whose c, p and omega read back as the point evaluated."""
+    report = table1_report(c, p, omega)
     lines = [
-        f"gap table at c={_fmt(c)}, p={_fmt(p)}, omega={_fmt(omega)}",
+        f"gap table at c={_fmt_exact(report.c)}, p={_fmt_exact(report.p)}, "
+        f"omega={_fmt_exact(report.omega)}",
         f"{'scheme':<7}{'figure':<7}{'quantum':<15}{'noncontextual':<15}"
         f"{'gap':<16}advantage",
     ]

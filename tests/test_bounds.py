@@ -17,13 +17,11 @@ from ctxsd.bounds import (
     eval_bound,
     eval_column,
     gap,
-    is_advantage,
     nc_mesd_confidences,
     omega_star,
-    oriented_gap,
     table1_report,
 )
-from ctxsd.config import DEFAULTS, Tolerances
+from ctxsd.config import DEFAULTS
 from ctxsd.errors import ContractError, CtxsdError, DivergenceError, DomainError
 
 SQRT_HALF = math.sqrt(0.5)
@@ -239,16 +237,34 @@ def test_two_parameter_column_rejects_each_bad_grid():
 # gaps
 
 
+def _gap_cells():
+    """Each noncontextual cell with a gap, and its quantum counterpart."""
+    return [(Cell(cell.scheme, cell.figure, QUANTUM), cell) for cell in CELLS
+            if cell.theory == NONCONTEXTUAL and (cell.scheme, cell.figure) not in
+            (("MESD", "P_0"), ("USD", "C"))]
+
+
 def test_advantage_rule_of_a_column_is_the_rule_of_gap():
-    cs = np.linspace(0.0, 1.0, 21)
-    for scheme, figure in (("MESD", "P_g"), ("USD", "P_0")):
-        specs = [BoundSpec(scheme, figure, theory, c=0.5) for theory in (QUANTUM, NONCONTEXTUAL)]
-        signed = eval_column(specs[0], "c", cs) - eval_column(specs[1], "c", cs)
-        flags = is_advantage(figure, signed)
-        for c, flag, diff in zip(cs, flags, oriented_gap(figure, signed)):
-            cert = gap(*(BoundSpec(scheme, figure, s.theory, c=float(c)) for s in specs))
-            assert flag == cert.advantage
-            assert diff == (-cert.gap if figure == "P_0" else cert.gap)
+    # bounds' gap and verdict over numpy columns are gap's at each point, bit
+    # for bit: on an 11 x 11 grid of (c, p) less the singular (1, 0), with
+    # omega cycling through 0, 0.3 and 1, and at omega_star and one ulp either
+    # side of it, where the arms' verdicts are decided exactly
+    grid = np.linspace(0.0, 1.0, 11)
+    c, p = (g.ravel()[1:] for g in np.meshgrid(grid[::-1], grid, indexing="ij"))
+    omega = np.resize([0.0, 0.3, 1.0], c.shape)
+    near = np.array([np.nextafter(omega_star(x), np.inf * k) if k else omega_star(x)
+                     for x in (0.5, 0.96) for k in (-1, 0, 1)])
+    c = np.concatenate([c, [0.5] * 3, [0.96] * 3, [0.5] * 3, [0.96] * 3])
+    p = np.concatenate([p, np.full(12, 0.5)])
+    omega = np.concatenate([omega, near, 1.0 - near])
+    assert c.shape == p.shape == omega.shape
+    names = ("c", "p", "omega")
+    for quantum, cell in _gap_cells():
+        qv, nv = (eval_column(x.spec(0.5, 0.5, 0.5), names, (c, p, omega)) for x in (quantum, cell))
+        signed, flags = bounds._gap(cell, qv, nv, c, p, omega)
+        for k, point in enumerate(zip(c.tolist(), p.tolist(), omega.tolist())):
+            cert = gap(quantum.spec(*point), cell.spec(*point))
+            assert (float(signed[k]).hex(), bool(flags[k])) == (cert.gap.hex(), cert.advantage)
 
 
 def _certificates(report):
@@ -264,22 +280,38 @@ def _certificates(report):
 
 _TIE_KEYS = list(_certificates(table1_report(0.3, 0.4, 0.2)))
 
+_BELOW_1 = math.nextafter(1.0, 0.0)
+# (scheme, figure, arm): a point of the gap's zero set, and a point one step
+# into its positive set. MCM P_g and P_0 vanish only at the singular (1, 0).
+_TIES = {
+    ("MESD", "P_g", 1): ((0.0, 0.5, 0.5), (5e-324, 0.5, 0.5)),
+    ("MESD", "C", 1): ((0.0, 0.5, 0.5), (5e-324, 0.5, 0.5)),
+    ("MESD", "C", 2): ((1.0, 0.5, 0.0), (_BELOW_1, 0.5, 0.0)),
+    ("USD", "P_g", 1): ((1.0, 0.5, 0.5), (_BELOW_1, 0.5, 0.5)),
+    ("USD", "P_0", 1): ((1.0, 0.5, 0.5), (_BELOW_1, 0.5, 0.5)),
+    ("MCM", "P_g", 1): ((1.0, 0.0, 0.5), (1.0, 2.5e-12, 0.5)),
+    ("MCM", "P_0", 1): ((1.0, 0.0, 0.5), (1.0, 5e-324, 0.5)),
+    ("MCM", "C", 1): ((0.5, 1.0, 0.5), (0.5, _BELOW_1, 0.5)),
+}
+
 
 @pytest.mark.parametrize("key", _TIE_KEYS, ids=[f"{s}-{f}-{arm}" for s, f, arm in _TIE_KEYS])
 def test_an_exact_tie_is_no_advantage(key):
-    # at a threshold equal to the oriented gap the rule reports no advantage,
-    # and one ulp below it one, in table1_report, gap and is_advantage alike
-    point, figure = (0.3, 0.4, 0.2), key[1]
-    cert = _certificates(table1_report(*point))[key]
-    specs = (Cell(key[0], figure, QUANTUM).spec(*point),
-             Cell(key[0], figure, NONCONTEXTUAL, key[2]).spec(*point))
-    assert gap(*specs) == cert
-    tie = -cert.gap if figure == "P_0" else cert.gap
-    for threshold, want in ((tie, False), (math.nextafter(tie, -math.inf), True)):
-        tols = Tolerances(advantage=threshold)
-        assert _certificates(table1_report(*point, tols))[key].advantage is want
-        assert gap(*specs, tols).advantage is want
-        assert is_advantage(figure, np.array([cert.gap]), tols).tolist() == [want]
+    # on a gap's zero set the gap is +0 and the verdict no advantage; one
+    # step off it the verdict is an advantage, even where the gap underflows
+    # to 0. table1_report and gap agree wherever the point is regular.
+    scheme, figure, arm = key
+    quantum, cell = Cell(scheme, figure, QUANTUM), Cell(scheme, figure, NONCONTEXTUAL, arm)
+    for point, want in zip(_TIES[key], (False, True)):
+        qv, nv = (bounds._guarded(x, *point, math) for x in (quantum, cell))
+        signed, advantage = bounds._gap(cell, qv, nv, *point, math)
+        assert advantage is want, point
+        if not want:
+            assert signed.hex() == "0x0.0p+0", point
+        if not _diverges(table1_report, *point):
+            cert = _certificates(table1_report(*point))[key]
+            assert cert == gap(quantum.spec(*point), cell.spec(*point))
+            assert (cert.gap.hex(), cert.advantage) == (signed.hex(), advantage)
 
 
 def test_gap_confidence_arms_outside_window():

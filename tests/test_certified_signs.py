@@ -26,12 +26,16 @@ certificate whose factors are visibly nonnegative on the closed square
   gaps are zero; at c = 1 both arms take the guarded value 1/2, the
   Helstrom value there, so both gaps are zero.
 
+``bounds._gap`` computes each gap in a form of its certificate that does
+not cancel, and reads each verdict from the signs of its factors; over
+sympy its expressions equal the certificates too.
+
 Each certificate is then evaluated at the 21- and 51-point verify grids in
 40-digit arithmetic and checked against ``eval_column`` to 1e-15, its zero
 set included. The MCM P_g gap does not factor this way and is not certified
 here.
 
-Runs only where sympy is installed; it is not a declared dependency.
+Runs only where sympy, a declared test extra, is installed.
 """
 
 import numpy as np
@@ -40,7 +44,14 @@ import pytest
 sympy = pytest.importorskip("sympy")
 import mpmath  # noqa: E402  (a dependency of sympy)
 
-from ctxsd.bounds import CELLS, _closed_form, _omega_star, eval_column, oriented_gap  # noqa: E402
+from ctxsd.bounds import (  # noqa: E402
+    CELLS,
+    _closed_form,
+    _gap,
+    _omega_star,
+    eval_column,
+    oriented_gap,
+)
 
 s, r, t, w = sympy.symbols("s r t omega", nonnegative=True)
 c_of_s, c_of_r = s**2, 1 - r**2
@@ -60,6 +71,14 @@ def _code_gap(scheme, figure, c, p=None, omega=None, outcome=1):
     """The oriented quantum-minus-noncontextual gap of the package's expressions."""
     return oriented_gap(figure, _code(_cell(scheme, figure, "quantum"), c, p, omega)
                         - _code(_cell(scheme, figure, "noncontextual", outcome), c, p, omega))
+
+
+def _certified_gap(scheme, figure, c, p=None, omega=None, outcome=1):
+    """The oriented gap as ``bounds._gap`` computes it, its floats made exact."""
+    cell = _cell(scheme, figure, "noncontextual", outcome)
+    values = (_code(_cell(scheme, figure, "quantum"), c, p, omega), _code(cell, c, p, omega))
+    signed, _ = _gap(cell, *values, c, p, omega, xp=sympy)
+    return oriented_gap(figure, sympy.nsimplify(signed, rational=True))
 
 
 def _gap_on_grid(scheme, figure, n):
@@ -100,10 +119,20 @@ def test_gap_equals_its_certificate(key):
     assert sympy.expand(_code_gap(*key, c, 1 - t) - certificate) == 0
 
 
+# MCM C: t (a - b) / 2 with a = r / sqrt(1 - t^2 c) and b = r^2 / (1 - t c)
+_MCM_C = (c_of_r, t * (r / sympy.sqrt(1 - t**2 * c_of_r) - r**2 / (1 - t * c_of_r)) / 2, None)
+
+
+@pytest.mark.parametrize("key", [*_CERTIFICATES, ("MCM", "C")], ids=" ".join)
+def test_the_code_computes_each_gap_as_its_certificate(key):
+    # the expression bounds._gap evaluates, over sympy, is the certificate
+    c, certificate, _ = _CERTIFICATES.get(key, _MCM_C)
+    assert sympy.simplify(_certified_gap(*key, c, 1 - t) - certificate) == 0
+
+
 def test_mcm_confidence_gap_factors():
     c, p = c_of_r, 1 - t
-    a, b = r / sympy.sqrt(1 - t**2 * c), r**2 / (1 - t * c)
-    assert sympy.simplify(_code_gap("MCM", "C", c, p) - t * (a - b) / 2) == 0
+    assert sympy.simplify(_code_gap("MCM", "C", c, p) - _MCM_C[1]) == 0
     # a^2 - b^2 over the common denominator (1 - t^2 c)(1 - t c)^2
     assert sympy.expand(r**2 * (1 - t * c) ** 2 - r**4 * (1 - t**2 * c) - c * (1 - c) * p**2) == 0
 
@@ -143,6 +172,9 @@ def test_mesd_confidence_gap_equals_its_certificate(outcome):
     certificate, sign = _ARMS[outcome]
     gap = _code_gap("MESD", "C", c_of_r, omega=w, outcome=outcome)
     assert sympy.simplify(gap - certificate) == 0
+    # and bounds._gap computes it as the certificate
+    assert sympy.simplify(_certified_gap("MESD", "C", c_of_r, omega=w, outcome=outcome)
+                          - certificate) == 0
     assert sympy.simplify(_ARMS[2][0] - _ARMS[1][0].subs(w, 1 - w)) == 0  # the mirror
     # the sign factor vanishes at omega*, the code's, for arm 1 and at 1 - omega* for arm 2
     w_star = sympy.nsimplify(_omega_star(c_of_r, sympy), rational=True)

@@ -308,8 +308,18 @@ def test_csv_cells_at_the_edges_of_the_fast_path(tmp_path):
     # with no 16-byte text a cell is four words; the clamp keeps 1e-4 and the
     # cells below the tie 1 - 5e-10, which its tie margin alone sends to printf
     writer = csvout._CsvTable(4)
-    writer.chunk(np.array([[1e-4, 1.0 - 6e-10, 0.5, 1.0 - 5e-10]]))
-    assert writer.layout[:2] == (1, 4) and writer.patched.tolist() == [12]
+    block = np.array([[1e-4, 1.0 - 6e-10, 0.5, 1.0 - 5e-10]])
+    writer._reserve(block.size)
+    rows = writer._cells(block, [(0, 4, None)])
+    assert rows.shape == (1, 16) and _printf_cells(rows, 4).tolist() == [[False] * 3 + [True]]
+
+
+def _printf_cells(rows: np.ndarray, width: int) -> np.ndarray:
+    """Which cells of the kernel's words ``rows`` (all varying, ``width``
+    words a cell) left its fast path: a fast cell's first word is its
+    separator, a NUL and "0.", and a printed or one-digit cell's is not."""
+    lead = rows.reshape(len(rows), -1, width)[:, :, 0]  # little-endian: byte k is >> 8k
+    return (lead >> 8 & 0xFF != 0) | (lead >> 24 != ord("."))
 
 
 def test_csv_digit_table_holds_every_group_plain_and_stripped():
@@ -641,7 +651,7 @@ _FAULTS = {
         ("ncmodel.usd_response", lambda real: lambda g1, g2: real(g1 * (1.0 - 1e-6), g2),
          {"ncmodel/hand-integrals"}, None)],
     "bounds/inequality-suite": [  # forgets that a smaller P_0 is the better one
-        ("is_advantage", lambda real: lambda figure, signed, tols: signed > tols.advantage,
+        ("bounds._gap", lambda real: lambda cell, qv, nv, *args: (qv - nv, qv > nv),
          {"bounds/inequality-suite"}, None)],
     # At 5 points the window check's omega grid has step 0.05 and leaves the
     # half step on each side of omega_star unresolved: 0.01 is inside that band.
@@ -1122,14 +1132,15 @@ def test_dense_sweep_bytes_match_the_benchmark_digests(tmp_path, monkeypatch):
     # 100 001 points reach the exponent-form x (1e-05 ...) and cross CSV chunks
     pinned = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "digests.json")
                         .read_text())
-    patched, chunk = [], csvout._CsvTable.chunk
+    patched, cells = [], csvout._CsvTable._cells
 
-    def counted(self, block):  # and the cells it sent off the fast path
-        text = chunk(self, block)
-        patched.append(len(self.patched))
-        return text
+    def counted(self, block, spans):  # and the cells it sent off the fast path
+        rows = cells(self, block, spans)
+        if all(text is None for _, _, text in spans):  # no constant run
+            patched.append(int(_printf_cells(rows, rows.shape[1] // block.shape[1]).sum()))
+        return rows
 
-    monkeypatch.setattr(csvout._CsvTable, "chunk", counted)
+    monkeypatch.setattr(csvout._CsvTable, "_cells", counted)
     for variable in ("c", "p"):
         name = f"sweep-{variable}-100001.csv"
         argv = ["sweep", "--variable", variable, "--points", "100001",
@@ -1231,31 +1242,33 @@ def test_tolerance_defaults_are_pinned():
         "exact": 1e-12,
         "closed_form": 1e-9,
         "oracle": 1e-9,
-        "advantage": 1e-12,
     }
     assert (config.NORM, config.PSD, config.COMPLETENESS) == (1e-12, 1e-10, 1e-10)
 
 
-def test_only_table_and_verify_read_the_env_tolerance(monkeypatch, capsys, tmp_path):
+def test_only_verify_reads_the_env_tolerance(monkeypatch, capsys, tmp_path):
     for argv in (["bounds"], ["sweep", "--variable", "c", "--points", "5", "--target", "MCM:C:Q"],
-                 ["figure", "--id", "fig2", "--out", str(tmp_path / "fig2.csv")]):
+                 ["figure", "--id", "fig2", "--out", str(tmp_path / "fig2.csv")], ["table"]):
         monkeypatch.delenv(config.ENV_TOL, raising=False)
         assert cli.main(argv) == 0
         unset = capsys.readouterr()
         monkeypatch.setenv(config.ENV_TOL, "junk")
         assert cli.main(argv) == 0
         assert capsys.readouterr() == unset, argv
-    for argv in (["table"], ["verify", "--points", "5"]):
-        assert cli.main(argv) == 2
-        assert capsys.readouterr().err == "error: CTXSD_TOL must be a number, got 'junk'\n"
+    assert cli.main(["verify", "--points", "5"]) == 2
+    assert capsys.readouterr().err == "error: CTXSD_TOL must be a number, got 'junk'\n"
 
 
 def test_cli_honours_env_tolerance(monkeypatch, capsys):
-    # with a huge tolerance every gap is below threshold: no advantages
-    monkeypatch.setenv(config.ENV_TOL, "0.5")
-    assert cli.main(["table"]) == 0
-    out = capsys.readouterr().out
-    assert "yes" not in out.split("advantage window")[0].split("advantage\n")[-1]
+    # verify floors its limits at CTXSD_TOL: a check's reported limit reads 0.5
+    monkeypatch.delenv(config.ENV_TOL, raising=False)
+    limits = []
+    for raw in (None, "0.5"):
+        if raw is not None:
+            monkeypatch.setenv(config.ENV_TOL, raw)
+        assert cli.main(["verify", "--points", "5", "--json"]) == 0
+        limits.append({ch["limit"] for ch in json.loads(capsys.readouterr().out)["checks"]})
+    assert 0.5 not in limits[0] and 0.5 in limits[1]
 
 
 # ---------------------------------------------------------------------------
