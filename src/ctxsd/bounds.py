@@ -18,9 +18,9 @@ by ``eval_bound`` and ``eval_column`` and once per point by
 ``table1_report``; ``_guarded`` fixes the MESD arms at c = 1; and
 ``omega_star`` raises at c = 1.
 
-Each gap is written once too, in ``_gap``, from its certificate: factors
-that are nonnegative on the square, so it does not cancel, and whose signs,
-not their rounded product, give the advantage verdict, with no threshold.
+Each gap is written once too, in ``_gap``, a function of the point: its
+certificate, in terms nonnegative on the square, so it does not cancel, and
+whose signs, not their rounded value, give the verdict, with no threshold.
 """
 
 from __future__ import annotations
@@ -179,10 +179,10 @@ def _closed_form(cell, c, p, omega, xp=np, s=None, r=None):
             return 0.5 * (1.0 + r)
         if figure == "P_g":
             return 1.0 - 0.5 * c
-        # the confidences of the omega-mixed guessing strategies, arm by arm
-        if cell.outcome == 1:
-            return (1.0 - (1.0 - omega) * c) / (1.0 - (1.0 - 2.0 * omega) * c)
-        return (1.0 - omega * c) / (1.0 + (1.0 - 2.0 * omega) * c)
+        # the confidences of the omega-mixed guessing strategies, arm by arm:
+        # (1 - (1 - v) c) / (1 - (1 - 2v) c), v = omega (arm 1) or 1 - omega
+        v = omega if cell.outcome == 1 else 1.0 - omega
+        return 0.5 * (1.0 + (1.0 - c) / ((1.0 - c) + 2.0 * v * c))
     if scheme == "USD":
         if figure == "C":
             return 1.0
@@ -197,7 +197,7 @@ def _closed_form(cell, c, p, omega, xp=np, s=None, r=None):
     if figure == "P_0":
         return (1.0 - p) * s if quantum else 0.5 * (1.0 + (1.0 - p) * c)
     if not quantum:
-        return 0.5 * (1.0 - 0.5 * p - (1.0 - p) * c)
+        return 0.5 * ((1.0 - p) * (1.0 - c) + 0.5 * p)  # 1 - p/2 - (1-p) c
     t = (1.0 - p) * s
     one_minus_t = (1.0 - c) / (1.0 + s) + p * s  # 1 - t, without the cancellation
     return 0.5 * (one_minus_t + (1.0 - p) * xp.sqrt(one_minus_t / (1.0 + t)) * r)
@@ -343,32 +343,33 @@ def _arm_factor(c: float, omega: float, outcome: int, r: float) -> tuple[float, 
     return float(n) / (2.0 * float(v) + float(1 - 2 * v) * r), n > 0
 
 
-def _gap(cell, qv, nv, c, p, omega, xp=np, s=None, r=None):
-    """The signed gap qv - nv of the noncontextual ``cell`` (a ``Cell`` or a
-    ``BoundSpec``) to its quantum counterpart at (c, p, omega), and whether
-    it favours the quantum theory: floats over ``math``, arrays over numpy
-    at regular points, or the gap's expression over sympy. Each oriented
-    gap is its certificate (``tests/test_certified_signs.py``), in factors
-    that are nonnegative on the square, with s = sqrt(c), r = sqrt(1 - c)
-    and t = 1 - p, s and r taken as given where the caller shares them:
+def _gap(cell, c, p, omega, xp=np, s=None, r=None):
+    """The signed gap, quantum minus noncontextual, of the noncontextual
+    ``cell`` (a ``Cell`` or a ``BoundSpec``) at (c, p, omega), and whether it
+    favours the quantum theory: floats over ``math``, arrays over numpy at
+    regular points, or the gap's expression over sympy. Each oriented gap is
+    its certificate (``tests/test_certified_signs.py``), in terms that are
+    nonnegative on the square, with s = sqrt(c), r = sqrt(1 - c), u = 1 - p
+    and t = u s, s and r taken as given where the caller shares them:
 
     * MESD P_g: r (1 - r) / 2, 1 - r = c / (1 + r); MESD C, per arm,
       r (1 - r) F / (2 D) with F = 2v(1 + r) - r, D = (1 - c) + 2vc and
       v = omega (arm 1) or 1 - omega (arm 2);
-    * USD: (1 - s)^2 / 2, 1 - s = (1 - c) / (1 + s); MCM P_0:
-      ((1 - ts)^2 + t p c) / 2;
-    * MCM C: t (a^2 - b^2) / (2 (a + b)) with a = r / sqrt(Dq), b = r^2 / Dn
+    * USD: m^2 / 2 with m = 1 - s = (1 - c) / (1 + s); MCM P_0:
+      ((1 - t)^2 + u p c) / 2, 1 - t = m + p s;
+    * MCM C: u (a^2 - b^2) / (2 (a + b)) with a = r / sqrt(Dq), b = r^2 / Dn
       (``_mcm_denominator``) and a^2 - b^2 = c (1 - c) p^2 / (Dq Dn^2);
-    * MCM P_g, which has no certificate yet: qv - nv, its verdict qv > nv.
+    * MCM P_g: (p/2 + A - t m) / 2, where A = u r Q, Q = sqrt((1 - t) / (1 + t)),
+      is the quantum value's root term and A - t m = (A^2 - t^2 m^2) / (A + t m)
+      = u r K / ((1 + t)((1 + s) Q + s r)), K = (1 - c)^2 + p s (1 + s + s^2 m).
 
-    Every other verdict is that each factor is positive, read from the
-    factors' floats, whose signs are exact (c, 1 - c, p, 1 - p, and 1 - s
-    or 1 - ts, positive where c < 1 or, for MCM P_0, p > 0), and for a
-    MESD arm's F from ``_arm_factor`` where its float is within its
-    rounding error of 0."""
+    Each verdict is that each factor of a product, or some term of a sum,
+    is positive, read from the floats of the factors, whose signs are exact
+    (c, 1 - c, p, 1 - p, and m or 1 - t, positive where c < 1 or, for MCM
+    P_0, p > 0), and for a MESD arm's F from ``_arm_factor`` where its float
+    is within its rounding error of 0. A 0/0 at a zero set, a MESD arm's at
+    (c, v) = (1, 0) or MCM P_g's at (1, 0), reads as 0."""
     scheme, figure = cell.scheme, cell.figure
-    if scheme == "MCM" and figure == "P_g":
-        return qv - nv, qv > nv
     if s is None:
         s, r = xp.sqrt(c), xp.sqrt(1.0 - c)
     if scheme == "MESD":
@@ -390,16 +391,21 @@ def _gap(cell, qv, nv, c, p, omega, xp=np, s=None, r=None):
         d = (1.0 - c) + 2.0 * v * c  # 0 only at (c, v) = (1, 0), where g = 0: read as 1
         return g * f / (d + 1.0 * (d == 0.0)), positive & sign
     if figure == "C":  # MCM
-        t, dn = 1.0 - p, _mcm_denominator(False, c, p)
+        u, dn = 1.0 - p, _mcm_denominator(False, c, p)
         root_dq = xp.sqrt(_mcm_denominator(True, c, p))
-        return (0.5 * t * c * r * p * p / (dn * root_dq * (dn + r * root_dq)),
-                (t > 0.0) & (c > 0.0) & (r > 0.0) & (p > 0.0))
+        return (0.5 * u * c * r * p * p / (dn * root_dq * (dn + r * root_dq)),
+                (u > 0.0) & (c > 0.0) & (r > 0.0) & (p > 0.0))
     m = (1.0 - c) / (1.0 + s)  # 1 - s
-    if scheme == "MCM":  # P_0
-        m = m + p * s
-        g = 0.5 * (m * m + (1.0 - p) * p * c)
-    else:
+    if scheme == "USD":
         g = 0.5 * m * m
+    elif figure == "P_0":  # MCM
+        m = m + p * s  # 1 - t
+        g = 0.5 * (m * m + (1.0 - p) * p * c)
+    else:  # MCM P_g
+        t = (1.0 - p) * s
+        d = (1.0 + t) * ((1.0 + s) * xp.sqrt((m + p * s) / (1.0 + t)) + s * r)  # 0 only where r is
+        k = (1.0 - c) * (1.0 - c) + p * s * (1.0 + s + s * s * m)
+        return 0.5 * (0.5 * p + (1.0 - p) * r * k / (d + 1.0 * (d == 0.0))), (p > 0.0) | (m > 0.0)
     return (0.0 - g if figure == "P_0" else g), m > 0.0  # signed as qv - nv, as oriented_gap
 
 
@@ -415,9 +421,9 @@ def gap(quantum: BoundSpec, noncontextual: BoundSpec) -> GapCertificate:
     )
     if not same_cell:
         raise ContractError("specs must agree on scheme, figure and parameters")
-    qv, nv = eval_bound(quantum), eval_bound(noncontextual)
-    return GapCertificate(qv, nv, *_gap(noncontextual, qv, nv, noncontextual.c,
-                                        noncontextual.p, noncontextual.omega, math))
+    return GapCertificate(eval_bound(quantum), eval_bound(noncontextual),
+                          *_gap(noncontextual, noncontextual.c, noncontextual.p,
+                                noncontextual.omega, math))
 
 
 @dataclass(frozen=True)
@@ -495,7 +501,7 @@ def table1_report(c: float, p: float, omega: float) -> Table1Report:
             qv = _closed_form(cell, c, p, omega, math, s, r)
             continue
         nv = _guarded(cell, c, p, omega, math)
-        cert = GapCertificate(qv, nv, *_gap(cell, qv, nv, c, p, omega, math, s, r))
+        cert = GapCertificate(qv, nv, *_gap(cell, c, p, omega, math, s, r))
         if cell.outcome == 2:  # the second arm of the noncontextual MESD confidence
             arm1 = cells[key]
             cert = ConfidencePairCell(arm1, cert, window, arm1.advantage and cert.advantage)

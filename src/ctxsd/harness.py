@@ -295,11 +295,9 @@ class _Pass:
 
     def advantage(self, scheme: str, figure: str, grid: str) -> np.ndarray:
         """``bounds``' verdict of one table cell at each point of ``grid``,
-        read from the cell's gap certificate over the closed-form columns."""
-        label = f"{scheme}_{figure.replace('_', '')}"
-        c, p = self.grids[grid]
-        return bounds._gap(_CELL[f"{label}_NC"], self.closed(f"{label}_Q", grid),
-                           self.closed(f"{label}_NC", grid), c, p, None)[1]
+        read from the cell's gap certificate."""
+        return bounds._gap(_CELL[f"{scheme}_{figure.replace('_', '')}_NC"], *self.grids[grid],
+                           None)[1]
 
 
 _CLOSED, _ORACLE, _EXACT = (attrgetter(f) for f in ("closed_form", "oracle", "exact"))
@@ -522,9 +520,8 @@ def _chk_hand_integrals(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
 @_check("bounds/inequality-suite", ())  # the closed-form columns
 def _chk_inequalities(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     # each verdict is an advantage exactly off its certificate's zero set:
-    # MESD P_g's c = 0 and 1, USD P_0's c = 1, MCM P_0's (1, 0), which the
-    # grid leaves out, and MCM C's edges of the square; MCM P_g, which has no
-    # certificate, at least inside the square
+    # MESD P_g's c = 0 and 1, USD P_0's c = 1, MCM P_g's and P_0's (1, 0),
+    # which the grid leaves out, and MCM C's edges of the square
     cs = ev.cs
     for scheme, figure, where in (("MESD", "P_g", (0.0 < cs) & (cs < 1.0)),
                                   ("USD", "P_0", cs < 1.0)):
@@ -532,10 +529,9 @@ def _chk_inequalities(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     acc.add(ev.gap("MESD", "P_g", "c")[[0, -1]], tols.exact, _points(c=cs[[0, -1]]))
     c, p = ev.grids["nc"]
     interior = (0.0 < c) & (c < 1.0) & (0.0 < p) & (p < 1.0)
-    for figure, where in (("P_g", interior), ("P_0", True), ("C", interior)):
+    for figure, where in (("P_g", True), ("P_0", True), ("C", interior)):
         acc.ok(oriented_gap(figure, ev.gap("MCM", figure, "nc")) >= -tols.exact, ev.points["nc"])
-        advantage = ev.advantage("MCM", figure, "nc")
-        acc.ok(advantage | ~where if figure == "P_g" else advantage == where, ev.points["nc"])
+        acc.ok(ev.advantage("MCM", figure, "nc") == where, ev.points["nc"])
 
 
 @_check("bounds/mesd-confidence-window", ("bounds.omega_star",))
@@ -544,12 +540,9 @@ def _chk_window(ev: _Pass, tols: Tolerances, acc: _Acc) -> None:
     step = float(omegas[1] - omegas[0])
     cs = ev.cs[1:-1, None]
     w_star = bounds.omega_star(cs)
-    quantum = ev.closed("MESD_C_Q", "c")[1:-1, None]
     both = np.ones((len(cs), len(omegas)), dtype=bool)
     for arm in ("MESD_C1_NC", "MESD_C2_NC"):
-        nc = eval_column(_CELL[arm].spec(0.5, 0.0, 0.5), ("c", "omega"),
-                         np.broadcast_arrays(cs, omegas))
-        both &= bounds._gap(_CELL[arm], quantum, nc, cs, None, omegas)[1]
+        both &= bounds._gap(_CELL[arm], cs, None, omegas)[1]
     inside = (w_star <= omegas) & (omegas <= 1.0 - w_star)
     # too close to the boundary for the grid to resolve
     unresolved = np.minimum(abs(omegas - w_star), abs(omegas - (1.0 - w_star))) <= 0.5 * step

@@ -21,7 +21,7 @@ sympy, as in ``test_certified_signs.py``.
 The MCM row runs over the identifying family the oracle searches today, not
 over a declared set of response generators.
 
-Runs only where sympy is installed; it is not a declared dependency.
+Runs only where sympy, a declared test extra, is installed.
 """
 
 import pytest

@@ -1,16 +1,19 @@
-"""Exact sign certificates for the contextual advantages whose gaps factor.
+"""Exact sign certificates for every contextual advantage of the table.
 
 Each gap is the quantum value minus the noncontextual one, oriented so that
 a positive value favours the quantum theory (negated for P_0). Both values
 are the package's own expressions: ``bounds._closed_form`` evaluated over
 sympy, with its float literals made exact. With s = sqrt(c),
 r = sqrt(1 - c) and t = 1 - p, sympy proves that each gap equals a
-certificate whose factors are visibly nonnegative on the closed square
+certificate whose terms are visibly nonnegative on the closed square
 (c, p) in [0, 1]^2, and the test states where it vanishes:
 
 * USD P_0 and USD P_g: (1 - s)^2 / 2, zero exactly at c = 1;
 * MESD P_g: (r - r^2) / 2 = r (1 - r) / 2, zero exactly at c = 0 and c = 1;
 * MCM P_0: ((1 - t s)^2 + t (1 - t) c) / 2, zero exactly at (c, p) = (1, 0);
+* MCM P_g: (p/2 + t r K / ((1 + T)((1 + s) Q + s r))) / 2 with T = t s,
+  Q = sqrt((1 - T) / (1 + T)) and K = (1 - c)^2 + p s (1 + s + s^2 (1 - s)),
+  zero exactly at (c, p) = (1, 0), where its form is 0/0;
 * MCM C: t (a - b) / 2 with a = r / sqrt(1 - t^2 c) and b = r^2 / (1 - t c),
   where a, b >= 0 and a^2 - b^2, over its positive denominators, is
   c (1 - c) p^2; so the gap is zero exactly on the four edges of the square
@@ -28,12 +31,13 @@ certificate whose factors are visibly nonnegative on the closed square
 
 ``bounds._gap`` computes each gap in a form of its certificate that does
 not cancel, and reads each verdict from the signs of its factors; over
-sympy its expressions equal the certificates too.
+sympy its expressions equal the certificates too. ``_proved_equal`` proves
+each of these equalities with every square root a symbol whose square is
+its radicand, as sympy's simplify cannot see past the roots of MCM P_g.
 
 Each certificate is then evaluated at the 21- and 51-point verify grids in
 40-digit arithmetic and checked against ``eval_column`` to 1e-15, its zero
-set included. The MCM P_g gap does not factor this way and is not certified
-here.
+set included.
 
 Runs only where sympy, a declared test extra, is installed.
 """
@@ -75,10 +79,24 @@ def _code_gap(scheme, figure, c, p=None, omega=None, outcome=1):
 
 def _certified_gap(scheme, figure, c, p=None, omega=None, outcome=1):
     """The oriented gap as ``bounds._gap`` computes it, its floats made exact."""
-    cell = _cell(scheme, figure, "noncontextual", outcome)
-    values = (_code(_cell(scheme, figure, "quantum"), c, p, omega), _code(cell, c, p, omega))
-    signed, _ = _gap(cell, *values, c, p, omega, xp=sympy)
+    signed, _ = _gap(_cell(scheme, figure, "noncontextual", outcome), c, p, omega, xp=sympy)
     return oriented_gap(figure, sympy.nsimplify(signed, rational=True))
+
+
+def _proved_equal(x, y):
+    """Whether x = y, proved: each square root, its radicand brought to one
+    fraction, becomes a symbol z, and the numerator of x - y, reduced modulo
+    each z^2 - radicand, is 0. Then x = y for either sign of every root."""
+    def is_root(e):
+        return e.is_Pow and e.exp.is_Rational and e.exp.q == 2
+
+    d = (x - y).replace(is_root, lambda e: sympy.Pow(sympy.factor(sympy.cancel(e.base)), e.exp))
+    bases = sorted({e.base for e in d.atoms(sympy.Pow) if is_root(e)}, key=sympy.default_sort_key)
+    z = dict(zip(bases, sympy.symbols(f"z0:{len(bases)}")))
+    numerator = sympy.numer(sympy.together(d.replace(is_root, lambda e: z[e.base] ** (2 * e.exp))))
+    for base, root in z.items():
+        numerator = sympy.rem(sympy.expand(numerator), root**2 - base, root)
+    return sympy.cancel(numerator) == 0
 
 
 def _gap_on_grid(scheme, figure, n):
@@ -94,14 +112,26 @@ def _gap_on_grid(scheme, figure, n):
 
 def _evaluate(expr, c, p, omega=None):
     """``expr`` in s, r, t and omega at the grid points (c, p, omega), each
-    float taken exactly and the value rounded once to a float."""
+    float taken exactly and the value rounded once to a float; nan where
+    the expression is 0/0."""
     f = sympy.lambdify((s, r, t, w), expr, "mpmath")
     omega = np.zeros_like(c) if omega is None else omega
-    with mpmath.workdps(40):
-        return np.array([float(f(mpmath.sqrt(x), mpmath.sqrt(1 - mpmath.mpf(x)),
-                                 1 - mpmath.mpf(y), mpmath.mpf(z)))
-                         for x, y, z in zip(c.tolist(), p.tolist(), omega.tolist())])
 
+    def at(x, y, z):
+        try:
+            return float(f(mpmath.sqrt(x), mpmath.sqrt(1 - mpmath.mpf(x)), 1 - mpmath.mpf(y),
+                           mpmath.mpf(z)))
+        except ZeroDivisionError:
+            return np.nan
+
+    with mpmath.workdps(40):
+        return np.array([at(x, y, z) for x, y, z in zip(c.tolist(), p.tolist(), omega.tolist())])
+
+
+# MCM P_g's T = (1 - p) sqrt(c), Q, r and K, in s and t
+_T = t * s
+_Q, _R = sympy.sqrt((1 - _T) / (1 + _T)), sympy.sqrt(1 - s**2)
+_K = (1 - s**2) ** 2 + (1 - t) * s * (1 + s + s**2 * (1 - s))
 
 # (scheme, figure): (c in s or r, certificate, zero set); p = 1 - t
 _CERTIFICATES = {
@@ -110,13 +140,15 @@ _CERTIFICATES = {
     ("MESD", "P_g"): (c_of_r, (r - r**2) / 2, lambda c, p: (c == 0.0) | (c == 1.0)),
     ("MCM", "P_0"): (c_of_s, ((1 - t * s) ** 2 + t * (1 - t) * c_of_s) / 2,
                      lambda c, p: (c == 1.0) & (p == 0.0)),
+    ("MCM", "P_g"): (c_of_s, ((1 - t) / 2 + t * _R * _K / ((1 + _T) * ((1 + s) * _Q + s * _R))) / 2,
+                     lambda c, p: (c == 1.0) & (p == 0.0)),
 }
 
 
 @pytest.mark.parametrize("key", list(_CERTIFICATES), ids=" ".join)
 def test_gap_equals_its_certificate(key):
     c, certificate, _ = _CERTIFICATES[key]
-    assert sympy.expand(_code_gap(*key, c, 1 - t) - certificate) == 0
+    assert _proved_equal(_code_gap(*key, c, 1 - t), certificate)
 
 
 # MCM C: t (a - b) / 2 with a = r / sqrt(1 - t^2 c) and b = r^2 / (1 - t c)
@@ -127,7 +159,7 @@ _MCM_C = (c_of_r, t * (r / sympy.sqrt(1 - t**2 * c_of_r) - r**2 / (1 - t * c_of_
 def test_the_code_computes_each_gap_as_its_certificate(key):
     # the expression bounds._gap evaluates, over sympy, is the certificate
     c, certificate, _ = _CERTIFICATES.get(key, _MCM_C)
-    assert sympy.simplify(_certified_gap(*key, c, 1 - t) - certificate) == 0
+    assert _proved_equal(_certified_gap(*key, c, 1 - t), certificate)
 
 
 def test_mcm_confidence_gap_factors():
@@ -143,6 +175,9 @@ def test_certificate_matches_the_closed_forms_on_the_verify_grid(key, n):
     _, certificate, zero = _CERTIFICATES[key]
     c, p, gap = _gap_on_grid(*key, n)
     want = _evaluate(certificate, c, p)
+    undefined = np.isnan(want)  # a 0/0 of the form, on the zero set, where the gap is +0
+    assert zero(c, p)[undefined].all() and (gap[undefined] == 0.0).all()
+    want[undefined] = 0.0
     assert np.abs(gap - want).max() <= 1e-15
     assert (want[zero(c, p)] == 0.0).all() and (want[~zero(c, p)] > 0.0).all()
 

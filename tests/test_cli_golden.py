@@ -3,8 +3,9 @@
 ``tests/data/cli_scalar.json`` holds stdout, stderr and the exit code of both
 commands at the default point, near the singular corner, at both ends of c,
 at the normalisation edge (c = 1 answers at p = 2.5e-12, exits 2 at p = 1e-12
-and p = 0) and at an omega outside [0, 1]. A refactor or a speed-up must pass
-this test without regenerating the file.
+and p = 0), at an omega outside [0, 1] and at the last float below c = 1 with
+omega = 1e-16, where the MESD arms' confidences must not cancel. A refactor
+or a speed-up must pass this test without regenerating the file.
 
 Regenerate only for an intended change of output, with
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -32,6 +33,7 @@ _POINTS = [
     ["--c", "1", "--p", "1e-12"],
     ["--c", "1", "--p", "0"],
     ["--omega", "2"],
+    ["--c", "0.9999999999999999", "--omega", "1e-16"],
 ]
 _ARGVS = [[command, *point] for command in ("bounds", "table") for point in _POINTS]
 

@@ -651,7 +651,7 @@ _FAULTS = {
         ("ncmodel.usd_response", lambda real: lambda g1, g2: real(g1 * (1.0 - 1e-6), g2),
          {"ncmodel/hand-integrals"}, None)],
     "bounds/inequality-suite": [  # forgets that a smaller P_0 is the better one
-        ("bounds._gap", lambda real: lambda cell, qv, nv, *args: (qv - nv, qv > nv),
+        ("bounds._gap", _then(lambda gap: (gap[0], gap[0] > 0.0)),  # the sign of qv - nv
          {"bounds/inequality-suite"}, None)],
     # At 5 points the window check's omega grid has step 0.05 and leaves the
     # half step on each side of omega_star unresolved: 0.01 is inside that band.
@@ -1137,7 +1137,8 @@ def test_dense_sweep_bytes_match_the_benchmark_digests(tmp_path, monkeypatch):
     def counted(self, block, spans):  # and the cells it sent off the fast path
         rows = cells(self, block, spans)
         if all(text is None for _, _, text in spans):  # no constant run
-            patched.append(int(_printf_cells(rows, rows.shape[1] // block.shape[1]).sum()))
+            width = rows.shape[1] // sum(m for _, m, _ in spans)  # words a cell
+            patched.append(int(_printf_cells(rows, width).sum()))
         return rows
 
     monkeypatch.setattr(csvout._CsvTable, "_cells", counted)

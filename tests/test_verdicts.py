@@ -14,10 +14,6 @@ zero set, must read no advantage. The points are:
 * for each interior c of the grid, omega one ulp either side of omega* and
   of 1 - omega*, where the MESD arms' verdicts turn and ``_arm_factor``
   decides them exactly.
-
-MCM P_g has no certificate: its verdict is the sign of the float difference
-of its values, and the points where that misses an advantage are pinned
-(none on these points). It never reports a false one.
 """
 
 import math
@@ -34,7 +30,6 @@ mpmath = pytest.importorskip("mpmath")
 _PAIRS = [(Cell(cell.scheme, cell.figure, QUANTUM), cell) for cell in CELLS
           if cell.theory == NONCONTEXTUAL
           and (cell.scheme, cell.figure) not in (("MESD", "P_0"), ("USD", "C"))]
-_MCM_PG_MISSES: list = []  # (c, p, omega) where MCM P_g reads no advantage but has one
 
 
 def _points():
@@ -86,14 +81,10 @@ def _certificates(point):
 
 
 def test_every_verdict_is_the_sign_of_its_80_digit_gap():
-    wrong, misses = [], []
+    wrong = []
     for point in _points():
         for cell, cert in _certificates(point).items():
-            quantum = Cell(cell.scheme, cell.figure, QUANTUM)
-            positive = _exact_gap(quantum, cell, point) > 0
-            if (cell.scheme, cell.figure) == ("MCM", "P_g") and positive and not cert.advantage:
-                misses.append(point)
-            elif cert.advantage != positive:
+            positive = _exact_gap(Cell(cell.scheme, cell.figure, QUANTUM), cell, point) > 0
+            if cert.advantage != positive:
                 wrong.append((cell.label, point, cert.gap, cert.advantage))
     assert not wrong, f"{len(wrong)} verdicts differ from the gap's sign; first {wrong[0]}"
-    assert misses == _MCM_PG_MISSES
